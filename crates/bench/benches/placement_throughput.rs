@@ -6,8 +6,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
+use optchain_bench::naive::NaiveOptChainPlacer;
 use optchain_core::replay::replay;
-use optchain_core::{NaiveOptChainPlacer, OptChainPlacer};
+use optchain_core::OptChainPlacer;
 use optchain_workload::{WorkloadConfig, WorkloadGenerator};
 
 fn placement_throughput(c: &mut Criterion) {

@@ -47,7 +47,7 @@ fn router_throughput(c: &mut Criterion) {
             b.iter(|| {
                 let mut router = Router::builder().shards(k).build();
                 for tx in &txs {
-                    router.submit_tx(tx);
+                    router.submit_tx(tx).unwrap();
                 }
             })
         });
@@ -56,7 +56,7 @@ fn router_throughput(c: &mut Criterion) {
                 let mut router = Router::builder().shards(k).build();
                 let mut session = router.session();
                 for tx in &txs {
-                    router.submit_tx_in(&mut session, tx);
+                    router.submit_tx_in(&mut session, tx).unwrap();
                 }
             })
         });

@@ -22,10 +22,11 @@ use std::time::Instant;
 
 use std::sync::Arc;
 
+use optchain_bench::naive::NaiveOptChainPlacer;
 use optchain_core::replay::{replay, ReplayOutcome};
 use optchain_core::{
-    DecisionBuf, NaiveOptChainPlacer, OptChainPlacer, PlacementContext, Placer, RetentionPolicy,
-    Router, RouterFleet, SegmentWal, ShardId, SpvWallet, DEFAULT_TELEMETRY,
+    DecisionBuf, OptChainPlacer, PlacementContext, Placer, RetentionPolicy, Router, RouterFleet,
+    SegmentWal, ShardId, SpvWallet, DEFAULT_TELEMETRY,
 };
 use optchain_tan::TanGraph;
 use optchain_utxo::Transaction;

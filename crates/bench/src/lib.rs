@@ -30,6 +30,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod naive;
+
 use std::sync::Mutex;
 
 use optchain_sim::{SimConfig, SimMetrics, Simulation, Strategy};

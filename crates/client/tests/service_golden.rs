@@ -41,7 +41,7 @@ fn single_connection_placements_match_router() {
     let mut router = Router::builder().shards(8).build();
     for (txid, inputs) in &txs {
         let via_wire = client.submit(1, *txid, inputs).expect("placed");
-        let direct = router.submit(*txid, inputs);
+        let direct = router.submit(*txid, inputs).unwrap();
         assert_eq!(via_wire, direct.0, "divergence at {txid:?}");
     }
 
@@ -68,7 +68,7 @@ fn batch_placements_match_singles() {
         let shards = client.submit_batch(1, chunk).expect("batch placed");
         assert_eq!(shards.len(), chunk.len());
         for ((txid, inputs), shard) in chunk.iter().zip(shards) {
-            assert_eq!(shard, router.submit(*txid, inputs).0);
+            assert_eq!(shard, router.submit(*txid, inputs).unwrap().0);
         }
     }
     server.shutdown();

@@ -96,43 +96,11 @@ impl AssignmentStore {
     }
 
     /// Wraps a fully materialized history into an unbounded store (the
-    /// v1/v2 snapshot formats carry assignments this way).
+    /// replay snapshot format carries assignments this way).
     pub fn from_vec(assignments: Vec<u32>) -> Self {
         let mut store = Self::new();
         store.len = assignments.len();
         store.dense = assignments;
-        store
-    }
-
-    /// Rebuilds the windowed store a live run under `retention` would
-    /// hold after placing `full` — the **v2 → v3 read-compat** path:
-    /// a legacy full-history snapshot restored into a windowed router.
-    ///
-    /// The ring takes the last `window` entries; under
-    /// [`RetentionPolicy::KeepUnspentAndHubs`] the side table is rebuilt
-    /// from the graph's own retention decisions (`tan.is_live` on every
-    /// id below the horizon — the graph recorded, at horizon-crossing
-    /// time, exactly the predicate the live store applied at ring
-    /// wrap, so the rebuilt table matches the live one).
-    pub fn from_full(retention: RetentionPolicy, tan: &TanGraph, full: &[u32]) -> Self {
-        let mut store = Self::with_retention(retention);
-        store.len = full.len();
-        if store.window == usize::MAX {
-            store.dense = full.to_vec();
-            return store;
-        }
-        let start = full.len().saturating_sub(store.window);
-        for (id, &shard) in full.iter().enumerate().skip(start) {
-            store.dense[id % store.window] = shard;
-        }
-        if store.keep_hubs.is_some() {
-            let horizon = (tan.horizon() as usize).min(start);
-            for (id, &shard) in full.iter().enumerate().take(horizon) {
-                if tan.is_live(NodeId(id as u32)) {
-                    store.retained.insert(id as u32, shard);
-                }
-            }
-        }
         store
     }
 
@@ -516,19 +484,6 @@ mod tests {
         assert_eq!(store.get(NodeId(2)), Some(ShardId(4)));
         assert_eq!(store.get(NodeId(3)), Some(ShardId(0)));
         assert_eq!(store.live_len(), 3 + 3);
-    }
-
-    #[test]
-    fn from_full_matches_a_live_windowed_run() {
-        let policy = RetentionPolicy::WindowTxs(5);
-        let tan = TanGraph::new();
-        let full: Vec<u32> = (0..17u32).collect();
-        let mut live = AssignmentStore::with_retention(policy);
-        for &s in &full {
-            live.push(s);
-        }
-        let rebuilt = AssignmentStore::from_full(policy, &tan, &full);
-        assert_eq!(live, rebuilt);
     }
 
     #[test]

@@ -23,23 +23,19 @@ use crate::router::RouterSpec;
 use crate::strategy::Strategy;
 use optchain_tan::RetentionPolicy;
 
-/// Legacy meta blob format version: ends after `flush_every` (no
-/// `full_every` knob). Still decoded — recovery fills in the default
-/// full-snapshot cadence.
-pub(crate) const META_VERSION_V1: u8 = 1;
-
-/// Meta blob format version (the first byte of the blob): v1 plus a
-/// trailing `full_every` (full snapshots between delta checkpoints).
+/// Meta blob format version (the first byte of the blob). Every
+/// persisted artifact has exactly one accepted version: any other
+/// leading byte fails recovery with a typed `InvalidData`.
 pub(crate) const META_VERSION: u8 = 2;
 
-/// Checkpoint blob format version (the first byte of the blob).
+/// Checkpoint body format version (the first byte of the decompressed
+/// full-snapshot body).
 pub(crate) const CHECKPOINT_VERSION: u8 = 1;
 
-/// Checkpoint blob envelope version for zero-RLE-compressed bodies:
-/// the byte is followed by `zrle(v1 blob)`. Compression cuts the
-/// stored blob to roughly a third (score rows are mostly exact-zero
-/// bytes), which shrinks the dominant per-checkpoint I/O cost by the
-/// same factor. Readers accept both versions; writers always compress.
+/// Full-checkpoint envelope version: the byte is followed by
+/// `zrle(body)`. Compression cuts the stored blob to roughly a third
+/// (score rows are mostly exact-zero bytes), which shrinks the dominant
+/// per-checkpoint I/O cost by the same factor.
 pub(crate) const CHECKPOINT_ZRLE_VERSION: u8 = 2;
 
 /// Checkpoint blob envelope version for **delta** checkpoints: the
@@ -50,8 +46,7 @@ pub(crate) const CHECKPOINT_ZRLE_VERSION: u8 = 2;
 /// machinery as the WAL tail, so a delta costs O(records since last
 /// checkpoint) instead of O(retained state), and `prev_upto` is a
 /// chain-continuity tripwire. Only ever installed via
-/// [`optchain_storage::Storage::put_checkpoint_delta`]; full
-/// checkpoints keep versions 1/2.
+/// [`optchain_storage::Storage::put_checkpoint_delta`].
 pub(crate) const CHECKPOINT_DELTA_VERSION: u8 = 3;
 
 /// Default records between checkpoints (flush + snapshot + segment GC).
@@ -280,8 +275,7 @@ pub(crate) fn encode_spec(spec: &RouterSpec) -> Vec<u8> {
 /// Decodes a meta blob back into the spec that wrote it.
 pub(crate) fn decode_spec(bytes: &[u8]) -> Result<RouterSpec, CodecError> {
     let mut r = ByteReader::new(bytes);
-    let version = r.get_u8()?;
-    if version != META_VERSION_V1 && version != META_VERSION {
+    if r.get_u8()? != META_VERSION {
         return Err(CodecError("unknown meta blob version"));
     }
     let shards = r.get_u32()?;
@@ -323,17 +317,41 @@ pub(crate) fn decode_spec(bytes: &[u8]) -> Result<RouterSpec, CodecError> {
     let telemetry = get_telemetry_opt(&mut r)?;
     let checkpoint_every = r.get_u64()?;
     let flush_every = r.get_u64()?;
-    // v1 blobs predate delta checkpoints: recover with the default
-    // full-snapshot cadence.
-    let full_every = if version >= META_VERSION {
-        r.get_u64()?
-    } else {
-        DEFAULT_FULL_EVERY
-    };
+    let full_every = r.get_u64()?;
     if checkpoint_every == 0 || flush_every == 0 || full_every == 0 {
         return Err(CodecError("durability intervals must be positive"));
     }
     r.finish()?;
+    // The encoder writes whatever the builder held and `RouterSpec::build`
+    // asserts on the rest, so every cross-field invariant it relies on is
+    // checked here: bytes from disk must fail typed, never panic.
+    if !(alpha > 0.0 && alpha <= 1.0) {
+        return Err(CodecError("meta blob alpha outside (0, 1]"));
+    }
+    if !(l2s_weight.is_finite() && l2s_weight >= 0.0) || epsilon.is_nan() || epsilon < 0.0 {
+        return Err(CodecError("meta blob L2S weight and epsilon must be >= 0"));
+    }
+    if window == Some(0) || retention.graph_window() == Some(0) {
+        return Err(CodecError("meta blob window must be positive"));
+    }
+    if window.is_some() && retention != RetentionPolicy::Unbounded {
+        return Err(CodecError("meta blob sets both window and retention"));
+    }
+    match &oracle {
+        None if strategy == Strategy::Metis => {
+            return Err(CodecError("meta blob selects Metis without an oracle"));
+        }
+        Some(oracle) if oracle.iter().any(|&s| s >= shards) => {
+            return Err(CodecError("meta blob oracle shard out of range"));
+        }
+        _ => {}
+    }
+    if telemetry
+        .as_ref()
+        .is_some_and(|t| t.len() != shards as usize)
+    {
+        return Err(CodecError("meta blob telemetry must cover every shard"));
+    }
     let mut spec = RouterSpec::new();
     spec.shards = Some(shards);
     spec.strategy = strategy;
@@ -418,35 +436,47 @@ mod tests {
         spec.flush_every = 64;
         spec.full_every = 4;
         let bytes = encode_spec(&spec);
-        let back = decode_spec(&bytes).unwrap();
-        assert_eq!(back.shards, spec.shards);
-        assert_eq!(back.strategy, spec.strategy);
-        assert_eq!(back.alpha, spec.alpha);
-        assert_eq!(back.window, spec.window);
-        assert_eq!(back.retention, spec.retention);
-        assert_eq!(back.l2s_mode, spec.l2s_mode);
-        assert_eq!(back.l2s_weight, spec.l2s_weight);
-        assert_eq!(back.epsilon, spec.epsilon);
-        assert_eq!(back.expected_total, spec.expected_total);
-        assert_eq!(back.oracle, spec.oracle);
-        assert_eq!(back.telemetry, spec.telemetry);
-        assert_eq!(back.checkpoint_every, spec.checkpoint_every);
-        assert_eq!(back.flush_every, spec.flush_every);
-        assert_eq!(back.full_every, spec.full_every);
+        assert_eq!(decode_spec(&bytes).unwrap(), spec);
     }
 
     #[test]
-    fn spec_meta_v1_decodes_with_default_full_every() {
-        let mut spec = RouterSpec::new();
-        spec.shards = Some(4);
-        spec.full_every = 99; // must NOT survive a v1 roundtrip
-        let mut bytes = encode_spec(&spec);
-        // A v1 blob is the v2 encoding minus the trailing full_every.
-        bytes[0] = META_VERSION_V1;
-        bytes.truncate(bytes.len() - 8);
-        let back = decode_spec(&bytes).unwrap();
-        assert_eq!(back.shards, Some(4));
-        assert_eq!(back.full_every, DEFAULT_FULL_EVERY);
+    fn inconsistent_spec_meta_fails_typed_never_panics() {
+        use optchain_storage::{MemStorage, Storage};
+        let spec = |edit: fn(&mut RouterSpec)| {
+            let mut spec = RouterSpec::new();
+            spec.shards = Some(4);
+            edit(&mut spec);
+            spec
+        };
+        // Structurally valid blobs (the encoder does not validate) whose
+        // fields `RouterSpec::build` would assert on.
+        let bad = [
+            spec(|s| s.strategy = Strategy::Metis),
+            spec(|s| {
+                s.strategy = Strategy::Metis;
+                s.oracle = Some(vec![0, 4]);
+            }),
+            spec(|s| s.window = Some(0)),
+            spec(|s| s.retention = RetentionPolicy::WindowTxs(0)),
+            spec(|s| {
+                s.window = Some(8);
+                s.retention = RetentionPolicy::WindowTxs(8);
+            }),
+            spec(|s| s.telemetry = Some(vec![ShardTelemetry::new(0.1, 0.5); 3])),
+            spec(|s| s.alpha = 0.0),
+            spec(|s| s.alpha = f64::NAN),
+            spec(|s| s.l2s_weight = -1.0),
+            spec(|s| s.epsilon = -0.5),
+        ];
+        for spec in &bad {
+            let meta = encode_spec(spec);
+            assert!(decode_spec(&meta).is_err(), "{spec:?}");
+            let mut storage = MemStorage::new();
+            storage.put_meta(&meta).unwrap();
+            let err = crate::Router::recover(Box::new(storage)).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{spec:?}");
+        }
+        assert!(decode_spec(&encode_spec(&spec(|_| {}))).is_ok());
     }
 
     #[test]

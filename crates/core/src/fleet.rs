@@ -420,7 +420,9 @@ fn worker_loop(
                     input_scratch: &mut Vec<TxId>,
                     tx: &Transaction| {
         Router::distinct_inputs_into(tx, input_scratch);
-        let shard = router.submit(tx.id(), input_scratch);
+        let shard = router
+            .submit(tx.id(), input_scratch)
+            .expect("journaling a placement failed");
         delta.push(tx.id(), input_scratch, shard.0);
         stats.placed += 1;
         shard
@@ -437,7 +439,9 @@ fn worker_loop(
             } => {
                 let shard = match &payload {
                     Payload::Raw(txid, inputs) => {
-                        let shard = router.submit(*txid, inputs);
+                        let shard = router
+                            .submit(*txid, inputs)
+                            .expect("journaling a placement failed");
                         delta.push(*txid, inputs, shard.0);
                         stats.placed += 1;
                         shard
@@ -1381,11 +1385,6 @@ impl std::fmt::Debug for FleetHandle {
 }
 
 impl FleetHandle {
-    /// The client key this handle submits for.
-    pub fn client(&self) -> u64 {
-        self.client
-    }
-
     /// The worker index this handle's client is partitioned to.
     pub fn worker(&self) -> usize {
         self.worker
@@ -1419,7 +1418,7 @@ impl FleetHandle {
     }
 
     /// [`FleetHandle::submit`], also returning the full score breakdown
-    /// of the decision (see [`Router::submit_with_detail`]).
+    /// of the decision (see [`Router::last_decision`]).
     ///
     /// # Panics
     ///

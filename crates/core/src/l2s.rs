@@ -213,11 +213,6 @@ impl L2sMemo {
     pub fn misses(&self) -> u64 {
         self.misses
     }
-
-    /// Drops the cached state (forces the next call to recompute).
-    pub fn invalidate(&mut self) {
-        self.valid = false;
-    }
 }
 
 impl L2sEstimator {

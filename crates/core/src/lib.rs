@@ -20,9 +20,12 @@
 //! The primary entry point is the [`Router`]: an owned, session-based
 //! placement service. It holds the TaN graph, the telemetry board, and
 //! the strategy state behind one submission interface, with runtime
-//! strategy selection ([`Strategy`] / [`DynPlacer`]), a zero-allocation
-//! batch path ([`Router::submit_batch`]), per-client
-//! [`PlacementSession`] handles carrying L2S memos, and
+//! strategy selection ([`Strategy`] / [`DynPlacer`]) and four doors over
+//! one fallible submission path — [`Router::submit`],
+//! [`Router::submit_tx`], [`Router::submit_tx_in`] (per-client
+//! [`PlacementSession`] handles carrying L2S memos) and the
+//! zero-allocation [`Router::submit_batch`] — with the score breakdown
+//! of the latest decision in [`Router::last_decision`], and
 //! checkpoint/restore ([`Router::snapshot`] / [`Router::warm_start`]).
 //!
 //! When one core cannot carry the ingress, the [`RouterFleet`] shards
@@ -54,16 +57,17 @@
 //!
 //! // A coinbase arrives, then a spender: the spender follows its
 //! // parent into the same shard.
-//! let shard0 = router.submit(TxId(0), &[]);
-//! let shard1 = router.submit(TxId(1), &[TxId(0)]);
+//! let shard0 = router.submit(TxId(0), &[])?;
+//! let shard1 = router.submit(TxId(1), &[TxId(0)])?;
 //! assert_eq!(shard0, shard1);
 //!
 //! // Shard telemetry streams in; a heavy backlog diverts the chain.
 //! let mut telemetry = vec![ShardTelemetry::new(0.1, 0.5); 4];
 //! telemetry[shard1.index()] = ShardTelemetry::new(0.1, 500.0);
 //! router.feed_telemetry(&telemetry);
-//! let shard2 = router.submit(TxId(2), &[TxId(1)]);
+//! let shard2 = router.submit(TxId(2), &[TxId(1)])?;
 //! assert_ne!(shard2, shard1, "L2S overrides T2S under backlog");
+//! # Ok::<(), std::io::Error>(())
 //! ```
 //!
 //! The borrow-style [`Placer`] API remains for callers that own their
@@ -94,11 +98,9 @@ pub use fleet::{
     configured_threads, FleetHandle, FleetSnapshot, FleetStats, RouterFleet, RouterFleetBuilder,
 };
 pub use l2s::{L2sEstimator, L2sMemo, L2sMode, ShardTelemetry};
-#[allow(deprecated)] // old entry points stay exported through their deprecation window
-pub use placer::input_shards;
 pub use placer::{
-    input_shards_into, Decision, DecisionBuf, GreedyPlacer, NaiveOptChainPlacer, OptChainPlacer,
-    OraclePlacer, PlacementContext, Placer, RandomPlacer, ShardId, T2sPlacer,
+    input_shards_into, Decision, DecisionBuf, GreedyPlacer, OptChainPlacer, OraclePlacer,
+    PlacementContext, Placer, RandomPlacer, ShardId, T2sPlacer,
 };
 pub use rebalance::{Move, RebalancePolicy, RebalanceStats};
 pub use replay::replay;

@@ -95,19 +95,9 @@ pub trait Placer {
     fn assignments(&self) -> AssignmentView<'_>;
 }
 
-/// Distinct shards of `node`'s input transactions under `assignments`.
-#[deprecated(
-    since = "0.2.0",
-    note = "allocates per call; use `input_shards_into` with a reused buffer"
-)]
-pub fn input_shards(tan: &TanGraph, assignments: AssignmentView<'_>, node: NodeId) -> Vec<u32> {
-    let mut shards = Vec::new();
-    input_shards_into(tan, assignments, node, &mut shards);
-    shards
-}
-
-/// [`input_shards`] into a caller-owned buffer (cleared first), in
-/// first-appearance order — the allocation-free variant for hot loops.
+/// Distinct shards of `node`'s input transactions under `assignments`,
+/// written into a caller-owned buffer (cleared first) in
+/// first-appearance order — allocation-free for hot loops.
 ///
 /// Parents whose assignment has been evicted by a retention policy are
 /// skipped — the same graceful degradation as a missing TaN edge. On
@@ -324,69 +314,6 @@ impl OptChainPlacer {
         (self.memo.hits(), self.memo.misses())
     }
 
-    /// Warm-starts the internal T2S engine from an already-placed prefix
-    /// (Table II's experiment). All prefix nodes count as placed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any placement already happened.
-    pub fn warm_start(&mut self, tan: &TanGraph, assignments: &[u32]) {
-        self.warm_start_adopted(tan, assignments, &[]);
-    }
-
-    /// [`OptChainPlacer::warm_start`] for a prefix containing adopted
-    /// foreign nodes (see [`OptChainPlacer::adopt`]); `adopted` lists
-    /// their node ids in increasing order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any placement already happened or `adopted` is not
-    /// strictly increasing.
-    pub fn warm_start_adopted(&mut self, tan: &TanGraph, assignments: &[u32], adopted: &[u32]) {
-        assert!(
-            self.assignments.is_empty(),
-            "warm_start requires a fresh placer"
-        );
-        self.engine.warm_start_adopted(tan, assignments, adopted);
-        for &s in &assignments[..tan.len()] {
-            self.assignments.push_in(tan, s);
-        }
-    }
-
-    /// Records a node whose placement was decided elsewhere (another
-    /// worker of a [`crate::RouterFleet`]): the imposed shard enters the
-    /// T2S state as if the node were a parentless transaction placed
-    /// there ([`T2sEngine::adopt`]), so future local spenders are pulled
-    /// toward it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if nodes arrive out of order or `shard >= k`.
-    pub fn adopt(&mut self, node: NodeId, shard: u32) {
-        check_order(self.assignments.len(), node);
-        self.engine.adopt(node, shard);
-        self.assignments.push(shard);
-    }
-
-    /// [`OptChainPlacer::adopt`] with graph access, so a retention
-    /// engine can save the score row (and assignment) its ring slot
-    /// overwrites (see [`T2sEngine::adopt_in`]). The [`crate::Router`]
-    /// adoption path always routes through here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if nodes arrive out of order or `shard >= k`.
-    pub fn adopt_in(&mut self, tan: &TanGraph, node: NodeId, shard: u32) {
-        check_order(self.assignments.len(), node);
-        self.engine.adopt_in(tan, node, shard);
-        self.assignments.push_in(tan, shard);
-    }
-
-    /// The internal T2S engine (retention-aware snapshots clone it).
-    pub(crate) fn engine(&self) -> &T2sEngine {
-        &self.engine
-    }
-
     /// Commits one staged migration move: swings the node's assignment
     /// from `from` to `to` and re-homes its T2S score row in lockstep,
     /// so future spenders are pulled toward the new shard. Returns
@@ -413,37 +340,13 @@ impl OptChainPlacer {
         reassigned
     }
 
-    /// Restores a checkpointed engine state and assignment store into a
-    /// fresh placer — the retention-aware warm start (an evicted graph
-    /// cannot be replayed edge by edge, so the engine state and the
-    /// windowed store themselves are the checkpoint).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the placer already placed, or the engine's shard count
-    /// or registered length disagree.
-    pub(crate) fn restore_engine(&mut self, engine: T2sEngine, assignments: AssignmentStore) {
-        assert!(
-            self.assignments.is_empty(),
-            "restore requires a fresh placer"
-        );
-        assert_eq!(engine.k(), self.engine.k(), "engine shard count mismatch");
-        assert_eq!(
-            engine.registered(),
-            assignments.len(),
-            "engine registered count must cover every assignment"
-        );
-        self.engine = engine;
-        self.assignments = assignments;
-    }
-
     /// Runs Algorithm 1 for `node`, writing the full score breakdown into
     /// the caller-owned `buf` — the allocation-free hot path. Returns the
     /// chosen shard.
     ///
-    /// Produces bit-identical decisions to
-    /// [`OptChainPlacer::place_with_detail_naive`] (the seed-equivalent
-    /// allocating path); the golden placement test enforces this.
+    /// Produces bit-identical decisions to the seed's allocating path
+    /// (`optchain_bench::naive`); the golden placement test enforces
+    /// this.
     ///
     /// # Panics
     ///
@@ -511,136 +414,6 @@ impl OptChainPlacer {
         buf.shard = ShardId(shard);
         buf.shard
     }
-
-    /// Runs Algorithm 1 for `node` and returns the full score breakdown
-    /// as an owned [`Decision`] — a thin wrapper over
-    /// [`OptChainPlacer::place_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if nodes arrive out of order or telemetry length ≠ k.
-    #[deprecated(
-        since = "0.2.0",
-        note = "allocates a Decision per call; use `place_into` with a reused \
-                DecisionBuf, or `Router::submit_with_detail`"
-    )]
-    pub fn place_with_detail(&mut self, ctx: &PlacementContext<'_>, node: NodeId) -> Decision {
-        let mut buf = std::mem::take(&mut self.buf);
-        self.place_into(ctx, node, &mut buf);
-        let decision = buf.to_decision();
-        self.buf = buf;
-        decision
-    }
-
-    /// The seed's original allocating implementation of Algorithm 1,
-    /// preserved verbatim as the reference for the golden equivalence
-    /// test and the `perf_baseline` before/after comparison: three fresh
-    /// `Vec<f64>`s per call, one input-shard `Vec`, and one full L2S
-    /// exponential expansion **per candidate shard**.
-    ///
-    /// # Panics
-    ///
-    /// Panics if nodes arrive out of order or telemetry length ≠ k.
-    pub fn place_with_detail_naive(
-        &mut self,
-        ctx: &PlacementContext<'_>,
-        node: NodeId,
-    ) -> Decision {
-        check_order(self.assignments.len(), node);
-        assert_eq!(
-            ctx.telemetry.len(),
-            self.engine.k() as usize,
-            "telemetry must cover every shard"
-        );
-        self.engine.register(ctx.tan, node);
-        let t2s = self.engine.scores(node);
-        #[allow(deprecated)] // the naive path preserves the seed verbatim
-        let inputs = input_shards(ctx.tan, self.assignments.view(), node);
-        let l2s: Vec<f64> = (0..self.engine.k())
-            .map(|j| self.estimator.score(ctx.telemetry, &inputs, j))
-            .collect();
-        let fitness: Vec<f64> = t2s
-            .iter()
-            .zip(&l2s)
-            .map(|(p, e)| self.fitness.combine(*p, *e))
-            .collect();
-        let sizes = self.engine.shard_sizes();
-        let mut shard = 0u32;
-        for j in 1..self.engine.k() {
-            let (fj, fb) = (fitness[j as usize], fitness[shard as usize]);
-            if fj > fb || (fj == fb && sizes[j as usize] < sizes[shard as usize]) {
-                shard = j;
-            }
-        }
-        self.engine.place(node, shard);
-        self.assignments.push_in(ctx.tan, shard);
-        Decision {
-            shard: ShardId(shard),
-            t2s,
-            l2s,
-            fitness,
-        }
-    }
-}
-
-/// [`OptChainPlacer`] driven exclusively through the seed's allocating
-/// path ([`OptChainPlacer::place_with_detail_naive`]). Exists for the
-/// golden equivalence test and as the "before" arm of `perf_baseline`;
-/// real callers should use [`OptChainPlacer`].
-#[derive(Debug, Clone)]
-pub struct NaiveOptChainPlacer(OptChainPlacer);
-
-impl NaiveOptChainPlacer {
-    /// Naive-path OptChain with the paper's parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn new(k: u32) -> Self {
-        NaiveOptChainPlacer(OptChainPlacer::new(k))
-    }
-
-    /// Naive-path OptChain from explicit components (mirrors
-    /// [`OptChainPlacer::from_parts`]).
-    pub fn from_parts(
-        engine: T2sEngine,
-        estimator: L2sEstimator,
-        fitness: TemporalFitness,
-    ) -> Self {
-        NaiveOptChainPlacer(OptChainPlacer::from_parts(engine, estimator, fitness))
-    }
-
-    /// The seed's allocating decision procedure (see
-    /// [`OptChainPlacer::place_with_detail_naive`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if nodes arrive out of order or telemetry length ≠ k.
-    pub fn place_with_detail_naive(
-        &mut self,
-        ctx: &PlacementContext<'_>,
-        node: NodeId,
-    ) -> Decision {
-        self.0.place_with_detail_naive(ctx, node)
-    }
-}
-
-impl Placer for NaiveOptChainPlacer {
-    fn name(&self) -> &'static str {
-        "optchain-naive"
-    }
-
-    fn k(&self) -> u32 {
-        self.0.k()
-    }
-
-    fn place(&mut self, ctx: &PlacementContext<'_>, node: NodeId) -> ShardId {
-        self.0.place_with_detail_naive(ctx, node).shard
-    }
-
-    fn assignments(&self) -> AssignmentView<'_> {
-        self.0.assignments.view()
-    }
 }
 
 impl Placer for OptChainPlacer {
@@ -691,18 +464,8 @@ impl RandomPlacer {
         }
     }
 
-    /// Records an externally imposed placement for the next node (warm
-    /// starts: the prefix was placed by some other system).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= k`.
-    pub fn adopt(&mut self, shard: u32) {
-        assert!(shard < self.k, "shard {shard} out of range");
-        self.assignments.push(shard);
-    }
-
-    /// [`RandomPlacer::adopt`] with graph access, so a
+    /// Records an externally imposed placement for the next node (a
+    /// sibling fleet worker's decision), with graph access so a
     /// [`RetentionPolicy::KeepUnspentAndHubs`] store can save the
     /// assignment its ring slot overwrites.
     ///
@@ -715,7 +478,7 @@ impl RandomPlacer {
     }
 
     /// Installs a checkpointed assignment store into a fresh placer
-    /// (the v3 windowed warm start — hash placement keeps no other
+    /// (the windowed warm start — hash placement keeps no other
     /// state).
     ///
     /// # Panics
@@ -817,19 +580,8 @@ impl GreedyPlacer {
         &self.shard_sizes
     }
 
-    /// Records an externally imposed placement for the next node (warm
-    /// starts): counts toward the shard's size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= k`.
-    pub fn adopt(&mut self, shard: u32) {
-        assert!(shard < self.k, "shard {shard} out of range");
-        self.shard_sizes[shard as usize] += 1;
-        self.assignments.push(shard);
-    }
-
-    /// [`GreedyPlacer::adopt`] with graph access (see
+    /// Records an externally imposed placement for the next node,
+    /// counting it toward the shard's size (see
     /// [`RandomPlacer::adopt_in`]).
     ///
     /// # Panics
@@ -842,7 +594,7 @@ impl GreedyPlacer {
     }
 
     /// Installs a checkpointed assignment store and capacity counters
-    /// into a fresh placer (the v3 windowed warm start).
+    /// into a fresh placer (the windowed warm start).
     ///
     /// # Panics
     ///
@@ -967,83 +719,6 @@ impl T2sPlacer {
         }
     }
 
-    /// Warm-starts from an already-placed prefix (Table II).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any placement already happened.
-    pub fn warm_start(&mut self, tan: &TanGraph, assignments: &[u32]) {
-        self.warm_start_adopted(tan, assignments, &[]);
-    }
-
-    /// [`T2sPlacer::warm_start`] for a prefix containing adopted foreign
-    /// nodes (their ids in increasing order) — see
-    /// [`OptChainPlacer::adopt`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any placement already happened or `adopted` is not
-    /// strictly increasing.
-    pub fn warm_start_adopted(&mut self, tan: &TanGraph, assignments: &[u32], adopted: &[u32]) {
-        assert!(
-            self.assignments.is_empty(),
-            "warm_start requires a fresh placer"
-        );
-        self.engine.warm_start_adopted(tan, assignments, adopted);
-        for &s in &assignments[..tan.len()] {
-            self.assignments.push_in(tan, s);
-        }
-    }
-
-    /// Records a node placed elsewhere (see [`OptChainPlacer::adopt`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if nodes arrive out of order or `shard >= k`.
-    pub fn adopt(&mut self, node: NodeId, shard: u32) {
-        check_order(self.assignments.len(), node);
-        self.engine.adopt(node, shard);
-        self.assignments.push(shard);
-    }
-
-    /// [`T2sPlacer::adopt`] with graph access (see
-    /// [`OptChainPlacer::adopt_in`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if nodes arrive out of order or `shard >= k`.
-    pub fn adopt_in(&mut self, tan: &TanGraph, node: NodeId, shard: u32) {
-        check_order(self.assignments.len(), node);
-        self.engine.adopt_in(tan, node, shard);
-        self.assignments.push_in(tan, shard);
-    }
-
-    /// The internal T2S engine (see [`OptChainPlacer::engine`]).
-    pub(crate) fn engine(&self) -> &T2sEngine {
-        &self.engine
-    }
-
-    /// Restores a checkpointed engine state (see
-    /// [`OptChainPlacer::restore_engine`]).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`OptChainPlacer::restore_engine`].
-    pub(crate) fn restore_engine(&mut self, engine: T2sEngine, assignments: AssignmentStore) {
-        assert!(
-            self.assignments.is_empty(),
-            "restore requires a fresh placer"
-        );
-        assert_eq!(engine.k(), self.engine.k(), "engine shard count mismatch");
-        assert_eq!(
-            engine.registered(),
-            assignments.len(),
-            "engine registered count must cover every assignment"
-        );
-        self.engine = engine;
-        self.assignments = assignments;
-    }
-
     fn cap(&self) -> u64 {
         cap_for(
             self.expected_total,
@@ -1134,28 +809,8 @@ impl OraclePlacer {
         }
     }
 
-    /// Records an externally imposed placement for the next node (warm
-    /// starts). The oracle already fixes every placement, so the adopted
-    /// shard must agree with it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` disagrees with the oracle's assignment for the
-    /// next node, or the oracle is exhausted.
-    pub fn adopt(&mut self, shard: u32) {
-        let next = *self
-            .oracle
-            .get(self.assignments.len())
-            .expect("oracle must cover the adopted prefix");
-        assert_eq!(
-            shard, next,
-            "adopted prefix disagrees with the oracle assignment"
-        );
-        self.assignments.push(shard);
-    }
-
     /// Installs a checkpointed assignment store into a fresh placer
-    /// (the v3 windowed warm start), verifying its live entries against
+    /// (the windowed warm start), verifying its live entries against
     /// the oracle.
     ///
     /// # Panics
@@ -1252,6 +907,102 @@ impl_assignment_store_plumbing!(
     T2sPlacer,
     OraclePlacer,
 );
+
+/// The two T2S-bearing placers wrap a [`T2sEngine`] next to their
+/// store and warm-start, adopt and restore it identically.
+macro_rules! impl_t2s_engine_plumbing {
+    ($($placer:ty),+ $(,)?) => {$(
+        impl $placer {
+            /// Warm-starts the internal T2S engine from an
+            /// already-placed prefix (Table II's experiment). All
+            /// prefix nodes count as placed.
+            ///
+            /// # Panics
+            ///
+            /// Panics if any placement already happened.
+            pub fn warm_start(&mut self, tan: &TanGraph, assignments: &[u32]) {
+                self.warm_start_adopted(tan, assignments, &[]);
+            }
+
+            /// `warm_start` for a prefix containing adopted foreign
+            /// nodes (see `adopt_in`); `adopted` lists their node ids
+            /// in increasing order.
+            ///
+            /// # Panics
+            ///
+            /// Panics if any placement already happened or `adopted`
+            /// is not strictly increasing.
+            pub fn warm_start_adopted(
+                &mut self,
+                tan: &TanGraph,
+                assignments: &[u32],
+                adopted: &[u32],
+            ) {
+                assert!(
+                    self.assignments.is_empty(),
+                    "warm_start requires a fresh placer"
+                );
+                self.engine.warm_start_adopted(tan, assignments, adopted);
+                for &s in &assignments[..tan.len()] {
+                    self.assignments.push_in(tan, s);
+                }
+            }
+
+            /// Records a node whose placement was decided elsewhere
+            /// (another worker of a [`crate::RouterFleet`]): the
+            /// imposed shard enters the T2S state as if the node were a
+            /// parentless transaction placed there, so future local
+            /// spenders are pulled toward it. Graph access lets a
+            /// retention engine save the score row (and assignment)
+            /// its ring slot overwrites ([`T2sEngine::adopt_in`]).
+            ///
+            /// # Panics
+            ///
+            /// Panics if nodes arrive out of order or `shard >= k`.
+            pub fn adopt_in(&mut self, tan: &TanGraph, node: NodeId, shard: u32) {
+                check_order(self.assignments.len(), node);
+                self.engine.adopt_in(tan, node, shard);
+                self.assignments.push_in(tan, shard);
+            }
+
+            /// The internal T2S engine (windowed snapshots clone it).
+            pub(crate) fn engine(&self) -> &T2sEngine {
+                &self.engine
+            }
+
+            /// Restores a checkpointed engine state and assignment
+            /// store into a fresh placer — the windowed warm start (an
+            /// evicted graph cannot be replayed edge by edge, so the
+            /// engine state and the windowed store themselves are the
+            /// checkpoint).
+            ///
+            /// # Panics
+            ///
+            /// Panics if the placer already placed, or the engine's
+            /// shard count or registered length disagree.
+            pub(crate) fn restore_engine(
+                &mut self,
+                engine: T2sEngine,
+                assignments: AssignmentStore,
+            ) {
+                assert!(
+                    self.assignments.is_empty(),
+                    "restore requires a fresh placer"
+                );
+                assert_eq!(engine.k(), self.engine.k(), "engine shard count mismatch");
+                assert_eq!(
+                    engine.registered(),
+                    assignments.len(),
+                    "engine registered count must cover every assignment"
+                );
+                self.engine = engine;
+                self.assignments = assignments;
+            }
+        }
+    )+};
+}
+
+impl_t2s_engine_plumbing!(OptChainPlacer, T2sPlacer);
 
 #[cfg(test)]
 mod tests {
@@ -1421,13 +1172,14 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // exercises the kept-but-deprecated detail path
     fn decision_detail_is_consistent() {
         let telemetry = uniform_telemetry(4);
         let mut tan = TanGraph::new();
         let mut placer = OptChainPlacer::new(4);
         let n = tan.insert(TxId(0), &[]);
-        let d = placer.place_with_detail(&PlacementContext::new(&tan, &telemetry), n);
+        let mut buf = DecisionBuf::new();
+        placer.place_into(&PlacementContext::new(&tan, &telemetry), n, &mut buf);
+        let d = buf.to_decision();
         assert_eq!(d.t2s.len(), 4);
         assert_eq!(d.l2s.len(), 4);
         // The chosen shard's fitness is maximal (ties break low-index).

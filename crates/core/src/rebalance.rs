@@ -83,12 +83,6 @@ impl RebalancePolicy {
         self
     }
 
-    /// Sets the per-epoch move cap.
-    pub fn with_max_moves(mut self, moves: usize) -> Self {
-        self.max_moves_per_epoch = moves;
-        self
-    }
-
     /// Sets the per-epoch migration byte budget.
     pub fn with_byte_budget(mut self, bytes: u64) -> Self {
         self.byte_budget_per_epoch = bytes;
@@ -202,10 +196,6 @@ impl Rebalancer {
 
     pub(crate) fn stats(&self) -> RebalanceStats {
         self.stats
-    }
-
-    pub(crate) fn policy(&self) -> &RebalancePolicy {
-        &self.policy
     }
 
     /// Advances the epoch clock by one submission; at a boundary,

@@ -245,7 +245,7 @@ impl ReplaySource for Router {
         // `feed_telemetry` bumps the router's version only when values
         // change — the same epoch discipline the proxy itself applies.
         self.feed_telemetry(telemetry);
-        self.submit_tx(tx).0
+        self.submit_tx(tx).expect("journaling a placement failed").0
     }
 
     fn tan(&self) -> &TanGraph {

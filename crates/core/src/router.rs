@@ -36,16 +36,17 @@
 //!     .build();
 //!
 //! // A coinbase and its spender follow each other into one shard.
-//! let s0 = router.submit(TxId(0), &[]);
-//! let s1 = router.submit(TxId(1), &[TxId(0)]);
+//! let s0 = router.submit(TxId(0), &[])?;
+//! let s1 = router.submit(TxId(1), &[TxId(0)])?;
 //! assert_eq!(s0, s1);
 //!
 //! // Telemetry arrives: shard s1 backs up, the next spender diverts.
 //! let mut telemetry = vec![ShardTelemetry::new(0.1, 0.5); 4];
 //! telemetry[s1.index()] = ShardTelemetry::new(0.1, 500.0);
 //! router.feed_telemetry(&telemetry);
-//! let s2 = router.submit(TxId(2), &[TxId(1)]);
+//! let s2 = router.submit(TxId(2), &[TxId(1)])?;
 //! assert_ne!(s2, s1);
+//! # Ok::<(), std::io::Error>(())
 //! ```
 
 use std::io;
@@ -79,7 +80,7 @@ pub const DEFAULT_TELEMETRY: ShardTelemetry = ShardTelemetry {
 /// [`RouterBuilder`] knob except the (unclonable) custom placer. A
 /// [`crate::RouterFleet`] clones one spec per worker so each worker
 /// thread can construct its own identically-configured [`Router`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RouterSpec {
     pub(crate) shards: Option<u32>,
     pub(crate) strategy: Strategy,
@@ -464,27 +465,21 @@ impl RouterBuilder {
 /// (fleet workers), and the telemetry board with its version — produced
 /// by [`Router::snapshot`] and restored with [`Router::warm_start`].
 ///
-/// The format is **versioned** (see [`RouterSnapshot::format_version`]):
+/// A snapshot has one of two shapes:
 ///
-/// * **v1** (replay format) — graph + full assignment history;
-///   `warm_start` recomputes the strategy state by replaying the full
-///   edge history. This is the only format [`RouterSnapshot::new`] can
-///   build.
-/// * **v2** (legacy retention-aware) — additionally records the
-///   retention policy and the T2S engine state verbatim, with the
-///   assignment history still fully materialized. `warm_start` keeps
-///   **read-compat** with this format: the windowed assignment store is
-///   rebuilt from the full history and the graph's recorded retention
-///   decisions ([`AssignmentStore::from_full`]).
-/// * **v3** (windowed) — the retention-aware format whose assignment
-///   history is the [`AssignmentStore`] itself: the ring plus the
-///   retained-survivor side table, O(window) like everything else in
-///   the checkpoint. An evicted graph no longer holds the edge history
-///   a replay would need, but it *is* (together with the engine rings,
-///   retained rows, shard sizes, and the windowed store) the complete
-///   live state, so `warm_start` of a windowed router is bit-exact.
-///   [`Router::snapshot`] produces v3 whenever a retention policy is
-///   configured.
+/// * **replay format** — the un-evicted graph plus the full assignment
+///   history; `warm_start` recomputes the strategy state by replaying
+///   the edge history. [`RouterSnapshot::new`] builds it from external
+///   state, and [`Router::snapshot`] produces it for an
+///   [`RetentionPolicy::Unbounded`] router.
+/// * **windowed** — what [`Router::snapshot`] produces under a
+///   retention policy: the assignment history is the O(window)
+///   [`AssignmentStore`] itself (ring plus retained-survivor table) and
+///   the T2S engine state rides along verbatim. An evicted graph no
+///   longer holds the edge history a replay would need, but together
+///   with the engine rings, retained rows, shard sizes and the windowed
+///   store it *is* the complete live state, so `warm_start` of a
+///   windowed router is bit-exact.
 #[derive(Debug, Clone)]
 pub struct RouterSnapshot {
     tan: TanGraph,
@@ -508,8 +503,8 @@ pub struct RouterSnapshot {
     telemetry: Option<(Vec<ShardTelemetry>, u64)>,
     /// The retention policy the checkpointed router ran under.
     retention: RetentionPolicy,
-    /// The T2S engine state, verbatim, for retention-aware snapshots
-    /// of T2S-bearing strategies (`None` = v1 replay format).
+    /// The T2S engine state, verbatim, for windowed snapshots of
+    /// T2S-bearing strategies (`None` = replay format).
     engine: Option<T2sEngine>,
 }
 
@@ -517,7 +512,7 @@ impl RouterSnapshot {
     /// A snapshot from externally produced state (e.g. a Metis partition
     /// of a historical prefix, as in the paper's Table II experiment).
     /// Carries no telemetry board: restoring keeps the target router's
-    /// initial board. Always the v1 replay format, so the graph must be
+    /// initial board. Always the replay format, so the graph must be
     /// un-evicted.
     ///
     /// # Panics
@@ -540,47 +535,6 @@ impl RouterSnapshot {
         }
     }
 
-    /// The snapshot format: 1 = replay (graph + full assignments), 2 =
-    /// legacy retention-aware (policy + engine state + full
-    /// assignments), 3 = windowed retention-aware (the assignment
-    /// history is the O(window) [`AssignmentStore`] itself) — see the
-    /// type docs.
-    pub fn format_version(&self) -> u32 {
-        if self.assignments.as_full_slice().is_none() {
-            3
-        } else if self.engine.is_some() || self.retention != RetentionPolicy::Unbounded {
-            2
-        } else {
-            1
-        }
-    }
-
-    /// Downgrades a v3 snapshot to the legacy v2 shape, given the full
-    /// assignment history the windowed router itself no longer tracks
-    /// (callers that need v2 interop record shards at submission time).
-    /// Mostly useful to exercise and prove the v2 read-compat path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `full` has the wrong length or disagrees with any live
-    /// entry of the windowed store.
-    pub fn with_full_assignments(mut self, full: Vec<u32>) -> RouterSnapshot {
-        assert_eq!(
-            full.len(),
-            self.assignments.len(),
-            "full history must cover the whole stream"
-        );
-        for (node, shard) in self.assignments.view().iter_live() {
-            assert_eq!(
-                full[node.index()],
-                shard.0,
-                "full history disagrees with the live store at {node}"
-            );
-        }
-        self.assignments = AssignmentStore::from_vec(full);
-        self
-    }
-
     /// The retention policy the checkpointed router ran under.
     pub fn retention(&self) -> RetentionPolicy {
         self.retention
@@ -591,8 +545,8 @@ impl RouterSnapshot {
         &self.tan
     }
 
-    /// A view over the checkpointed per-node shard assignment (windowed
-    /// in the v3 format — evicted entries read as `None`).
+    /// A view over the checkpointed per-node shard assignment (evicted
+    /// entries of a windowed snapshot read as `None`).
     pub fn assignments(&self) -> AssignmentView<'_> {
         self.assignments.view()
     }
@@ -661,6 +615,13 @@ impl RouterSnapshot {
         let retention = RetentionPolicy::decode_from(r)?;
         let tan = TanGraph::decode_from(r)?;
         let assignments = AssignmentStore::decode_from(r)?;
+        // A live router's store is windowed exactly when its policy is;
+        // `warm_start` relies on it (a full history means "replay").
+        if assignments.as_full_slice().is_some() != (retention == RetentionPolicy::Unbounded) {
+            return Err(CodecError(
+                "assignment store shape disagrees with the retention policy",
+            ));
+        }
         let greedy_sizes = match r.get_u8()? {
             0 => None,
             1 => {
@@ -712,7 +673,7 @@ impl RouterSnapshot {
 /// A per-client handle into a [`Router`] carrying the client's own L2S
 /// memo — and optionally the client's own telemetry view — keyed by
 /// telemetry version. Created with [`Router::session`], used through
-/// [`Router::submit_in`] / [`Router::submit_tx_in`].
+/// [`Router::submit_tx_in`].
 ///
 /// Sessions exist because one shared memo dies under interleaving: when
 /// clients alternate submissions (as the simulator's round-robin
@@ -784,7 +745,8 @@ pub struct Router {
     adopted_head: usize,
     /// Lifetime adoption count, including trimmed ids.
     adopted_total: u64,
-    /// Reusable dedup scratch for [`Router::adopt_remote_tx`] deltas.
+    /// Reusable scratch for the distinct input list a durable router
+    /// journals per full-transaction submission.
     txid_scratch: Vec<TxId>,
     /// The WAL attachment of a durable router (`None` = in-RAM only).
     journal: Option<Journal>,
@@ -856,17 +818,13 @@ const STAGED_CAP_BYTES: usize = 8 << 20;
 const STAGED_STALE: u64 = u64::MAX;
 
 impl Journal {
-    fn new(
-        storage: Box<dyn Storage>,
-        checkpoint_every: u64,
-        flush_every: u64,
-        full_every: u64,
-    ) -> Journal {
+    /// A journal over `storage` at the cadences `spec` configures.
+    fn new(storage: Box<dyn Storage>, spec: &RouterSpec) -> Journal {
         Journal {
             storage,
-            checkpoint_every,
-            flush_every,
-            full_every,
+            checkpoint_every: spec.checkpoint_every,
+            flush_every: spec.flush_every,
+            full_every: spec.full_every,
             unflushed: 0,
             since_checkpoint: 0,
             since_full: 0,
@@ -1061,11 +1019,6 @@ impl Router {
             .unwrap_or_default()
     }
 
-    /// The rebalance policy in effect, or `None` for a static router.
-    pub fn rebalance_policy(&self) -> Option<RebalancePolicy> {
-        self.rebalancer.as_ref().map(|rb| *rb.policy())
-    }
-
     /// Drains the moves committed by rebalance epochs since the last
     /// drain into `out` (appended; `out` is not cleared). Consumers that
     /// mirror the assignment — the sim's lock router, a dashboard's
@@ -1082,18 +1035,6 @@ impl Router {
     /// input shards).
     pub fn cross_placed(&self) -> u64 {
         self.cross_placed
-    }
-
-    /// Current per-shard placement loads for strategies that track them
-    /// (OptChain/T2S score-mass shard sizes; Greedy capacity counters);
-    /// `None` otherwise. Index = shard id.
-    pub fn shard_loads(&self) -> Option<&[u64]> {
-        match &self.placer {
-            DynPlacer::OptChain(p) => Some(p.engine().shard_sizes()),
-            DynPlacer::T2s(p) => Some(p.engine().shard_sizes()),
-            DynPlacer::Greedy(p) => Some(p.shard_sizes()),
-            _ => None,
-        }
     }
 
     /// The built-in [`Strategy`] in use, or `None` for a custom placer.
@@ -1157,7 +1098,7 @@ impl Router {
     }
 
     /// [`Router::feed_telemetry`], surfacing journal write errors
-    /// instead of panicking (see [`Router::try_submit`] for the error
+    /// instead of panicking (see [`Router::submit`] for the error
     /// contract). On an in-RAM router this never fails.
     ///
     /// # Panics
@@ -1174,7 +1115,7 @@ impl Router {
             self.version += 1;
             // Journaled on change only — mirroring the version-bump
             // contract, so replay reproduces the exact epoch sequence.
-            self.journal_record(|w| durable::encode_telemetry_record(w, telemetry))?;
+            self.journal_record(false, |w| durable::encode_telemetry_record(w, telemetry))?;
         }
         Ok(())
     }
@@ -1187,90 +1128,50 @@ impl Router {
     /// Places a transaction spending from `inputs` and returns its
     /// shard. Inputs unknown to the router (spends of pre-history
     /// outputs) create no TaN edge, mirroring [`TanGraph::insert`].
+    /// [`Router::last_decision`] holds the score breakdown afterwards.
     ///
     /// On a durable router the decision is journaled (and, at batch
     /// boundaries, fsynced) **before** this returns — the ack implies
     /// the WAL holds the record.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `txid` was already submitted, or journaling fails on a
-    /// durable router ([`Router::try_submit`] surfaces the error
-    /// instead).
-    pub fn submit(&mut self, txid: TxId, inputs: &[TxId]) -> ShardId {
-        self.try_submit(txid, inputs)
-            .expect("journaling a placement failed")
-    }
-
-    /// [`Router::submit`], surfacing journal write errors instead of
-    /// panicking. On an in-RAM router this never fails. On error the
-    /// placement has already been applied in RAM but is **not** acked
-    /// as durable — a crash may forget it, exactly like every other
-    /// record appended since the last flush.
-    pub fn try_submit(&mut self, txid: TxId, inputs: &[TxId]) -> io::Result<ShardId> {
-        let node = self.tan.insert(txid, inputs);
-        let shard = self.place_next(node, None);
-        self.journal_placement(durable::TAG_SUBMIT, txid, inputs, shard.0)?;
-        Ok(shard)
-    }
-
-    /// [`Router::submit`], returning the full score breakdown of the
-    /// decision. The buffer is valid until the next submission.
-    ///
-    /// Score vectors are populated for [`Strategy::OptChain`]; other
-    /// strategies produce no breakdown and leave them empty (the shard
-    /// and input-shard set are always recorded).
+    /// Fails only when journaling fails; an in-RAM router never does.
+    /// On error the placement has already been applied in RAM but is
+    /// **not** acked as durable — a crash may forget it, exactly like
+    /// every other record appended since the last flush.
     ///
     /// # Panics
     ///
     /// Panics if `txid` was already submitted.
-    pub fn submit_with_detail(&mut self, txid: TxId, inputs: &[TxId]) -> &DecisionBuf {
-        self.submit(txid, inputs);
-        &self.buf
+    pub fn submit(&mut self, txid: TxId, inputs: &[TxId]) -> io::Result<ShardId> {
+        self.submit_one(txid, inputs, None, None)
     }
 
     /// Places a full [`Transaction`] (edges to its distinct input
-    /// transactions) and returns its shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the transaction id was already submitted, or
-    /// journaling fails on a durable router ([`Router::try_submit_tx`]
-    /// surfaces the error instead).
-    pub fn submit_tx(&mut self, tx: &Transaction) -> ShardId {
-        self.try_submit_tx(tx)
-            .expect("journaling a placement failed")
-    }
-
-    /// [`Router::submit_tx`], surfacing journal write errors instead of
-    /// panicking (see [`Router::try_submit`] for the error contract).
-    pub fn try_submit_tx(&mut self, tx: &Transaction) -> io::Result<ShardId> {
-        if self.journal.is_none() {
-            let node = self.tan.insert_tx(tx);
-            return Ok(self.place_next(node, None));
-        }
-        // The WAL records the distinct input list — exactly the edges
-        // `insert_tx` links — so replay through the raw-id path is
-        // identical to the original full-transaction submission.
-        let mut tids = std::mem::take(&mut self.txid_scratch);
-        Self::distinct_inputs_into(tx, &mut tids);
-        let node = self.tan.insert_tx(tx);
-        let shard = self.place_next(node, None);
-        let journaled = self.journal_placement(durable::TAG_SUBMIT, tx.id(), &tids, shard.0);
-        tids.clear();
-        self.txid_scratch = tids;
-        journaled.map(|()| shard)
-    }
-
-    /// [`Router::submit_tx`], returning the full score breakdown (see
-    /// [`Router::submit_with_detail`]).
+    /// transactions) and returns its shard — [`Router::submit`] with
+    /// the same error contract.
     ///
     /// # Panics
     ///
     /// Panics if the transaction id was already submitted.
-    pub fn submit_tx_with_detail(&mut self, tx: &Transaction) -> &DecisionBuf {
-        self.submit_tx(tx);
-        &self.buf
+    pub fn submit_tx(&mut self, tx: &Transaction) -> io::Result<ShardId> {
+        self.submit_one(tx.id(), &[], Some(tx), None)
+    }
+
+    /// [`Router::submit_tx`] through a client session: the session's
+    /// memo (and telemetry view, if set) drive the L2S evaluation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the transaction id was already submitted or the
+    /// session's view length ≠ k.
+    pub fn submit_tx_in(
+        &mut self,
+        session: &mut PlacementSession,
+        tx: &Transaction,
+    ) -> io::Result<ShardId> {
+        self.submit_one(tx.id(), &[], Some(tx), Some(session))
     }
 
     /// Places every transaction of `batch` in order, writing the shards
@@ -1280,66 +1181,59 @@ impl Router {
     ///
     /// # Panics
     ///
-    /// Panics if any transaction id was already submitted.
+    /// Panics if any transaction id was already submitted, or
+    /// journaling fails on a durable router.
     pub fn submit_batch(&mut self, batch: &[Transaction], out: &mut Vec<ShardId>) {
         out.clear();
         out.reserve(batch.len());
-        if self.journal.is_none() {
-            for tx in batch {
-                let node = self.tan.insert_tx(tx);
-                out.push(self.place_next(node, None));
-            }
-        } else {
-            for tx in batch {
-                out.push(self.submit_tx(tx));
-            }
+        for tx in batch {
+            let shard = self.submit_one(tx.id(), &[], Some(tx), None);
+            out.push(shard.expect("journaling a placement failed"));
         }
     }
 
-    /// [`Router::submit`] through a client session: the session's memo
-    /// (and telemetry view, if set) drive the L2S evaluation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `txid` was already submitted or the session's view
-    /// length ≠ k.
-    pub fn submit_in(
+    /// The one submission path behind every public door: link the node
+    /// into the graph, decide, journal. `tx` carries the full
+    /// transaction when the caller has one (linked by its distinct
+    /// inputs, `inputs` unused); otherwise `inputs` is linked as given.
+    #[inline]
+    fn submit_one(
         &mut self,
-        session: &mut PlacementSession,
         txid: TxId,
         inputs: &[TxId],
-    ) -> ShardId {
-        let node = self.tan.insert(txid, inputs);
-        let shard = self.place_next(node, Some(session));
-        self.journal_placement(durable::TAG_SUBMIT, txid, inputs, shard.0)
-            .expect("journaling a placement failed");
-        shard
-    }
-
-    /// [`Router::submit_tx`] through a client session.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the transaction id was already submitted or the
-    /// session's view length ≠ k.
-    pub fn submit_tx_in(&mut self, session: &mut PlacementSession, tx: &Transaction) -> ShardId {
+        tx: Option<&Transaction>,
+        session: Option<&mut PlacementSession>,
+    ) -> io::Result<ShardId> {
+        let node = match tx {
+            Some(tx) => self.tan.insert_tx(tx),
+            None => self.tan.insert(txid, inputs),
+        };
+        let shard = self.place_next(node, session);
         if self.journal.is_none() {
-            let node = self.tan.insert_tx(tx);
-            return self.place_next(node, Some(session));
+            return Ok(shard);
         }
+        // The WAL records the distinct input list — exactly the edges
+        // `insert_tx` links — so replay through the raw-id door is
+        // identical to the original full-transaction submission. Only a
+        // journal needs the list, so the in-RAM path never derives it.
         let mut tids = std::mem::take(&mut self.txid_scratch);
-        Self::distinct_inputs_into(tx, &mut tids);
-        let node = self.tan.insert_tx(tx);
-        let shard = self.place_next(node, Some(session));
-        let journaled = self.journal_placement(durable::TAG_SUBMIT, tx.id(), &tids, shard.0);
-        tids.clear();
+        let inputs = match tx {
+            Some(tx) => {
+                Self::distinct_inputs_into(tx, &mut tids);
+                &tids[..]
+            }
+            None => inputs,
+        };
+        let journaled = self.journal_placement(durable::TAG_SUBMIT, txid, inputs, shard.0);
         self.txid_scratch = tids;
-        journaled.expect("journaling a placement failed");
-        shard
+        journaled.map(|()| shard)
     }
 
-    /// The score breakdown of the most recent submission (see
-    /// [`Router::submit_with_detail`]).
+    /// The score breakdown of the most recent submission, valid until
+    /// the next one. Score vectors are populated for
+    /// [`Strategy::OptChain`]; other strategies produce no breakdown
+    /// and leave them empty (the shard and input-shard set are always
+    /// recorded).
     pub fn last_decision(&self) -> &DecisionBuf {
         &self.buf
     }
@@ -1359,8 +1253,8 @@ impl Router {
     /// transaction resolve their input lookup and are pulled toward its
     /// shard. For T2S-bearing strategies the adopted node contributes
     /// like a parentless transaction placed into `shard` (see
-    /// [`OptChainPlacer::adopt`]); Greedy/OmniLedger count it toward
-    /// shard sizes as their warm-start `adopt` does.
+    /// [`OptChainPlacer::adopt_in`]); Greedy/OmniLedger count it toward
+    /// their shard sizes.
     ///
     /// # Panics
     ///
@@ -1410,19 +1304,6 @@ impl Router {
         }
     }
 
-    /// [`Router::adopt_remote`] for a full [`Transaction`].
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Router::adopt_remote`].
-    pub fn adopt_remote_tx(&mut self, tx: &Transaction, shard: u32) {
-        let mut tids = std::mem::take(&mut self.txid_scratch);
-        Self::distinct_inputs_into(tx, &mut tids);
-        self.adopt_remote(tx.id(), &tids, shard);
-        tids.clear();
-        self.txid_scratch = tids;
-    }
-
     /// Node ids placed through [`Router::adopt_remote`] that are still
     /// at or above the retention horizon (increasing; empty outside
     /// fleet workers). Under a retention policy, ids age out of this
@@ -1440,51 +1321,58 @@ impl Router {
 
     /// Checkpoints the placement state (TaN graph, assignment store,
     /// adopted node ids, and the telemetry board with its version).
-    /// Under a retention policy the snapshot is the v3 windowed format:
-    /// the (possibly evicted) graph carries its horizon and stable-id
-    /// remap, the T2S engine state rides along verbatim, and the
-    /// assignment history is the O(window) [`AssignmentStore`] itself —
-    /// so [`Router::warm_start`] is bit-exact without replaying history
+    /// Under a retention policy the snapshot is windowed: the (possibly
+    /// evicted) graph carries its horizon and stable-id remap, the T2S
+    /// engine state rides along verbatim, and the assignment history is
+    /// the O(window) [`AssignmentStore`] itself — so
+    /// [`Router::warm_start`] is bit-exact without replaying history
     /// the graph no longer holds, and the checkpoint stops scaling with
     /// the stream.
     pub fn snapshot(&self) -> RouterSnapshot {
-        let (engine, assignments, greedy_sizes) = match &self.placer {
-            DynPlacer::OptChain(p) => (
-                (self.retention != RetentionPolicy::Unbounded).then(|| p.engine().clone()),
-                p.assignments_store().clone(),
-                None,
-            ),
-            DynPlacer::T2s(p) => (
-                (self.retention != RetentionPolicy::Unbounded).then(|| p.engine().clone()),
-                p.assignments_store().clone(),
-                None,
-            ),
-            DynPlacer::Random(p) => (None, p.assignments_store().clone(), None),
-            DynPlacer::Greedy(p) => (
-                None,
-                p.assignments_store().clone(),
-                Some(p.shard_sizes().to_vec()),
-            ),
-            DynPlacer::Oracle(p) => (None, p.assignments_store().clone(), None),
-            DynPlacer::Custom(p) => (
-                None,
-                AssignmentStore::from_vec(
-                    p.assignments()
-                        .to_vec()
-                        .expect("custom placers run unbounded assignment stores"),
-                ),
-                None,
+        let (engine, store, greedy_sizes) = self.checkpoint_parts();
+        let assignments = match store {
+            Some(store) => store.clone(),
+            None => AssignmentStore::from_vec(
+                self.placer
+                    .assignments()
+                    .to_vec()
+                    .expect("custom placers run unbounded assignment stores"),
             ),
         };
         RouterSnapshot {
             tan: self.tan.clone(),
             assignments,
-            greedy_sizes,
+            greedy_sizes: greedy_sizes.map(<[u64]>::to_vec),
             adopted: self.adopted[self.adopted_head..].to_vec(),
             adopted_total: self.adopted_total,
             telemetry: Some((self.telemetry.clone(), self.version)),
             retention: self.retention,
-            engine,
+            engine: engine.cloned(),
+        }
+    }
+
+    /// The strategy state a checkpoint carries beyond the graph: the
+    /// T2S engine (windowed T2S-bearing strategies only — an unbounded
+    /// one is replayed from the graph), the assignment store (`None`
+    /// for a custom placer, whose store is opaque), and Greedy's
+    /// capacity counters.
+    fn checkpoint_parts(&self) -> (Option<&T2sEngine>, Option<&AssignmentStore>, Option<&[u64]>) {
+        let windowed = self.retention != RetentionPolicy::Unbounded;
+        match &self.placer {
+            DynPlacer::OptChain(p) => (
+                windowed.then(|| p.engine()),
+                Some(p.assignments_store()),
+                None,
+            ),
+            DynPlacer::T2s(p) => (
+                windowed.then(|| p.engine()),
+                Some(p.assignments_store()),
+                None,
+            ),
+            DynPlacer::Random(p) => (None, Some(p.assignments_store()), None),
+            DynPlacer::Greedy(p) => (None, Some(p.assignments_store()), Some(p.shard_sizes())),
+            DynPlacer::Oracle(p) => (None, Some(p.assignments_store()), None),
+            DynPlacer::Custom(_) => (None, None, None),
         }
     }
 
@@ -1499,14 +1387,11 @@ impl Router {
     /// with the uninterrupted run; [`RouterSnapshot::new`] snapshots
     /// leave the board untouched.
     ///
-    /// Retention-aware (v2/v3) snapshots skip the replay entirely: the
-    /// engine state and assignment store are restored verbatim next to
-    /// the horizon-carrying graph, so a windowed router resumes
-    /// bit-exactly even though the evicted prefix's edges are gone. A
-    /// legacy **v2** snapshot (full assignment history) is read-compat:
-    /// the windowed store is rebuilt from the full history and the
-    /// graph's recorded retention decisions. The restoring router must
-    /// be built with the same [`RetentionPolicy`].
+    /// Windowed snapshots skip the replay entirely: the engine state
+    /// and assignment store are restored verbatim next to the
+    /// horizon-carrying graph, so a windowed router resumes bit-exactly
+    /// even though the evicted prefix's edges are gone. The restoring
+    /// router must be built with the same [`RetentionPolicy`].
     ///
     /// # Panics
     ///
@@ -1537,47 +1422,35 @@ impl Router {
                  match the snapshot's"
             );
         }
-        // The store to install: v3 snapshots carry it verbatim; full
-        // (v1/v2) histories restored into a windowed router rebuild the
-        // ring + retained-survivor table the live run would hold. A v1
-        // history may run past the graph (an oracle covering future
-        // nodes) — only the placed prefix is installed, as the old
-        // replay did.
+        // A replay-format history is re-pushed under this router's own
+        // policy — only the placed prefix: it may run past the graph (an
+        // oracle covering future nodes). A windowed store installs
+        // verbatim.
         let retention = self.retention;
-        let placed = snapshot.tan.len();
-        let store = || match snapshot.assignments.as_full_slice() {
-            Some(full) if retention != RetentionPolicy::Unbounded => {
-                AssignmentStore::from_full(retention, &snapshot.tan, &full[..placed])
+        let full = snapshot.assignments.as_full_slice();
+        let store = || match full {
+            Some(full) => {
+                let mut store = AssignmentStore::with_retention(retention);
+                for &s in &full[..snapshot.tan.len()] {
+                    store.push_in(&snapshot.tan, s);
+                }
+                store
             }
-            Some(full) if full.len() > placed => AssignmentStore::from_vec(full[..placed].to_vec()),
-            _ => snapshot.assignments.clone(),
+            None => snapshot.assignments.clone(),
         };
+        let replay_history = || full.expect("replay-format snapshots carry the full history");
         match &mut self.placer {
             DynPlacer::OptChain(p) => match &snapshot.engine {
                 Some(engine) => p.restore_engine(engine.clone(), store()),
-                None => p.warm_start_adopted(
-                    &snapshot.tan,
-                    snapshot
-                        .assignments
-                        .as_full_slice()
-                        .expect("replay-format snapshots carry the full history"),
-                    &snapshot.adopted,
-                ),
+                None => p.warm_start_adopted(&snapshot.tan, replay_history(), &snapshot.adopted),
             },
             DynPlacer::T2s(p) => match &snapshot.engine {
                 Some(engine) => p.restore_engine(engine.clone(), store()),
-                None => p.warm_start_adopted(
-                    &snapshot.tan,
-                    snapshot
-                        .assignments
-                        .as_full_slice()
-                        .expect("replay-format snapshots carry the full history"),
-                    &snapshot.adopted,
-                ),
+                None => p.warm_start_adopted(&snapshot.tan, replay_history(), &snapshot.adopted),
             },
             DynPlacer::Random(p) => p.restore(store()),
             DynPlacer::Greedy(p) => {
-                let sizes = match (&snapshot.greedy_sizes, snapshot.assignments.as_full_slice()) {
+                let sizes = match (&snapshot.greedy_sizes, full) {
                     (Some(sizes), _) => sizes.clone(),
                     (None, Some(full)) => {
                         let mut sizes = vec![0u64; k as usize];
@@ -1638,21 +1511,22 @@ impl Router {
     /// hygiene: recovery then replays nothing). No-op on an in-RAM
     /// router.
     pub fn checkpoint_now(&mut self) -> io::Result<()> {
-        if self.journal.is_some() {
-            self.write_checkpoint()?;
-        }
-        Ok(())
+        self.write_checkpoint()
     }
 
-    /// Appends one WAL record; when the checkpoint interval fills and
-    /// automatic checkpoints are on, installs a checkpoint. No-op on an
-    /// in-RAM router.
-    fn journal_record(&mut self, encode: impl FnOnce(&mut ByteWriter)) -> io::Result<()> {
+    /// Appends one WAL record and, when the checkpoint interval has
+    /// filled, installs a checkpoint — with automatic checkpoints off
+    /// (fleet workers) only `at_sync_mark`. No-op on an in-RAM router.
+    fn journal_record(
+        &mut self,
+        at_sync_mark: bool,
+        encode: impl FnOnce(&mut ByteWriter),
+    ) -> io::Result<()> {
         let Some(journal) = self.journal.as_mut() else {
             return Ok(());
         };
         let due = journal.append_record(encode)?;
-        if due && journal.auto_checkpoint {
+        if due && (at_sync_mark || journal.auto_checkpoint) {
             self.write_checkpoint()?;
         }
         Ok(())
@@ -1666,7 +1540,9 @@ impl Router {
         inputs: &[TxId],
         shard: u32,
     ) -> io::Result<()> {
-        self.journal_record(|w| durable::encode_placement(w, tag, txid, inputs, shard))
+        self.journal_record(false, |w| {
+            durable::encode_placement(w, tag, txid, inputs, shard)
+        })
     }
 
     /// Journals a fleet sync boundary: every submission journaled so
@@ -1676,14 +1552,7 @@ impl Router {
     /// always coincides with an empty pending delta and recovery can
     /// rebuild the delta from the replayed tail alone.
     pub(crate) fn journal_sync_mark(&mut self) -> io::Result<()> {
-        let Some(journal) = self.journal.as_mut() else {
-            return Ok(());
-        };
-        let due = journal.append_record(durable::encode_sync_mark)?;
-        if due {
-            self.write_checkpoint()?;
-        }
-        Ok(())
+        self.journal_record(true, durable::encode_sync_mark)
     }
 
     /// Defers automatic checkpoints to [`Router::journal_sync_mark`]
@@ -1703,20 +1572,8 @@ impl Router {
         w.put_u8(durable::CHECKPOINT_VERSION);
         self.retention.encode_into(w);
         self.tan.encode_into(w);
-        let windowed = self.retention != RetentionPolicy::Unbounded;
-        let (engine, store, greedy_sizes): (Option<&T2sEngine>, &AssignmentStore, Option<&[u64]>) =
-            match &self.placer {
-                DynPlacer::OptChain(p) => {
-                    (windowed.then(|| p.engine()), p.assignments_store(), None)
-                }
-                DynPlacer::T2s(p) => (windowed.then(|| p.engine()), p.assignments_store(), None),
-                DynPlacer::Random(p) => (None, p.assignments_store(), None),
-                DynPlacer::Greedy(p) => (None, p.assignments_store(), Some(p.shard_sizes())),
-                DynPlacer::Oracle(p) => (None, p.assignments_store(), None),
-                DynPlacer::Custom(_) => {
-                    unreachable!("custom placers cannot be journaled (builder rejects them)")
-                }
-            };
+        let (engine, store, greedy_sizes) = self.checkpoint_parts();
+        let store = store.expect("custom placers cannot be journaled (builder rejects them)");
         store.encode_into(w);
         match greedy_sizes {
             None => w.put_u8(0),
@@ -1870,12 +1727,7 @@ impl Router {
             "storage already holds a journal; rebuild with Router::recover"
         );
         storage.put_meta(&durable::encode_spec(spec))?;
-        self.journal = Some(Journal::new(
-            storage,
-            spec.checkpoint_every,
-            spec.flush_every,
-            spec.full_every,
-        ));
+        self.journal = Some(Journal::new(storage, spec));
         Ok(())
     }
 
@@ -1928,39 +1780,29 @@ impl Router {
         let mut from_seq = 0u64;
         let mut pending: Vec<(TxId, Vec<TxId>, u32)> = Vec::new();
         let chain = storage.checkpoint_chain()?;
+        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+        // Every chain element is `version byte ++ zrle(body)`; any
+        // version but the one its slot writes is foreign.
+        let unpack = |what: &str, upto: u64, version: u8, blob: &[u8]| match blob.split_first() {
+            Some((&v, packed)) if v == version => optchain_storage::zrle::decompress(packed),
+            other => Err(invalid(format!(
+                "{what} checkpoint upto {upto} has a foreign envelope version {:?}",
+                other.map(|(v, _)| v)
+            ))),
+        };
         if let Some((upto, blob)) = chain.first() {
-            // The base is always a full snapshot: a v2 envelope
-            // (zero-RLE-compressed v1 body) or a bare v1 body from
-            // older writers, which decodes directly.
-            let unpacked;
-            let body: &[u8] = match blob.first() {
-                Some(&durable::CHECKPOINT_ZRLE_VERSION) => {
-                    unpacked = optchain_storage::zrle::decompress(&blob[1..])?;
-                    &unpacked
-                }
-                _ => blob,
-            };
-            let mut r = ByteReader::new(body);
+            let body = unpack("full", *upto, durable::CHECKPOINT_ZRLE_VERSION, blob)?;
+            let mut r = ByteReader::new(&body);
             let snapshot = RouterSnapshot::decode_from(&mut r).map_err(io::Error::from)?;
             r.finish().map_err(io::Error::from)?;
             router.warm_start(&snapshot);
             from_seq = *upto;
         }
-        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
         for (upto, blob) in chain.iter().skip(1) {
             // Each delta carries the records journaled between the
             // previous chain element and `upto`; apply them exactly as
             // the WAL tail is applied below.
-            let body = match blob.first() {
-                Some(&durable::CHECKPOINT_DELTA_VERSION) => {
-                    optchain_storage::zrle::decompress(&blob[1..])?
-                }
-                other => {
-                    return Err(invalid(format!(
-                        "delta checkpoint upto {upto} has a foreign envelope version {other:?}"
-                    )));
-                }
-            };
+            let body = unpack("delta", *upto, durable::CHECKPOINT_DELTA_VERSION, blob)?;
             let mut r = ByteReader::new(&body);
             let prev = r.get_u64().map_err(io::Error::from)?;
             if prev != from_seq {
@@ -1996,12 +1838,7 @@ impl Router {
             return Err(e);
         }
         let next_seq = storage.next_seq();
-        let mut journal = Journal::new(
-            storage,
-            spec.checkpoint_every,
-            spec.flush_every,
-            spec.full_every,
-        );
+        let mut journal = Journal::new(storage, &spec);
         journal.since_checkpoint = next_seq.saturating_sub(from_seq);
         journal.chain_upto = chain.last().map(|(upto, _)| *upto);
         journal.since_full = (chain.len() as u64).saturating_sub(1);
@@ -2023,19 +1860,21 @@ impl Router {
         let k = self.k();
         let fail = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
         let record = durable::decode_record(payload).map_err(io::Error::from)?;
+        if let WalRecord::Submit { shard, .. } | WalRecord::Adopt { shard, .. } = record {
+            if shard >= k {
+                return Err(fail(format!("seq {seq}: journaled shard {shard} >= k {k}")));
+            }
+        }
         match record {
             WalRecord::Submit {
                 txid,
                 inputs,
                 shard,
             } => {
-                if shard >= k {
-                    return Err(fail(format!("seq {seq}: journaled shard {shard} >= k {k}")));
-                }
-                // Re-run the deterministic decision; the journaled
-                // shard is a corruption tripwire, not an input.
-                let node = self.tan.insert(txid, &inputs);
-                let got = self.place_next(node, None);
+                // Re-run the deterministic decision (the journal is not
+                // attached yet, so nothing is re-journaled); the
+                // journaled shard is a corruption tripwire, not an input.
+                let got = self.submit(txid, &inputs)?;
                 if got.0 != shard {
                     return Err(fail(format!(
                         "replay diverged at seq {seq}: recomputed shard {} != journaled {shard}",
@@ -2048,19 +1887,14 @@ impl Router {
                 txid,
                 inputs,
                 shard,
-            } => {
-                if shard >= k {
-                    return Err(fail(format!("seq {seq}: journaled shard {shard} >= k {k}")));
-                }
-                self.adopt_remote(txid, &inputs, shard);
-            }
+            } => self.adopt_remote(txid, &inputs, shard),
             WalRecord::Telemetry(board) => {
                 if board.len() != k as usize {
                     return Err(fail(format!(
                         "seq {seq}: journaled telemetry length mismatch"
                     )));
                 }
-                self.feed_telemetry(&board);
+                self.try_feed_telemetry(&board)?;
             }
             WalRecord::SyncMark => pending.clear(),
         }
@@ -2151,6 +1985,19 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use optchain_utxo::{TxOutput, WalletId};
+
+    /// Link `i` of a single spend chain: a coinbase, then each
+    /// transaction spending its predecessor.
+    fn chain_tx(i: u64) -> Transaction {
+        if i == 0 {
+            return Transaction::coinbase(TxId(0), 1_000, WalletId(0));
+        }
+        Transaction::builder(TxId(i))
+            .input(TxId(i - 1).outpoint(0))
+            .output(TxOutput::new(1_000, WalletId(0)))
+            .build()
+    }
 
     #[test]
     fn builder_defaults_to_paper_optchain() {
@@ -2165,9 +2012,9 @@ mod tests {
     #[test]
     fn submit_groups_related_transactions() {
         let mut router = Router::builder().shards(4).build();
-        let a = router.submit(TxId(0), &[]);
-        let b = router.submit(TxId(1), &[TxId(0)]);
-        let c = router.submit(TxId(2), &[TxId(1)]);
+        let a = router.submit(TxId(0), &[]).unwrap();
+        let b = router.submit(TxId(1), &[TxId(0)]).unwrap();
+        let c = router.submit(TxId(2), &[TxId(1)]).unwrap();
         assert_eq!(a, b);
         assert_eq!(b, c);
         assert_eq!(router.assignments().len(), 3);
@@ -2194,7 +2041,8 @@ mod tests {
     #[test]
     fn detail_exposes_scores_for_optchain() {
         let mut router = Router::builder().shards(4).build();
-        let buf = router.submit_with_detail(TxId(0), &[]);
+        router.submit(TxId(0), &[]).unwrap();
+        let buf = router.last_decision();
         assert_eq!(buf.t2s().len(), 4);
         assert_eq!(buf.fitness().len(), 4);
         assert!(buf.input_shards().is_empty());
@@ -2206,8 +2054,9 @@ mod tests {
             .shards(4)
             .strategy(Strategy::Greedy)
             .build();
-        router.submit(TxId(0), &[]);
-        let buf = router.submit_with_detail(TxId(1), &[TxId(0)]);
+        router.submit(TxId(0), &[]).unwrap();
+        router.submit(TxId(1), &[TxId(0)]).unwrap();
+        let buf = router.last_decision();
         assert!(buf.t2s().is_empty());
         assert_eq!(buf.input_shards().len(), 1);
         assert_eq!(buf.shard().0, buf.input_shards()[0]);
@@ -2219,9 +2068,9 @@ mod tests {
         let mut session = router.session();
         // A chain: after the first spend, the input-shard set repeats
         // under an unchanged view, so the session memo hits.
-        router.submit_in(&mut session, TxId(0), &[]);
+        router.submit_tx_in(&mut session, &chain_tx(0)).unwrap();
         for i in 1..20u64 {
-            router.submit_in(&mut session, TxId(i), &[TxId(i - 1)]);
+            router.submit_tx_in(&mut session, &chain_tx(i)).unwrap();
         }
         let (hits, misses) = session.l2s_memo_stats();
         assert!(hits > 0, "hits {hits} misses {misses}");
@@ -2241,7 +2090,7 @@ mod tests {
         let view = vec![ShardTelemetry::new(0.2, 1.0); 2];
         session.set_view(&view, 7);
         assert_eq!(session.view_version(), Some(7));
-        let s = router.submit_in(&mut session, TxId(0), &[]);
+        let s = router.submit_tx_in(&mut session, &chain_tx(0)).unwrap();
         assert!(s.index() < 2);
     }
 
@@ -2254,7 +2103,7 @@ mod tests {
             .oracle(oracle.clone())
             .build();
         for i in 0..3u64 {
-            let s = router.submit(TxId(i), &[]);
+            let s = router.submit(TxId(i), &[]).unwrap();
             assert_eq!(s.0, oracle[i as usize]);
         }
     }
@@ -2302,13 +2151,13 @@ mod tests {
             .build();
         // Session-less and view-less sessions share the router board:
         // the epoch is safe to pass.
-        router.submit(TxId(0), &[]);
+        router.submit(TxId(0), &[]).unwrap();
         let mut plain = router.session();
-        router.submit_in(&mut plain, TxId(1), &[]);
+        router.submit_tx_in(&mut plain, &chain_tx(1)).unwrap();
         // A session with its own view: the epoch must be withheld.
         let mut viewed = router.session();
         viewed.set_view(&[DEFAULT_TELEMETRY; 2], 3);
-        router.submit_in(&mut viewed, TxId(2), &[]);
+        router.submit_tx_in(&mut viewed, &chain_tx(2)).unwrap();
         assert_eq!(*epochs.borrow(), vec![Some(0), Some(0), None]);
     }
 
@@ -2320,7 +2169,7 @@ mod tests {
         assert_eq!(router.k(), 3);
         assert_eq!(router.strategy(), None);
         assert_eq!(router.strategy_name(), "ldg");
-        router.submit(TxId(0), &[]);
+        router.submit(TxId(0), &[]).unwrap();
         assert_eq!(router.assignments().len(), 1);
     }
 
@@ -2329,7 +2178,7 @@ mod tests {
         let mut router = Router::builder().shards(4).build();
         for i in 0..30u64 {
             let parents: &[TxId] = if i == 0 { &[] } else { &[TxId(i - 1)] };
-            router.submit(TxId(i), parents);
+            router.submit(TxId(i), parents).unwrap();
         }
         let snapshot = router.snapshot();
         assert_eq!(snapshot.tan().len(), 30);
@@ -2339,8 +2188,8 @@ mod tests {
         restored.warm_start(&snapshot);
         // The suffix continues identically on both routers.
         for i in 30..60u64 {
-            let a = router.submit(TxId(i), &[TxId(i - 1)]);
-            let b = restored.submit(TxId(i), &[TxId(i - 1)]);
+            let a = router.submit(TxId(i), &[TxId(i - 1)]).unwrap();
+            let b = restored.submit(TxId(i), &[TxId(i - 1)]).unwrap();
             assert_eq!(a, b, "tx {i}");
         }
         assert_eq!(router.assignments(), restored.assignments());
@@ -2350,7 +2199,7 @@ mod tests {
     #[should_panic(expected = "fresh router")]
     fn warm_start_rejects_used_router() {
         let mut router = Router::builder().shards(2).build();
-        router.submit(TxId(0), &[]);
+        router.submit(TxId(0), &[]).unwrap();
         let snapshot = router.snapshot();
         router.warm_start(&snapshot);
     }
@@ -2364,7 +2213,7 @@ mod tests {
         assert_eq!(router.adopted(), &[0]);
         assert_eq!(router.adopted_total(), 1);
         // A local spender of the adopted node follows it into shard 2.
-        let s = router.submit(TxId(101), &[TxId(100)]);
+        let s = router.submit(TxId(101), &[TxId(100)]).unwrap();
         assert_eq!(s.0, 2);
         assert_eq!(router.tan().edge_count(), 1);
     }
@@ -2372,10 +2221,10 @@ mod tests {
     #[test]
     fn snapshot_roundtrip_replays_adopted_nodes() {
         let mut router = Router::builder().shards(4).build();
-        router.submit(TxId(0), &[]);
+        router.submit(TxId(0), &[]).unwrap();
         router.adopt_remote(TxId(50), &[TxId(0)], 3);
         for i in 1..20u64 {
-            router.submit(TxId(i), &[TxId(i - 1)]);
+            router.submit(TxId(i), &[TxId(i - 1)]).unwrap();
         }
         router.adopt_remote(TxId(51), &[TxId(50)], 3);
         let snapshot = router.snapshot();
@@ -2385,8 +2234,8 @@ mod tests {
         restored.warm_start(&snapshot);
         assert_eq!(restored.adopted(), router.adopted());
         for i in 20..40u64 {
-            let a = router.submit(TxId(i), &[TxId(i - 1)]);
-            let b = restored.submit(TxId(i), &[TxId(i - 1)]);
+            let a = router.submit(TxId(i), &[TxId(i - 1)]).unwrap();
+            let b = restored.submit(TxId(i), &[TxId(i - 1)]).unwrap();
             assert_eq!(a, b, "tx {i}");
         }
         assert_eq!(router.assignments(), restored.assignments());
@@ -2395,7 +2244,7 @@ mod tests {
     #[test]
     fn snapshot_restores_telemetry_board_and_version() {
         let mut router = Router::builder().shards(2).build();
-        router.submit(TxId(0), &[]);
+        router.submit(TxId(0), &[]).unwrap();
         let hot = vec![ShardTelemetry::new(0.1, 5.0), DEFAULT_TELEMETRY];
         router.feed_telemetry(&hot);
         let snapshot = router.snapshot();
@@ -2422,19 +2271,7 @@ mod tests {
 
     #[test]
     fn submit_batch_fills_caller_buffer() {
-        use optchain_utxo::{TxOutput, WalletId};
-        let txs: Vec<Transaction> = (0..10u64)
-            .map(|i| {
-                if i == 0 {
-                    Transaction::coinbase(TxId(0), 1_000, WalletId(0))
-                } else {
-                    Transaction::builder(TxId(i))
-                        .input(TxId(i - 1).outpoint(0))
-                        .output(TxOutput::new(1_000, WalletId(0)))
-                        .build()
-                }
-            })
-            .collect();
+        let txs: Vec<Transaction> = (0..10u64).map(chain_tx).collect();
         let mut router = Router::builder().shards(4).build();
         let mut out = vec![ShardId(9); 3]; // stale content is cleared
         router.submit_batch(&txs, &mut out);
@@ -2445,16 +2282,16 @@ mod tests {
     /// Drives a mixed workload (submissions, adoptions, a telemetry
     /// change) through a router for the durability tests below.
     fn drive_mixed(router: &mut Router) {
-        router.submit(TxId(0), &[]);
+        router.submit(TxId(0), &[]).unwrap();
         router.adopt_remote(TxId(100), &[TxId(0)], 2);
         for i in 1..40u64 {
-            router.submit(TxId(i), &[TxId(i - 1)]);
+            router.submit(TxId(i), &[TxId(i - 1)]).unwrap();
         }
         let mut hot = vec![DEFAULT_TELEMETRY; router.k() as usize];
         hot[1] = ShardTelemetry::new(0.2, 9.0);
         router.feed_telemetry(&hot);
         for i in 40..60u64 {
-            router.submit(TxId(i), &[TxId(i - 1), TxId(i / 2)]);
+            router.submit(TxId(i), &[TxId(i - 1), TxId(i / 2)]).unwrap();
         }
     }
 
@@ -2494,7 +2331,7 @@ mod tests {
         let storage = crate::SharedStorage::new(crate::MemStorage::new());
         // Copy the journal into a clonable backend so recovery can be
         // exercised without consuming the original.
-        replicate_journal(&mut durable, &storage);
+        replicate_journal(&mut durable, &storage, None);
 
         let mut recovered = Router::recover(Box::new(storage)).unwrap();
         assert_eq!(recovered.assignments(), durable.assignments());
@@ -2506,16 +2343,14 @@ mod tests {
         // exactly like the uncrashed one.
         assert!(recovered.is_durable());
         for i in 60..80u64 {
-            let a = durable.submit(TxId(i), &[TxId(i - 1)]);
-            let b = recovered.submit(TxId(i), &[TxId(i - 1)]);
+            let a = durable.submit(TxId(i), &[TxId(i - 1)]).unwrap();
+            let b = recovered.submit(TxId(i), &[TxId(i - 1)]).unwrap();
             assert_eq!(a, b, "continuation diverged at tx {i}");
         }
     }
 
     #[test]
-    fn checkpoints_store_zrle_compressed_and_legacy_raw_blobs_decode() {
-        // full_every(1): this test models a journal written before
-        // delta checkpoints existed, where every checkpoint is full.
+    fn checkpoints_store_zrle_compressed() {
         let mut durable = Router::builder()
             .shards(4)
             .storage(Box::new(crate::MemStorage::new()))
@@ -2524,9 +2359,8 @@ mod tests {
             .full_every(1)
             .build();
         drive_mixed(&mut durable);
-        durable.flush_journal().unwrap();
         let journal = durable.journal.as_ref().expect("router is durable");
-        let (upto, blob) = journal
+        let (_, blob) = journal
             .storage
             .checkpoint()
             .unwrap()
@@ -2535,33 +2369,84 @@ mod tests {
         let raw = optchain_storage::zrle::decompress(&blob[1..]).unwrap();
         assert_eq!(raw[0], durable::CHECKPOINT_VERSION);
         assert!(blob.len() < raw.len(), "compression must shrink the blob");
-
-        // A journal written before the compressed envelope existed
-        // holds the raw v1 body — it must recover identically.
-        let legacy = crate::SharedStorage::new(crate::MemStorage::new());
-        replicate_journal(&mut durable, &legacy);
-        legacy.clone().put_checkpoint(upto, &raw).unwrap();
-        let recovered = Router::recover(Box::new(legacy)).unwrap();
-        assert_eq!(recovered.assignments(), durable.assignments());
-        assert_eq!(recovered.telemetry_version(), durable.telemetry_version());
     }
 
-    /// Copies every durable artifact (meta, checkpoint, records) of
-    /// `router`'s journal into `dest` — the test stand-in for reopening
-    /// the files a crashed process left behind.
-    fn replicate_journal(router: &mut Router, dest: &crate::SharedStorage<crate::MemStorage>) {
+    #[test]
+    fn recover_rejects_every_foreign_version_byte() {
+        let mut durable = Router::builder()
+            .shards(4)
+            .storage(Box::new(crate::MemStorage::new()))
+            .checkpoint_every(25)
+            .flush_every(4)
+            .build();
+        drive_mixed(&mut durable);
+        durable.flush_journal().unwrap();
+        let stats = durable.checkpoint_stats();
+        assert!(stats.full_checkpoints >= 1 && stats.delta_checkpoints >= 1);
+        // (artifact, foreign first bytes): every value but the one
+        // version each artifact is written with.
+        let table: [(Artifact, &[u8]); 3] = [
+            (Artifact::Meta, &[0, 1, 3, 255]),
+            (Artifact::Full, &[0, 1, 3, 4, 255]),
+            (Artifact::Delta, &[0, 1, 2, 4, 255]),
+        ];
+        for (artifact, bytes) in table {
+            for &byte in bytes {
+                let storage = crate::SharedStorage::new(crate::MemStorage::new());
+                replicate_journal(&mut durable, &storage, Some((artifact, byte)));
+                let err = Router::recover(Box::new(storage)).unwrap_err();
+                assert_eq!(
+                    err.kind(),
+                    io::ErrorKind::InvalidData,
+                    "{artifact:?} version byte {byte}: {err}"
+                );
+            }
+        }
+        // The untampered replica recovers.
+        let storage = crate::SharedStorage::new(crate::MemStorage::new());
+        replicate_journal(&mut durable, &storage, None);
+        let recovered = Router::recover(Box::new(storage)).unwrap();
+        assert_eq!(recovered.assignments(), durable.assignments());
+    }
+
+    /// The persisted artifacts that lead with a version byte.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Artifact {
+        Meta,
+        Full,
+        Delta,
+    }
+
+    /// Copies every durable artifact (meta, checkpoint chain, records)
+    /// of `router`'s journal into `dest` — the test stand-in for
+    /// reopening the files a crashed process left behind. `foreign`
+    /// overwrites the version byte of one artifact on the way.
+    fn replicate_journal(
+        router: &mut Router,
+        dest: &crate::SharedStorage<crate::MemStorage>,
+        foreign: Option<(Artifact, u8)>,
+    ) {
+        let tampered = |artifact: Artifact, blob: &[u8]| {
+            let mut blob = blob.to_vec();
+            if let Some((_, byte)) = foreign.filter(|(a, _)| *a == artifact) {
+                blob[0] = byte;
+            }
+            blob
+        };
         let journal = router.journal.as_ref().expect("router is durable");
         let src = &journal.storage;
         let mut dst = dest.clone();
-        dst.put_meta(&src.meta().unwrap().expect("meta written"))
-            .unwrap();
+        let meta = src.meta().unwrap().expect("meta written");
+        dst.put_meta(&tampered(Artifact::Meta, &meta)).unwrap();
         let chain = src.checkpoint_chain().unwrap();
         let mut elements = chain.iter();
         if let Some((upto, blob)) = elements.next() {
-            dst.put_checkpoint(*upto, blob).unwrap();
+            dst.put_checkpoint(*upto, &tampered(Artifact::Full, blob))
+                .unwrap();
         }
         for (upto, blob) in elements {
-            dst.put_checkpoint_delta(*upto, blob).unwrap();
+            dst.put_checkpoint_delta(*upto, &tampered(Artifact::Delta, blob))
+                .unwrap();
         }
         // Seed the sequence space below the chain tail so replayed
         // records keep their original sequence numbers (the source

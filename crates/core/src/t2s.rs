@@ -485,28 +485,9 @@ impl T2sEngine {
     /// then records the imposed placement, so the node contributes to
     /// local T2S exactly like a parentless transaction placed into
     /// `shard` (the α bump at its shard entry, and one unit of `|S_i|`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if nodes arrive out of order or `shard >= k`.
-    pub fn adopt(&mut self, node: NodeId, shard: u32) {
-        assert_eq!(
-            node.index(),
-            self.registered,
-            "nodes must be registered in arrival order"
-        );
-        assert!(
-            self.keep_hubs.is_none(),
-            "KeepUnspentAndHubs engines must adopt through adopt_in \
-             (the ring slot being overwritten may hold a retained row)"
-        );
-        self.adopt_impl(node, shard);
-    }
-
-    /// [`T2sEngine::adopt`] with graph access, so a
-    /// [`RetentionPolicy::KeepUnspentAndHubs`] engine can save the row
-    /// its ring slot overwrites (see [`T2sEngine::with_retention`]).
-    /// Identical to `adopt` for every other configuration.
+    /// Graph access lets a [`RetentionPolicy::KeepUnspentAndHubs`]
+    /// engine save the row its ring slot overwrites (see
+    /// [`T2sEngine::with_retention`]).
     ///
     /// # Panics
     ///
@@ -518,10 +499,6 @@ impl T2sEngine {
             "nodes must be registered in arrival order"
         );
         self.save_evictee(tan, node.index());
-        self.adopt_impl(node, shard);
-    }
-
-    fn adopt_impl(&mut self, node: NodeId, shard: u32) {
         if self.window == usize::MAX {
             self.pprime.extend(std::iter::repeat_n(0.0f32, self.k));
         } else {
@@ -547,7 +524,7 @@ impl T2sEngine {
     /// [`T2sEngine::warm_start`] for a prefix that contains adopted
     /// foreign nodes (`adopted`: their node ids, strictly increasing).
     ///
-    /// Adopted nodes are replayed through [`T2sEngine::adopt`] (a zero
+    /// Adopted nodes are replayed through [`T2sEngine::adopt_in`] (a zero
     /// row plus the α bump), everything else through the normal
     /// register/place sweep — reproducing a fleet worker's live state
     /// bit for bit.
@@ -785,7 +762,7 @@ mod tests {
         // Engine A adopts node 0 into shard 1; engine B registers a
         // coinbase and places it there. Identical state from then on.
         let p = tan.insert(TxId(0), &[]);
-        adopted.adopt(p, 1);
+        adopted.adopt_in(&tan, p, 1);
         placed.register(&tan, p);
         placed.place(p, 1);
         assert_eq!(adopted.pprime(p), placed.pprime(p));
@@ -886,7 +863,7 @@ mod tests {
         for (i, ps) in parents.iter().enumerate() {
             let n = tan.insert(TxId(i as u64), ps);
             if adopted.contains(&(i as u32)) {
-                inc.adopt(n, assignments[i]);
+                inc.adopt_in(&tan, n, assignments[i]);
             } else {
                 inc.register(&tan, n);
                 inc.place(n, assignments[i]);

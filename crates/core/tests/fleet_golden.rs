@@ -81,9 +81,10 @@ proptest! {
                 router.feed_telemetry(&values);
                 fleet.feed_telemetry(&values);
             }
-            let expected = router.submit_with_detail(*txid, parents);
+            let placed = router.submit(*txid, parents).unwrap();
+            let expected = router.last_decision();
             let (shard, decision) = handle.submit_with_detail(*txid, parents);
-            prop_assert_eq!(shard, expected.shard(), "tx {}", i);
+            prop_assert_eq!((shard, shard), (placed, expected.shard()), "tx {}", i);
             for j in 0..k as usize {
                 prop_assert_eq!(decision.t2s[j].to_bits(), expected.t2s()[j].to_bits());
                 prop_assert_eq!(decision.l2s[j].to_bits(), expected.l2s()[j].to_bits());
@@ -115,7 +116,7 @@ proptest! {
                 .build();
             let handle = fleet.handle(0);
             for (txid, parents) in &txs {
-                let a = router.submit(*txid, parents);
+                let a = router.submit(*txid, parents).unwrap();
                 let b = handle.submit(*txid, parents);
                 prop_assert_eq!(a, b, "strategy {:?}", strategy);
             }

@@ -1,6 +1,6 @@
 //! Golden equivalence: the zero-allocation `place_into` hot path must
 //! produce **bit-identical** decisions to the seed's allocating
-//! implementation (`place_with_detail_naive`), across random workloads,
+//! implementation (`optchain_bench::naive`), across random workloads,
 //! shard counts, damping factors, L2S modes, and telemetry histories.
 //!
 //! This is the contract that makes the perf work safe: the optimized
@@ -10,10 +10,11 @@
 
 use proptest::prelude::*;
 
+use optchain_bench::naive::NaiveOptChainPlacer;
 use optchain_core::replay::{replay, QueueProxy};
 use optchain_core::{
-    DecisionBuf, L2sEstimator, L2sMode, NaiveOptChainPlacer, OptChainPlacer, PlacementContext,
-    Placer, T2sEngine, TemporalFitness,
+    DecisionBuf, L2sEstimator, L2sMode, OptChainPlacer, PlacementContext, Placer, T2sEngine,
+    TemporalFitness,
 };
 use optchain_tan::TanGraph;
 use optchain_utxo::{Transaction, TxId, TxOutput, WalletId};
@@ -129,9 +130,9 @@ proptest! {
 }
 
 /// The `Placer`-trait path (`place`) and the detail path
-/// (`place_with_detail`) are the same decision procedure.
+/// (`place_into` with a caller-owned buffer) are the same decision
+/// procedure.
 #[test]
-#[allow(deprecated)] // exercises the kept-but-deprecated detail path
 fn trait_and_detail_paths_agree() {
     let recipe: Vec<Vec<u8>> = vec![vec![], vec![1], vec![1, 2], vec![], vec![2], vec![1, 4]];
     let txs = build_stream(&recipe);
@@ -140,14 +141,13 @@ fn trait_and_detail_paths_agree() {
     let telemetry = vec![optchain_core::ShardTelemetry::new(0.1, 0.5); 4];
     let mut tan_a = TanGraph::new();
     let mut tan_b = TanGraph::new();
+    let mut buf = DecisionBuf::new();
     for tx in &txs {
         let a = tan_a.insert_tx(tx);
         let b = tan_b.insert_tx(tx);
         let sa = via_place.place(&PlacementContext::new(&tan_a, &telemetry), a);
-        let sb = via_detail
-            .place_with_detail(&PlacementContext::new(&tan_b, &telemetry), b)
-            .shard;
-        assert_eq!(sa, sb);
+        let sb = via_detail.place_into(&PlacementContext::new(&tan_b, &telemetry), b, &mut buf);
+        assert_eq!((sa, sa), (sb, buf.shard()));
     }
     assert_eq!(via_place.assignments(), via_detail.assignments());
 }

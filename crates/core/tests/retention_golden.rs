@@ -10,7 +10,7 @@
 //!    the only coupling, and both are window-exact by construction.
 //! 3. Compaction round trip: evict → `compact` → `snapshot` →
 //!    `warm_start` continues bit-identically to the uninterrupted
-//!    windowed run (the v2 engine-state snapshot).
+//!    windowed run (the windowed engine-state snapshot).
 //! 4. A 1-worker `RouterFleet` under a retention policy (including the
 //!    pruned-delta `KeepUnspentAndHubs` path) stays bit-identical to a
 //!    `Router` under the same policy.
@@ -19,9 +19,8 @@
 //!    to missing references.
 //! 6. The `AssignmentStore` windows in lockstep with the graph
 //!    (windowed reads ≡ unbounded on live ids, `None` past the
-//!    horizon), the v3 snapshot round-trips the windowed store
-//!    bit-exactly, and a legacy **v2** full-history snapshot restores
-//!    through the read-compat path to the same continuation.
+//!    horizon), and the windowed snapshot round-trips the store
+//!    bit-exactly.
 //! 7. A retention-aware `SpvWallet` holds O(window) state over
 //!    arbitrarily long streams (proptest).
 
@@ -65,7 +64,8 @@ fn build_stream(len: usize, max_offset: u8, seed: u64) -> Vec<Transaction> {
 fn drive_with_scores(router: &mut Router, txs: &[Transaction]) -> Vec<(u32, Vec<f64>, Vec<f64>)> {
     txs.iter()
         .map(|tx| {
-            let buf = router.submit_tx_with_detail(tx);
+            router.submit_tx(tx).unwrap();
+            let buf = router.last_decision();
             (buf.shard().0, buf.t2s().to_vec(), buf.fitness().to_vec())
         })
         .collect()
@@ -133,7 +133,7 @@ proptest! {
         drive_with_scores(&mut live, &txs[..split]);
         live.compact();
         let snapshot = live.snapshot();
-        prop_assert_eq!(snapshot.format_version(), 3);
+        prop_assert!(snapshot.assignments().live_len() <= window, "windowed shape");
         prop_assert_eq!(snapshot.retention(), policy);
 
         let mut restored = Router::builder().shards(4).retention(policy).build();
@@ -149,7 +149,7 @@ proptest! {
     }
 
     /// T2S-only strategy under the lifecycle: the windowed T2s router
-    /// round-trips through a v2 snapshot too.
+    /// round-trips through a windowed snapshot too.
     #[test]
     fn t2s_strategy_compaction_roundtrip(seed in 0u64..500) {
         let policy = RetentionPolicy::WindowTxs(48);
@@ -160,7 +160,7 @@ proptest! {
             .retention(policy)
             .build();
         for tx in &txs[..400] {
-            live.submit_tx(tx);
+            live.submit_tx(tx).unwrap();
         }
         live.compact();
         let snapshot = live.snapshot();
@@ -171,8 +171,8 @@ proptest! {
             .build();
         restored.warm_start(&snapshot);
         for tx in &txs[400..] {
-            let a = live.submit_tx(tx);
-            let b = restored.submit_tx(tx);
+            let a = live.submit_tx(tx).unwrap();
+            let b = restored.submit_tx(tx).unwrap();
             prop_assert_eq!(a, b);
         }
         prop_assert_eq!(live.assignments(), restored.assignments());
@@ -193,8 +193,8 @@ proptest! {
             .retention(RetentionPolicy::WindowTxs(window))
             .build();
         for tx in &txs {
-            unbounded.submit_tx(tx);
-            windowed.submit_tx(tx);
+            unbounded.submit_tx(tx).unwrap();
+            windowed.submit_tx(tx).unwrap();
         }
         let full = unbounded.assignments();
         let view = windowed.assignments();
@@ -209,39 +209,6 @@ proptest! {
                 prop_assert_eq!(view.get(node), None, "evicted id {}", id);
             }
         }
-    }
-
-    /// v2 read-compat: a legacy full-history snapshot of a windowed
-    /// router (reconstructed via `with_full_assignments`) restores
-    /// through `warm_start`'s read-compat path and continues
-    /// bit-identically to the uninterrupted windowed run.
-    #[test]
-    fn v2_full_history_snapshot_restores_bit_exactly(
-        split in 300usize..700,
-        seed in 0u64..1_000,
-    ) {
-        let window = 64usize;
-        let policy = RetentionPolicy::WindowTxs(window);
-        let txs = build_stream(1_000, 40, seed);
-        let mut live = Router::builder().shards(4).retention(policy).build();
-        // Record the full history externally, as a v2-era caller did.
-        let full: Vec<u32> = txs[..split]
-            .iter()
-            .map(|tx| live.submit_tx(tx).0)
-            .collect();
-        prop_assert!(live.tan().evicted_nodes() > 0, "eviction must run");
-        let v3 = live.snapshot();
-        prop_assert_eq!(v3.format_version(), 3);
-        let v2 = v3.clone().with_full_assignments(full);
-        prop_assert_eq!(v2.format_version(), 2);
-
-        let mut restored = Router::builder().shards(4).retention(policy).build();
-        restored.warm_start(&v2);
-        prop_assert_eq!(live.assignments(), restored.assignments());
-        let a = drive_with_scores(&mut live, &txs[split..]);
-        let b = drive_with_scores(&mut restored, &txs[split..]);
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(live.assignments(), restored.assignments());
     }
 
     /// A retention-aware SPV wallet holds O(window) entries over
@@ -281,7 +248,7 @@ proptest! {
         let txs = build_stream(400, 30, seed);
         let mut router = Router::builder().shards(4).retention(policy).build();
         let router_shards: Vec<u32> =
-            txs.iter().map(|tx| router.submit_tx(tx).0).collect();
+            txs.iter().map(|tx| router.submit_tx(tx).unwrap().0).collect();
 
         let fleet = RouterFleet::builder()
             .shards(4)
@@ -295,49 +262,6 @@ proptest! {
     }
 }
 
-/// v2 read-compat for `KeepUnspentAndHubs`: the retained-survivor side
-/// table rebuilt by `AssignmentStore::from_full` from the graph's
-/// recorded retention decisions must match the live store exactly —
-/// the restored router continues bit-identically and resolves the same
-/// retained survivors.
-#[test]
-fn v2_keep_hubs_snapshot_rebuilds_the_survivor_table() {
-    let policy = RetentionPolicy::KeepUnspentAndHubs { min_degree: 3 };
-    // Long enough that the HUB_WINDOW ring wraps and real survivors
-    // land in the side table.
-    let len = RetentionPolicy::HUB_WINDOW + 2_000;
-    let txs = build_stream(len, 40, 7);
-    let mut live = Router::builder().shards(4).retention(policy).build();
-    let full: Vec<u32> = txs.iter().map(|tx| live.submit_tx(tx).0).collect();
-    assert!(live.tan().evicted_nodes() > 0, "aging must evict");
-    assert!(
-        live.tan().retained_nodes() > 0,
-        "the stream must retain survivors"
-    );
-
-    let v3 = live.snapshot();
-    assert_eq!(v3.format_version(), 3);
-    let v2 = v3.clone().with_full_assignments(full);
-    assert_eq!(v2.format_version(), 2);
-
-    let mut restored = Router::builder().shards(4).retention(policy).build();
-    restored.warm_start(&v2);
-    // The rebuilt store is logically identical to the live one —
-    // including every side-table survivor.
-    assert_eq!(live.assignments(), restored.assignments());
-    for (node, shard) in live.assignments().iter_live() {
-        assert_eq!(restored.assignments().get(node), Some(shard), "{node}");
-    }
-    // And the continuation stays bit-exact — chained spends keep
-    // exercising in-window parents as the horizon advances.
-    for i in len as u64..len as u64 + 500 {
-        let a = live.submit(TxId(i), &[TxId(i - 1)]);
-        let b = restored.submit(TxId(i), &[TxId(i - 1)]);
-        assert_eq!(a, b, "tx {i}");
-    }
-    assert_eq!(live.assignments(), restored.assignments());
-}
-
 #[test]
 fn keep_unspent_and_hubs_survives_the_hub_window() {
     let min_degree = 3u32;
@@ -347,17 +271,17 @@ fn keep_unspent_and_hubs_survives_the_hub_window() {
         .build();
     // TxId(0): a hub (spent `min_degree` times). TxId(1): spent once.
     // TxId(2): never spent.
-    let hub_shard = router.submit(TxId(0), &[]);
-    router.submit(TxId(1), &[]);
-    router.submit(TxId(2), &[]);
+    let hub_shard = router.submit(TxId(0), &[]).unwrap();
+    router.submit(TxId(1), &[]).unwrap();
+    router.submit(TxId(2), &[]).unwrap();
     for i in 0..u64::from(min_degree) {
-        router.submit(TxId(10 + i), &[TxId(0)]);
+        router.submit(TxId(10 + i), &[TxId(0)]).unwrap();
     }
-    router.submit(TxId(20), &[TxId(1)]);
+    router.submit(TxId(20), &[TxId(1)]).unwrap();
     // Age everything far past the hub window.
     let filler = RetentionPolicy::HUB_WINDOW as u64 + 500;
     for i in 0..filler {
-        router.submit(TxId(1_000_000 + i), &[]);
+        router.submit(TxId(1_000_000 + i), &[]).unwrap();
     }
     let tan = router.tan();
     assert!(tan.evicted_nodes() > 0, "aging must evict");
@@ -367,11 +291,21 @@ fn keep_unspent_and_hubs_survives_the_hub_window() {
     // Spending the retained hub resolves (edge + T2S pull toward its
     // shard); spending the evicted node degrades to a missing ref.
     let missing_before = router.tan().missing_parent_refs();
-    let s = router.submit(TxId(2_000_000), &[TxId(0)]);
+    let s = router.submit(TxId(2_000_000), &[TxId(0)]).unwrap();
     assert_eq!(s, hub_shard, "the retained hub's T2S row pulls its spender");
     assert_eq!(router.tan().missing_parent_refs(), missing_before);
-    router.submit(TxId(2_000_001), &[TxId(1)]);
+    router.submit(TxId(2_000_001), &[TxId(1)]).unwrap();
     assert_eq!(router.tan().missing_parent_refs(), missing_before + 1);
+    // The windowed snapshot carries the wrapped ring and every
+    // side-table survivor: a restored router resolves the same hub.
+    let mut restored = Router::builder()
+        .shards(4)
+        .retention(RetentionPolicy::KeepUnspentAndHubs { min_degree })
+        .build();
+    restored.warm_start(&router.snapshot());
+    assert_eq!(restored.assignments(), router.assignments());
+    let again = restored.submit(TxId(2_000_002), &[TxId(0)]).unwrap();
+    assert_eq!(again, router.submit(TxId(2_000_002), &[TxId(0)]).unwrap());
 }
 
 #[test]
@@ -385,7 +319,7 @@ fn windowed_router_holds_bounded_live_state_over_long_streams() {
     let mut peak_live = 0usize;
     let mut peak_bytes = 0usize;
     for tx in &txs {
-        router.submit_tx(tx);
+        router.submit_tx(tx).unwrap();
         peak_live = peak_live.max(router.tan().live_len());
         peak_bytes = peak_bytes.max(router.tan().arena_bytes());
     }
@@ -397,7 +331,7 @@ fn windowed_router_holds_bounded_live_state_over_long_streams() {
     // stream's peak arena must stay within a constant factor of it.
     let mut small = Router::builder().shards(4).build();
     for tx in &txs[..window] {
-        small.submit_tx(tx);
+        small.submit_tx(tx).unwrap();
     }
     assert!(
         peak_bytes < 20 * small.tan().arena_bytes(),

@@ -150,8 +150,8 @@ proptest! {
             let expected = placer.place_into(&ctx, node, &mut buf);
 
             router.feed_telemetry(&telemetry);
-            let got = router.submit_tx_with_detail(tx);
-            prop_assert_eq!(got.shard(), expected);
+            prop_assert_eq!(router.submit_tx(tx).unwrap(), expected);
+            let got = router.last_decision();
             for j in 0..k as usize {
                 prop_assert_eq!(got.t2s()[j].to_bits(), buf.t2s()[j].to_bits());
                 prop_assert_eq!(got.l2s()[j].to_bits(), buf.l2s()[j].to_bits());
@@ -172,7 +172,7 @@ proptest! {
     ) {
         let txs = build_stream(&recipe);
         let mut one_by_one = Router::builder().shards(k).build();
-        let singles: Vec<u32> = txs.iter().map(|tx| one_by_one.submit_tx(tx).0).collect();
+        let singles: Vec<u32> = txs.iter().map(|tx| one_by_one.submit_tx(tx).unwrap().0).collect();
         let mut batched = Router::builder().shards(k).build();
         let mut out = Vec::new();
         batched.submit_batch(&txs, &mut out);
@@ -196,12 +196,12 @@ proptest! {
         let mut sessions: Vec<_> = (0..clients).map(|_| with_sessions.session()).collect();
         let view = with_sessions.telemetry().to_vec();
         for (i, tx) in txs.iter().enumerate() {
-            let a = plain.submit_tx(tx);
+            let a = plain.submit_tx(tx).unwrap();
             let session = &mut sessions[i % clients];
             if session.view_version() != Some(0) {
                 session.set_view(&view, 0);
             }
-            let b = with_sessions.submit_tx_in(session, tx);
+            let b = with_sessions.submit_tx_in(session, tx).unwrap();
             prop_assert_eq!(a, b);
         }
         prop_assert_eq!(plain.assignments(), with_sessions.assignments());
@@ -239,16 +239,16 @@ proptest! {
             };
             let mut continuous = build();
             for tx in &txs {
-                continuous.submit_tx(tx);
+                continuous.submit_tx(tx).unwrap();
             }
             let mut first_half = build();
             for tx in &txs[..cut] {
-                first_half.submit_tx(tx);
+                first_half.submit_tx(tx).unwrap();
             }
             let mut resumed = build();
             resumed.warm_start(&first_half.snapshot());
             for tx in &txs[cut..] {
-                resumed.submit_tx(tx);
+                resumed.submit_tx(tx).unwrap();
             }
             prop_assert_eq!(
                 continuous.assignments(),

@@ -77,7 +77,7 @@ fn drive_sessions(
                 let view = router.telemetry().to_vec();
                 session.set_view(&view, router.telemetry_version());
             }
-            router.submit_tx_in(session, tx).0
+            router.submit_tx_in(session, tx).unwrap().0
         })
         .collect()
 }

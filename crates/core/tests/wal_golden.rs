@@ -15,10 +15,13 @@
 //!    through real segment files with rotation and GC in play —
 //!    recovery reopens the directory exactly as a restarted process
 //!    would.
-//! 3. **Delta-chain equivalence** (proptest): a clean-shutdown journal
-//!    checkpointed as base + deltas (`full_every > 1`) recovers
-//!    bit-identically to one checkpointed with full snapshots only
-//!    (`full_every = 1`), under every retention policy.
+//! 3. **Delta-chain equivalence, four doors, one record** (proptest):
+//!    a clean-shutdown journal checkpointed as base + deltas
+//!    (`full_every > 1`) recovers bit-identically to one checkpointed
+//!    with full snapshots only (`full_every = 1`), under every
+//!    retention policy — and driving the delta arm through `submit`,
+//!    `submit_tx`, `submit_tx_in` or `submit_batch` yields the same
+//!    shards, the same journal bytes and the same recovered router.
 //! 4. **Damaged intermediate delta**: tearing or CRC-corrupting a
 //!    delta-checkpoint file must surface as a typed
 //!    `InvalidData` error — never a silently wrong router — because
@@ -38,8 +41,8 @@
 use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 
 use optchain_core::{
-    FailpointStorage, MemStorage, RetentionPolicy, Router, RouterFleet, SegmentWal, ShardTelemetry,
-    SharedStorage, Storage, TailDamage,
+    FailpointStorage, MemStorage, RetentionPolicy, Router, RouterFleet, SegmentWal, ShardId,
+    ShardTelemetry, SharedStorage, Storage, TailDamage,
 };
 use optchain_utxo::{Transaction, TxId, TxOutput, WalletId};
 
@@ -108,7 +111,7 @@ fn event_schedule(txs: &[Transaction], k: usize, feed_every: usize, seed: u64) -
 fn drive_until_crash(router: &mut Router, txs: &[Transaction], steps: &[Step]) -> usize {
     for (i, step) in steps.iter().enumerate() {
         let outcome = match step {
-            Step::Submit(idx) => router.try_submit_tx(&txs[*idx]).map(|_| ()),
+            Step::Submit(idx) => router.submit_tx(&txs[*idx]).map(|_| ()),
             Step::Feed(telemetry) => router.try_feed_telemetry(telemetry),
         };
         if outcome.is_err() {
@@ -126,20 +129,70 @@ fn apply_prefix(
     steps: &[Step],
     count: usize,
 ) -> (u64, u64) {
-    let (mut submits, mut feeds) = (0u64, 0u64);
-    for step in &steps[..count] {
-        match step {
-            Step::Submit(idx) => {
-                router.submit_tx(&txs[*idx]);
-                submits += 1;
-            }
+    let submits = drive_through(router, txs, &steps[..count], Door::Tx).len() as u64;
+    (submits, count as u64 - submits)
+}
+
+/// Submits `tx` and returns the full score breakdown of the decision.
+fn decide(router: &mut Router, tx: &Transaction) -> (ShardId, Vec<f64>, Vec<f64>) {
+    router.submit_tx(tx).unwrap();
+    let buf = router.last_decision();
+    (buf.shard(), buf.t2s().to_vec(), buf.fitness().to_vec())
+}
+
+/// The four public ways into `Router`'s one submission path.
+#[derive(Debug, Clone, Copy)]
+enum Door {
+    /// `submit` with the distinct input-id list.
+    Raw,
+    /// `submit_tx`.
+    Tx,
+    /// `submit_tx_in` through one (view-less) session.
+    Session,
+    /// `submit_batch` in chunks of at most this many transactions.
+    Batch(usize),
+}
+
+/// Drives every step through `door`, returning the acked shards.
+fn drive_through(
+    router: &mut Router,
+    txs: &[Transaction],
+    steps: &[Step],
+    door: Door,
+) -> Vec<ShardId> {
+    let mut session = router.session();
+    let mut shards = Vec::new();
+    let mut chunk = Vec::new();
+    let mut i = 0;
+    while i < steps.len() {
+        let idx = match &steps[i] {
             Step::Feed(telemetry) => {
                 router.feed_telemetry(telemetry);
-                feeds += 1;
+                i += 1;
+                continue;
+            }
+            Step::Submit(idx) => *idx,
+        };
+        let tx = &txs[idx];
+        // Consecutive `Submit` steps carry consecutive stream indices.
+        let mut run = 1;
+        match door {
+            Door::Raw => shards.push(router.submit(tx.id(), &tx.input_txids()).unwrap()),
+            Door::Tx => shards.push(router.submit_tx(tx).unwrap()),
+            Door::Session => shards.push(router.submit_tx_in(&mut session, tx).unwrap()),
+            Door::Batch(n) => {
+                run = steps[i..]
+                    .iter()
+                    .take(n)
+                    .take_while(|s| matches!(s, Step::Submit(_)))
+                    .count();
+                router.submit_batch(&txs[idx..idx + run], &mut chunk);
+                shards.extend_from_slice(&chunk);
             }
         }
+        i += run;
     }
-    (submits, feeds)
+    shards
 }
 
 /// Submits every remaining transaction to both routers, comparing the
@@ -156,12 +209,7 @@ fn assert_identical_continuation(
         match step {
             Step::Submit(idx) => {
                 let tx = &txs[*idx];
-                let a = {
-                    let buf = recovered.submit_tx_with_detail(tx);
-                    (buf.shard(), buf.t2s().to_vec(), buf.fitness().to_vec())
-                };
-                let buf = reference.submit_tx_with_detail(tx);
-                let b = (buf.shard(), buf.t2s().to_vec(), buf.fitness().to_vec());
+                let (a, b) = (decide(recovered, tx), decide(reference, tx));
                 assert_eq!(a, b, "continuation diverged at tx {idx}");
             }
             Step::Feed(telemetry) => {
@@ -319,19 +367,30 @@ proptest! {
     /// (`full_every > 1`) is bit-identical to recovering through full
     /// snapshots only (`full_every = 1`) over the same stream, under
     /// every retention policy — same history *and* the same full score
-    /// breakdown on a shared continuation.
+    /// breakdown on a shared continuation. The delta arm runs once per
+    /// public submit door: all four must ack the same shards, leave
+    /// the same journal bytes, and recover to the same router.
     #[test]
     fn delta_chain_recovery_matches_full_snapshot_recovery(
         seed in 0u64..1_000,
         policy_sel in 0u8..3,
         full_every in 2u64..6,
         checkpoint_every in 16u64..48,
+        batch in 1usize..24,
     ) {
         let policy = policy_for(policy_sel);
         let txs = build_stream(360, 30, seed);
         let steps = event_schedule(&txs[..300], 4, 50, seed);
+        let arms = [
+            (1u64, Door::Tx),
+            (full_every, Door::Tx),
+            (full_every, Door::Raw),
+            (full_every, Door::Session),
+            (full_every, Door::Batch(batch)),
+        ];
         let mut backends = Vec::new();
-        for fe in [1u64, full_every] {
+        let mut acked = Vec::new();
+        for (fe, door) in arms {
             let shared = SharedStorage::new(MemStorage::new());
             let mut router = Router::builder()
                 .shards(4)
@@ -341,14 +400,7 @@ proptest! {
                 .full_every(fe)
                 .storage(Box::new(shared.clone()))
                 .build();
-            for step in &steps {
-                match step {
-                    Step::Submit(idx) => {
-                        router.submit_tx(&txs[*idx]);
-                    }
-                    Step::Feed(telemetry) => router.feed_telemetry(telemetry),
-                }
-            }
+            let shards = drive_through(&mut router, &txs, &steps, door);
             router.flush_journal().unwrap();
             let stats = router.checkpoint_stats();
             if fe == 1 {
@@ -358,23 +410,26 @@ proptest! {
                 // been written, or the sweep is vacuous.
                 prop_assert!(stats.delta_checkpoints > 0);
             }
+            acked.push((shards, router.journal_bytes()));
             drop(router);
             backends.push(shared);
         }
-        let mut full = Router::recover(Box::new(backends[0].clone()))
-            .expect("full-snapshot recovery");
-        let mut delta = Router::recover(Box::new(backends[1].clone()))
-            .expect("delta-chain recovery");
-        prop_assert_eq!(full.assignments(), delta.assignments());
-        prop_assert_eq!(full.telemetry(), delta.telemetry());
-        prop_assert_eq!(full.telemetry_version(), delta.telemetry_version());
+        prop_assert_eq!(&acked[0].0, &acked[1].0);
+        for (arm, outcome) in arms.iter().zip(&acked).skip(2) {
+            prop_assert_eq!(outcome, &acked[1], "{:?} journaled differently", arm.1);
+        }
+        let mut recovered: Vec<Router> = backends
+            .iter()
+            .map(|b| Router::recover(Box::new(b.clone())).expect("recovery"))
+            .collect();
+        for router in &recovered[1..] {
+            prop_assert_eq!(router.assignments(), recovered[0].assignments());
+            prop_assert_eq!(router.telemetry(), recovered[0].telemetry());
+            prop_assert_eq!(router.telemetry_version(), recovered[0].telemetry_version());
+        }
+        let (full, delta) = recovered.split_first_mut().expect("five arms");
         for tx in &txs[300..] {
-            let a = {
-                let buf = delta.submit_tx_with_detail(tx);
-                (buf.shard(), buf.t2s().to_vec(), buf.fitness().to_vec())
-            };
-            let buf = full.submit_tx_with_detail(tx);
-            let b = (buf.shard(), buf.t2s().to_vec(), buf.fitness().to_vec());
+            let (a, b) = (decide(&mut delta[0], tx), decide(full, tx));
             prop_assert_eq!(a, b, "continuation diverged after recovery");
         }
     }
@@ -405,7 +460,7 @@ fn damaged_intermediate_delta_fails_typed_never_wrong() {
             .storage(Box::new(wal))
             .build();
         for tx in &txs {
-            router.submit_tx(tx);
+            router.submit_tx(tx).unwrap();
         }
         router.flush_journal().unwrap();
         let stats = router.checkpoint_stats();
@@ -426,7 +481,7 @@ fn damaged_intermediate_delta_fails_typed_never_wrong() {
             .retention(RetentionPolicy::WindowTxs(64))
             .build();
         for tx in &txs {
-            reference.submit_tx(tx);
+            reference.submit_tx(tx).unwrap();
         }
         assert_eq!(recovered.assignments(), reference.assignments());
     }
@@ -532,7 +587,7 @@ fn wal_soak_three_crashes_end_bit_identical() {
             if next_tx >= len {
                 break;
             }
-            match router.try_submit_tx(&txs[next_tx]) {
+            match router.submit_tx(&txs[next_tx]) {
                 Ok(shard) => {
                     if next_tx < acked.len() {
                         assert_eq!(
@@ -573,18 +628,13 @@ fn wal_soak_three_crashes_end_bit_identical() {
         .retention(RetentionPolicy::WindowTxs(window))
         .build();
     for tx in &txs[..len] {
-        reference.submit_tx(tx);
+        reference.submit_tx(tx).unwrap();
     }
     assert_eq!(router.assignments(), reference.assignments());
     // Bit-identical state keeps making bit-identical decisions: the
     // continuation tail must match the full score breakdown.
     for tx in &txs[len..] {
-        let a = {
-            let buf = router.submit_tx_with_detail(tx);
-            (buf.shard(), buf.t2s().to_vec(), buf.fitness().to_vec())
-        };
-        let buf = reference.submit_tx_with_detail(tx);
-        let b = (buf.shard(), buf.t2s().to_vec(), buf.fitness().to_vec());
+        let (a, b) = (decide(&mut router, tx), decide(&mut reference, tx));
         assert_eq!(a, b, "post-soak continuation diverged at {:?}", tx.id());
     }
 }
@@ -596,7 +646,10 @@ fn wal_soak_three_crashes_end_bit_identical() {
 fn one_worker_fleet_recovers_and_continues_like_a_router() {
     let txs = build_stream(500, 30, 7);
     let mut router = Router::builder().shards(4).build();
-    let router_shards: Vec<u32> = txs.iter().map(|tx| router.submit_tx(tx).0).collect();
+    let router_shards: Vec<u32> = txs
+        .iter()
+        .map(|tx| router.submit_tx(tx).unwrap().0)
+        .collect();
 
     let shared = SharedStorage::new(MemStorage::new());
     let fleet = RouterFleet::builder()

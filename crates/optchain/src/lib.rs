@@ -39,8 +39,12 @@
 //! assert!(optchain.cross_fraction() < omniledger.cross_fraction());
 //! ```
 //!
-//! Multiple clients of one router hold [`core::PlacementSession`]
-//! handles, which keep per-client L2S memos warm; the borrow-style
+//! Single transactions go through the fallible `Router::submit` /
+//! `submit_tx` (an `Err` is a journal write failure; in-RAM routers
+//! never fail), and `Router::last_decision` holds the score breakdown
+//! of the latest placement. Multiple clients of one router hold
+//! [`core::PlacementSession`] handles (`submit_tx_in`), which keep
+//! per-client L2S memos warm; the borrow-style
 //! [`core::Placer`] trait and [`core::replay`](core::replay::replay)
 //! remain for callers that own their own graph.
 //!
@@ -117,12 +121,11 @@
 //! assert_eq!(router.assignments().len(), txs.len());
 //! ```
 //!
-//! `Router::snapshot` under a policy records the v3 windowed
-//! checkpoint (horizon, stable-id remap, engine state, and the
-//! O(window) assignment store), so `warm_start` of a windowed router
-//! is bit-exact — and the checkpoint itself stops scaling with the
-//! stream. Legacy v2 snapshots (full assignment history) stay
-//! readable.
+//! `Router::snapshot` under a policy records the windowed checkpoint
+//! (horizon, stable-id remap, engine state, and the O(window)
+//! assignment store), so `warm_start` of a windowed router is
+//! bit-exact — and the checkpoint itself stops scaling with the
+//! stream.
 //!
 //! # Turn on the Rebalancer: dynamic re-sharding
 //!
@@ -224,7 +227,7 @@
 //! let mut recovered = Router::recover(Box::new(SegmentWal::open(&dir).unwrap())).unwrap();
 //! assert_eq!(recovered.assignments().len(), txs.len());
 //! // …and keeps deciding exactly where the crashed one left off.
-//! let shard = recovered.submit(TxId(1_000_000), &[]);
+//! let shard = recovered.submit(TxId(1_000_000), &[]).unwrap();
 //! assert!(shard.0 < 8);
 //! let _ = std::fs::remove_dir_all(&dir);
 //! ```
@@ -237,10 +240,9 @@
 //! prefix back into the exact pre-crash state
 //! (`crates/core/tests/wal_golden.rs` proves it under randomized
 //! kill -9 injection; `docs/DURABILITY.md` is the authoritative
-//! on-disk specification — record framing, checkpoint envelope
-//! versions and their read-compat matrix, the recovery state machine,
-//! the GC invariants — and PERF.md §7 has the measured durability
-//! tax).
+//! on-disk specification — record framing, the one current version
+//! of each artifact, the recovery state machine, the GC invariants —
+//! and PERF.md §7 has the measured durability tax).
 //!
 //! One composition limit, by design: `.storage(...)` and
 //! `.rebalancer(...)` cannot be combined yet — rebalance epoch state

@@ -636,7 +636,10 @@ impl<'a> Engine<'a> {
                     );
                     session.set_view(&self.telemetry_scratch, self.board.version());
                 }
-                let shard = router.submit_tx_in(session, tx).0;
+                let shard = router
+                    .submit_tx_in(session, tx)
+                    .expect("journaling a placement failed")
+                    .0;
                 // Migration-epoch adoption: if this submission crossed
                 // an epoch boundary, the router committed the staged
                 // move batch *before* placing it — adopt the re-homed

@@ -38,9 +38,9 @@
 //! snapshot.
 //!
 //! The authoritative on-disk specification — WAL record framing and
-//! tag table, checkpoint envelope versions with their read-compat
-//! matrix, the recovery state machine, and the GC invariants — lives
-//! in `docs/DURABILITY.md` at the repository root.
+//! tag table, the one accepted version of each checkpoint envelope,
+//! the recovery state machine, and the GC invariants — lives in
+//! `docs/DURABILITY.md` at the repository root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

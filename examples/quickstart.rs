@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use optchain::prelude::*;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let shards = 8;
     let n = 50_000usize;
     println!("generating {n} Bitcoin-like transactions...");
@@ -113,9 +113,9 @@ fn main() {
         .retention(RetentionPolicy::KeepUnspentAndHubs { min_degree: 8 })
         .build();
     for tx in stream.iter() {
-        unbounded.submit_tx(tx);
-        windowed.submit_tx(tx);
-        hubs.submit_tx(tx);
+        unbounded.submit_tx(tx)?;
+        windowed.submit_tx(tx)?;
+        hubs.submit_tx(tx)?;
     }
     windowed.compact(); // checkpoint-time shrink
     hubs.compact();
@@ -137,4 +137,5 @@ fn main() {
          resolvable. Every tx whose parents sit inside the window places exactly as \
          the unbounded router placed it."
     );
+    Ok(())
 }

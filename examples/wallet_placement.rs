@@ -13,7 +13,7 @@
 use optchain::prelude::*;
 use optchain_utxo::Transaction;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let k = 4;
     let mut wallet = Router::builder().shards(k).build();
 
@@ -36,7 +36,7 @@ fn main() {
             .build(),
     ];
     for tx in &history {
-        let shard = wallet.submit_tx(tx);
+        let shard = wallet.submit_tx(tx)?;
         println!("{tx} -> {shard}");
     }
 
@@ -47,7 +47,8 @@ fn main() {
         .input(TxId(1).outpoint(1))
         .output(TxOutput::new(98_000, WalletId(3)))
         .build();
-    let decision = wallet.submit_tx_with_detail(&payment);
+    wallet.submit_tx(&payment)?;
+    let decision = wallet.last_decision();
 
     println!("\ndecision for {payment}:");
     println!("  shard   T2S        L2S (s)   fitness");
@@ -70,4 +71,5 @@ fn main() {
          (the wallet would divert it if {} backed up).",
         decision.shard(),
     );
+    Ok(())
 }

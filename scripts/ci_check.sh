@@ -12,6 +12,9 @@ cargo fmt --check
 echo "==> cargo clippy --all-targets -- -D warnings -D deprecated"
 cargo clippy --all-targets -- -D warnings -D deprecated
 
+echo "==> scripts/ratchet.sh (no deprecated shims, no naive re-exports, crates/core size ceiling)"
+scripts/ratchet.sh
+
 echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 

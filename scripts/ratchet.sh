@@ -1,0 +1,30 @@
+#!/usr/bin/env bash
+# Deletion ratchet (CI `lint` job and scripts/ci_check.sh): what PR 12
+# removed must not grow back. Fails on any deprecation shim under
+# crates/, on the seed's naive oracle reappearing in optchain_core's
+# root or the facade prelude, and on crates/core outgrowing its ceiling.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+# Lower this when a PR shrinks crates/core; never raise it to fit one.
+core_ceiling=12750
+
+fail=0
+if grep -rnE '#\[deprecated|allow\(deprecated\)' crates/ --include='*.rs'; then
+    echo "ratchet: deprecated items or allow(deprecated) under crates/" >&2
+    fail=1
+fi
+if grep -ni naive crates/core/src/lib.rs; then
+    echo "ratchet: 'naive' in crates/core/src/lib.rs" >&2
+    fail=1
+fi
+if sed -n '/^pub mod prelude {/,/^}/p' crates/optchain/src/lib.rs | grep -i naive; then
+    echo "ratchet: 'naive' in optchain::prelude" >&2
+    fail=1
+fi
+core_lines=$(find crates/core -name '*.rs' -print0 | xargs -0 cat | wc -l)
+if [ "$core_lines" -gt "$core_ceiling" ]; then
+    echo "ratchet: crates/core is $core_lines lines of Rust, ceiling $core_ceiling" >&2
+    fail=1
+fi
+exit "$fail"
