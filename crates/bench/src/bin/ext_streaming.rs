@@ -3,7 +3,7 @@
 //! Greedy and Fennel vs the paper's strategies, on cross-TXs and balance.
 
 use optchain_bench::{fmt_pct, shared_workload, Opts};
-use optchain_core::replay::replay_router;
+use optchain_core::replay::{replay, replay_router};
 use optchain_core::{FennelPlacer, LdgPlacer, Router, Strategy};
 use optchain_metrics::Table;
 
@@ -26,9 +26,9 @@ fn main() {
             ]);
         };
         // Built-in strategies run through the Router by name; the
-        // streaming baselines ride along as custom placers — one
-        // replay loop for all of them (`replay_router` is bit-identical
-        // to the old concrete-placer `replay`, per `router_golden.rs`).
+        // streaming baselines go through the borrow-style `replay`
+        // (`replay_router` is bit-identical to it, per
+        // `router_golden.rs`).
         let built_in = |strategy: Strategy| {
             Router::builder()
                 .shards(k)
@@ -48,24 +48,8 @@ fn main() {
             "Greedy",
             replay_router(&txs, &mut built_in(Strategy::Greedy)),
         );
-        row(
-            "LDG",
-            replay_router(
-                &txs,
-                &mut Router::builder()
-                    .custom(Box::new(LdgPlacer::new(k, n)))
-                    .build(),
-            ),
-        );
-        row(
-            "Fennel",
-            replay_router(
-                &txs,
-                &mut Router::builder()
-                    .custom(Box::new(FennelPlacer::new(k, n)))
-                    .build(),
-            ),
-        );
+        row("LDG", replay(&txs, &mut LdgPlacer::new(k, n)));
+        row("Fennel", replay(&txs, &mut FennelPlacer::new(k, n)));
         row(
             "OmniLedger",
             replay_router(&txs, &mut built_in(Strategy::OmniLedger)),

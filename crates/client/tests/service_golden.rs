@@ -53,24 +53,110 @@ fn single_connection_placements_match_router() {
     server.shutdown();
 }
 
-/// Batch submission is the same placements as singles, acked in order.
+/// Batch submission is the same placements as singles, acked in order
+/// — whether a chunk crosses the wire as one `SubmitBatch` frame or as
+/// pipelined single `Submit` frames (one dispatcher round, one fleet
+/// message per frame either way).
 #[test]
 fn batch_placements_match_singles() {
     let txs = workload(600, 21);
+    for as_batch_frames in [true, false] {
+        let server = PlacementServer::builder()
+            .fleet(RouterFleet::builder().shards(4).workers(1))
+            .start()
+            .expect("start server");
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        let mut router = Router::builder().shards(4).build();
+
+        for chunk in txs.chunks(64) {
+            let shards = if as_batch_frames {
+                client.submit_batch(1, chunk).expect("batch placed")
+            } else {
+                let mut by_req = std::collections::HashMap::new();
+                let req_ids: Vec<u64> = chunk
+                    .iter()
+                    .map(|(txid, inputs)| client.send_submit(1, *txid, inputs).expect("send"))
+                    .collect();
+                client.flush().expect("flush");
+                for _ in chunk {
+                    match client.recv_event().expect("event") {
+                        optchain_client::Event::Ack { req_id, shard } => {
+                            by_req.insert(req_id, shard);
+                        }
+                        other => panic!("unexpected event {other:?}"),
+                    }
+                }
+                req_ids.iter().map(|id| by_req[id]).collect()
+            };
+            assert_eq!(shards.len(), chunk.len());
+            for ((txid, inputs), shard) in chunk.iter().zip(shards) {
+                assert_eq!(shard, router.submit(*txid, inputs).unwrap().0);
+            }
+        }
+        server.shutdown();
+    }
+}
+
+/// A served 2-worker fleet hands each `SubmitBatch` frame to its
+/// worker as one message, split at the cross-sync boundary it
+/// straddles: two connections alternating 64-tx frames that spend each
+/// other's outputs must be acked exactly the shards an identically
+/// configured in-process fleet yields from per-transaction
+/// `FleetHandle::submit` — which puts every sync marker between two
+/// single submissions.
+#[test]
+fn batch_frames_split_at_sync_boundaries_like_single_submits() {
+    const FRAME: u64 = 64;
+    const ROUNDS: u64 = 6;
+    let fleet = || {
+        RouterFleet::builder()
+            .shards(4)
+            .workers(2)
+            .partitioner(|client| client as usize)
+            .sync_interval(100)
+    };
+    // Round r: connection 0 spends what connection 1 placed in round
+    // r - 1, then connection 1 spends what connection 0 just placed —
+    // so whether a parent resolves depends on which side of a sync
+    // marker the spender lands.
+    let frame = |round: u64, conn: u64| -> Vec<(TxId, Vec<TxId>)> {
+        (0..FRAME)
+            .map(|i| {
+                let id = (2 * round + conn) * FRAME + i;
+                let parent = id.checked_sub(FRAME).map(TxId);
+                (TxId(id), parent.into_iter().collect())
+            })
+            .collect()
+    };
+
+    let reference = fleet().build();
+    let handles = [reference.handle(0), reference.handle(1)];
     let server = PlacementServer::builder()
-        .fleet(RouterFleet::builder().shards(4).workers(1))
+        .fleet(fleet())
         .start()
         .expect("start server");
-    let mut client = Client::connect(server.local_addr()).expect("connect");
-    let mut router = Router::builder().shards(4).build();
-
-    for chunk in txs.chunks(64) {
-        let shards = client.submit_batch(1, chunk).expect("batch placed");
-        assert_eq!(shards.len(), chunk.len());
-        for ((txid, inputs), shard) in chunk.iter().zip(shards) {
-            assert_eq!(shard, router.submit(*txid, inputs).unwrap().0);
+    // Connection ids are assigned in accept order, and `connect`
+    // returns only after the hello: clients[c] is connection c.
+    let mut clients = [
+        Client::connect(server.local_addr()).expect("connect"),
+        Client::connect(server.local_addr()).expect("connect"),
+    ];
+    for round in 0..ROUNDS {
+        for conn in 0..2u64 {
+            let txs = frame(round, conn);
+            let served = clients[conn as usize]
+                .submit_batch(1, &txs)
+                .expect("batch placed");
+            let expected: Vec<u32> = txs
+                .iter()
+                .map(|(txid, inputs)| handles[conn as usize].submit(*txid, inputs).0)
+                .collect();
+            assert_eq!(served, expected, "round {round} connection {conn}");
         }
     }
+    // The schedule did straddle: 768 submissions crossed 7 boundaries,
+    // none of them at a frame edge.
+    assert_eq!(reference.stats().sync_rounds, 7);
     server.shutdown();
 }
 

@@ -66,8 +66,8 @@ impl Default for AssignmentStore {
 
 impl AssignmentStore {
     /// An unbounded store — every entry stays resolvable forever (the
-    /// experiment/replay configuration, and the right default for
-    /// custom placers).
+    /// experiment/replay configuration, and the right default for a
+    /// [`crate::Placer`] implemented outside this crate).
     pub fn new() -> Self {
         AssignmentStore {
             dense: Vec::new(),

@@ -279,9 +279,6 @@ pub(crate) fn decode_spec(bytes: &[u8]) -> Result<RouterSpec, CodecError> {
         return Err(CodecError("unknown meta blob version"));
     }
     let shards = r.get_u32()?;
-    if shards == 0 {
-        return Err(CodecError("meta blob k must be positive"));
-    }
     let strategy = strategy_from_tag(r.get_u8()?)?;
     let alpha = r.get_f64()?;
     let window = match r.get_u8()? {
@@ -318,40 +315,7 @@ pub(crate) fn decode_spec(bytes: &[u8]) -> Result<RouterSpec, CodecError> {
     let checkpoint_every = r.get_u64()?;
     let flush_every = r.get_u64()?;
     let full_every = r.get_u64()?;
-    if checkpoint_every == 0 || flush_every == 0 || full_every == 0 {
-        return Err(CodecError("durability intervals must be positive"));
-    }
     r.finish()?;
-    // The encoder writes whatever the builder held and `RouterSpec::build`
-    // asserts on the rest, so every cross-field invariant it relies on is
-    // checked here: bytes from disk must fail typed, never panic.
-    if !(alpha > 0.0 && alpha <= 1.0) {
-        return Err(CodecError("meta blob alpha outside (0, 1]"));
-    }
-    if !(l2s_weight.is_finite() && l2s_weight >= 0.0) || epsilon.is_nan() || epsilon < 0.0 {
-        return Err(CodecError("meta blob L2S weight and epsilon must be >= 0"));
-    }
-    if window == Some(0) || retention.graph_window() == Some(0) {
-        return Err(CodecError("meta blob window must be positive"));
-    }
-    if window.is_some() && retention != RetentionPolicy::Unbounded {
-        return Err(CodecError("meta blob sets both window and retention"));
-    }
-    match &oracle {
-        None if strategy == Strategy::Metis => {
-            return Err(CodecError("meta blob selects Metis without an oracle"));
-        }
-        Some(oracle) if oracle.iter().any(|&s| s >= shards) => {
-            return Err(CodecError("meta blob oracle shard out of range"));
-        }
-        _ => {}
-    }
-    if telemetry
-        .as_ref()
-        .is_some_and(|t| t.len() != shards as usize)
-    {
-        return Err(CodecError("meta blob telemetry must cover every shard"));
-    }
     let mut spec = RouterSpec::new();
     spec.shards = Some(shards);
     spec.strategy = strategy;
@@ -367,6 +331,10 @@ pub(crate) fn decode_spec(bytes: &[u8]) -> Result<RouterSpec, CodecError> {
     spec.checkpoint_every = checkpoint_every;
     spec.flush_every = flush_every;
     spec.full_every = full_every;
+    // The encoder writes whatever the builder held and `RouterSpec::build`
+    // panics on a spec that fails its check: bytes from disk must fail
+    // typed instead.
+    spec.check().map_err(CodecError)?;
     Ok(spec)
 }
 
@@ -467,6 +435,10 @@ mod tests {
             spec(|s| s.alpha = f64::NAN),
             spec(|s| s.l2s_weight = -1.0),
             spec(|s| s.epsilon = -0.5),
+            spec(|s| s.epsilon = f64::INFINITY),
+            spec(|s| s.expected_total = Some(1 << 60)),
+            spec(|s| s.shards = Some(0)),
+            spec(|s| s.flush_every = 0),
         ];
         for spec in &bad {
             let meta = encode_spec(spec);
@@ -477,6 +449,14 @@ mod tests {
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{spec:?}");
         }
         assert!(decode_spec(&encode_spec(&spec(|_| {}))).is_ok());
+        // The largest stream length the check admits sizes no
+        // allocation on recovery: `reserve` is a hint the builder
+        // applies, never the journal.
+        let mut storage = MemStorage::new();
+        let meta = encode_spec(&spec(|s| s.expected_total = Some(u64::from(u32::MAX))));
+        storage.put_meta(&meta).unwrap();
+        let recovered = crate::Router::recover(Box::new(storage)).unwrap();
+        assert!(recovered.tan().arena_bytes() < 1 << 20);
     }
 
     #[test]

@@ -11,6 +11,21 @@
 //! submission order — exactly the wallet-side deployment of the paper,
 //! where each client places its own chain of spends.
 //!
+//! # One placement message
+//!
+//! A batch is the only unit of placement between a caller and a worker
+//! `Router`: every door of [`FleetHandle`] sends the same message —
+//! first global sequence number, client key, transactions, reply mode —
+//! and the worker runs one placement loop over it. The transactions are
+//! either raw `(txid, distinct input ids)` rows (what a wire request
+//! carries; a single [`FleetHandle::submit`] is a batch of one) or a
+//! zero-copy window into a shared `Arc<[Transaction]>` stream. The
+//! reply mode is either *detached* — shards accumulate worker-side
+//! under the client key until [`FleetHandle::drain`] — or a synchronous
+//! round trip on the handle's one reply channel. A request of `n`
+//! transactions therefore costs one channel message (two when it
+//! straddles a sync boundary, see below), not `n`.
+//!
 //! # TaN cross-sync
 //!
 //! Workers' graphs would drift blind to each other's placements: a
@@ -105,9 +120,9 @@ pub type Partitioner = Arc<dyn Fn(u64) -> usize + Send + Sync>;
 /// Default cross-sync cadence, in global submissions.
 pub const DEFAULT_SYNC_INTERVAL: u64 = 8_192;
 
-/// Default per-worker ingress queue depth, in messages (a batch counts
-/// as one message).
-const DEFAULT_QUEUE_DEPTH: usize = 1_024;
+/// Per-worker ingress queue depth, in messages (a batch counts as one
+/// message).
+const QUEUE_DEPTH: usize = 1_024;
 
 // ---------------------------------------------------------------------------
 // Delta: what one worker tells the others at a sync point
@@ -263,30 +278,31 @@ impl Drop for PoisonOnPanic {
 // Worker protocol
 // ---------------------------------------------------------------------------
 
-/// One transaction as it crosses the ingress channel.
-enum Payload {
-    /// Raw id + input ids (the [`FleetHandle::submit`] family).
-    Raw(TxId, Box<[TxId]>),
-    /// A full transaction (the [`FleetHandle::submit_tx`] family).
-    Tx(Transaction),
-}
-
-/// A batch as it crosses the ingress channel.
-enum BatchPayload {
-    /// Caller-copied transactions.
-    Owned(Vec<Transaction>),
+/// The transactions of one placement message.
+enum Txs {
+    /// Raw `(txid, distinct input ids)` rows: a wire request, or a
+    /// single submission as a batch of one.
+    Raw(Vec<(TxId, Vec<TxId>)>),
     /// A zero-copy window into a shared stream (the bulk path: no
     /// per-transaction allocation crosses the channel).
     Shared(Arc<[Transaction]>, Range<usize>),
 }
 
-impl BatchPayload {
-    fn txs(&self) -> &[Transaction] {
-        match self {
-            BatchPayload::Owned(v) => v,
-            BatchPayload::Shared(stream, range) => &stream[range.clone()],
-        }
-    }
+/// What a synchronous submission gets back: the shard, plus the full
+/// score breakdown when it was asked for.
+type Placed = (ShardId, Option<Decision>);
+
+/// Where the shards of one placement message go.
+enum Reply {
+    /// Into the worker's drain buffer under the message's client key,
+    /// as `(global sequence, shard)`, until [`FleetHandle::drain`].
+    Detached,
+    /// Back to the submitting handle (a batch of one): the shard, and
+    /// the decision's score breakdown when `detail`.
+    Sync {
+        to: SyncSender<Placed>,
+        detail: bool,
+    },
 }
 
 /// Per-worker placement + bookkeeping counters (the [`FleetStats`]
@@ -319,21 +335,13 @@ struct WorkerStats {
 }
 
 enum Msg {
-    Submit {
-        seq: u64,
-        client: u64,
-        payload: Payload,
-        /// `Some`: synchronous round trip (the decision, plus the full
-        /// score breakdown when `detail`). `None`: detached — the
-        /// result lands in the worker's drain buffer under `client`.
-        reply: Option<SyncSender<(ShardId, Option<Decision>)>>,
-        detail: bool,
-    },
-    Batch {
+    /// The one placement message: `txs` take the consecutive global
+    /// sequence numbers from `first_seq` on, on behalf of `client`.
+    Place {
         first_seq: u64,
         client: u64,
-        payload: BatchPayload,
-        reply: Option<SyncSender<Vec<ShardId>>>,
+        txs: Txs,
+        reply: Reply,
     },
     Telemetry(Vec<ShardTelemetry>),
     /// Cross-sync marker: publish the delta, adopt everyone else's.
@@ -412,80 +420,43 @@ fn worker_loop(
     };
     let mut detached: HashMap<u64, Vec<(u64, ShardId)>> = HashMap::new();
     let mut input_scratch: Vec<TxId> = Vec::new();
-    let mut batch_out: Vec<ShardId> = Vec::new();
-
-    let place_tx = |router: &mut Router,
-                    delta: &mut Delta,
-                    stats: &mut WorkerStats,
-                    input_scratch: &mut Vec<TxId>,
-                    tx: &Transaction| {
-        Router::distinct_inputs_into(tx, input_scratch);
-        let shard = router
-            .submit(tx.id(), input_scratch)
-            .expect("journaling a placement failed");
-        delta.push(tx.id(), input_scratch, shard.0);
-        stats.placed += 1;
-        shard
-    };
+    let mut placed: Vec<ShardId> = Vec::new();
 
     while let Ok(msg) = rx.recv() {
         match msg {
-            Msg::Submit {
-                seq,
-                client,
-                payload,
-                reply,
-                detail,
-            } => {
-                let shard = match &payload {
-                    Payload::Raw(txid, inputs) => {
-                        let shard = router
-                            .submit(*txid, inputs)
-                            .expect("journaling a placement failed");
-                        delta.push(*txid, inputs, shard.0);
-                        stats.placed += 1;
-                        shard
-                    }
-                    Payload::Tx(tx) => {
-                        place_tx(&mut router, &mut delta, &mut stats, &mut input_scratch, tx)
-                    }
-                };
-                match reply {
-                    Some(reply) => {
-                        let decision = detail.then(|| router.last_decision().to_decision());
-                        let _ = reply.send((shard, decision));
-                    }
-                    None => detached.entry(client).or_default().push((seq, shard)),
-                }
-            }
-            Msg::Batch {
+            Msg::Place {
                 first_seq,
                 client,
-                payload,
+                txs,
                 reply,
             } => {
-                batch_out.clear();
-                for tx in payload.txs() {
-                    batch_out.push(place_tx(
-                        &mut router,
-                        &mut delta,
-                        &mut stats,
-                        &mut input_scratch,
-                        tx,
-                    ));
-                }
-                match reply {
-                    Some(reply) => {
-                        let _ = reply.send(batch_out.clone());
+                placed.clear();
+                let mut place = |txid: TxId, inputs: &[TxId]| {
+                    let shard = router
+                        .submit(txid, inputs)
+                        .expect("journaling a placement failed");
+                    delta.push(txid, inputs, shard.0);
+                    placed.push(shard);
+                };
+                match &txs {
+                    Txs::Raw(rows) => rows.iter().for_each(|(txid, inputs)| place(*txid, inputs)),
+                    Txs::Shared(stream, range) => {
+                        for tx in &stream[range.clone()] {
+                            Router::distinct_inputs_into(tx, &mut input_scratch);
+                            place(tx.id(), &input_scratch);
+                        }
                     }
-                    None => {
-                        let sink = detached.entry(client).or_default();
-                        sink.extend(
-                            batch_out
-                                .iter()
-                                .enumerate()
-                                .map(|(i, s)| (first_seq + i as u64, *s)),
-                        );
+                }
+                stats.placed += placed.len() as u64;
+                match reply {
+                    Reply::Detached => detached
+                        .entry(client)
+                        .or_default()
+                        .extend((first_seq..).zip(placed.iter().copied())),
+                    Reply::Sync { to, detail } => {
+                        let shard = *placed.last().expect("a synchronous batch of one");
+                        let decision = detail.then(|| router.last_decision().to_decision());
+                        let _ = to.send((shard, decision));
                     }
                 }
             }
@@ -646,19 +617,15 @@ impl Shared {
 // Builder
 // ---------------------------------------------------------------------------
 
-/// Builder for [`RouterFleet`]: every [`crate::RouterBuilder`] strategy
-/// knob (shards, strategy, α, window, L2S mode/weight, ε, expected
-/// total, oracle, initial telemetry) plus the fleet's own — worker
-/// count, sync cadence, partitioner, and queue depth.
-///
-/// Custom placers are intentionally absent: an opaque [`crate::Placer`]
-/// exposes no adoption hook for cross-sync (wrap one in a single
-/// [`Router`] instead).
+/// Builder for [`RouterFleet`]: the [`crate::RouterBuilder`] knobs a
+/// fleet caller actually sets (shards, strategy, retention, expected
+/// total, rebalancer, storage) plus the fleet's own — worker count,
+/// sync cadence and partitioner. Everything else runs at the
+/// [`crate::RouterBuilder`] defaults on every worker.
 pub struct RouterFleetBuilder {
     spec: RouterSpec,
     workers: Option<usize>,
     sync_interval: u64,
-    queue_depth: usize,
     partitioner: Option<Partitioner>,
     storages: Option<Vec<Box<dyn Storage>>>,
 }
@@ -669,7 +636,6 @@ impl RouterFleetBuilder {
             spec: RouterSpec::new(),
             workers: None,
             sync_interval: DEFAULT_SYNC_INTERVAL,
-            queue_depth: DEFAULT_QUEUE_DEPTH,
             partitioner: None,
             storages: None,
         }
@@ -682,23 +648,10 @@ impl RouterFleetBuilder {
     }
 
     /// Placement strategy (default [`Strategy::OptChain`]).
+    /// [`Strategy::Metis`] is not available: its oracle is indexed by
+    /// global node order, which per-worker graphs don't share.
     pub fn strategy(mut self, strategy: Strategy) -> Self {
         self.spec.strategy = strategy;
-        self
-    }
-
-    /// T2S damping factor α (default 0.5; OptChain/T2S only).
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.spec.alpha = alpha;
-        self
-    }
-
-    /// Bound each worker's T2S **score** memory to its last `window`
-    /// transactions (default unbounded; OptChain/T2S only; mutually
-    /// exclusive with `retention` — see
-    /// [`crate::RouterBuilder::window`]).
-    pub fn window(mut self, window: usize) -> Self {
-        self.spec.window = Some(window);
         self
     }
 
@@ -721,46 +674,11 @@ impl RouterFleetBuilder {
         self
     }
 
-    /// L2S latency model (default [`crate::L2sMode::VerifyPlusCommit`];
-    /// OptChain only).
-    pub fn l2s_mode(mut self, mode: crate::L2sMode) -> Self {
-        self.spec.l2s_mode = mode;
-        self
-    }
-
-    /// Temporal-fitness L2S weight (default the paper's 0.01; OptChain
-    /// only).
-    pub fn l2s_weight(mut self, weight: f64) -> Self {
-        self.spec.l2s_weight = weight;
-        self
-    }
-
-    /// Capacity-cap slack ε for Greedy/T2S (default the paper's 0.1).
-    pub fn epsilon(mut self, epsilon: f64) -> Self {
-        self.spec.epsilon = epsilon;
-        self
-    }
-
     /// Known stream length, tightening the Greedy/T2S capacity cap.
     /// Each worker applies it to its own count, so with `w` workers the
     /// per-worker cap covers roughly `total` global transactions.
     pub fn expected_total(mut self, total: u64) -> Self {
         self.spec.expected_total = Some(total);
-        self
-    }
-
-    /// Precomputed assignment for [`Strategy::Metis`] — fleet support
-    /// is limited to `workers(1)` (a global oracle is indexed by global
-    /// node order, which per-worker graphs don't share).
-    pub fn oracle(mut self, oracle: Vec<u32>) -> Self {
-        self.spec.oracle = Some(oracle);
-        self
-    }
-
-    /// Initial per-shard telemetry for every worker (default
-    /// [`crate::DEFAULT_TELEMETRY`] everywhere).
-    pub fn telemetry(mut self, telemetry: &[ShardTelemetry]) -> Self {
-        self.spec.telemetry = Some(telemetry.to_vec());
         self
     }
 
@@ -801,17 +719,6 @@ impl RouterFleetBuilder {
         self
     }
 
-    /// Per-worker ingress queue depth in messages (default 1024).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth == 0`.
-    pub fn queue_depth(mut self, depth: usize) -> Self {
-        assert!(depth > 0, "queue depth must be positive");
-        self.queue_depth = depth;
-        self
-    }
-
     /// One durable [`Storage`] backend per worker (in worker-index
     /// order). Empty backends are journaled from scratch; backends that
     /// already hold a journal are **recovered** — each worker rebuilds
@@ -829,63 +736,17 @@ impl RouterFleetBuilder {
         self
     }
 
-    /// Per-worker checkpoint cadence in journaled records — see
-    /// [`crate::RouterBuilder::checkpoint_every`]. For fleet workers
-    /// the checkpoint fires at the first **sync mark** once due.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `records == 0`.
-    pub fn checkpoint_every(mut self, records: u64) -> Self {
-        assert!(records > 0, "checkpoint cadence must be positive");
-        self.spec.checkpoint_every = records;
-        self
-    }
-
-    /// Per-worker fsync cadence in journaled records — see
-    /// [`crate::RouterBuilder::flush_every`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `records == 0`.
-    pub fn flush_every(mut self, records: u64) -> Self {
-        assert!(records > 0, "flush cadence must be positive");
-        self.spec.flush_every = records;
-        self
-    }
-
-    /// Per-worker delta checkpoints between full snapshots — see
-    /// [`crate::RouterBuilder::full_every`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn full_every(mut self, n: u64) -> Self {
-        assert!(n > 0, "full-snapshot cadence must be positive");
-        self.spec.full_every = n;
-        self
-    }
-
     /// Builds the fleet and spawns its worker threads.
     ///
     /// # Panics
     ///
-    /// Panics on any condition [`crate::RouterBuilder::build`] rejects,
-    /// or when [`Strategy::Metis`] is combined with more than one
-    /// worker.
+    /// Panics on any condition [`crate::RouterBuilder::build`] rejects.
     pub fn build(self) -> RouterFleet {
         let workers = self.workers.unwrap_or_else(configured_threads).max(1);
-        assert!(
-            self.spec.strategy != Strategy::Metis || workers == 1,
-            "Strategy::Metis requires workers(1): a global oracle is \
-             indexed by global node order, which per-worker graphs don't share"
-        );
         let durable = self.storages.is_some();
-        assert!(
-            !(durable && self.spec.rebalance.is_some()),
-            "the rebalancer cannot be journaled: its epoch clock and \
-             staged moves are not part of the WAL replay format"
-        );
+        if durable {
+            self.spec.assert_journalable();
+        }
         let mut storages: Vec<Option<Box<dyn Storage>>> = match self.storages {
             Some(storages) => {
                 assert_eq!(
@@ -897,12 +758,11 @@ impl RouterFleetBuilder {
             }
             None => (0..workers).map(|_| None).collect(),
         };
-        // Validate the spec eagerly on the caller thread (missing
-        // shards, bad oracle, telemetry length) instead of inside a
-        // worker thread where a panic would strand the channels.
+        // Validate the spec eagerly on the caller thread instead of
+        // inside a worker thread where a panic would strand the channels.
         let probe = self.spec.build();
         let k = probe.k();
-        let strategy = probe.strategy().expect("specs build built-in strategies");
+        let strategy = probe.strategy();
         let strategy_name = probe.strategy_name();
         drop(probe);
 
@@ -910,7 +770,7 @@ impl RouterFleetBuilder {
         let mut senders = Vec::with_capacity(workers);
         let mut threads = Vec::with_capacity(workers);
         for (w, slot) in storages.iter_mut().enumerate().take(workers) {
-            let (tx, rx) = mpsc::sync_channel(self.queue_depth);
+            let (tx, rx) = mpsc::sync_channel(QUEUE_DEPTH);
             senders.push(tx);
             let spec = self.spec.clone();
             let exchange = exchange.clone();
@@ -1107,17 +967,7 @@ impl RouterFleet {
     /// through the handle land on the worker the fleet's partitioner
     /// assigns to `client`, in submission order.
     pub fn handle(&self, client: u64) -> FleetHandle {
-        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-        let (batch_tx, batch_rx) = mpsc::sync_channel(1);
-        FleetHandle {
-            shared: self.shared.clone(),
-            worker: self.shared.worker_of(client),
-            client,
-            reply_tx,
-            reply_rx,
-            batch_tx,
-            batch_rx,
-        }
+        FleetHandle::new(self.shared.clone(), self.shared.worker_of(client), client)
     }
 
     /// Fans one telemetry update out to every worker under a single
@@ -1344,34 +1194,26 @@ impl Drop for RouterFleet {
 /// (a fresh reply channel over the same shared state); clones submit
 /// for the same client.
 ///
-/// Synchronous [`FleetHandle::submit`] / [`FleetHandle::submit_batch`]
-/// wait for the placement; the async-style
-/// [`FleetHandle::submit_detached`] /
-/// [`FleetHandle::submit_batch_detached`] return immediately and the
-/// results are collected later with [`FleetHandle::drain`].
+/// Every door sends the fleet's one placement message (see the
+/// [module docs](crate::fleet)). The synchronous doors —
+/// [`FleetHandle::submit`], [`FleetHandle::submit_tx`],
+/// [`FleetHandle::submit_with_detail`] — send a batch of one and wait
+/// for its shard on the handle's reply channel; the detached doors —
+/// [`FleetHandle::submit_detached`] for raw rows,
+/// [`FleetHandle::submit_batch_detached`] for a window of a shared
+/// stream — return immediately, and their results are collected later
+/// with [`FleetHandle::drain`].
 pub struct FleetHandle {
     shared: Arc<Shared>,
     worker: usize,
     client: u64,
-    reply_tx: SyncSender<(ShardId, Option<Decision>)>,
-    reply_rx: Receiver<(ShardId, Option<Decision>)>,
-    batch_tx: SyncSender<Vec<ShardId>>,
-    batch_rx: Receiver<Vec<ShardId>>,
+    reply_tx: SyncSender<Placed>,
+    reply_rx: Receiver<Placed>,
 }
 
 impl Clone for FleetHandle {
     fn clone(&self) -> Self {
-        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-        let (batch_tx, batch_rx) = mpsc::sync_channel(1);
-        FleetHandle {
-            shared: self.shared.clone(),
-            worker: self.worker,
-            client: self.client,
-            reply_tx,
-            reply_rx,
-            batch_tx,
-            batch_rx,
-        }
+        FleetHandle::new(self.shared.clone(), self.worker, self.client)
     }
 }
 
@@ -1385,23 +1227,61 @@ impl std::fmt::Debug for FleetHandle {
 }
 
 impl FleetHandle {
+    fn new(shared: Arc<Shared>, worker: usize, client: u64) -> Self {
+        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
+        FleetHandle {
+            shared,
+            worker,
+            client,
+            reply_tx,
+            reply_rx,
+        }
+    }
+
     /// The worker index this handle's client is partitioned to.
     pub fn worker(&self) -> usize {
         self.worker
     }
 
-    fn submit_inner(&self, payload: Payload, detail: bool) -> (ShardId, Option<Decision>) {
-        let (seq, _) = self.shared.reserve_chunk(1);
-        self.shared.senders[self.worker]
-            .send(Msg::Submit {
-                seq,
-                client: self.client,
-                payload,
-                reply: Some(self.reply_tx.clone()),
-                detail,
-            })
-            .expect("fleet worker alive");
-        self.shared.sync_if_boundary(seq + 1);
+    /// Sends the placement message for `count` transactions, split at
+    /// sync boundaries: `piece(start, len)` yields each message's
+    /// transactions and reply mode, and a sync marker follows every
+    /// piece that ends on a boundary. Returns the first global sequence
+    /// number taken (`None` when `count == 0`, which reserves nothing).
+    fn place(
+        &self,
+        count: usize,
+        mut piece: impl FnMut(usize, usize) -> (Txs, Reply),
+    ) -> Option<u64> {
+        let mut first_of_all = None;
+        let mut done = 0usize;
+        while done < count {
+            let (first_seq, take) = self.shared.reserve_chunk((count - done) as u64);
+            first_of_all.get_or_insert(first_seq);
+            let (txs, reply) = piece(done, take as usize);
+            self.shared.senders[self.worker]
+                .send(Msg::Place {
+                    first_seq,
+                    client: self.client,
+                    txs,
+                    reply,
+                })
+                .expect("fleet worker alive");
+            self.shared.sync_if_boundary(first_seq + take);
+            done += take as usize;
+        }
+        first_of_all
+    }
+
+    /// A synchronous batch of one.
+    fn submit_one(&self, txid: TxId, mut inputs: Vec<TxId>, detail: bool) -> Placed {
+        self.place(1, |_, _| {
+            let to = self.reply_tx.clone();
+            (
+                Txs::Raw(vec![(txid, std::mem::take(&mut inputs))]),
+                Reply::Sync { to, detail },
+            )
+        });
         self.reply_rx.recv().expect("fleet worker alive")
     }
 
@@ -1413,8 +1293,7 @@ impl FleetHandle {
     /// Panics if `txid` was already submitted to this worker, or the
     /// fleet was shut down.
     pub fn submit(&self, txid: TxId, inputs: &[TxId]) -> ShardId {
-        self.submit_inner(Payload::Raw(txid, inputs.into()), false)
-            .0
+        self.submit_one(txid, inputs.to_vec(), false).0
     }
 
     /// [`FleetHandle::submit`], also returning the full score breakdown
@@ -1424,92 +1303,35 @@ impl FleetHandle {
     ///
     /// Same conditions as [`FleetHandle::submit`].
     pub fn submit_with_detail(&self, txid: TxId, inputs: &[TxId]) -> (ShardId, Decision) {
-        let (shard, decision) = self.submit_inner(Payload::Raw(txid, inputs.into()), true);
+        let (shard, decision) = self.submit_one(txid, inputs.to_vec(), true);
         (shard, decision.expect("detail requested"))
     }
 
-    /// Places a full [`Transaction`] and returns its shard.
+    /// Places a full [`Transaction`] (linked by its distinct input
+    /// transactions) and returns its shard.
     ///
     /// # Panics
     ///
     /// Same conditions as [`FleetHandle::submit`].
     pub fn submit_tx(&self, tx: &Transaction) -> ShardId {
-        self.submit_inner(Payload::Tx(tx.clone()), false).0
+        self.submit_one(tx.id(), tx.input_txids(), false).0
     }
 
-    /// Fire-and-forget [`FleetHandle::submit`]: enqueues the
-    /// transaction and returns immediately; the decision is retrieved
-    /// later with [`FleetHandle::drain`], keyed by the returned global
-    /// sequence number.
+    /// Fire-and-forget submission of raw `(txid, distinct input ids)`
+    /// rows — what a wire request carries — as one placement message
+    /// (two when the rows straddle a sync boundary). Returns the first
+    /// global sequence number of the rows (`None` for an empty list,
+    /// which reserves nothing); results are collected with
+    /// [`FleetHandle::drain`].
     ///
     /// # Panics
     ///
     /// Panics if the fleet was shut down.
-    pub fn submit_detached(&self, txid: TxId, inputs: &[TxId]) -> u64 {
-        let (seq, _) = self.shared.reserve_chunk(1);
-        self.shared.senders[self.worker]
-            .send(Msg::Submit {
-                seq,
-                client: self.client,
-                payload: Payload::Raw(txid, inputs.into()),
-                reply: None,
-                detail: false,
-            })
-            .expect("fleet worker alive");
-        self.shared.sync_if_boundary(seq + 1);
-        seq
-    }
-
-    /// Splits `count` submissions into sync-boundary-aligned chunks and
-    /// feeds them to `send(start_index, first_seq, len)`.
-    fn chunked(&self, count: usize, mut send: impl FnMut(usize, u64, usize)) {
-        let mut done = 0usize;
-        while done < count {
-            let (first, take) = self.shared.reserve_chunk((count - done) as u64);
-            send(done, first, take as usize);
-            self.shared.sync_if_boundary(first + take);
-            done += take as usize;
-        }
-    }
-
-    /// Places every transaction of `batch` in order on this client's
-    /// worker, writing the shards into `out` (cleared first) — the
-    /// fleet analogue of [`Router::submit_batch`]. Transactions are
-    /// copied across the channel; for bulk zero-copy submission use
-    /// [`FleetHandle::submit_batch_detached`] with a shared stream.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`FleetHandle::submit`].
-    pub fn submit_batch(&self, batch: &[Transaction], out: &mut Vec<ShardId>) {
-        out.clear();
-        out.reserve(batch.len());
-        let mut pending = 0usize;
-        self.chunked(batch.len(), |start, first_seq, len| {
-            // At most one chunk stays in flight: receiving the previous
-            // reply before sending the next chunk means the worker can
-            // always park its one outstanding reply in the buffered
-            // slot and keep draining its queue — so a batch spanning
-            // more chunks than the ingress queue holds cannot wedge the
-            // two sides against each other (worker blocked on a reply,
-            // client blocked on a full queue).
-            if pending > 0 {
-                out.extend(self.batch_rx.recv().expect("fleet worker alive"));
-                pending -= 1;
-            }
-            self.shared.senders[self.worker]
-                .send(Msg::Batch {
-                    first_seq,
-                    client: self.client,
-                    payload: BatchPayload::Owned(batch[start..start + len].to_vec()),
-                    reply: Some(self.batch_tx.clone()),
-                })
-                .expect("fleet worker alive");
-            pending += 1;
-        });
-        for _ in 0..pending {
-            out.extend(self.batch_rx.recv().expect("fleet worker alive"));
-        }
+    pub fn submit_detached(&self, mut txs: Vec<(TxId, Vec<TxId>)>) -> Option<u64> {
+        self.place(txs.len(), |_, len| {
+            let rest = txs.split_off(len);
+            (Txs::Raw(std::mem::replace(&mut txs, rest)), Reply::Detached)
+        })
     }
 
     /// Fire-and-forget bulk submission of `stream[range]` — the
@@ -1528,20 +1350,10 @@ impl FleetHandle {
         range: Range<usize>,
     ) -> Option<u64> {
         assert!(range.end <= stream.len(), "range out of bounds");
-        let mut first_of_all: Option<u64> = None;
-        self.chunked(range.len(), |start, first_seq, len| {
-            first_of_all.get_or_insert(first_seq);
+        self.place(range.len(), |start, len| {
             let lo = range.start + start;
-            self.shared.senders[self.worker]
-                .send(Msg::Batch {
-                    first_seq,
-                    client: self.client,
-                    payload: BatchPayload::Shared(stream.clone(), lo..lo + len),
-                    reply: None,
-                })
-                .expect("fleet worker alive");
-        });
-        first_of_all
+            (Txs::Shared(stream.clone(), lo..lo + len), Reply::Detached)
+        })
     }
 
     /// Collects (and clears) every detached result recorded for this
@@ -1670,8 +1482,8 @@ mod tests {
         let fleet = RouterFleet::builder().shards(2).workers(2).build();
         let handle = fleet.handle(3);
         for i in 0..20u64 {
-            let parents: &[TxId] = if i == 0 { &[] } else { &[TxId(i - 1)] };
-            handle.submit_detached(TxId(i), parents);
+            let parents = if i == 0 { vec![] } else { vec![TxId(i - 1)] };
+            handle.submit_detached(vec![(TxId(i), parents)]);
         }
         let results = handle.drain();
         assert_eq!(results.len(), 20);
@@ -1708,32 +1520,10 @@ mod tests {
             .sync_interval(8)
             .build();
         let hb = b.handle(0);
-        let mut batched = Vec::new();
-        hb.submit_batch(&txs, &mut batched);
+        let stream: Arc<[Transaction]> = txs.into();
+        assert_eq!(hb.submit_batch_detached(&stream, 0..stream.len()), Some(0));
+        let batched: Vec<ShardId> = hb.drain().into_iter().map(|(_, shard)| shard).collect();
         assert_eq!(singles, batched);
-    }
-
-    #[test]
-    fn submit_batch_survives_more_chunks_than_the_queue_holds() {
-        use optchain_utxo::WalletId;
-        // Sync after every submission and a tiny ingress queue: the
-        // batch splits into one chunk (plus one sync marker) per
-        // transaction, far more messages than the queue can absorb at
-        // once. The pipelined reply handling must keep both sides
-        // moving (this test hangs if either side can block the other).
-        let txs: Vec<Transaction> = (0..200u64)
-            .map(|i| Transaction::coinbase(TxId(i), 1, WalletId(0)))
-            .collect();
-        let fleet = RouterFleet::builder()
-            .shards(2)
-            .workers(2)
-            .sync_interval(1)
-            .queue_depth(4)
-            .build();
-        let handle = fleet.handle(0);
-        let mut out = Vec::new();
-        handle.submit_batch(&txs, &mut out);
-        assert_eq!(out.len(), 200);
     }
 
     #[test]
@@ -1755,8 +1545,8 @@ mod tests {
         // scheduling, the killing call itself may already panic while
         // fanning out the sync marker for the boundary it crosses.
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = h1.submit_detached(TxId(7), &[]);
-            let _ = h1.submit_detached(TxId(7), &[]); // duplicate: worker 1 dies
+            let _ = h1.submit_detached(vec![(TxId(7), vec![])]);
+            let _ = h1.submit_detached(vec![(TxId(7), vec![])]); // duplicate: worker 1 dies
         }));
         // Keep submitting until the dead channel surfaces as a panic;
         // the sync markers at every second submission would otherwise
@@ -1764,7 +1554,7 @@ mod tests {
         let mut died = false;
         for i in 0..5_000u64 {
             let sent = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = h0.submit_detached(TxId(100 + i), &[]);
+                let _ = h0.submit_detached(vec![(TxId(100 + i), vec![])]);
             }));
             if sent.is_err() {
                 died = true;
@@ -1837,7 +1627,7 @@ mod tests {
             .build();
         let handles = [fleet.handle(0), fleet.handle(1)];
         for i in 0..4_000u64 {
-            handles[(i % 2) as usize].submit_detached(TxId(i), &[]);
+            handles[(i % 2) as usize].submit_detached(vec![(TxId(i), vec![])]);
         }
         fleet.flush();
         let snapshot = fleet.snapshot();
@@ -1877,17 +1667,6 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_panics() {
         let _ = RouterFleet::builder().shards(2).workers(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "requires workers(1)")]
-    fn metis_with_many_workers_panics() {
-        RouterFleet::builder()
-            .shards(2)
-            .strategy(Strategy::Metis)
-            .oracle(vec![0, 1])
-            .workers(2)
-            .build();
     }
 
     #[test]

@@ -71,7 +71,9 @@
 //! ```
 //!
 //! The borrow-style [`Placer`] API remains for callers that own their
-//! own graph (e.g. custom drivers); [`PlacementContext`] bundles what a
+//! own graph, and for placers that are not a [`Strategy`] — the
+//! streaming baselines [`LdgPlacer`] / [`FennelPlacer`] run through
+//! [`replay()`](replay::replay); [`PlacementContext`] bundles what a
 //! strategy observes per decision.
 
 #![forbid(unsafe_code)]

@@ -76,10 +76,12 @@ pub const DEFAULT_TELEMETRY: ShardTelemetry = ShardTelemetry {
     expected_verify: 0.5,
 };
 
-/// The builder-configured recipe for a built-in-strategy router: every
-/// [`RouterBuilder`] knob except the (unclonable) custom placer. A
-/// [`crate::RouterFleet`] clones one spec per worker so each worker
-/// thread can construct its own identically-configured [`Router`].
+/// The builder-configured recipe for a router: every [`RouterBuilder`]
+/// knob except the storage backend. A [`crate::RouterFleet`] clones one
+/// spec per worker so each worker thread can construct its own
+/// identically-configured [`Router`], and a durable router's meta blob
+/// is its encoded spec. [`RouterSpec::check`] is the one statement of
+/// which specs are buildable.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RouterSpec {
     pub(crate) shards: Option<u32>,
@@ -138,18 +140,82 @@ impl RouterSpec {
         self.shards.expect("RouterBuilder::shards is required")
     }
 
-    /// Builds the placer this spec describes.
+    /// Every cross-field rule a buildable spec obeys, stated once:
+    /// [`RouterSpec::build`] panics with the message (a caller's
+    /// configuration bug), `durable::decode_spec` maps it to a typed
+    /// error (bytes from disk must never panic).
+    pub(crate) fn check(&self) -> Result<(), &'static str> {
+        let Some(k) = self.shards else {
+            return Err("RouterBuilder::shards is required");
+        };
+        if k == 0 {
+            return Err("the shard count must be positive");
+        }
+        if !(self.alpha > 0.0 && self.alpha <= 1.0) {
+            return Err("alpha must lie in (0, 1]");
+        }
+        let non_negative = |x: f64| x.is_finite() && x >= 0.0;
+        if !non_negative(self.l2s_weight) || !non_negative(self.epsilon) {
+            return Err("the L2S weight and epsilon must be finite and >= 0");
+        }
+        if self.window == Some(0) || self.retention.graph_window() == Some(0) {
+            return Err("a window must be positive");
+        }
+        if self.window.is_some() && self.retention != RetentionPolicy::Unbounded {
+            return Err("retention(..) and window(..) are mutually exclusive: \
+                 RetentionPolicy::WindowTxs bounds both the score matrix \
+                 and the graph; window() bounds the score matrix only");
+        }
+        // Node ids are `u32`: no stream is longer than that.
+        if self.expected_total.is_some_and(|n| n > u64::from(u32::MAX)) {
+            return Err("expected_total exceeds the u32 node-id space");
+        }
+        match &self.oracle {
+            None if self.strategy == Strategy::Metis => {
+                return Err("Strategy::Metis requires RouterBuilder::oracle");
+            }
+            Some(oracle) if oracle.iter().any(|&s| s >= k) => {
+                return Err("oracle shard out of range");
+            }
+            _ => {}
+        }
+        if self
+            .telemetry
+            .as_ref()
+            .is_some_and(|t| t.len() != k as usize)
+        {
+            return Err("initial telemetry must cover every shard");
+        }
+        if self.rebalance.is_some() && self.strategy != Strategy::OptChain {
+            return Err("the rebalancer re-homes T2S score mass and is only \
+                 available with Strategy::OptChain");
+        }
+        if self.checkpoint_every == 0 || self.flush_every == 0 || self.full_every == 0 {
+            return Err("checkpoint, flush and full-snapshot cadences must be positive");
+        }
+        Ok(())
+    }
+
+    /// The one rule that involves storage, shared by both builders.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec configures a rebalancer.
+    pub(crate) fn assert_journalable(&self) {
+        assert!(
+            self.rebalance.is_none(),
+            "the rebalancer cannot be journaled: its epoch clock and \
+             staged moves are not part of the WAL replay format"
+        );
+    }
+
+    /// Builds the placer a checked spec describes.
     fn build_placer(&self) -> DynPlacer {
         let k = self.k();
         let engine = match (self.retention, self.window) {
             (RetentionPolicy::Unbounded, Some(w)) => T2sEngine::with_window(k, self.alpha, w),
             (RetentionPolicy::Unbounded, None) => T2sEngine::with_alpha(k, self.alpha),
-            (policy, None) => T2sEngine::with_retention(k, self.alpha, policy),
-            (_, Some(_)) => panic!(
-                "retention(..) and window(..) are mutually exclusive: \
-                 RetentionPolicy::WindowTxs bounds both the score matrix \
-                 and the graph; window() bounds the score matrix only"
-            ),
+            (policy, _) => T2sEngine::with_retention(k, self.alpha, policy),
         };
         // Every built-in placer windows its assignment store under the
         // same policy the graph and the T2S engine follow, so edge
@@ -176,47 +242,68 @@ impl RouterSpec {
             Strategy::Metis => DynPlacer::Oracle(
                 OraclePlacer::new(
                     k,
-                    self.oracle
-                        .clone()
-                        .expect("Strategy::Metis requires RouterBuilder::oracle"),
+                    self.oracle.clone().expect("checked: Metis has an oracle"),
                 )
                 .retain(self.retention),
             ),
         }
     }
 
-    /// Builds a fresh router from this spec (built-in strategies only).
-    /// A known stream length doubles as a capacity hint: the TaN arenas
-    /// are pre-sized so the steady-state submission path performs no
-    /// doubling reallocations.
+    /// Builds a fresh router from this spec. A known stream length
+    /// doubles as a capacity hint: the TaN arenas are pre-sized so the
+    /// steady-state submission path performs no doubling reallocations.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`RouterSpec::check`]'s message on an unbuildable
+    /// spec.
     pub(crate) fn build(&self) -> Router {
-        let mut router =
-            Router::from_placer(self.build_placer(), self.telemetry.clone(), self.retention);
-        if let Some(policy) = self.rebalance {
-            assert_eq!(
-                self.strategy,
-                Strategy::OptChain,
-                "the rebalancer re-homes T2S score mass and is only \
-                 available with Strategy::OptChain"
-            );
-            router.rebalancer = Some(Rebalancer::new(policy));
+        if let Err(rule) = self.check() {
+            panic!("{rule}");
         }
+        let mut router = self.build_unreserved();
         if let Some(n) = self.expected_total {
             router.reserve(n as usize);
         }
         router
+    }
+
+    /// [`RouterSpec::build`] of an already-checked spec, without the
+    /// capacity hint — the recovery path, where the value comes from
+    /// disk and an allocation it sizes could abort the process.
+    pub(crate) fn build_unreserved(&self) -> Router {
+        let telemetry = self
+            .telemetry
+            .clone()
+            .unwrap_or_else(|| vec![DEFAULT_TELEMETRY; self.k() as usize]);
+        Router {
+            tan: TanGraph::with_retention(self.retention),
+            placer: self.build_placer(),
+            retention: self.retention,
+            telemetry,
+            version: 0,
+            buf: DecisionBuf::new(),
+            memo: L2sMemo::new(),
+            adopted: Vec::new(),
+            adopted_head: 0,
+            adopted_total: 0,
+            txid_scratch: Vec::new(),
+            journal: None,
+            rebalancer: self.rebalance.map(Rebalancer::new),
+            applied_moves: Vec::new(),
+            cross_placed: 0,
+        }
     }
 }
 
 /// Builder for [`Router`] — see the router's docs for the shape of the
 /// API it produces.
 ///
-/// Only [`RouterBuilder::shards`] is mandatory (unless a
-/// [`RouterBuilder::custom`] placer supplies its own shard count);
-/// everything else defaults to the paper's parameters.
+/// Only [`RouterBuilder::shards`] is mandatory; everything else
+/// defaults to the paper's parameters. Setters only record values:
+/// [`RouterBuilder::build`] checks them together, once.
 pub struct RouterBuilder {
     spec: RouterSpec,
-    custom: Option<Box<dyn Placer>>,
     storage: Option<Box<dyn Storage>>,
 }
 
@@ -224,13 +311,11 @@ impl RouterBuilder {
     fn new() -> Self {
         RouterBuilder {
             spec: RouterSpec::new(),
-            custom: None,
             storage: None,
         }
     }
 
-    /// Number of shards to place over (required unless a custom placer
-    /// is supplied).
+    /// Number of shards to place over (required).
     pub fn shards(mut self, k: u32) -> Self {
         self.spec.shards = Some(k);
         self
@@ -265,8 +350,7 @@ impl RouterBuilder {
     /// [`Router::submit`] advances the eviction horizon automatically;
     /// [`Router::compact`] forces a checkpoint-time shrink. Spends of
     /// evicted outputs degrade exactly like pre-history spends
-    /// (`missing_parent_refs`). Not available with a custom placer (no
-    /// adoption/warm-start hooks) and mutually exclusive with
+    /// (`missing_parent_refs`). Mutually exclusive with
     /// [`RouterBuilder::window`].
     pub fn retention(mut self, retention: RetentionPolicy) -> Self {
         self.spec.retention = retention;
@@ -323,14 +407,6 @@ impl RouterBuilder {
         self
     }
 
-    /// Route through a caller-supplied [`Placer`] instead of a built-in
-    /// strategy. The strategy knobs above are ignored; the shard count
-    /// is taken from the placer when [`RouterBuilder::shards`] is unset.
-    pub fn custom(mut self, placer: Box<dyn Placer>) -> Self {
-        self.custom = Some(placer);
-        self
-    }
-
     /// Initial per-shard telemetry (default
     /// [`DEFAULT_TELEMETRY`] everywhere).
     pub fn telemetry(mut self, telemetry: &[ShardTelemetry]) -> Self {
@@ -346,9 +422,7 @@ impl RouterBuilder {
     /// journal position it covers) and garbage-collects journal
     /// segments below it. A crashed durable router is rebuilt with
     /// [`Router::recover`]. The backend must be **fresh** (no meta
-    /// blob) — recovery goes through `recover`, not the builder. Not
-    /// available with a custom placer (the spec written to the meta
-    /// blob cannot describe one).
+    /// blob) — recovery goes through `recover`, not the builder.
     pub fn storage(mut self, storage: Box<dyn Storage>) -> Self {
         self.storage = Some(storage);
         self
@@ -357,12 +431,7 @@ impl RouterBuilder {
     /// WAL records between checkpoints (default 32 768; durable
     /// routers only). Smaller values shorten recovery replay, larger
     /// values amortize snapshot encoding over more submissions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `records == 0`.
     pub fn checkpoint_every(mut self, records: u64) -> Self {
-        assert!(records > 0, "checkpoint interval must be positive");
         self.spec.checkpoint_every = records;
         self
     }
@@ -370,12 +439,7 @@ impl RouterBuilder {
     /// WAL records between fsync batches (default 512; durable routers
     /// only). `1` fsyncs every record — maximal durability, minimal
     /// throughput; larger batches bound the records a crash can lose.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `records == 0`.
     pub fn flush_every(mut self, records: u64) -> Self {
-        assert!(records > 0, "flush interval must be positive");
         self.spec.flush_every = records;
         self
     }
@@ -387,12 +451,7 @@ impl RouterBuilder {
     /// checkpoint) instead of O(retained state). `1` makes every
     /// checkpoint full — the pre-delta behavior. [`Router::compact`]
     /// also forces the next checkpoint full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
     pub fn full_every(mut self, n: u64) -> Self {
-        assert!(n > 0, "full-snapshot interval must be positive");
         self.spec.full_every = n;
         self
     }
@@ -401,62 +460,24 @@ impl RouterBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if no shard count is available, the shard count disagrees
-    /// with a custom placer's, [`Strategy::Metis`] was selected without
-    /// an oracle, the oracle contains an out-of-range shard, the
-    /// initial telemetry length ≠ k, a storage backend was combined
-    /// with a custom placer or already holds a journal, or writing the
-    /// meta blob fails.
+    /// Panics if the configuration breaks a cross-field rule — no shard
+    /// count, α outside (0, 1], a negative or non-finite L2S weight or
+    /// ε, a zero window or cadence, `window` together with `retention`,
+    /// [`Strategy::Metis`] without an oracle, an out-of-range oracle
+    /// shard, initial telemetry length ≠ k, a rebalancer on a strategy
+    /// other than OptChain or together with storage — or if the storage
+    /// backend already holds a journal or writing the meta blob fails.
     pub fn build(self) -> Router {
-        match self.custom {
-            Some(custom) => {
-                assert!(
-                    self.storage.is_none(),
-                    "custom placers cannot be journaled: the meta blob \
-                     records a RouterSpec, which cannot describe one"
-                );
-                assert_eq!(
-                    self.spec.retention,
-                    RetentionPolicy::Unbounded,
-                    "custom placers expose no adoption/warm-start hooks, \
-                     so retention policies are unsupported"
-                );
-                assert!(
-                    self.spec.rebalance.is_none(),
-                    "custom placers expose no re-homing hook, so the \
-                     rebalancer is unsupported"
-                );
-                if let Some(k) = self.spec.shards {
-                    assert_eq!(
-                        k,
-                        custom.k(),
-                        "custom placer shard count disagrees with the builder's"
-                    );
-                }
-                Router::from_placer(
-                    DynPlacer::Custom(custom),
-                    self.spec.telemetry,
-                    RetentionPolicy::Unbounded,
-                )
-            }
-            None => {
-                if self.storage.is_some() {
-                    assert!(
-                        self.spec.rebalance.is_none(),
-                        "the rebalancer cannot be journaled: its epoch \
-                         clock and staged moves are not part of the WAL \
-                         replay format"
-                    );
-                }
-                let mut router = self.spec.build();
-                if let Some(storage) = self.storage {
-                    router
-                        .attach_fresh_storage(&self.spec, storage)
-                        .expect("writing the journal meta blob failed");
-                }
-                router
-            }
+        if self.storage.is_some() {
+            self.spec.assert_journalable();
         }
+        let mut router = self.spec.build();
+        if let Some(storage) = self.storage {
+            router
+                .attach_fresh_storage(&self.spec, storage)
+                .expect("writing the journal meta blob failed");
+        }
+        router
     }
 }
 
@@ -892,44 +913,6 @@ impl Router {
         RouterBuilder::new()
     }
 
-    /// A fresh router over an already-built placer with an optional
-    /// initial board (the shared tail of every builder path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the initial telemetry length ≠ k.
-    fn from_placer(
-        placer: DynPlacer,
-        telemetry: Option<Vec<ShardTelemetry>>,
-        retention: RetentionPolicy,
-    ) -> Router {
-        let k = placer.k() as usize;
-        let telemetry = match telemetry {
-            Some(t) => {
-                assert_eq!(t.len(), k, "initial telemetry must cover every shard");
-                t
-            }
-            None => vec![DEFAULT_TELEMETRY; k],
-        };
-        Router {
-            tan: TanGraph::with_retention(retention),
-            placer,
-            retention,
-            telemetry,
-            version: 0,
-            buf: DecisionBuf::new(),
-            memo: L2sMemo::new(),
-            adopted: Vec::new(),
-            adopted_head: 0,
-            adopted_total: 0,
-            txid_scratch: Vec::new(),
-            journal: None,
-            rebalancer: None,
-            applied_moves: Vec::new(),
-            cross_placed: 0,
-        }
-    }
-
     /// Number of shards.
     pub fn k(&self) -> u32 {
         self.placer.k()
@@ -1037,8 +1020,8 @@ impl Router {
         self.cross_placed
     }
 
-    /// The built-in [`Strategy`] in use, or `None` for a custom placer.
-    pub fn strategy(&self) -> Option<Strategy> {
+    /// The [`Strategy`] in use.
+    pub fn strategy(&self) -> Strategy {
         self.placer.strategy()
     }
 
@@ -1259,20 +1242,16 @@ impl Router {
     /// # Panics
     ///
     /// Panics if `txid` was already known locally, `shard >= k`, or the
-    /// strategy is [`Strategy::Metis`] / a custom placer (no adoption
-    /// hook).
+    /// strategy is [`Strategy::Metis`] (no adoption hook).
     pub fn adopt_remote(&mut self, txid: TxId, inputs: &[TxId], shard: u32) {
         assert!(shard < self.k(), "shard {shard} out of range");
-        // Reject unsupported strategies before mutating the graph, so
+        // Reject the unsupported strategy before mutating the graph, so
         // the documented panic leaves the router untouched instead of
         // holding a node with no assignment.
-        match &self.placer {
-            DynPlacer::Oracle(_) => {
-                panic!("adopt_remote is unsupported for oracle (Metis) placement")
-            }
-            DynPlacer::Custom(_) => panic!("adopt_remote is unsupported for custom placers"),
-            _ => {}
-        }
+        assert!(
+            !matches!(self.placer, DynPlacer::Oracle(_)),
+            "adopt_remote is unsupported for oracle (Metis) placement"
+        );
         let node = self.tan.insert(txid, inputs);
         let Router { tan, placer, .. } = self;
         match placer {
@@ -1282,7 +1261,7 @@ impl Router {
             DynPlacer::T2s(p) => p.adopt_in(tan, node, shard),
             DynPlacer::Random(p) => p.adopt_in(tan, shard),
             DynPlacer::Greedy(p) => p.adopt_in(tan, shard),
-            DynPlacer::Oracle(_) | DynPlacer::Custom(_) => unreachable!("rejected above"),
+            DynPlacer::Oracle(_) => unreachable!("rejected above"),
         }
         self.adopted.push(node.0);
         self.adopted_total += 1;
@@ -1330,18 +1309,9 @@ impl Router {
     /// the stream.
     pub fn snapshot(&self) -> RouterSnapshot {
         let (engine, store, greedy_sizes) = self.checkpoint_parts();
-        let assignments = match store {
-            Some(store) => store.clone(),
-            None => AssignmentStore::from_vec(
-                self.placer
-                    .assignments()
-                    .to_vec()
-                    .expect("custom placers run unbounded assignment stores"),
-            ),
-        };
         RouterSnapshot {
             tan: self.tan.clone(),
-            assignments,
+            assignments: store.clone(),
             greedy_sizes: greedy_sizes.map(<[u64]>::to_vec),
             adopted: self.adopted[self.adopted_head..].to_vec(),
             adopted_total: self.adopted_total,
@@ -1353,26 +1323,16 @@ impl Router {
 
     /// The strategy state a checkpoint carries beyond the graph: the
     /// T2S engine (windowed T2S-bearing strategies only — an unbounded
-    /// one is replayed from the graph), the assignment store (`None`
-    /// for a custom placer, whose store is opaque), and Greedy's
-    /// capacity counters.
-    fn checkpoint_parts(&self) -> (Option<&T2sEngine>, Option<&AssignmentStore>, Option<&[u64]>) {
+    /// one is replayed from the graph), the assignment store, and
+    /// Greedy's capacity counters.
+    fn checkpoint_parts(&self) -> (Option<&T2sEngine>, &AssignmentStore, Option<&[u64]>) {
         let windowed = self.retention != RetentionPolicy::Unbounded;
         match &self.placer {
-            DynPlacer::OptChain(p) => (
-                windowed.then(|| p.engine()),
-                Some(p.assignments_store()),
-                None,
-            ),
-            DynPlacer::T2s(p) => (
-                windowed.then(|| p.engine()),
-                Some(p.assignments_store()),
-                None,
-            ),
-            DynPlacer::Random(p) => (None, Some(p.assignments_store()), None),
-            DynPlacer::Greedy(p) => (None, Some(p.assignments_store()), Some(p.shard_sizes())),
-            DynPlacer::Oracle(p) => (None, Some(p.assignments_store()), None),
-            DynPlacer::Custom(_) => (None, None, None),
+            DynPlacer::OptChain(p) => (windowed.then(|| p.engine()), p.assignments_store(), None),
+            DynPlacer::T2s(p) => (windowed.then(|| p.engine()), p.assignments_store(), None),
+            DynPlacer::Random(p) => (None, p.assignments_store(), None),
+            DynPlacer::Greedy(p) => (None, p.assignments_store(), Some(p.shard_sizes())),
+            DynPlacer::Oracle(p) => (None, p.assignments_store(), None),
         }
     }
 
@@ -1395,9 +1355,8 @@ impl Router {
     ///
     /// # Panics
     ///
-    /// Panics if the router has already placed transactions, a snapshot
-    /// assignment is out of range, or the strategy is
-    /// [`DynPlacer::Custom`] (custom placers expose no warm-start hook).
+    /// Panics if the router has already placed transactions or a
+    /// snapshot assignment is out of range.
     pub fn warm_start(&mut self, snapshot: &RouterSnapshot) {
         assert!(
             self.tan.is_empty() && self.placer.assignments().is_empty(),
@@ -1466,7 +1425,6 @@ impl Router {
                 p.restore(store(), sizes);
             }
             DynPlacer::Oracle(p) => p.restore(store()),
-            DynPlacer::Custom(_) => panic!("warm_start is unsupported for custom placers"),
         }
         self.tan = snapshot.tan.clone();
         if snapshot.retention == RetentionPolicy::Unbounded {
@@ -1573,7 +1531,6 @@ impl Router {
         self.retention.encode_into(w);
         self.tan.encode_into(w);
         let (engine, store, greedy_sizes) = self.checkpoint_parts();
-        let store = store.expect("custom placers cannot be journaled (builder rejects them)");
         store.encode_into(w);
         match greedy_sizes {
             None => w.put_u8(0),
@@ -1776,7 +1733,7 @@ impl Router {
             )
         })?;
         let spec = durable::decode_spec(&meta).map_err(io::Error::from)?;
-        let mut router = spec.build();
+        let mut router = spec.build_unreserved();
         let mut from_seq = 0u64;
         let mut pending: Vec<(TxId, Vec<TxId>, u32)> = Vec::new();
         let chain = storage.checkpoint_chain()?;
@@ -1914,30 +1871,15 @@ impl Router {
             memo,
             ..
         } = self;
-        let (view, epoch, memo, session_view): (&[ShardTelemetry], u64, &mut L2sMemo, bool) =
-            match session {
-                Some(s) if s.has_view => (&s.view, s.view_version, &mut s.memo, true),
-                Some(s) => (&*telemetry, *version, &mut s.memo, false),
-                None => (&*telemetry, *version, memo, false),
-            };
+        let (view, epoch, memo): (&[ShardTelemetry], u64, &mut L2sMemo) = match session {
+            Some(s) if s.has_view => (&s.view, s.view_version, &mut s.memo),
+            Some(s) => (&*telemetry, *version, &mut s.memo),
+            None => (&*telemetry, *version, memo),
+        };
+        let ctx = PlacementContext::with_epoch(tan, view, epoch);
         let shard = match placer {
-            DynPlacer::OptChain(p) => {
-                let ctx = PlacementContext::with_epoch(tan, view, epoch);
-                p.place_into_with_memo(&ctx, node, buf, memo)
-            }
+            DynPlacer::OptChain(p) => p.place_into_with_memo(&ctx, node, buf, memo),
             other => {
-                // An opaque placer may memoize internally across *every*
-                // session, while per-session views share one epoch domain
-                // (different clients see different telemetry at the same
-                // version) — cross-transaction reuse would violate the
-                // [`L2sMemo`] epoch contract, so session-view submissions
-                // pass no epoch. Built-in OptChain is unaffected: its
-                // memo lives in the session itself (above).
-                let ctx = if session_view {
-                    PlacementContext::new(tan, view)
-                } else {
-                    PlacementContext::with_epoch(tan, view, epoch)
-                };
                 // Input shards are read **before** the placement is
                 // recorded: pushing `node` advances a windowed store's
                 // live range, and a parent exactly `window` ids back —
@@ -2003,7 +1945,7 @@ mod tests {
     fn builder_defaults_to_paper_optchain() {
         let router = Router::builder().shards(8).build();
         assert_eq!(router.k(), 8);
-        assert_eq!(router.strategy(), Some(Strategy::OptChain));
+        assert_eq!(router.strategy(), Strategy::OptChain);
         assert_eq!(router.strategy_name(), "optchain");
         assert_eq!(router.telemetry_version(), 0);
         assert_eq!(router.telemetry().len(), 8);
@@ -2115,62 +2057,6 @@ mod tests {
             .shards(2)
             .strategy(Strategy::Metis)
             .build();
-    }
-
-    #[test]
-    fn custom_placers_get_no_epoch_under_session_views() {
-        // An opaque placer's internal memo is shared across sessions, so
-        // per-session views (same version, different values per client)
-        // must disable cross-transaction reuse by passing no epoch.
-        struct EpochProbe {
-            epochs: std::rc::Rc<std::cell::RefCell<Vec<Option<u64>>>>,
-            assignments: AssignmentStore,
-        }
-        impl Placer for EpochProbe {
-            fn name(&self) -> &'static str {
-                "probe"
-            }
-            fn k(&self) -> u32 {
-                2
-            }
-            fn place(&mut self, ctx: &PlacementContext<'_>, _node: NodeId) -> ShardId {
-                self.epochs.borrow_mut().push(ctx.epoch);
-                self.assignments.push(0);
-                ShardId(0)
-            }
-            fn assignments(&self) -> AssignmentView<'_> {
-                self.assignments.view()
-            }
-        }
-        let epochs = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let mut router = Router::builder()
-            .custom(Box::new(EpochProbe {
-                epochs: epochs.clone(),
-                assignments: AssignmentStore::new(),
-            }))
-            .build();
-        // Session-less and view-less sessions share the router board:
-        // the epoch is safe to pass.
-        router.submit(TxId(0), &[]).unwrap();
-        let mut plain = router.session();
-        router.submit_tx_in(&mut plain, &chain_tx(1)).unwrap();
-        // A session with its own view: the epoch must be withheld.
-        let mut viewed = router.session();
-        viewed.set_view(&[DEFAULT_TELEMETRY; 2], 3);
-        router.submit_tx_in(&mut viewed, &chain_tx(2)).unwrap();
-        assert_eq!(*epochs.borrow(), vec![Some(0), Some(0), None]);
-    }
-
-    #[test]
-    fn custom_placer_takes_over() {
-        let mut router = Router::builder()
-            .custom(Box::new(crate::LdgPlacer::new(3, 100)))
-            .build();
-        assert_eq!(router.k(), 3);
-        assert_eq!(router.strategy(), None);
-        assert_eq!(router.strategy_name(), "ldg");
-        router.submit(TxId(0), &[]).unwrap();
-        assert_eq!(router.assignments().len(), 1);
     }
 
     #[test]

@@ -4,9 +4,7 @@
 //! baselines; [`Strategy`] names them and [`DynPlacer`] dispatches over
 //! the concrete placer structs at **runtime**, so one binary can sweep
 //! every strategy without monomorphizing a duplicate driver per placer
-//! type. [`crate::Router`] builds a `DynPlacer` from a `Strategy`;
-//! drivers that already own a concrete placer can wrap it in
-//! [`DynPlacer::Custom`].
+//! type. [`crate::Router`] builds a `DynPlacer` from a `Strategy`.
 
 use std::fmt;
 
@@ -69,8 +67,7 @@ impl fmt::Display for Strategy {
     }
 }
 
-/// Enum dispatch over every built-in [`Placer`], plus an escape hatch for
-/// caller-supplied strategies.
+/// Enum dispatch over every built-in [`Placer`].
 ///
 /// One `DynPlacer`-driven loop serves every strategy — the alternative,
 /// a generic driver monomorphized per placer type, duplicates the whole
@@ -91,22 +88,17 @@ pub enum DynPlacer {
     Greedy(GreedyPlacer),
     /// Offline oracle replay ([`OraclePlacer`]).
     Oracle(OraclePlacer),
-    /// Any other [`Placer`] implementation (e.g. the streaming baselines
-    /// [`crate::LdgPlacer`] / [`crate::FennelPlacer`], or a test stub).
-    Custom(Box<dyn Placer>),
 }
 
 impl DynPlacer {
-    /// The built-in [`Strategy`] this placer corresponds to, or `None`
-    /// for [`DynPlacer::Custom`].
-    pub fn strategy(&self) -> Option<Strategy> {
+    /// The [`Strategy`] this placer corresponds to.
+    pub fn strategy(&self) -> Strategy {
         match self {
-            DynPlacer::OptChain(_) => Some(Strategy::OptChain),
-            DynPlacer::T2s(_) => Some(Strategy::T2s),
-            DynPlacer::Random(_) => Some(Strategy::OmniLedger),
-            DynPlacer::Greedy(_) => Some(Strategy::Greedy),
-            DynPlacer::Oracle(_) => Some(Strategy::Metis),
-            DynPlacer::Custom(_) => None,
+            DynPlacer::OptChain(_) => Strategy::OptChain,
+            DynPlacer::T2s(_) => Strategy::T2s,
+            DynPlacer::Random(_) => Strategy::OmniLedger,
+            DynPlacer::Greedy(_) => Strategy::Greedy,
+            DynPlacer::Oracle(_) => Strategy::Metis,
         }
     }
 
@@ -117,7 +109,6 @@ impl DynPlacer {
             DynPlacer::Random(p) => p,
             DynPlacer::Greedy(p) => p,
             DynPlacer::Oracle(p) => p,
-            DynPlacer::Custom(p) => p.as_ref(),
         }
     }
 
@@ -128,12 +119,10 @@ impl DynPlacer {
             DynPlacer::Random(p) => p,
             DynPlacer::Greedy(p) => p,
             DynPlacer::Oracle(p) => p,
-            DynPlacer::Custom(p) => p.as_mut(),
         }
     }
 
-    /// Releases excess assignment-store capacity on the built-in
-    /// placers (custom placers own their history opaquely).
+    /// Releases excess assignment-store capacity.
     pub(crate) fn compact_assignments(&mut self) {
         match self {
             DynPlacer::OptChain(p) => p.compact_assignments(),
@@ -141,7 +130,6 @@ impl DynPlacer {
             DynPlacer::Random(p) => p.compact_assignments(),
             DynPlacer::Greedy(p) => p.compact_assignments(),
             DynPlacer::Oracle(p) => p.compact_assignments(),
-            DynPlacer::Custom(_) => {}
         }
     }
 }
@@ -199,7 +187,7 @@ mod tests {
         let mut tan = TanGraph::new();
         let mut concrete = RandomPlacer::new(4);
         let mut boxed = DynPlacer::Random(RandomPlacer::new(4));
-        assert_eq!(boxed.strategy(), Some(Strategy::OmniLedger));
+        assert_eq!(boxed.strategy(), Strategy::OmniLedger);
         assert_eq!(boxed.name(), "omniledger");
         assert_eq!(boxed.k(), 4);
         for i in 0..50u64 {
@@ -208,14 +196,5 @@ mod tests {
             assert_eq!(concrete.place(&ctx, n), boxed.place(&ctx, n));
         }
         assert_eq!(concrete.assignments(), boxed.assignments());
-    }
-
-    #[test]
-    fn custom_variant_wraps_any_placer() {
-        let boxed = DynPlacer::Custom(Box::new(crate::LdgPlacer::new(3, 100)));
-        assert_eq!(boxed.strategy(), None);
-        assert_eq!(boxed.name(), "ldg");
-        assert_eq!(boxed.k(), 3);
-        assert_eq!(format!("{boxed:?}"), "DynPlacer(\"ldg\")");
     }
 }

@@ -60,11 +60,17 @@
 //!   core is enough for ~10⁶ placements/sec; every golden test is
 //!   stated against it.
 //! * **`RouterFleet`** — a placement *service* in front of many
-//!   concurrent clients, when one core caps ingestion. Same builder
-//!   knobs plus `workers(n)`, `sync_interval(txs)` and
-//!   `partitioner(fn)`; per-client [`core::FleetHandle`]s submit
-//!   synchronously (`submit`/`submit_batch`) or fire-and-forget
-//!   (`submit_detached` + `drain`). A 1-worker fleet is bit-identical
+//!   concurrent clients, when one core caps ingestion. The builder
+//!   takes the knobs a service sets (`shards`, `strategy`,
+//!   `retention`, `expected_total`, `rebalancer`, `storage`) plus
+//!   `workers(n)`, `sync_interval(txs)` and `partitioner(fn)`. A batch
+//!   is the one unit of placement behind every per-client
+//!   [`core::FleetHandle`] door: `submit` / `submit_tx` /
+//!   `submit_with_detail` send a batch of one and wait for its shard;
+//!   `submit_detached` (raw `(txid, inputs)` rows — a whole wire
+//!   request as one message) and `submit_batch_detached` (a zero-copy
+//!   window of a shared stream) are fire-and-forget, collected with
+//!   `drain`. A 1-worker fleet is bit-identical
 //!   to a `Router`; with N workers each worker sees a partial,
 //!   periodically-synced TaN graph, so decisions trade a bounded
 //!   staleness (≤ `sync_interval` submissions) for near-linear ingest

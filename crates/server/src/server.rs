@@ -7,9 +7,9 @@
 //!                    ┌──────────────┐
 //!   accept loop ───▶ │ per-conn     │──▶ bounded admission queue ──▶ dispatcher ──▶ RouterFleet
 //!   (1 thread)       │ reader thread│    (fee-ordered, capacity-     (1 thread,     (N workers,
-//!                    └──────────────┘     bounded, shed on full)      detached       detached
-//!                    ┌──────────────┐                                 submit+drain)  batch path)
-//!   responses ◀───── │ per-conn     │◀─── outbox channel ◀────────────────┘
+//!                    └──────────────┘     bounded, shed on full)      one message    one placement
+//!                    ┌──────────────┐                                 per request,   loop)
+//!   responses ◀───── │ per-conn     │◀─── outbox channel ◀─────────── then drain)
 //!                    │ writer thread│
 //!                    └──────────────┘
 //! ```
@@ -19,10 +19,14 @@
 //!   TCP backpressure, it is never disconnected or silently dropped),
 //!   and admits work into the bounded fee-ordered queue. Admission
 //!   failures are shed with a typed rejection immediately.
-//! * The **dispatcher** pops admitted work highest-fee-first, feeds
-//!   the fleet through the detached (fire-and-forget) submission path,
-//!   then drains the placement results and routes acks back to each
-//!   connection's outbox.
+//! * The **dispatcher** pops admitted work highest-fee-first and hands
+//!   each request to the fleet as one detached placement message
+//!   ([`optchain_core::FleetHandle::submit_detached`] — a request that
+//!   straddles a cross-sync boundary splits there into two), then
+//!   drains the placement results and routes acks back to each
+//!   connection's outbox. A wire `Submit` is a request of one
+//!   transaction; it differs from a `SubmitBatch` only in the ack it
+//!   gets.
 //! * The **writer** drains the outbox to the socket and returns credit.
 //!
 //! # Overload behavior
@@ -52,7 +56,7 @@ use optchain_utxo::TxId;
 
 use crate::metrics::ServerMetrics;
 use crate::protocol::{
-    self, FrameRead, RejectReason, Request, Response, WireTx, DEFAULT_MAX_FRAME_BYTES,
+    self, FrameRead, RejectReason, Request, Response, DEFAULT_MAX_FRAME_BYTES,
     MAX_FRAME_BYTES_CEILING,
 };
 use crate::queue::AdmissionQueue;
@@ -75,18 +79,19 @@ const DISPATCH_CHUNK: usize = 256;
 // Admission state
 // ---------------------------------------------------------------------------
 
+/// A request's transactions as the fleet takes them: `(txid, distinct
+/// input ids)` rows.
+type Rows = Vec<(TxId, Vec<TxId>)>;
+
 /// One unit of dispatcher work.
 enum Work {
-    Submit {
+    /// A `Submit` (one row, answered with `Ack`) or a `SubmitBatch`
+    /// (answered with `AckBatch`).
+    Place {
         conn: u64,
         req_id: u64,
-        tx: WireTx,
-        admitted_at: Instant,
-    },
-    Batch {
-        conn: u64,
-        req_id: u64,
-        txs: Vec<WireTx>,
+        txs: Rows,
+        batch: bool,
         admitted_at: Instant,
     },
     Query {
@@ -96,39 +101,24 @@ enum Work {
     },
 }
 
-/// Duplicate-submission guard: remembers admitted transaction ids,
-/// optionally windowed (`window == 0` means remember forever). The
-/// window should be at least the fleet's retention horizon — a
-/// duplicate older than the graph's own memory re-enters as a fresh
-/// node, exactly like a pre-history spend, so forgetting it here is
-/// consistent.
+/// Duplicate-submission guard: remembers every admitted transaction id
+/// (a duplicate reaching `Router::submit` panics the worker). The set
+/// grows with the stream; bounding it safely means deriving the bound
+/// from the fleet's retention policy — an id may be forgotten only once
+/// every worker's graph has evicted it, so it re-enters as a fresh node
+/// like any pre-history spend — which is a follow-up issue, not a knob.
+#[derive(Default)]
 struct Dedup {
     set: std::collections::HashSet<u64>,
-    ring: std::collections::VecDeque<u64>,
-    window: usize,
 }
 
 impl Dedup {
-    fn new(window: usize) -> Self {
-        Dedup {
-            set: std::collections::HashSet::new(),
-            ring: std::collections::VecDeque::new(),
-            window,
-        }
-    }
-
     fn contains(&self, txid: TxId) -> bool {
         self.set.contains(&txid.0)
     }
 
     fn insert(&mut self, txid: TxId) {
-        if self.set.insert(txid.0) && self.window > 0 {
-            self.ring.push_back(txid.0);
-            while self.ring.len() > self.window {
-                let evicted = self.ring.pop_front().expect("ring non-empty");
-                self.set.remove(&evicted);
-            }
-        }
+        self.set.insert(txid.0);
     }
 }
 
@@ -240,7 +230,6 @@ pub struct PlacementServerBuilder {
     credit_window: u32,
     max_frame_bytes: u32,
     max_placements_per_sec: Option<u64>,
-    dedup_window: usize,
 }
 
 impl PlacementServerBuilder {
@@ -252,7 +241,6 @@ impl PlacementServerBuilder {
             credit_window: DEFAULT_CREDIT_WINDOW,
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             max_placements_per_sec: None,
-            dedup_window: 0,
         }
     }
 
@@ -329,16 +317,6 @@ impl PlacementServerBuilder {
         self
     }
 
-    /// Bounds the duplicate-submission guard to the last `window`
-    /// admitted transaction ids (default 0 = remember every id).
-    /// Set it to at least the fleet's retention window: a duplicate
-    /// the graph itself has evicted re-enters as a fresh node, so the
-    /// guard may forget it too.
-    pub fn dedup_window(mut self, window: usize) -> Self {
-        self.dedup_window = window;
-        self
-    }
-
     /// Binds the listener, builds the fleet, and spawns the accept
     /// loop and dispatcher.
     ///
@@ -366,7 +344,7 @@ impl PlacementServerBuilder {
         let admission = Arc::new(Admission {
             state: Mutex::new(AdmissionState {
                 queue: AdmissionQueue::new(self.queue_capacity),
-                dedup: Dedup::new(self.dedup_window),
+                dedup: Dedup::default(),
                 draining: false,
             }),
             cv: Condvar::new(),
@@ -695,10 +673,8 @@ fn handle_request(
             }
         }
         Request::Submit { req_id, fee, tx } => {
-            match admit(conn_id, req_id, fee, vec![tx], false, admission, metrics) {
-                Ok(()) => None,
-                Err(reason) => Some(Response::Reject { req_id, reason }),
-            }
+            let txs = vec![(tx.txid, tx.inputs)];
+            admit(conn_id, req_id, fee, txs, false, admission, metrics)
         }
         Request::SubmitBatch { req_id, fee, txs } => {
             if txs.is_empty() {
@@ -708,67 +684,56 @@ fn handle_request(
                     shards: Vec::new(),
                 });
             }
-            match admit(conn_id, req_id, fee, txs, true, admission, metrics) {
-                Ok(()) => None,
-                Err(reason) => Some(Response::Reject { req_id, reason }),
-            }
+            let txs = txs.into_iter().map(|tx| (tx.txid, tx.inputs)).collect();
+            admit(conn_id, req_id, fee, txs, true, admission, metrics)
         }
     }
 }
 
-/// Admission decision for a submit (single tx or batch), atomic under
-/// the admission mutex: shutdown check, duplicate check, capacity
-/// check, then enqueue + dedup registration.
+/// Admission decision for a submit request, atomic under the admission
+/// mutex: shutdown check, duplicate check, capacity check, then
+/// enqueue + dedup registration. `None` means admitted (the dispatcher
+/// answers); otherwise the typed rejection to send back.
 fn admit(
-    conn_id: u64,
+    conn: u64,
     req_id: u64,
     fee: u64,
-    txs: Vec<WireTx>,
-    is_batch: bool,
+    txs: Rows,
+    batch: bool,
     admission: &Admission,
     metrics: &ServerMetrics,
-) -> Result<(), RejectReason> {
+) -> Option<Response> {
     let ntxs = txs.len();
     let mut s = admission.state.lock().expect("admission mutex");
-    if s.draining {
-        drop(s);
-        metrics.on_shed(RejectReason::Shutdown, 1);
-        return Err(RejectReason::Shutdown);
-    }
     let mut seen_in_batch = std::collections::HashSet::new();
-    for tx in &txs {
-        if s.dedup.contains(tx.txid) || !seen_in_batch.insert(tx.txid.0) {
-            drop(s);
-            metrics.on_shed(RejectReason::Duplicate, 1);
-            return Err(RejectReason::Duplicate);
-        }
-    }
-    // Capacity check before touching the dedup set: a shed request was
-    // never admitted, so its ids must remain submittable.
-    if s.queue.depth() + ntxs > s.queue.capacity() {
-        drop(s);
-        metrics.on_shed(RejectReason::QueueFull, 1);
-        return Err(RejectReason::QueueFull);
-    }
-    let admitted_at = Instant::now();
-    for tx in &txs {
-        s.dedup.insert(tx.txid);
-    }
-    let work = if is_batch {
-        Work::Batch {
-            conn: conn_id,
-            req_id,
-            txs,
-            admitted_at,
-        }
+    let reason = if s.draining {
+        Some(RejectReason::Shutdown)
+    } else if txs
+        .iter()
+        .any(|(txid, _)| s.dedup.contains(*txid) || !seen_in_batch.insert(txid.0))
+    {
+        Some(RejectReason::Duplicate)
+    } else if s.queue.depth() + ntxs > s.queue.capacity() {
+        // Checked before touching the dedup set: a shed request was
+        // never admitted, so its ids must remain submittable.
+        Some(RejectReason::QueueFull)
     } else {
-        let mut txs = txs;
-        Work::Submit {
-            conn: conn_id,
-            req_id,
-            tx: txs.pop().expect("single submit has one tx"),
-            admitted_at,
-        }
+        None
+    };
+    if let Some(reason) = reason {
+        drop(s);
+        metrics.on_shed(reason, 1);
+        return Some(Response::Reject { req_id, reason });
+    }
+    for (txid, _) in &txs {
+        s.dedup.insert(*txid);
+    }
+    let work = Work::Place {
+        conn,
+        req_id,
+        txs,
+        batch,
+        admitted_at: Instant::now(),
     };
     s.queue
         .try_push(fee, ntxs, work)
@@ -776,7 +741,7 @@ fn admit(
     drop(s);
     metrics.on_admitted(ntxs as u64);
     admission.cv.notify_all();
-    Ok(())
+    None
 }
 
 // ---------------------------------------------------------------------------
@@ -892,106 +857,77 @@ fn dispatcher_loop(
             }
         }
 
-        // Phase 1: feed the fleet's detached path (fire-and-forget) —
-        // placements for many connections pipeline through the worker
-        // queues without a per-transaction round trip.
-        let mut order: Vec<(u64, usize)> = Vec::with_capacity(batch.len());
-        for (idx, entry) in batch.iter().enumerate() {
-            match &entry.work {
+        // Phase 1: hand each request to the fleet as one detached
+        // (fire-and-forget) message — placements for many connections
+        // pipeline through the worker queues without a round trip.
+        let mut per_conn: HashMap<u64, Vec<PendingAck>> = HashMap::new();
+        for entry in batch.drain(..) {
+            match entry.work {
                 Work::Query { conn, req_id, txid } => {
-                    let shard = fleet.shard_of(*txid).map(|s| s.0);
+                    let shard = fleet.shard_of(txid).map(|s| s.0);
                     send_to_conn(
                         &registry,
-                        *conn,
-                        Response::QueryResult {
-                            req_id: *req_id,
-                            shard,
-                        },
+                        conn,
+                        Response::QueryResult { req_id, shard },
                         &metrics,
                     );
                 }
-                Work::Submit { conn, tx, .. } => {
+                Work::Place {
+                    conn,
+                    req_id,
+                    txs,
+                    batch: is_batch,
+                    admitted_at,
+                } => {
                     pace(rate, started, placed_total);
-                    let handle = handles.entry(*conn).or_insert_with(|| fleet.handle(*conn));
-                    handle.submit_detached(tx.txid, &tx.inputs);
-                    placed_total += 1;
-                    order.push((*conn, idx));
-                }
-                Work::Batch { conn, txs, .. } => {
-                    pace(rate, started, placed_total);
-                    let handle = handles.entry(*conn).or_insert_with(|| fleet.handle(*conn));
-                    for tx in txs {
-                        handle.submit_detached(tx.txid, &tx.inputs);
-                    }
-                    placed_total += txs.len() as u64;
-                    order.push((*conn, idx));
+                    let ntxs = txs.len();
+                    handles
+                        .entry(conn)
+                        .or_insert_with(|| fleet.handle(conn))
+                        .submit_detached(txs);
+                    placed_total += ntxs as u64;
+                    per_conn.entry(conn).or_default().push(PendingAck {
+                        req_id,
+                        ntxs,
+                        batch: is_batch,
+                        admitted_at,
+                    });
                 }
             }
         }
 
         // Phase 2: drain each touched connection's results, in the
-        // order the entries were submitted (global sequence numbers
+        // order its requests were submitted (global sequence numbers
         // are monotone per connection, and `drain` returns them
         // sorted), and route the acks.
-        let mut per_conn: HashMap<u64, Vec<usize>> = HashMap::new();
-        for (conn, idx) in order {
-            per_conn.entry(conn).or_default().push(idx);
-        }
-        for (conn, idxs) in per_conn {
+        for (conn, pending) in per_conn {
             let results = handles
                 .get(&conn)
                 .expect("handle created in phase 1")
                 .drain();
             let mut shards = results.into_iter().map(|(_, shard)| shard.0);
-            for idx in idxs {
-                match &batch[idx].work {
-                    Work::Submit {
-                        req_id,
-                        admitted_at,
-                        ..
-                    } => {
-                        let shard = shards.next().expect("one shard per detached submit");
-                        metrics.on_placed_to(shard);
-                        metrics.on_acked(1, admitted_at.elapsed().as_micros() as u64);
-                        send_to_conn(
-                            &registry,
-                            conn,
-                            Response::Ack {
-                                req_id: *req_id,
-                                shard,
-                            },
-                            &metrics,
-                        );
-                    }
-                    Work::Batch {
-                        req_id,
-                        txs,
-                        admitted_at,
-                        ..
-                    } => {
-                        let batch_shards: Vec<u32> = (&mut shards).take(txs.len()).collect();
-                        assert_eq!(
-                            batch_shards.len(),
-                            txs.len(),
-                            "one shard per detached batch submit"
-                        );
-                        for &shard in &batch_shards {
-                            metrics.on_placed_to(shard);
-                        }
-                        metrics
-                            .on_acked(txs.len() as u64, admitted_at.elapsed().as_micros() as u64);
-                        send_to_conn(
-                            &registry,
-                            conn,
-                            Response::AckBatch {
-                                req_id: *req_id,
-                                shards: batch_shards,
-                            },
-                            &metrics,
-                        );
-                    }
-                    Work::Query { .. } => unreachable!("queries are answered in phase 1"),
+            for ack in pending {
+                let placed: Vec<u32> = (&mut shards).take(ack.ntxs).collect();
+                assert_eq!(placed.len(), ack.ntxs, "one shard per submitted tx");
+                for &shard in &placed {
+                    metrics.on_placed_to(shard);
                 }
+                metrics.on_acked(
+                    ack.ntxs as u64,
+                    ack.admitted_at.elapsed().as_micros() as u64,
+                );
+                let response = if ack.batch {
+                    Response::AckBatch {
+                        req_id: ack.req_id,
+                        shards: placed,
+                    }
+                } else {
+                    Response::Ack {
+                        req_id: ack.req_id,
+                        shard: placed[0],
+                    }
+                };
+                send_to_conn(&registry, conn, response, &metrics);
             }
             assert!(
                 shards.next().is_none(),
@@ -1017,6 +953,15 @@ fn dispatcher_loop(
             last_poll = Instant::now();
         }
     }
+}
+
+/// A request handed to the fleet whose shards the next drain returns.
+struct PendingAck {
+    req_id: u64,
+    ntxs: usize,
+    /// `SubmitBatch` (answered with `AckBatch`) rather than `Submit`.
+    batch: bool,
+    admitted_at: Instant,
 }
 
 /// How often the dispatcher refreshes the fleet-counter snapshot in

@@ -7,7 +7,7 @@ use std::fmt;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use optchain_core::{FleetHandle, PlacementSession, Placer, Router, RouterFleet};
+use optchain_core::{FleetHandle, PlacementSession, Router, RouterFleet};
 use optchain_partition::{partition_kway, CsrGraph};
 use optchain_tan::{NodeId, TanGraph};
 use optchain_utxo::{OutPoint, Transaction};
@@ -142,9 +142,8 @@ struct ShardState {
 /// See the crate docs for the modelled system; construct via
 /// [`Simulation::run`] (strategy by name),
 /// [`Simulation::run_with_router`] (a pre-configured
-/// [`Router`]), [`Simulation::run_with_fleet`] (a concurrent
-/// [`RouterFleet`] front-end), or [`Simulation::run_with_placer`]
-/// (custom placement logic).
+/// [`Router`]), or [`Simulation::run_with_fleet`] (a concurrent
+/// [`RouterFleet`] front-end).
 pub struct Simulation;
 
 /// The placement service the engine drives: one owned [`Router`] with a
@@ -262,27 +261,6 @@ impl Simulation {
             builder = builder.oracle(partition_kway(&csr, k, 0.1, config.seed));
         }
         Self::run_with_router(config, txs, builder.build())
-    }
-
-    /// Runs the simulation with any [`Placer`] — an adapter wrapping the
-    /// placer into a [`Router`] (strategy-specific session memo reuse
-    /// does not apply to opaque placers; decisions are unaffected).
-    ///
-    /// Boxing for the router requires `P: 'static` — one bound tighter
-    /// than before the Router migration; placer types borrowing external
-    /// state must move to [`Simulation::run_with_router`] with a
-    /// [`optchain_core::DynPlacer::Custom`] of their own.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidConfig`] or [`SimError::StreamTooShort`].
-    pub fn run_with_placer<P: Placer + 'static>(
-        config: SimConfig,
-        txs: &[Transaction],
-        placer: P,
-    ) -> Result<SimMetrics, SimError> {
-        let router = Router::builder().custom(Box::new(placer)).build();
-        Self::run_with_router(config, txs, router)
     }
 
     /// Runs the simulation over a caller-configured, **fresh** [`Router`]
@@ -1193,8 +1171,7 @@ mod tests {
         let mut config = quick_config();
         config.total_txs = 50;
         config.tx_rate = 10.0; // slow enough that tx2 locks before tx3
-        let m =
-            Simulation::run_with_placer(config, &txs, optchain_core::RandomPlacer::new(4)).unwrap();
+        let m = Simulation::run_on(config, Strategy::OmniLedger, &txs).unwrap();
         assert_eq!(m.aborted, 1, "exactly one of the conflicting txs aborts");
         assert_eq!(m.committed, 49);
     }
