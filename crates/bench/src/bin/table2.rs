@@ -14,12 +14,12 @@
 //! ```
 //!
 //! Here the prefix:delta ratio (30:1) is preserved at reduced scale, and
-//! the warm start is expressed through [`Router::warm_start`] restoring a
-//! [`RouterSnapshot`] of the Metis-partitioned prefix.
+//! the warm start is [`Router::warm_start_history`] replaying the
+//! Metis-partitioned prefix.
 
 use optchain_bench::{fmt_count, shared_workload, Opts};
 use optchain_core::replay::replay_router;
-use optchain_core::{Router, RouterSnapshot, Strategy};
+use optchain_core::{Router, Strategy};
 use optchain_metrics::Table;
 use optchain_partition::{partition_kway, CsrGraph};
 use optchain_tan::TanGraph;
@@ -43,7 +43,6 @@ fn main() {
     let mut table = Table::new(["k", "Greedy", "OmniLedger", "T2S-based", "OptChain"]);
     for k in [4u32, 8, 16, 32, 64] {
         let warm = partition_kway(&csr, k, 0.1, opts.seed);
-        let snapshot = RouterSnapshot::new(prefix_tan.clone(), warm);
 
         let run = |strategy: Strategy| {
             let mut router = Router::builder()
@@ -51,7 +50,7 @@ fn main() {
                 .strategy(strategy)
                 .expected_total(prefix_n + delta_n)
                 .build();
-            router.warm_start(&snapshot);
+            router.warm_start_history(&prefix_tan, &warm);
             replay_router(delta, &mut router)
         };
         table.row([

@@ -95,13 +95,11 @@ impl AssignmentStore {
         store
     }
 
-    /// Wraps a fully materialized history into an unbounded store (the
-    /// replay snapshot format carries assignments this way).
-    pub fn from_vec(assignments: Vec<u32>) -> Self {
-        let mut store = Self::new();
-        store.len = assignments.len();
-        store.dense = assignments;
-        store
+    /// `true` iff `other` windows its history the same way (the restore
+    /// check: a checkpointed store must follow the restoring router's
+    /// retention policy).
+    pub(crate) fn same_shape(&self, other: &AssignmentStore) -> bool {
+        (self.window, self.keep_hubs) == (other.window, other.keep_hubs)
     }
 
     /// Total entries ever pushed — the stream length in stable-id
@@ -228,12 +226,6 @@ impl AssignmentStore {
             self.dense[self.len % self.window] = shard;
         }
         self.len += 1;
-    }
-
-    /// The full history as one slice — `Some` only on unbounded stores
-    /// (a windowed store no longer holds its evicted prefix).
-    pub fn as_full_slice(&self) -> Option<&[u32]> {
-        (self.window == usize::MAX).then_some(&self.dense[..])
     }
 
     /// Releases excess capacity (checkpoint-time shrink; the ring is
@@ -435,7 +427,6 @@ mod tests {
         assert_eq!(store.horizon(), 0);
         assert_eq!(store.get(NodeId(0)), Some(ShardId(3)));
         assert_eq!(store.view().to_vec(), Some(vec![3, 1, 2]));
-        assert_eq!(store.as_full_slice(), Some(&[3u32, 1, 2][..]));
         assert_eq!(store.get_index(3), None);
     }
 
@@ -454,7 +445,6 @@ mod tests {
         for id in 6..10usize {
             assert_eq!(store.get_index(id), Some(id as u32), "id {id}");
         }
-        assert!(store.as_full_slice().is_none());
         let live: Vec<u32> = store.view().iter_live().map(|(n, _)| n.0).collect();
         assert_eq!(live, vec![6, 7, 8, 9]);
     }

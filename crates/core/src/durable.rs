@@ -6,7 +6,7 @@
 //! [`optchain_storage::Storage`] backend, and periodically installs a
 //! checkpoint (an encoded [`crate::RouterSnapshot`]) covering a prefix
 //! of the journal. Recovery reads the meta blob to rebuild the exact
-//! builder configuration, warm-starts from the checkpoint, and replays
+//! builder configuration, restores the checkpoint verbatim, and replays
 //! the journal tail; because placement is deterministic, replaying the
 //! surviving records reproduces the crashed router bit-identically.
 //!
@@ -29,8 +29,8 @@ use optchain_tan::RetentionPolicy;
 pub(crate) const META_VERSION: u8 = 2;
 
 /// Checkpoint body format version (the first byte of the decompressed
-/// full-snapshot body).
-pub(crate) const CHECKPOINT_VERSION: u8 = 1;
+/// full-snapshot body, `crate::snapshot`).
+pub(crate) const CHECKPOINT_VERSION: u8 = 2;
 
 /// Full-checkpoint envelope version: the byte is followed by
 /// `zrle(body)`. Compression cuts the stored blob to roughly a third

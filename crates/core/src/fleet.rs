@@ -97,7 +97,7 @@ use optchain_utxo::{Transaction, TxId};
 
 use crate::l2s::ShardTelemetry;
 use crate::placer::{Decision, ShardId};
-use crate::router::{Router, RouterSnapshot, RouterSpec};
+use crate::router::{Router, RouterSpec};
 use crate::strategy::Strategy;
 
 /// Worker-count default shared by the fleet and the experiment
@@ -130,7 +130,7 @@ const QUEUE_DEPTH: usize = 1_024;
 
 /// The transactions a worker placed since the last sync, flattened
 /// (id, distinct input ids, shard) — the unit of TaN cross-sync.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Delta {
     txids: Vec<TxId>,
     shards: Vec<u32>,
@@ -352,14 +352,6 @@ enum Msg {
         client: u64,
         reply: SyncSender<Vec<(u64, ShardId)>>,
     },
-    Snapshot {
-        reply: SyncSender<(RouterSnapshot, Delta)>,
-    },
-    WarmStart {
-        snapshot: Box<RouterSnapshot>,
-        pending: Delta,
-        reply: SyncSender<()>,
-    },
     Stats {
         reply: SyncSender<WorkerStats>,
     },
@@ -406,6 +398,9 @@ fn worker_loop(
                 for (txid, inputs, shard) in &pending {
                     delta.push(*txid, inputs, *shard);
                 }
+                // `AssignmentView::len()` counts the whole stream in
+                // stable-id space, not the live (post-eviction) range,
+                // so the placed count stays exact under retention.
                 stats.adopted = router.adopted_total();
                 stats.placed = router.assignments().len() as u64 - router.adopted_total();
                 router
@@ -509,27 +504,6 @@ fn worker_loop(
             Msg::Drain { client, reply } => {
                 let _ = reply.send(detached.remove(&client).unwrap_or_default());
             }
-            Msg::Snapshot { reply } => {
-                let _ = reply.send((router.snapshot(), delta.clone()));
-            }
-            Msg::WarmStart {
-                snapshot,
-                pending,
-                reply,
-            } => {
-                router.warm_start(&snapshot);
-                stats.adopted = router.adopted_total();
-                // `AssignmentView::len()` counts the whole stream in
-                // stable-id space — NOT the live (post-eviction) range —
-                // so the placed count stays exact under a retention
-                // policy that has shrunk the resident window (adoptions
-                // likewise by their lifetime total, not the live tail).
-                stats.placed = router.assignments().len() as u64 - router.adopted_total();
-                stats.adoption_missing_refs = 0;
-                stats.delta_pruned = 0;
-                delta = pending;
-                let _ = reply.send(());
-            }
             Msg::Stats { reply } => {
                 let (hits, misses) = router.l2s_memo_stats();
                 stats.l2s_memo_hits = hits;
@@ -570,7 +544,6 @@ struct Shared {
     partitioner: Partitioner,
     k: u32,
     strategy: Strategy,
-    strategy_name: &'static str,
 }
 
 impl Shared {
@@ -730,7 +703,10 @@ impl RouterFleetBuilder {
     /// The global submission counter and fan-out telemetry cache are
     /// **not** per-worker state: after recovery the counter resumes at
     /// the sum of the workers' placed counts, which equals the crashed
-    /// fleet's counter when every submission was journaled.
+    /// fleet's counter when every submission was journaled. Storage is
+    /// the one way a fleet's state comes back: a fleet that must
+    /// survive a drop and rebuild in RAM takes
+    /// `SharedStorage<MemStorage>` backends.
     pub fn storage(mut self, storages: Vec<Box<dyn Storage>>) -> Self {
         self.storages = Some(storages);
         self
@@ -744,37 +720,29 @@ impl RouterFleetBuilder {
     pub fn build(self) -> RouterFleet {
         let workers = self.workers.unwrap_or_else(configured_threads).max(1);
         let durable = self.storages.is_some();
-        if durable {
+        if let Some(storages) = &self.storages {
             self.spec.assert_journalable();
+            assert_eq!(
+                storages.len(),
+                workers,
+                "a durable fleet needs exactly one storage backend per worker"
+            );
         }
-        let mut storages: Vec<Option<Box<dyn Storage>>> = match self.storages {
-            Some(storages) => {
-                assert_eq!(
-                    storages.len(),
-                    workers,
-                    "a durable fleet needs exactly one storage backend per worker"
-                );
-                storages.into_iter().map(Some).collect()
-            }
-            None => (0..workers).map(|_| None).collect(),
-        };
-        // Validate the spec eagerly on the caller thread instead of
-        // inside a worker thread where a panic would strand the channels.
-        let probe = self.spec.build();
-        let k = probe.k();
-        let strategy = probe.strategy();
-        let strategy_name = probe.strategy_name();
-        drop(probe);
+        // One backend per worker, or none at all for an in-RAM fleet.
+        let mut storages = self.storages.into_iter().flatten();
+        // Validate the spec on the caller thread: inside a worker
+        // thread the panic would strand the channels.
+        self.spec.check().unwrap_or_else(|rule| panic!("{rule}"));
 
         let exchange = Arc::new(Exchange::new(workers));
         let mut senders = Vec::with_capacity(workers);
         let mut threads = Vec::with_capacity(workers);
-        for (w, slot) in storages.iter_mut().enumerate().take(workers) {
+        for w in 0..workers {
             let (tx, rx) = mpsc::sync_channel(QUEUE_DEPTH);
             senders.push(tx);
             let spec = self.spec.clone();
             let exchange = exchange.clone();
-            let storage = slot.take();
+            let storage = storages.next();
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("optchain-fleet-{w}"))
@@ -791,9 +759,8 @@ impl RouterFleetBuilder {
                 seq: AtomicU64::new(0),
                 sync_interval: self.sync_interval,
                 partitioner,
-                k,
-                strategy,
-                strategy_name,
+                k: self.spec.k(),
+                strategy: self.spec.strategy,
             }),
             threads,
             telemetry: Mutex::new(None),
@@ -838,8 +805,8 @@ pub struct FleetStats {
     /// misses (the same absent parent re-observed while replicating a
     /// sibling's delta) are reported separately, because they scale
     /// with the replica count, not with placement quality. After a
-    /// [`RouterFleet::warm_start`] the split restarts: pre-checkpoint
-    /// misses all count here.
+    /// restart from storage the split restarts: pre-restart misses all
+    /// count here.
     pub missing_parent_refs: u64,
     /// Missing references observed while adopting foreign deltas,
     /// summed over workers (see [`FleetStats::missing_parent_refs`]).
@@ -868,45 +835,6 @@ pub struct FleetStats {
     /// migration-epoch clock; all zero without
     /// [`RouterFleetBuilder::rebalancer`]).
     pub rebalance: crate::RebalanceStats,
-}
-
-/// A checkpoint of a whole fleet: one [`RouterSnapshot`] per worker,
-/// each worker's pending (not yet exchanged) sync delta, and the global
-/// submission counter — produced by [`RouterFleet::snapshot`], restored
-/// with [`RouterFleet::warm_start`] into a fresh fleet of the same
-/// worker count. Detached results not yet drained are **not** part of a
-/// snapshot.
-#[derive(Clone)]
-pub struct FleetSnapshot {
-    workers: Vec<RouterSnapshot>,
-    pending: Vec<Delta>,
-    next_seq: u64,
-    /// The fleet-level telemetry dedup cache and version, so a restored
-    /// fleet keeps the documented fleet-version == worker-version
-    /// invariant (worker boards restore through their own snapshots).
-    telemetry: Option<Vec<ShardTelemetry>>,
-    telemetry_version: u64,
-}
-
-impl FleetSnapshot {
-    /// The per-worker router snapshots, in worker-index order.
-    pub fn worker_snapshots(&self) -> &[RouterSnapshot] {
-        &self.workers
-    }
-
-    /// The global submission counter at checkpoint time.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-}
-
-impl std::fmt::Debug for FleetSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FleetSnapshot")
-            .field("workers", &self.workers.len())
-            .field("next_seq", &self.next_seq)
-            .finish()
-    }
 }
 
 /// A concurrent, client-sharded placement front-end: N worker
@@ -943,11 +871,6 @@ impl RouterFleet {
     /// The built-in [`Strategy`] every worker runs.
     pub fn strategy(&self) -> Strategy {
         self.shared.strategy
-    }
-
-    /// The strategy's table label (e.g. `"optchain"`).
-    pub fn strategy_name(&self) -> &'static str {
-        self.shared.strategy_name
     }
 
     /// Global submissions accepted so far.
@@ -1095,78 +1018,6 @@ impl RouterFleet {
             let _ = handle.join();
         }
     }
-
-    /// Checkpoints the whole fleet: every worker's placement state plus
-    /// its pending sync delta and the global submission counter. The
-    /// caller must be quiescent (no concurrent submitters) for the
-    /// checkpoint to be meaningful.
-    pub fn snapshot(&self) -> FleetSnapshot {
-        let mut replies = Vec::with_capacity(self.workers());
-        for sender in &self.shared.senders {
-            let (tx, rx) = mpsc::sync_channel(1);
-            sender
-                .send(Msg::Snapshot { reply: tx })
-                .expect("fleet worker alive");
-            replies.push(rx);
-        }
-        let mut workers = Vec::with_capacity(self.workers());
-        let mut pending = Vec::with_capacity(self.workers());
-        for rx in replies {
-            let (snap, delta) = rx.recv().expect("fleet worker alive");
-            workers.push(snap);
-            pending.push(delta);
-        }
-        FleetSnapshot {
-            workers,
-            pending,
-            next_seq: self.shared.seq.load(Ordering::Relaxed),
-            telemetry: self
-                .telemetry
-                .lock()
-                .expect("no panics hold the lock")
-                .clone(),
-            telemetry_version: self.telemetry_version.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Restores a checkpoint into a **fresh** fleet of the same worker
-    /// count: each worker warm-starts from its snapshot (including
-    /// adopted foreign nodes and the telemetry board), pending sync
-    /// deltas are reinstated, and the global submission counter resumes
-    /// — so the continued stream, including the sync schedule, replays
-    /// exactly as if never interrupted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fleet has already accepted submissions or the
-    /// snapshot's worker count differs.
-    pub fn warm_start(&mut self, snapshot: &FleetSnapshot) {
-        assert_eq!(self.submitted(), 0, "warm_start requires a fresh fleet");
-        assert_eq!(
-            snapshot.workers.len(),
-            self.workers(),
-            "snapshot worker count must match the fleet's"
-        );
-        let mut replies = Vec::with_capacity(self.workers());
-        for (w, sender) in self.shared.senders.iter().enumerate() {
-            let (tx, rx) = mpsc::sync_channel(1);
-            sender
-                .send(Msg::WarmStart {
-                    snapshot: Box::new(snapshot.workers[w].clone()),
-                    pending: snapshot.pending[w].clone(),
-                    reply: tx,
-                })
-                .expect("fleet worker alive");
-            replies.push(rx);
-        }
-        for rx in replies {
-            rx.recv().expect("fleet worker alive");
-        }
-        self.shared.seq.store(snapshot.next_seq, Ordering::Relaxed);
-        *self.telemetry.lock().expect("no panics hold the lock") = snapshot.telemetry.clone();
-        self.telemetry_version
-            .store(snapshot.telemetry_version, Ordering::Relaxed);
-    }
 }
 
 impl std::fmt::Debug for RouterFleet {
@@ -1174,7 +1025,7 @@ impl std::fmt::Debug for RouterFleet {
         f.debug_struct("RouterFleet")
             .field("workers", &self.workers())
             .field("k", &self.k())
-            .field("strategy", &self.strategy_name())
+            .field("strategy", &self.strategy())
             .finish()
     }
 }
@@ -1392,7 +1243,6 @@ mod tests {
         assert_eq!(fleet.k(), 4);
         assert_eq!(fleet.workers(), 2);
         assert_eq!(fleet.strategy(), Strategy::OptChain);
-        assert_eq!(fleet.strategy_name(), "optchain");
         assert_eq!(fleet.submitted(), 0);
     }
 
@@ -1617,28 +1467,34 @@ mod tests {
 
     #[test]
     fn windowed_workers_bound_their_graph_replicas() {
+        use crate::{MemStorage, SharedStorage};
         let window = 64usize;
+        let storages = [(); 2].map(|()| SharedStorage::new(MemStorage::new()));
         let fleet = RouterFleet::builder()
             .shards(2)
             .workers(2)
             .partitioner(|client| client as usize)
             .sync_interval(16)
             .retention(RetentionPolicy::WindowTxs(window))
+            .storage(vec![
+                Box::new(storages[0].clone()),
+                Box::new(storages[1].clone()),
+            ])
             .build();
         let handles = [fleet.handle(0), fleet.handle(1)];
         for i in 0..4_000u64 {
             handles[(i % 2) as usize].submit_detached(vec![(TxId(i), vec![])]);
         }
-        fleet.flush();
-        let snapshot = fleet.snapshot();
-        for (w, rs) in snapshot.worker_snapshots().iter().enumerate() {
+        fleet.shutdown();
+        for (w, storage) in storages.into_iter().enumerate() {
             // Every worker ingested (placed + adopted) the whole stream
             // but holds only its window.
-            assert_eq!(rs.assignments().len(), 4_000, "worker {w}");
+            let router = Router::recover(Box::new(storage)).unwrap();
+            assert_eq!(router.assignments().len(), 4_000, "worker {w}");
             assert!(
-                rs.tan().live_len() <= window + window / 2 + MIN_LIVE_SLACK,
+                router.tan().live_len() <= window + window / 2 + MIN_LIVE_SLACK,
                 "worker {w} holds {} live nodes",
-                rs.tan().live_len()
+                router.tan().live_len()
             );
         }
     }

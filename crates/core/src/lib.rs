@@ -26,7 +26,8 @@
 //! [`PlacementSession`] handles carrying L2S memos) and the
 //! zero-allocation [`Router::submit_batch`] — with the score breakdown
 //! of the latest decision in [`Router::last_decision`], and
-//! checkpoint/restore ([`Router::snapshot`] / [`Router::warm_start`]).
+//! checkpoint/restore ([`Router::snapshot`] / [`Router::warm_start`]:
+//! a [`RouterSnapshot`] is the state itself, restored verbatim).
 //!
 //! When one core cannot carry the ingress, the [`RouterFleet`] shards
 //! it: N worker routers on their own threads, partitioned by client
@@ -88,6 +89,7 @@ mod placer;
 mod rebalance;
 pub mod replay;
 mod router;
+mod snapshot;
 mod spv;
 mod strategy;
 mod streaming;
@@ -96,9 +98,7 @@ mod t2s;
 pub use assignment::{AssignmentStore, AssignmentView};
 pub use fitness::TemporalFitness;
 pub use fitness::PAPER_L2S_WEIGHT;
-pub use fleet::{
-    configured_threads, FleetHandle, FleetSnapshot, FleetStats, RouterFleet, RouterFleetBuilder,
-};
+pub use fleet::{configured_threads, FleetHandle, FleetStats, RouterFleet, RouterFleetBuilder};
 pub use l2s::{L2sEstimator, L2sMemo, L2sMode, ShardTelemetry};
 pub use placer::{
     input_shards_into, Decision, DecisionBuf, GreedyPlacer, OptChainPlacer, OraclePlacer,
@@ -106,9 +106,8 @@ pub use placer::{
 };
 pub use rebalance::{Move, RebalancePolicy, RebalanceStats};
 pub use replay::replay;
-pub use router::{
-    CheckpointStats, PlacementSession, Router, RouterBuilder, RouterSnapshot, DEFAULT_TELEMETRY,
-};
+pub use router::{CheckpointStats, PlacementSession, Router, RouterBuilder, DEFAULT_TELEMETRY};
+pub use snapshot::RouterSnapshot;
 pub use spv::SpvWallet;
 pub use strategy::{DynPlacer, Strategy};
 pub use streaming::{FennelPlacer, LdgPlacer};

@@ -477,18 +477,10 @@ impl RandomPlacer {
         self.assignments.push_in(tan, shard);
     }
 
-    /// Installs a checkpointed assignment store into a fresh placer
-    /// (the windowed warm start — hash placement keeps no other
-    /// state).
-    ///
-    /// # Panics
-    ///
-    /// Panics if anything was already placed.
+    /// Installs a checkpointed assignment store (hash placement keeps
+    /// no other state). The router has already run
+    /// [`crate::RouterSnapshot`]'s restore check.
     pub(crate) fn restore(&mut self, assignments: AssignmentStore) {
-        assert!(
-            self.assignments.is_empty(),
-            "restore requires a fresh placer"
-        );
         self.assignments = assignments;
     }
 }
@@ -573,9 +565,8 @@ impl GreedyPlacer {
         )
     }
 
-    /// The capacity-cap counters (`|S_j|` so far) — checkpointed next
-    /// to a windowed assignment store, which no longer lets them be
-    /// recomputed from history.
+    /// The capacity-cap counters (`|S_j|` so far), checkpointed next
+    /// to the assignment store.
     pub(crate) fn shard_sizes(&self) -> &[u64] {
         &self.shard_sizes
     }
@@ -594,21 +585,8 @@ impl GreedyPlacer {
     }
 
     /// Installs a checkpointed assignment store and capacity counters
-    /// into a fresh placer (the windowed warm start).
-    ///
-    /// # Panics
-    ///
-    /// Panics if anything was already placed or the counter length ≠ k.
+    /// (see [`RandomPlacer::restore`]).
     pub(crate) fn restore(&mut self, assignments: AssignmentStore, shard_sizes: Vec<u64>) {
-        assert!(
-            self.assignments.is_empty(),
-            "restore requires a fresh placer"
-        );
-        assert_eq!(
-            shard_sizes.len(),
-            self.k as usize,
-            "shard size counters must cover every shard"
-        );
         self.assignments = assignments;
         self.shard_sizes = shard_sizes;
     }
@@ -809,26 +787,30 @@ impl OraclePlacer {
         }
     }
 
-    /// Installs a checkpointed assignment store into a fresh placer
-    /// (the windowed warm start), verifying its live entries against
-    /// the oracle.
+    /// `true` iff every live entry of `assignments` is the oracle's.
+    pub(crate) fn agrees_with(&self, assignments: &AssignmentStore) -> bool {
+        let mut live = assignments.view().iter_live();
+        live.all(|(node, shard)| self.oracle.get(node.index()) == Some(&shard.0))
+    }
+
+    /// Records an externally imposed placement for the next node (see
+    /// [`RandomPlacer::adopt_in`]); an oracle only accepts its own.
     ///
     /// # Panics
     ///
-    /// Panics if anything was already placed or a live entry disagrees
-    /// with the oracle.
-    pub(crate) fn restore(&mut self, assignments: AssignmentStore) {
-        assert!(
-            self.assignments.is_empty(),
-            "restore requires a fresh placer"
+    /// Panics if `shard` is not the oracle's shard for the next node.
+    pub fn adopt_in(&mut self, tan: &TanGraph, shard: u32) {
+        assert_eq!(
+            self.oracle.get(self.assignments.len()),
+            Some(&shard),
+            "imposed placement disagrees with the oracle assignment"
         );
-        for (node, shard) in assignments.view().iter_live() {
-            assert_eq!(
-                Some(&shard.0),
-                self.oracle.get(node.index()),
-                "restored prefix disagrees with the oracle assignment"
-            );
-        }
+        self.assignments.push_in(tan, shard);
+    }
+
+    /// Installs a checkpointed assignment store (see
+    /// [`RandomPlacer::restore`]).
+    pub(crate) fn restore(&mut self, assignments: AssignmentStore) {
         self.assignments = assignments;
     }
 }
@@ -892,7 +874,7 @@ macro_rules! impl_assignment_store_plumbing {
                 self.assignments.compact();
             }
 
-            /// The owned assignment store (snapshots clone it).
+            /// The owned assignment store (snapshots carry it verbatim).
             pub(crate) fn assignments_store(&self) -> &AssignmentStore {
                 &self.assignments
             }
@@ -921,28 +903,11 @@ macro_rules! impl_t2s_engine_plumbing {
             ///
             /// Panics if any placement already happened.
             pub fn warm_start(&mut self, tan: &TanGraph, assignments: &[u32]) {
-                self.warm_start_adopted(tan, assignments, &[]);
-            }
-
-            /// `warm_start` for a prefix containing adopted foreign
-            /// nodes (see `adopt_in`); `adopted` lists their node ids
-            /// in increasing order.
-            ///
-            /// # Panics
-            ///
-            /// Panics if any placement already happened or `adopted`
-            /// is not strictly increasing.
-            pub fn warm_start_adopted(
-                &mut self,
-                tan: &TanGraph,
-                assignments: &[u32],
-                adopted: &[u32],
-            ) {
                 assert!(
                     self.assignments.is_empty(),
                     "warm_start requires a fresh placer"
                 );
-                self.engine.warm_start_adopted(tan, assignments, adopted);
+                self.engine.warm_start(tan, assignments);
                 for &s in &assignments[..tan.len()] {
                     self.assignments.push_in(tan, s);
                 }
@@ -965,36 +930,14 @@ macro_rules! impl_t2s_engine_plumbing {
                 self.assignments.push_in(tan, shard);
             }
 
-            /// The internal T2S engine (windowed snapshots clone it).
+            /// The internal T2S engine (snapshots carry it verbatim).
             pub(crate) fn engine(&self) -> &T2sEngine {
                 &self.engine
             }
 
-            /// Restores a checkpointed engine state and assignment
-            /// store into a fresh placer — the windowed warm start (an
-            /// evicted graph cannot be replayed edge by edge, so the
-            /// engine state and the windowed store themselves are the
-            /// checkpoint).
-            ///
-            /// # Panics
-            ///
-            /// Panics if the placer already placed, or the engine's
-            /// shard count or registered length disagree.
-            pub(crate) fn restore_engine(
-                &mut self,
-                engine: T2sEngine,
-                assignments: AssignmentStore,
-            ) {
-                assert!(
-                    self.assignments.is_empty(),
-                    "restore requires a fresh placer"
-                );
-                assert_eq!(engine.k(), self.engine.k(), "engine shard count mismatch");
-                assert_eq!(
-                    engine.registered(),
-                    assignments.len(),
-                    "engine registered count must cover every assignment"
-                );
+            /// Installs a checkpointed engine and assignment store
+            /// (see [`RandomPlacer::restore`]).
+            pub(crate) fn restore(&mut self, engine: T2sEngine, assignments: AssignmentStore) {
                 self.engine = engine;
                 self.assignments = assignments;
             }

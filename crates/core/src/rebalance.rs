@@ -276,7 +276,7 @@ impl Rebalancer {
             if store.get(node) != Some(from) {
                 continue;
             }
-            let Some(row) = engine.score_row(node.index()) else {
+            let Some(row) = engine.row(node.index()) else {
                 continue;
             };
             let bytes = tan.node_state_bytes(node) as u64;

@@ -372,7 +372,7 @@ where
 /// is driven by the same [`QueueProxy`] model, so the outcome is
 /// bit-identical to [`replay`] over the equivalent concrete placer (the
 /// `router_golden` test enforces this for every strategy). The router
-/// may hold a warm-started prefix ([`Router::warm_start`]); cross-TX
+/// may hold a warm-started prefix ([`Router::warm_start_history`]); cross-TX
 /// accounting then covers only the new transactions.
 ///
 /// # Panics

@@ -51,11 +51,11 @@
 
 use std::io;
 
-use optchain_storage::{ByteReader, ByteWriter, CodecError, Storage};
+use optchain_storage::{ByteReader, ByteWriter, Storage};
 use optchain_tan::{NodeId, RetentionPolicy, TanGraph};
 use optchain_utxo::{Transaction, TxId};
 
-use crate::assignment::{AssignmentStore, AssignmentView};
+use crate::assignment::AssignmentView;
 use crate::durable::{self, WalRecord};
 use crate::fitness::TemporalFitness;
 use crate::l2s::{L2sEstimator, L2sMemo, L2sMode, ShardTelemetry};
@@ -64,6 +64,7 @@ use crate::placer::{
     Placer, RandomPlacer, ShardId, T2sPlacer,
 };
 use crate::rebalance::{Move, RebalancePolicy, RebalanceStats, Rebalancer};
+use crate::snapshot::{RouterSnapshot, SnapshotParts};
 use crate::strategy::{DynPlacer, Strategy};
 use crate::t2s::{T2sEngine, DEFAULT_ALPHA};
 
@@ -258,9 +259,7 @@ impl RouterSpec {
     /// Panics with [`RouterSpec::check`]'s message on an unbuildable
     /// spec.
     pub(crate) fn build(&self) -> Router {
-        if let Err(rule) = self.check() {
-            panic!("{rule}");
-        }
+        self.check().unwrap_or_else(|rule| panic!("{rule}"));
         let mut router = self.build_unreserved();
         if let Some(n) = self.expected_total {
             router.reserve(n as usize);
@@ -284,8 +283,6 @@ impl RouterSpec {
             version: 0,
             buf: DecisionBuf::new(),
             memo: L2sMemo::new(),
-            adopted: Vec::new(),
-            adopted_head: 0,
             adopted_total: 0,
             txid_scratch: Vec::new(),
             journal: None,
@@ -481,216 +478,6 @@ impl RouterBuilder {
     }
 }
 
-/// A checkpoint of a router's placement state — the TaN graph, the
-/// assignment of every placed node, the ids of adopted foreign nodes
-/// (fleet workers), and the telemetry board with its version — produced
-/// by [`Router::snapshot`] and restored with [`Router::warm_start`].
-///
-/// A snapshot has one of two shapes:
-///
-/// * **replay format** — the un-evicted graph plus the full assignment
-///   history; `warm_start` recomputes the strategy state by replaying
-///   the edge history. [`RouterSnapshot::new`] builds it from external
-///   state, and [`Router::snapshot`] produces it for an
-///   [`RetentionPolicy::Unbounded`] router.
-/// * **windowed** — what [`Router::snapshot`] produces under a
-///   retention policy: the assignment history is the O(window)
-///   [`AssignmentStore`] itself (ring plus retained-survivor table) and
-///   the T2S engine state rides along verbatim. An evicted graph no
-///   longer holds the edge history a replay would need, but together
-///   with the engine rings, retained rows, shard sizes and the windowed
-///   store it *is* the complete live state, so `warm_start` of a
-///   windowed router is bit-exact.
-#[derive(Debug, Clone)]
-pub struct RouterSnapshot {
-    tan: TanGraph,
-    assignments: AssignmentStore,
-    /// Capacity-cap counters for strategies that track them outside
-    /// the store (Greedy) — a windowed history can no longer recount
-    /// them at restore time.
-    greedy_sizes: Option<Vec<u64>>,
-    /// Node ids placed through [`Router::adopt_remote`] that are still
-    /// at or above the graph's retention horizon, increasing. Under a
-    /// retention policy the router trims aged ids in lockstep with
-    /// graph eviction; [`RouterSnapshot::adopted_total`] keeps the
-    /// lifetime count.
-    adopted: Vec<u32>,
-    /// Lifetime count of adoptions, including trimmed ids.
-    adopted_total: u64,
-    /// The telemetry board at checkpoint time, with its version —
-    /// `None` for externally built snapshots ([`RouterSnapshot::new`]),
-    /// in which case `warm_start` leaves the restoring router's board
-    /// untouched.
-    telemetry: Option<(Vec<ShardTelemetry>, u64)>,
-    /// The retention policy the checkpointed router ran under.
-    retention: RetentionPolicy,
-    /// The T2S engine state, verbatim, for windowed snapshots of
-    /// T2S-bearing strategies (`None` = replay format).
-    engine: Option<T2sEngine>,
-}
-
-impl RouterSnapshot {
-    /// A snapshot from externally produced state (e.g. a Metis partition
-    /// of a historical prefix, as in the paper's Table II experiment).
-    /// Carries no telemetry board: restoring keeps the target router's
-    /// initial board. Always the replay format, so the graph must be
-    /// un-evicted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assignments` is shorter than the graph.
-    pub fn new(tan: TanGraph, assignments: Vec<u32>) -> Self {
-        assert!(
-            assignments.len() >= tan.len(),
-            "every node needs an assignment"
-        );
-        RouterSnapshot {
-            tan,
-            assignments: AssignmentStore::from_vec(assignments),
-            greedy_sizes: None,
-            adopted: Vec::new(),
-            adopted_total: 0,
-            telemetry: None,
-            retention: RetentionPolicy::Unbounded,
-            engine: None,
-        }
-    }
-
-    /// The retention policy the checkpointed router ran under.
-    pub fn retention(&self) -> RetentionPolicy {
-        self.retention
-    }
-
-    /// The checkpointed TaN graph.
-    pub fn tan(&self) -> &TanGraph {
-        &self.tan
-    }
-
-    /// A view over the checkpointed per-node shard assignment (evicted
-    /// entries of a windowed snapshot read as `None`).
-    pub fn assignments(&self) -> AssignmentView<'_> {
-        self.assignments.view()
-    }
-
-    /// Node ids that entered the checkpointed router through
-    /// [`Router::adopt_remote`] and are still at or above the retention
-    /// horizon (increasing; empty outside fleets).
-    pub fn adopted(&self) -> &[u32] {
-        &self.adopted
-    }
-
-    /// Lifetime adoption count, including ids already trimmed below the
-    /// retention horizon.
-    pub fn adopted_total(&self) -> u64 {
-        self.adopted_total
-    }
-
-    /// Serializes the snapshot as a durable checkpoint blob. The live
-    /// checkpoint path writes the identical bytes without materializing
-    /// a snapshot (`Router::encode_checkpoint_into`); this is the
-    /// reference codec the byte-equality pin test holds it against.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn encode_into(&self, w: &mut ByteWriter) {
-        w.put_u8(durable::CHECKPOINT_VERSION);
-        self.retention.encode_into(w);
-        self.tan.encode_into(w);
-        self.assignments.encode_into(w);
-        match &self.greedy_sizes {
-            None => w.put_u8(0),
-            Some(sizes) => {
-                w.put_u8(1);
-                w.put_u64(sizes.len() as u64);
-                for &n in sizes {
-                    w.put_u64(n);
-                }
-            }
-        }
-        w.put_u64(self.adopted.len() as u64);
-        for &id in &self.adopted {
-            w.put_u32(id);
-        }
-        w.put_u64(self.adopted_total);
-        match &self.telemetry {
-            None => w.put_u8(0),
-            Some((telemetry, version)) => {
-                w.put_u8(1);
-                durable::put_telemetry(w, telemetry);
-                w.put_u64(*version);
-            }
-        }
-        match &self.engine {
-            None => w.put_u8(0),
-            Some(engine) => {
-                w.put_u8(1);
-                engine.encode_into(w);
-            }
-        }
-    }
-
-    /// Decodes a checkpoint blob written by
-    /// [`RouterSnapshot::encode_into`].
-    pub(crate) fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        if r.get_u8()? != durable::CHECKPOINT_VERSION {
-            return Err(CodecError("unknown checkpoint blob version"));
-        }
-        let retention = RetentionPolicy::decode_from(r)?;
-        let tan = TanGraph::decode_from(r)?;
-        let assignments = AssignmentStore::decode_from(r)?;
-        // A live router's store is windowed exactly when its policy is;
-        // `warm_start` relies on it (a full history means "replay").
-        if assignments.as_full_slice().is_some() != (retention == RetentionPolicy::Unbounded) {
-            return Err(CodecError(
-                "assignment store shape disagrees with the retention policy",
-            ));
-        }
-        let greedy_sizes = match r.get_u8()? {
-            0 => None,
-            1 => {
-                let count = r.get_count(8)?;
-                let mut sizes = Vec::with_capacity(count);
-                for _ in 0..count {
-                    sizes.push(r.get_u64()?);
-                }
-                Some(sizes)
-            }
-            _ => return Err(CodecError("bad greedy sizes tag")),
-        };
-        let count = r.get_count(4)?;
-        let mut adopted = Vec::with_capacity(count);
-        for _ in 0..count {
-            adopted.push(r.get_u32()?);
-        }
-        let adopted_total = r.get_u64()?;
-        if adopted_total < adopted.len() as u64 {
-            return Err(CodecError("adopted_total below the live adopted count"));
-        }
-        let telemetry = match r.get_u8()? {
-            0 => None,
-            1 => {
-                let board = durable::get_telemetry(r)?;
-                let version = r.get_u64()?;
-                Some((board, version))
-            }
-            _ => return Err(CodecError("bad telemetry tag")),
-        };
-        let engine = match r.get_u8()? {
-            0 => None,
-            1 => Some(T2sEngine::decode_from(r)?),
-            _ => return Err(CodecError("bad engine tag")),
-        };
-        Ok(RouterSnapshot {
-            tan,
-            assignments,
-            greedy_sizes,
-            adopted,
-            adopted_total,
-            telemetry,
-            retention,
-            engine,
-        })
-    }
-}
-
 /// A per-client handle into a [`Router`] carrying the client's own L2S
 /// memo — and optionally the client's own telemetry view — keyed by
 /// telemetry version. Created with [`Router::session`], used through
@@ -756,15 +543,7 @@ pub struct Router {
     buf: DecisionBuf,
     /// The router-level L2S memo (session-less submissions).
     memo: L2sMemo,
-    /// Node ids placed through [`Router::adopt_remote`], increasing
-    /// (empty outside fleet workers). Under a retention policy the
-    /// prefix below `adopted_head` has aged out of the graph window —
-    /// [`Router::adopted`] exposes only the live tail, and the prefix
-    /// is physically drained in amortized O(1).
-    adopted: Vec<u32>,
-    /// First live index into `adopted` (see above).
-    adopted_head: usize,
-    /// Lifetime adoption count, including trimmed ids.
+    /// Lifetime count of [`Router::adopt_remote`] placements.
     adopted_total: u64,
     /// Reusable scratch for the distinct input list a durable router
     /// journals per full-transaction submission.
@@ -942,28 +721,12 @@ impl Router {
 
     /// Advances the graph's eviction horizon to match the retention
     /// policy after an insertion (amortized O(1); a no-op when
-    /// unbounded). Adoption bookkeeping is trimmed in lockstep: ids
-    /// below the new horizon leave [`Router::adopted`] (the lifetime
-    /// count lives on in [`Router::adopted_total`]), so fleet snapshots
-    /// stay O(window) instead of accreting one id per adoption forever.
+    /// unbounded).
     fn advance_horizon(&mut self) {
         if let Some(w) = self.retention.graph_window() {
             let len = self.tan.len();
             if len > w {
                 self.tan.evict_before((len - w) as u32);
-            }
-            let horizon = self.tan.horizon();
-            while self.adopted_head < self.adopted.len()
-                && self.adopted[self.adopted_head] < horizon
-            {
-                self.adopted_head += 1;
-            }
-            // Drain lazily: shifting the survivors costs O(live tail),
-            // paid only once the dead prefix dominates — amortized O(1)
-            // per adoption.
-            if self.adopted_head >= 64 && self.adopted_head * 2 >= self.adopted.len() {
-                self.adopted.drain(..self.adopted_head);
-                self.adopted_head = 0;
             }
         }
     }
@@ -1263,7 +1026,6 @@ impl Router {
             DynPlacer::Greedy(p) => p.adopt_in(tan, shard),
             DynPlacer::Oracle(_) => unreachable!("rejected above"),
         }
-        self.adopted.push(node.0);
         self.adopted_total += 1;
         self.advance_horizon();
         self.journal_placement(durable::TAG_ADOPT, txid, inputs, shard)
@@ -1283,162 +1045,115 @@ impl Router {
         }
     }
 
-    /// Node ids placed through [`Router::adopt_remote`] that are still
-    /// at or above the retention horizon (increasing; empty outside
-    /// fleet workers). Under a retention policy, ids age out of this
-    /// slice in lockstep with graph eviction —
-    /// [`Router::adopted_total`] keeps the lifetime count.
-    pub fn adopted(&self) -> &[u32] {
-        &self.adopted[self.adopted_head..]
-    }
-
-    /// Lifetime count of [`Router::adopt_remote`] placements, including
-    /// ids already trimmed below the retention horizon.
+    /// Lifetime count of [`Router::adopt_remote`] placements (zero
+    /// outside fleet workers).
     pub fn adopted_total(&self) -> u64 {
         self.adopted_total
     }
 
-    /// Checkpoints the placement state (TaN graph, assignment store,
-    /// adopted node ids, and the telemetry board with its version).
-    /// Under a retention policy the snapshot is windowed: the (possibly
-    /// evicted) graph carries its horizon and stable-id remap, the T2S
-    /// engine state rides along verbatim, and the assignment history is
-    /// the O(window) [`AssignmentStore`] itself — so
-    /// [`Router::warm_start`] is bit-exact without replaying history
-    /// the graph no longer holds, and the checkpoint stops scaling with
-    /// the stream.
+    /// Checkpoints the placement state: the TaN graph (with its horizon
+    /// and stable-id remap under a retention policy), the assignment
+    /// store, the strategy's own state (T2S engine or Greedy counters),
+    /// and the telemetry board with its version — verbatim, so
+    /// [`Router::warm_start`] is bit-exact without re-deriving anything.
+    /// A durable router's full checkpoints are the same parts in the
+    /// same encoding (`docs/DURABILITY.md` §5.4).
     pub fn snapshot(&self) -> RouterSnapshot {
-        let (engine, store, greedy_sizes) = self.checkpoint_parts();
-        RouterSnapshot {
-            tan: self.tan.clone(),
-            assignments: store.clone(),
-            greedy_sizes: greedy_sizes.map(<[u64]>::to_vec),
-            adopted: self.adopted[self.adopted_head..].to_vec(),
+        self.parts().to_snapshot()
+    }
+
+    /// The borrowed view [`Router::snapshot`] clones and the checkpoint
+    /// writer encodes.
+    fn parts(&self) -> SnapshotParts<'_> {
+        let (assignments, engine, greedy_sizes) = self.placer.state();
+        SnapshotParts {
+            tan: &self.tan,
+            assignments,
+            engine,
+            greedy_sizes,
             adopted_total: self.adopted_total,
-            telemetry: Some((self.telemetry.clone(), self.version)),
-            retention: self.retention,
-            engine: engine.cloned(),
+            telemetry: &self.telemetry,
+            version: self.version,
         }
     }
 
-    /// The strategy state a checkpoint carries beyond the graph: the
-    /// T2S engine (windowed T2S-bearing strategies only — an unbounded
-    /// one is replayed from the graph), the assignment store, and
-    /// Greedy's capacity counters.
-    fn checkpoint_parts(&self) -> (Option<&T2sEngine>, &AssignmentStore, Option<&[u64]>) {
-        let windowed = self.retention != RetentionPolicy::Unbounded;
-        match &self.placer {
-            DynPlacer::OptChain(p) => (windowed.then(|| p.engine()), p.assignments_store(), None),
-            DynPlacer::T2s(p) => (windowed.then(|| p.engine()), p.assignments_store(), None),
-            DynPlacer::Random(p) => (None, p.assignments_store(), None),
-            DynPlacer::Greedy(p) => (None, p.assignments_store(), Some(p.shard_sizes())),
-            DynPlacer::Oracle(p) => (None, p.assignments_store(), None),
-        }
-    }
-
-    /// Restores a checkpoint into a **fresh** router: adopts the
-    /// snapshot's TaN graph and replays its assignments into the
-    /// strategy state (T2S vectors, shard sizes) — adopted foreign nodes
-    /// replay through the adoption path — after which submission
-    /// continues exactly as if the router had placed the prefix itself:
-    /// the paper's Table II warm-start experiment as an API. Snapshots
-    /// taken with [`Router::snapshot`] also restore the telemetry board
-    /// and its version, so session views and L2S memo epochs line up
-    /// with the uninterrupted run; [`RouterSnapshot::new`] snapshots
-    /// leave the board untouched.
-    ///
-    /// Windowed snapshots skip the replay entirely: the engine state
-    /// and assignment store are restored verbatim next to the
-    /// horizon-carrying graph, so a windowed router resumes bit-exactly
-    /// even though the evicted prefix's edges are gone. The restoring
-    /// router must be built with the same [`RetentionPolicy`].
+    /// Restores a [`Router::snapshot`] into a **fresh** router built
+    /// with the same configuration (shards, strategy, retention, α,
+    /// window): graph, assignment store, strategy state and telemetry
+    /// board install verbatim, after which submission — decisions,
+    /// score vectors, session views, L2S memo epochs — continues
+    /// exactly as on the checkpointed router.
     ///
     /// # Panics
     ///
-    /// Panics if the router has already placed transactions or a
-    /// snapshot assignment is out of range.
+    /// Panics if the router has already placed transactions, or with
+    /// the restore check's message if the snapshot was taken under a
+    /// different configuration.
     pub fn warm_start(&mut self, snapshot: &RouterSnapshot) {
+        self.restore(snapshot.clone())
+            .unwrap_or_else(|rule| panic!("{rule}"));
+    }
+
+    /// The one way state comes back — [`Router::warm_start`] and
+    /// [`Router::recover`] both end here. Validates the snapshot
+    /// against this router ([`RouterSnapshot::check`], plus the
+    /// strategy-state kind, which the install match states), then
+    /// installs it by value; on `Err` nothing was touched.
+    fn restore(&mut self, snapshot: RouterSnapshot) -> Result<(), &'static str> {
+        if !(self.tan.is_empty() && self.placer.assignments().is_empty()) {
+            return Err("warm_start requires a fresh router");
+        }
+        snapshot.check(self.retention, &self.placer)?;
+        let assignments = snapshot.assignments;
+        match (&mut self.placer, snapshot.engine, snapshot.greedy_sizes) {
+            (DynPlacer::OptChain(p), Some(engine), None) => p.restore(engine, assignments),
+            (DynPlacer::T2s(p), Some(engine), None) => p.restore(engine, assignments),
+            (DynPlacer::Random(p), None, None) => p.restore(assignments),
+            (DynPlacer::Greedy(p), None, Some(sizes)) => p.restore(assignments, sizes),
+            (DynPlacer::Oracle(p), None, None) => p.restore(assignments),
+            _ => return Err("snapshot strategy state disagrees with the router's strategy"),
+        }
+        self.tan = snapshot.tan;
+        self.adopted_total = snapshot.adopted_total;
+        self.telemetry = snapshot.telemetry;
+        self.version = snapshot.version;
+        Ok(())
+    }
+
+    /// Boots a **fresh** router from a prefix that something else
+    /// partitioned — the paper's Table II experiment (a Metis partition
+    /// of the historical prefix) as an API: adopts a copy of the
+    /// un-evicted `tan` under this router's own retention policy and
+    /// replays `assignments` (one shard per node; entries past the
+    /// graph are ignored) into the strategy state, after which
+    /// submission continues as if the router had made those placements
+    /// itself. The telemetry board is untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the router has already placed transactions, the graph
+    /// has evicted nodes, or `assignments` is shorter than the graph or
+    /// holds a shard `>= k` (under [`Strategy::Metis`]: any shard but
+    /// the oracle's).
+    pub fn warm_start_history(&mut self, tan: &TanGraph, assignments: &[u32]) {
         assert!(
             self.tan.is_empty() && self.placer.assignments().is_empty(),
-            "warm_start requires a fresh router"
+            "warm_start_history requires a fresh router"
         );
-        let k = self.k();
         assert!(
-            snapshot
-                .assignments
-                .view()
-                .iter_live()
-                .all(|(_, s)| s.0 < k),
-            "snapshot assignment out of range"
+            assignments.len() >= tan.len(),
+            "every node needs an assignment"
         );
-        if snapshot.retention != RetentionPolicy::Unbounded {
-            // A retention-aware snapshot resumes the exact lifecycle it
-            // was taken under; a policy mismatch would silently change
-            // future eviction behavior.
-            assert_eq!(
-                self.retention, snapshot.retention,
-                "warm_start requires the router's retention policy to \
-                 match the snapshot's"
-            );
-        }
-        // A replay-format history is re-pushed under this router's own
-        // policy — only the placed prefix: it may run past the graph (an
-        // oracle covering future nodes). A windowed store installs
-        // verbatim.
-        let retention = self.retention;
-        let full = snapshot.assignments.as_full_slice();
-        let store = || match full {
-            Some(full) => {
-                let mut store = AssignmentStore::with_retention(retention);
-                for &s in &full[..snapshot.tan.len()] {
-                    store.push_in(&snapshot.tan, s);
-                }
-                store
-            }
-            None => snapshot.assignments.clone(),
-        };
-        let replay_history = || full.expect("replay-format snapshots carry the full history");
+        let history = &assignments[..tan.len()];
         match &mut self.placer {
-            DynPlacer::OptChain(p) => match &snapshot.engine {
-                Some(engine) => p.restore_engine(engine.clone(), store()),
-                None => p.warm_start_adopted(&snapshot.tan, replay_history(), &snapshot.adopted),
-            },
-            DynPlacer::T2s(p) => match &snapshot.engine {
-                Some(engine) => p.restore_engine(engine.clone(), store()),
-                None => p.warm_start_adopted(&snapshot.tan, replay_history(), &snapshot.adopted),
-            },
-            DynPlacer::Random(p) => p.restore(store()),
-            DynPlacer::Greedy(p) => {
-                let sizes = match (&snapshot.greedy_sizes, full) {
-                    (Some(sizes), _) => sizes.clone(),
-                    (None, Some(full)) => {
-                        let mut sizes = vec![0u64; k as usize];
-                        for &s in &full[..snapshot.tan.len()] {
-                            sizes[s as usize] += 1;
-                        }
-                        sizes
-                    }
-                    (None, None) => {
-                        panic!("windowed Greedy snapshots must carry their capacity counters")
-                    }
-                };
-                p.restore(store(), sizes);
-            }
-            DynPlacer::Oracle(p) => p.restore(store()),
+            DynPlacer::OptChain(p) => p.warm_start(tan, history),
+            DynPlacer::T2s(p) => p.warm_start(tan, history),
+            DynPlacer::Random(p) => history.iter().for_each(|&s| p.adopt_in(tan, s)),
+            DynPlacer::Greedy(p) => history.iter().for_each(|&s| p.adopt_in(tan, s)),
+            DynPlacer::Oracle(p) => history.iter().for_each(|&s| p.adopt_in(tan, s)),
         }
-        self.tan = snapshot.tan.clone();
-        if snapshot.retention == RetentionPolicy::Unbounded {
-            // An unbounded snapshot's graph never evicted; resume it
-            // under this router's own lifecycle policy.
-            self.tan.set_retention(self.retention);
-        }
-        self.adopted = snapshot.adopted.clone();
-        self.adopted_head = 0;
-        self.adopted_total = snapshot.adopted_total.max(snapshot.adopted.len() as u64);
-        if let Some((telemetry, version)) = &snapshot.telemetry {
-            self.telemetry.clone_from(telemetry);
-            self.version = *version;
-        }
+        self.tan = tan.clone();
+        self.tan.set_retention(self.retention);
     }
 
     /// `true` iff this router journals to a storage backend.
@@ -1464,14 +1179,6 @@ impl Router {
         Ok(())
     }
 
-    /// Installs a checkpoint now — flush, snapshot encode, checkpoint
-    /// swap, segment GC — ahead of the automatic cadence (shutdown
-    /// hygiene: recovery then replays nothing). No-op on an in-RAM
-    /// router.
-    pub fn checkpoint_now(&mut self) -> io::Result<()> {
-        self.write_checkpoint()
-    }
-
     /// Appends one WAL record and, when the checkpoint interval has
     /// filled, installs a checkpoint — with automatic checkpoints off
     /// (fleet workers) only `at_sync_mark`. No-op on an in-RAM router.
@@ -1485,7 +1192,7 @@ impl Router {
         };
         let due = journal.append_record(encode)?;
         if due && (at_sync_mark || journal.auto_checkpoint) {
-            self.write_checkpoint()?;
+            self.checkpoint_now()?;
         }
         Ok(())
     }
@@ -1521,46 +1228,10 @@ impl Router {
         }
     }
 
-    /// Serializes the live state as a checkpoint blob: the exact wire
-    /// format of [`RouterSnapshot::encode_into`], read straight from
-    /// the live structures. Checkpointing sits on the journaled hot
-    /// path — materializing [`Router::snapshot`]'s clones first would
-    /// double its cost for no durability gain.
-    fn encode_checkpoint_into(&self, w: &mut ByteWriter) {
-        w.put_u8(durable::CHECKPOINT_VERSION);
-        self.retention.encode_into(w);
-        self.tan.encode_into(w);
-        let (engine, store, greedy_sizes) = self.checkpoint_parts();
-        store.encode_into(w);
-        match greedy_sizes {
-            None => w.put_u8(0),
-            Some(sizes) => {
-                w.put_u8(1);
-                w.put_u64(sizes.len() as u64);
-                for &n in sizes {
-                    w.put_u64(n);
-                }
-            }
-        }
-        let adopted = &self.adopted[self.adopted_head..];
-        w.put_u64(adopted.len() as u64);
-        for &id in adopted {
-            w.put_u32(id);
-        }
-        w.put_u64(self.adopted_total);
-        w.put_u8(1);
-        durable::put_telemetry(w, &self.telemetry);
-        w.put_u64(self.version);
-        match engine {
-            None => w.put_u8(0),
-            Some(engine) => {
-                w.put_u8(1);
-                engine.encode_into(w);
-            }
-        }
-    }
-
-    /// Flush + checkpoint encode + checkpoint swap + segment GC.
+    /// Installs a checkpoint now — flush, snapshot encode, checkpoint
+    /// swap, segment GC — ahead of the automatic cadence (shutdown
+    /// hygiene: recovery then replays nothing). No-op on an in-RAM
+    /// router.
     ///
     /// Every `full_every`-th checkpoint — plus the first, and any
     /// forced by [`Router::compact`] — installs a **full** snapshot;
@@ -1569,7 +1240,7 @@ impl Router {
     /// O(records since last checkpoint) instead of O(retained state).
     /// Recovery re-applies delta bodies through the same deterministic
     /// replay machinery as the WAL tail.
-    fn write_checkpoint(&mut self) -> io::Result<()> {
+    pub fn checkpoint_now(&mut self) -> io::Result<()> {
         let Some(journal) = self.journal.as_mut() else {
             return Ok(());
         };
@@ -1650,7 +1321,7 @@ impl Router {
         // per-checkpoint cost, so this cuts the checkpoint tax to
         // roughly a third.
         let mut w = ByteWriter::with_capacity(64 * 1024);
-        self.encode_checkpoint_into(&mut w);
+        self.parts().encode_into(&mut w);
         let mut blob = Vec::with_capacity(w.len() / 3 + 1);
         blob.push(durable::CHECKPOINT_ZRLE_VERSION);
         optchain_storage::zrle::compress_into(w.as_slice(), &mut blob);
@@ -1732,10 +1403,10 @@ impl Router {
                 "storage holds no journal meta blob",
             )
         })?;
-        let spec = durable::decode_spec(&meta).map_err(io::Error::from)?;
+        let spec = durable::decode_spec(&meta)?;
         let mut router = spec.build_unreserved();
         let mut from_seq = 0u64;
-        let mut pending: Vec<(TxId, Vec<TxId>, u32)> = Vec::new();
+        let mut pending = PendingDelta::new();
         let chain = storage.checkpoint_chain()?;
         let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
         // Every chain element is `version byte ++ zrle(body)`; any
@@ -1750,9 +1421,13 @@ impl Router {
         if let Some((upto, blob)) = chain.first() {
             let body = unpack("full", *upto, durable::CHECKPOINT_ZRLE_VERSION, blob)?;
             let mut r = ByteReader::new(&body);
-            let snapshot = RouterSnapshot::decode_from(&mut r).map_err(io::Error::from)?;
-            r.finish().map_err(io::Error::from)?;
-            router.warm_start(&snapshot);
+            let snapshot = RouterSnapshot::decode_from(&mut r)?;
+            r.finish()?;
+            // A CRC-valid checkpoint can still disagree with the meta
+            // blob the router was just built from: typed, not a panic.
+            router
+                .restore(snapshot)
+                .map_err(|rule| invalid(format!("full checkpoint upto {upto}: {rule}")))?;
             from_seq = *upto;
         }
         for (upto, blob) in chain.iter().skip(1) {
@@ -1761,39 +1436,34 @@ impl Router {
             // the WAL tail is applied below.
             let body = unpack("delta", *upto, durable::CHECKPOINT_DELTA_VERSION, blob)?;
             let mut r = ByteReader::new(&body);
-            let prev = r.get_u64().map_err(io::Error::from)?;
+            let prev = r.get_u64()?;
             if prev != from_seq {
                 return Err(invalid(format!(
                     "delta chain discontinuity: delta upto {upto} starts at {prev}, \
                      chain covers up to {from_seq}"
                 )));
             }
-            let count = r.get_u64().map_err(io::Error::from)?;
+            let count = r.get_u64()?;
             if upto.checked_sub(prev) != Some(count) {
                 return Err(invalid(format!(
                     "delta checkpoint upto {upto} claims {count} records from {prev}"
                 )));
             }
             for i in 0..count {
-                let len = r.get_u32().map_err(io::Error::from)? as usize;
-                let payload = r.take(len).map_err(io::Error::from)?;
+                let len = r.get_u32()? as usize;
+                let payload = r.take(len)?;
                 router.apply_recovered_record(prev + i, payload, &mut pending)?;
             }
-            r.finish().map_err(io::Error::from)?;
+            r.finish()?;
             from_seq = *upto;
         }
-        let mut failure: Option<io::Error> = None;
+        let mut replayed = Ok(());
         storage.replay(from_seq, &mut |seq, payload| {
-            if failure.is_some() {
-                return;
-            }
-            if let Err(e) = router.apply_recovered_record(seq, payload, &mut pending) {
-                failure = Some(e);
+            if replayed.is_ok() {
+                replayed = router.apply_recovered_record(seq, payload, &mut pending);
             }
         })?;
-        if let Some(e) = failure {
-            return Err(e);
-        }
+        replayed?;
         let next_seq = storage.next_seq();
         let mut journal = Journal::new(storage, &spec);
         journal.since_checkpoint = next_seq.saturating_sub(from_seq);
@@ -2096,7 +1766,6 @@ mod tests {
         // A foreign chain head placed on another worker lands in shard 2.
         router.adopt_remote(TxId(100), &[], 2);
         assert_eq!(router.assignments().to_vec(), Some(vec![2]));
-        assert_eq!(router.adopted(), &[0]);
         assert_eq!(router.adopted_total(), 1);
         // A local spender of the adopted node follows it into shard 2.
         let s = router.submit(TxId(101), &[TxId(100)]).unwrap();
@@ -2113,12 +1782,10 @@ mod tests {
             router.submit(TxId(i), &[TxId(i - 1)]).unwrap();
         }
         router.adopt_remote(TxId(51), &[TxId(50)], 3);
-        let snapshot = router.snapshot();
-        assert_eq!(snapshot.adopted(), router.adopted());
 
         let mut restored = Router::builder().shards(4).build();
-        restored.warm_start(&snapshot);
-        assert_eq!(restored.adopted(), router.adopted());
+        restored.warm_start(&router.snapshot());
+        assert_eq!(restored.adopted_total(), 2);
         for i in 20..40u64 {
             let a = router.submit(TxId(i), &[TxId(i - 1)]).unwrap();
             let b = restored.submit(TxId(i), &[TxId(i - 1)]).unwrap();
@@ -2181,6 +1848,22 @@ mod tests {
         }
     }
 
+    /// A durable router (checkpoint every 25 records, fsync every 4)
+    /// driven through [`drive_mixed`] and flushed.
+    fn driven_durable(retention: RetentionPolicy, full_every: u64) -> Router {
+        let mut durable = Router::builder()
+            .shards(4)
+            .retention(retention)
+            .storage(Box::new(crate::MemStorage::new()))
+            .checkpoint_every(25)
+            .flush_every(4)
+            .full_every(full_every)
+            .build();
+        drive_mixed(&mut durable);
+        durable.flush_journal().unwrap();
+        durable
+    }
+
     #[test]
     fn live_checkpoint_encoding_matches_the_snapshot_codec() {
         for retention in [
@@ -2191,37 +1874,31 @@ mod tests {
             let mut router = Router::builder().shards(4).retention(retention).build();
             drive_mixed(&mut router);
             let mut live = ByteWriter::new();
-            router.encode_checkpoint_into(&mut live);
-            let mut via_snapshot = ByteWriter::new();
-            router.snapshot().encode_into(&mut via_snapshot);
-            assert_eq!(
-                live.as_slice(),
-                via_snapshot.as_slice(),
-                "{retention:?}: the zero-clone checkpoint encoder must \
-                 write the exact snapshot wire format"
-            );
+            router.parts().encode_into(&mut live);
+            // The owned copy and a decode of the live bytes both write
+            // the live bytes back: one body format, lossless.
+            let mut r = ByteReader::new(live.as_slice());
+            let decoded = RouterSnapshot::decode_from(&mut r).unwrap();
+            r.finish().unwrap();
+            for snapshot in [router.snapshot(), decoded] {
+                let mut again = ByteWriter::new();
+                snapshot.parts().encode_into(&mut again);
+                assert_eq!(live.as_slice(), again.as_slice(), "{retention:?}");
+            }
         }
     }
 
     #[test]
     fn recover_rebuilds_a_bit_identical_router() {
-        let mut durable = Router::builder()
-            .shards(4)
-            .storage(Box::new(crate::MemStorage::new()))
-            .checkpoint_every(25)
-            .flush_every(4)
-            .build();
+        let mut durable = driven_durable(RetentionPolicy::Unbounded, 8);
         assert!(durable.is_durable());
-        drive_mixed(&mut durable);
-        durable.flush_journal().unwrap();
         let storage = crate::SharedStorage::new(crate::MemStorage::new());
         // Copy the journal into a clonable backend so recovery can be
         // exercised without consuming the original.
-        replicate_journal(&mut durable, &storage, None);
+        replicate_journal(&durable, &storage, |_, _| {});
 
         let mut recovered = Router::recover(Box::new(storage)).unwrap();
         assert_eq!(recovered.assignments(), durable.assignments());
-        assert_eq!(recovered.adopted(), durable.adopted());
         assert_eq!(recovered.adopted_total(), durable.adopted_total());
         assert_eq!(recovered.telemetry(), durable.telemetry());
         assert_eq!(recovered.telemetry_version(), durable.telemetry_version());
@@ -2237,14 +1914,7 @@ mod tests {
 
     #[test]
     fn checkpoints_store_zrle_compressed() {
-        let mut durable = Router::builder()
-            .shards(4)
-            .storage(Box::new(crate::MemStorage::new()))
-            .checkpoint_every(25)
-            .flush_every(4)
-            .full_every(1)
-            .build();
-        drive_mixed(&mut durable);
+        let durable = driven_durable(RetentionPolicy::Unbounded, 1);
         let journal = durable.journal.as_ref().expect("router is durable");
         let (_, blob) = journal
             .storage
@@ -2259,27 +1929,27 @@ mod tests {
 
     #[test]
     fn recover_rejects_every_foreign_version_byte() {
-        let mut durable = Router::builder()
-            .shards(4)
-            .storage(Box::new(crate::MemStorage::new()))
-            .checkpoint_every(25)
-            .flush_every(4)
-            .build();
-        drive_mixed(&mut durable);
-        durable.flush_journal().unwrap();
+        let durable = driven_durable(RetentionPolicy::Unbounded, 8);
         let stats = durable.checkpoint_stats();
         assert!(stats.full_checkpoints >= 1 && stats.delta_checkpoints >= 1);
         // (artifact, foreign first bytes): every value but the one
         // version each artifact is written with.
-        let table: [(Artifact, &[u8]); 3] = [
+        let table: [(Artifact, &[u8]); 4] = [
             (Artifact::Meta, &[0, 1, 3, 255]),
             (Artifact::Full, &[0, 1, 3, 4, 255]),
             (Artifact::Delta, &[0, 1, 2, 4, 255]),
+            (Artifact::Body, &[0, 1, 3, 255]),
         ];
         for (artifact, bytes) in table {
             for &byte in bytes {
                 let storage = crate::SharedStorage::new(crate::MemStorage::new());
-                replicate_journal(&mut durable, &storage, Some((artifact, byte)));
+                replicate_journal(&durable, &storage, |found, blob| {
+                    if artifact == Artifact::Body && found == Artifact::Full {
+                        edit_body(blob, |body| body[0] = byte);
+                    } else if artifact == found {
+                        blob[0] = byte;
+                    }
+                });
                 let err = Router::recover(Box::new(storage)).unwrap_err();
                 assert_eq!(
                     err.kind(),
@@ -2290,33 +1960,105 @@ mod tests {
         }
         // The untampered replica recovers.
         let storage = crate::SharedStorage::new(crate::MemStorage::new());
-        replicate_journal(&mut durable, &storage, None);
+        replicate_journal(&durable, &storage, |_, _| {});
         let recovered = Router::recover(Box::new(storage)).unwrap();
         assert_eq!(recovered.assignments(), durable.assignments());
     }
 
-    /// The persisted artifacts that lead with a version byte.
+    /// One way to make a CRC-valid journal contradict itself: swap in
+    /// another spec's meta blob, or edit the base snapshot.
+    enum Swap {
+        Meta(fn(&mut RouterSpec)),
+        Snapshot(fn(&mut RouterSnapshot)),
+    }
+
+    #[test]
+    fn recover_rejects_a_checkpoint_that_disagrees_with_its_meta() {
+        let durable = driven_durable(RetentionPolicy::WindowTxs(16), 8);
+        let recover = |swap: Swap| {
+            let storage = crate::SharedStorage::new(crate::MemStorage::new());
+            replicate_journal(&durable, &storage, |found, blob| match (&swap, found) {
+                (Swap::Meta(edit), Artifact::Meta) => {
+                    let mut spec = durable::decode_spec(blob).unwrap();
+                    edit(&mut spec);
+                    *blob = durable::encode_spec(&spec);
+                }
+                (Swap::Snapshot(edit), Artifact::Full) => edit_body(blob, |body| {
+                    let mut r = ByteReader::new(body);
+                    let mut snapshot = RouterSnapshot::decode_from(&mut r).unwrap();
+                    edit(&mut snapshot);
+                    let mut w = ByteWriter::new();
+                    snapshot.parts().encode_into(&mut w);
+                    *body = w.into_vec();
+                }),
+                _ => {}
+            });
+            Router::recover(Box::new(storage))
+        };
+        let table = [
+            ("k", Swap::Meta(|s| s.shards = Some(2))),
+            (
+                "retention",
+                Swap::Meta(|s| s.retention = RetentionPolicy::WindowTxs(8)),
+            ),
+            ("strategy", Swap::Meta(|s| s.strategy = Strategy::Greedy)),
+            (
+                "engine registered != store length",
+                Swap::Snapshot(|s| {
+                    let policy = RetentionPolicy::WindowTxs(16);
+                    s.engine = Some(T2sEngine::with_retention(4, DEFAULT_ALPHA, policy));
+                }),
+            ),
+            (
+                "live shard >= k",
+                Swap::Snapshot(|s| {
+                    let newest = s.assignments.len() - 1;
+                    assert!(s.assignments.reassign(newest, 4));
+                }),
+            ),
+        ];
+        for (what, swap) in table {
+            // An `Err` return is the point: nothing between the storage
+            // bytes and the restored router may unwind.
+            let err = recover(swap).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
+        // The harness itself is lossless: an untouched re-encoded
+        // snapshot under the original meta recovers.
+        let recovered = recover(Swap::Snapshot(|_| {})).unwrap();
+        assert_eq!(recovered.assignments(), durable.assignments());
+    }
+
+    /// The persisted artifacts that lead with a version byte (`Body` is
+    /// the snapshot body inside the `Full` envelope).
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Artifact {
         Meta,
         Full,
         Delta,
+        Body,
+    }
+
+    /// Rewrites the snapshot body inside a full-checkpoint blob.
+    fn edit_body(blob: &mut Vec<u8>, edit: impl FnOnce(&mut Vec<u8>)) {
+        let mut body = optchain_storage::zrle::decompress(&blob[1..]).unwrap();
+        edit(&mut body);
+        blob.truncate(1);
+        optchain_storage::zrle::compress_into(&body, blob);
     }
 
     /// Copies every durable artifact (meta, checkpoint chain, records)
     /// of `router`'s journal into `dest` — the test stand-in for
-    /// reopening the files a crashed process left behind. `foreign`
-    /// overwrites the version byte of one artifact on the way.
+    /// reopening the files a crashed process left behind. `tamper` may
+    /// rewrite each meta / full / delta blob on the way.
     fn replicate_journal(
-        router: &mut Router,
+        router: &Router,
         dest: &crate::SharedStorage<crate::MemStorage>,
-        foreign: Option<(Artifact, u8)>,
+        tamper: impl Fn(Artifact, &mut Vec<u8>),
     ) {
         let tampered = |artifact: Artifact, blob: &[u8]| {
             let mut blob = blob.to_vec();
-            if let Some((_, byte)) = foreign.filter(|(a, _)| *a == artifact) {
-                blob[0] = byte;
-            }
+            tamper(artifact, &mut blob);
             blob
         };
         let journal = router.journal.as_ref().expect("router is durable");

@@ -11,11 +11,12 @@ use std::fmt;
 use optchain_tan::NodeId;
 use serde::{Deserialize, Serialize};
 
-use crate::assignment::AssignmentView;
+use crate::assignment::{AssignmentStore, AssignmentView};
 use crate::placer::{
     GreedyPlacer, OptChainPlacer, OraclePlacer, PlacementContext, Placer, RandomPlacer, ShardId,
     T2sPlacer,
 };
+use crate::t2s::T2sEngine;
 
 /// The placement strategies of the paper's evaluation (Section V.A).
 ///
@@ -119,6 +120,18 @@ impl DynPlacer {
             DynPlacer::Random(p) => p,
             DynPlacer::Greedy(p) => p,
             DynPlacer::Oracle(p) => p,
+        }
+    }
+
+    /// The strategy state a snapshot carries: the assignment store,
+    /// the T2S engine (OptChain, T2S) and Greedy's capacity counters.
+    pub(crate) fn state(&self) -> (&AssignmentStore, Option<&T2sEngine>, Option<&[u64]>) {
+        match self {
+            DynPlacer::OptChain(p) => (p.assignments_store(), Some(p.engine()), None),
+            DynPlacer::T2s(p) => (p.assignments_store(), Some(p.engine()), None),
+            DynPlacer::Random(p) => (p.assignments_store(), None, None),
+            DynPlacer::Greedy(p) => (p.assignments_store(), None, Some(p.shard_sizes())),
+            DynPlacer::Oracle(p) => (p.assignments_store(), None, None),
         }
     }
 

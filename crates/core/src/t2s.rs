@@ -187,6 +187,14 @@ impl T2sEngine {
         &self.shard_sizes
     }
 
+    /// `true` iff `other` was configured with the same shard count, α
+    /// and score-retention window (the restore check: a checkpointed
+    /// engine must be the one the restoring router would have built).
+    pub(crate) fn same_config(&self, other: &T2sEngine) -> bool {
+        (self.k, self.alpha, self.window, self.keep_hubs)
+            == (other.k, other.alpha, other.window, other.keep_hubs)
+    }
+
     /// Serializes the engine for a durable checkpoint. Deterministic:
     /// the retained-row side table is written in ascending node order,
     /// so identical engines encode to identical bytes.
@@ -301,11 +309,7 @@ impl T2sEngine {
     /// The raw `p'(u)` row of a node, or `None` once evicted — read by
     /// the rebalancer's cost model (the α mass at a shard entry measures
     /// how hard the node pulls its future spenders there).
-    pub(crate) fn score_row(&self, node: usize) -> Option<&[f32]> {
-        self.row(node)
-    }
-
-    fn row(&self, node: usize) -> Option<&[f32]> {
+    pub(crate) fn row(&self, node: usize) -> Option<&[f32]> {
         if self.window == usize::MAX {
             let start = node * self.k;
             Some(&self.pprime[start..start + self.k])
@@ -515,25 +519,9 @@ impl T2sEngine {
     ///
     /// # Panics
     ///
-    /// Panics if the engine is not fresh or `assignments` is shorter than
-    /// the graph.
-    pub fn warm_start(&mut self, tan: &TanGraph, assignments: &[u32]) {
-        self.warm_start_adopted(tan, assignments, &[]);
-    }
-
-    /// [`T2sEngine::warm_start`] for a prefix that contains adopted
-    /// foreign nodes (`adopted`: their node ids, strictly increasing).
-    ///
-    /// Adopted nodes are replayed through [`T2sEngine::adopt_in`] (a zero
-    /// row plus the α bump), everything else through the normal
-    /// register/place sweep — reproducing a fleet worker's live state
-    /// bit for bit.
-    ///
-    /// # Panics
-    ///
     /// Panics if the engine is not fresh, `assignments` is shorter than
-    /// the graph, or `adopted` is not strictly increasing.
-    pub fn warm_start_adopted(&mut self, tan: &TanGraph, assignments: &[u32], adopted: &[u32]) {
+    /// the graph, or the graph has evicted nodes.
+    pub fn warm_start(&mut self, tan: &TanGraph, assignments: &[u32]) {
         assert_eq!(self.registered, 0, "warm_start requires a fresh engine");
         assert!(
             assignments.len() >= tan.len(),
@@ -546,36 +534,19 @@ impl T2sEngine {
              graph no longer holds; restore retention-policy routers from \
              an engine-state snapshot (Router::snapshot) instead"
         );
-        assert!(
-            adopted.windows(2).all(|w| w[0] < w[1]),
-            "adopted node ids must be strictly increasing"
-        );
         // A forward sweep sees each edge exactly once, so the observed
         // |Nout(v)| can be maintained incrementally instead of queried
         // historically per edge (which walks spender chunks and would be
         // quadratic on high-fanout hubs): bumping the count for v while
         // processing spender `node` yields exactly the number of spenders
         // with id ≤ node — the same value `in_degree_at(v, node)` returns.
-        // Adopted nodes skip the register (their row is zero by
-        // definition) but their edges still count toward |Nout(v)|,
-        // exactly as their live insertion bumped the graph's in-counts.
         let mut seen_spends: Vec<u32> = vec![0; tan.len()];
-        let mut next_adopted = 0usize;
         for node in tan.nodes() {
-            let is_adopted = adopted.get(next_adopted) == Some(&node.0);
-            if is_adopted {
-                next_adopted += 1;
-                for &v in tan.inputs(node) {
-                    seen_spends[v.index()] += 1;
-                }
-                self.adopt_in(tan, node, assignments[node.index()]);
-            } else {
-                self.register_impl(tan, node, |v| {
-                    seen_spends[v.index()] += 1;
-                    seen_spends[v.index()] as f64
-                });
-                self.place(node, assignments[node.index()]);
-            }
+            self.register_impl(tan, node, |v| {
+                seen_spends[v.index()] += 1;
+                seen_spends[v.index()] as f64
+            });
+            self.place(node, assignments[node.index()]);
         }
     }
 }
@@ -851,29 +822,5 @@ mod tests {
         tan.evict_before(1);
         let mut engine = T2sEngine::new(2);
         engine.warm_start(&tan, &[0, 0]);
-    }
-
-    #[test]
-    fn warm_start_adopted_matches_incremental_adoption() {
-        let mut tan = TanGraph::new();
-        let mut inc = T2sEngine::new(3);
-        let assignments = [0u32, 1, 2, 0, 1];
-        let adopted = [1u32, 3];
-        let parents: [&[TxId]; 5] = [&[], &[TxId(0)], &[TxId(0)], &[TxId(1), TxId(2)], &[TxId(3)]];
-        for (i, ps) in parents.iter().enumerate() {
-            let n = tan.insert(TxId(i as u64), ps);
-            if adopted.contains(&(i as u32)) {
-                inc.adopt_in(&tan, n, assignments[i]);
-            } else {
-                inc.register(&tan, n);
-                inc.place(n, assignments[i]);
-            }
-        }
-        let mut warm = T2sEngine::new(3);
-        warm.warm_start_adopted(&tan, &assignments, &adopted);
-        for node in tan.nodes() {
-            assert_eq!(inc.pprime(node), warm.pprime(node), "node {node}");
-        }
-        assert_eq!(inc.shard_sizes(), warm.shard_sizes());
     }
 }

@@ -5,13 +5,15 @@
 //!   happens and the worker sees the global stream in order;
 //! * an **N-worker fleet is deterministic** for a fixed partitioner and
 //!   sync schedule: two identical runs produce identical assignments;
-//! * fleet checkpoints are transparent: `snapshot` → `warm_start` →
-//!   continued stream equals the uninterrupted stream, sync schedule
-//!   included.
+//! * fleet restarts are transparent: drop → rebuild over the same
+//!   storage backends → continued stream equals the uninterrupted
+//!   stream, sync schedule included.
 
 use proptest::prelude::{prop_assert_eq, proptest, ProptestConfig, Strategy as PropStrategy};
 
-use optchain_core::{Router, RouterFleet, ShardTelemetry, Strategy};
+use optchain_core::{
+    MemStorage, Router, RouterFleet, ShardTelemetry, SharedStorage, Storage, Strategy,
+};
 use optchain_utxo::TxId;
 
 /// Random-but-valid raw stream recipe: per tx, the id offsets of the
@@ -91,12 +93,10 @@ proptest! {
                 prop_assert_eq!(decision.fitness[j].to_bits(), expected.fitness()[j].to_bits());
             }
         }
-        // The worker's checkpointed state equals the router's.
-        let snapshot = fleet.snapshot();
-        prop_assert_eq!(
-            snapshot.worker_snapshots()[0].assignments(),
-            router.assignments()
-        );
+        // The worker's state equals the router's.
+        for (txid, _) in &txs {
+            prop_assert_eq!(fleet.shard_of(*txid), router.shard_of(*txid));
+        }
     }
 
     /// Every strategy a fleet can run agrees with the single router on
@@ -154,12 +154,12 @@ proptest! {
         prop_assert_eq!(run(), run());
     }
 
-    /// Fleet checkpoints are transparent: snapshot mid-stream, restore
-    /// into a fresh fleet, and the continued suffix places exactly like
-    /// the uninterrupted fleet — pending sync deltas, sync schedule and
-    /// telemetry boards included.
+    /// Fleet restarts are transparent: drop the fleet mid-stream,
+    /// rebuild it over the same (in-RAM) storage backends, and the
+    /// continued suffix places exactly like the uninterrupted fleet —
+    /// pending sync deltas, sync schedule and telemetry boards included.
     #[test]
-    fn fleet_snapshot_warm_start_is_transparent(
+    fn fleet_restart_is_transparent(
         recipe in stream_strategy(),
         k in 1u32..9,
         cut_pct in 0u32..100,
@@ -167,13 +167,15 @@ proptest! {
         let txs = build_raw_stream(&recipe);
         let cut = txs.len() * cut_pct as usize / 100;
         let workers = 2usize;
-        let build = || {
+        let builder = || {
             RouterFleet::builder()
                 .shards(k)
                 .workers(workers)
                 .partitioner(|client| client as usize)
                 .sync_interval(8)
-                .build()
+        };
+        let backends = |storages: &[SharedStorage<MemStorage>; 2]| -> Vec<Box<dyn Storage>> {
+            vec![Box::new(storages[0].clone()), Box::new(storages[1].clone())]
         };
         let drive = |fleet: &RouterFleet, rows: &[(TxId, Vec<TxId>)], offset: usize| -> Vec<u32> {
             let handles: Vec<_> = (0..workers as u64).map(|c| fleet.handle(c)).collect();
@@ -189,17 +191,17 @@ proptest! {
                 .collect()
         };
 
-        let continuous = build();
+        let continuous = builder().build();
         let expected = drive(&continuous, &txs, 0);
 
-        let prefix_fleet = build();
+        let storages = [(); 2].map(|()| SharedStorage::new(MemStorage::new()));
+        let prefix_fleet = builder().storage(backends(&storages)).build();
         let prefix_shards = drive(&prefix_fleet, &txs[..cut], 0);
-        let snapshot = prefix_fleet.snapshot();
         drop(prefix_fleet);
 
-        let mut resumed = build();
-        resumed.warm_start(&snapshot);
-        // (The restored workers' boards carry the last fed values, and
+        let resumed = builder().storage(backends(&storages)).build();
+        prop_assert_eq!(resumed.submitted(), cut as u64);
+        // (The recovered workers' boards carry the last fed values, and
         // feed_telemetry dedups at the worker too, so the telemetry
         // epochs stay aligned without re-feeding.)
         let suffix = drive(&resumed, &txs[cut..], cut);

@@ -194,3 +194,46 @@ proptest! {
         prop_assert_eq!(run(&txs), run(&txs));
     }
 }
+
+/// A snapshot is the state, not a recipe for it: after a committed
+/// epoch has re-homed hubs, the T2S rows of their earlier spenders
+/// still hold the mass inherited from the *pre-move* shard, which no
+/// replay of `(graph, final assignments)` reproduces. `snapshot` →
+/// `warm_start` of an unbounded router must carry those rows verbatim:
+/// the restored router's next decisions match bit for bit — up to the
+/// live router's next epoch boundary, because the rebalancer's own
+/// clock and staged batch are not placement state and restart fresh.
+#[test]
+fn snapshot_after_a_committed_epoch_restores_scores_bit_for_bit() {
+    let build = || {
+        Router::builder()
+            .shards(4)
+            .rebalancer(aggressive(16))
+            .build()
+    };
+    // Hubs 0..4 draw every later spend, so their shards run hot and
+    // the aggressive policy keeps re-homing them.
+    let inputs_of = |i: u64| match i {
+        0..4 => vec![],
+        _ => vec![TxId(i % 4), TxId(i - 1)],
+    };
+    let mut live = build();
+    for i in 0..200u64 {
+        live.submit(TxId(i), &inputs_of(i)).unwrap();
+    }
+    let stats = live.rebalance_stats();
+    assert!(stats.epochs_committed >= 1 && stats.nodes_moved >= 1);
+
+    let mut restored = build();
+    restored.warm_start(&live.snapshot());
+    for i in 200..208u64 {
+        let a = live.submit(TxId(i), &inputs_of(i)).unwrap();
+        let b = restored.submit(TxId(i), &inputs_of(i)).unwrap();
+        assert_eq!(a, b, "tx {i}");
+        let (a, b) = (live.last_decision(), restored.last_decision());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(a.t2s()), bits(b.t2s()), "tx {i} T2S");
+        assert_eq!(bits(a.l2s()), bits(b.l2s()), "tx {i} L2S");
+        assert_eq!(bits(a.fitness()), bits(b.fitness()), "tx {i} fitness");
+    }
+}

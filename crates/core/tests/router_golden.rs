@@ -10,7 +10,7 @@ use proptest::prelude::{any, prop_assert_eq, proptest, ProptestConfig, Strategy 
 use optchain_core::replay::{replay, replay_router, QueueProxy};
 use optchain_core::{
     DecisionBuf, GreedyPlacer, L2sEstimator, L2sMode, OptChainPlacer, OraclePlacer,
-    PlacementContext, Placer, RandomPlacer, Router, RouterSnapshot, Strategy, T2sEngine, T2sPlacer,
+    PlacementContext, Placer, RandomPlacer, Router, Strategy, T2sEngine, T2sPlacer,
     TemporalFitness,
 };
 use optchain_tan::TanGraph;
@@ -261,8 +261,8 @@ proptest! {
     }
 }
 
-/// Hand-built non-proptest case pinning `RouterSnapshot::new` for
-/// externally produced prefixes (the Table II path).
+/// Hand-built non-proptest case pinning `Router::warm_start_history`
+/// for externally produced prefixes (the Table II path).
 #[test]
 fn external_snapshot_warm_start_matches_placer_warm_start() {
     let recipe: Vec<Vec<u8>> = (0..120)
@@ -286,9 +286,9 @@ fn external_snapshot_warm_start_matches_placer_warm_start() {
     placer.warm_start(&tan, &warm);
     let old = optchain_core::replay::replay_into(delta, &mut placer, &mut tan);
 
-    // New path: router warm_start from an external snapshot.
+    // New path: the router replays the external history itself.
     let mut router = Router::builder().shards(k).build();
-    router.warm_start(&RouterSnapshot::new(prefix_tan, warm));
+    router.warm_start_history(&prefix_tan, &warm);
     let new = replay_router(delta, &mut router);
 
     assert_eq!(old.assignments, new.assignments);

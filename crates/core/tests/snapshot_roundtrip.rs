@@ -3,11 +3,15 @@
 //! single [`Router`] driven through per-client [`PlacementSession`]s
 //! under a changing telemetry feed (session L2S memo state included:
 //! the restored board version keeps the memo epochs aligned), and for a
-//! [`RouterFleet`] driving the detached bulk path.
+//! [`RouterFleet`] driving the detached bulk path, which persists
+//! through its storage backends: drop → rebuild over the same
+//! [`SharedStorage`] handles.
 
 use proptest::prelude::{prop_assert_eq, proptest, ProptestConfig, Strategy as PropStrategy};
 
-use optchain_core::{PlacementSession, Router, RouterFleet, ShardTelemetry};
+use optchain_core::{
+    MemStorage, PlacementSession, Router, RouterFleet, ShardTelemetry, SharedStorage, Storage,
+};
 use optchain_utxo::{Transaction, TxId, TxOutput, WalletId};
 
 /// Random-but-valid transaction stream recipe (the `router_golden.rs`
@@ -122,9 +126,10 @@ proptest! {
         }
     }
 
-    /// Fleet: the detached bulk path round-trips through
-    /// `snapshot`/`warm_start` bit-identically, resuming the global
-    /// sequence numbering and the sync schedule mid-interval.
+    /// Fleet: the detached bulk path round-trips through a drop and a
+    /// rebuild over the same in-RAM storage backends bit-identically,
+    /// resuming the global sequence numbering and the sync schedule
+    /// mid-interval.
     #[test]
     fn fleet_roundtrip_preserves_detached_stream(
         recipe in stream_strategy(),
@@ -134,13 +139,15 @@ proptest! {
         let txs: std::sync::Arc<[Transaction]> = build_stream(&recipe).into();
         let cut = txs.len() * cut_pct as usize / 100;
         let workers = 2usize;
-        let build = || {
+        let builder = || {
             RouterFleet::builder()
                 .shards(k)
                 .workers(workers)
                 .partitioner(|client| client as usize)
                 .sync_interval(8)
-                .build()
+        };
+        let backends = |storages: &[SharedStorage<MemStorage>; 2]| -> Vec<Box<dyn Storage>> {
+            vec![Box::new(storages[0].clone()), Box::new(storages[1].clone())]
         };
         // Chunks of 5 round-robin across two client handles; chunk
         // boundaries are *global* stream positions so the prefix and
@@ -164,16 +171,15 @@ proptest! {
             results
         };
 
-        let continuous = build();
+        let continuous = builder().build();
         let expected = drive(&continuous, 0..txs.len());
 
-        let prefix_fleet = build();
+        let storages = [(); 2].map(|()| SharedStorage::new(MemStorage::new()));
+        let prefix_fleet = builder().storage(backends(&storages)).build();
         let mut got = drive(&prefix_fleet, 0..cut);
-        let snapshot = prefix_fleet.snapshot();
         drop(prefix_fleet);
 
-        let mut resumed = build();
-        resumed.warm_start(&snapshot);
+        let resumed = builder().storage(backends(&storages)).build();
         prop_assert_eq!(resumed.submitted(), cut as u64);
         got.extend(drive(&resumed, cut..txs.len()));
 

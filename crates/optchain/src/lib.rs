@@ -127,11 +127,11 @@
 //! assert_eq!(router.assignments().len(), txs.len());
 //! ```
 //!
-//! `Router::snapshot` under a policy records the windowed checkpoint
-//! (horizon, stable-id remap, engine state, and the O(window)
-//! assignment store), so `warm_start` of a windowed router is
-//! bit-exact — and the checkpoint itself stops scaling with the
-//! stream.
+//! `Router::snapshot` is the state itself under every policy — graph
+//! (with its horizon and stable-id remap), T2S engine, assignment
+//! store, telemetry board — so `warm_start` into a fresh router of the
+//! same configuration is bit-exact, and under a windowed policy the
+//! checkpoint stops scaling with the stream.
 //!
 //! # Turn on the Rebalancer: dynamic re-sharding
 //!
@@ -199,8 +199,13 @@
 //! `full_every`-th time, cheap *delta* checkpoints (just the records
 //! since the previous one) in between — and [`core::Router::recover`]
 //! rebuilds a **bit-identical** router from whatever survived: base
-//! snapshot plus delta chain plus WAL tail, torn tail frames
-//! truncated, shards re-derived deterministically during replay.
+//! snapshot (restored verbatim through the same checked path as
+//! `warm_start`; a checkpoint that disagrees with its meta blob is a
+//! typed `InvalidData`, never a panic) plus delta chain plus WAL tail,
+//! torn tail frames truncated, shards re-derived deterministically
+//! during replay. A fleet persists the same way — one backend per
+//! worker; `SharedStorage<MemStorage>` keeps it in RAM across a drop
+//! and rebuild.
 //! Backends implement the [`core::Storage`] trait:
 //! [`core::SegmentWal`] (on-disk segments with CRC-framed records,
 //! fsync-batched acks, and retention-driven segment GC) for real
@@ -359,12 +364,12 @@ pub mod prelude {
     pub use optchain_client::{Client, ClientError, RejectReason};
     pub use optchain_core::replay::{replay, replay_into, replay_router, ReplayOutcome};
     pub use optchain_core::{
-        CheckpointStats, DynPlacer, FailpointStorage, FennelPlacer, FleetHandle, FleetSnapshot,
-        FleetStats, GreedyPlacer, L2sEstimator, L2sMode, LdgPlacer, MemStorage, Move,
-        OptChainPlacer, OraclePlacer, PlacementContext, PlacementSession, Placer, RandomPlacer,
-        RebalancePolicy, RebalanceStats, RetentionPolicy, Router, RouterBuilder, RouterFleet,
-        RouterFleetBuilder, RouterSnapshot, SegmentWal, ShardId, ShardTelemetry, SharedStorage,
-        SpvWallet, Storage, Strategy, T2sEngine, T2sPlacer, TailDamage, TemporalFitness,
+        CheckpointStats, DynPlacer, FailpointStorage, FennelPlacer, FleetHandle, FleetStats,
+        GreedyPlacer, L2sEstimator, L2sMode, LdgPlacer, MemStorage, Move, OptChainPlacer,
+        OraclePlacer, PlacementContext, PlacementSession, Placer, RandomPlacer, RebalancePolicy,
+        RebalanceStats, RetentionPolicy, Router, RouterBuilder, RouterFleet, RouterFleetBuilder,
+        RouterSnapshot, SegmentWal, ShardId, ShardTelemetry, SharedStorage, SpvWallet, Storage,
+        Strategy, T2sEngine, T2sPlacer, TailDamage, TemporalFitness,
     };
     pub use optchain_partition::{partition_kway, CsrGraph};
     pub use optchain_server::{PlacementServer, PlacementServerBuilder, ServerMetrics};

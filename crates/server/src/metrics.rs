@@ -19,7 +19,7 @@ use crate::protocol::RejectReason;
 /// dispatcher's throttled stats poll (a worker round-trip, so sampled
 /// every few thousand placements rather than per ack).
 #[derive(Debug, Default, Clone, Copy)]
-struct FleetSnapshot {
+struct FleetPoll {
     /// Transactions the fleet has placed.
     placed: u64,
     /// Placements whose inputs resolved to another shard.
@@ -52,8 +52,8 @@ pub struct ServerMetrics {
     latency_usec: Mutex<Histogram>,
     /// Acks per shard (index = shard id); sized once at server start.
     per_shard_acked: OnceLock<Vec<AtomicU64>>,
-    /// Last fleet stats poll (see [`FleetSnapshot`]).
-    fleet: Mutex<FleetSnapshot>,
+    /// Last fleet stats poll (see [`FleetPoll`]).
+    fleet: Mutex<FleetPoll>,
 }
 
 impl ServerMetrics {
@@ -107,7 +107,7 @@ impl ServerMetrics {
     }
 
     pub(crate) fn record_fleet(&self, placed: u64, cross_placed: u64, rebalance: RebalanceStats) {
-        *self.fleet.lock().expect("metrics mutex") = FleetSnapshot {
+        *self.fleet.lock().expect("metrics mutex") = FleetPoll {
             placed,
             cross_placed,
             rebalance,

@@ -7,7 +7,7 @@ use std::fmt;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use optchain_core::{FleetHandle, PlacementSession, Router, RouterFleet};
+use optchain_core::{PlacementSession, Router};
 use optchain_partition::{partition_kway, CsrGraph};
 use optchain_tan::{NodeId, TanGraph};
 use optchain_utxo::{OutPoint, Transaction};
@@ -140,83 +140,9 @@ struct ShardState {
 /// The simulation driver.
 ///
 /// See the crate docs for the modelled system; construct via
-/// [`Simulation::run`] (strategy by name),
-/// [`Simulation::run_with_router`] (a pre-configured
-/// [`Router`]), or [`Simulation::run_with_fleet`] (a concurrent
-/// [`RouterFleet`] front-end).
+/// [`Simulation::run`] (strategy by name) or
+/// [`Simulation::run_with_router`] (a pre-configured [`Router`]).
 pub struct Simulation;
-
-/// The placement service the engine drives: one owned [`Router`] with a
-/// [`PlacementSession`] per client (the paper's client-side deployment,
-/// bit-compatible with every prior figure), or a [`RouterFleet`] whose
-/// per-client handles shard the ingress across worker threads (the
-/// service-side deployment; decisions differ from a single router
-/// because each worker sees a partial, periodically-synced TaN graph).
-// One FrontEnd exists per engine; boxing the router variant would only
-// add an indirection to the per-injection placement path.
-#[allow(clippy::large_enum_variant)]
-enum FrontEnd {
-    Router {
-        router: Router,
-        /// One session per client, carrying the client's telemetry view
-        /// and L2S memo keyed by the board version.
-        sessions: Vec<PlacementSession>,
-        /// Shard of every placed transaction, kept by the engine when
-        /// the router runs a retention policy: the consensus layer
-        /// still needs the producing shard of inputs whose nodes the
-        /// router has evicted (a shard's UTXO set is not windowed —
-        /// only the placement state is).
-        placed: Option<HashMap<optchain_utxo::TxId, u32>>,
-    },
-    Fleet {
-        fleet: RouterFleet,
-        /// One handle per client (the fleet's partitioner maps clients
-        /// to workers).
-        handles: Vec<FleetHandle>,
-        /// Shard of every placed transaction — the engine needs the
-        /// global view for cross-TX accounting and input locking, which
-        /// no single fleet worker holds.
-        placed: HashMap<optchain_utxo::TxId, u32>,
-        /// Mean client→shard one-way latency per shard: the fleet is a
-        /// shared service, so it is fed one aggregate telemetry view
-        /// instead of per-client views.
-        mean_comm: Vec<f64>,
-        /// Board version last fanned out to the fleet.
-        fed_version: Option<u64>,
-    },
-}
-
-impl FrontEnd {
-    fn strategy_name(&self) -> &'static str {
-        match self {
-            FrontEnd::Router { router, .. } => router.strategy_name(),
-            FrontEnd::Fleet { fleet, .. } => fleet.strategy_name(),
-        }
-    }
-
-    /// The shard that placed transaction `txid` (which must have been
-    /// submitted already).
-    fn shard_of(&self, txid: optchain_utxo::TxId) -> u32 {
-        match self {
-            FrontEnd::Router { router, placed, .. } => match router
-                .tan()
-                .node(txid)
-                .and_then(|node| router.assignments().get(node))
-            {
-                Some(shard) => shard.0,
-                // Evicted from the windowed placement state: the
-                // engine's own map still knows the producing shard.
-                None => *placed
-                    .as_ref()
-                    .and_then(|map| map.get(&txid))
-                    .expect("workload spends known transactions"),
-            },
-            FrontEnd::Fleet { placed, .. } => *placed
-                .get(&txid)
-                .expect("workload spends known transactions"),
-        }
-    }
-}
 
 impl Simulation {
     /// Generates the workload for `config` and runs `strategy` over it.
@@ -298,69 +224,7 @@ impl Simulation {
             router.tan().is_empty() && router.assignments().is_empty(),
             "the simulation requires a fresh router"
         );
-        let sessions = (0..config.n_clients).map(|_| router.session()).collect();
-        let placed = (router.retention() != optchain_core::RetentionPolicy::Unbounded)
-            .then(|| HashMap::with_capacity(config.total_txs as usize));
-        let front = FrontEnd::Router {
-            router,
-            sessions,
-            placed,
-        };
-        Ok(Engine::new(config, txs, front).run())
-    }
-
-    /// Runs the simulation over a caller-configured, **fresh**
-    /// [`RouterFleet`]: each simulated client submits through its own
-    /// [`FleetHandle`], so placement runs on the fleet's worker threads
-    /// with periodic TaN cross-sync. The fleet is fed one aggregate
-    /// telemetry view per board publish (a shared service, unlike the
-    /// per-client views of the single-router path), so metrics are
-    /// *not* expected to be bit-identical to
-    /// [`Simulation::run_with_router`] — they measure the sharded
-    /// front-end deployment. Runs are deterministic for a fixed fleet
-    /// configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidConfig`] or [`SimError::StreamTooShort`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fleet's shard count disagrees with the config or
-    /// the fleet has already accepted submissions.
-    pub fn run_with_fleet(
-        config: SimConfig,
-        txs: &[Transaction],
-        fleet: RouterFleet,
-    ) -> Result<SimMetrics, SimError> {
-        check_config(&config)?;
-        if (txs.len() as u64) < config.total_txs {
-            return Err(SimError::StreamTooShort {
-                needed: config.total_txs,
-                got: txs.len() as u64,
-            });
-        }
-        assert_eq!(
-            fleet.k(),
-            config.n_shards,
-            "fleet shard count must match the simulation config"
-        );
-        assert_eq!(
-            fleet.submitted(),
-            0,
-            "the simulation requires a fresh fleet"
-        );
-        let handles = (0..config.n_clients)
-            .map(|c| fleet.handle(u64::from(c)))
-            .collect();
-        let front = FrontEnd::Fleet {
-            fleet,
-            handles,
-            placed: HashMap::with_capacity(config.total_txs as usize),
-            mean_comm: Vec::new(),
-            fed_version: None,
-        };
-        Ok(Engine::new(config, txs, front).run())
+        Ok(Engine::new(config, txs, router).run())
     }
 }
 
@@ -372,9 +236,17 @@ fn check_config(config: &SimConfig) -> Result<(), SimError> {
 struct Engine<'a> {
     config: SimConfig,
     txs: &'a [Transaction],
-    /// The placement service: an owned router with per-client sessions,
-    /// or a sharded fleet with per-client handles.
-    front: FrontEnd,
+    /// The placement service (the paper's client-side deployment).
+    router: Router,
+    /// One session per client, carrying the client's telemetry view
+    /// and L2S memo keyed by the board version.
+    sessions: Vec<PlacementSession>,
+    /// Shard of every placed transaction, kept by the engine when the
+    /// router runs a retention policy: the consensus layer still needs
+    /// the producing shard of inputs whose nodes the router has evicted
+    /// (a shard's UTXO set is not windowed — only the placement state
+    /// is).
+    placed: Option<HashMap<optchain_utxo::TxId, u32>>,
     rng: ChaCha8Rng,
     net: NetworkModel,
     consensus: Vec<PbftLikeModel>,
@@ -398,7 +270,7 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    fn new(config: SimConfig, txs: &'a [Transaction], mut front: FrontEnd) -> Self {
+    fn new(config: SimConfig, txs: &'a [Transaction], router: Router) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
         let net = NetworkModel::new(
             config.n_clients,
@@ -440,7 +312,7 @@ impl<'a> Engine<'a> {
             config.telemetry_fidelity,
         );
         let metrics = SimMetrics::new(
-            front.strategy_name(),
+            router.strategy_name(),
             config.n_shards,
             config.commit_window_s,
             config.queue_sample_s,
@@ -451,19 +323,15 @@ impl<'a> Engine<'a> {
                 in_flight: Vec::new(),
             })
             .collect();
-        if let FrontEnd::Fleet { mean_comm, .. } = &mut front {
-            // The fleet is one shared service: its telemetry view uses
-            // the mean client→shard latency per shard.
-            *mean_comm = (0..config.n_shards as usize)
-                .map(|s| {
-                    client_comm.iter().map(|row| row[s]).sum::<f64>() / client_comm.len() as f64
-                })
-                .collect();
-        }
+        let sessions = (0..config.n_clients).map(|_| router.session()).collect();
+        let placed = (router.retention() != optchain_core::RetentionPolicy::Unbounded)
+            .then(|| HashMap::with_capacity(config.total_txs as usize));
         Engine {
             config,
             txs,
-            front,
+            router,
+            sessions,
+            placed,
             rng,
             net,
             consensus,
@@ -520,6 +388,21 @@ impl<'a> Engine<'a> {
         self.finalize()
     }
 
+    /// The shard that placed transaction `txid` (which must have been
+    /// submitted already).
+    fn shard_of(&self, txid: optchain_utxo::TxId) -> u32 {
+        match self.router.shard_of(txid) {
+            Some(shard) => shard.0,
+            // Evicted from the windowed placement state: the engine's
+            // own map still knows the producing shard.
+            None => *self
+                .placed
+                .as_ref()
+                .and_then(|map| map.get(&txid))
+                .expect("workload spends known transactions"),
+        }
+    }
+
     fn finished(&self) -> bool {
         self.done_injecting
             && (self.metrics.committed + self.metrics.aborted) >= self.config.total_txs
@@ -532,43 +415,27 @@ impl<'a> Engine<'a> {
             .map(|s| (s.mempool.len() + s.in_flight.len()) as u64)
             .sum();
         self.metrics.makespan_s = self.now.as_secs_f64();
-        let (hits, misses) = match &self.front {
-            // Aggregate the per-client session memos (plus any
-            // router-level submissions, of which the engine makes none).
-            FrontEnd::Router {
-                router, sessions, ..
-            } => {
-                let (mut hits, mut misses) = router.l2s_memo_stats();
-                for session in sessions {
-                    let (h, m) = session.l2s_memo_stats();
-                    hits += h;
-                    misses += m;
-                }
-                (hits, misses)
-            }
-            FrontEnd::Fleet { fleet, .. } => {
-                let stats = fleet.stats();
-                let rb = stats.rebalance;
-                self.metrics.rebalance_epochs_committed = rb.epochs_committed;
-                self.metrics.rebalance_nodes_moved = rb.nodes_moved;
-                self.metrics.rebalance_bytes_migrated = rb.bytes_migrated;
-                (stats.l2s_memo_hits, stats.l2s_memo_misses)
-            }
-        };
+        // Aggregate the per-client session memos (plus any router-level
+        // submissions, of which the engine makes none).
+        let (mut hits, mut misses) = self.router.l2s_memo_stats();
+        for session in &self.sessions {
+            let (h, m) = session.l2s_memo_stats();
+            hits += h;
+            misses += m;
+        }
         self.metrics.l2s_memo_hits = hits;
         self.metrics.l2s_memo_misses = misses;
         // Retention telemetry: how much TaN mass the lifecycle policy
         // evicted/retained over the run (all zero when unbounded).
-        if let FrontEnd::Router { router, .. } = &self.front {
-            self.metrics.tan_live_nodes = router.tan().live_len() as u64;
-            self.metrics.tan_evicted_nodes = router.tan().evicted_nodes();
-            self.metrics.tan_retained_nodes = router.tan().retained_nodes() as u64;
-            self.metrics.tan_arena_bytes = router.tan().arena_bytes() as u64;
-            let rb = router.rebalance_stats();
-            self.metrics.rebalance_epochs_committed = rb.epochs_committed;
-            self.metrics.rebalance_nodes_moved = rb.nodes_moved;
-            self.metrics.rebalance_bytes_migrated = rb.bytes_migrated;
-        }
+        let tan = self.router.tan();
+        self.metrics.tan_live_nodes = tan.live_len() as u64;
+        self.metrics.tan_evicted_nodes = tan.evicted_nodes();
+        self.metrics.tan_retained_nodes = tan.retained_nodes() as u64;
+        self.metrics.tan_arena_bytes = tan.arena_bytes() as u64;
+        let rb = self.router.rebalance_stats();
+        self.metrics.rebalance_epochs_committed = rb.epochs_committed;
+        self.metrics.rebalance_nodes_moved = rb.nodes_moved;
+        self.metrics.rebalance_bytes_migrated = rb.bytes_migrated;
         self.metrics
     }
 
@@ -593,112 +460,69 @@ impl<'a> Engine<'a> {
 
         let client = (seq % self.config.n_clients as u64) as u32;
         let mut input_shards = std::mem::take(&mut self.input_shard_scratch);
-        let shard = match &mut self.front {
-            // Client-side placement through the client's session. A
-            // client's telemetry view is a pure function of the
-            // published board, so it is refreshed (and its memo epoch
-            // re-keyed) only when the board version changed since the
-            // client last submitted — between publishes a client's
-            // consecutive placements share the session's L2S memo
-            // whenever the input-shard set repeats.
-            FrontEnd::Router {
-                router,
-                sessions,
-                placed,
-            } => {
-                let session = &mut sessions[client as usize];
-                if session.view_version() != Some(self.board.version()) {
-                    self.board.client_view_into(
-                        &self.client_comm[client as usize],
-                        &mut self.telemetry_scratch,
-                    );
-                    session.set_view(&self.telemetry_scratch, self.board.version());
+        // Client-side placement through the client's session. A
+        // client's telemetry view is a pure function of the published
+        // board, so it is refreshed (and its memo epoch re-keyed) only
+        // when the board version changed since the client last
+        // submitted — between publishes a client's consecutive
+        // placements share the session's L2S memo whenever the
+        // input-shard set repeats.
+        let session = &mut self.sessions[client as usize];
+        if session.view_version() != Some(self.board.version()) {
+            self.board.client_view_into(
+                &self.client_comm[client as usize],
+                &mut self.telemetry_scratch,
+            );
+            session.set_view(&self.telemetry_scratch, self.board.version());
+        }
+        let shard = self
+            .router
+            .submit_tx_in(session, tx)
+            .expect("journaling a placement failed")
+            .0;
+        // Migration-epoch adoption: if this submission crossed an epoch
+        // boundary, the router committed the staged move batch *before*
+        // placing it — adopt the re-homed nodes into the engine's own
+        // placement mirror so future lock requests resolve against the
+        // post-epoch assignment. Work already scheduled keeps the shard
+        // it resolved at lock time (held locks are holder-keyed, so
+        // commits and aborts release them regardless of the move) — the
+        // pre-epoch semantics for in-flight items.
+        let mut moves = Vec::new();
+        self.router.drain_rebalance_moves(&mut moves);
+        if let Some(map) = self.placed.as_mut() {
+            for mv in &moves {
+                if let Some(slot) = map.get_mut(&mv.txid) {
+                    *slot = mv.to.0;
                 }
-                let shard = router
-                    .submit_tx_in(session, tx)
-                    .expect("journaling a placement failed")
-                    .0;
-                // Migration-epoch adoption: if this submission crossed
-                // an epoch boundary, the router committed the staged
-                // move batch *before* placing it — adopt the re-homed
-                // nodes into the engine's own placement mirror so
-                // future lock requests resolve against the post-epoch
-                // assignment. Work already scheduled keeps the shard it
-                // resolved at lock time (held locks are holder-keyed,
-                // so commits and aborts release them regardless of the
-                // move) — the pre-epoch semantics for in-flight items.
-                let mut moves = Vec::new();
-                router.drain_rebalance_moves(&mut moves);
-                if let Some(map) = placed.as_mut() {
-                    for mv in &moves {
-                        if let Some(slot) = map.get_mut(&mv.txid) {
-                            *slot = mv.to.0;
-                        }
-                    }
-                }
-                let node = NodeId(seq as u32);
-                debug_assert_eq!(router.tan().len() as u64, seq + 1);
-                match placed {
-                    // Retention lifecycle: the graph may already have
-                    // evicted an input's node, but the shard that holds
-                    // the UTXO still has to participate in the
-                    // cross-shard protocol — resolve input shards from
-                    // the engine's own map, exactly like the fleet arm.
-                    Some(map) => {
-                        map.insert(tx.id(), shard);
-                        input_shards.clear();
-                        for op in tx.inputs() {
-                            let s = *map
-                                .get(&op.txid)
-                                .expect("workload spends known transactions");
-                            if !input_shards.contains(&s) {
-                                input_shards.push(s);
-                            }
-                        }
-                    }
-                    None => optchain_core::input_shards_into(
-                        router.tan(),
-                        router.assignments(),
-                        node,
-                        &mut input_shards,
-                    ),
-                }
-                shard
             }
-            // Service-side placement through the client's fleet handle:
-            // the shared service observes one aggregate telemetry view,
-            // fanned out once per board publish under a single epoch.
-            FrontEnd::Fleet {
-                fleet,
-                handles,
-                placed,
-                mean_comm,
-                fed_version,
-            } => {
-                if *fed_version != Some(self.board.version()) {
-                    self.board
-                        .client_view_into(mean_comm, &mut self.telemetry_scratch);
-                    fleet.feed_telemetry(&self.telemetry_scratch);
-                    *fed_version = Some(self.board.version());
-                }
-                let shard = handles[client as usize].submit_tx(tx).0;
-                placed.insert(tx.id(), shard);
-                // Distinct producer shards in first-appearance order —
-                // the `input_shards_into` contract, computed from the
-                // engine's global assignment map (no single worker
-                // holds the whole graph).
+        }
+        let node = NodeId(seq as u32);
+        debug_assert_eq!(self.router.tan().len() as u64, seq + 1);
+        match &mut self.placed {
+            // Retention lifecycle: the graph may already have evicted
+            // an input's node, but the shard that holds the UTXO still
+            // has to participate in the cross-shard protocol — resolve
+            // input shards from the engine's own map.
+            Some(map) => {
+                map.insert(tx.id(), shard);
                 input_shards.clear();
                 for op in tx.inputs() {
-                    let s = *placed
+                    let s = *map
                         .get(&op.txid)
                         .expect("workload spends known transactions");
                     if !input_shards.contains(&s) {
                         input_shards.push(s);
                     }
                 }
-                shard
             }
-        };
+            None => optchain_core::input_shards_into(
+                self.router.tan(),
+                self.router.assignments(),
+                node,
+                &mut input_shards,
+            ),
+        }
         let cross = input_shards.iter().any(|s| *s != shard);
         self.metrics.injected += 1;
         if cross {
@@ -873,7 +697,7 @@ impl<'a> Engine<'a> {
     fn try_lock_inputs(&mut self, shard: u32, tx: u32) -> bool {
         let mut to_lock: Vec<OutPoint> = Vec::new();
         for op in self.txs[tx as usize].inputs() {
-            if self.front.shard_of(op.txid) == shard {
+            if self.shard_of(op.txid) == shard {
                 to_lock.push(*op);
             }
         }
@@ -1264,51 +1088,6 @@ mod tests {
         assert_eq!(a.committed, b.committed);
         assert_eq!(a.cross_txs, b.cross_txs);
         assert!((a.makespan_s - b.makespan_s).abs() < 1e-12);
-    }
-
-    fn quick_fleet(config: &SimConfig, workers: usize) -> RouterFleet {
-        RouterFleet::builder()
-            .shards(config.n_shards)
-            .workers(workers)
-            .sync_interval(500)
-            .build()
-    }
-
-    #[test]
-    fn run_with_fleet_commits_everything() {
-        let config = quick_config();
-        let txs = Simulation::workload(&config);
-        let m = Simulation::run_with_fleet(config.clone(), &txs, quick_fleet(&config, 2)).unwrap();
-        assert_eq!(m.injected, 3_000);
-        assert_eq!(m.committed, 3_000);
-        assert_eq!(m.aborted, 0);
-        assert_eq!(m.strategy, "optchain");
-    }
-
-    #[test]
-    fn run_with_fleet_is_deterministic() {
-        let config = quick_config();
-        let txs = Simulation::workload(&config);
-        let a = Simulation::run_with_fleet(config.clone(), &txs, quick_fleet(&config, 2)).unwrap();
-        let b = Simulation::run_with_fleet(config.clone(), &txs, quick_fleet(&config, 2)).unwrap();
-        assert_eq!(a.committed, b.committed);
-        assert_eq!(a.cross_txs, b.cross_txs);
-        assert!((a.makespan_s - b.makespan_s).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fleet_placement_still_beats_random() {
-        let config = quick_config();
-        let txs = Simulation::workload(&config);
-        let fleet =
-            Simulation::run_with_fleet(config.clone(), &txs, quick_fleet(&config, 2)).unwrap();
-        let random = Simulation::run_on(config, Strategy::OmniLedger, &txs).unwrap();
-        assert!(
-            fleet.cross_fraction() < random.cross_fraction() * 0.8,
-            "sharded OptChain front-end must keep its cross-TX edge: {} vs {}",
-            fleet.cross_fraction(),
-            random.cross_fraction()
-        );
     }
 
     #[test]

@@ -52,9 +52,8 @@ pub struct SimMetrics {
     /// L2S memo misses, same scope as [`SimMetrics::l2s_memo_hits`].
     pub l2s_memo_misses: u64,
     /// TaN nodes still resident in the router's graph at the end of the
-    /// run (window + retained survivors; equals
-    /// `injected` when the retention policy is unbounded; 0 for fleet
-    /// front-ends, whose replicas live on worker threads).
+    /// run (window + retained survivors; equals `injected` when the
+    /// retention policy is unbounded).
     pub tan_live_nodes: u64,
     /// TaN nodes evicted by the retention policy over the run — the
     /// "evicted mass" a streaming deployment sheds instead of holding.

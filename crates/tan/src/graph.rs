@@ -317,8 +317,8 @@ impl TanGraph {
 
     /// Installs a retention policy. Allowed until the first eviction
     /// (the policy is consulted only when a node crosses the horizon,
-    /// so swapping it on a never-evicted graph — e.g. one restored from
-    /// a replay-format snapshot — is well-defined).
+    /// so swapping it on a never-evicted graph — e.g. an external
+    /// history a router adopts under its own policy — is well-defined).
     ///
     /// # Panics
     ///

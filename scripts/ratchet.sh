@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
-# Deletion ratchet (CI `lint` job and scripts/ci_check.sh): what PRs 12
-# and 13 removed must not grow back. Fails on any deprecation shim under
+# Deletion ratchet (CI `lint` job and scripts/ci_check.sh): what PRs
+# 12–14 removed must not grow back. Fails on any deprecation shim under
 # crates/, on the seed's naive oracle reappearing in optchain_core's
 # root or the facade prelude, on the custom-placer arm reappearing in
 # optchain_core, on RouterFleetBuilder growing past its ten pub fns,
-# and on crates/core outgrowing its ceiling.
+# on a second way for state to come back (fleet snapshots, adopted-id
+# replay, a second checkpoint encoder, the simulator's fleet arm), and
+# on crates/core outgrowing its ceiling.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Lower this when a PR shrinks crates/core; never raise it to fit one.
-core_ceiling=12375
+core_ceiling=12132
 
 fail=0
 if grep -rnE '#\[deprecated|allow\(deprecated\)' crates/ --include='*.rs'; then
@@ -26,6 +28,10 @@ if sed -n '/^pub mod prelude {/,/^}/p' crates/optchain/src/lib.rs | grep -i naiv
 fi
 if grep -rnE 'DynPlacer::Custom|fn custom\(' crates/core/src; then
     echo "ratchet: the custom-placer arm is back under crates/core/src" >&2
+    fail=1
+fi
+if grep -rnE 'FleetSnapshot|warm_start_adopted|encode_checkpoint_into|run_with_fleet' crates/ --include='*.rs'; then
+    echo "ratchet: a deleted way of restoring state is back under crates/" >&2
     fail=1
 fi
 # shards, strategy, retention, expected_total, rebalancer, workers,
