@@ -144,8 +144,8 @@ struct Args {
 /// O(window), not O(stream).
 const RETENTION_PEAK_FACTOR: f64 = 2.0;
 
-/// Windows below this skip the memory gate: the graph's fixed
-/// compaction floor (1024 rows) dominates tiny windows.
+/// Windows below this skip the memory gate: fixed costs (the ring's
+/// power-of-two rounding, `Vec` growth steps) dominate tiny windows.
 const MIN_GATED_RETENTION_WINDOW: usize = 10_000;
 
 fn parse_args() -> Args {
@@ -1224,7 +1224,7 @@ fn main() {
     if let Some(r) = &retention {
         // The memory gates: graph, assignment-store, and SPV-wallet
         // bytes must all be O(window), not O(stream). Gated only when
-        // the window is big enough that the compaction floor is noise
+        // the window is big enough that fixed costs are noise
         // and the stream is long enough to prove growth would have
         // happened.
         if r.window >= MIN_GATED_RETENTION_WINDOW && args.txs as usize >= 2 * r.window {

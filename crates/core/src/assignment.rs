@@ -31,6 +31,7 @@
 use std::collections::HashMap;
 
 use optchain_storage::{ByteReader, ByteWriter, CodecError};
+use optchain_tan::hash::TxIdBuildHasher;
 use optchain_tan::{NodeId, RetentionPolicy, TanGraph};
 
 use crate::placer::ShardId;
@@ -55,7 +56,7 @@ pub struct AssignmentStore {
     /// side table instead of vanishing.
     keep_hubs: Option<u32>,
     /// Saved assignments of retained survivors, keyed by stable id.
-    retained: HashMap<u32, u32>,
+    retained: HashMap<u32, u32, TxIdBuildHasher>,
 }
 
 impl Default for AssignmentStore {
@@ -74,7 +75,7 @@ impl AssignmentStore {
             len: 0,
             window: usize::MAX,
             keep_hubs: None,
-            retained: HashMap::new(),
+            retained: HashMap::with_hasher(TxIdBuildHasher),
         }
     }
 
@@ -309,7 +310,7 @@ impl AssignmentStore {
             dense.push(r.get_u32()?);
         }
         let rcount = r.get_count(8)?;
-        let mut retained = HashMap::with_capacity(rcount);
+        let mut retained = HashMap::with_capacity_and_hasher(rcount, TxIdBuildHasher);
         let mut prev = None;
         for _ in 0..rcount {
             let id = r.get_u32()?;

@@ -583,8 +583,7 @@ struct Journal {
     /// before the first checkpoint).
     chain_upto: Option<u64>,
     /// Force the next checkpoint full regardless of cadence — set by
-    /// [`Router::compact`], whose in-RAM compaction invalidates the
-    /// incremental relationship to the previous chain element.
+    /// [`Router::compact`].
     force_full: bool,
     /// `true` (the default): a filled checkpoint interval fires on any
     /// append. Fleet workers set `false` and checkpoint only at sync
@@ -702,14 +701,10 @@ impl Router {
     /// was submitted. [`RouterBuilder::expected_total`] applies this
     /// automatically.
     pub fn reserve(&mut self, n: usize) {
-        if self.tan.is_empty() {
-            // A windowed graph never holds more than its window (plus
-            // compaction headroom); don't pre-size for the full stream.
-            let cap = match self.retention.graph_window() {
-                Some(w) => n.min(w + w / 2 + 16),
-                None => n,
-            };
-            self.tan = TanGraph::with_capacity(cap);
+        // A windowed graph sizes its own ring as the window warms up;
+        // only an unbounded one is worth pre-sizing for the stream.
+        if self.tan.is_empty() && self.retention.graph_window().is_none() {
+            self.tan = TanGraph::with_capacity(n);
             self.tan.set_retention(self.retention);
         }
     }
@@ -720,8 +715,7 @@ impl Router {
     }
 
     /// Advances the graph's eviction horizon to match the retention
-    /// policy after an insertion (amortized O(1); a no-op when
-    /// unbounded).
+    /// policy after an insertion (O(1); a no-op when unbounded).
     fn advance_horizon(&mut self) {
         if let Some(w) = self.retention.graph_window() {
             let len = self.tan.len();
@@ -731,20 +725,19 @@ impl Router {
         }
     }
 
-    /// Forces an exact graph compaction and shrink — the checkpoint-time
-    /// companion of the automatic, amortized eviction that
-    /// [`Router::submit`] performs under a retention policy. Decisions
-    /// are unaffected (node ids are stable; eviction semantics are
-    /// horizon-driven, and the horizon does not move). On unbounded
-    /// routers it only releases excess arena capacity. The assignment
-    /// store shrinks alongside (its ring is fixed-size; only the
-    /// retained-survivor table and unbounded histories hold slack).
+    /// Releases excess capacity — the checkpoint-time shrink. Eviction
+    /// itself needs no such call: [`Router::submit`] retires each aged
+    /// node in place, at once, under a retention policy. This only
+    /// re-fits the graph's window ring to the rows it holds and drops
+    /// every arena's growth headroom; the assignment store shrinks
+    /// alongside (its ring is fixed-size; only the retained-survivor
+    /// table and unbounded histories hold slack). Decisions are
+    /// unaffected: node ids are stable and the horizon does not move.
     pub fn compact(&mut self) {
         self.tan.compact();
         self.placer.compact_assignments();
-        // Compaction rewrites the in-RAM representation, so a delta
-        // relative to the previous chain element no longer describes
-        // this state: make the next checkpoint a full snapshot.
+        // The documented contract (DURABILITY.md): the checkpoint after
+        // a manual shrink is a full snapshot.
         if let Some(journal) = &mut self.journal {
             journal.force_full = true;
         }
@@ -1563,8 +1556,7 @@ impl Router {
             }
         };
         // The retention lifecycle: each submission advances the eviction
-        // horizon so the graph trails the stream by exactly the window
-        // (physical reclamation is the graph's amortized compaction).
+        // horizon so the graph trails the stream by exactly the window.
         self.advance_horizon();
         if self.buf.input_shards().iter().any(|&s| s != shard.0) {
             self.cross_placed += 1;

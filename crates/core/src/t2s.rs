@@ -17,6 +17,7 @@
 use std::collections::HashMap;
 
 use optchain_storage::{ByteReader, ByteWriter, CodecError};
+use optchain_tan::hash::TxIdBuildHasher;
 use optchain_tan::{NodeId, RetentionPolicy, TanGraph};
 
 /// Incremental T2S score engine.
@@ -54,7 +55,7 @@ pub struct T2sEngine {
     /// being overwritten.
     keep_hubs: Option<u32>,
     /// Saved rows of retained survivors, keyed by (stable) node id.
-    retained: HashMap<u32, Box<[f32]>>,
+    retained: HashMap<u32, Box<[f32]>, TxIdBuildHasher>,
     shard_sizes: Vec<u64>,
     /// Reusable accumulator row for [`T2sEngine::register`] (kept empty
     /// between calls; avoids one heap allocation per transaction).
@@ -89,7 +90,7 @@ impl T2sEngine {
             registered: 0,
             window: usize::MAX,
             keep_hubs: None,
-            retained: HashMap::new(),
+            retained: HashMap::with_hasher(TxIdBuildHasher),
             shard_sizes: vec![0; k as usize],
             scratch: Vec::new(),
         }
@@ -275,7 +276,7 @@ impl T2sEngine {
             pprime.push(r.get_f32()?);
         }
         let rcount = r.get_count(4 + 4 * k)?;
-        let mut retained = HashMap::with_capacity(rcount);
+        let mut retained = HashMap::with_capacity_and_hasher(rcount, TxIdBuildHasher);
         let mut prev = None;
         for _ in 0..rcount {
             let id = r.get_u32()?;

@@ -907,26 +907,28 @@ fn dispatcher_loop(
                 .drain();
             let mut shards = results.into_iter().map(|(_, shard)| shard.0);
             for ack in pending {
-                let placed: Vec<u32> = (&mut shards).take(ack.ntxs).collect();
-                assert_eq!(placed.len(), ack.ntxs, "one shard per submitted tx");
-                for &shard in &placed {
-                    metrics.on_placed_to(shard);
-                }
-                metrics.on_acked(
-                    ack.ntxs as u64,
-                    ack.admitted_at.elapsed().as_micros() as u64,
-                );
                 let response = if ack.batch {
+                    let placed: Vec<u32> = (&mut shards).take(ack.ntxs).collect();
+                    assert_eq!(placed.len(), ack.ntxs, "one shard per submitted tx");
+                    for &shard in &placed {
+                        metrics.on_placed_to(shard);
+                    }
                     Response::AckBatch {
                         req_id: ack.req_id,
                         shards: placed,
                     }
                 } else {
+                    let shard = shards.next().expect("one shard per submitted tx");
+                    metrics.on_placed_to(shard);
                     Response::Ack {
                         req_id: ack.req_id,
-                        shard: placed[0],
+                        shard,
                     }
                 };
+                metrics.on_acked(
+                    ack.ntxs as u64,
+                    ack.admitted_at.elapsed().as_micros() as u64,
+                );
                 send_to_conn(&registry, conn, response, &metrics);
             }
             assert!(

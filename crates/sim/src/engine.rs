@@ -1050,9 +1050,9 @@ mod tests {
         let full = Simulation::run_on(config.clone(), Strategy::OptChain, &txs).unwrap();
         assert_eq!(full.tan_live_nodes, config.total_txs);
         assert_eq!(full.tan_evicted_nodes, 0);
-        // At this miniature scale (5k txs, 1k window) the compaction
-        // floor dominates; the strong O(window)-vs-O(stream) factor is
-        // gated at real scale by perf_baseline's --retention arm.
+        // At this miniature scale (5k txs, 1k window) the factor is
+        // small; the strong O(window)-vs-O(stream) factor is gated at
+        // real scale by perf_baseline's --retention arm.
         assert!(
             m.tan_arena_bytes < full.tan_arena_bytes,
             "windowed arena {} vs unbounded {}",

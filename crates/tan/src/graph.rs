@@ -1,6 +1,6 @@
 //! The online TaN DAG, stored in flattened, **evictable** arenas.
 //!
-//! Layout (rebuilt for throughput — see PERF.md):
+//! Layout (see PERF.md):
 //!
 //! * **inputs** are CSR-flattened: one contiguous [`NodeId`] pool plus a
 //!   per-row offset array. A node's input set is immutable once
@@ -27,13 +27,23 @@
 //! **stable across eviction**: `NodeId(i)` names the `i`-th transaction
 //! of the stream forever, callers keep indexing external per-node state
 //! (assignments, score rings) by raw id, and spender lists / historical
-//! [`TanGraph::in_degree_at`] views stay correct. Internally, rows live
-//! in a compactable arena addressed through an id → row translation
-//! (dense offset for the live window, binary search over the sorted
-//! retained-survivor list below it — the stable-id remap). Dead rows are
-//! reclaimed by an amortized compaction ([`TanGraph::compact`] forces an
-//! exact one), so graph memory is `O(live window + retained survivors)`,
-//! not `O(stream)`.
+//! [`TanGraph::in_degree_at`] views stay correct.
+//!
+//! Rows are *retired*, never re-packed — the same shape as the
+//! assignment store and the T2S score ring. Until the first eviction a
+//! node's row is simply `row = id`. From then on the rows of
+//! `[horizon, total)` are a **ring** (`row = id & mask`, power-of-two
+//! capacity) with an input pool of the same lifetime, in which a row's
+//! inputs never straddle the wrap, so `inputs(u)` stays one slice. When
+//! a node crosses the horizon its slot is simply reused by a later
+//! insertion; a retained node's row and inputs are first copied — once,
+//! in id order — to an append-only **survivor table** (found by binary
+//! search over the sorted survivor ids), and an evicted node's spender
+//! chunks go on a **free list**, so chunk ids never move and the hub
+//! chunk directory is edited, not rebuilt. Eviction is `O(1)` per node;
+//! the ring and pool double while the window warms up and then stop, so
+//! a steady stream allocates only for survivors and graph memory is
+//! `O(live window + retained survivors)`, not `O(stream)`.
 //!
 //! [`TanGraph::insert`] is amortized allocation-free: the dedup scratch
 //! buffers are owned by the graph and reused across insertions.
@@ -50,8 +60,8 @@ use crate::hash::TxIdBuildHasher;
 ///
 /// Node ids are assigned sequentially at insertion; because edges only ever
 /// point to already-inserted nodes, `NodeId` order is a topological order
-/// of the DAG. Ids are **stable across eviction and compaction**: evicting
-/// old nodes never renumbers the survivors.
+/// of the DAG. Ids are **stable across eviction**: evicting old nodes
+/// never renumbers the survivors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
@@ -153,11 +163,10 @@ const NONE: u32 = u32::MAX;
 /// fan-out nodes chain additional chunks.
 const CHUNK: usize = 6;
 
-/// Dead rows tolerated before an automatic compaction: compaction is
-/// `O(live)`, so triggering at `max(MIN_COMPACT, live / 2)` dead rows
-/// amortizes to `O(1)` per eviction while bounding the arena at ~1.5×
-/// the live set.
-const MIN_COMPACT: u32 = 1_024;
+/// Row table of ids `[horizon, total)`.
+const WINDOW: usize = 0;
+/// Row table of the survivors the policy retained below the horizon.
+const KEPT: usize = 1;
 
 /// One chunk of a node's spender list.
 #[derive(Debug, Clone)]
@@ -180,6 +189,111 @@ impl SpenderChunk {
 
     fn entries(&self) -> &[NodeId] {
         &self.slots[..self.len as usize]
+    }
+}
+
+/// `v[i] = x`, appending when `i` is the next unused slot.
+fn set<T>(v: &mut Vec<T>, i: usize, x: T) {
+    if i < v.len() {
+        v[i] = x;
+    } else {
+        v.push(x);
+    }
+}
+
+/// A row's spender list: its chunk chain and `|Nout(v)|` so far.
+#[derive(Debug, Clone, Copy)]
+struct SpenderList {
+    /// First chunk, or [`NONE`].
+    head: u32,
+    /// Last chunk, or [`NONE`] (append fast path).
+    tail: u32,
+    /// Spenders so far (O(1) in-degree).
+    count: u32,
+}
+
+const UNSPENT: SpenderList = SpenderList {
+    head: NONE,
+    tail: NONE,
+    count: 0,
+};
+
+/// One table of node rows, struct-of-arrays.
+#[derive(Debug, Clone)]
+struct Rows {
+    /// Ring mask: the row of stable id `i` is `i & mask`. `u32::MAX`
+    /// (row = id, append-only) for the survivor table, and for the
+    /// window until the first eviction.
+    mask: u32,
+    /// Per-row transaction id.
+    ids: Vec<TxId>,
+    /// Input range per row — `in_offsets[row]..in_offsets[row + 1]` of
+    /// [`Rows::in_pool`], so a row's start is its predecessor's end;
+    /// length `rows + 1`, and in a ring entry 0 mirrors the last. A
+    /// start past the end marks a row whose inputs did not fit before
+    /// the pool's end and sit at its start instead.
+    in_offsets: Vec<u32>,
+    /// Flattened input adjacency (deduplicated, insertion order).
+    in_pool: Vec<NodeId>,
+    /// Per-row spender list.
+    spent: Vec<SpenderList>,
+}
+
+impl Rows {
+    /// An empty ring of `rows` slots (a power of two) over `pool` pool
+    /// entries; zero slots is the append-only table (`mask` all ones).
+    fn ring(rows: usize, pool: usize) -> Self {
+        Rows {
+            mask: (rows as u32).wrapping_sub(1),
+            ids: vec![TxId(0); rows],
+            in_offsets: vec![0; rows + 1],
+            in_pool: vec![NodeId(0); pool],
+            spent: vec![UNSPENT; rows],
+        }
+    }
+
+    /// Where `row`'s inputs sit in the pool.
+    #[inline]
+    fn span(&self, row: usize) -> (usize, usize) {
+        let (lo, hi) = (self.in_offsets[row], self.in_offsets[row + 1]);
+        (if lo > hi { 0 } else { lo as usize }, hi as usize)
+    }
+
+    #[inline]
+    fn inputs(&self, row: usize) -> &[NodeId] {
+        let (lo, hi) = self.span(row);
+        &self.in_pool[lo..hi]
+    }
+
+    /// Writes `row` — the next unused slot, or a ring slot to reuse —
+    /// with its inputs at pool position `lo`.
+    fn put(&mut self, row: usize, txid: TxId, lo: usize, inputs: &[NodeId], spent: SpenderList) {
+        let hi = lo + inputs.len();
+        if lo == self.in_pool.len() {
+            self.in_pool.extend_from_slice(inputs);
+        } else {
+            self.in_pool[lo..hi].copy_from_slice(inputs);
+        }
+        set(&mut self.ids, row, txid);
+        set(&mut self.spent, row, spent);
+        set(&mut self.in_offsets, row + 1, hi as u32);
+        if row as u32 == self.mask {
+            self.in_offsets[0] = hi as u32;
+        }
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.ids.shrink_to_fit();
+        self.in_offsets.shrink_to_fit();
+        self.in_pool.shrink_to_fit();
+        self.spent.shrink_to_fit();
+    }
+
+    fn bytes(&self) -> usize {
+        self.in_pool.capacity() * std::mem::size_of::<NodeId>()
+            + self.in_offsets.capacity() * std::mem::size_of::<u32>()
+            + self.ids.capacity() * std::mem::size_of::<TxId>()
+            + self.spent.capacity() * std::mem::size_of::<SpenderList>()
     }
 }
 
@@ -208,36 +322,20 @@ pub struct TanGraph {
     retention: RetentionPolicy,
     /// Total nodes ever inserted — the next stable id; [`TanGraph::len`].
     total: u32,
-    /// First stable id in the dense row region: `id >= base` lives at
-    /// row `retained.len() + (id - base)`.
-    base: u32,
     /// Eviction frontier: every id `< horizon` has had its retention
-    /// decision made (`base <= horizon <= total`).
+    /// decision made (`horizon <= total`).
     horizon: u32,
-    /// Sorted stable ids `< base` retained by the policy; their rows sit
-    /// at positions `0..retained.len()` in id order.
+    /// Sorted stable ids `< horizon` retained by the policy; id
+    /// `retained[i]` is row `i` of `rows[KEPT]`.
     retained: Vec<u32>,
-    /// Sorted stable ids in `[base, horizon)` retained since the last
-    /// compaction (still at their dense row; folded into `retained` at
-    /// the next compaction).
-    kept_above_base: Vec<u32>,
-    /// Rows evicted but not yet reclaimed by compaction.
-    dead_rows: u32,
-    /// Per-row transaction id.
-    ids: Vec<TxId>,
+    /// The [`WINDOW`] rows and the [`KEPT`] rows.
+    rows: [Rows; 2],
     index: HashMap<TxId, NodeId, TxIdBuildHasher>,
-    /// CSR offsets into [`TanGraph::in_pool`] per row; length `rows + 1`.
-    in_offsets: Vec<u32>,
-    /// Flattened input adjacency (deduplicated, insertion order).
-    in_pool: Vec<NodeId>,
-    /// First spender chunk per row, or [`NONE`].
-    sp_head: Vec<u32>,
-    /// Last spender chunk per row, or [`NONE`] (append fast path).
-    sp_tail: Vec<u32>,
-    /// `|Nout(v)|` so far, per row (O(1) in-degree).
-    in_counts: Vec<u32>,
     /// The chunk arena backing every spender list.
     chunks: Vec<SpenderChunk>,
+    /// Head of the list of chunks evicted nodes gave back (linked
+    /// through [`SpenderChunk::next`]), or [`NONE`].
+    free_chunk: u32,
     /// Chunk directory for nodes whose spender list spans **multiple**
     /// chunks (high-fanout hubs only — single-chunk nodes, the common
     /// case, never appear here), keyed by **stable id**: the node's
@@ -246,7 +344,7 @@ pub struct TanGraph {
     /// [`CHUNK`] spenders, and spender ids grow monotonically — so
     /// [`TanGraph::in_degree_at`] can binary search the directory by
     /// each chunk's first id instead of walking the chunk list.
-    chunk_dir: HashMap<u32, Vec<u32>>,
+    chunk_dir: HashMap<u32, Vec<u32>, TxIdBuildHasher>,
     /// Directed edges ever inserted (cumulative over the stream —
     /// eviction does not subtract).
     edge_count: u64,
@@ -274,20 +372,13 @@ impl TanGraph {
         TanGraph {
             retention: RetentionPolicy::Unbounded,
             total: 0,
-            base: 0,
             horizon: 0,
             retained: Vec::new(),
-            kept_above_base: Vec::new(),
-            dead_rows: 0,
-            ids: Vec::new(),
+            rows: [Rows::ring(0, 0), Rows::ring(0, 0)],
             index: HashMap::with_hasher(TxIdBuildHasher),
-            in_offsets: vec![0],
-            in_pool: Vec::new(),
-            sp_head: Vec::new(),
-            sp_tail: Vec::new(),
-            in_counts: Vec::new(),
             chunks: Vec::new(),
-            chunk_dir: HashMap::new(),
+            free_chunk: NONE,
+            chunk_dir: HashMap::with_hasher(TxIdBuildHasher),
             edge_count: 0,
             missing_parent_refs: 0,
             node_scratch: Vec::new(),
@@ -298,7 +389,14 @@ impl TanGraph {
     /// Creates an empty graph pre-sized for `capacity` nodes.
     pub fn with_capacity(capacity: usize) -> Self {
         let mut g = TanGraph::new();
-        g.reserve_rows(capacity);
+        let window = &mut g.rows[WINDOW];
+        window.ids.reserve(capacity);
+        window.in_offsets.reserve(capacity);
+        // Average TaN degree ≈ 2.3 ⇒ ~2.5 pool slots per node.
+        window.in_pool.reserve(capacity.saturating_mul(5) / 2);
+        window.spent.reserve(capacity);
+        g.index.reserve(capacity);
+        g.chunks.reserve(capacity / 2);
         g
     }
 
@@ -331,19 +429,6 @@ impl TanGraph {
         self.retention = retention;
     }
 
-    /// Pre-sizes the row arenas for `extra` additional nodes.
-    fn reserve_rows(&mut self, extra: usize) {
-        self.ids.reserve(extra);
-        self.index.reserve(extra);
-        self.in_offsets.reserve(extra);
-        // Average TaN degree ≈ 2.3 ⇒ ~2.5 pool slots per node.
-        self.in_pool.reserve(extra.saturating_mul(5) / 2);
-        self.sp_head.reserve(extra);
-        self.sp_tail.reserve(extra);
-        self.in_counts.reserve(extra);
-        self.chunks.reserve(extra / 2);
-    }
-
     /// Builds a graph from transactions in arrival order.
     pub fn from_transactions<'a, I>(txs: I) -> Self
     where
@@ -356,23 +441,15 @@ impl TanGraph {
         g
     }
 
-    /// Row of a **live** stable id, or `None` when the id was evicted
-    /// (or never inserted). The stable-id remap: dense offset for the
-    /// live region, binary search over the retained survivors below it.
+    /// `(table, row)` of a **live** stable id, or `None` when the id was
+    /// evicted (or never inserted): the window slot at or above the
+    /// horizon, binary search over the retained survivors below it.
     #[inline]
-    fn row_of(&self, id: u32) -> Option<usize> {
-        if id >= self.base {
-            if id >= self.total {
-                return None;
-            }
-            let row = self.retained.len() + (id - self.base) as usize;
-            if id >= self.horizon || self.kept_above_base.binary_search(&id).is_ok() {
-                Some(row)
-            } else {
-                None
-            }
+    fn row_of(&self, id: u32) -> Option<(usize, usize)> {
+        if id >= self.horizon {
+            (id < self.total).then(|| (WINDOW, (id & self.rows[WINDOW].mask) as usize))
         } else {
-            self.retained.binary_search(&id).ok()
+            self.retained.binary_search(&id).ok().map(|i| (KEPT, i))
         }
     }
 
@@ -402,8 +479,6 @@ impl TanGraph {
             prev.is_none(),
             "transaction {txid} inserted twice into TaN graph"
         );
-        self.total += 1;
-        self.ids.push(txid);
 
         let mut dedup = std::mem::take(&mut self.node_scratch);
         dedup.clear();
@@ -418,27 +493,84 @@ impl TanGraph {
                 None => self.missing_parent_refs += 1,
             }
         }
+        let lo = self.make_room(dedup.len());
         for &p in &dedup {
             self.push_spender(p, node);
         }
         self.edge_count += dedup.len() as u64;
-        self.in_pool.extend_from_slice(&dedup);
-        self.in_offsets.push(self.in_pool.len() as u32);
-        self.sp_head.push(NONE);
-        self.sp_tail.push(NONE);
-        self.in_counts.push(0);
+        let window = &mut self.rows[WINDOW];
+        let row = (node.0 & window.mask) as usize;
+        window.put(row, txid, lo, &dedup, UNSPENT);
+        self.total += 1;
         dedup.clear();
         self.node_scratch = dedup;
         node
     }
 
+    /// Makes room for the next window row and returns where its `n`
+    /// inputs go in the window's pool. Until the first eviction both
+    /// only ever append. Afterwards they are rings that double when
+    /// short, so a window that has stopped growing stops allocating. The
+    /// row ring keeps the slot after the newest row free: its start
+    /// entry is the newest row's end. The pool is live from the oldest
+    /// window row's inputs to the newest's, with at least one entry free
+    /// so the two ends never meet; the inputs go after the newest's,
+    /// else at the pool's start.
+    fn make_room(&mut self, n: usize) -> usize {
+        let live = self.total - self.horizon;
+        if live >= self.rows[WINDOW].mask {
+            self.rebuild_window(self.rows[WINDOW].in_pool.len());
+        }
+        loop {
+            let window = &self.rows[WINDOW];
+            let head = window.in_offsets[(self.total & window.mask) as usize] as usize;
+            if self.horizon == 0 {
+                return head;
+            }
+            let cap = window.in_pool.len();
+            let tail = match live {
+                0 => head,
+                _ => window.span((self.horizon & window.mask) as usize).0,
+            };
+            if tail <= head {
+                if head + n <= cap {
+                    return head;
+                } else if n < tail {
+                    return 0;
+                }
+            } else if head + n < tail {
+                return head;
+            }
+            self.rebuild_window((2 * cap).max(cap + n));
+        }
+    }
+
+    /// Moves the window into the smallest ring that holds it, the next
+    /// row and the free slot, over a `pool`-entry input pool packed from
+    /// its start. `O(window)`; only capacity changes come here, eviction
+    /// never does.
+    fn rebuild_window(&mut self, pool: usize) {
+        let rows = (self.total - self.horizon) as usize + 2;
+        let fresh = Rows::ring(rows.next_power_of_two(), pool);
+        let old = std::mem::replace(&mut self.rows[WINDOW], fresh);
+        let new = &mut self.rows[WINDOW];
+        let mut lo = 0;
+        for id in self.horizon..self.total {
+            let (from, to) = ((id & old.mask) as usize, (id & new.mask) as usize);
+            new.put(to, old.ids[from], lo, old.inputs(from), old.spent[from]);
+            lo += old.inputs(from).len();
+        }
+    }
+
     /// Appends `spender` to `parent`'s chunked spender list.
+    #[inline]
     fn push_spender(&mut self, parent: NodeId, spender: NodeId) {
-        let p = self
+        let (table, p) = self
             .row_of(parent.0)
             .expect("spender edges only target live parents");
-        self.in_counts[p] += 1;
-        let tail = self.sp_tail[p];
+        let list = &mut self.rows[table].spent[p];
+        list.count += 1;
+        let tail = list.tail;
         if tail != NONE {
             let chunk = &mut self.chunks[tail as usize];
             if (chunk.len as usize) < CHUNK {
@@ -447,20 +579,29 @@ impl TanGraph {
                 return;
             }
         }
-        // Need a fresh chunk.
-        let idx = self.chunks.len() as u32;
+        // Need a fresh chunk: one an evicted node gave back, else a new one.
         let mut chunk = SpenderChunk::new();
         chunk.slots[0] = spender;
         chunk.len = 1;
-        self.chunks.push(chunk);
+        let idx = match self.free_chunk {
+            NONE => {
+                self.chunks.push(chunk);
+                self.chunks.len() as u32 - 1
+            }
+            free => {
+                self.free_chunk = std::mem::replace(&mut self.chunks[free as usize], chunk).next;
+                free
+            }
+        };
+        list.tail = idx;
         if tail == NONE {
-            self.sp_head[p] = idx;
+            list.head = idx;
         } else {
             self.chunks[tail as usize].next = idx;
             // The node now spans multiple chunks: index them for the
             // historical binary search (amortized — once per CHUNK
             // spenders on hubs, never for single-chunk nodes).
-            let head = self.sp_head[p];
+            let head = list.head;
             self.chunk_dir
                 .entry(parent.0)
                 .or_insert_with(|| {
@@ -470,7 +611,6 @@ impl TanGraph {
                 })
                 .push(idx);
         }
-        self.sp_tail[p] = idx;
     }
 
     /// Inserts a node for a full [`Transaction`] (edges to its distinct
@@ -500,165 +640,66 @@ impl TanGraph {
     /// missing parent references. The retention decision is made exactly
     /// once per node, at the moment it crosses the horizon.
     ///
-    /// Physical reclamation is amortized: dead rows accumulate until an
-    /// automatic compaction (`O(live)` work, triggered once per ~half
-    /// window) copies the survivors into fresh arenas. Call
-    /// [`TanGraph::compact`] for an exact, shrink-to-fit compaction at
-    /// checkpoint time.
+    /// `O(1)` per node crossing, with nothing deferred: a retained
+    /// node's row and inputs are copied to the survivor table, an
+    /// evicted node's spender chunks go back on the free list, and the
+    /// window slot either way is free for a later insertion. No other
+    /// row is read or moved.
     ///
     /// The horizon only moves forward; calls with a smaller value are
     /// no-ops. Ids stay stable throughout.
     pub fn evict_before(&mut self, horizon: u32) {
         let target = horizon.min(self.total);
-        if target <= self.horizon {
-            return;
+        if self.horizon == 0 && target > 0 {
+            // First eviction: from here on the window is a ring. Every
+            // row so far already sits at `id & mask`, and the pool ring
+            // is the pool as it stands.
+            let window = &mut self.rows[WINDOW];
+            let cap = self.total.checked_next_power_of_two();
+            window.mask = cap.map_or(u32::MAX, |cap| cap - 1);
+            let next = (self.total & window.mask) as usize;
+            window.in_offsets[next] = window.in_offsets[self.total as usize];
         }
+        let [window, kept] = &mut self.rows;
         while self.horizon < target {
             let id = self.horizon;
-            let row = self.retained.len() + (id - self.base) as usize;
-            let keep = match self.retention {
-                RetentionPolicy::KeepUnspentAndHubs { min_degree } => {
-                    let d = self.in_counts[row];
-                    d == 0 || d >= min_degree
-                }
-                _ => false,
-            };
+            let row = (id & window.mask) as usize;
+            let list = window.spent[row];
+            let keep = matches!(self.retention, RetentionPolicy::KeepUnspentAndHubs { min_degree }
+                if list.count == 0 || list.count >= min_degree);
             if keep {
-                self.kept_above_base.push(id);
+                let (at, lo) = (self.retained.len(), kept.in_pool.len());
+                kept.put(at, window.ids[row], lo, window.inputs(row), list);
+                self.retained.push(id);
             } else {
-                self.index.remove(&self.ids[row]);
-                self.dead_rows += 1;
+                self.index.remove(&window.ids[row]);
+                if list.head != NONE {
+                    self.chunks[list.tail as usize].next = self.free_chunk;
+                    self.free_chunk = list.head;
+                }
+                if list.count as usize > CHUNK {
+                    self.chunk_dir.remove(&id);
+                }
             }
             self.horizon += 1;
         }
-        let live = self.ids.len() as u32 - self.dead_rows;
-        if self.dead_rows >= MIN_COMPACT.max(live / 2) {
-            self.compact_rows(false);
-        }
     }
 
-    /// Forces an exact compaction: reclaims every dead row and releases
-    /// excess arena capacity (checkpoint-time shrink). A no-op on graphs
-    /// that never evicted.
+    /// Releases excess capacity (checkpoint-time shrink): the window
+    /// ring and its pool are re-fitted to the rows they hold, every
+    /// other arena drops its growth headroom. Nothing observable
+    /// changes.
     pub fn compact(&mut self) {
-        if self.dead_rows > 0 || self.ids.len() < self.ids.capacity() {
-            self.compact_rows(true);
+        if self.horizon > 0 {
+            self.rebuild_window(self.rows[WINDOW].in_pool.len());
+            let window = &mut self.rows[WINDOW];
+            let used = window.in_offsets[(self.total & window.mask) as usize];
+            window.in_pool.truncate(used as usize);
         }
-    }
-
-    /// Copies every live row into fresh arenas, dropping dead rows and
-    /// folding `kept_above_base` into the retained list. `shrink` sizes
-    /// the new arenas exactly; otherwise they carry ~50% headroom so the
-    /// next half-window of insertions costs no doubling reallocation.
-    fn compact_rows(&mut self, shrink: bool) {
-        let rows = self.ids.len();
-        let old_r = self.retained.len();
-        let live = rows - self.dead_rows as usize;
-        // Pre-pass: exact pool/chunk sizes of the surviving rows.
-        let mut pool_len = 0usize;
-        let mut chunk_len = 0usize;
-        self.for_each_live_row(|g, row, _id| {
-            pool_len += (g.in_offsets[row + 1] - g.in_offsets[row]) as usize;
-            let mut c = g.sp_head[row];
-            while c != NONE {
-                chunk_len += 1;
-                c = g.chunks[c as usize].next;
-            }
-        });
-        // Headroom covers the growth until the next automatic compaction
-        // (`max(MIN_COMPACT, live/2)` inserted rows), scaled by each
-        // array's per-row density, so steady state never pays a doubling
-        // reallocation and peak capacity stays at ~1.5× the live set
-        // (MIN_COMPACT-floored).
-        let headroom_rows = (live / 2).max(MIN_COMPACT as usize);
-        let cap = move |n: usize| {
-            if shrink {
-                n
-            } else {
-                n + headroom_rows * n.div_ceil(live.max(1)) + 16
-            }
-        };
-
-        let mut ids = Vec::with_capacity(cap(live));
-        let mut in_offsets = Vec::with_capacity(cap(live) + 1);
-        in_offsets.push(0u32);
-        let mut in_pool: Vec<NodeId> = Vec::with_capacity(cap(pool_len));
-        let mut sp_head = Vec::with_capacity(cap(live));
-        let mut sp_tail = Vec::with_capacity(cap(live));
-        let mut in_counts = Vec::with_capacity(cap(live));
-        let mut chunks: Vec<SpenderChunk> = Vec::with_capacity(cap(chunk_len));
-        let mut chunk_dir: HashMap<u32, Vec<u32>> = HashMap::new();
-        let mut retained = Vec::with_capacity(old_r + self.kept_above_base.len());
-
-        self.for_each_live_row(|g, row, id| {
-            if id < g.horizon {
-                retained.push(id);
-            }
-            ids.push(g.ids[row]);
-            in_counts.push(g.in_counts[row]);
-            let lo = g.in_offsets[row] as usize;
-            let hi = g.in_offsets[row + 1] as usize;
-            in_pool.extend_from_slice(&g.in_pool[lo..hi]);
-            in_offsets.push(in_pool.len() as u32);
-            let mut c = g.sp_head[row];
-            if c == NONE {
-                sp_head.push(NONE);
-                sp_tail.push(NONE);
-            } else {
-                let head = chunks.len() as u32;
-                let mut dir: Vec<u32> = Vec::new();
-                while c != NONE {
-                    let mut chunk = g.chunks[c as usize].clone();
-                    c = chunk.next;
-                    chunk.next = NONE;
-                    let idx = chunks.len() as u32;
-                    if idx > head {
-                        chunks[idx as usize - 1].next = idx;
-                    }
-                    dir.push(idx);
-                    chunks.push(chunk);
-                }
-                sp_head.push(head);
-                sp_tail.push(chunks.len() as u32 - 1);
-                if dir.len() > 1 {
-                    chunk_dir.insert(id, dir);
-                }
-            }
-        });
-
-        self.ids = ids;
-        self.in_offsets = in_offsets;
-        self.in_pool = in_pool;
-        self.sp_head = sp_head;
-        self.sp_tail = sp_tail;
-        self.in_counts = in_counts;
-        self.chunks = chunks;
-        self.chunk_dir = chunk_dir;
-        self.retained = retained;
-        self.kept_above_base.clear();
-        self.base = self.horizon;
-        self.dead_rows = 0;
-        if shrink {
-            self.index.shrink_to_fit();
-        }
-    }
-
-    /// Visits `(graph, row, stable_id)` for every live row in row order.
-    fn for_each_live_row(&self, mut visit: impl FnMut(&Self, usize, u32)) {
-        let old_r = self.retained.len();
-        for row in 0..self.ids.len() {
-            let id = if row < old_r {
-                self.retained[row]
-            } else {
-                self.base + (row - old_r) as u32
-            };
-            let live = row < old_r
-                || id >= self.horizon
-                || self.kept_above_base.binary_search(&id).is_ok();
-            if live {
-                visit(self, row, id);
-            }
-        }
+        self.rows.iter_mut().for_each(Rows::shrink_to_fit);
+        self.retained.shrink_to_fit();
+        self.chunks.shrink_to_fit();
+        self.index.shrink_to_fit();
     }
 
     /// Number of nodes ever inserted (ids are stable, so this keeps
@@ -671,7 +712,7 @@ impl TanGraph {
     /// Number of nodes currently resident (live window + retained
     /// survivors).
     pub fn live_len(&self) -> usize {
-        self.ids.len() - self.dead_rows as usize
+        self.retained.len() + (self.total - self.horizon) as usize
     }
 
     /// Number of nodes evicted by the retention policy so far.
@@ -683,7 +724,7 @@ impl TanGraph {
     /// (unspent frontier / hubs under
     /// [`RetentionPolicy::KeepUnspentAndHubs`]).
     pub fn retained_nodes(&self) -> usize {
-        self.retained.len() + self.kept_above_base.len()
+        self.retained.len()
     }
 
     /// The eviction horizon: every node with a smaller id has had its
@@ -715,10 +756,10 @@ impl TanGraph {
     ///
     /// Panics if `node` is out of range or evicted.
     pub fn txid(&self, node: NodeId) -> TxId {
-        let row = self
+        let (table, row) = self
             .row_of(node.0)
             .unwrap_or_else(|| panic!("node {node} is out of range or evicted"));
-        self.ids[row]
+        self.rows[table].ids[row]
     }
 
     /// The node for `txid`, if present and live.
@@ -730,11 +771,7 @@ impl TanGraph {
     /// as one contiguous slice of the CSR pool. Empty for evicted nodes.
     pub fn inputs(&self, u: NodeId) -> &[NodeId] {
         match self.row_of(u.0) {
-            Some(row) => {
-                let lo = self.in_offsets[row] as usize;
-                let hi = self.in_offsets[row + 1] as usize;
-                &self.in_pool[lo..hi]
-            }
+            Some((table, row)) => self.rows[table].inputs(row),
             None => &[],
         }
     }
@@ -743,11 +780,14 @@ impl TanGraph {
     /// `Nout(v)` at the current point of the stream — in arrival order.
     /// Empty for evicted nodes.
     pub fn spenders(&self, v: NodeId) -> Spenders<'_> {
-        Spenders {
-            graph: self,
-            chunk: self.row_of(v.0).map_or(NONE, |row| self.sp_head[row]),
-            slot: 0,
-        }
+        let row = self.row_of(v.0);
+        self.chain(row.map_or(NONE, |(table, row)| self.rows[table].spent[row].head))
+    }
+
+    /// The spenders in the chunk chain starting at `chunk`.
+    fn chain(&self, chunk: u32) -> Spenders<'_> {
+        let (graph, slot) = (self, 0);
+        Spenders { graph, chunk, slot }
     }
 
     /// Out-degree of `u` in the paper's orientation (`|Nin(u)|`): how many
@@ -761,7 +801,7 @@ impl TanGraph {
     /// so far. Zero while unspent (and for evicted nodes). O(1).
     pub fn in_degree(&self, v: NodeId) -> usize {
         self.row_of(v.0)
-            .map_or(0, |row| self.in_counts[row] as usize)
+            .map_or(0, |(table, row)| self.rows[table].spent[row].count as usize)
     }
 
     /// In-degree of `v` as it was when `observer` arrived: the number of
@@ -774,19 +814,20 @@ impl TanGraph {
     /// The streaming case (`observer` is the newest node, so every spender
     /// qualifies) is O(1); historical observers binary search the node's
     /// chunk directory by first spender id, then binary search inside the
-    /// straddling chunk — `O(log d)` on a hub of in-degree `d` instead of
-    /// the former `O(d/CHUNK)` chunk walk. Zero for evicted nodes.
+    /// straddling chunk — `O(log d)` on a hub of in-degree `d`. Zero for
+    /// evicted nodes.
     pub fn in_degree_at(&self, v: NodeId, observer: NodeId) -> usize {
-        let Some(row) = self.row_of(v.0) else {
+        let Some((table, row)) = self.row_of(v.0) else {
             return 0;
         };
-        let count = self.in_counts[row] as usize;
+        let list = self.rows[table].spent[row];
+        let count = list.count as usize;
         if count == 0 {
             return 0;
         }
         // Fast path: spender lists grow in id order, so if the most
         // recently appended spender is within view, all of them are.
-        let tail = &self.chunks[self.sp_tail[row] as usize];
+        let tail = &self.chunks[list.tail as usize];
         if tail.slots[tail.len as usize - 1] <= observer {
             return count;
         }
@@ -796,7 +837,7 @@ impl TanGraph {
         // Single-chunk node — the common case (average TaN degree ≈ 2.3):
         // the count alone proves there is no directory entry to look up.
         if count <= CHUNK {
-            return straddling(&self.chunks[self.sp_head[row] as usize], 0);
+            return straddling(&self.chunks[list.head as usize], 0);
         }
         let dir = self
             .chunk_dir
@@ -823,16 +864,8 @@ impl TanGraph {
     /// Iterates over the live node ids (window + retained survivors) in
     /// insertion order.
     pub fn live_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.retained
-            .iter()
-            .copied()
-            .chain(
-                self.kept_above_base
-                    .iter()
-                    .copied()
-                    .chain(self.horizon..self.total),
-            )
-            .map(NodeId)
+        let retained = self.retained.iter().copied();
+        retained.chain(self.horizon..self.total).map(NodeId)
     }
 
     /// Iterates over all directed edges `(u, v)` meaning "`u` spends `v`"
@@ -842,20 +875,14 @@ impl TanGraph {
             .flat_map(move |u| self.inputs(u).iter().map(move |&v| (u, v)))
     }
 
-    /// Bytes of heap owned by the adjacency arenas (diagnostics for the
-    /// perf baseline's memory gate; excludes the `TxId` index and the
-    /// hub chunk directory).
+    /// Bytes of heap owned by the adjacency arenas — the window rows and
+    /// their input pool, the survivor table, and the spender chunks,
+    /// free ones included (diagnostics for the perf baseline's memory
+    /// gate; excludes the `TxId` index and the hub chunk directory).
     pub fn arena_bytes(&self) -> usize {
-        self.in_pool.capacity() * std::mem::size_of::<NodeId>()
-            + self.in_offsets.capacity() * std::mem::size_of::<u32>()
-            + self.ids.capacity() * std::mem::size_of::<TxId>()
+        self.rows.iter().map(Rows::bytes).sum::<usize>()
             + self.chunks.capacity() * std::mem::size_of::<SpenderChunk>()
-            + (self.sp_head.capacity()
-                + self.sp_tail.capacity()
-                + self.in_counts.capacity()
-                + self.retained.capacity()
-                + self.kept_above_base.capacity())
-                * std::mem::size_of::<u32>()
+            + self.retained.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Estimated bytes of graph state attributable to one live node: a
@@ -877,11 +904,12 @@ impl TanGraph {
             + self.in_degree(u) * std::mem::size_of::<u32>()
     }
 
-    /// Serializes the live graph into `w` in its canonical compacted
-    /// form: retention, stream counters, and one entry per live row in
-    /// stable-id order (id, txid, input set, spender list). Dead rows
-    /// never hit the wire, so the encoding is O(live window + retained
-    /// survivors) — the checkpoint-friendly shape.
+    /// Serializes the live graph into `w` in its canonical form:
+    /// retention, stream counters, and one entry per live row in
+    /// stable-id order (id, txid, input set, spender list). Evicted
+    /// nodes never hit the wire, so the encoding is O(live window +
+    /// retained survivors) — the checkpoint-friendly shape — and says
+    /// nothing about where a row is stored.
     pub fn encode_into(&self, w: &mut ByteWriter) {
         w.put_u8(TAN_CODEC_VERSION);
         self.retention.encode_into(w);
@@ -890,116 +918,89 @@ impl TanGraph {
         w.put_u64(self.edge_count);
         w.put_u64(self.missing_parent_refs);
         w.put_u64(self.live_len() as u64);
-        self.for_each_live_row(|g, row, id| {
+        let mask = self.rows[WINDOW].mask;
+        let kept = (0..self.retained.len()).map(|i| (self.retained[i], KEPT, i));
+        let window = (self.horizon..self.total).map(|id| (id, WINDOW, (id & mask) as usize));
+        for (id, table, row) in kept.chain(window) {
+            let rows = &self.rows[table];
             w.put_u32(id);
-            w.put_u64(g.ids[row].0);
-            let lo = g.in_offsets[row] as usize;
-            let hi = g.in_offsets[row + 1] as usize;
-            w.put_u32((hi - lo) as u32);
-            for p in &g.in_pool[lo..hi] {
+            w.put_u64(rows.ids[row].0);
+            let inputs = rows.inputs(row);
+            w.put_u32(inputs.len() as u32);
+            for p in inputs {
                 w.put_u32(p.0);
             }
-            w.put_u32(g.in_counts[row]);
-            let mut c = g.sp_head[row];
-            while c != NONE {
-                let chunk = &g.chunks[c as usize];
-                for s in chunk.entries() {
-                    w.put_u32(s.0);
-                }
-                c = chunk.next;
+            w.put_u32(rows.spent[row].count);
+            for s in self.chain(rows.spent[row].head) {
+                w.put_u32(s.0);
             }
-        });
+        }
     }
 
-    /// Decodes a graph written by [`TanGraph::encode_into`] back into
-    /// its canonical compacted form (base at the horizon, survivors
-    /// folded into the retained list, spender chunks re-packed so that
-    /// every chunk but a node's last is full — the invariant
-    /// [`TanGraph::in_degree_at`]'s fast path relies on).
+    /// Decodes a graph written by [`TanGraph::encode_into`]: survivors
+    /// into the survivor table, the window into a ring sized for it
+    /// (or, on a never-evicted graph, `row = id`), spender lists
+    /// re-appended one by one so that every chunk but a node's last is
+    /// full — the invariant [`TanGraph::in_degree_at`]'s fast path
+    /// relies on.
     pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         if r.get_u8()? != TAN_CODEC_VERSION {
             return Err(CodecError("unsupported TaN codec version"));
         }
-        let retention = RetentionPolicy::decode_from(r)?;
-        let total = r.get_u32()?;
-        let horizon = r.get_u32()?;
+        let mut g = TanGraph::with_retention(RetentionPolicy::decode_from(r)?);
+        g.total = r.get_u32()?;
+        g.horizon = r.get_u32()?;
+        let (total, horizon) = (g.total, g.horizon);
         if horizon > total {
             return Err(CodecError("TaN horizon past the stream length"));
         }
-        let edge_count = r.get_u64()?;
-        let missing_parent_refs = r.get_u64()?;
+        g.edge_count = r.get_u64()?;
+        g.missing_parent_refs = r.get_u64()?;
         // Minimum encoded row: id + txid + two empty-list counts.
         let rows = r.get_count(20)?;
-        if rows < (total - horizon) as usize {
+        let window = (total - horizon) as usize;
+        if rows < window {
             return Err(CodecError("TaN live window not fully present"));
         }
-
-        let mut g = TanGraph::with_capacity(rows);
-        g.retention = retention;
-        g.total = total;
-        g.base = horizon;
-        g.horizon = horizon;
-        g.edge_count = edge_count;
-        g.missing_parent_refs = missing_parent_refs;
+        g.index.reserve(rows);
+        if horizon > 0 {
+            g.rows[WINDOW] = Rows::ring((window + 2).next_power_of_two(), 0);
+        }
 
         let mut prev_id: Option<u32> = None;
         let mut expected_dense = horizon;
+        let mut inputs = Vec::new();
         for _ in 0..rows {
             let id = r.get_u32()?;
             if id >= total || prev_id.is_some_and(|p| id <= p) {
                 return Err(CodecError("TaN row ids must be strictly increasing"));
             }
             prev_id = Some(id);
-            if id < horizon {
+            let (table, row) = if id < horizon {
                 if expected_dense != horizon {
                     return Err(CodecError("retained TaN row after the live window"));
                 }
                 g.retained.push(id);
+                (KEPT, g.retained.len() - 1)
             } else {
                 if id != expected_dense {
                     return Err(CodecError("gap in the live TaN window"));
                 }
                 expected_dense += 1;
-            }
+                (WINDOW, (id & g.rows[WINDOW].mask) as usize)
+            };
             let txid = TxId(r.get_u64()?);
-            let row = g.ids.len();
             if g.index.insert(txid, NodeId(id)).is_some() {
                 return Err(CodecError("duplicate txid in TaN rows"));
             }
-            g.ids.push(txid);
-            let n_in = r.get_u32()? as usize;
-            for _ in 0..n_in {
-                g.in_pool.push(NodeId(r.get_u32()?));
+            inputs.clear();
+            for _ in 0..r.get_u32()? {
+                inputs.push(NodeId(r.get_u32()?));
             }
-            g.in_offsets.push(g.in_pool.len() as u32);
-            let n_sp = r.get_u32()? as usize;
-            g.in_counts.push(n_sp as u32);
-            g.sp_head.push(NONE);
-            g.sp_tail.push(NONE);
-            if n_sp > 0 {
-                // Re-pack the spender list into full chunks; index the
-                // directory only for multi-chunk nodes.
-                let head = g.chunks.len() as u32;
-                let mut dir: Vec<u32> = Vec::new();
-                for i in 0..n_sp {
-                    let spender = NodeId(r.get_u32()?);
-                    if i % CHUNK == 0 {
-                        let idx = g.chunks.len() as u32;
-                        if idx > head {
-                            g.chunks[idx as usize - 1].next = idx;
-                        }
-                        dir.push(idx);
-                        g.chunks.push(SpenderChunk::new());
-                    }
-                    let chunk = g.chunks.last_mut().expect("chunk just pushed");
-                    chunk.slots[chunk.len as usize] = spender;
-                    chunk.len += 1;
-                }
-                g.sp_head[row] = head;
-                g.sp_tail[row] = g.chunks.len() as u32 - 1;
-                if dir.len() > 1 {
-                    g.chunk_dir.insert(id, dir);
-                }
+            let lo = g.rows[table].in_pool.len();
+            g.rows[table].put(row, txid, lo, &inputs, UNSPENT);
+            for _ in 0..r.get_u32()? {
+                g.push_spender(NodeId(id), NodeId(r.get_u32()?));
             }
         }
         if expected_dense != total {
@@ -1352,7 +1353,7 @@ mod tests {
     }
 
     #[test]
-    fn automatic_compaction_bounds_arena_memory() {
+    fn windowed_eviction_bounds_arena_memory() {
         let window = 2_000u32;
         let mut windowed = TanGraph::with_retention(RetentionPolicy::WindowTxs(window as usize));
         let mut peak = 0usize;
@@ -1377,7 +1378,7 @@ mod tests {
             "windowed peak {peak} vs unbounded {}",
             full.arena_bytes()
         );
-        // Checkpoint-time shrink releases the headroom.
+        // Checkpoint-time shrink releases the growth headroom.
         let before = windowed.arena_bytes();
         windowed.compact();
         assert!(windowed.arena_bytes() <= before);
@@ -1462,17 +1463,16 @@ mod tests {
 
     #[test]
     fn codec_roundtrips_mid_eviction_without_forcing_compaction() {
-        // Dead rows below the automatic-compaction threshold: the
-        // encoder must skip them without mutating the source.
+        // Retired rows still sit in their window slots: the encoder
+        // must skip them without mutating the source.
         let mut g = TanGraph::with_retention(RetentionPolicy::WindowTxs(8));
         chain(&mut g, 40);
         g.evict_before(32);
-        assert!(g.live_len() < g.ids.len(), "dead rows must be present");
+        assert!(g.live_len() < g.rows[WINDOW].ids.len());
         let back = roundtrip(&g);
         assert_same_graph(&g, &back);
-        // The decoded form is exactly compacted.
-        assert_eq!(back.dead_rows, 0);
-        assert_eq!(back.base, back.horizon);
+        // The decoded window is a ring sized for the live rows alone.
+        assert_eq!(back.rows[WINDOW].ids.len(), 16);
     }
 
     #[test]
