@@ -14,7 +14,9 @@
 //! 3. **overload** — a rate-capped server driven at 2x its capacity.
 //!    Demonstrates the overload contract: typed `QueueFull` shedding,
 //!    admitted-request p99 within the queue-derived bound, and one
-//!    response per request (zero lost acks).
+//!    response per request (zero lost acks). Under `--smoke` its fleet
+//!    runs a small `WindowTxs` window, so the duplicate guard rotates
+//!    several times and the final `Metrics` scrape shows it bounded.
 //!
 //! Writes `BENCH_service.json` (diffed against the committed baseline
 //! by `scripts/bench_compare.py --mode service`).
@@ -30,7 +32,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use optchain_client::{Client, Event};
-use optchain_core::{RouterFleet, RouterFleetBuilder};
+use optchain_core::{RetentionPolicy, RouterFleet, RouterFleetBuilder};
 use optchain_server::{PlacementServer, RejectReason};
 use optchain_utxo::{Transaction, TxId};
 use optchain_workload::{generate, WorkloadConfig};
@@ -108,6 +110,24 @@ fn fleet_builder(args: &Args) -> RouterFleetBuilder {
         .shards(args.k)
         .workers(args.workers)
         .sync_interval(args.sync_interval)
+}
+
+/// Fails the run if the server's final `Metrics` scrape shows the
+/// duplicate guard tracking more than two generations of ids.
+fn assert_dedup_bounded(server: &PlacementServer, arm: &str) {
+    let text = server.metrics_text();
+    let gauge = |name: &str| -> u64 {
+        (text.lines())
+            .find_map(|line| line.strip_prefix(name)?.trim().parse().ok())
+            .unwrap_or_else(|| panic!("{arm}: no {name} in the metrics text"))
+    };
+    let horizon = gauge("optchain_dedup_horizon ");
+    let tracked = gauge("optchain_dedup_tracked_ids ");
+    eprintln!("{arm}: dedup guard tracks {tracked} ids, horizon {horizon}");
+    assert!(
+        horizon == 0 || tracked <= 2 * horizon,
+        "{arm}: duplicate guard tracks {tracked} ids, over twice its horizon {horizon}"
+    );
 }
 
 /// Chunk size of the reference's detached bulk submission (same as
@@ -304,6 +324,7 @@ fn main() {
     let sus_acked = server.metrics().acked();
     let sus_shed = server.metrics().shed_total();
     let sus_lost = sus.sent - sus.acks - sus.rejects;
+    assert_dedup_bounded(&server, "sustained");
     server.shutdown();
     eprintln!(
         "sustained: {sus_tps:.0} tx/s ({sus_seconds:.3}s), p50={sus_p50}us p99={sus_p99}us, \
@@ -333,8 +354,17 @@ fn main() {
     // in-flight dispatch chunk, both served at `rate`; x2 for slop.
     let p99_bound_usec = (over_queue as u64 + 256) * 1_000_000 / rate * 2;
 
+    // A smoke run admits ~15k transactions: a window this small puts
+    // the guard through several generations, so the bound is checked
+    // on a guard that has actually forgotten something.
+    let over_fleet = match args.smoke {
+        true => fleet_builder(&args)
+            .retention(RetentionPolicy::WindowTxs(1_024))
+            .sync_interval(512),
+        false => fleet_builder(&args),
+    };
     let server = PlacementServer::builder()
-        .fleet(fleet_builder(&args))
+        .fleet(over_fleet)
         .queue_capacity(over_queue)
         .credit_window(256)
         .max_placements_per_sec(rate)
@@ -355,6 +385,7 @@ fn main() {
     let over_shed = server.metrics().shed_total();
     let over_lost = over.sent - over.acks - over.rejects;
     let p99_within_bound = over_p99 <= p99_bound_usec;
+    assert_dedup_bounded(&server, "overload");
     server.shutdown();
     eprintln!(
         "overload: offered {:.0} tx/s for {over_seconds:.3}s, admitted={over_admitted} \

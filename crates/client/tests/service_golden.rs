@@ -6,7 +6,7 @@
 use std::time::{Duration, Instant};
 
 use optchain_client::{Client, ClientError, RejectReason};
-use optchain_core::{Router, RouterFleet, SegmentWal, Storage};
+use optchain_core::{RetentionPolicy, Router, RouterFleet, SegmentWal, Storage};
 use optchain_server::PlacementServer;
 use optchain_utxo::TxId;
 use optchain_workload::{generate, WorkloadConfig};
@@ -378,6 +378,112 @@ fn duplicate_submission_is_shed_typed() {
     server.shutdown();
 }
 
+/// What "duplicate" means follows the fleet's retention policy. Under
+/// `WindowTxs` an id is refused for as long as some worker's graph can
+/// still hold it and admitted again — placed as a fresh node, no
+/// worker panic, on the worker that adopted the original as well —
+/// once two generations of the guard have passed; a fleet that never
+/// evicts never forgets.
+#[test]
+fn resubmission_past_the_horizon_is_a_fresh_placement() {
+    const WINDOW: usize = 16;
+    const SYNC: u64 = 8;
+    const QUEUE: usize = 32;
+    let expect_duplicate = |outcome: Result<u32, ClientError>| match outcome {
+        Err(ClientError::Rejected { reason, .. }) => assert_eq!(reason, RejectReason::Duplicate),
+        other => panic!("expected Duplicate rejection, got {other:?}"),
+    };
+    for workers in [1usize, 2] {
+        let server = PlacementServer::builder()
+            .fleet(
+                RouterFleet::builder()
+                    .shards(4)
+                    .workers(workers)
+                    .partitioner(|client| client as usize)
+                    .sync_interval(SYNC)
+                    .retention(RetentionPolicy::WindowTxs(WINDOW)),
+            )
+            .queue_capacity(QUEUE)
+            .start()
+            .expect("start server");
+        // Connection c is client key c: with two workers the two
+        // connections alternate, so each worker places every other id
+        // and adopts the rest at the next sync mark.
+        let mut clients = [
+            Client::connect(server.local_addr()).expect("connect"),
+            Client::connect(server.local_addr()).expect("connect"),
+        ];
+        for client in &mut clients {
+            client
+                .set_read_timeout(Some(Duration::from_secs(30)))
+                .unwrap();
+        }
+        let clients = &mut clients;
+        fn submit(clients: &mut [Client; 2], id: u64) -> Result<u32, ClientError> {
+            let parents: Vec<TxId> = id.checked_sub(1).map(TxId).into_iter().collect();
+            clients[(id % 2) as usize].submit(1, TxId(id), &parents)
+        }
+        // One generation of the guard: the fleet's eviction horizon
+        // (the window, plus two sync intervals of adoption lag with
+        // siblings) and a queueful of overtaking.
+        let horizon = WINDOW as u64 + 1 + if workers > 1 { 2 * SYNC } else { 0 };
+        let span = horizon + QUEUE as u64;
+        // Synchronous submits leave nothing queued at a rotation, so
+        // generations are exact: id 0 is remembered through the first
+        // 2 * span admissions...
+        for id in 0..2 * span - 1 {
+            submit(clients, id).expect("placed");
+        }
+        expect_duplicate(submit(clients, 0));
+        submit(clients, 2 * span - 1).expect("placed");
+        // ...and forgotten by the next, with its whole generation. The
+        // resubmissions land on the worker that did not place the
+        // original (ids shift by one connection) and cross sync marks.
+        for id in 0..span {
+            clients[((id + 1) % 2) as usize]
+                .submit(1, TxId(id), &[])
+                .expect("a fresh placement past the horizon");
+        }
+        // Every worker survived: fresh ids still place and resolve.
+        for id in 3 * span..3 * span + 4 * SYNC {
+            submit(clients, id).expect("placed");
+        }
+        let last = TxId(3 * span + 4 * SYNC - 1);
+        assert!(clients[0].query(last).expect("query").is_some());
+        let text = clients[0].metrics_text().expect("metrics");
+        let generation = span + QUEUE as u64;
+        assert!(
+            text.contains(&format!("optchain_dedup_horizon {generation}")),
+            "{text}"
+        );
+        let tracked: u64 = text
+            .lines()
+            .find_map(|line| line.strip_prefix("optchain_dedup_tracked_ids "))
+            .and_then(|n| n.parse().ok())
+            .expect("tracked gauge");
+        let admitted = server.metrics().admitted();
+        assert_eq!(admitted, 3 * span + 4 * SYNC);
+        // The guard holds the current generation and the one before.
+        assert_eq!(tracked, span + admitted % span, "{text}");
+        server.shutdown();
+    }
+
+    // The same traffic against a fleet that never evicts: three
+    // horizons on, its very first id is still refused.
+    let server = PlacementServer::builder()
+        .fleet(RouterFleet::builder().shards(4).workers(1))
+        .queue_capacity(QUEUE)
+        .start()
+        .expect("start server");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let span = WINDOW as u64 + 1 + QUEUE as u64;
+    for id in 0..3 * span {
+        client.submit(1, TxId(id), &[]).expect("placed");
+    }
+    expect_duplicate(client.submit(1, TxId(0), &[]));
+    server.shutdown();
+}
+
 /// The metrics endpoint reports the counters the protocol promises.
 #[test]
 fn metrics_text_reports_service_counters() {
@@ -398,6 +504,11 @@ fn metrics_text_reports_service_counters() {
         "{text}"
     );
     assert!(text.contains("optchain_queue_capacity"), "{text}");
+    // The duplicate guard holds exactly the ids the client got
+    // admitted (the shed duplicate registered nothing), and a fleet
+    // that never evicts has no horizon.
+    assert!(text.contains("optchain_dedup_tracked_ids 32"), "{text}");
+    assert!(text.contains("optchain_dedup_horizon 0"), "{text}");
     assert!(
         text.contains("optchain_latency_usec{quantile=\"0.99\"}"),
         "{text}"

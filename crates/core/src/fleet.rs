@@ -17,9 +17,9 @@
 //! `Router`: every door of [`FleetHandle`] sends the same message —
 //! first global sequence number, client key, transactions, reply mode —
 //! and the worker runs one placement loop over it. The transactions are
-//! either raw `(txid, distinct input ids)` rows (what a wire request
-//! carries; a single [`FleetHandle::submit`] is a batch of one) or a
-//! zero-copy window into a shared `Arc<[Transaction]>` stream. The
+//! either flat [`TxRows`] (what a wire request carries; a single
+//! [`FleetHandle::submit`] is a batch of one) or a zero-copy window
+//! into a shared `Arc<[Transaction]>` stream. The
 //! reply mode is either *detached* — shards accumulate worker-side
 //! under the client key until [`FleetHandle::drain`] — or a synchronous
 //! round trip on the handle's one reply channel. A request of `n`
@@ -125,38 +125,107 @@ pub const DEFAULT_SYNC_INTERVAL: u64 = 8_192;
 const QUEUE_DEPTH: usize = 1_024;
 
 // ---------------------------------------------------------------------------
-// Delta: what one worker tells the others at a sync point
+// TxRows and Delta: transactions as flat rows
 // ---------------------------------------------------------------------------
 
-/// The transactions a worker placed since the last sync, flattened
-/// (id, distinct input ids, shard) — the unit of TaN cross-sync.
-#[derive(Debug, Default)]
-struct Delta {
-    txids: Vec<TxId>,
-    shards: Vec<u32>,
-    /// CSR offsets into `inputs`; empty until the first push, then
-    /// length `txids.len() + 1`.
+/// Transactions as flat `(txid, distinct input ids)` rows — what a wire
+/// request carries, and the form it keeps from the socket to the worker:
+/// three allocations however many transactions, none per transaction.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TxRows {
+    ids: Vec<TxId>,
+    /// Where each transaction's inputs end in `inputs` (they start
+    /// where the previous transaction's end, the first at 0).
     offsets: Vec<u32>,
     inputs: Vec<TxId>,
 }
 
-impl Delta {
-    fn push(&mut self, txid: TxId, inputs: &[TxId], shard: u32) {
-        if self.offsets.is_empty() {
-            self.offsets.push(0);
+impl TxRows {
+    /// Empty rows with room for `txs` transactions and `inputs` input
+    /// ids in total.
+    pub fn with_capacity(txs: usize, inputs: usize) -> Self {
+        TxRows {
+            ids: Vec::with_capacity(txs),
+            offsets: Vec::with_capacity(txs),
+            inputs: Vec::with_capacity(inputs),
         }
-        self.txids.push(txid);
-        self.shards.push(shard);
-        self.inputs.extend_from_slice(inputs);
+    }
+
+    /// Appends one transaction.
+    pub fn push(&mut self, txid: TxId, inputs: impl IntoIterator<Item = TxId>) {
+        self.ids.push(txid);
+        self.inputs.extend(inputs);
         self.offsets.push(self.inputs.len() as u32);
     }
 
-    fn iter(&self) -> impl Iterator<Item = (TxId, &[TxId], u32)> + '_ {
-        self.txids.iter().enumerate().map(|(i, &txid)| {
-            let lo = self.offsets[i] as usize;
-            let hi = self.offsets[i + 1] as usize;
-            (txid, &self.inputs[lo..hi], self.shards[i])
+    /// Number of transactions.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// `true` iff there are no transactions.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// The transaction ids, in order.
+    pub fn ids(&self) -> &[TxId] {
+        &self.ids
+    }
+
+    /// Each transaction's id and input ids, in order.
+    pub fn iter(&self) -> impl Iterator<Item = (TxId, &[TxId])> + '_ {
+        let mut lo = 0;
+        self.ids.iter().zip(&self.offsets).map(move |(&txid, &hi)| {
+            let inputs = &self.inputs[lo..hi as usize];
+            lo = hi as usize;
+            (txid, inputs)
         })
+    }
+
+    /// Splits off the transactions from `at` on, copying only those
+    /// (nothing at all when `at` is the end).
+    fn split_off(&mut self, at: usize) -> TxRows {
+        if at == self.len() {
+            return TxRows::default();
+        }
+        let base = at.checked_sub(1).map_or(0, |last| self.offsets[last]);
+        let mut offsets = self.offsets.split_off(at);
+        offsets.iter_mut().for_each(|end| *end -= base);
+        TxRows {
+            ids: self.ids.split_off(at),
+            offsets,
+            inputs: self.inputs.split_off(base as usize),
+        }
+    }
+}
+
+impl<I: IntoIterator<Item = TxId>> FromIterator<(TxId, I)> for TxRows {
+    fn from_iter<T: IntoIterator<Item = (TxId, I)>>(rows: T) -> Self {
+        let mut out = TxRows::default();
+        rows.into_iter()
+            .for_each(|(txid, inputs)| out.push(txid, inputs));
+        out
+    }
+}
+
+/// The transactions a worker placed since the last sync, with the
+/// shard of each — the unit of TaN cross-sync.
+#[derive(Debug, Default)]
+struct Delta {
+    rows: TxRows,
+    shards: Vec<u32>,
+}
+
+impl Delta {
+    fn push(&mut self, txid: TxId, inputs: &[TxId], shard: u32) {
+        self.rows.push(txid, inputs.iter().copied());
+        self.shards.push(shard);
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (TxId, &[TxId], u32)> + '_ {
+        let shards = self.shards.iter();
+        (self.rows.iter().zip(shards)).map(|((txid, inputs), &shard)| (txid, inputs, shard))
     }
 }
 
@@ -280,9 +349,9 @@ impl Drop for PoisonOnPanic {
 
 /// The transactions of one placement message.
 enum Txs {
-    /// Raw `(txid, distinct input ids)` rows: a wire request, or a
-    /// single submission as a batch of one.
-    Raw(Vec<(TxId, Vec<TxId>)>),
+    /// Flat rows: a wire request, or a single submission as a batch
+    /// of one.
+    Rows(TxRows),
     /// A zero-copy window into a shared stream (the bulk path: no
     /// per-transaction allocation crosses the channel).
     Shared(Arc<[Transaction]>, Range<usize>),
@@ -434,7 +503,7 @@ fn worker_loop(
                     placed.push(shard);
                 };
                 match &txs {
-                    Txs::Raw(rows) => rows.iter().for_each(|(txid, inputs)| place(*txid, inputs)),
+                    Txs::Rows(rows) => rows.iter().for_each(|(txid, inputs)| place(txid, inputs)),
                     Txs::Shared(stream, range) => {
                         for tx in &stream[range.clone()] {
                             Router::distinct_inputs_into(tx, &mut input_scratch);
@@ -753,7 +822,19 @@ impl RouterFleetBuilder {
         let partitioner: Partitioner = self
             .partitioner
             .unwrap_or_else(|| Arc::new(|client| splitmix64(client) as usize));
+        // See `RouterFleet::eviction_horizon`: a lone worker ingests in
+        // submission order; siblings lag by up to two sync intervals.
+        let lag = match (workers, self.sync_interval) {
+            (1, _) => Some(0),
+            (_, 0) => None,
+            (_, interval) => Some(2 * interval),
+        };
+        let window = match self.spec.retention {
+            RetentionPolicy::WindowTxs(n) => Some(n as u64),
+            _ => None,
+        };
         let fleet = RouterFleet {
+            eviction_horizon: window.zip(lag).map(|(window, lag)| window + 1 + lag),
             shared: Arc::new(Shared {
                 senders,
                 seq: AtomicU64::new(0),
@@ -850,6 +931,7 @@ pub struct RouterFleet {
     /// with unchanged values are dropped before reaching any worker).
     telemetry: Mutex<Option<Vec<ShardTelemetry>>>,
     telemetry_version: AtomicU64,
+    eviction_horizon: Option<u64>,
 }
 
 impl RouterFleet {
@@ -876,6 +958,37 @@ impl RouterFleet {
     /// Global submissions accepted so far.
     pub fn submitted(&self) -> u64 {
         self.shared.seq.load(Ordering::Relaxed)
+    }
+
+    /// The number of later submissions after which every worker's graph
+    /// has certainly evicted a transaction id: an id submitted again
+    /// with a global sequence number at least this far above its first
+    /// enters every worker as a fresh node, like any pre-history spend,
+    /// where a nearer resubmission panics the worker. A front end that
+    /// must refuse duplicates (the placement server) may forget an id
+    /// once this many others have followed it into the fleet. `None`
+    /// means never: the graph keeps every id (`Unbounded`), keeps an
+    /// unbounded set of them (`KeepUnspentAndHubs`), or the workers
+    /// never exchange deltas (`sync_interval(0)` with several workers).
+    ///
+    /// Under `WindowTxs(w)` it is `w + 1`, plus `2 · sync_interval` with
+    /// more than one worker. A worker evicts a node once `w` later ones
+    /// are in its graph, so a lone worker — which ingests in sequence
+    /// order — has dropped sequence `s` before it inserts `s + w + 1`.
+    /// With siblings (and submitters serialized, as under Determinism
+    /// above) a worker ingests each sync interval `I` as its own
+    /// placements of that interval, then everyone else's at the marker:
+    /// by marker `m` its graph holds exactly the first `m · I`
+    /// sequences, in an order that differs between workers only within
+    /// an interval. Sequence `s` thus sits before position
+    /// `(⌊s/I⌋ + 1) · I` on every worker and `s'` at or after
+    /// `⌊s'/I⌋ · I`; those are more than `w` apart whenever
+    /// `s' − s ≥ w + 2I`. Queue lag inside a worker changes when it
+    /// ingests, never the order. Counting from *submission* is the
+    /// caller's job: a front end that reorders admitted work (the
+    /// server's fee-ordered queue) must add its own bound on overtaking.
+    pub fn eviction_horizon(&self) -> Option<u64> {
+        self.eviction_horizon
     }
 
     /// How many times the fan-out telemetry values have changed — the
@@ -929,31 +1042,26 @@ impl RouterFleet {
     /// Blocks until every worker has processed everything enqueued
     /// before this call.
     pub fn flush(&self) {
-        let mut replies = Vec::with_capacity(self.workers());
-        for sender in &self.shared.senders {
+        self.ask_all(Msg::Flush).for_each(drop);
+    }
+
+    /// Sends every worker a message built around a fresh reply channel,
+    /// then collects the replies in worker-index order.
+    fn ask_all<T>(&self, msg: impl Fn(SyncSender<T>) -> Msg) -> impl Iterator<Item = T> {
+        let send = |sender: &SyncSender<Msg>| {
             let (tx, rx) = mpsc::sync_channel(1);
-            sender.send(Msg::Flush(tx)).expect("fleet worker alive");
-            replies.push(rx);
-        }
-        for rx in replies {
-            rx.recv().expect("fleet worker alive");
-        }
+            sender.send(msg(tx)).expect("fleet worker alive");
+            rx
+        };
+        let replies: Vec<Receiver<T>> = self.shared.senders.iter().map(send).collect();
+        (replies.into_iter()).map(|rx| rx.recv().expect("fleet worker alive"))
     }
 
     /// Collects aggregate counters from every worker (flushes queued
     /// work first, so counters reflect everything submitted so far).
     pub fn stats(&self) -> FleetStats {
-        let mut replies = Vec::with_capacity(self.workers());
-        for sender in &self.shared.senders {
-            let (tx, rx) = mpsc::sync_channel(1);
-            sender
-                .send(Msg::Stats { reply: tx })
-                .expect("fleet worker alive");
-            replies.push(rx);
-        }
         let mut stats = FleetStats::default();
-        for rx in replies {
-            let w = rx.recv().expect("fleet worker alive");
+        for w in self.ask_all(|reply| Msg::Stats { reply }) {
             stats.placed += w.placed;
             stats.adopted += w.adopted;
             stats.missing_parent_refs += w.graph_missing_refs - w.adoption_missing_refs;
@@ -981,22 +1089,8 @@ impl RouterFleet {
     /// A full round trip to every worker — a query path, not a
     /// placement hot path.
     pub fn shard_of(&self, txid: TxId) -> Option<ShardId> {
-        let mut replies = Vec::with_capacity(self.workers());
-        for sender in &self.shared.senders {
-            let (tx, rx) = mpsc::sync_channel(1);
-            sender
-                .send(Msg::ShardOf { txid, reply: tx })
-                .expect("fleet worker alive");
-            replies.push(rx);
-        }
-        let mut found = None;
-        for rx in replies {
-            let shard = rx.recv().expect("fleet worker alive");
-            if found.is_none() {
-                found = shard;
-            }
-        }
-        found
+        self.ask_all(|reply| Msg::ShardOf { txid, reply })
+            .fold(None, Option::or)
     }
 
     /// Shuts the fleet down **gracefully and explicitly**: every worker
@@ -1050,7 +1144,7 @@ impl Drop for RouterFleet {
 /// [`FleetHandle::submit`], [`FleetHandle::submit_tx`],
 /// [`FleetHandle::submit_with_detail`] — send a batch of one and wait
 /// for its shard on the handle's reply channel; the detached doors —
-/// [`FleetHandle::submit_detached`] for raw rows,
+/// [`FleetHandle::submit_detached`] for [`TxRows`],
 /// [`FleetHandle::submit_batch_detached`] for a window of a shared
 /// stream — return immediately, and their results are collected later
 /// with [`FleetHandle::drain`].
@@ -1125,11 +1219,12 @@ impl FleetHandle {
     }
 
     /// A synchronous batch of one.
-    fn submit_one(&self, txid: TxId, mut inputs: Vec<TxId>, detail: bool) -> Placed {
+    fn submit_one(&self, txid: TxId, inputs: Vec<TxId>, detail: bool) -> Placed {
+        let mut rows = TxRows::from_iter([(txid, inputs)]);
         self.place(1, |_, _| {
             let to = self.reply_tx.clone();
             (
-                Txs::Raw(vec![(txid, std::mem::take(&mut inputs))]),
+                Txs::Rows(std::mem::take(&mut rows)),
                 Reply::Sync { to, detail },
             )
         });
@@ -1168,20 +1263,23 @@ impl FleetHandle {
         self.submit_one(tx.id(), tx.input_txids(), false).0
     }
 
-    /// Fire-and-forget submission of raw `(txid, distinct input ids)`
-    /// rows — what a wire request carries — as one placement message
-    /// (two when the rows straddle a sync boundary). Returns the first
-    /// global sequence number of the rows (`None` for an empty list,
-    /// which reserves nothing); results are collected with
-    /// [`FleetHandle::drain`].
+    /// Fire-and-forget submission of [`TxRows`] — what a wire request
+    /// carries — as one placement message holding the rows as they
+    /// came (rows that straddle a sync boundary split there, copying
+    /// only the tail piece). Returns the first global sequence number
+    /// of the rows (`None` for empty rows, which reserve nothing);
+    /// results are collected with [`FleetHandle::drain`].
     ///
     /// # Panics
     ///
     /// Panics if the fleet was shut down.
-    pub fn submit_detached(&self, mut txs: Vec<(TxId, Vec<TxId>)>) -> Option<u64> {
+    pub fn submit_detached(&self, mut txs: TxRows) -> Option<u64> {
         self.place(txs.len(), |_, len| {
             let rest = txs.split_off(len);
-            (Txs::Raw(std::mem::replace(&mut txs, rest)), Reply::Detached)
+            (
+                Txs::Rows(std::mem::replace(&mut txs, rest)),
+                Reply::Detached,
+            )
         })
     }
 
@@ -1333,7 +1431,7 @@ mod tests {
         let handle = fleet.handle(3);
         for i in 0..20u64 {
             let parents = if i == 0 { vec![] } else { vec![TxId(i - 1)] };
-            handle.submit_detached(vec![(TxId(i), parents)]);
+            handle.submit_detached(TxRows::from_iter([(TxId(i), parents)]));
         }
         let results = handle.drain();
         assert_eq!(results.len(), 20);
@@ -1357,23 +1455,36 @@ mod tests {
                 }
             })
             .collect();
-        let a = RouterFleet::builder()
-            .shards(4)
-            .workers(1)
-            .sync_interval(8)
-            .build();
+        let fleet = || {
+            RouterFleet::builder()
+                .shards(4)
+                .workers(1)
+                .sync_interval(8)
+                .build()
+        };
+        let (a, b, c) = (fleet(), fleet(), fleet());
         let ha = a.handle(0);
         let singles: Vec<ShardId> = txs.iter().map(|tx| ha.submit_tx(tx)).collect();
-        let b = RouterFleet::builder()
-            .shards(4)
-            .workers(1)
-            .sync_interval(8)
-            .build();
         let hb = b.handle(0);
         let stream: Arc<[Transaction]> = txs.into();
         assert_eq!(hb.submit_batch_detached(&stream, 0..stream.len()), Some(0));
         let batched: Vec<ShardId> = hb.drain().into_iter().map(|(_, shard)| shard).collect();
         assert_eq!(singles, batched);
+        // The same transactions as one `TxRows` straddle four sync
+        // boundaries: five messages, each piece intact.
+        let rows: TxRows = stream
+            .iter()
+            .map(|tx| (tx.id(), tx.input_txids()))
+            .collect();
+        let mut head = rows.clone();
+        let tail = head.split_off(13);
+        assert_eq!((head.len(), tail.len()), (13, 27));
+        assert!(head.iter().chain(tail.iter()).eq(rows.iter()));
+        let hc = c.handle(0);
+        assert_eq!(hc.submit_detached(rows), Some(0));
+        let rowed: Vec<ShardId> = hc.drain().into_iter().map(|(_, shard)| shard).collect();
+        assert_eq!(singles, rowed);
+        assert_eq!(c.stats().sync_rounds, 5);
     }
 
     #[test]
@@ -1395,8 +1506,8 @@ mod tests {
         // scheduling, the killing call itself may already panic while
         // fanning out the sync marker for the boundary it crosses.
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = h1.submit_detached(vec![(TxId(7), vec![])]);
-            let _ = h1.submit_detached(vec![(TxId(7), vec![])]); // duplicate: worker 1 dies
+            let _ = h1.submit_detached(TxRows::from_iter([(TxId(7), [])]));
+            let _ = h1.submit_detached(TxRows::from_iter([(TxId(7), [])])); // duplicate: worker 1 dies
         }));
         // Keep submitting until the dead channel surfaces as a panic;
         // the sync markers at every second submission would otherwise
@@ -1404,7 +1515,7 @@ mod tests {
         let mut died = false;
         for i in 0..5_000u64 {
             let sent = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = h0.submit_detached(vec![(TxId(100 + i), vec![])]);
+                let _ = h0.submit_detached(TxRows::from_iter([(TxId(100 + i), [])]));
             }));
             if sent.is_err() {
                 died = true;
@@ -1483,7 +1594,7 @@ mod tests {
             .build();
         let handles = [fleet.handle(0), fleet.handle(1)];
         for i in 0..4_000u64 {
-            handles[(i % 2) as usize].submit_detached(vec![(TxId(i), vec![])]);
+            handles[(i % 2) as usize].submit_detached(TxRows::from_iter([(TxId(i), [])]));
         }
         fleet.shutdown();
         for (w, storage) in storages.into_iter().enumerate() {
@@ -1491,18 +1602,41 @@ mod tests {
             // but holds only its window.
             let router = Router::recover(Box::new(storage)).unwrap();
             assert_eq!(router.assignments().len(), 4_000, "worker {w}");
-            assert!(
-                router.tan().live_len() <= window + window / 2 + MIN_LIVE_SLACK,
-                "worker {w} holds {} live nodes",
-                router.tan().live_len()
-            );
+            assert_eq!(router.tan().live_len(), window, "worker {w}");
         }
     }
 
-    /// Compaction slack tolerated in the windowed-replica test (the
-    /// graph compacts once ~window/2 dead rows accumulate, with a
-    /// 1024-row floor).
-    const MIN_LIVE_SLACK: usize = 1_100;
+    #[test]
+    fn an_id_resubmitted_a_horizon_later_is_fresh_on_every_worker() {
+        for workers in [1usize, 2, 3] {
+            let fleet = || {
+                RouterFleet::builder()
+                    .shards(2)
+                    .workers(workers)
+                    .partitioner(|client| client as usize)
+                    .sync_interval(3)
+                    .retention(RetentionPolicy::WindowTxs(4))
+                    .build()
+            };
+            let horizon = fleet().eviction_horizon().expect("a windowed fleet");
+            assert_eq!(horizon, if workers == 1 { 5 } else { 11 });
+            // Every alignment of the original against the sync marks;
+            // the copy goes to another worker and is adopted back.
+            for first in 0..6 {
+                let fleet = fleet();
+                let total = first + horizon + 6;
+                for seq in 0..total {
+                    let id = if seq == first + horizon { first } else { seq };
+                    fleet.handle(seq % workers as u64).submit(TxId(id), &[]);
+                }
+                assert_eq!(fleet.stats().placed, total, "no worker died");
+            }
+        }
+        let blind = (RouterFleet::builder().shards(2).workers(2))
+            .retention(RetentionPolicy::WindowTxs(4))
+            .sync_interval(0);
+        assert_eq!(blind.build().eviction_horizon(), None);
+    }
 
     #[test]
     fn submit_batch_detached_reports_first_seq() {

@@ -9,21 +9,15 @@
 //!   storage backends → continued stream equals the uninterrupted
 //!   stream, sync schedule included.
 
-use proptest::prelude::{prop_assert_eq, proptest, ProptestConfig, Strategy as PropStrategy};
+mod common;
+use common::stream_strategy;
+
+use proptest::prelude::{prop_assert_eq, proptest, ProptestConfig};
 
 use optchain_core::{
     MemStorage, Router, RouterFleet, ShardTelemetry, SharedStorage, Storage, Strategy,
 };
 use optchain_utxo::TxId;
-
-/// Random-but-valid raw stream recipe: per tx, the id offsets of the
-/// transactions it spends (the same shape `router_golden.rs` builds
-/// full `Transaction`s from — the fleet goldens drive the raw
-/// `submit(txid, inputs)` path, which the router goldens prove
-/// equivalent to `submit_tx`).
-fn stream_strategy() -> impl PropStrategy<Value = Vec<Vec<u8>>> {
-    proptest::collection::vec(proptest::collection::vec(1u8..30, 0..4), 1..200)
-}
 
 /// Materializes a recipe into `(txid, parents)` rows.
 fn build_raw_stream(recipe: &[Vec<u8>]) -> Vec<(TxId, Vec<TxId>)> {
@@ -66,7 +60,7 @@ proptest! {
     /// a single router — shard, T2S, L2S and fitness vectors included.
     #[test]
     fn one_worker_fleet_matches_router_bitwise(
-        recipe in stream_strategy(),
+        recipe in stream_strategy(200),
         k in 1u32..9,
     ) {
         let txs = build_raw_stream(&recipe);
@@ -103,7 +97,7 @@ proptest! {
     /// a 1-worker fleet (assignments; scores are OptChain-only).
     #[test]
     fn one_worker_fleet_matches_router_across_strategies(
-        recipe in stream_strategy(),
+        recipe in stream_strategy(200),
         k in 1u32..9,
     ) {
         let txs = build_raw_stream(&recipe);
@@ -128,7 +122,7 @@ proptest! {
     /// identical sync accounting.
     #[test]
     fn n_worker_fleet_is_deterministic(
-        recipe in stream_strategy(),
+        recipe in stream_strategy(200),
         k in 1u32..9,
         workers in 2usize..5,
     ) {
@@ -160,7 +154,7 @@ proptest! {
     /// pending sync deltas, sync schedule and telemetry boards included.
     #[test]
     fn fleet_restart_is_transparent(
-        recipe in stream_strategy(),
+        recipe in stream_strategy(200),
         k in 1u32..9,
         cut_pct in 0u32..100,
     ) {

@@ -8,6 +8,9 @@
 //! memoizes it across transactions, and any floating-point reordering
 //! would silently change tie-breaks and drift assignments.
 
+mod common;
+use common::{build_stream, stream_strategy};
+
 use proptest::prelude::*;
 
 use optchain_bench::naive::NaiveOptChainPlacer;
@@ -17,36 +20,6 @@ use optchain_core::{
     TemporalFitness,
 };
 use optchain_tan::TanGraph;
-use optchain_utxo::{Transaction, TxId, TxOutput, WalletId};
-
-/// Random-but-valid transaction stream recipe: per tx, offsets of the
-/// outputs it spends (all single-output txs for simplicity).
-fn stream_strategy() -> impl Strategy<Value = Vec<Vec<u8>>> {
-    proptest::collection::vec(proptest::collection::vec(1u8..30, 0..4), 1..250)
-}
-
-fn build_stream(recipe: &[Vec<u8>]) -> Vec<Transaction> {
-    let mut spent = vec![false; recipe.len()];
-    let mut txs = Vec::with_capacity(recipe.len());
-    for (i, offsets) in recipe.iter().enumerate() {
-        let mut builder = Transaction::builder(TxId(i as u64));
-        let mut used = Vec::new();
-        for off in offsets {
-            let Some(p) = i.checked_sub(*off as usize) else {
-                continue;
-            };
-            if !spent[p] && !used.contains(&p) {
-                used.push(p);
-            }
-        }
-        for &p in &used {
-            spent[p] = true;
-            builder = builder.input(TxId(p as u64).outpoint(0));
-        }
-        txs.push(builder.output(TxOutput::new(1, WalletId(0))).build());
-    }
-    txs
-}
 
 fn placer_pair(k: u32, alpha: f64, mode: L2sMode) -> (OptChainPlacer, NaiveOptChainPlacer) {
     let optimized = OptChainPlacer::from_parts(
@@ -69,7 +42,7 @@ proptest! {
     /// identical assignments transaction by transaction.
     #[test]
     fn replay_assignments_are_bit_identical(
-        recipe in stream_strategy(),
+        recipe in stream_strategy(250),
         k in 1u32..17,
         alpha_pct in 5u32..100,
         mode_paper in any::<bool>(),
@@ -93,7 +66,7 @@ proptest! {
     /// hand-varied telemetry with and without epochs.
     #[test]
     fn decision_scores_are_bit_identical(
-        recipe in stream_strategy(),
+        recipe in stream_strategy(250),
         k in 1u32..9,
         use_epoch in any::<bool>(),
     ) {

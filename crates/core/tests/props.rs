@@ -1,5 +1,8 @@
 //! Property-based tests for the placement core.
 
+mod common;
+use common::{build_stream, stream_strategy};
+
 use proptest::prelude::*;
 
 use optchain_core::replay::{replay, QueueProxy};
@@ -8,37 +11,7 @@ use optchain_core::{
     T2sEngine, T2sPlacer,
 };
 use optchain_tan::TanGraph;
-use optchain_utxo::{Transaction, TxId, TxOutput, WalletId};
-
-/// Random-but-valid transaction stream recipe: per tx, offsets of the
-/// outputs it spends (all single-output txs for simplicity).
-fn stream_strategy() -> impl Strategy<Value = Vec<Vec<u8>>> {
-    proptest::collection::vec(proptest::collection::vec(1u8..30, 0..4), 1..200)
-}
-
-fn build_stream(recipe: &[Vec<u8>]) -> Vec<Transaction> {
-    // Track which outputs are unspent; spend only unspent ones.
-    let mut spent = vec![false; recipe.len()];
-    let mut txs = Vec::with_capacity(recipe.len());
-    for (i, offsets) in recipe.iter().enumerate() {
-        let mut builder = Transaction::builder(TxId(i as u64));
-        let mut used = Vec::new();
-        for off in offsets {
-            let Some(p) = i.checked_sub(*off as usize) else {
-                continue;
-            };
-            if !spent[p] && !used.contains(&p) {
-                used.push(p);
-            }
-        }
-        for &p in &used {
-            spent[p] = true;
-            builder = builder.input(TxId(p as u64).outpoint(0));
-        }
-        txs.push(builder.output(TxOutput::new(1, WalletId(0))).build());
-    }
-    txs
-}
+use optchain_utxo::TxId;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -46,7 +19,7 @@ proptest! {
     /// T2S scores stay finite and non-negative across arbitrary DAGs and
     /// placements; shard sizes count every placement.
     #[test]
-    fn t2s_invariants(recipe in stream_strategy(), k in 1u32..9) {
+    fn t2s_invariants(recipe in stream_strategy(200), k in 1u32..9) {
         let txs = build_stream(&recipe);
         let mut tan = TanGraph::new();
         let mut engine = T2sEngine::new(k);
@@ -66,7 +39,7 @@ proptest! {
     /// Every strategy assigns every node exactly once, in range, and
     /// replay accounting is exact.
     #[test]
-    fn replay_accounting(recipe in stream_strategy(), k in 2u32..9) {
+    fn replay_accounting(recipe in stream_strategy(200), k in 2u32..9) {
         let txs = build_stream(&recipe);
         for outcome in [
             replay(&txs, &mut OptChainPlacer::new(k)),

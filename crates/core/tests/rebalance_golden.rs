@@ -6,40 +6,13 @@
 //! to exactly one in-range shard before, during, and after move
 //! batches, under every retention policy.
 
+mod common;
+use common::{build_stream, stream_strategy};
+
 use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 
 use optchain_core::{Move, RebalancePolicy, RetentionPolicy, Router, ShardId};
-use optchain_utxo::{Transaction, TxId, TxOutput, WalletId};
-
-/// Random-but-valid transaction stream recipe: per tx, offsets of the
-/// outputs it spends (all single-output txs for simplicity) — the same
-/// generator the router goldens use.
-fn stream_strategy() -> impl proptest::prelude::Strategy<Value = Vec<Vec<u8>>> {
-    proptest::collection::vec(proptest::collection::vec(1u8..30, 0..4), 1..250)
-}
-
-fn build_stream(recipe: &[Vec<u8>]) -> Vec<Transaction> {
-    let mut spent = vec![false; recipe.len()];
-    let mut txs = Vec::with_capacity(recipe.len());
-    for (i, offsets) in recipe.iter().enumerate() {
-        let mut builder = Transaction::builder(TxId(i as u64));
-        let mut used = Vec::new();
-        for off in offsets {
-            let Some(p) = i.checked_sub(*off as usize) else {
-                continue;
-            };
-            if !spent[p] && !used.contains(&p) {
-                used.push(p);
-            }
-        }
-        for &p in &used {
-            spent[p] = true;
-            builder = builder.input(TxId(p as u64).outpoint(0));
-        }
-        txs.push(builder.output(TxOutput::new(1, WalletId(0))).build());
-    }
-    txs
-}
+use optchain_utxo::{Transaction, TxId};
 
 fn assignments_of(router: &mut Router, txs: &[Transaction]) -> Vec<u32> {
     let mut out: Vec<ShardId> = Vec::new();
@@ -64,7 +37,7 @@ proptest! {
     /// and no epoch is ever opened.
     #[test]
     fn never_triggering_rebalancer_is_bit_identical(
-        recipe in stream_strategy(),
+        recipe in stream_strategy(250),
         k in 1u32..9,
     ) {
         let txs = build_stream(&recipe);
@@ -92,7 +65,7 @@ proptest! {
     /// exactly like a router without a rebalancer.
     #[test]
     fn sub_epoch_stream_is_bit_identical(
-        recipe in stream_strategy(),
+        recipe in stream_strategy(250),
         k in 1u32..9,
     ) {
         let txs = build_stream(&recipe);
@@ -115,7 +88,7 @@ proptest! {
     /// all three retention policies.
     #[test]
     fn epoch_commit_never_orphans_an_assignment(
-        recipe in stream_strategy(),
+        recipe in stream_strategy(250),
         k in 2u32..7,
         interval in 4u64..40,
         retention_pick in 0usize..3,
@@ -170,7 +143,7 @@ proptest! {
     /// actively migrating hubs.
     #[test]
     fn rebalancing_run_is_deterministic(
-        recipe in stream_strategy(),
+        recipe in stream_strategy(250),
         k in 2u32..7,
         interval in 4u64..40,
     ) {

@@ -24,40 +24,14 @@
 //! 7. A retention-aware `SpvWallet` holds O(window) state over
 //!    arbitrarily long streams (proptest).
 
+mod common;
+use common::seeded_stream;
+
 use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 
 use optchain_core::{RetentionPolicy, Router, RouterFleet, SpvWallet, Strategy};
 use optchain_tan::NodeId;
-use optchain_utxo::{Transaction, TxId, TxOutput, WalletId};
-
-/// Deterministic random-but-valid stream: per tx, offsets of the
-/// single-output transactions it spends (never farther than
-/// `max_offset` back, never double-spending).
-fn build_stream(len: usize, max_offset: u8, seed: u64) -> Vec<Transaction> {
-    use optchain_tan::hash::splitmix64;
-    let mut spent = vec![false; len];
-    let mut txs = Vec::with_capacity(len);
-    for i in 0..len {
-        let mut builder = Transaction::builder(TxId(i as u64));
-        let mut used = Vec::new();
-        let n_inputs = (splitmix64(seed ^ (i as u64)) % 4) as usize;
-        for j in 0..n_inputs {
-            let off = 1 + (splitmix64(seed ^ (i as u64) << 3 ^ j as u64) % max_offset as u64);
-            let Some(p) = i.checked_sub(off as usize) else {
-                continue;
-            };
-            if !spent[p] && !used.contains(&p) {
-                used.push(p);
-            }
-        }
-        for &p in &used {
-            spent[p] = true;
-            builder = builder.input(TxId(p as u64).outpoint(0));
-        }
-        txs.push(builder.output(TxOutput::new(1, WalletId(0))).build());
-    }
-    txs
-}
+use optchain_utxo::{Transaction, TxId};
 
 /// Submits `txs` one by one, returning `(shard, t2s, l2s, fitness)` per
 /// transaction — the full decision evidence.
@@ -82,7 +56,7 @@ proptest! {
         extra in 0usize..100,
         seed in 0u64..1_000,
     ) {
-        let txs = build_stream(len, 30, seed);
+        let txs = seeded_stream(len, 30, seed);
         let mut unbounded = Router::builder().shards(6).build();
         let mut windowed = Router::builder()
             .shards(6)
@@ -102,7 +76,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let window = 64usize;
-        let txs = build_stream(1_500, 30, seed); // offsets < 31 <= window
+        let txs = seeded_stream(1_500, 30, seed); // offsets < 31 <= window
         let mut unbounded = Router::builder().shards(4).build();
         let mut windowed = Router::builder()
             .shards(4)
@@ -127,7 +101,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let window = 64usize;
-        let txs = build_stream(1_000, 40, seed);
+        let txs = seeded_stream(1_000, 40, seed);
         let policy = RetentionPolicy::WindowTxs(window);
         let mut live = Router::builder().shards(4).retention(policy).build();
         drive_with_scores(&mut live, &txs[..split]);
@@ -153,7 +127,7 @@ proptest! {
     #[test]
     fn t2s_strategy_compaction_roundtrip(seed in 0u64..500) {
         let policy = RetentionPolicy::WindowTxs(48);
-        let txs = build_stream(600, 20, seed);
+        let txs = seeded_stream(600, 20, seed);
         let mut live = Router::builder()
             .shards(3)
             .strategy(Strategy::T2s)
@@ -186,7 +160,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let window = 64usize;
-        let txs = build_stream(1_000, 30, seed);
+        let txs = seeded_stream(1_000, 30, seed);
         let mut unbounded = Router::builder().shards(4).build();
         let mut windowed = Router::builder()
             .shards(4)
@@ -216,7 +190,7 @@ proptest! {
     #[test]
     fn spv_wallet_footprint_is_bounded(seed in 0u64..1_000) {
         let window = 64usize;
-        let txs = build_stream(1_500, 20, seed);
+        let txs = seeded_stream(1_500, 20, seed);
         let telemetry = vec![optchain_core::ShardTelemetry::new(0.1, 0.5); 4];
         let mut wallet =
             SpvWallet::with_retention(4, RetentionPolicy::WindowTxs(window));
@@ -245,7 +219,7 @@ proptest! {
         } else {
             RetentionPolicy::WindowTxs(128)
         };
-        let txs = build_stream(400, 30, seed);
+        let txs = seeded_stream(400, 30, seed);
         let mut router = Router::builder().shards(4).retention(policy).build();
         let router_shards: Vec<u32> =
             txs.iter().map(|tx| router.submit_tx(tx).unwrap().0).collect();
@@ -315,7 +289,7 @@ fn windowed_router_holds_bounded_live_state_over_long_streams() {
         .shards(4)
         .retention(RetentionPolicy::WindowTxs(window))
         .build();
-    let txs = build_stream(20_000, 50, 7);
+    let txs = seeded_stream(20_000, 50, 7);
     let mut peak_live = 0usize;
     let mut peak_bytes = 0usize;
     for tx in &txs {

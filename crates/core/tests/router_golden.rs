@@ -5,7 +5,10 @@
 //! every built-in strategy. Sessions and snapshots must never change a
 //! decision — only memo accounting.
 
-use proptest::prelude::{any, prop_assert_eq, proptest, ProptestConfig, Strategy as PropStrategy};
+mod common;
+use common::{build_stream, stream_strategy};
+
+use proptest::prelude::{any, prop_assert_eq, proptest, ProptestConfig};
 
 use optchain_core::replay::{replay, replay_router, QueueProxy};
 use optchain_core::{
@@ -14,37 +17,6 @@ use optchain_core::{
     TemporalFitness,
 };
 use optchain_tan::TanGraph;
-use optchain_utxo::{Transaction, TxId, TxOutput, WalletId};
-
-/// Random-but-valid transaction stream recipe: per tx, offsets of the
-/// outputs it spends (all single-output txs for simplicity) — the same
-/// generator `golden_place.rs` uses for the placer-level goldens.
-fn stream_strategy() -> impl PropStrategy<Value = Vec<Vec<u8>>> {
-    proptest::collection::vec(proptest::collection::vec(1u8..30, 0..4), 1..250)
-}
-
-fn build_stream(recipe: &[Vec<u8>]) -> Vec<Transaction> {
-    let mut spent = vec![false; recipe.len()];
-    let mut txs = Vec::with_capacity(recipe.len());
-    for (i, offsets) in recipe.iter().enumerate() {
-        let mut builder = Transaction::builder(TxId(i as u64));
-        let mut used = Vec::new();
-        for off in offsets {
-            let Some(p) = i.checked_sub(*off as usize) else {
-                continue;
-            };
-            if !spent[p] && !used.contains(&p) {
-                used.push(p);
-            }
-        }
-        for &p in &used {
-            spent[p] = true;
-            builder = builder.input(TxId(p as u64).outpoint(0));
-        }
-        txs.push(builder.output(TxOutput::new(1, WalletId(0))).build());
-    }
-    txs
-}
 
 /// A deterministic "Metis-like" oracle covering the whole stream (the
 /// real partitioner lives in `optchain-partition`, which this crate must
@@ -60,7 +32,7 @@ proptest! {
     /// concrete placer, for every built-in strategy.
     #[test]
     fn router_replay_matches_placer_replay(
-        recipe in stream_strategy(),
+        recipe in stream_strategy(250),
         k in 1u32..17,
     ) {
         let txs = build_stream(&recipe);
@@ -105,7 +77,7 @@ proptest! {
     /// graph, across α, L2S modes, and T2S windows.
     #[test]
     fn router_submit_matches_place_into_bitwise(
-        recipe in stream_strategy(),
+        recipe in stream_strategy(250),
         k in 1u32..9,
         alpha_pct in 5u32..100,
         mode_paper in any::<bool>(),
@@ -167,7 +139,7 @@ proptest! {
     /// the same stream submitted one transaction at a time.
     #[test]
     fn submit_batch_matches_submit(
-        recipe in stream_strategy(),
+        recipe in stream_strategy(250),
         k in 1u32..9,
     ) {
         let txs = build_stream(&recipe);
@@ -186,7 +158,7 @@ proptest! {
     /// of the same telemetry) places exactly like session-less submits.
     #[test]
     fn sessions_do_not_change_decisions(
-        recipe in stream_strategy(),
+        recipe in stream_strategy(250),
         k in 1u32..9,
         clients in 1usize..5,
     ) {
@@ -212,7 +184,7 @@ proptest! {
     /// router, for every strategy that supports warm starts.
     #[test]
     fn snapshot_warm_start_is_transparent(
-        recipe in stream_strategy(),
+        recipe in stream_strategy(250),
         k in 1u32..9,
         cut_pct in 0u32..100,
     ) {

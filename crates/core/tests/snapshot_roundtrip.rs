@@ -7,42 +7,15 @@
 //! through its storage backends: drop → rebuild over the same
 //! [`SharedStorage`] handles.
 
-use proptest::prelude::{prop_assert_eq, proptest, ProptestConfig, Strategy as PropStrategy};
+mod common;
+use common::{build_stream, stream_strategy};
+
+use proptest::prelude::{prop_assert_eq, proptest, ProptestConfig};
 
 use optchain_core::{
     MemStorage, PlacementSession, Router, RouterFleet, ShardTelemetry, SharedStorage, Storage,
 };
-use optchain_utxo::{Transaction, TxId, TxOutput, WalletId};
-
-/// Random-but-valid transaction stream recipe (the `router_golden.rs`
-/// generator): per tx, offsets of the single-output transactions it
-/// spends.
-fn stream_strategy() -> impl PropStrategy<Value = Vec<Vec<u8>>> {
-    proptest::collection::vec(proptest::collection::vec(1u8..30, 0..4), 1..200)
-}
-
-fn build_stream(recipe: &[Vec<u8>]) -> Vec<Transaction> {
-    let mut spent = vec![false; recipe.len()];
-    let mut txs = Vec::with_capacity(recipe.len());
-    for (i, offsets) in recipe.iter().enumerate() {
-        let mut builder = Transaction::builder(TxId(i as u64));
-        let mut used = Vec::new();
-        for off in offsets {
-            let Some(p) = i.checked_sub(*off as usize) else {
-                continue;
-            };
-            if !spent[p] && !used.contains(&p) {
-                used.push(p);
-            }
-        }
-        for &p in &used {
-            spent[p] = true;
-            builder = builder.input(TxId(p as u64).outpoint(0));
-        }
-        txs.push(builder.output(TxOutput::new(1, WalletId(0))).build());
-    }
-    txs
-}
+use optchain_utxo::Transaction;
 
 /// Telemetry for epoch `e`: a rolling hotspot, always distinct from the
 /// previous epoch's values.
@@ -96,7 +69,7 @@ proptest! {
     /// version are what keep their memo epochs truthful.
     #[test]
     fn router_roundtrip_preserves_stream_and_session_memos(
-        recipe in stream_strategy(),
+        recipe in stream_strategy(200),
         k in 1u32..9,
         clients in 1usize..4,
         cut_pct in 0u32..100,
@@ -132,7 +105,7 @@ proptest! {
     /// mid-interval.
     #[test]
     fn fleet_roundtrip_preserves_detached_stream(
-        recipe in stream_strategy(),
+        recipe in stream_strategy(200),
         k in 1u32..9,
         cut_pct in 0u32..100,
     ) {

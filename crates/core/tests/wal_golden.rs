@@ -38,42 +38,16 @@
 //! and deterministic placement turns that prefix back into the exact
 //! pre-crash state.
 
+mod common;
+use common::seeded_stream;
+
 use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 
 use optchain_core::{
     FailpointStorage, MemStorage, RetentionPolicy, Router, RouterFleet, SegmentWal, ShardId,
     ShardTelemetry, SharedStorage, Storage, TailDamage,
 };
-use optchain_utxo::{Transaction, TxId, TxOutput, WalletId};
-
-/// Deterministic random-but-valid stream: per tx, offsets of the
-/// single-output transactions it spends (never farther than
-/// `max_offset` back, never double-spending).
-fn build_stream(len: usize, max_offset: u8, seed: u64) -> Vec<Transaction> {
-    use optchain_tan::hash::splitmix64;
-    let mut spent = vec![false; len];
-    let mut txs = Vec::with_capacity(len);
-    for i in 0..len {
-        let mut builder = Transaction::builder(TxId(i as u64));
-        let mut used = Vec::new();
-        let n_inputs = (splitmix64(seed ^ (i as u64)) % 4) as usize;
-        for j in 0..n_inputs {
-            let off = 1 + (splitmix64(seed ^ (i as u64) << 3 ^ j as u64) % max_offset as u64);
-            let Some(p) = i.checked_sub(off as usize) else {
-                continue;
-            };
-            if !spent[p] && !used.contains(&p) {
-                used.push(p);
-            }
-        }
-        for &p in &used {
-            spent[p] = true;
-            builder = builder.input(TxId(p as u64).outpoint(0));
-        }
-        txs.push(builder.output(TxOutput::new(1, WalletId(0))).build());
-    }
-    txs
-}
+use optchain_utxo::{Transaction, TxId};
 
 /// One journaled action: a submission or a telemetry update.
 enum Step {
@@ -291,7 +265,7 @@ proptest! {
         full_every in 1u64..6,
     ) {
         let policy = policy_for(policy_sel);
-        let txs = build_stream(300, 30, seed);
+        let txs = seeded_stream(300, 30, seed);
         let steps = event_schedule(&txs, 4, 50, seed);
         let shared = SharedStorage::new(FailpointStorage::new(
             MemStorage::new(),
@@ -330,7 +304,7 @@ proptest! {
         full_every in 1u64..6,
     ) {
         let policy = policy_for(policy_sel);
-        let txs = build_stream(300, 30, seed);
+        let txs = seeded_stream(300, 30, seed);
         let steps = event_schedule(&txs, 4, 50, seed);
         let dir = std::env::temp_dir().join(format!(
             "optchain-wal-golden-{seed}-{after_ops}-{policy_sel}-{damage_sel}-{survive}-{full_every}"
@@ -379,7 +353,7 @@ proptest! {
         batch in 1usize..24,
     ) {
         let policy = policy_for(policy_sel);
-        let txs = build_stream(360, 30, seed);
+        let txs = seeded_stream(360, 30, seed);
         let steps = event_schedule(&txs[..300], 4, 50, seed);
         let arms = [
             (1u64, Door::Tx),
@@ -448,7 +422,7 @@ fn damaged_intermediate_delta_fails_typed_never_wrong() {
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let txs = build_stream(300, 30, 3);
+    let txs = seeded_stream(300, 30, 3);
     {
         let wal = SegmentWal::open_with(&dir, 4_096).expect("open wal dir");
         let mut router = Router::builder()
@@ -550,7 +524,7 @@ fn wal_soak_three_crashes_end_bit_identical() {
     let len = 100_000usize;
     let tail = 200usize;
     let window = 10_000usize;
-    let txs = build_stream(len + tail, 60, seed);
+    let txs = seeded_stream(len + tail, 60, seed);
 
     let shared = SharedStorage::new(FailpointStorage::new(
         MemStorage::new(),
@@ -644,7 +618,7 @@ fn wal_soak_three_crashes_end_bit_identical() {
 /// over the same stream.
 #[test]
 fn one_worker_fleet_recovers_and_continues_like_a_router() {
-    let txs = build_stream(500, 30, 7);
+    let txs = seeded_stream(500, 30, 7);
     let mut router = Router::builder().shards(4).build();
     let router_shards: Vec<u32> = txs
         .iter()
@@ -684,7 +658,7 @@ fn one_worker_fleet_recovers_and_continues_like_a_router() {
 /// every per-worker counter intact and keeps placing.
 #[test]
 fn two_worker_fleet_restarts_with_counters_intact() {
-    let txs = build_stream(400, 30, 11);
+    let txs = seeded_stream(400, 30, 11);
     let storages = [
         SharedStorage::new(MemStorage::new()),
         SharedStorage::new(MemStorage::new()),

@@ -67,11 +67,11 @@
 //!   is the one unit of placement behind every per-client
 //!   [`core::FleetHandle`] door: `submit` / `submit_tx` /
 //!   `submit_with_detail` send a batch of one and wait for its shard;
-//!   `submit_detached` (raw `(txid, inputs)` rows — a whole wire
-//!   request as one message) and `submit_batch_detached` (a zero-copy
-//!   window of a shared stream) are fire-and-forget, collected with
-//!   `drain`. A 1-worker fleet is bit-identical
-//!   to a `Router`; with N workers each worker sees a partial,
+//!   `submit_detached` (flat `TxRows` — a whole wire request as one
+//!   message, three allocations however many transactions) and
+//!   `submit_batch_detached` (a zero-copy window of a shared stream)
+//!   are fire-and-forget, collected with `drain`. A 1-worker fleet is
+//!   bit-identical to a `Router`; with N workers each worker sees a partial,
 //!   periodically-synced TaN graph, so decisions trade a bounded
 //!   staleness (≤ `sync_interval` submissions) for near-linear ingest
 //!   scaling.
@@ -298,7 +298,11 @@
 //!   sheds with a typed [`client::RejectReason`] (`QueueFull`, `TooLarge`,
 //!   `Shutdown`, `Malformed`, `Duplicate`) instead of queueing
 //!   unboundedly or silently dropping, so admitted-request latency
-//!   stays bounded by queue size over drain rate.
+//!   stays bounded by queue size over drain rate. `Duplicate` is
+//!   bounded the way the graph is: an id is refused while a worker's
+//!   graph can still hold it (`RouterFleet::eviction_horizon`), a
+//!   fresh node beyond that, never forgotten when the retention
+//!   policy never evicts.
 //! * **Backpressure, not disconnects** — each connection gets a credit
 //!   window (`credit_window` outstanding requests); past it the server
 //!   simply stops reading that socket, which surfaces to the client as

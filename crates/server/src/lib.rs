@@ -17,9 +17,24 @@
 //!   ([`RejectReason::QueueFull`]); during drain, with
 //!   [`RejectReason::Shutdown`]. Every request receives exactly one
 //!   response; nothing is silently dropped.
+//! * **Duplicate refusal, bounded like the graph** — a transaction id
+//!   submitted twice is refused with [`RejectReason::Duplicate`] for as
+//!   long as some worker's graph can still hold the first (a duplicate
+//!   reaching it would panic the worker). How long that is comes from
+//!   the fleet, not from a knob
+//!   ([`RouterFleet::eviction_horizon`]): under
+//!   `RetentionPolicy::WindowTxs` the guard keeps two pre-sized
+//!   generations of ids — `O(window)` memory, no rehash — and an id
+//!   resubmitted beyond the horizon is a fresh node, exactly as a
+//!   spend of an evicted output is a missing parent; under a policy
+//!   that never evicts, an id is never forgotten. A request the guard
+//!   would otherwise have to forget while it is still queued (outbid
+//!   for two generations) holds admission back with `QueueFull` until
+//!   it is placed. The guard starts empty after a restart.
 //! * **Observability** — a `/metrics`-style text exposition
 //!   ([`ServerMetrics::render`]) with queue depth, admitted/shed
-//!   counters, and admission→ack latency quantiles.
+//!   counters, the duplicate guard's size and horizon, and
+//!   admission→ack latency quantiles.
 //! * **Graceful shutdown** — [`PlacementServer::shutdown`] drains the
 //!   admission queue (everything admitted is placed and acked), then
 //!   shuts the fleet down, flushing WAL tails when the fleet was
@@ -52,12 +67,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod guard;
 pub mod metrics;
 pub mod protocol;
 pub mod queue;
 mod server;
 
-pub use metrics::ServerMetrics;
+pub use metrics::{AdmissionGauges, ServerMetrics};
 pub use protocol::{DecodeError, RejectReason, Request, Response, WireTx};
 pub use queue::{AdmissionQueue, Admitted, QueueFull};
 pub use server::{

@@ -28,6 +28,23 @@ struct FleetPoll {
     rebalance: RebalanceStats,
 }
 
+/// The gauges the admission path owns, read under its mutex and handed
+/// to [`ServerMetrics::render`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AdmissionGauges {
+    /// Transactions waiting in the admission queue.
+    pub queue_depth: usize,
+    /// The queue's capacity in transactions.
+    pub queue_capacity: usize,
+    /// Transaction ids the duplicate guard currently remembers.
+    pub dedup_tracked_ids: usize,
+    /// The size of one generation of the duplicate guard — the fleet's
+    /// eviction horizon plus two queue capacities; tracked ids never
+    /// exceed twice it. 0 when the guard never forgets (the retention
+    /// policy never evicts).
+    pub dedup_horizon: usize,
+}
+
 /// Aggregate server counters. All methods are `&self`; the struct is
 /// shared via `Arc` between the acceptor, readers, and the dispatcher.
 #[derive(Debug, Default)]
@@ -171,14 +188,19 @@ impl ServerMetrics {
         self.fleet.lock().expect("metrics mutex").rebalance
     }
 
-    /// Renders the text exposition. `queue_depth` and `queue_capacity`
-    /// are gauges owned by the admission queue, passed in by the
-    /// server.
-    pub fn render(&self, queue_depth: usize, queue_capacity: usize) -> String {
+    /// Renders the text exposition. The `gauges` are owned by the
+    /// admission path and passed in by the server.
+    pub fn render(&self, gauges: AdmissionGauges) -> String {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(1024);
-        let _ = writeln!(out, "optchain_queue_depth {queue_depth}");
-        let _ = writeln!(out, "optchain_queue_capacity {queue_capacity}");
+        let _ = writeln!(out, "optchain_queue_depth {}", gauges.queue_depth);
+        let _ = writeln!(out, "optchain_queue_capacity {}", gauges.queue_capacity);
+        let _ = writeln!(
+            out,
+            "optchain_dedup_tracked_ids {}",
+            gauges.dedup_tracked_ids
+        );
+        let _ = writeln!(out, "optchain_dedup_horizon {}", gauges.dedup_horizon);
         let _ = writeln!(out, "optchain_admitted_total {}", self.admitted());
         let _ = writeln!(out, "optchain_acked_total {}", self.acked());
         for reason in [
@@ -287,9 +309,16 @@ mod tests {
         assert_eq!(m.shed(RejectReason::QueueFull), 3);
         assert_eq!(m.shed_total(), 4);
         assert_eq!(m.latency_usec_quantile(0.5), Some(250));
-        let text = m.render(7, 64);
+        let text = m.render(AdmissionGauges {
+            queue_depth: 7,
+            queue_capacity: 64,
+            dedup_tracked_ids: 10,
+            dedup_horizon: 96,
+        });
         assert!(text.contains("optchain_queue_depth 7"));
         assert!(text.contains("optchain_queue_capacity 64"));
+        assert!(text.contains("optchain_dedup_tracked_ids 10"));
+        assert!(text.contains("optchain_dedup_horizon 96"));
         assert!(text.contains("optchain_admitted_total 10"));
         assert!(text.contains("optchain_shed_total{reason=\"queue_full\"} 3"));
         assert!(text.contains("optchain_latency_usec{quantile=\"0.99\"} 250"));
@@ -308,7 +337,7 @@ mod tests {
     #[test]
     fn uninitialized_shards_render_no_shard_lines_but_zero_gauges() {
         let m = ServerMetrics::new();
-        let text = m.render(0, 8);
+        let text = m.render(AdmissionGauges::default());
         assert!(!text.contains("optchain_shard_acked_total"));
         assert!(text.contains("optchain_cross_placed_total 0"));
         assert!(text.contains("optchain_cross_ratio 0.000000"));

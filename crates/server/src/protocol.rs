@@ -21,6 +21,7 @@
 
 use std::io::{self, Read, Write};
 
+use optchain_core::TxRows;
 use optchain_utxo::TxId;
 
 /// Default cap on a frame's payload size (1 MiB). At 8 bytes per
@@ -52,8 +53,9 @@ const OP_METRICS_TEXT: u8 = 0x85;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum RejectReason {
-    /// The admission queue is at capacity; resubmit later (mempool
-    /// overload shedding).
+    /// The admission queue is at capacity — or still holds a request
+    /// so far outbid that admitting more would let the duplicate guard
+    /// forget it unplaced; resubmit later (mempool overload shedding).
     QueueFull = 1,
     /// The frame exceeded the connection's `max_frame_bytes`. The
     /// server closes the connection after sending this — the
@@ -66,8 +68,13 @@ pub enum RejectReason {
     /// trailing bytes). The server closes the connection after
     /// sending this.
     Malformed = 4,
-    /// A transaction id in the request was already admitted within
-    /// the server's dedup window (duplicate submission).
+    /// A transaction id in the request repeats one admitted at most a
+    /// horizon ago, or another in the same request. The horizon is how
+    /// long the fleet's graphs can still hold the id (see
+    /// [`RouterFleet::eviction_horizon`](optchain_core::RouterFleet::eviction_horizon)):
+    /// beyond it the id is placed as a fresh node, like any
+    /// pre-history spend; under a policy that never evicts it is
+    /// never forgotten.
     Duplicate = 5,
 }
 
@@ -311,6 +318,13 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
     }
 
+    /// The next `len` bytes, which the caller has checked remain.
+    fn bytes(&mut self, len: usize) -> &'a [u8] {
+        let bytes = &self.buf[self.pos..self.pos + len];
+        self.pos += len;
+        bytes
+    }
+
     /// Validates that `count` elements of `elem_bytes` each can still
     /// fit in the remaining payload before any allocation happens.
     fn check_count(&self, count: u32, elem_bytes: usize) -> Result<usize, DecodeError> {
@@ -341,15 +355,48 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn decode_wire_tx(c: &mut Cursor<'_>) -> Result<WireTx, DecodeError> {
+/// Where the one transaction parser puts what it reads: a `Vec` of
+/// [`WireTx`] behind [`decode_request`], flat [`TxRows`] behind
+/// [`decode_rows`].
+trait TxSink {
+    /// Room for `txs` transactions with `inputs` input ids in total.
+    fn with_capacity(txs: usize, inputs: usize) -> Self;
+    fn put(&mut self, txid: TxId, inputs: impl ExactSizeIterator<Item = TxId>);
+}
+
+impl TxSink for Vec<WireTx> {
+    fn with_capacity(txs: usize, _inputs: usize) -> Self {
+        Vec::with_capacity(txs)
+    }
+
+    fn put(&mut self, txid: TxId, inputs: impl ExactSizeIterator<Item = TxId>) {
+        let inputs = inputs.collect();
+        self.push(WireTx { txid, inputs });
+    }
+}
+
+impl TxSink for TxRows {
+    fn with_capacity(txs: usize, inputs: usize) -> Self {
+        TxRows::with_capacity(txs, inputs)
+    }
+
+    fn put(&mut self, txid: TxId, inputs: impl ExactSizeIterator<Item = TxId>) {
+        self.push(txid, inputs);
+    }
+}
+
+/// Reads one transaction into `sink` — the one place a transaction's
+/// bytes are judged, whichever sink they land in.
+fn decode_wire_tx(c: &mut Cursor<'_>, sink: &mut impl TxSink) -> Result<(), DecodeError> {
     let txid = TxId(c.u64()?);
     let n = c.u32()?;
     let n = c.check_count(n, 8)?;
-    let mut inputs = Vec::with_capacity(n);
-    for _ in 0..n {
-        inputs.push(TxId(c.u64()?));
-    }
-    Ok(WireTx { txid, inputs })
+    let ids = c.bytes(n * 8).chunks_exact(8);
+    sink.put(
+        txid,
+        ids.map(|id| TxId(u64::from_le_bytes(id.try_into().expect("8 bytes")))),
+    );
+    Ok(())
 }
 
 fn encode_wire_tx(out: &mut Vec<u8>, tx: &WireTx) {
@@ -396,42 +443,109 @@ pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes a request payload. Total: every input yields a request or a
-/// typed error.
-pub fn decode_request(payload: &[u8]) -> Result<Request, DecodeError> {
+/// A decoded request payload with its transactions in a sink of type
+/// `T`: what [`decode_rows`] hands the server's reader, one
+/// [`TxRows`] per submission instead of a `Vec` per transaction.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Decoded<T> {
+    /// A [`Request::Submit`] (`batch: false`, exactly one transaction)
+    /// or a [`Request::SubmitBatch`].
+    Place {
+        /// Client-chosen correlation id.
+        req_id: u64,
+        /// Admission priority.
+        fee: u64,
+        /// Answered with [`Response::AckBatch`] rather than
+        /// [`Response::Ack`].
+        batch: bool,
+        /// The transactions, in order.
+        txs: T,
+    },
+    /// A [`Request::Query`].
+    Query {
+        /// Client-chosen correlation id.
+        req_id: u64,
+        /// The transaction id to look up.
+        txid: TxId,
+    },
+    /// A [`Request::Metrics`].
+    Metrics {
+        /// Client-chosen correlation id.
+        req_id: u64,
+    },
+}
+
+/// The one request parser behind [`decode_request`] and
+/// [`decode_rows`].
+fn decode<T: TxSink>(payload: &[u8]) -> Result<Decoded<T>, DecodeError> {
     let mut c = Cursor::new(payload);
-    let req = match c.u8()? {
-        OP_SUBMIT => {
+    let opcode = c.u8()?;
+    let decoded = match opcode {
+        OP_SUBMIT | OP_SUBMIT_BATCH => {
             let req_id = c.u64()?;
             let fee = c.u64()?;
-            let tx = decode_wire_tx(&mut c)?;
-            Request::Submit { req_id, fee, tx }
-        }
-        OP_SUBMIT_BATCH => {
-            let req_id = c.u64()?;
-            let fee = c.u64()?;
-            let count = c.u32()?;
-            // A wire tx is at least 12 bytes (txid + input count).
-            let count = c.check_count(count, 12)?;
-            let mut txs = Vec::with_capacity(count);
+            let batch = opcode == OP_SUBMIT_BATCH;
+            // A wire tx is at least 12 bytes (txid + input count);
+            // whatever else remains can only be input ids.
+            let count = match batch {
+                true => {
+                    let count = c.u32()?;
+                    c.check_count(count, 12)?
+                }
+                false => 1,
+            };
+            let mut txs = T::with_capacity(count, c.remaining().saturating_sub(12 * count) / 8);
             for _ in 0..count {
-                txs.push(decode_wire_tx(&mut c)?);
+                decode_wire_tx(&mut c, &mut txs)?;
             }
-            Request::SubmitBatch { req_id, fee, txs }
+            Decoded::Place {
+                req_id,
+                fee,
+                batch,
+                txs,
+            }
         }
-        OP_QUERY => {
-            let req_id = c.u64()?;
-            let txid = TxId(c.u64()?);
-            Request::Query { req_id, txid }
-        }
-        OP_METRICS => {
-            let req_id = c.u64()?;
-            Request::Metrics { req_id }
-        }
+        OP_QUERY => Decoded::Query {
+            req_id: c.u64()?,
+            txid: TxId(c.u64()?),
+        },
+        OP_METRICS => Decoded::Metrics { req_id: c.u64()? },
         op => return Err(DecodeError::UnknownOpcode(op)),
     };
     c.finish()?;
-    Ok(req)
+    Ok(decoded)
+}
+
+/// Decodes a request payload. Total: every input yields a request or a
+/// typed error.
+pub fn decode_request(payload: &[u8]) -> Result<Request, DecodeError> {
+    Ok(match decode::<Vec<WireTx>>(payload)? {
+        Decoded::Place {
+            req_id,
+            fee,
+            batch: true,
+            txs,
+        } => Request::SubmitBatch { req_id, fee, txs },
+        Decoded::Place {
+            req_id,
+            fee,
+            batch: false,
+            mut txs,
+        } => Request::Submit {
+            req_id,
+            fee,
+            tx: txs.pop().expect("a Submit decodes to one transaction"),
+        },
+        Decoded::Query { req_id, txid } => Request::Query { req_id, txid },
+        Decoded::Metrics { req_id } => Request::Metrics { req_id },
+    })
+}
+
+/// [`decode_request`] with each submission's transactions as flat
+/// [`TxRows`] — the same parser, so the two accept and reject exactly
+/// the same payloads.
+pub fn decode_rows(payload: &[u8]) -> Result<Decoded<TxRows>, DecodeError> {
+    decode(payload)
 }
 
 /// Encodes a response payload (no length prefix) into `out`, cleared
@@ -524,12 +638,9 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, DecodeError> {
             let req_id = c.u64()?;
             let len = c.u32()?;
             let len = c.check_count(len, 1)?;
-            let start = c.pos;
-            let bytes = &c.buf[start..start + len];
-            c.pos += len;
             Response::MetricsText {
                 req_id,
-                text: std::str::from_utf8(bytes)
+                text: std::str::from_utf8(c.bytes(len))
                     .map_err(|_| DecodeError::BadUtf8)?
                     .to_string(),
             }

@@ -14,7 +14,9 @@
 //!                    └──────────────┘
 //! ```
 //!
-//! * The **reader** parses frames, enforces the per-connection credit
+//! * The **reader** parses frames — a submission's transactions
+//!   straight into the one flat [`TxRows`] that travels, unchanged, to
+//!   the worker that places them — enforces the per-connection credit
 //!   window (by *pausing reads* — a client over its window stalls in
 //!   TCP backpressure, it is never disconnected or silently dropped),
 //!   and admits work into the bounded fee-ordered queue. Admission
@@ -43,20 +45,21 @@
 //! worker's WAL tail before the server returns.
 
 use std::collections::HashMap;
-use std::io::{self, BufWriter, Write as _};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, BufReader, BufWriter, Write as _};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use optchain_core::{RouterFleet, RouterFleetBuilder};
+use optchain_core::{RouterFleet, RouterFleetBuilder, TxRows};
 use optchain_utxo::TxId;
 
-use crate::metrics::ServerMetrics;
+use crate::guard::Guard;
+use crate::metrics::{AdmissionGauges, ServerMetrics};
 use crate::protocol::{
-    self, FrameRead, RejectReason, Request, Response, DEFAULT_MAX_FRAME_BYTES,
+    self, Decoded, FrameRead, RejectReason, Response, DEFAULT_MAX_FRAME_BYTES,
     MAX_FRAME_BYTES_CEILING,
 };
 use crate::queue::AdmissionQueue;
@@ -79,10 +82,6 @@ const DISPATCH_CHUNK: usize = 256;
 // Admission state
 // ---------------------------------------------------------------------------
 
-/// A request's transactions as the fleet takes them: `(txid, distinct
-/// input ids)` rows.
-type Rows = Vec<(TxId, Vec<TxId>)>;
-
 /// One unit of dispatcher work.
 enum Work {
     /// A `Submit` (one row, answered with `Ack`) or a `SubmitBatch`
@@ -90,9 +89,11 @@ enum Work {
     Place {
         conn: u64,
         req_id: u64,
-        txs: Rows,
+        txs: TxRows,
         batch: bool,
         admitted_at: Instant,
+        /// The guard epoch the request was admitted in.
+        epoch: u64,
     },
     Query {
         conn: u64,
@@ -101,30 +102,9 @@ enum Work {
     },
 }
 
-/// Duplicate-submission guard: remembers every admitted transaction id
-/// (a duplicate reaching `Router::submit` panics the worker). The set
-/// grows with the stream; bounding it safely means deriving the bound
-/// from the fleet's retention policy — an id may be forgotten only once
-/// every worker's graph has evicted it, so it re-enters as a fresh node
-/// like any pre-history spend — which is a follow-up issue, not a knob.
-#[derive(Default)]
-struct Dedup {
-    set: std::collections::HashSet<u64>,
-}
-
-impl Dedup {
-    fn contains(&self, txid: TxId) -> bool {
-        self.set.contains(&txid.0)
-    }
-
-    fn insert(&mut self, txid: TxId) {
-        self.set.insert(txid.0);
-    }
-}
-
 struct AdmissionState {
     queue: AdmissionQueue<Work>,
-    dedup: Dedup,
+    guard: Guard,
     /// Shutdown has begun: admitted work still drains, new work is
     /// shed with [`RejectReason::Shutdown`].
     draining: bool,
@@ -133,6 +113,19 @@ struct AdmissionState {
 struct Admission {
     state: Mutex<AdmissionState>,
     cv: Condvar,
+}
+
+impl Admission {
+    /// What the `/metrics` text reports of the admission state.
+    fn gauges(&self) -> AdmissionGauges {
+        let s = self.state.lock().expect("admission mutex");
+        AdmissionGauges {
+            queue_depth: s.queue.depth(),
+            queue_capacity: s.queue.capacity(),
+            dedup_tracked_ids: s.guard.tracked(),
+            dedup_horizon: s.guard.generation(),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -339,12 +332,11 @@ impl PlacementServerBuilder {
                 io::Error::new(io::ErrorKind::InvalidInput, "unresolvable addr")
             })?)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let admission = Arc::new(Admission {
             state: Mutex::new(AdmissionState {
                 queue: AdmissionQueue::new(self.queue_capacity),
-                dedup: Dedup::default(),
+                guard: Guard::new(fleet.eviction_horizon(), self.queue_capacity),
                 draining: false,
             }),
             cv: Condvar::new(),
@@ -422,13 +414,20 @@ fn accept_loop(
     shards: u32,
 ) {
     let mut next_conn_id = 0u64;
-    while !stop_accept.load(Ordering::Relaxed) {
+    loop {
+        let accepted = listener.accept();
+        // Shutdown wakes a blocked `accept` by connecting to it.
+        if stop_accept.load(Ordering::Relaxed) {
+            return;
+        }
         reap_finished(&conn_threads);
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 let conn_id = next_conn_id;
                 next_conn_id += 1;
-                if let Err(err) = setup_connection(
+                // A connection that died during setup is not a server
+                // error; drop it and keep accepting.
+                let _ = setup_connection(
                     conn_id,
                     stream,
                     &admission,
@@ -438,19 +437,11 @@ fn accept_loop(
                     credit_window,
                     max_frame_bytes,
                     shards,
-                ) {
-                    // A connection that died during setup is not a
-                    // server error; drop it and keep accepting.
-                    let _ = err;
-                }
+                );
             }
-            Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => {
-                // Transient accept errors (e.g. ECONNABORTED): retry.
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            // Transient (ECONNABORTED) or lasting (EMFILE): back off
+            // rather than spin on an error that returns at once.
+            Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }
 }
@@ -555,7 +546,7 @@ fn setup_connection(
 #[allow(clippy::too_many_arguments)]
 fn reader_loop(
     conn_id: u64,
-    mut stream: TcpStream,
+    stream: TcpStream,
     outbox: SyncSender<Outgoing>,
     window: Arc<Window>,
     admission: Arc<Admission>,
@@ -563,6 +554,9 @@ fn reader_loop(
     credit_window: u32,
     max_frame_bytes: u32,
 ) {
+    // A client pipelines up to its credit window of frames: read them
+    // a socket buffer at a time, not a prefix and a payload at a time.
+    let mut stream = BufReader::with_capacity(64 << 10, stream);
     let mut frame = Vec::new();
     loop {
         let payload = match protocol::read_frame(&mut stream, max_frame_bytes, &mut frame) {
@@ -582,7 +576,7 @@ fn reader_loop(
             }
             Err(_) => break,
         };
-        let request = match protocol::decode_request(payload) {
+        let request = match protocol::decode_rows(payload) {
             Ok(request) => request,
             Err(_) => {
                 metrics.on_shed(RejectReason::Malformed, 1);
@@ -612,32 +606,23 @@ fn reader_loop(
     // this returns) until the writer has returned every credit.
     window.wait_idle();
     window.close();
-    let _ = stream.shutdown(Shutdown::Read);
+    let _ = stream.get_ref().shutdown(Shutdown::Read);
 }
 
 /// Admits, sheds, or directly answers one request. `None` means the
 /// request was queued and the dispatcher will answer it.
 fn handle_request(
     conn_id: u64,
-    request: Request,
+    request: Decoded<TxRows>,
     admission: &Admission,
     metrics: &ServerMetrics,
 ) -> Option<Response> {
     match request {
-        Request::Metrics { req_id } => {
-            let depth;
-            let capacity;
-            {
-                let s = admission.state.lock().expect("admission mutex");
-                depth = s.queue.depth();
-                capacity = s.queue.capacity();
-            }
-            Some(Response::MetricsText {
-                req_id,
-                text: metrics.render(depth, capacity),
-            })
-        }
-        Request::Query { req_id, txid } => {
+        Decoded::Metrics { req_id } => Some(Response::MetricsText {
+            req_id,
+            text: metrics.render(admission.gauges()),
+        }),
+        Decoded::Query { req_id, txid } => {
             let mut s = admission.state.lock().expect("admission mutex");
             if s.draining {
                 metrics.on_shed(RejectReason::Shutdown, 1);
@@ -672,68 +657,59 @@ fn handle_request(
                 }
             }
         }
-        Request::Submit { req_id, fee, tx } => {
-            let txs = vec![(tx.txid, tx.inputs)];
-            admit(conn_id, req_id, fee, txs, false, admission, metrics)
-        }
-        Request::SubmitBatch { req_id, fee, txs } => {
-            if txs.is_empty() {
-                // An empty batch is trivially placed.
-                return Some(Response::AckBatch {
-                    req_id,
-                    shards: Vec::new(),
-                });
-            }
-            let txs = txs.into_iter().map(|tx| (tx.txid, tx.inputs)).collect();
-            admit(conn_id, req_id, fee, txs, true, admission, metrics)
-        }
+        // An empty batch is trivially placed.
+        Decoded::Place { req_id, txs, .. } if txs.is_empty() => Some(Response::AckBatch {
+            req_id,
+            shards: Vec::new(),
+        }),
+        Decoded::Place {
+            req_id,
+            fee,
+            batch,
+            txs,
+        } => admit(conn_id, req_id, fee, txs, batch, admission, metrics),
     }
 }
 
 /// Admission decision for a submit request, atomic under the admission
-/// mutex: shutdown check, duplicate check, capacity check, then
-/// enqueue + dedup registration. `None` means admitted (the dispatcher
-/// answers); otherwise the typed rejection to send back.
+/// mutex: shutdown, then capacity, then the duplicate guard — which
+/// registers the ids as it checks them and takes them back if it
+/// refuses, so a shed request leaves every id of it submittable.
+/// `None` means admitted (the dispatcher answers); otherwise the typed
+/// rejection to send back.
 fn admit(
     conn: u64,
     req_id: u64,
     fee: u64,
-    txs: Rows,
+    txs: TxRows,
     batch: bool,
     admission: &Admission,
     metrics: &ServerMetrics,
 ) -> Option<Response> {
     let ntxs = txs.len();
     let mut s = admission.state.lock().expect("admission mutex");
-    let mut seen_in_batch = std::collections::HashSet::new();
-    let reason = if s.draining {
-        Some(RejectReason::Shutdown)
-    } else if txs
-        .iter()
-        .any(|(txid, _)| s.dedup.contains(*txid) || !seen_in_batch.insert(txid.0))
-    {
-        Some(RejectReason::Duplicate)
+    let verdict = if s.draining {
+        Err(RejectReason::Shutdown)
     } else if s.queue.depth() + ntxs > s.queue.capacity() {
-        // Checked before touching the dedup set: a shed request was
-        // never admitted, so its ids must remain submittable.
-        Some(RejectReason::QueueFull)
+        Err(RejectReason::QueueFull)
     } else {
-        None
+        s.guard.admit(txs.ids())
     };
-    if let Some(reason) = reason {
-        drop(s);
-        metrics.on_shed(reason, 1);
-        return Some(Response::Reject { req_id, reason });
-    }
-    for (txid, _) in &txs {
-        s.dedup.insert(*txid);
-    }
+    let epoch = match verdict {
+        Ok(epoch) => epoch,
+        Err(reason) => {
+            drop(s);
+            metrics.on_shed(reason, 1);
+            return Some(Response::Reject { req_id, reason });
+        }
+    };
     let work = Work::Place {
         conn,
         req_id,
         txs,
         batch,
         admitted_at: Instant::now(),
+        epoch,
     };
     s.queue
         .try_push(fee, ntxs, work)
@@ -833,13 +809,12 @@ fn dispatcher_loop(
             loop {
                 let mut pulled = 0usize;
                 while pulled < DISPATCH_CHUNK {
-                    match s.queue.pop() {
-                        Some(entry) => {
-                            pulled += entry.txs;
-                            batch.push(entry);
-                        }
-                        None => break,
+                    let Some(entry) = s.queue.pop() else { break };
+                    if let Work::Place { epoch, txs, .. } = &entry.work {
+                        s.guard.dispatched(*epoch, txs.ids());
                     }
+                    pulled += entry.txs;
+                    batch.push(entry);
                 }
                 if !batch.is_empty() {
                     break;
@@ -878,8 +853,9 @@ fn dispatcher_loop(
                     txs,
                     batch: is_batch,
                     admitted_at,
+                    ..
                 } => {
-                    pace(rate, started, placed_total);
+                    pace(rate, started, placed_total, &admission);
                     let ntxs = txs.len();
                     handles
                         .entry(conn)
@@ -977,14 +953,21 @@ fn poll_fleet_stats(fleet: &RouterFleet, metrics: &ServerMetrics) {
 }
 
 /// Paces the dispatcher to `rate` placements per second (no-op when
-/// uncapped): sleeps until the virtual schedule catches up.
-fn pace(rate: Option<u64>, started: Instant, placed_total: u64) {
-    if let Some(rate) = rate {
-        let target = Duration::from_secs_f64(placed_total as f64 / rate as f64);
-        let elapsed = started.elapsed();
-        if target > elapsed {
-            std::thread::sleep(target - elapsed);
-        }
+/// uncapped): waits until the virtual schedule catches up, or shutdown
+/// begins — a draining server places what it admitted at full speed.
+fn pace(rate: Option<u64>, started: Instant, placed_total: u64, admission: &Admission) {
+    let Some(rate) = rate else { return };
+    let target = Duration::from_secs_f64(placed_total as f64 / rate as f64);
+    let mut s = admission.state.lock().expect("admission mutex");
+    while !s.draining {
+        let Some(wait) = target.checked_sub(started.elapsed()) else {
+            return;
+        };
+        s = admission
+            .cv
+            .wait_timeout(s, wait)
+            .expect("admission mutex")
+            .0;
     }
 }
 
@@ -1049,11 +1032,7 @@ impl PlacementServer {
     /// Renders the `/metrics` text exposition (the same body the wire
     /// protocol's `Metrics` request returns).
     pub fn metrics_text(&self) -> String {
-        let (depth, capacity) = {
-            let s = self.admission.state.lock().expect("admission mutex");
-            (s.queue.depth(), s.queue.capacity())
-        };
-        self.metrics.render(depth, capacity)
+        self.metrics.render(self.admission.gauges())
     }
 
     /// Transactions currently waiting in the admission queue.
@@ -1071,7 +1050,18 @@ impl PlacementServer {
     /// everything already admitted continues to place and ack. Call
     /// [`PlacementServer::shutdown`] to finish.
     pub fn begin_shutdown(&self) {
-        self.stop_accept.store(true, Ordering::Relaxed);
+        if !self.stop_accept.swap(true, Ordering::Relaxed) {
+            // The accept loop blocks in `accept`; a connection to
+            // ourselves is what wakes it to see the flag.
+            let mut wake = self.local_addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect(wake);
+        }
         let mut s = self.admission.state.lock().expect("admission mutex");
         s.draining = true;
         drop(s);

@@ -13,8 +13,9 @@ use std::time::{Duration, Instant};
 
 use optchain_core::RouterFleet;
 use optchain_server::protocol::{
-    decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
-    FrameRead, RejectReason, Request, Response, WireTx, DEFAULT_MAX_FRAME_BYTES,
+    decode_request, decode_response, decode_rows, encode_request, encode_response, read_frame,
+    write_frame, DecodeError, Decoded, FrameRead, RejectReason, Request, Response, WireTx,
+    DEFAULT_MAX_FRAME_BYTES,
 };
 use optchain_server::PlacementServer;
 use optchain_utxo::TxId;
@@ -25,13 +26,48 @@ use proptest::prelude::*;
 // Decoder totality (pure, no sockets)
 // ---------------------------------------------------------------------------
 
+/// Decodes `payload` into both transaction sinks — `WireTx` values and
+/// the server's flat `TxRows` — and checks they agree: the same
+/// verdict, and on success the same request with the same ids.
+fn decode_both(payload: &[u8]) -> Result<Request, DecodeError> {
+    let request = decode_request(payload);
+    let flat = decode_rows(payload).map(|decoded| match decoded {
+        Decoded::Place {
+            req_id,
+            fee,
+            batch,
+            txs,
+        } => {
+            let mut txs: Vec<WireTx> = txs
+                .iter()
+                .map(|(txid, inputs)| WireTx {
+                    txid,
+                    inputs: inputs.to_vec(),
+                })
+                .collect();
+            match batch {
+                true => Request::SubmitBatch { req_id, fee, txs },
+                false => {
+                    assert_eq!(txs.len(), 1, "a Submit carries one transaction");
+                    let tx = txs.remove(0);
+                    Request::Submit { req_id, fee, tx }
+                }
+            }
+        }
+        Decoded::Query { req_id, txid } => Request::Query { req_id, txid },
+        Decoded::Metrics { req_id } => Request::Metrics { req_id },
+    });
+    assert_eq!(request, flat, "the two sinks disagree on {payload:?}");
+    request
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2_000))]
 
     /// Arbitrary bytes never panic the request decoder.
     #[test]
     fn random_bytes_decode_request_totally(payload in collection::vec(0u8..=255, 0..96)) {
-        let _ = decode_request(&payload);
+        let _ = decode_both(&payload);
     }
 
     /// Arbitrary bytes never panic the response decoder.
@@ -49,7 +85,7 @@ proptest! {
     ) {
         let mut payload = vec![opcode];
         payload.extend_from_slice(&body);
-        let _ = decode_request(&payload);
+        let _ = decode_both(&payload);
         let _ = decode_response(&payload);
     }
 
@@ -74,7 +110,32 @@ proptest! {
         };
         let mut payload = Vec::new();
         encode_request(&request, &mut payload);
-        prop_assert_eq!(decode_request(&payload).expect("own encoding decodes"), request);
+        prop_assert_eq!(decode_both(&payload).expect("own encoding decodes"), request);
+    }
+
+    /// A batch with a byte flipped and a tail cut off — counts that
+    /// now promise too much or too little, ids that changed — lands
+    /// in both sinks identically or is refused by both.
+    #[test]
+    fn mutated_batches_decode_identically_into_both_sinks(
+        txs in collection::vec((0u64..1_000, collection::vec(0u64..1_000, 0..5)), 0..6),
+        pos_seed in 0usize..1_000,
+        flip in 0u8..=255,
+        cut in 0usize..12,
+    ) {
+        let txs = txs
+            .into_iter()
+            .map(|(txid, inputs)| WireTx {
+                txid: TxId(txid),
+                inputs: inputs.into_iter().map(TxId).collect(),
+            })
+            .collect();
+        let mut payload = Vec::new();
+        encode_request(&Request::SubmitBatch { req_id: 5, fee: 2, txs }, &mut payload);
+        let pos = pos_seed % payload.len();
+        payload[pos] ^= flip;
+        payload.truncate(payload.len() - cut.min(payload.len()));
+        let _ = decode_both(&payload);
     }
 
     /// Truncating a valid frame at any point yields a typed error.
@@ -96,7 +157,7 @@ proptest! {
         encode_request(&request, &mut payload);
         let keep = ((payload.len() as f64) * keep_fraction) as usize;
         if keep < payload.len() {
-            prop_assert!(decode_request(&payload[..keep]).is_err());
+            prop_assert!(decode_both(&payload[..keep]).is_err());
         }
     }
 
@@ -114,7 +175,7 @@ proptest! {
         encode_request(&request, &mut payload);
         let pos = pos_seed % payload.len();
         payload[pos] ^= flip;
-        if let Ok(decoded) = decode_request(&payload) {
+        if let Ok(decoded) = decode_both(&payload) {
             prop_assert!(decoded != request);
         }
     }
@@ -129,7 +190,7 @@ proptest! {
         let mut payload = Vec::new();
         encode_request(&Request::Metrics { req_id }, &mut payload);
         payload.extend_from_slice(&extra);
-        prop_assert!(decode_request(&payload).is_err());
+        prop_assert!(decode_both(&payload).is_err());
     }
 
     /// Responses round trip too (the client depends on this).
