@@ -3,12 +3,14 @@
 //! placement and under the same placement with the [`Rebalancer`]
 //! enabled at a sweep of per-epoch migration byte budgets, then records
 //! the cost/benefit curve — migration bytes spent vs. cross-shard ratio
-//! and max-shard utilization recovered — to `BENCH_rebalance.json`.
+//! and max-shard utilization recovered — as a table and, on the last
+//! stdout line, one JSON object (also written to `--out PATH` if given).
 //!
 //! Gates (exit 1 on failure): the default-budget rebalanced arm must
 //! beat the static arm on **both** cross-tx ratio and max-shard
 //! utilization, every arm's migrated bytes must respect its per-epoch
-//! budget, and the gated arm must be bit-deterministic across two runs.
+//! budget, no arm may abort a transaction, and the gated arm must be
+//! bit-deterministic across two runs.
 //!
 //! ```sh
 //! cargo run --release -p optchain-bench --bin rebalance_curve -- \
@@ -28,7 +30,7 @@ struct Args {
     txs: u64,
     k: u32,
     seed: u64,
-    out: String,
+    out: Option<String>,
     /// Hub wallets in the hot-spot.
     hubs: u32,
     /// Probability a post-warmup transaction is hub traffic.
@@ -46,7 +48,7 @@ fn parse_args() -> Args {
         txs: 20_000,
         k: 4,
         seed: 0xB17C04,
-        out: "BENCH_rebalance.json".to_string(),
+        out: None,
         hubs: 2,
         p_hot: 0.7,
         epoch_interval: 500,
@@ -65,7 +67,7 @@ fn parse_args() -> Args {
             "--txs" => args.txs = next("--txs").parse().expect("--txs: number"),
             "--k" => args.k = next("--k").parse().expect("--k: number"),
             "--seed" => args.seed = next("--seed").parse().expect("--seed: number"),
-            "--out" => args.out = next("--out"),
+            "--out" => args.out = Some(next("--out")),
             "--hubs" => args.hubs = next("--hubs").parse().expect("--hubs: number"),
             "--p-hot" => args.p_hot = next("--p-hot").parse().expect("--p-hot: number"),
             "--epoch-interval" => {
@@ -253,9 +255,6 @@ fn main() {
     );
     println!("  deterministic: every counter identical");
 
-    write_json(&args, &config, &static_arm, &arms);
-    println!("wrote {}", args.out);
-
     let mut failed = false;
     if gated.cross_ratio() >= static_arm.cross_ratio() {
         eprintln!(
@@ -273,8 +272,15 @@ fn main() {
         );
         failed = true;
     }
-    for arm in &arms {
-        let budget = arm.budget.expect("every swept arm has a budget");
+    for arm in arms.iter().chain([&static_arm]) {
+        if arm.metrics.aborted > 0 {
+            eprintln!(
+                "error: arm {} aborted {} transactions",
+                arm.label, arm.metrics.aborted
+            );
+            failed = true;
+        }
+        let Some(budget) = arm.budget else { continue };
         let ceiling = arm.metrics.rebalance_epochs_committed * budget;
         if arm.metrics.rebalance_bytes_migrated > ceiling {
             eprintln!(
@@ -303,6 +309,11 @@ fn main() {
             gated.metrics.rebalance_nodes_moved,
             gated.metrics.rebalance_bytes_migrated as f64 / 1024.0,
         );
+    }
+    let json = curve_json(&args, &config, &static_arm, &arms);
+    println!("{json}");
+    if let Some(path) = &args.out {
+        std::fs::write(path, json + "\n").expect("write --out");
     }
     if failed {
         std::process::exit(1);
@@ -351,33 +362,30 @@ fn arm_json(json: &mut String, arm: &Arm) {
     );
 }
 
-fn write_json(args: &Args, config: &SimConfig, static_arm: &Arm, arms: &[Arm]) {
+/// The whole curve as one JSON line.
+fn curve_json(args: &Args, config: &SimConfig, static_arm: &Arm, arms: &[Arm]) -> String {
     let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"experiment\": \"rebalance_curve\",");
-    let _ = writeln!(json, "  \"txs\": {},", args.txs);
-    let _ = writeln!(json, "  \"k\": {},", config.n_shards);
-    let _ = writeln!(json, "  \"seed\": {},", args.seed);
-    let _ = writeln!(
+    let _ = write!(
         json,
-        "  \"hotspot\": {{\"hubs\": {}, \"p_hot\": {}, \"start\": {}}},",
+        "{{\"experiment\": \"rebalance_curve\", \"txs\": {}, \"k\": {}, \"seed\": {}, \
+         \"hotspot\": {{\"hubs\": {}, \"p_hot\": {}, \"start\": {}}}, \
+         \"epoch_interval\": {}, \"gated_budget_bytes\": {GATED_BUDGET}, \"static\": ",
+        args.txs,
+        config.n_shards,
+        args.seed,
         args.hubs,
         args.p_hot,
-        args.txs / 10
+        args.txs / 10,
+        args.epoch_interval,
     );
-    let _ = writeln!(json, "  \"epoch_interval\": {},", args.epoch_interval);
-    let _ = writeln!(json, "  \"gated_budget_bytes\": {GATED_BUDGET},");
-    let _ = write!(json, "  \"static\": ");
     arm_json(&mut json, static_arm);
-    let _ = writeln!(json, ",");
-    let _ = writeln!(json, "  \"arms\": [");
+    json.push_str(", \"arms\": [");
     for (i, arm) in arms.iter().enumerate() {
-        let _ = write!(json, "    ");
+        if i > 0 {
+            json.push_str(", ");
+        }
         arm_json(&mut json, arm);
-        let _ = writeln!(json, "{}", if i + 1 < arms.len() { "," } else { "" });
     }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"deterministic\": true");
-    let _ = writeln!(json, "}}");
-    std::fs::write(&args.out, &json).expect("write BENCH json");
+    json.push_str("], \"deterministic\": true}");
+    json
 }

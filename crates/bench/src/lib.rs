@@ -25,7 +25,14 @@
 //! | `ext_rapidchain` | OmniLedger lock vs RapidChain yank protocol |
 //!
 //! Every binary accepts `--txs N`, `--seed N` and `--full` (paper-scale
-//! stream lengths); see [`Opts`].
+//! stream lengths); see [`Opts`]. `rebalance_curve` sweeps the
+//! rebalancer's migration budget (PERF.md §9) and gates itself.
+//!
+//! This crate reproduces the paper; it does not measure the system.
+//! Throughput, latency, memory and per-layer cost are measured by the
+//! repo benchmark (`benchmark/run.sh`, gated in CI through
+//! `scripts/bench_gate.py`). [`naive`] stays as the reference
+//! `optchain-core`'s `golden_place` compares the optimized placer to.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

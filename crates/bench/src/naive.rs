@@ -1,9 +1,8 @@
 //! The seed's original allocating implementation of Algorithm 1, kept
 //! verbatim (over `optchain_core`'s public API only) as the oracle the
 //! optimized [`optchain_core::OptChainPlacer`] path is held against:
-//! `optchain-core`'s `golden_place` equivalence test and the "before"
-//! arm of `perf_baseline` / `placement_throughput` are its only
-//! importers.
+//! `optchain-core`'s `golden_place` equivalence test is its only
+//! importer.
 
 use optchain_core::{
     input_shards_into, AssignmentStore, AssignmentView, Decision, L2sEstimator, PlacementContext,

@@ -18,6 +18,13 @@ fn workload(n: usize, seed: u64) -> Vec<(TxId, Vec<TxId>)> {
         .collect()
 }
 
+/// The value of gauge `name` in a `Metrics` scrape.
+fn gauge(text: &str, name: &str) -> u64 {
+    (text.lines())
+        .find_map(|line| line.strip_prefix(name)?.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no {name} in the metrics text"))
+}
+
 /// A unique scratch directory under the system temp dir.
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("optchain-service-{tag}-{}", std::process::id()));
@@ -160,17 +167,24 @@ fn batch_frames_split_at_sync_boundaries_like_single_submits() {
     server.shutdown();
 }
 
-/// Driving the node at ~2x its (throttled) capacity must shed with
+/// Driving the node at 2x its (throttled) capacity must shed with
 /// typed `QueueFull` rejections, keep admitted-request latency within
-/// the queue-derived bound, and answer every request exactly once.
+/// the queue-derived bound, answer every request exactly once, and
+/// keep the duplicate guard at two generations of ids while it rotates.
 #[test]
 fn overload_sheds_typed_with_bounded_latency_and_zero_lost_acks() {
     const RATE: u64 = 2_000; // placements/sec, dispatcher-throttled
     const QUEUE: usize = 64;
     const N: u64 = 1_000;
 
+    // A window this small puts the guard through several generations
+    // within the ~500 transactions the run admits.
+    let fleet = RouterFleet::builder()
+        .shards(4)
+        .workers(1)
+        .retention(RetentionPolicy::WindowTxs(16));
     let server = PlacementServer::builder()
-        .fleet(RouterFleet::builder().shards(4).workers(1))
+        .fleet(fleet)
         .queue_capacity(QUEUE)
         .credit_window(1_024) // wider than N: shedding, not stalling
         .max_placements_per_sec(RATE)
@@ -178,12 +192,17 @@ fn overload_sheds_typed_with_bounded_latency_and_zero_lost_acks() {
         .expect("start server");
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
-    // Fire N submissions as fast as the socket takes them (~2x the
-    // throttled rate), then collect every response.
+    // Offer N submissions on a 2 x RATE schedule, then collect every
+    // response.
     let txs = workload(N as usize, 33);
     let started = Instant::now();
     let mut req_ids = Vec::with_capacity(txs.len());
-    for (txid, inputs) in &txs {
+    for (i, (txid, inputs)) in txs.iter().enumerate() {
+        let due = Duration::from_secs_f64(i as f64 / (2 * RATE) as f64);
+        if let Some(wait) = due.checked_sub(started.elapsed()) {
+            client.flush().expect("flush");
+            std::thread::sleep(wait);
+        }
         req_ids.push(client.send_submit(1, *txid, inputs).expect("send"));
     }
     client.flush().expect("flush");
@@ -231,6 +250,20 @@ fn overload_sheds_typed_with_bounded_latency_and_zero_lost_acks() {
     );
     // Sanity: the run itself terminated promptly (shedding, not queuing).
     assert!(elapsed < Duration::from_secs(30));
+
+    // The guard forgot: more ids were admitted than two generations
+    // hold, and the final scrape shows no more than that remembered.
+    let text = client.metrics_text().expect("metrics");
+    let horizon = gauge(&text, "optchain_dedup_horizon ");
+    let tracked = gauge(&text, "optchain_dedup_tracked_ids ");
+    assert!(
+        acks > 2 * horizon,
+        "{acks} admissions never filled the guard"
+    );
+    assert!(
+        tracked <= 2 * horizon,
+        "guard tracks {tracked} ids, horizon {horizon}"
+    );
     server.shutdown();
 }
 
@@ -456,11 +489,7 @@ fn resubmission_past_the_horizon_is_a_fresh_placement() {
             text.contains(&format!("optchain_dedup_horizon {generation}")),
             "{text}"
         );
-        let tracked: u64 = text
-            .lines()
-            .find_map(|line| line.strip_prefix("optchain_dedup_tracked_ids "))
-            .and_then(|n| n.parse().ok())
-            .expect("tracked gauge");
+        let tracked = gauge(&text, "optchain_dedup_tracked_ids ");
         let admitted = server.metrics().admitted();
         assert_eq!(admitted, 3 * span + 4 * SYNC);
         // The guard holds the current generation and the one before.

@@ -239,8 +239,7 @@ impl AssignmentStore {
         self.retained.shrink_to_fit();
     }
 
-    /// Bytes of heap owned by the store — the quantity the
-    /// `perf_baseline` assignment-memory gate bounds to O(window).
+    /// Bytes of heap owned by the store (O(window) under a window).
     pub fn state_bytes(&self) -> usize {
         // A HashMap entry costs the (key, value) pair plus control
         // bytes; 2× the payload is the usual accounting approximation.
@@ -397,10 +396,8 @@ impl<'a> AssignmentView<'a> {
 
     /// Materializes the **full** history, or `None` when any entry has
     /// been evicted — a windowed store cannot reconstruct its dropped
-    /// prefix (snapshot the store itself, or record shards at
-    /// submission time, as `perf_baseline` does; live entries are
-    /// always readable through [`AssignmentView::get`] /
-    /// [`AssignmentView::iter_live`]).
+    /// prefix: record shards at submission time, or read live entries
+    /// through [`AssignmentView::get`] / [`AssignmentView::iter_live`].
     pub fn to_vec(&self) -> Option<Vec<u32>> {
         (0..self.0.len()).map(|id| self.0.get_index(id)).collect()
     }

@@ -52,7 +52,7 @@ pub struct RebalancePolicy {
     /// Most moves staged per epoch.
     pub max_moves_per_epoch: usize,
     /// Most estimated migration bytes staged per epoch — the cost-model
-    /// budget. The tradeoff curve in `BENCH_rebalance.json` sweeps this.
+    /// budget. The `rebalance_curve` bin sweeps this (PERF.md §9).
     pub byte_budget_per_epoch: u64,
     /// Stage an epoch only while `max shard load / mean shard load`
     /// exceeds this. `f64::INFINITY` never triggers — the

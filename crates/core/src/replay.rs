@@ -381,8 +381,7 @@ where
 /// history (it is an experiment artifact): replaying from a
 /// warm-started retention-policy router whose prefix already evicted
 /// assignment entries panics, because that history no longer exists.
-/// Drive such routers directly (`submit_batch` + recording shards at
-/// submission time, as `perf_baseline`'s retention arm does) instead.
+/// Drive such routers directly (`submit_batch`, recording its shards).
 pub fn replay_router<'a, I>(txs: I, router: &mut Router) -> ReplayOutcome
 where
     I: IntoIterator<Item = &'a Transaction>,

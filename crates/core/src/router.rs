@@ -915,8 +915,7 @@ impl Router {
 
     /// Places every transaction of `batch` in order, writing the shards
     /// into `out` (cleared first) — the zero-allocation bulk path: after
-    /// warm-up, no per-transaction heap allocation happens on this path
-    /// (the `alloc-count` build of `perf_baseline` pins this).
+    /// warm-up, no per-transaction heap allocation happens on this path.
     ///
     /// # Panics
     ///

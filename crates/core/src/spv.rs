@@ -117,8 +117,7 @@ impl SpvWallet {
     /// policy's window are dropped — except, under
     /// [`RetentionPolicy::KeepUnspentAndHubs`], unspent outputs and
     /// hubs, which stay remembered. Memory is O(window) under
-    /// [`RetentionPolicy::WindowTxs`] no matter how long the wallet
-    /// runs (`perf_baseline`'s retention arm gates this at 1M txs).
+    /// [`RetentionPolicy::WindowTxs`] however long the wallet runs.
     ///
     /// # Panics
     ///

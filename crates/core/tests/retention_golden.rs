@@ -185,25 +185,25 @@ proptest! {
         }
     }
 
-    /// A retention-aware SPV wallet holds O(window) entries over
-    /// arbitrarily long streams.
+    /// A retention-aware SPV wallet holds O(window) entries, and bytes
+    /// within 2x of a window-sized run, over arbitrarily long streams.
     #[test]
     fn spv_wallet_footprint_is_bounded(seed in 0u64..1_000) {
         let window = 64usize;
         let txs = seeded_stream(1_500, 20, seed);
         let telemetry = vec![optchain_core::ShardTelemetry::new(0.1, 0.5); 4];
-        let mut wallet =
-            SpvWallet::with_retention(4, RetentionPolicy::WindowTxs(window));
-        let mut inputs: Vec<TxId> = Vec::new();
-        let mut peak = 0usize;
-        for tx in &txs {
-            inputs.clear();
-            inputs.extend(tx.inputs().iter().map(|op| op.txid));
-            wallet.place(tx.id(), &inputs, &telemetry);
-            peak = peak.max(wallet.len());
-        }
-        prop_assert!(peak <= window, "wallet peaked at {} entries", peak);
-        prop_assert!(wallet.state_bytes() > 0);
+        let peaks = |txs: &[Transaction]| {
+            let mut wallet = SpvWallet::with_retention(4, RetentionPolicy::WindowTxs(window));
+            let mut peak = (0usize, 0usize);
+            for tx in txs {
+                wallet.place(tx.id(), &tx.input_txids(), &telemetry);
+                peak = (peak.0.max(wallet.len()), peak.1.max(wallet.state_bytes()));
+            }
+            peak
+        };
+        let (entries, bytes) = peaks(&txs);
+        prop_assert!(entries <= window, "wallet peaked at {} entries", entries);
+        prop_assert!(bytes <= 2 * peaks(&txs[..window]).1, "wallet peaked at {} B", bytes);
     }
 
     /// A 1-worker fleet under a retention policy — including the
@@ -290,29 +290,23 @@ fn windowed_router_holds_bounded_live_state_over_long_streams() {
         .retention(RetentionPolicy::WindowTxs(window))
         .build();
     let txs = seeded_stream(20_000, 50, 7);
-    let mut peak_live = 0usize;
-    let mut peak_bytes = 0usize;
+    let (mut peak_live, mut peak_arena, mut peak_assign) = (0usize, 0usize, 0usize);
     for tx in &txs {
         router.submit_tx(tx).unwrap();
         peak_live = peak_live.max(router.tan().live_len());
-        peak_bytes = peak_bytes.max(router.tan().arena_bytes());
+        peak_arena = peak_arena.max(router.tan().arena_bytes());
+        peak_assign = peak_assign.max(router.assignments().state_bytes());
     }
-    assert!(
-        peak_live <= window + window / 2 + 1_100,
-        "live rows must stay O(window): {peak_live}"
-    );
-    // A reference graph of just the window-sized prefix: the long
-    // stream's peak arena must stay within a constant factor of it.
+    assert!(peak_live <= window, "{peak_live} live rows");
+    // Peak graph and assignment bytes stay within 2x of a router over
+    // just the window-sized prefix: O(window), not O(stream).
     let mut small = Router::builder().shards(4).build();
     for tx in &txs[..window] {
         small.submit_tx(tx).unwrap();
     }
-    assert!(
-        peak_bytes < 20 * small.tan().arena_bytes(),
-        "peak {} vs window-sized run {}",
-        peak_bytes,
-        small.tan().arena_bytes()
-    );
+    let (arena, assign) = (small.tan().arena_bytes(), small.assignments().state_bytes());
+    assert!(peak_arena <= 2 * arena, "arena {peak_arena} vs {arena}");
+    assert!(peak_assign <= 2 * assign, "store {peak_assign} vs {assign}");
     // The placement state is complete despite the eviction.
     assert_eq!(router.assignments().len(), txs.len());
 }

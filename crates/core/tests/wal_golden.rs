@@ -44,8 +44,8 @@ use common::seeded_stream;
 use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 
 use optchain_core::{
-    FailpointStorage, MemStorage, RetentionPolicy, Router, RouterFleet, SegmentWal, ShardId,
-    ShardTelemetry, SharedStorage, Storage, TailDamage,
+    CheckpointStats, FailpointStorage, MemStorage, RetentionPolicy, Router, RouterFleet,
+    SegmentWal, ShardId, ShardTelemetry, SharedStorage, Storage, TailDamage,
 };
 use optchain_utxo::{Transaction, TxId};
 
@@ -507,11 +507,12 @@ fn damaged_intermediate_delta_fails_typed_never_wrong() {
 }
 
 /// Scale soak for the CI `wal-soak` job: a 100k-tx stream killed at
-/// three pseudo-random operation points with varying tail damage,
-/// recovered after each kill, with the forgotten suffix resubmitted —
-/// every resubmitted decision must match the original ack, and the
-/// final state must be bit-identical (assignments plus the full score
-/// breakdown on a continuation) to an uninterrupted in-RAM run.
+/// three pseudo-random operation points with varying tail damage and
+/// recovered after each, the forgotten suffix resubmitted. Every
+/// resubmitted decision must match the original ack; the final state
+/// must be bit-identical (assignments plus the full score breakdown on
+/// a continuation) to an uninterrupted in-RAM run; and the journal must
+/// stay O(window), on deltas smaller than full snapshots.
 /// `OPTCHAIN_SOAK_SEED` varies the stream and the crash plan.
 #[test]
 #[ignore = "scale soak (~100k txs, 3 kill points); run with --ignored in the wal-soak CI job"]
@@ -521,9 +522,7 @@ fn wal_soak_three_crashes_end_bit_identical() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0xC0FFEE);
-    let len = 100_000usize;
-    let tail = 200usize;
-    let window = 10_000usize;
+    let (len, tail, window) = (100_000usize, 200usize, 10_000usize);
     let txs = seeded_stream(len + tail, 60, seed);
 
     let shared = SharedStorage::new(FailpointStorage::new(
@@ -532,20 +531,23 @@ fn wal_soak_three_crashes_end_bit_identical() {
         0,
         TailDamage::None,
     ));
-    let mut router = Router::builder()
-        .shards(8)
-        .retention(RetentionPolicy::WindowTxs(window))
-        .checkpoint_every(5_000)
-        .flush_every(512)
-        .storage(Box::new(shared.clone()))
-        .build();
+    let durable = |storage: Box<dyn Storage>| {
+        Router::builder()
+            .shards(8)
+            .retention(RetentionPolicy::WindowTxs(window))
+            .checkpoint_every(5_000)
+            .flush_every(512)
+            .storage(storage)
+            .build()
+    };
+    let mut router = durable(Box::new(shared.clone()));
+    let (mut peak_disk, mut lifetimes) = (0u64, Vec::new());
 
     // Shard acked for each stream index the first time it is accepted;
     // a resubmission after a crash replays from a bit-identical state,
     // so it must re-derive exactly the shard that was acked before.
     let mut acked: Vec<u32> = Vec::with_capacity(len);
-    let mut next_tx = 0usize;
-    let mut crashes = 0u32;
+    let (mut next_tx, mut crashes) = (0usize, 0u32);
     while next_tx < len {
         if crashes < 3 {
             // Three kill points spread over the stream: 5k–30k mutating
@@ -557,24 +559,19 @@ fn wal_soak_three_crashes_end_bit_identical() {
             let damage = damage_for((crashes % 3) as u8, 11);
             shared.with(|fp| fp.arm(gap, survive, damage));
         }
-        loop {
-            if next_tx >= len {
+        while next_tx < len {
+            let Ok(shard) = router.submit_tx(&txs[next_tx]) else {
                 break;
+            };
+            match acked.get(next_tx) {
+                Some(&first) => assert_eq!(
+                    shard.0, first,
+                    "resubmission after crash {crashes} diverged at tx {next_tx}"
+                ),
+                None => acked.push(shard.0),
             }
-            match router.submit_tx(&txs[next_tx]) {
-                Ok(shard) => {
-                    if next_tx < acked.len() {
-                        assert_eq!(
-                            shard.0, acked[next_tx],
-                            "resubmission after crash {crashes} diverged at tx {next_tx}"
-                        );
-                    } else {
-                        acked.push(shard.0);
-                    }
-                    next_tx += 1;
-                }
-                Err(_) => break,
-            }
+            next_tx += 1;
+            peak_disk = peak_disk.max(router.journal_bytes().unwrap_or(0));
         }
         if next_tx >= len {
             break;
@@ -584,6 +581,7 @@ fn wal_soak_three_crashes_end_bit_identical() {
             "submission failed without the failpoint firing"
         );
         crashes += 1;
+        lifetimes.push(router.checkpoint_stats());
         drop(router);
         shared.with(|fp| fp.disarm());
         router = Router::recover(Box::new(shared.clone())).expect("recovery after soak crash");
@@ -596,6 +594,20 @@ fn wal_soak_three_crashes_end_bit_identical() {
         next_tx = survived;
     }
     assert_eq!(crashes, 3, "the crash plan must fire all three kills");
+    lifetimes.push(router.checkpoint_stats());
+    // Segment GC holds the journal O(window): its peak stays within 3x
+    // of a 2x-window run's (the shortest that completes a checkpoint
+    // chain and a GC cycle), on deltas smaller than full snapshots.
+    let (mut short, mut short_peak) = (durable(Box::new(MemStorage::new())), 0u64);
+    for tx in &txs[..2 * window] {
+        short.submit_tx(tx).unwrap();
+        short_peak = short_peak.max(short.journal_bytes().unwrap_or(0));
+    }
+    assert!(peak_disk <= 3 * short_peak, "{peak_disk} vs {short_peak}");
+    let sum = |f: fn(&CheckpointStats) -> u64| lifetimes.iter().map(f).sum::<u64>();
+    let (fulls, deltas) = (sum(|s| s.full_checkpoints), sum(|s| s.delta_checkpoints));
+    let smaller = sum(|s| s.delta_bytes) * fulls < sum(|s| s.full_bytes) * deltas;
+    assert!(deltas > 0 && smaller, "{lifetimes:?}");
 
     let mut reference = Router::builder()
         .shards(8)

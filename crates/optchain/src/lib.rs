@@ -187,7 +187,8 @@
 //! counters (`optchain_rebalance_*`, per-shard acks, the cross-shard
 //! ratio) on its `/metrics` endpoint. PERF.md §9 has the measured
 //! budget-vs-benefit curve; `rebalance_curve` (in `optchain-bench`)
-//! records it and CI gates it against `BENCH_rebalance.json`.
+//! reproduces it and exits non-zero unless the rebalanced arm beats
+//! static placement on both axes — CI runs its `--smoke`.
 //!
 //! # Recover after a crash: the durable node
 //!
@@ -317,38 +318,33 @@
 //!   admitted/shed/acked counters, and admission-to-ack latency
 //!   quantiles.
 //!
-//! `loadgen` (in `optchain-bench`) drives the full loop over loopback
-//! — a sustained arm and a deliberate 2× overload arm — and records
-//! `BENCH_service.json`; PERF.md §8 has the measured numbers.
+//! The repo benchmark's `service_loopback` workload (`benchmark/`)
+//! drives the full loop over loopback, closed and open loop, and
+//! `service_golden` in `optchain-client` holds the overload contract.
 //!
 //! # Contributing
 //!
-//! CI runs six parallel jobs — `lint` (fmt + clippy + docs), `test`
-//! (release build + full test suite), `perf-gates` (the 50k perf
-//! smoke with allocation, O(window) memory, and WAL durability gates,
-//! diffed against the committed `BENCH_placement.json` by
-//! `scripts/bench_compare.py`), `service-gates` (the loopback loadgen
-//! smoke — zero lost acks, typed shedding under overload, p99 within
-//! the queue-derived bound — diffed against `BENCH_service.json`),
-//! `rebalance-gates` (the hot-spot smoke — the rebalanced arm must
-//! beat static on both cross-tx ratio and max-shard utilization
-//! within its migration budget — diffed against
-//! `BENCH_rebalance.json`), and `wal-soak` (the crash-injection
-//! matrix, a 100k-tx three-kill recovery soak, and a delta-checkpoint
-//! smoke gated by `bench_compare.py --mode wal`) — plus a nightly
-//! `retention-soak` (500k txs through a 10k window, WAL arm
-//! included). Before pushing, run `scripts/ci_check.sh` — the local
-//! mirror of the `lint`, `test`, `wal-soak`, `service-gates`, and
-//! `rebalance-gates` jobs (`perf-gates` is covered separately by
-//! `scripts/bench.sh`):
+//! There is one measuring system: `benchmark/` (four workloads, six
+//! end-to-end metrics, a per-layer ladder; see its README and PERF.md).
+//! CI runs four parallel jobs — `lint` (fmt + clippy + deletion
+//! ratchet + docs), `test` (release build + full test suite),
+//! `bench-gates` (`scripts/bench_gate.py`: builds the benchmark and
+//! runs its smoke, untraced and traced — every output check, the exact
+//! counts pinned in `scripts/bench_smoke_counts.json`, the allocation
+//! limits; then `rebalance_curve --smoke`) and `wal-soak` (the
+//! crash-injection matrix and a 100k-tx three-kill recovery soak that
+//! also holds the journal O(window)) — plus a `nightly` full-length
+//! `benchmark/run.sh`. No job gates a timing: a wall-clock claim is
+//! made with the alternating-pair protocol in `benchmark/README.md`.
+//! Before pushing, run the local mirror of the four PR jobs:
 //!
 //! ```sh
 //! scripts/ci_check.sh
 //! ```
 //!
-//! After touching a hot path, re-record the baseline with
-//! `scripts/bench.sh` and check `scripts/bench_compare.py` against
-//! the committed JSON.
+//! A pinned count that changes is a behaviour change: re-record it on
+//! purpose (the gate prints the object to paste) and say why, exactly
+//! like re-pinning a golden.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -80,6 +80,6 @@ pub use server::{
     PlacementServer, PlacementServerBuilder, DEFAULT_CREDIT_WINDOW, DEFAULT_QUEUE_CAPACITY,
 };
 
-// Re-exported so downstream code (client, loadgen) can name the fleet
+// Re-exported so downstream code (the client) can name the fleet
 // types without an extra direct dependency.
 pub use optchain_core::{RouterFleet, RouterFleetBuilder};

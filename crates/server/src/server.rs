@@ -299,7 +299,7 @@ impl PlacementServerBuilder {
     /// Caps the dispatcher's placement rate (transactions per second).
     /// An operations knob — useful to bound a node's resource share —
     /// and the deterministic way to drive the server into overload in
-    /// tests and the `loadgen` overload arm.
+    /// tests.
     ///
     /// # Panics
     ///

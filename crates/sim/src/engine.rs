@@ -1051,8 +1051,8 @@ mod tests {
         assert_eq!(full.tan_live_nodes, config.total_txs);
         assert_eq!(full.tan_evicted_nodes, 0);
         // At this miniature scale (5k txs, 1k window) the factor is
-        // small; the strong O(window)-vs-O(stream) factor is gated at
-        // real scale by perf_baseline's --retention arm.
+        // small; the strong O(window)-vs-O(stream) factor is gated by
+        // optchain-core's retention_golden over 78 windows of stream.
         assert!(
             m.tan_arena_bytes < full.tan_arena_bytes,
             "windowed arena {} vs unbounded {}",

@@ -9,8 +9,11 @@
 # the TaN graph's compacting rebuild reappearing beside row retirement,
 # on the service path's remember-everything dedup set or its
 # Vec-per-transaction rows reappearing beside the bounded guard and
-# `TxRows`, and on crates/core or crates/tan/src/graph.rs outgrowing
-# its ceiling.
+# `TxRows`, on the second measuring system (perf_baseline, loadgen,
+# bench_compare.py, the BENCH_*.json baselines, the alloc-count feature)
+# reappearing beside benchmark/ and scripts/bench_gate.py, and on
+# crates/core, crates/bench or crates/tan/src/graph.rs outgrowing its
+# ceiling.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,6 +21,11 @@ cd "$(dirname "$0")/.."
 core_ceiling=12124
 # New graph tests live under crates/tan/tests/.
 graph_ceiling=1537
+# Experiment bins, the naive oracle and the five remaining criterion
+# benches; what measures the system lives under benchmark/.
+bench_ceiling=2300
+
+rust_lines() { find "$1" -name '*.rs' -print0 | xargs -0 cat | wc -l; }
 
 fail=0
 if grep -rnE '#\[deprecated|allow\(deprecated\)' crates/ --include='*.rs'; then
@@ -48,6 +56,11 @@ if grep -nE 'HashSet<u64>|Vec<\(TxId, Vec<TxId>\)>' crates/server/src/server.rs 
     echo "ratchet: an unbounded dedup set or per-transaction Vec rows are back on the service path" >&2
     fail=1
 fi
+if grep -rnE 'perf_baseline|loadgen|bench_compare|BENCH_(placement|service|rebalance)|alloc-count' \
+    crates/ scripts/ .github/ docs/ tests/ examples/ PERF.md --exclude=ratchet.sh; then
+    echo "ratchet: the old measuring system is named again; benchmark/ is the one instrument" >&2
+    fail=1
+fi
 graph_lines=$(wc -l < crates/tan/src/graph.rs)
 if [ "$graph_lines" -gt "$graph_ceiling" ]; then
     echo "ratchet: crates/tan/src/graph.rs is $graph_lines lines, ceiling $graph_ceiling" >&2
@@ -60,9 +73,14 @@ if [ "$fleet_builder_fns" -gt 10 ]; then
     echo "ratchet: RouterFleetBuilder has $fleet_builder_fns pub fns, ceiling 10" >&2
     fail=1
 fi
-core_lines=$(find crates/core -name '*.rs' -print0 | xargs -0 cat | wc -l)
+core_lines=$(rust_lines crates/core)
 if [ "$core_lines" -gt "$core_ceiling" ]; then
     echo "ratchet: crates/core is $core_lines lines of Rust, ceiling $core_ceiling" >&2
+    fail=1
+fi
+bench_lines=$(rust_lines crates/bench)
+if [ "$bench_lines" -gt "$bench_ceiling" ]; then
+    echo "ratchet: crates/bench is $bench_lines lines of Rust, ceiling $bench_ceiling" >&2
     fail=1
 fi
 exit "$fail"

@@ -111,3 +111,23 @@ fn deterministic_across_processes() {
     assert_eq!(a.assignments, b.assignments);
     assert_eq!(a.cross, b.cross);
 }
+
+#[test]
+fn prebuilt_graph_placement_equals_online_placement() {
+    // Deciding over a graph that already holds the whole stream takes
+    // the historical `in_degree_at` route (a hub's later spenders must
+    // not count yet); it must place exactly like deciding as each
+    // transaction arrives.
+    let txs = stream(20_000, 5);
+    let telemetry = vec![optchain::core::DEFAULT_TELEMETRY; 16];
+    let mut online = Router::builder().shards(16).build();
+    let mut shards = Vec::new();
+    online.submit_batch(&txs, &mut shards);
+
+    let tan = TanGraph::from_transactions(txs.iter());
+    let mut placer = OptChainPlacer::new(16);
+    for (node, online_shard) in tan.nodes().zip(&shards) {
+        let ctx = PlacementContext::with_epoch(&tan, &telemetry, 0);
+        assert_eq!(placer.place(&ctx, node), *online_shard, "node {node:?}");
+    }
+}
