@@ -100,14 +100,13 @@ pub(crate) struct RouterSpec {
     /// encoded into a durable meta blob: the builder forbids combining
     /// a rebalancer with storage.
     pub(crate) rebalance: Option<RebalancePolicy>,
-    /// WAL records between checkpoints (flush + snapshot + segment GC).
+    /// Journaled entries before a journal's first snapshot (flush +
+    /// snapshot + segment GC).
     pub(crate) checkpoint_every: u64,
-    /// WAL records between fsync batches.
+    /// Journaled entries between fsync batches.
     pub(crate) flush_every: u64,
-    /// Delta checkpoints between full snapshots: every `full_every`-th
-    /// checkpoint is a full snapshot, the rest persist only the records
-    /// journaled since the previous checkpoint. `1` = every checkpoint
-    /// full (the pre-delta behavior).
+    /// Snapshot-interval multiplier: once a snapshot exists the next is
+    /// due `checkpoint_every × full_every` entries later.
     pub(crate) full_every: u64,
 }
 
@@ -192,7 +191,7 @@ impl RouterSpec {
                  available with Strategy::OptChain");
         }
         if self.checkpoint_every == 0 || self.flush_every == 0 || self.full_every == 0 {
-            return Err("checkpoint, flush and full-snapshot cadences must be positive");
+            return Err("checkpoint, flush and snapshot-multiplier cadences must be positive");
         }
         Ok(())
     }
@@ -412,42 +411,45 @@ impl RouterBuilder {
     }
 
     /// Journals every placement to `storage` before acking: each
-    /// submission/adoption/telemetry change appends one WAL record,
-    /// records are fsynced in batches of [`RouterBuilder::flush_every`],
-    /// and every [`RouterBuilder::checkpoint_every`] records the router
-    /// installs a checkpoint (an encoded [`RouterSnapshot`] plus the
-    /// journal position it covers) and garbage-collects journal
-    /// segments below it. A crashed durable router is rebuilt with
-    /// [`Router::recover`]. The backend must be **fresh** (no meta
-    /// blob) — recovery goes through `recover`, not the builder.
+    /// submission, adoption and telemetry change is one journaled
+    /// *entry* (a [`Router::submit_batch`] call's placements share one
+    /// framed record), entries are fsynced in batches of
+    /// [`RouterBuilder::flush_every`], and at the
+    /// [`RouterBuilder::checkpoint_every`] × [`RouterBuilder::full_every`]
+    /// cadence the router installs a snapshot (an encoded
+    /// [`RouterSnapshot`] plus the journal position it covers) and
+    /// garbage-collects the segments below it. A crashed durable router
+    /// is rebuilt with [`Router::recover`]. The backend must be
+    /// **fresh** (no meta blob) — recovery goes through `recover`, not
+    /// the builder.
     pub fn storage(mut self, storage: Box<dyn Storage>) -> Self {
         self.storage = Some(storage);
         self
     }
 
-    /// WAL records between checkpoints (default 32 768; durable
-    /// routers only). Smaller values shorten recovery replay, larger
-    /// values amortize snapshot encoding over more submissions.
+    /// Journaled entries before the first snapshot (default 32 768;
+    /// durable routers only), and the unit [`RouterBuilder::full_every`]
+    /// multiplies afterwards. Smaller values shorten recovery replay,
+    /// larger values amortize snapshot encoding over more submissions.
     pub fn checkpoint_every(mut self, records: u64) -> Self {
         self.spec.checkpoint_every = records;
         self
     }
 
-    /// WAL records between fsync batches (default 512; durable routers
-    /// only). `1` fsyncs every record — maximal durability, minimal
-    /// throughput; larger batches bound the records a crash can lose.
+    /// Journaled entries between fsync batches (default 512; durable
+    /// routers only). `1` fsyncs every entry — maximal durability,
+    /// minimal throughput; larger batches bound the entries a crash can
+    /// lose.
     pub fn flush_every(mut self, records: u64) -> Self {
         self.spec.flush_every = records;
         self
     }
 
-    /// Delta checkpoints between full snapshots (default 8; durable
-    /// routers only). Every `n`-th checkpoint persists a full snapshot;
-    /// the ones between persist only the records journaled since the
-    /// previous checkpoint, so their cost is O(records since last
-    /// checkpoint) instead of O(retained state). `1` makes every
-    /// checkpoint full — the pre-delta behavior. [`Router::compact`]
-    /// also forces the next checkpoint full.
+    /// Snapshot-interval multiplier (default 8; durable routers only):
+    /// once the journal holds a snapshot, the next is installed
+    /// `checkpoint_every × n` entries later. Recovery replays the tail
+    /// above the snapshot, so `n` trades snapshot encoding against
+    /// replay length and disk held (one snapshot + that much tail).
     pub fn full_every(mut self, n: u64) -> Self {
         self.spec.full_every = n;
         self
@@ -563,127 +565,130 @@ pub struct Router {
 }
 
 /// The write-ahead attachment of a durable router: the storage backend
-/// plus the batching counters driving fsync and checkpoint cadence.
+/// plus the counters driving fsync and snapshot cadence. Cadences count
+/// *entries* (a placement, adoption, telemetry change or sync mark),
+/// not records: a `submit_batch` call's placements share one record.
 #[derive(Debug)]
 struct Journal {
     storage: Box<dyn Storage>,
-    /// Records between checkpoints.
-    checkpoint_every: u64,
-    /// Records between fsync batches.
+    /// Entries between snapshots: `checkpoint_every` until the backend
+    /// holds its first, `steady_every` from then on.
+    snapshot_every: u64,
+    /// `checkpoint_every × full_every`, saturating.
+    steady_every: u64,
+    /// Entries between fsync batches.
     flush_every: u64,
-    /// Delta checkpoints between full snapshots (1 = always full).
-    full_every: u64,
-    /// Records appended since the last flush.
+    /// Entries journaled since the last flush.
     unflushed: u64,
-    /// Records appended since the last checkpoint.
-    since_checkpoint: u64,
-    /// Delta checkpoints installed since the last full snapshot.
-    since_full: u64,
-    /// Journal position the checkpoint chain covers up to (`None`
-    /// before the first checkpoint).
-    chain_upto: Option<u64>,
-    /// Force the next checkpoint full regardless of cadence — set by
-    /// [`Router::compact`].
-    force_full: bool,
-    /// `true` (the default): a filled checkpoint interval fires on any
-    /// append. Fleet workers set `false` and checkpoint only at sync
-    /// marks, so a checkpoint position always implies an empty pending
-    /// delta (see [`Router::journal_sync_mark`]).
+    /// Entries journaled since the last snapshot (recovery's replay).
+    since_snapshot: u64,
+    /// `true` (the default): a due snapshot is installed on any entry.
+    /// Fleet workers set `false` and snapshot only at sync marks, so a
+    /// snapshot position always implies an empty pending delta (see
+    /// [`Router::journal_sync_mark`]).
     auto_checkpoint: bool,
-    /// Reusable per-record encode buffer.
+    /// The record being encoded: a whole one, or the SubmitBatch record
+    /// the current submission call is filling.
     scratch: ByteWriter,
-    /// Length-prefixed copies of the records appended since the last
-    /// chain element — the delta-body fast path, so installing a delta
-    /// is a memcpy instead of re-reading the tail segments. Cleared at
-    /// every checkpoint install; bounded by [`STAGED_CAP_BYTES`].
-    staged: ByteWriter,
-    /// Records in `staged`, or [`STAGED_STALE`] once staging has been
-    /// abandoned for the current interval (cap overflow). A value that
-    /// does not equal the delta span (also the case right after
-    /// recovery, when part of the interval predates this process)
-    /// makes the delta builder fall back to [`Storage::replay`].
-    staged_records: u64,
+    /// Placements in that open SubmitBatch record; `0` between calls.
+    open_entries: u32,
+    /// Length of the last snapshot body, which sizes the next buffer.
+    body_len: usize,
     /// Lifetime counters surfaced by [`Router::checkpoint_stats`].
     stats: CheckpointStats,
 }
-
-/// Staging-buffer ceiling: past this the delta fast path stops copying
-/// and the next delta re-reads its records from the journal instead —
-/// RAM stays bounded even under an enormous `checkpoint_every`.
-const STAGED_CAP_BYTES: usize = 8 << 20;
-
-/// Sentinel for `Journal::staged_records`: staging is invalid for the
-/// rest of the current checkpoint interval.
-const STAGED_STALE: u64 = u64::MAX;
 
 impl Journal {
     /// A journal over `storage` at the cadences `spec` configures.
     fn new(storage: Box<dyn Storage>, spec: &RouterSpec) -> Journal {
         Journal {
             storage,
-            checkpoint_every: spec.checkpoint_every,
+            snapshot_every: spec.checkpoint_every,
+            steady_every: spec.checkpoint_every.saturating_mul(spec.full_every),
             flush_every: spec.flush_every,
-            full_every: spec.full_every,
             unflushed: 0,
-            since_checkpoint: 0,
-            since_full: 0,
-            chain_upto: None,
-            force_full: false,
+            since_snapshot: 0,
             auto_checkpoint: true,
             scratch: ByteWriter::new(),
-            staged: ByteWriter::new(),
-            staged_records: 0,
+            open_entries: 0,
+            body_len: 0,
             stats: CheckpointStats::default(),
         }
     }
 
-    /// Appends one record (encoded by `encode` into the reusable
-    /// scratch), flushing when the batch fills. Returns `true` when a
-    /// checkpoint is due — the router runs it (snapshot encoding needs
-    /// `&Router`, which this method cannot reach).
-    fn append_record(&mut self, encode: impl FnOnce(&mut ByteWriter)) -> io::Result<bool> {
-        self.scratch.clear();
-        encode(&mut self.scratch);
-        self.storage.append(self.scratch.as_slice())?;
-        if self.full_every > 1 && self.staged_records != STAGED_STALE {
-            self.staged.put_u32(self.scratch.len() as u32);
-            self.staged.put_bytes(self.scratch.as_slice());
-            self.staged_records += 1;
-            if self.staged.len() > STAGED_CAP_BYTES {
-                self.staged.clear();
-                self.staged_records = STAGED_STALE;
-            }
+    /// Appends the open SubmitBatch record, if there is one.
+    fn close_batch(&mut self) -> io::Result<()> {
+        if self.open_entries > 0 {
+            self.scratch
+                .set_u32(durable::BATCH_COUNT_AT, self.open_entries);
+            self.open_entries = 0;
+            self.storage.append(self.scratch.as_slice())?;
         }
+        Ok(())
+    }
+
+    /// Counts one journaled entry. On a flush or snapshot boundary the
+    /// open record is closed first — a record never spans one — and a
+    /// filled batch is flushed. Returns `true` when a snapshot is due
+    /// (the router installs it: encoding needs `&Router`).
+    fn entry_journaled(&mut self) -> io::Result<bool> {
         self.unflushed += 1;
-        self.since_checkpoint += 1;
-        if self.unflushed >= self.flush_every {
+        self.since_snapshot += 1;
+        let flush = self.unflushed >= self.flush_every;
+        let due = self.since_snapshot >= self.snapshot_every;
+        if flush || due {
+            self.close_batch()?;
+        }
+        if flush {
             self.storage.flush()?;
             self.unflushed = 0;
         }
-        Ok(self.since_checkpoint >= self.checkpoint_every)
+        Ok(due)
+    }
+
+    /// Appends one whole record, encoded by `encode`, as one entry.
+    fn append_record(&mut self, encode: impl FnOnce(&mut ByteWriter)) -> io::Result<bool> {
+        debug_assert_eq!(self.open_entries, 0, "a batch record is still open");
+        self.scratch.clear();
+        encode(&mut self.scratch);
+        self.storage.append(self.scratch.as_slice())?;
+        self.entry_journaled()
+    }
+
+    /// Adds one placement to the (opened if need be) SubmitBatch record.
+    fn push_submit(&mut self, txid: TxId, inputs: &[TxId], shard: u32) -> io::Result<bool> {
+        if self.open_entries == 0 {
+            self.scratch.clear();
+            durable::begin_submit_batch(&mut self.scratch);
+        }
+        durable::put_placement(&mut self.scratch, txid, inputs, shard);
+        self.open_entries += 1;
+        self.entry_journaled()
     }
 }
 
-/// Lifetime checkpoint counters of a durable router, surfaced by
-/// [`Router::checkpoint_stats`]: how many full snapshots vs delta
-/// checkpoints were installed and the blob bytes each kind cost.
-/// Counters reset to zero on [`Router::recover`] (they describe this
-/// process's writes, not the journal's history).
+/// Least capacity of a snapshot buffer. Untouched capacity is address
+/// space, not memory, and above 32 MiB glibc always maps an allocation
+/// and unmaps it on drop; below, freeing one mapped block makes the next
+/// of its size come from the heap, which stays resident (a 10 MB body
+/// and blob held 20 MB of RSS from the second snapshot on).
+const SNAPSHOT_RESERVE: usize = 33 << 20;
+
+/// Lifetime snapshot counters of a durable router, surfaced by
+/// [`Router::checkpoint_stats`]. Counters reset to zero on
+/// [`Router::recover`] (they describe this process's writes, not the
+/// journal's history).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckpointStats {
-    /// Full snapshots installed (cadence, forced, and the first one).
+    /// Snapshots installed (cadence and [`Router::checkpoint_now`]).
     pub full_checkpoints: u64,
-    /// Delta checkpoints installed.
-    pub delta_checkpoints: u64,
-    /// Blob bytes across all full snapshots.
+    /// Blob bytes across all of them.
     pub full_bytes: u64,
-    /// Blob bytes across all delta checkpoints.
-    pub delta_bytes: u64,
 }
 
 /// A fleet worker's unpublished pending delta in journal order:
 /// `(txid, distinct input ids, journaled shard)` per submission.
-pub(crate) type PendingDelta = Vec<(TxId, Vec<TxId>, u32)>;
+pub(crate) type PendingDelta = Vec<durable::Placement>;
 
 impl Router {
     /// Starts configuring a router.
@@ -736,15 +741,10 @@ impl Router {
     pub fn compact(&mut self) {
         self.tan.compact();
         self.placer.compact_assignments();
-        // The documented contract (DURABILITY.md): the checkpoint after
-        // a manual shrink is a full snapshot.
-        if let Some(journal) = &mut self.journal {
-            journal.force_full = true;
-        }
     }
 
-    /// Lifetime full-vs-delta checkpoint counters of a durable router
-    /// (all zero without storage). See [`CheckpointStats`].
+    /// Lifetime snapshot counters of a durable router (all zero
+    /// without storage). See [`CheckpointStats`].
     pub fn checkpoint_stats(&self) -> CheckpointStats {
         self.journal.as_ref().map(|j| j.stats).unwrap_or_default()
     }
@@ -884,7 +884,8 @@ impl Router {
     ///
     /// Panics if `txid` was already submitted.
     pub fn submit(&mut self, txid: TxId, inputs: &[TxId]) -> io::Result<ShardId> {
-        self.submit_one(txid, inputs, None, None)
+        let shard = self.submit_one(txid, inputs, None, None)?;
+        self.close_batch_record().map(|()| shard)
     }
 
     /// Places a full [`Transaction`] (edges to its distinct input
@@ -895,7 +896,8 @@ impl Router {
     ///
     /// Panics if the transaction id was already submitted.
     pub fn submit_tx(&mut self, tx: &Transaction) -> io::Result<ShardId> {
-        self.submit_one(tx.id(), &[], Some(tx), None)
+        let shard = self.submit_one(tx.id(), &[], Some(tx), None)?;
+        self.close_batch_record().map(|()| shard)
     }
 
     /// [`Router::submit_tx`] through a client session: the session's
@@ -910,12 +912,16 @@ impl Router {
         session: &mut PlacementSession,
         tx: &Transaction,
     ) -> io::Result<ShardId> {
-        self.submit_one(tx.id(), &[], Some(tx), Some(session))
+        let shard = self.submit_one(tx.id(), &[], Some(tx), Some(session))?;
+        self.close_batch_record().map(|()| shard)
     }
 
     /// Places every transaction of `batch` in order, writing the shards
     /// into `out` (cleared first) — the zero-allocation bulk path: after
     /// warm-up, no per-transaction heap allocation happens on this path.
+    /// A durable router journals the batch as one framed record (split
+    /// only where a flush or snapshot boundary falls inside it), so a
+    /// crash keeps all of a record's placements or none.
     ///
     /// # Panics
     ///
@@ -928,10 +934,23 @@ impl Router {
             let shard = self.submit_one(tx.id(), &[], Some(tx), None);
             out.push(shard.expect("journaling a placement failed"));
         }
+        self.close_batch_record()
+            .expect("journaling a placement failed");
+    }
+
+    /// Ends the SubmitBatch record the preceding [`Router::submit_one`]
+    /// calls filled: every public door's last step (in RAM, a no-op).
+    #[inline]
+    fn close_batch_record(&mut self) -> io::Result<()> {
+        match self.journal.as_mut() {
+            Some(journal) => journal.close_batch(),
+            None => Ok(()),
+        }
     }
 
     /// The one submission path behind every public door: link the node
-    /// into the graph, decide, journal. `tx` carries the full
+    /// into the graph, decide, journal into the open SubmitBatch record
+    /// (the door closes it). `tx` carries the full
     /// transaction when the caller has one (linked by its distinct
     /// inputs, `inputs` unused); otherwise `inputs` is linked as given.
     #[inline]
@@ -950,6 +969,19 @@ impl Router {
         if self.journal.is_none() {
             return Ok(shard);
         }
+        self.journal_submit(txid, inputs, tx, shard)
+    }
+
+    /// The durable half of [`Router::submit_one`] — out of line, so the
+    /// in-RAM doors carry none of the journal's code.
+    #[inline(never)]
+    fn journal_submit(
+        &mut self,
+        txid: TxId,
+        inputs: &[TxId],
+        tx: Option<&Transaction>,
+        shard: ShardId,
+    ) -> io::Result<ShardId> {
         // The WAL records the distinct input list — exactly the edges
         // `insert_tx` links — so replay through the raw-id door is
         // identical to the original full-transaction submission. Only a
@@ -962,7 +994,8 @@ impl Router {
             }
             None => inputs,
         };
-        let journaled = self.journal_placement(durable::TAG_SUBMIT, txid, inputs, shard.0);
+        let journaled =
+            self.journal_entry(false, |journal| journal.push_submit(txid, inputs, shard.0));
         self.txid_scratch = tids;
         journaled.map(|()| shard)
     }
@@ -1020,7 +1053,7 @@ impl Router {
         }
         self.adopted_total += 1;
         self.advance_horizon();
-        self.journal_placement(durable::TAG_ADOPT, txid, inputs, shard)
+        self.journal_record(false, |w| durable::encode_adopt(w, txid, inputs, shard))
             .expect("journaling an adoption failed");
     }
 
@@ -1171,35 +1204,31 @@ impl Router {
         Ok(())
     }
 
-    /// Appends one WAL record and, when the checkpoint interval has
-    /// filled, installs a checkpoint — with automatic checkpoints off
+    /// Journals one entry through `journal` and, when that makes a
+    /// snapshot due, installs it — with automatic checkpoints off
     /// (fleet workers) only `at_sync_mark`. No-op on an in-RAM router.
-    fn journal_record(
+    fn journal_entry(
         &mut self,
         at_sync_mark: bool,
-        encode: impl FnOnce(&mut ByteWriter),
+        journal: impl FnOnce(&mut Journal) -> io::Result<bool>,
     ) -> io::Result<()> {
-        let Some(journal) = self.journal.as_mut() else {
+        let Some(attached) = self.journal.as_mut() else {
             return Ok(());
         };
-        let due = journal.append_record(encode)?;
-        if due && (at_sync_mark || journal.auto_checkpoint) {
+        let due = journal(attached)?;
+        if due && (at_sync_mark || attached.auto_checkpoint) {
             self.checkpoint_now()?;
         }
         Ok(())
     }
 
-    /// Appends a Submit/Adopt record (no-op on an in-RAM router).
-    fn journal_placement(
+    /// Journals one whole record (Adopt, Telemetry, SyncMark).
+    fn journal_record(
         &mut self,
-        tag: u8,
-        txid: TxId,
-        inputs: &[TxId],
-        shard: u32,
+        at_sync_mark: bool,
+        encode: impl FnOnce(&mut ByteWriter),
     ) -> io::Result<()> {
-        self.journal_record(false, |w| {
-            durable::encode_placement(w, tag, txid, inputs, shard)
-        })
+        self.journal_entry(at_sync_mark, |journal| journal.append_record(encode))
     }
 
     /// Journals a fleet sync boundary: every submission journaled so
@@ -1220,113 +1249,43 @@ impl Router {
         }
     }
 
-    /// Installs a checkpoint now — flush, snapshot encode, checkpoint
-    /// swap, segment GC — ahead of the automatic cadence (shutdown
-    /// hygiene: recovery then replays nothing). No-op on an in-RAM
-    /// router.
+    /// Installs a snapshot now — flush, encode, checkpoint swap,
+    /// segment GC — ahead of the automatic cadence (shutdown hygiene:
+    /// recovery then replays nothing). No-op on an in-RAM router.
     ///
-    /// Every `full_every`-th checkpoint — plus the first, and any
-    /// forced by [`Router::compact`] — installs a **full** snapshot;
-    /// the ones between install a **delta** whose body is the records
-    /// journaled since the previous chain element, so its cost is
-    /// O(records since last checkpoint) instead of O(retained state).
-    /// Recovery re-applies delta bodies through the same deterministic
-    /// replay machinery as the WAL tail.
+    /// Nothing else is written: the entries journaled since the last
+    /// snapshot already sit in the segments, where recovery reads them.
     pub fn checkpoint_now(&mut self) -> io::Result<()> {
         let Some(journal) = self.journal.as_mut() else {
             return Ok(());
         };
-        // The checkpoint claims to cover every journaled record, so
+        debug_assert_eq!(journal.open_entries, 0, "a batch record is still open");
+        // The snapshot claims to cover every journaled record, so
         // those records must be durable before the claim is.
         journal.storage.flush()?;
         journal.unflushed = 0;
         let upto = journal.storage.next_seq();
-        let full = journal.force_full
-            || journal.chain_upto.is_none()
-            || journal.since_full + 1 >= journal.full_every;
-        if !full {
-            let prev = journal.chain_upto.expect("delta requires a chain");
-            if upto == prev {
-                // Nothing journaled since the previous chain element:
-                // an empty delta cannot advance the chain and has
-                // nothing to cover.
-                journal.since_checkpoint = 0;
-                journal.staged.clear();
-                journal.staged_records = 0;
-                return Ok(());
-            }
-            // Delta body: prev position, record count, then the
-            // length-prefixed record payloads themselves. The staged
-            // copy covers exactly [prev, upto) whenever every record
-            // of the interval passed through this process's
-            // append_record (and the cap never overflowed) — then the
-            // body is a memcpy. Otherwise (first delta after recovery,
-            // staging overflow) re-read the interval from the journal,
-            // which doubles as the durability tripwire: the records a
-            // delta claims must already be readable from disk.
-            let span = upto - prev;
-            let mut frames = ByteWriter::with_capacity(8 * 1024);
-            let staged = journal.staged_records == span;
-            if !staged {
-                let mut count = 0u64;
-                journal.storage.replay(prev, &mut |_, payload| {
-                    frames.put_u32(payload.len() as u32);
-                    frames.put_bytes(payload);
-                    count += 1;
-                })?;
-                if count != span {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "delta checkpoint found {count} durable records in [{prev}, {upto})"
-                        ),
-                    ));
-                }
-            }
-            let payload = if staged {
-                journal.staged.as_slice()
-            } else {
-                frames.as_slice()
-            };
-            let mut body = ByteWriter::with_capacity(payload.len() + 16);
-            body.put_u64(prev);
-            body.put_u64(span);
-            body.put_bytes(payload);
-            let mut blob = Vec::with_capacity(body.len() / 2 + 1);
-            blob.push(durable::CHECKPOINT_DELTA_VERSION);
-            optchain_storage::zrle::compress_into(body.as_slice(), &mut blob);
-            journal.storage.put_checkpoint_delta(upto, &blob)?;
-            journal.since_checkpoint = 0;
-            journal.since_full += 1;
-            journal.chain_upto = Some(upto);
-            journal.stats.delta_checkpoints += 1;
-            journal.stats.delta_bytes += blob.len() as u64;
-            journal.staged.clear();
-            journal.staged_records = 0;
-            journal.storage.gc()?;
-            return Ok(());
-        }
-        // Full-snapshot path. Encoding needs `&self`, so the journal
-        // borrow is re-taken afterwards. Store the blob
-        // zero-RLE-compressed: checkpoint bodies are >80% zero bytes,
-        // and CRC + write + fsync of the blob is the dominant
-        // per-checkpoint cost, so this cuts the checkpoint tax to
-        // roughly a third.
-        let mut w = ByteWriter::with_capacity(64 * 1024);
-        self.parts().encode_into(&mut w);
-        let mut blob = Vec::with_capacity(w.len() / 3 + 1);
+        // Both buffers are sized once and dropped after the install:
+        // the body from the previous body's length (consecutive
+        // snapshots of a warm window differ by little), the blob from
+        // the bound on zrle's output. The blob stays zrle-packed: the
+        // saving shrinks as the window warms (7.68 → 2.37 MB for
+        // `durable_window`'s first snapshot, 10.3 → 9.75 MB in steady
+        // state).
+        let hint = journal.body_len;
+        let mut body = ByteWriter::with_capacity(SNAPSHOT_RESERVE.max(hint + hint / 8));
+        self.parts().encode_into(&mut body);
+        let bound = 1 + optchain_storage::zrle::compressed_bound(body.len());
+        let mut blob = Vec::with_capacity(SNAPSHOT_RESERVE.max(bound));
         blob.push(durable::CHECKPOINT_ZRLE_VERSION);
-        optchain_storage::zrle::compress_into(w.as_slice(), &mut blob);
+        optchain_storage::zrle::compress_into(body.as_slice(), &mut blob);
         let journal = self.journal.as_mut().expect("checked above");
         journal.storage.put_checkpoint(upto, &blob)?;
-        journal.since_checkpoint = 0;
-        journal.since_full = 0;
-        journal.force_full = false;
-        journal.chain_upto = Some(upto);
+        journal.body_len = body.len();
+        journal.since_snapshot = 0;
+        journal.snapshot_every = journal.steady_every;
         journal.stats.full_checkpoints += 1;
         journal.stats.full_bytes += blob.len() as u64;
-        journal.staged.clear();
-        journal.staged_records = 0;
         journal.storage.gc()?;
         Ok(())
     }
@@ -1353,14 +1312,11 @@ impl Router {
 
     /// Rebuilds a durable router from what its crashed predecessor left
     /// in `storage`: reads the meta blob (the full builder
-    /// configuration), warm-starts from the checkpoint chain — the
-    /// base full snapshot, then every delta checkpoint in order — and
-    /// replays the surviving WAL tail — re-running each
-    /// journaled submission through the deterministic placement path
-    /// and cross-checking the recorded shard, re-applying adoptions and
-    /// telemetry changes in journal order. Delta bodies are the
-    /// journaled records themselves, applied through the exact same
-    /// replay machinery as the tail. The result is
+    /// configuration), restores the snapshot verbatim, and replays the
+    /// surviving WAL tail above it — re-running each journaled
+    /// submission through the deterministic placement path and
+    /// cross-checking the recorded shard, re-applying adoptions and
+    /// telemetry changes in journal order. The result is
     /// observationally identical to the crashed router at its last
     /// durable record: same assignments, same scores, same telemetry
     /// epoch, same future decisions. The journal stays attached, so the
@@ -1369,16 +1325,17 @@ impl Router {
     /// Torn or CRC-corrupt tail frames (a kill -9 mid-write) are
     /// truncated by the storage layer on reopen — recovery sees the
     /// longest clean prefix, exactly the records whose flush was acked
-    /// (plus any buffered records the OS happened to land).
+    /// (plus any buffered records the OS happened to land). A torn
+    /// batch record takes all of its placements with it; none of them
+    /// was acked.
     ///
     /// # Errors
     ///
     /// Fails when the backend holds no meta blob, a blob or record
-    /// fails structural validation, the delta chain is discontinuous
-    /// (a delta's recorded predecessor position disagrees with the
-    /// chain element before it), or a replayed decision diverges
-    /// from its journaled shard (all indicate corruption beyond what a
-    /// crash can produce).
+    /// fails structural validation, a record names a transaction that
+    /// is already placed or a shard `>= k`, or a replayed decision
+    /// diverges from its journaled shard (all indicate corruption
+    /// beyond what a crash can produce).
     pub fn recover(storage: Box<dyn Storage>) -> io::Result<Router> {
         Self::recover_with_pending(storage).map(|(router, _)| router)
     }
@@ -1397,21 +1354,23 @@ impl Router {
         })?;
         let spec = durable::decode_spec(&meta)?;
         let mut router = spec.build_unreserved();
+        let mut journal = Journal::new(storage, &spec);
         let mut from_seq = 0u64;
-        let mut pending = PendingDelta::new();
-        let chain = storage.checkpoint_chain()?;
         let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-        // Every chain element is `version byte ++ zrle(body)`; any
-        // version but the one its slot writes is foreign.
-        let unpack = |what: &str, upto: u64, version: u8, blob: &[u8]| match blob.split_first() {
-            Some((&v, packed)) if v == version => optchain_storage::zrle::decompress(packed),
-            other => Err(invalid(format!(
-                "{what} checkpoint upto {upto} has a foreign envelope version {:?}",
-                other.map(|(v, _)| v)
-            ))),
-        };
-        if let Some((upto, blob)) = chain.first() {
-            let body = unpack("full", *upto, durable::CHECKPOINT_ZRLE_VERSION, blob)?;
+        if let Some((upto, blob)) = journal.storage.checkpoint()? {
+            // The blob is `version byte ++ zrle(body)`; any version but
+            // the one written is foreign.
+            let body = match blob.split_first() {
+                Some((&durable::CHECKPOINT_ZRLE_VERSION, packed)) => {
+                    optchain_storage::zrle::decompress(packed)?
+                }
+                other => {
+                    return Err(invalid(format!(
+                        "checkpoint upto {upto} has a foreign envelope version {:?}",
+                        other.map(|(v, _)| v)
+                    )))
+                }
+            };
             let mut r = ByteReader::new(&body);
             let snapshot = RouterSnapshot::decode_from(&mut r)?;
             r.finish()?;
@@ -1419,94 +1378,81 @@ impl Router {
             // blob the router was just built from: typed, not a panic.
             router
                 .restore(snapshot)
-                .map_err(|rule| invalid(format!("full checkpoint upto {upto}: {rule}")))?;
-            from_seq = *upto;
+                .map_err(|rule| invalid(format!("checkpoint upto {upto}: {rule}")))?;
+            from_seq = upto;
+            journal.snapshot_every = journal.steady_every;
+            journal.body_len = body.len();
         }
-        for (upto, blob) in chain.iter().skip(1) {
-            // Each delta carries the records journaled between the
-            // previous chain element and `upto`; apply them exactly as
-            // the WAL tail is applied below.
-            let body = unpack("delta", *upto, durable::CHECKPOINT_DELTA_VERSION, blob)?;
-            let mut r = ByteReader::new(&body);
-            let prev = r.get_u64()?;
-            if prev != from_seq {
-                return Err(invalid(format!(
-                    "delta chain discontinuity: delta upto {upto} starts at {prev}, \
-                     chain covers up to {from_seq}"
-                )));
-            }
-            let count = r.get_u64()?;
-            if upto.checked_sub(prev) != Some(count) {
-                return Err(invalid(format!(
-                    "delta checkpoint upto {upto} claims {count} records from {prev}"
-                )));
-            }
-            for i in 0..count {
-                let len = r.get_u32()? as usize;
-                let payload = r.take(len)?;
-                router.apply_recovered_record(prev + i, payload, &mut pending)?;
-            }
-            r.finish()?;
-            from_seq = *upto;
-        }
+        let mut pending = PendingDelta::new();
         let mut replayed = Ok(());
-        storage.replay(from_seq, &mut |seq, payload| {
+        journal.storage.replay(from_seq, &mut |seq, payload| {
             if replayed.is_ok() {
-                replayed = router.apply_recovered_record(seq, payload, &mut pending);
+                replayed = router
+                    .apply_recovered_record(seq, payload, &mut pending)
+                    .map(|entries| journal.since_snapshot += entries);
             }
         })?;
         replayed?;
-        let next_seq = storage.next_seq();
-        let mut journal = Journal::new(storage, &spec);
-        journal.since_checkpoint = next_seq.saturating_sub(from_seq);
-        journal.chain_upto = chain.last().map(|(upto, _)| *upto);
-        journal.since_full = (chain.len() as u64).saturating_sub(1);
         router.journal = Some(journal);
         Ok((router, pending))
     }
 
-    /// Applies one journaled record during recovery — shared between
-    /// the delta-checkpoint chain and the WAL tail, so both run the
-    /// same deterministic replay and hit the same corruption
-    /// tripwires (shard re-derivation, telemetry length, typed
-    /// structural errors).
+    /// Applies one journaled record during recovery, returning the
+    /// entries it held. Everything the live doors would assert on —
+    /// a shard out of range, a transaction id already placed, an
+    /// adoption under oracle placement — is checked here first: bytes
+    /// from disk fail typed, naming the sequence number, never panic.
     fn apply_recovered_record(
         &mut self,
         seq: u64,
         payload: &[u8],
         pending: &mut PendingDelta,
-    ) -> io::Result<()> {
+    ) -> io::Result<u64> {
         let k = self.k();
         let fail = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-        let record = durable::decode_record(payload).map_err(io::Error::from)?;
-        if let WalRecord::Submit { shard, .. } | WalRecord::Adopt { shard, .. } = record {
+        let check = |router: &Router, txid: TxId, shard: u32| {
             if shard >= k {
                 return Err(fail(format!("seq {seq}: journaled shard {shard} >= k {k}")));
             }
-        }
+            if router.tan.node(txid).is_some() {
+                return Err(fail(format!(
+                    "seq {seq}: journaled transaction {} is already placed",
+                    txid.0
+                )));
+            }
+            Ok(())
+        };
+        let record =
+            durable::decode_record(payload).map_err(|e| fail(format!("seq {seq}: {e}")))?;
         match record {
-            WalRecord::Submit {
-                txid,
-                inputs,
-                shard,
-            } => {
-                // Re-run the deterministic decision (the journal is not
-                // attached yet, so nothing is re-journaled); the
-                // journaled shard is a corruption tripwire, not an input.
-                let got = self.submit(txid, &inputs)?;
-                if got.0 != shard {
+            WalRecord::SubmitBatch(entries) => {
+                let count = entries.len() as u64;
+                for (txid, inputs, shard) in entries {
+                    check(self, txid, shard)?;
+                    // Re-run the deterministic decision (the journal is
+                    // not attached yet, so nothing is re-journaled); the
+                    // journaled shard is a corruption tripwire, not an
+                    // input.
+                    let got = self.submit(txid, &inputs)?;
+                    if got.0 != shard {
+                        return Err(fail(format!(
+                            "replay diverged at seq {seq}: recomputed shard {} != journaled {shard}",
+                            got.0
+                        )));
+                    }
+                    pending.push((txid, inputs, shard));
+                }
+                return Ok(count);
+            }
+            WalRecord::Adopt((txid, inputs, shard)) => {
+                check(self, txid, shard)?;
+                if matches!(self.placer, DynPlacer::Oracle(_)) {
                     return Err(fail(format!(
-                        "replay diverged at seq {seq}: recomputed shard {} != journaled {shard}",
-                        got.0
+                        "seq {seq}: an adoption journaled under oracle placement"
                     )));
                 }
-                pending.push((txid, inputs, shard));
+                self.adopt_remote(txid, &inputs, shard);
             }
-            WalRecord::Adopt {
-                txid,
-                inputs,
-                shard,
-            } => self.adopt_remote(txid, &inputs, shard),
             WalRecord::Telemetry(board) => {
                 if board.len() != k as usize {
                     return Err(fail(format!(
@@ -1517,7 +1463,7 @@ impl Router {
             }
             WalRecord::SyncMark => pending.clear(),
         }
-        Ok(())
+        Ok(1)
     }
 
     /// Decides the shard of the freshly inserted `node`, through the
@@ -1921,14 +1867,13 @@ mod tests {
     #[test]
     fn recover_rejects_every_foreign_version_byte() {
         let durable = driven_durable(RetentionPolicy::Unbounded, 8);
-        let stats = durable.checkpoint_stats();
-        assert!(stats.full_checkpoints >= 1 && stats.delta_checkpoints >= 1);
+        assert!(durable.checkpoint_stats().full_checkpoints >= 1);
         // (artifact, foreign first bytes): every value but the one
-        // version each artifact is written with.
-        let table: [(Artifact, &[u8]); 4] = [
+        // version each artifact is written with (3 was the retired
+        // delta envelope).
+        let table: [(Artifact, &[u8]); 3] = [
             (Artifact::Meta, &[0, 1, 3, 255]),
             (Artifact::Full, &[0, 1, 3, 4, 255]),
-            (Artifact::Delta, &[0, 1, 2, 4, 255]),
             (Artifact::Body, &[0, 1, 3, 255]),
         ];
         for (artifact, bytes) in table {
@@ -2020,13 +1965,75 @@ mod tests {
         assert_eq!(recovered.assignments(), durable.assignments());
     }
 
+    /// A SubmitBatch payload of input-less `(txid, shard)` placements
+    /// claiming `count` entries.
+    fn batch_of(count: u32, entries: &[(u64, u32)]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        durable::begin_submit_batch(&mut w);
+        for &(txid, shard) in entries {
+            durable::put_placement(&mut w, TxId(txid), &[], shard);
+        }
+        w.set_u32(durable::BATCH_COUNT_AT, count);
+        w.into_vec()
+    }
+
+    fn adopt_of(txid: u64, shard: u32) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        durable::encode_adopt(&mut w, TxId(txid), &[], shard);
+        w.into_vec()
+    }
+
+    #[test]
+    fn recover_rejects_forged_records_typed_never_panics() {
+        let mut spec = RouterSpec::new();
+        spec.shards = Some(4);
+        let mut metis = spec.clone();
+        metis.strategy = Strategy::Metis;
+        metis.oracle = Some(vec![2, 1]);
+        let recover = |spec: &RouterSpec, records: &[Vec<u8>]| {
+            let mut storage = crate::MemStorage::new();
+            storage.put_meta(&durable::encode_spec(spec)).unwrap();
+            for record in records {
+                storage.append(record).unwrap();
+            }
+            storage.flush().unwrap();
+            Router::recover(Box::new(storage))
+        };
+        // What an honest journal holds for transaction 0, so each
+        // forgery below is the first thing recovery can object to.
+        let s0 = spec.build().submit(TxId(0), &[]).unwrap().0;
+        let honest = batch_of(1, &[(0, s0)]);
+        let mut retired_tag = adopt_of(0, s0);
+        retired_tag[0] = 1;
+        let table = [
+            ("dup in batch", vec![batch_of(2, &[(0, s0), (0, s0)])]),
+            ("dup across records", vec![honest.clone(), honest.clone()]),
+            ("adopt of a placed tx", vec![honest.clone(), adopt_of(0, 1)]),
+            ("batch shard >= k", vec![batch_of(1, &[(0, 4)])]),
+            ("adopt shard >= k", vec![adopt_of(0, 4)]),
+            ("count past the entries", vec![batch_of(2, &[(0, s0)])]),
+            ("count = u32::MAX", vec![batch_of(u32::MAX, &[(0, s0)])]),
+            ("trailing bytes", vec![[honest.clone(), vec![0]].concat()]),
+            ("the retired Submit tag", vec![retired_tag]),
+        ];
+        // An `Err` return is the point: nothing between the storage
+        // bytes and the replayed router may unwind.
+        for (what, records) in table {
+            let err = recover(&spec, &records).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
+        let err = recover(&metis, &[adopt_of(0, 2)]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "oracle: {err}");
+        let recovered = recover(&spec, &[honest, adopt_of(1, 3)]).unwrap();
+        assert_eq!(recovered.assignments().to_vec(), Some(vec![s0, 3]));
+    }
+
     /// The persisted artifacts that lead with a version byte (`Body` is
     /// the snapshot body inside the `Full` envelope).
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Artifact {
         Meta,
         Full,
-        Delta,
         Body,
     }
 
@@ -2038,10 +2045,10 @@ mod tests {
         optchain_storage::zrle::compress_into(&body, blob);
     }
 
-    /// Copies every durable artifact (meta, checkpoint chain, records)
-    /// of `router`'s journal into `dest` — the test stand-in for
+    /// Copies every durable artifact (meta, checkpoint, records) of
+    /// `router`'s journal into `dest` — the test stand-in for
     /// reopening the files a crashed process left behind. `tamper` may
-    /// rewrite each meta / full / delta blob on the way.
+    /// rewrite the meta and checkpoint blobs on the way.
     fn replicate_journal(
         router: &Router,
         dest: &crate::SharedStorage<crate::MemStorage>,
@@ -2057,20 +2064,15 @@ mod tests {
         let mut dst = dest.clone();
         let meta = src.meta().unwrap().expect("meta written");
         dst.put_meta(&tampered(Artifact::Meta, &meta)).unwrap();
-        let chain = src.checkpoint_chain().unwrap();
-        let mut elements = chain.iter();
-        if let Some((upto, blob)) = elements.next() {
+        let checkpoint = src.checkpoint().unwrap();
+        if let Some((upto, blob)) = &checkpoint {
             dst.put_checkpoint(*upto, &tampered(Artifact::Full, blob))
                 .unwrap();
         }
-        for (upto, blob) in elements {
-            dst.put_checkpoint_delta(*upto, &tampered(Artifact::Delta, blob))
-                .unwrap();
-        }
-        // Seed the sequence space below the chain tail so replayed
+        // Seed the sequence space below the checkpoint so replayed
         // records keep their original sequence numbers (the source
-        // GC'd everything the chain already covers).
-        let from = chain.last().map_or(0, |(upto, _)| *upto);
+        // GC'd everything it already covers).
+        let from = checkpoint.map_or(0, |(upto, _)| upto);
         for _ in 0..from {
             dst.append(&[]).unwrap();
         }

@@ -195,18 +195,18 @@
 //! `.storage(backend)` turns a router (or every fleet worker, via
 //! `RouterFleetBuilder::storage`) into a **durable placement node**:
 //! each acknowledged submission and telemetry change is journaled to a
-//! write-ahead log before the ack, checkpoints land periodically as a
-//! **chain** — a full zero-run-length-compressed snapshot every
-//! `full_every`-th time, cheap *delta* checkpoints (just the records
-//! since the previous one) in between — and [`core::Router::recover`]
-//! rebuilds a **bit-identical** router from whatever survived: base
-//! snapshot (restored verbatim through the same checked path as
-//! `warm_start`; a checkpoint that disagrees with its meta blob is a
-//! typed `InvalidData`, never a panic) plus delta chain plus WAL tail,
-//! torn tail frames truncated, shards re-derived deterministically
-//! during replay. A fleet persists the same way — one backend per
-//! worker; `SharedStorage<MemStorage>` keeps it in RAM across a drop
-//! and rebuild.
+//! write-ahead log before the ack — one framed record per
+//! `submit_batch` call — a zero-run-length-compressed snapshot lands
+//! every `checkpoint_every × full_every` journaled entries, and
+//! [`core::Router::recover`] rebuilds a **bit-identical** router from
+//! whatever survived: the snapshot (restored verbatim through the same
+//! checked path as `warm_start`; a checkpoint that disagrees with its
+//! meta blob is a typed `InvalidData`, never a panic) plus the WAL
+//! tail above it — the tail is the only delta, so no journaled byte is
+//! written twice — torn tail frames truncated, shards re-derived
+//! deterministically during replay. A fleet persists the same way —
+//! one backend per worker; `SharedStorage<MemStorage>` keeps it in RAM
+//! across a drop and rebuild.
 //! Backends implement the [`core::Storage`] trait:
 //! [`core::SegmentWal`] (on-disk segments with CRC-framed records,
 //! fsync-batched acks, and retention-driven segment GC) for real
@@ -221,8 +221,8 @@
 //! let mut router = Router::builder()
 //!     .shards(8)
 //!     .retention(RetentionPolicy::WindowTxs(100_000))
-//!     .checkpoint_every(512) // checkpoint cadence, in journaled records
-//!     .full_every(8) // every 8th checkpoint is a full snapshot; the rest are deltas
+//!     .checkpoint_every(512) // entries before the first snapshot…
+//!     .full_every(2) // …and, times this, between snapshots after it
 //!     .storage(Box::new(SegmentWal::open(&dir).unwrap()))
 //!     .build();
 //! let txs = optchain::workload::generate(WorkloadConfig::small().with_seed(7), 2_000);
@@ -230,9 +230,9 @@
 //! router.submit_batch(&txs, &mut shards);
 //! // Acks are fsync-batched; a graceful shutdown flushes the tail.
 //! router.flush_journal().unwrap();
-//! // The checkpoint writer's split is observable: mostly deltas.
+//! // Snapshots landed after 512 and 1,536 entries; the rest is tail.
 //! let stats: CheckpointStats = router.checkpoint_stats();
-//! assert!(stats.delta_checkpoints > stats.full_checkpoints);
+//! assert_eq!(stats.full_checkpoints, 2);
 //! drop(router); // a kill -9 from here on loses nothing acked
 //!
 //! // The restarted process reopens the same directory…

@@ -2,7 +2,7 @@
 //! kill -9 at an arbitrary mutating-operation boundary.
 //!
 //! The wrapper counts mutating operations (`append`, `flush`,
-//! `put_meta`, `put_checkpoint`, `put_checkpoint_delta`, `gc`). When the counter reaches the
+//! `put_meta`, `put_checkpoint`, `gc`). When the counter reaches the
 //! planned crash point, it drives the inner backend's
 //! [`Crashable::crash`] — first `survive` buffered records land
 //! intact, the next one suffers the planned [`TailDamage`] — and from
@@ -129,15 +129,6 @@ impl<S: Storage + Crashable> Storage for FailpointStorage<S> {
 
     fn checkpoint(&self) -> io::Result<Option<(u64, Vec<u8>)>> {
         self.inner.checkpoint()
-    }
-
-    fn put_checkpoint_delta(&mut self, upto_seq: u64, blob: &[u8]) -> io::Result<()> {
-        self.charge()?;
-        self.inner.put_checkpoint_delta(upto_seq, blob)
-    }
-
-    fn checkpoint_chain(&self) -> io::Result<Vec<(u64, Vec<u8>)>> {
-        self.inner.checkpoint_chain()
     }
 
     fn replay(&self, from_seq: u64, visit: &mut dyn FnMut(u64, &[u8])) -> io::Result<()> {

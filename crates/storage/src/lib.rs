@@ -2,11 +2,10 @@
 //!
 //! Everything above this crate is in-RAM: a kill -9 loses the stream.
 //! This crate is the "survives kill -9" layer — a [`Storage`] trait
-//! over an append-only, CRC-framed journal plus atomically
+//! over an append-only, CRC-framed journal plus two atomically
 //! replaceable side blobs (a **meta** header describing the writer's
-//! configuration and a **checkpoint chain**: a full base checkpoint
-//! optionally extended by delta checkpoints, each carrying serialized
-//! state up to a journal position), with three backends:
+//! configuration and one **checkpoint**: the writer's serialized state
+//! up to a journal position), with three backends:
 //!
 //! * [`MemStorage`] — an in-memory journal with an explicit
 //!   durable/buffered split, for tests and ephemeral deployments;
@@ -32,13 +31,12 @@
 //! Records carry sequence numbers `0, 1, 2, …` in append order;
 //! [`Storage::replay`] visits the durable ones from a position, and
 //! [`Storage::gc`] reclaims whole segments that lie entirely below
-//! the **tail** of the checkpoint chain — the highest `upto_seq` of
-//! any installed full or delta checkpoint — so records a delta has
-//! absorbed can be reclaimed without waiting for the next full
-//! snapshot.
+//! the installed checkpoint's `upto_seq`. Recovery is that checkpoint
+//! plus the journal tail above it: the tail *is* the delta, so nothing
+//! journaled is ever written a second time.
 //!
 //! The authoritative on-disk specification — WAL record framing and
-//! tag table, the one accepted version of each checkpoint envelope,
+//! tag table, the one accepted version of the checkpoint envelope,
 //! the recovery state machine, and the GC invariants — lives in
 //! `docs/DURABILITY.md` at the repository root.
 
@@ -53,8 +51,8 @@ mod wal;
 pub mod zrle;
 
 pub use codec::{
-    crc32, for_each_frame, frame_into, scan_frames, ByteReader, ByteWriter, CodecError,
-    FRAME_HEADER,
+    crc32, crc32_update, for_each_frame, frame_into, scan_frames, ByteReader, ByteWriter,
+    CodecError, FRAME_HEADER,
 };
 pub use failpoint::FailpointStorage;
 pub use mem::MemStorage;
@@ -88,32 +86,33 @@ pub trait Storage: Send + std::fmt::Debug {
     /// state after applying every record with sequence `< upto_seq`.
     fn put_checkpoint(&mut self, upto_seq: u64, blob: &[u8]) -> io::Result<()>;
 
-    /// The installed **base** (full) checkpoint `(upto_seq, blob)`,
-    /// if any. Deltas stacked on top of it are visible only through
-    /// [`Storage::checkpoint_chain`].
+    /// The installed checkpoint `(upto_seq, blob)`, if any.
     fn checkpoint(&self) -> io::Result<Option<(u64, Vec<u8>)>>;
 
-    /// Atomically installs a **delta** checkpoint extending the
-    /// chain: `blob` captures only the changes between the chain's
-    /// previous element and journal position `upto_seq`. Fails with
-    /// [`io::ErrorKind::InvalidInput`] when no base checkpoint is
-    /// installed or `upto_seq` does not strictly advance past the
-    /// chain tail. A subsequent full [`Storage::put_checkpoint`]
-    /// supersedes and clears the whole chain.
-    fn put_checkpoint_delta(&mut self, upto_seq: u64, blob: &[u8]) -> io::Result<()>;
+    /// Retired with delta checkpoints — the journal tail above the
+    /// checkpoint is the delta — and implemented by no backend: always
+    /// [`io::ErrorKind::Unsupported`]. It and
+    /// [`Storage::checkpoint_chain`] stay declared only because the
+    /// frozen benchmark's storage decorator still overrides both.
+    fn put_checkpoint_delta(&mut self, _upto_seq: u64, _blob: &[u8]) -> io::Result<()> {
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "delta checkpoints are retired: the journal tail is the delta",
+        ))
+    }
 
-    /// The installed checkpoint chain, oldest first: the base full
-    /// checkpoint followed by every delta, each as `(upto_seq,
-    /// blob)`, with strictly increasing positions. Empty when no
-    /// checkpoint has been installed.
-    fn checkpoint_chain(&self) -> io::Result<Vec<(u64, Vec<u8>)>>;
+    /// [`Storage::checkpoint`] as a list of at most one element (see
+    /// [`Storage::put_checkpoint_delta`]).
+    fn checkpoint_chain(&self) -> io::Result<Vec<(u64, Vec<u8>)>> {
+        Ok(self.checkpoint()?.into_iter().collect())
+    }
 
     /// Visits every **durable** record with sequence `>= from_seq`, in
     /// sequence order, as `(seq, payload)`.
     fn replay(&self, from_seq: u64, visit: &mut dyn FnMut(u64, &[u8])) -> io::Result<()>;
 
-    /// Reclaims journal space wholly below the checkpoint chain's
-    /// tail position (whole segments only — the active tail always
+    /// Reclaims journal space wholly below the installed checkpoint's
+    /// position (whole segments only — the active tail always
     /// survives). Returns the bytes reclaimed.
     fn gc(&mut self) -> io::Result<u64>;
 

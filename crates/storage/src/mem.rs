@@ -20,8 +20,6 @@ use crate::{Crashable, Storage, TailDamage};
 pub struct MemStorage {
     meta: Option<Vec<u8>>,
     checkpoint: Option<(u64, Vec<u8>)>,
-    /// Delta checkpoints stacked on the base, oldest first.
-    deltas: Vec<(u64, Vec<u8>)>,
     /// Framed records that survived a flush (the "disk").
     durable: Vec<u8>,
     /// Sequence number of the first durable record (advanced by GC).
@@ -42,14 +40,6 @@ impl MemStorage {
     /// Records currently durable (flushed and intact).
     pub fn durable_records(&self) -> u64 {
         self.records
-    }
-
-    /// Highest journal position covered by the checkpoint chain.
-    fn chain_upto(&self) -> Option<u64> {
-        self.deltas
-            .last()
-            .map(|(upto, _)| *upto)
-            .or(self.checkpoint.as_ref().map(|(upto, _)| *upto))
     }
 
     /// Walks the durable log, visiting `(seq, payload)` per record.
@@ -101,40 +91,11 @@ impl Storage for MemStorage {
 
     fn put_checkpoint(&mut self, upto_seq: u64, blob: &[u8]) -> io::Result<()> {
         self.checkpoint = Some((upto_seq, blob.to_vec()));
-        // The full snapshot supersedes every delta stacked on the
-        // previous base.
-        self.deltas.clear();
         Ok(())
     }
 
     fn checkpoint(&self) -> io::Result<Option<(u64, Vec<u8>)>> {
         Ok(self.checkpoint.clone())
-    }
-
-    fn put_checkpoint_delta(&mut self, upto_seq: u64, blob: &[u8]) -> io::Result<()> {
-        let Some(tail) = self.chain_upto() else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "delta checkpoint without an installed base checkpoint",
-            ));
-        };
-        if upto_seq <= tail {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("delta checkpoint upto {upto_seq} does not advance past chain tail {tail}"),
-            ));
-        }
-        self.deltas.push((upto_seq, blob.to_vec()));
-        Ok(())
-    }
-
-    fn checkpoint_chain(&self) -> io::Result<Vec<(u64, Vec<u8>)>> {
-        let mut chain = Vec::with_capacity(1 + self.deltas.len());
-        if let Some(base) = &self.checkpoint {
-            chain.push(base.clone());
-            chain.extend(self.deltas.iter().cloned());
-        }
-        Ok(chain)
     }
 
     fn replay(&self, from_seq: u64, visit: &mut dyn FnMut(u64, &[u8])) -> io::Result<()> {
@@ -147,7 +108,7 @@ impl Storage for MemStorage {
     }
 
     fn gc(&mut self) -> io::Result<u64> {
-        let Some(upto) = self.chain_upto() else {
+        let Some((upto, _)) = self.checkpoint else {
             return Ok(0);
         };
         // Find the byte offset of the first record at or past the
@@ -169,8 +130,7 @@ impl Storage for MemStorage {
     fn bytes_on_disk(&self) -> u64 {
         (self.durable.len()
             + self.meta.as_ref().map_or(0, Vec::len)
-            + self.checkpoint.as_ref().map_or(0, |(_, b)| b.len())
-            + self.deltas.iter().map(|(_, b)| b.len()).sum::<usize>()) as u64
+            + self.checkpoint.as_ref().map_or(0, |(_, b)| b.len())) as u64
     }
 }
 
@@ -273,46 +233,6 @@ mod tests {
         s.replay(0, &mut |seq, _| seqs.push(seq)).unwrap();
         assert_eq!(seqs, vec![7, 8, 9]);
         assert_eq!(s.next_seq(), 10);
-    }
-
-    #[test]
-    fn delta_chain_stacks_gcs_and_clears_on_full_checkpoint() {
-        let mut s = MemStorage::new();
-        // A delta without a base is a caller bug, not silent data loss.
-        assert_eq!(
-            s.put_checkpoint_delta(1, b"d").unwrap_err().kind(),
-            io::ErrorKind::InvalidInput
-        );
-        for i in 0..12u8 {
-            s.append(&[i; 8]).unwrap();
-        }
-        s.flush().unwrap();
-        s.put_checkpoint(4, b"base").unwrap();
-        s.put_checkpoint_delta(6, b"d1").unwrap();
-        s.put_checkpoint_delta(9, b"d2").unwrap();
-        // The chain must advance strictly.
-        assert_eq!(
-            s.put_checkpoint_delta(9, b"dup").unwrap_err().kind(),
-            io::ErrorKind::InvalidInput
-        );
-        assert_eq!(
-            s.checkpoint_chain().unwrap(),
-            vec![
-                (4, b"base".to_vec()),
-                (6, b"d1".to_vec()),
-                (9, b"d2".to_vec())
-            ]
-        );
-        // checkpoint() still reports only the base.
-        assert_eq!(s.checkpoint().unwrap().unwrap(), (4, b"base".to_vec()));
-        // GC reclaims up to the chain tail (9), not just the base (4).
-        s.gc().unwrap();
-        let mut seqs = Vec::new();
-        s.replay(0, &mut |seq, _| seqs.push(seq)).unwrap();
-        assert_eq!(seqs, vec![9, 10, 11]);
-        // A new full snapshot supersedes the chain.
-        s.put_checkpoint(12, b"full").unwrap();
-        assert_eq!(s.checkpoint_chain().unwrap(), vec![(12, b"full".to_vec())]);
     }
 
     #[test]

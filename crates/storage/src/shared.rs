@@ -73,14 +73,6 @@ impl<S: Storage> Storage for SharedStorage<S> {
         self.lock().checkpoint()
     }
 
-    fn put_checkpoint_delta(&mut self, upto_seq: u64, blob: &[u8]) -> io::Result<()> {
-        self.lock().put_checkpoint_delta(upto_seq, blob)
-    }
-
-    fn checkpoint_chain(&self) -> io::Result<Vec<(u64, Vec<u8>)>> {
-        self.lock().checkpoint_chain()
-    }
-
     fn replay(&self, from_seq: u64, visit: &mut dyn FnMut(u64, &[u8])) -> io::Result<()> {
         self.lock().replay(from_seq, visit)
     }

@@ -1,8 +1,7 @@
 //! The file-backed backend: an append-only journal of numbered
 //! segment files (`wal-000000.seg`, `wal-000001.seg`, …) of
-//! CRC32-framed records, plus atomically replaced side files
-//! (`meta.bin`, `checkpoint.bin`, and the delta-checkpoint chain
-//! `ckpt-delta-000000.bin`, `ckpt-delta-000001.bin`, …).
+//! CRC32-framed records, plus two atomically replaced side files
+//! (`meta.bin`, `checkpoint.bin`).
 //!
 //! * **Batched commits** — [`Storage::append`] frames into an
 //!   in-process buffer; [`Storage::flush`] writes the whole batch and
@@ -13,24 +12,21 @@
 //!   frame (what a kill -9 mid-write leaves behind); segments after a
 //!   damaged one are deleted, so the journal is always a clean prefix.
 //! * **Segment GC** — [`Storage::gc`] deletes segments that lie
-//!   entirely below the checkpoint *chain tail* (the newest full or
-//!   delta checkpoint position), holding disk usage at O(window
-//!   between checkpoints) instead of O(stream).
-//! * **Delta-chain open rules** — each delta file is written
-//!   atomically, so on open a delta is either wholly present or
-//!   absent. Deltas at or below the base checkpoint's position are
-//!   *stale* (a crash between installing a full checkpoint and
-//!   clearing the old chain) and are deleted silently — the base
-//!   supersedes them. A live delta that is unreadable, gap-indexed,
-//!   or out of order is an [`io::ErrorKind::InvalidData`] error: the
-//!   records it absorbed may already be GC'd, so dropping it silently
-//!   could recover a *wrong* state. See `docs/DURABILITY.md`.
+//!   entirely below the checkpoint position, holding disk usage at
+//!   O(window between checkpoints) instead of O(stream).
+//! * **Retired artifacts fail typed** — a directory holding a
+//!   `ckpt-delta-*.bin` file was written by the retired delta-chain
+//!   format: the records that file absorbed may already be GC'd, so
+//!   skipping it could recover a *wrong* state, and
+//!   [`SegmentWal::open`] returns [`io::ErrorKind::InvalidData`]
+//!   naming it. A leftover `*.tmp` (a crash mid-install, before the
+//!   rename) is removed. See `docs/DURABILITY.md`.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::codec::{frame_into, scan_frames, FRAME_HEADER};
+use crate::codec::{crc32_update, frame_into, scan_frames, FRAME_HEADER};
 use crate::{Crashable, Storage, TailDamage};
 
 /// `"OWAL"` little-endian — the segment file magic.
@@ -41,15 +37,6 @@ const SEG_HEADER: usize = 16;
 /// Default rotation threshold: keep segments small enough that GC
 /// reclaims space promptly after a checkpoint.
 const DEFAULT_SEGMENT_BYTES: u64 = 4 << 20;
-
-#[derive(Debug)]
-struct DeltaFile {
-    index: u64,
-    /// Journal position this delta covers up to.
-    upto: u64,
-    /// On-disk length (frame header + payload).
-    bytes: u64,
-}
 
 #[derive(Debug)]
 struct Segment {
@@ -76,9 +63,6 @@ pub struct SegmentWal {
     meta_bytes: u64,
     ckpt_upto: Option<u64>,
     ckpt_bytes: u64,
-    /// Live delta checkpoints stacked on the base, oldest first.
-    deltas: Vec<DeltaFile>,
-    next_delta_index: u64,
 }
 
 impl SegmentWal {
@@ -104,7 +88,6 @@ impl SegmentWal {
             }
             _ => (None, 0),
         };
-        let (deltas, next_delta_index) = open_deltas(&dir, ckpt_upto)?;
 
         // Enumerate segments in index order.
         let mut indices: Vec<u64> = Vec::new();
@@ -118,6 +101,19 @@ impl SegmentWal {
                 if let Ok(ix) = num.parse::<u64>() {
                     indices.push(ix);
                 }
+            } else if name.starts_with("ckpt-delta-") && name.ends_with(".bin") {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "{} is a delta checkpoint, a retired artifact: the records it \
+                         absorbed may be gone, so this journal cannot be recovered without it",
+                        dir.join(&*name).display()
+                    ),
+                ));
+            } else if name.ends_with(".tmp") {
+                // A crash between `write_blob`'s create and its rename
+                // (if the removal is lost too, the next open repeats it).
+                fs::remove_file(dir.join(&*name))?;
             }
         }
         indices.sort_unstable();
@@ -168,10 +164,8 @@ impl SegmentWal {
         }
 
         if segments.is_empty() {
-            // Appends resume past everything the checkpoint chain
-            // already covers — the chain tail, not just the base.
-            let base = deltas.last().map(|d| d.upto).or(ckpt_upto).unwrap_or(0);
-            segments.push(create_segment(&dir, 0, base)?);
+            // Appends resume past everything the checkpoint covers.
+            segments.push(create_segment(&dir, 0, ckpt_upto.unwrap_or(0))?);
         }
         let active = OpenOptions::new()
             .append(true)
@@ -186,19 +180,12 @@ impl SegmentWal {
             meta_bytes,
             ckpt_upto,
             ckpt_bytes,
-            deltas,
-            next_delta_index,
         })
     }
 
     /// The directory this journal lives in.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// Highest journal position covered by the checkpoint chain.
-    fn chain_upto(&self) -> Option<u64> {
-        self.deltas.last().map(|d| d.upto).or(self.ckpt_upto)
     }
 
     /// Number of live segment files (diagnostics for the GC gate).
@@ -222,104 +209,36 @@ impl SegmentWal {
         Ok(())
     }
 
-    /// Atomically replaces `name` with a framed `payload`
-    /// (write-temp + fsync + rename + dir fsync).
-    fn write_blob(&self, name: &str, payload: &[u8]) -> io::Result<()> {
+    /// Atomically replaces `name` with one frame whose payload is
+    /// `head ++ body` (write-temp + fsync + rename + dir fsync),
+    /// returning the file's length. The frame is written from the
+    /// caller's slices — the CRC streams over both — so a
+    /// checkpoint-sized `body` is never copied.
+    fn write_blob(&self, name: &str, head: &[u8], body: &[u8]) -> io::Result<u64> {
+        let len = u32::try_from(head.len() + body.len()).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "blob exceeds the u32 frame length",
+            )
+        })?;
+        let crc = crc32_update(crc32_update(0, head), body);
+        let mut lead = Vec::with_capacity(FRAME_HEADER + head.len());
+        lead.extend_from_slice(&len.to_le_bytes());
+        lead.extend_from_slice(&crc.to_le_bytes());
+        lead.extend_from_slice(head);
         let tmp = self.dir.join(format!("{name}.tmp"));
-        let mut framed = Vec::with_capacity(payload.len() + FRAME_HEADER);
-        frame_into(&mut framed, payload);
         let mut f = File::create(&tmp)?;
-        f.write_all(&framed)?;
+        f.write_all(&lead)?;
+        f.write_all(body)?;
         f.sync_all()?;
         fs::rename(&tmp, self.dir.join(name))?;
-        sync_dir(&self.dir)
+        sync_dir(&self.dir)?;
+        Ok((lead.len() + body.len()) as u64)
     }
 }
 
 fn seg_path(dir: &Path, index: u64) -> PathBuf {
     dir.join(format!("wal-{index:06}.seg"))
-}
-
-fn delta_path(dir: &Path, index: u64) -> PathBuf {
-    dir.join(format!("ckpt-delta-{index:06}.bin"))
-}
-
-/// Enumerates and validates the delta-checkpoint chain at open time.
-/// Stale deltas (at or below the base checkpoint position) are
-/// deleted — the base supersedes them. Live deltas must be readable,
-/// contiguously indexed, and strictly increasing in position;
-/// anything else is [`io::ErrorKind::InvalidData`], because the WAL
-/// records a live delta absorbed may already be GC'd and recovery
-/// without it would be silently wrong.
-fn open_deltas(dir: &Path, ckpt_upto: Option<u64>) -> io::Result<(Vec<DeltaFile>, u64)> {
-    let mut indices: Vec<u64> = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let name = entry?.file_name();
-        let name = name.to_string_lossy();
-        if let Some(num) = name
-            .strip_prefix("ckpt-delta-")
-            .and_then(|rest| rest.strip_suffix(".bin"))
-        {
-            if let Ok(ix) = num.parse::<u64>() {
-                indices.push(ix);
-            }
-        }
-    }
-    indices.sort_unstable();
-
-    let mut deltas: Vec<DeltaFile> = Vec::new();
-    let mut removed_stale = false;
-    for &index in &indices {
-        let path = delta_path(dir, index);
-        let payload = match read_blob(&path)? {
-            Some(p) if p.len() >= 8 => p,
-            _ => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("delta checkpoint {} is unreadable", path.display()),
-                ));
-            }
-        };
-        let upto = u64::from_le_bytes(payload[..8].try_into().unwrap());
-        let Some(base) = ckpt_upto else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("delta checkpoint {} has no base checkpoint", path.display()),
-            ));
-        };
-        if upto <= base {
-            // Superseded by a newer full checkpoint whose install was
-            // interrupted before clearing the old chain.
-            fs::remove_file(&path)?;
-            removed_stale = true;
-            continue;
-        }
-        if let Some(prev) = deltas.last() {
-            if index != prev.index + 1 || upto <= prev.upto {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "delta checkpoint chain broken at {} (index {} upto {} after index {} upto {})",
-                        path.display(),
-                        index,
-                        upto,
-                        prev.index,
-                        prev.upto
-                    ),
-                ));
-            }
-        }
-        deltas.push(DeltaFile {
-            index,
-            upto,
-            bytes: payload.len() as u64 + FRAME_HEADER as u64,
-        });
-    }
-    let next = deltas.last().map_or(0, |d| d.index + 1);
-    if removed_stale {
-        sync_dir(dir)?;
-    }
-    Ok((deltas, next))
 }
 
 fn create_segment(dir: &Path, index: u64, base_seq: u64) -> io::Result<Segment> {
@@ -365,8 +284,7 @@ fn read_blob(path: &Path) -> io::Result<Option<Vec<u8>>> {
 
 impl Storage for SegmentWal {
     fn put_meta(&mut self, payload: &[u8]) -> io::Result<()> {
-        self.write_blob("meta.bin", payload)?;
-        self.meta_bytes = (payload.len() + FRAME_HEADER) as u64;
+        self.meta_bytes = self.write_blob("meta.bin", &[], payload)?;
         Ok(())
     }
 
@@ -403,23 +321,8 @@ impl Storage for SegmentWal {
     }
 
     fn put_checkpoint(&mut self, upto_seq: u64, blob: &[u8]) -> io::Result<()> {
-        let mut payload = Vec::with_capacity(blob.len() + 8);
-        payload.extend_from_slice(&upto_seq.to_le_bytes());
-        payload.extend_from_slice(blob);
-        self.write_blob("checkpoint.bin", &payload)?;
+        self.ckpt_bytes = self.write_blob("checkpoint.bin", &upto_seq.to_le_bytes(), blob)?;
         self.ckpt_upto = Some(upto_seq);
-        self.ckpt_bytes = (payload.len() + FRAME_HEADER) as u64;
-        // The full snapshot supersedes the delta chain. The rename
-        // above is the commit point: a crash inside this loop leaves
-        // stale deltas (upto <= the new base), which the open-time
-        // scan deletes.
-        if !self.deltas.is_empty() {
-            for delta in self.deltas.drain(..) {
-                fs::remove_file(delta_path(&self.dir, delta.index))?;
-            }
-            sync_dir(&self.dir)?;
-        }
-        self.next_delta_index = 0;
         Ok(())
     }
 
@@ -431,56 +334,6 @@ impl Storage for SegmentWal {
             }
             _ => Ok(None),
         }
-    }
-
-    fn put_checkpoint_delta(&mut self, upto_seq: u64, blob: &[u8]) -> io::Result<()> {
-        let Some(tail) = self.chain_upto() else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "delta checkpoint without an installed base checkpoint",
-            ));
-        };
-        if upto_seq <= tail {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("delta checkpoint upto {upto_seq} does not advance past chain tail {tail}"),
-            ));
-        }
-        let mut payload = Vec::with_capacity(blob.len() + 8);
-        payload.extend_from_slice(&upto_seq.to_le_bytes());
-        payload.extend_from_slice(blob);
-        let index = self.next_delta_index;
-        self.write_blob(&format!("ckpt-delta-{index:06}.bin"), &payload)?;
-        self.deltas.push(DeltaFile {
-            index,
-            upto: upto_seq,
-            bytes: (payload.len() + FRAME_HEADER) as u64,
-        });
-        self.next_delta_index = index + 1;
-        Ok(())
-    }
-
-    fn checkpoint_chain(&self) -> io::Result<Vec<(u64, Vec<u8>)>> {
-        let Some(base) = self.checkpoint()? else {
-            return Ok(Vec::new());
-        };
-        let mut chain = Vec::with_capacity(1 + self.deltas.len());
-        chain.push(base);
-        for delta in &self.deltas {
-            let path = delta_path(&self.dir, delta.index);
-            let payload = match read_blob(&path)? {
-                Some(p) if p.len() >= 8 => p,
-                _ => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("delta checkpoint {} is unreadable", path.display()),
-                    ));
-                }
-            };
-            let upto = u64::from_le_bytes(payload[..8].try_into().unwrap());
-            chain.push((upto, payload[8..].to_vec()));
-        }
-        Ok(chain)
     }
 
     fn replay(&self, from_seq: u64, visit: &mut dyn FnMut(u64, &[u8])) -> io::Result<()> {
@@ -504,7 +357,7 @@ impl Storage for SegmentWal {
     }
 
     fn gc(&mut self) -> io::Result<u64> {
-        let Some(upto) = self.chain_upto() else {
+        let Some(upto) = self.ckpt_upto else {
             return Ok(0);
         };
         let mut reclaimed = 0u64;
@@ -525,10 +378,7 @@ impl Storage for SegmentWal {
     }
 
     fn bytes_on_disk(&self) -> u64 {
-        self.segments.iter().map(|s| s.bytes).sum::<u64>()
-            + self.meta_bytes
-            + self.ckpt_bytes
-            + self.deltas.iter().map(|d| d.bytes).sum::<u64>()
+        self.segments.iter().map(|s| s.bytes).sum::<u64>() + self.meta_bytes + self.ckpt_bytes
     }
 }
 
@@ -665,115 +515,40 @@ mod tests {
     }
 
     #[test]
-    fn delta_chain_survives_reopen_and_gcs_to_the_chain_tail() {
-        let dir = tmpdir("delta");
-        let mut wal = SegmentWal::open_with(&dir, 1 << 9).unwrap();
-        for i in 0..64u8 {
-            wal.append(&[i; 32]).unwrap();
-            wal.flush().unwrap();
-        }
-        wal.put_checkpoint(16, b"base").unwrap();
-        wal.put_checkpoint_delta(32, b"d1").unwrap();
-        wal.put_checkpoint_delta(48, b"d2").unwrap();
-        assert!(wal.put_checkpoint_delta(48, b"dup").is_err());
-        // GC reclaims segments below the chain tail (48), beyond the
-        // base (16).
-        wal.gc().unwrap();
-        let mut first = None;
-        wal.replay(0, &mut |seq, _| {
-            first.get_or_insert(seq);
-        })
-        .unwrap();
-        assert!(first.unwrap() <= 48, "records >= chain tail must survive");
-        let mut seqs = Vec::new();
-        wal.replay(48, &mut |seq, _| seqs.push(seq)).unwrap();
-        assert_eq!(seqs, (48..64).collect::<Vec<u64>>());
-        drop(wal);
-
-        // A reopen (new process) sees the same chain.
-        let mut wal = SegmentWal::open_with(&dir, 1 << 9).unwrap();
-        let chain = wal.checkpoint_chain().unwrap();
-        assert_eq!(
-            chain,
-            vec![
-                (16, b"base".to_vec()),
-                (32, b"d1".to_vec()),
-                (48, b"d2".to_vec())
-            ]
-        );
-        // New deltas continue the index sequence after reopen.
-        wal.put_checkpoint_delta(64, b"d3").unwrap();
-        assert!(dir.join("ckpt-delta-000002.bin").exists());
-        // A full checkpoint supersedes and clears the chain files.
-        wal.put_checkpoint(64, b"full").unwrap();
-        assert_eq!(
-            wal.checkpoint_chain().unwrap(),
-            vec![(64, b"full".to_vec())]
-        );
-        assert!(!dir.join("ckpt-delta-000000.bin").exists());
-        assert!(!dir.join("ckpt-delta-000002.bin").exists());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn stale_deltas_are_deleted_and_damaged_live_deltas_fail_typed() {
-        let dir = tmpdir("delta-damage");
+    fn retired_delta_files_fail_typed_and_leftover_tmp_files_are_removed() {
+        let dir = tmpdir("retired");
         let mut wal = SegmentWal::open(&dir).unwrap();
         for i in 0..8u8 {
             wal.append(&[i; 8]).unwrap();
         }
         wal.flush().unwrap();
-        wal.put_checkpoint(2, b"base").unwrap();
-        wal.put_checkpoint_delta(4, b"d1").unwrap();
-        wal.put_checkpoint_delta(6, b"d2").unwrap();
+        wal.put_checkpoint(4, b"state").unwrap();
+        // One frame, written from two slices: the bytes `frame_into`
+        // builds from their concatenation.
+        let mut framed = Vec::new();
+        frame_into(&mut framed, &[&4u64.to_le_bytes()[..], b"state"].concat());
+        assert_eq!(fs::read(dir.join("checkpoint.bin")).unwrap(), framed);
+        assert_eq!(wal.checkpoint().unwrap().unwrap(), (4, b"state".to_vec()));
         drop(wal);
 
-        // A stale delta (upto <= base) models a crash between a full
-        // checkpoint install and the chain cleanup: reopen deletes it.
-        {
-            let mut payload = Vec::new();
-            payload.extend_from_slice(&2u64.to_le_bytes());
-            payload.extend_from_slice(b"stale");
-            let mut framed = Vec::new();
-            frame_into(&mut framed, &payload);
-            // Index below the live chain, as an interrupted cleanup
-            // would leave.
-            fs::write(dir.join("ckpt-delta-000000.bin"), &framed).unwrap();
-            let wal = SegmentWal::open(&dir).unwrap();
-            // The stale file is gone; its slot is reused as d1's index
-            // was 0 — so re-derive the chain from what survived.
-            let chain = wal.checkpoint_chain().unwrap();
-            assert_eq!(chain.first().unwrap().0, 2);
-            assert!(!chain.iter().any(|(_, b)| b == b"stale"));
-        }
-
-        // Rebuild a clean two-delta chain for the damage arms.
-        let mut wal = SegmentWal::open(&dir).unwrap();
-        wal.put_checkpoint(2, b"base").unwrap();
-        wal.put_checkpoint_delta(4, b"d1").unwrap();
-        wal.put_checkpoint_delta(6, b"d2").unwrap();
-        drop(wal);
-        let intermediate = dir.join("ckpt-delta-000000.bin");
-
-        // Torn intermediate delta: open must fail typed, never hand
-        // back a silently wrong chain.
-        let good = fs::read(&intermediate).unwrap();
-        fs::write(&intermediate, &good[..good.len() - 3]).unwrap();
-        let err = SegmentWal::open(&dir).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-
-        // CRC-corrupted intermediate delta: same typed failure.
-        let mut bad = good.clone();
-        let last = bad.len() - 1;
-        bad[last] ^= 0xFF;
-        fs::write(&intermediate, &bad).unwrap();
-        let err = SegmentWal::open(&dir).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-
-        // Restoring the bytes restores the chain.
-        fs::write(&intermediate, &good).unwrap();
+        // A crash between `write_blob`'s create and rename leaves the
+        // temp file; the installed checkpoint is untouched by it.
+        fs::write(dir.join("checkpoint.bin.tmp"), b"half a snapsh").unwrap();
         let wal = SegmentWal::open(&dir).unwrap();
-        assert_eq!(wal.checkpoint_chain().unwrap().len(), 3);
+        assert!(!dir.join("checkpoint.bin.tmp").exists());
+        assert_eq!(wal.checkpoint().unwrap().unwrap(), (4, b"state".to_vec()));
+        assert_eq!(wal.next_seq(), 8);
+        drop(wal);
+
+        // A delta file — even a well-formed one — is a retired
+        // artifact: open names it instead of recovering without it.
+        let delta = dir.join("ckpt-delta-000000.bin");
+        fs::write(&delta, &framed).unwrap();
+        let err = SegmentWal::open(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("ckpt-delta-000000.bin"), "{err}");
+        fs::remove_file(&delta).unwrap();
+        SegmentWal::open(&dir).unwrap();
         fs::remove_dir_all(&dir).unwrap();
     }
 

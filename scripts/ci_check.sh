@@ -25,8 +25,8 @@ cargo test -q
 
 # The crash matrix (proptest kill-point sweep) already ran inside
 # `cargo test -q`; the ignored scale soak chains three kill/recover
-# cycles over 100k txs (and holds the journal O(window), deltas smaller
-# than full snapshots) and needs release mode to stay fast.
+# cycles over 100k txs (and holds the journal O(window), snapshots at
+# the documented positions) and needs release mode to stay fast.
 echo "==> cargo test --release -p optchain-core --test wal_golden -- --ignored (WAL soak)"
 cargo test --release -p optchain-core --test wal_golden -- --ignored
 
