@@ -21,7 +21,7 @@
 //! | `ablation_weight` | L2S weight sweep around the paper's 0.01 |
 //! | `ablation_l2s` | self-convolution vs verify+commit L2S |
 //! | `ablation_telemetry` | quantized vs raw telemetry fidelity |
-//! | `ablation_window` | T2S memory window (SPV pruning) |
+//! | `ablation_window` | retention window (the wallet deployment) |
 //! | `ext_rapidchain` | OmniLedger lock vs RapidChain yank protocol |
 //!
 //! Every binary accepts `--txs N`, `--seed N` and `--full` (paper-scale

@@ -5,8 +5,8 @@
 //! by **stable node id** — the raw `Vec<u32>` the seed used costs 4
 //! bytes per transaction *forever*, which was the last O(stream) state
 //! on the placement path after PR 4 bounded the TaN graph and the T2S
-//! score matrix. The store finishes the O(window) story with the same
-//! machinery those use:
+//! score matrix. The store finishes the O(window) story in a
+//! [`WindowedRows`], the container the T2S score rows age in too:
 //!
 //! * **Unbounded** (the default) — a plain dense vector; `get` always
 //!   resolves. Bit-for-bit the old behavior.
@@ -28,15 +28,14 @@
 //! stream (stable ids never disappear), `live_len()` counts resident
 //! entries, and `iter_live()` walks the resident range in id order.
 
-use std::collections::HashMap;
-
 use optchain_storage::{ByteReader, ByteWriter, CodecError};
-use optchain_tan::hash::TxIdBuildHasher;
-use optchain_tan::{NodeId, RetentionPolicy, TanGraph};
+use optchain_tan::{NodeId, RetentionPolicy, TanGraph, WindowedRows};
 
 use crate::placer::ShardId;
 
-/// Windowed per-node shard assignment history (see the module docs).
+/// Windowed per-node shard assignment history (see the module docs):
+/// one `u32` per node in a [`WindowedRows`], which owns the ring, the
+/// survivor table and the rule filling it.
 ///
 /// Writers push in strict arrival order — the store is always owned by
 /// exactly one placer, which enforces the ordering. Under
@@ -44,19 +43,7 @@ use crate::placer::ShardId;
 /// [`AssignmentStore::push_in`] (the wrap decision consults the graph).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AssignmentStore {
-    /// The dense history (unbounded) or a ring of `window` slots
-    /// addressed by `id % window`.
-    dense: Vec<u32>,
-    /// Total entries ever pushed — the next stable id.
-    len: usize,
-    /// Ring capacity in entries (`usize::MAX` = unbounded).
-    window: usize,
-    /// `Some(min_degree)` under [`RetentionPolicy::KeepUnspentAndHubs`]:
-    /// wrapped-over entries of graph-retained survivors move to the
-    /// side table instead of vanishing.
-    keep_hubs: Option<u32>,
-    /// Saved assignments of retained survivors, keyed by stable id.
-    retained: HashMap<u32, u32, TxIdBuildHasher>,
+    rows: WindowedRows<u32>,
 }
 
 impl Default for AssignmentStore {
@@ -70,13 +57,7 @@ impl AssignmentStore {
     /// experiment/replay configuration, and the right default for a
     /// [`crate::Placer`] implemented outside this crate).
     pub fn new() -> Self {
-        AssignmentStore {
-            dense: Vec::new(),
-            len: 0,
-            window: usize::MAX,
-            keep_hubs: None,
-            retained: HashMap::with_hasher(TxIdBuildHasher),
-        }
+        Self::with_retention(RetentionPolicy::Unbounded)
     }
 
     /// A store whose memory follows `retention` — the same policy the
@@ -84,68 +65,48 @@ impl AssignmentStore {
     /// resolution, score retention, and assignment retention stay in
     /// lockstep.
     pub fn with_retention(retention: RetentionPolicy) -> Self {
-        let mut store = Self::new();
-        if let Some(window) = retention.graph_window() {
-            assert!(window > 0, "retention window must be positive");
-            store.window = window;
-            store.dense = vec![0; window];
+        AssignmentStore {
+            rows: WindowedRows::new(retention, 1),
         }
-        if let RetentionPolicy::KeepUnspentAndHubs { min_degree } = retention {
-            store.keep_hubs = Some(min_degree);
-        }
-        store
     }
 
     /// `true` iff `other` windows its history the same way (the restore
     /// check: a checkpointed store must follow the restoring router's
     /// retention policy).
     pub(crate) fn same_shape(&self, other: &AssignmentStore) -> bool {
-        (self.window, self.keep_hubs) == (other.window, other.keep_hubs)
+        self.rows.same_shape(&other.rows)
     }
 
     /// Total entries ever pushed — the stream length in stable-id
     /// space. Eviction never shrinks this (see
     /// [`AssignmentStore::live_len`]).
     pub fn len(&self) -> usize {
-        self.len
+        self.rows.len()
     }
 
     /// `true` iff nothing was ever pushed.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.rows.is_empty()
     }
 
     /// Entries currently resolvable: the live window plus retained
     /// survivors.
     pub fn live_len(&self) -> usize {
-        self.len.min(self.window) + self.retained.len()
+        self.rows.live_len()
     }
 
     /// First id of the guaranteed-live dense range: every id at or
     /// above this resolves; ids below resolve only through the
     /// retained-survivor table. Zero on unbounded stores.
     pub fn horizon(&self) -> usize {
-        if self.window == usize::MAX {
-            0
-        } else {
-            self.len.saturating_sub(self.window)
-        }
+        self.rows.horizon()
     }
 
     /// The shard recorded for stable id `id`, or `None` when the entry
     /// was evicted (or never pushed).
     #[inline]
     pub fn get_index(&self, id: usize) -> Option<u32> {
-        if id >= self.len {
-            return None;
-        }
-        if self.window == usize::MAX {
-            Some(self.dense[id])
-        } else if id + self.window >= self.len {
-            Some(self.dense[id % self.window])
-        } else {
-            self.retained.get(&(id as u32)).copied()
-        }
+        self.rows.row(id).map(|row| row[0])
     }
 
     /// [`AssignmentStore::get_index`] in node/shard vocabulary.
@@ -162,21 +123,7 @@ impl AssignmentStore {
     /// open and commit is dropped, never applied to a recycled ring
     /// slot.
     pub(crate) fn reassign(&mut self, id: usize, shard: u32) -> bool {
-        if id >= self.len {
-            return false;
-        }
-        if self.window == usize::MAX {
-            self.dense[id] = shard;
-            true
-        } else if id + self.window >= self.len {
-            self.dense[id % self.window] = shard;
-            true
-        } else if let Some(entry) = self.retained.get_mut(&(id as u32)) {
-            *entry = shard;
-            true
-        } else {
-            false
-        }
+        self.rows.row_mut(id).map(|row| row[0] = shard).is_some()
     }
 
     /// Records the shard of the next node. For
@@ -188,62 +135,28 @@ impl AssignmentStore {
     /// Panics on a `KeepUnspentAndHubs` store (the entry a full ring
     /// would overwrite may belong to a retained survivor).
     pub fn push(&mut self, shard: u32) {
-        assert!(
-            self.keep_hubs.is_none(),
-            "KeepUnspentAndHubs stores must push through push_in \
-             (the wrapped ring slot may hold a retained survivor)"
-        );
-        self.push_raw(shard);
+        self.rows.push()[0] = shard;
     }
 
     /// [`AssignmentStore::push`] with graph access: before the ring
     /// slot of the aged-out node is overwritten, a `KeepUnspentAndHubs`
-    /// store copies its assignment into the side table when the graph
-    /// retains the node (unspent or hub **at this point of the stream**
-    /// — the same predicate and position as the graph's own eviction
-    /// and the T2S engine's row retention). Identical to `push` for
-    /// every other configuration.
+    /// store keeps its assignment when the graph retains the node (see
+    /// [`WindowedRows::push_in`]). Identical to `push` for every other
+    /// configuration.
     pub fn push_in(&mut self, tan: &TanGraph, shard: u32) {
-        if let Some(min_degree) = self.keep_hubs {
-            if self.window != usize::MAX && self.len >= self.window {
-                let evictee = (self.len - self.window) as u32;
-                let node = NodeId(evictee);
-                if tan.is_live(node) {
-                    let d = tan.in_degree(node) as u32;
-                    if d == 0 || d >= min_degree {
-                        self.retained
-                            .insert(evictee, self.dense[evictee as usize % self.window]);
-                    }
-                }
-            }
-        }
-        self.push_raw(shard);
-    }
-
-    fn push_raw(&mut self, shard: u32) {
-        if self.window == usize::MAX {
-            self.dense.push(shard);
-        } else {
-            self.dense[self.len % self.window] = shard;
-        }
-        self.len += 1;
+        self.rows.push_in(tan)[0] = shard;
     }
 
     /// Releases excess capacity (checkpoint-time shrink; the ring is
-    /// fixed-size, so only the unbounded vector and the side table have
-    /// slack to give back).
+    /// fixed-size, so only the unbounded vector and the survivor table
+    /// have slack to give back).
     pub fn compact(&mut self) {
-        if self.window == usize::MAX {
-            self.dense.shrink_to_fit();
-        }
-        self.retained.shrink_to_fit();
+        self.rows.compact();
     }
 
     /// Bytes of heap owned by the store (O(window) under a window).
     pub fn state_bytes(&self) -> usize {
-        // A HashMap entry costs the (key, value) pair plus control
-        // bytes; 2× the payload is the usual accounting approximation.
-        self.dense.capacity() * std::mem::size_of::<u32>() + self.retained.len() * 16
+        self.rows.state_bytes()
     }
 
     /// A read-only view (the shape the [`crate::Placer`] trait exposes).
@@ -251,82 +164,21 @@ impl AssignmentStore {
         AssignmentView(self)
     }
 
-    /// Serializes the store for a durable checkpoint. Deterministic:
-    /// the retained-survivor table is written in ascending id order.
+    /// Serializes the store for a durable checkpoint: the stream
+    /// length, then the rows' shape and cells.
     pub(crate) fn encode_into(&self, w: &mut ByteWriter) {
-        w.put_u64(self.len as u64);
-        w.put_u64(if self.window == usize::MAX {
-            u64::MAX
-        } else {
-            self.window as u64
-        });
-        match self.keep_hubs {
-            None => w.put_u8(0),
-            Some(min_degree) => {
-                w.put_u8(1);
-                w.put_u32(min_degree);
-            }
-        }
-        w.put_u64(self.dense.len() as u64);
-        for &shard in &self.dense {
-            w.put_u32(shard);
-        }
-        let mut keys: Vec<u32> = self.retained.keys().copied().collect();
-        keys.sort_unstable();
-        w.put_u64(keys.len() as u64);
-        for id in keys {
-            w.put_u32(id);
-            w.put_u32(self.retained[&id]);
-        }
+        w.put_u64(self.rows.len() as u64);
+        self.rows.encode_shape_into(w);
+        self.rows.encode_rows_into(w);
     }
 
     /// Decodes a store previously written by
-    /// [`AssignmentStore::encode_into`], validating that the dense
-    /// length matches the window/stream state.
+    /// [`AssignmentStore::encode_into`].
     pub(crate) fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let len = r.get_u64()? as usize;
-        let window_raw = r.get_u64()?;
-        let window = if window_raw == u64::MAX {
-            usize::MAX
-        } else {
-            window_raw as usize
-        };
-        if window == 0 {
-            return Err(CodecError("assignment window must be positive"));
-        }
-        let keep_hubs = match r.get_u8()? {
-            0 => None,
-            1 => Some(r.get_u32()?),
-            _ => return Err(CodecError("bad keep_hubs tag")),
-        };
-        let dlen = r.get_count(4)?;
-        let expected = if window == usize::MAX { len } else { window };
-        if dlen != expected {
-            return Err(CodecError("assignment dense length mismatch"));
-        }
-        let mut dense = Vec::with_capacity(dlen);
-        for _ in 0..dlen {
-            dense.push(r.get_u32()?);
-        }
-        let rcount = r.get_count(8)?;
-        let mut retained = HashMap::with_capacity_and_hasher(rcount, TxIdBuildHasher);
-        let mut prev = None;
-        for _ in 0..rcount {
-            let id = r.get_u32()?;
-            if prev.is_some_and(|p: u32| p >= id) {
-                return Err(CodecError("retained assignments out of order"));
-            }
-            prev = Some(id);
-            let shard = r.get_u32()?;
-            retained.insert(id, shard);
-        }
-        Ok(AssignmentStore {
-            dense,
-            len,
-            window,
-            keep_hubs,
-            retained,
-        })
+        let shape = WindowedRows::<u32>::decode_shape(r)?;
+        let rows = WindowedRows::decode_rows(r, shape, 1, len)?;
+        Ok(AssignmentStore { rows })
     }
 }
 
@@ -380,18 +232,15 @@ impl<'a> AssignmentView<'a> {
     /// dense range.
     pub fn iter_live(self) -> impl Iterator<Item = (NodeId, ShardId)> + 'a {
         let store = self.0;
-        let mut retained: Vec<u32> = store.retained.keys().copied().collect();
-        retained.sort_unstable();
-        let horizon = store.horizon();
-        retained
-            .into_iter()
-            .map(move |id| (NodeId(id), ShardId(store.retained[&id])))
-            .chain((horizon..store.len).map(move |id| {
-                (
-                    NodeId(id as u32),
-                    ShardId(store.get_index(id).expect("dense range is live")),
-                )
-            }))
+        let survivors = store.rows.survivors().iter().map(|&id| id as usize);
+        survivors
+            .chain(store.horizon()..store.len())
+            .map(move |id| {
+                let shard = store
+                    .get_index(id)
+                    .expect("survivors and the window are live");
+                (NodeId(id as u32), ShardId(shard))
+            })
     }
 
     /// Materializes the **full** history, or `None` when any entry has
@@ -453,8 +302,9 @@ mod tests {
         let mut tan = TanGraph::with_retention(policy);
         // The store window is driven by hand (HUB_WINDOW is too big for
         // a unit test): window 3 via a custom store.
-        let mut store = AssignmentStore::with_retention(RetentionPolicy::WindowTxs(3));
-        store.keep_hubs = Some(2);
+        let mut store = AssignmentStore {
+            rows: WindowedRows::with_ring(policy, Some(3), 1),
+        };
         // id 0: hub (spent twice before it ages); id 1: spent once
         // (evicted at its wrap); id 2: unspent (retained).
         let shards = [7u32, 5, 4, 0, 1, 2, 3];
@@ -487,8 +337,10 @@ mod tests {
     fn codec_roundtrips_every_store_shape() {
         let mut unbounded = AssignmentStore::new();
         let mut windowed = AssignmentStore::with_retention(RetentionPolicy::WindowTxs(3));
-        let mut hubs = AssignmentStore::with_retention(RetentionPolicy::WindowTxs(3));
-        hubs.keep_hubs = Some(2);
+        let hub_policy = RetentionPolicy::KeepUnspentAndHubs { min_degree: 2 };
+        let mut hubs = AssignmentStore {
+            rows: WindowedRows::with_ring(hub_policy, Some(3), 1),
+        };
         let tan = TanGraph::new();
         for s in 0..7u32 {
             unbounded.push(s);

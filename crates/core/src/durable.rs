@@ -29,7 +29,7 @@ use optchain_tan::RetentionPolicy;
 /// Meta blob format version (the first byte of the blob). Every
 /// persisted artifact has exactly one accepted version: any other
 /// leading byte fails recovery with a typed `InvalidData`.
-pub(crate) const META_VERSION: u8 = 2;
+pub(crate) const META_VERSION: u8 = 3;
 
 /// Checkpoint body format version (the first byte of the decompressed
 /// full-snapshot body, `crate::snapshot`).
@@ -241,13 +241,6 @@ pub(crate) fn encode_spec(spec: &RouterSpec) -> Vec<u8> {
     w.put_u32(spec.k());
     w.put_u8(strategy_tag(spec.strategy));
     w.put_f64(spec.alpha);
-    match spec.window {
-        None => w.put_u8(0),
-        Some(window) => {
-            w.put_u8(1);
-            w.put_u64(window as u64);
-        }
-    }
     spec.retention.encode_into(&mut w);
     w.put_u8(match spec.l2s_mode {
         L2sMode::PaperSelfConvolution => 0,
@@ -288,11 +281,6 @@ pub(crate) fn decode_spec(bytes: &[u8]) -> Result<RouterSpec, CodecError> {
     let shards = r.get_u32()?;
     let strategy = strategy_from_tag(r.get_u8()?)?;
     let alpha = r.get_f64()?;
-    let window = match r.get_u8()? {
-        0 => None,
-        1 => Some(r.get_u64()? as usize),
-        _ => return Err(CodecError("bad window option tag")),
-    };
     let retention = RetentionPolicy::decode_from(&mut r)?;
     let l2s_mode = match r.get_u8()? {
         0 => L2sMode::PaperSelfConvolution,
@@ -327,7 +315,6 @@ pub(crate) fn decode_spec(bytes: &[u8]) -> Result<RouterSpec, CodecError> {
     spec.shards = Some(shards);
     spec.strategy = strategy;
     spec.alpha = alpha;
-    spec.window = window;
     spec.retention = retention;
     spec.l2s_mode = l2s_mode;
     spec.l2s_weight = l2s_weight;
@@ -434,12 +421,7 @@ mod tests {
                 s.strategy = Strategy::Metis;
                 s.oracle = Some(vec![0, 4]);
             }),
-            spec(|s| s.window = Some(0)),
             spec(|s| s.retention = RetentionPolicy::WindowTxs(0)),
-            spec(|s| {
-                s.window = Some(8);
-                s.retention = RetentionPolicy::WindowTxs(8);
-            }),
             spec(|s| s.telemetry = Some(vec![ShardTelemetry::new(0.1, 0.5); 3])),
             spec(|s| s.alpha = 0.0),
             spec(|s| s.alpha = f64::NAN),
@@ -471,10 +453,21 @@ mod tests {
 
     #[test]
     fn spec_meta_rejects_foreign_versions() {
+        use optchain_storage::{MemStorage, Storage};
         let mut spec = RouterSpec::new();
         spec.shards = Some(2);
         let mut bytes = encode_spec(&spec);
         bytes[0] = 0xEE;
         assert!(decode_spec(&bytes).is_err());
+        // The previous version, byte for byte: it carried the score-only
+        // window option (here `None`) between α and the retention policy.
+        let mut v2 = encode_spec(&spec);
+        v2[0] = 2;
+        v2.insert(1 + 4 + 1 + 8, 0);
+        assert!(decode_spec(&v2).is_err());
+        let mut storage = MemStorage::new();
+        storage.put_meta(&v2).unwrap();
+        let err = crate::Router::recover(Box::new(storage)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 }

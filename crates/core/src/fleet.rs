@@ -541,14 +541,14 @@ fn worker_loop(
                 // the O(workers²) adoption bill. The filter reads only
                 // local, deterministic state, so fleet determinism is
                 // preserved.
-                if let RetentionPolicy::KeepUnspentAndHubs { min_degree } = spec.retention {
+                if matches!(spec.retention, RetentionPolicy::KeepUnspentAndHubs { .. }) {
                     let full = published;
                     published = Delta::default();
+                    let tan = router.tan();
                     for (txid, inputs, shard) in full.iter() {
-                        let keep = router.tan().node(txid).is_some_and(|n| {
-                            let d = router.tan().in_degree(n) as u32;
-                            d == 0 || d >= min_degree
-                        });
+                        let keep = tan
+                            .node(txid)
+                            .is_some_and(|n| spec.retention.keeps(tan.in_degree(n) as u32));
                         if keep {
                             published.push(txid, inputs, shard);
                         } else {

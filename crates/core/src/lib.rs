@@ -36,6 +36,14 @@
 //! staleness bound, and the determinism contract — a 1-worker fleet is
 //! bit-identical to a `Router`).
 //!
+//! A long-lived node bounds its memory with one knob,
+//! [`RouterBuilder::retention`]: a [`RetentionPolicy`] is the only
+//! window there is, and the TaN graph, the T2S score rows and the
+//! assignment history age under it together. The paper's wallet
+//! deployment (*"users do not need to download the complete transaction
+//! history"*) is that same router under `WindowTxs(budget)`, learning
+//! placements made elsewhere through [`Router::adopt_remote`].
+//!
 //! The comparison strategies of Section V live here too, behind the
 //! [`Placer`] trait: [`RandomPlacer`] (OmniLedger's hash placement),
 //! [`GreedyPlacer`], [`T2sPlacer`] (T2S without load awareness), and
@@ -90,6 +98,7 @@ mod rebalance;
 pub mod replay;
 mod router;
 mod snapshot;
+#[cfg(test)]
 mod spv;
 mod strategy;
 mod streaming;
@@ -110,7 +119,6 @@ pub use rebalance::{Move, RebalancePolicy, RebalanceStats};
 pub use replay::replay;
 pub use router::{CheckpointStats, PlacementSession, Router, RouterBuilder, DEFAULT_TELEMETRY};
 pub use snapshot::RouterSnapshot;
-pub use spv::SpvWallet;
 pub use strategy::{DynPlacer, Strategy};
 pub use streaming::{FennelPlacer, LdgPlacer};
 pub use t2s::{T2sEngine, DEFAULT_ALPHA};

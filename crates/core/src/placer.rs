@@ -787,6 +787,11 @@ impl OraclePlacer {
         }
     }
 
+    /// `true` iff the oracle holds a shard for node `node`.
+    pub(crate) fn covers(&self, node: usize) -> bool {
+        node < self.oracle.len()
+    }
+
     /// `true` iff every live entry of `assignments` is the oracle's.
     pub(crate) fn agrees_with(&self, assignments: &AssignmentStore) -> bool {
         let mut live = assignments.view().iter_live();

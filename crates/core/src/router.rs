@@ -88,7 +88,6 @@ pub(crate) struct RouterSpec {
     pub(crate) shards: Option<u32>,
     pub(crate) strategy: Strategy,
     pub(crate) alpha: f64,
-    pub(crate) window: Option<usize>,
     pub(crate) retention: RetentionPolicy,
     pub(crate) l2s_mode: L2sMode,
     pub(crate) l2s_weight: f64,
@@ -116,7 +115,6 @@ impl RouterSpec {
             shards: None,
             strategy: Strategy::OptChain,
             alpha: DEFAULT_ALPHA,
-            window: None,
             retention: RetentionPolicy::Unbounded,
             l2s_mode: L2sMode::default(),
             l2s_weight: crate::fitness::PAPER_L2S_WEIGHT,
@@ -158,13 +156,8 @@ impl RouterSpec {
         if !non_negative(self.l2s_weight) || !non_negative(self.epsilon) {
             return Err("the L2S weight and epsilon must be finite and >= 0");
         }
-        if self.window == Some(0) || self.retention.graph_window() == Some(0) {
-            return Err("a window must be positive");
-        }
-        if self.window.is_some() && self.retention != RetentionPolicy::Unbounded {
-            return Err("retention(..) and window(..) are mutually exclusive: \
-                 RetentionPolicy::WindowTxs bounds both the score matrix \
-                 and the graph; window() bounds the score matrix only");
+        if self.retention.graph_window() == Some(0) {
+            return Err("a retention window must be positive");
         }
         // Node ids are `u32`: no stream is longer than that.
         if self.expected_total.is_some_and(|n| n > u64::from(u32::MAX)) {
@@ -212,11 +205,7 @@ impl RouterSpec {
     /// Builds the placer a checked spec describes.
     fn build_placer(&self) -> DynPlacer {
         let k = self.k();
-        let engine = match (self.retention, self.window) {
-            (RetentionPolicy::Unbounded, Some(w)) => T2sEngine::with_window(k, self.alpha, w),
-            (RetentionPolicy::Unbounded, None) => T2sEngine::with_alpha(k, self.alpha),
-            (policy, _) => T2sEngine::with_retention(k, self.alpha, policy),
-        };
+        let engine = T2sEngine::with_retention(k, self.alpha, self.retention);
         // Every built-in placer windows its assignment store under the
         // same policy the graph and the T2S engine follow, so edge
         // resolution, score retention, and assignment retention stay in
@@ -329,25 +318,14 @@ impl RouterBuilder {
         self
     }
 
-    /// Bound T2S **score** memory to the last `window` transactions (the
-    /// SPV-style deployment; default unbounded; OptChain/T2S only). The
-    /// TaN graph itself keeps growing — for a fully bounded-memory
-    /// deployment use [`RouterBuilder::retention`] with
-    /// [`RetentionPolicy::WindowTxs`], which windows both in lockstep.
-    /// Mutually exclusive with `retention`.
-    pub fn window(mut self, window: usize) -> Self {
-        self.spec.window = Some(window);
-        self
-    }
-
     /// The state-lifecycle policy (default
-    /// [`RetentionPolicy::Unbounded`]): how the router's TaN graph *and*
-    /// T2S score matrix bound their memory as the stream grows.
-    /// [`Router::submit`] advances the eviction horizon automatically;
-    /// [`Router::compact`] forces a checkpoint-time shrink. Spends of
-    /// evicted outputs degrade exactly like pre-history spends
-    /// (`missing_parent_refs`). Mutually exclusive with
-    /// [`RouterBuilder::window`].
+    /// [`RetentionPolicy::Unbounded`]) — the one window there is: how
+    /// the router's TaN graph, T2S score rows *and* assignment history
+    /// bound their memory as the stream grows (a wallet-sized node is
+    /// `retention(WindowTxs(budget))`). [`Router::submit`] advances the
+    /// eviction horizon automatically; [`Router::compact`] forces a
+    /// checkpoint-time shrink. Spends of evicted outputs degrade exactly
+    /// like pre-history spends (`missing_parent_refs`).
     pub fn retention(mut self, retention: RetentionPolicy) -> Self {
         self.spec.retention = retention;
         self
@@ -461,7 +439,7 @@ impl RouterBuilder {
     ///
     /// Panics if the configuration breaks a cross-field rule — no shard
     /// count, α outside (0, 1], a negative or non-finite L2S weight or
-    /// ε, a zero window or cadence, `window` together with `retention`,
+    /// ε, a zero retention window or cadence,
     /// [`Strategy::Metis`] without an oracle, an out-of-range oracle
     /// shard, initial telemetry length ≠ k, a rebalancer on a strategy
     /// other than OptChain or together with storage — or if the storage
@@ -1103,8 +1081,8 @@ impl Router {
     }
 
     /// Restores a [`Router::snapshot`] into a **fresh** router built
-    /// with the same configuration (shards, strategy, retention, α,
-    /// window): graph, assignment store, strategy state and telemetry
+    /// with the same configuration (shards, strategy, retention, α):
+    /// graph, assignment store, strategy state and telemetry
     /// board install verbatim, after which submission — decisions,
     /// score vectors, session views, L2S memo epochs — continues
     /// exactly as on the checkpointed router.
@@ -1399,9 +1377,10 @@ impl Router {
 
     /// Applies one journaled record during recovery, returning the
     /// entries it held. Everything the live doors would assert on —
-    /// a shard out of range, a transaction id already placed, an
-    /// adoption under oracle placement — is checked here first: bytes
-    /// from disk fail typed, naming the sequence number, never panic.
+    /// a shard out of range, a transaction id already placed, a
+    /// placement past the end of the oracle, an adoption under oracle
+    /// placement — is checked here first: bytes from disk fail typed,
+    /// naming the sequence number, never panic.
     fn apply_recovered_record(
         &mut self,
         seq: u64,
@@ -1419,6 +1398,13 @@ impl Router {
                     "seq {seq}: journaled transaction {} is already placed",
                     txid.0
                 )));
+            }
+            if let DynPlacer::Oracle(p) = &router.placer {
+                if !p.covers(router.tan.len()) {
+                    return Err(fail(format!(
+                        "seq {seq}: the journal is longer than its oracle"
+                    )));
+                }
             }
             Ok(())
         };
@@ -1869,10 +1855,10 @@ mod tests {
         let durable = driven_durable(RetentionPolicy::Unbounded, 8);
         assert!(durable.checkpoint_stats().full_checkpoints >= 1);
         // (artifact, foreign first bytes): every value but the one
-        // version each artifact is written with (3 was the retired
-        // delta envelope).
+        // version each artifact is written with (meta 2 carried the
+        // score-only window option, envelope 3 was the retired delta).
         let table: [(Artifact, &[u8]); 3] = [
-            (Artifact::Meta, &[0, 1, 3, 255]),
+            (Artifact::Meta, &[0, 1, 2, 255]),
             (Artifact::Full, &[0, 1, 3, 4, 255]),
             (Artifact::Body, &[0, 1, 3, 255]),
         ];
@@ -2022,8 +2008,15 @@ mod tests {
             let err = recover(&spec, &records).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
         }
-        let err = recover(&metis, &[adopt_of(0, 2)]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "oracle: {err}");
+        let past_the_oracle = batch_of(3, &[(0, 2), (1, 1), (2, 0)]);
+        for (what, record) in [("adopt", adopt_of(0, 2)), ("past", past_the_oracle)] {
+            let err = recover(&metis, &[record]).unwrap_err();
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::InvalidData,
+                "oracle {what}: {err}"
+            );
+        }
         let recovered = recover(&spec, &[honest, adopt_of(1, 3)]).unwrap();
         assert_eq!(recovered.assignments().to_vec(), Some(vec![s0, 3]));
     }

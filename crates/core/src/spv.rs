@@ -1,372 +1,84 @@
-//! The SPV wallet deployment of OptChain.
-//!
-//! Section I of the paper: *"computing the T2S score only requires the
-//! information on the input txs, it can be done efficiently at the user
-//! side by modifying the existing Simple Payment Verification protocol,
-//! i.e., users do not need to download the complete transaction
-//! history."*
-//!
-//! [`SpvWallet`] is that client: it holds **only** the state OptChain
-//! actually needs per remembered transaction — the shard it was placed
-//! in, its `p'` vector, and its spender count — keyed by transaction id,
-//! with a bounded memory budget evicting the oldest entries. Unlike the
-//! node-side engines it never sees the TaN graph; callers hand it the
-//! input transaction ids of each new transaction (which SPV proofs
-//! provide), exactly matching the wallet integration the paper proposes.
-//!
-//! # Retention
-//!
-//! [`SpvWallet::with_retention`] runs the wallet under the same
-//! [`RetentionPolicy`] vocabulary as the node-side state: the wallet
-//! counts its own remembered transactions as a local stream, and every
-//! entry aging past the policy's window gets a **one-time retention
-//! decision** — dropped under [`RetentionPolicy::WindowTxs`]; under
-//! [`RetentionPolicy::KeepUnspentAndHubs`] spent-history entries below
-//! the hub threshold are dropped while unspent outputs and hubs stay
-//! remembered indefinitely, mirroring the graph's eviction exactly. A
-//! wallet tracking a retention-policy router can additionally consume
-//! that router's eviction notifications
-//! ([`SpvWallet::observe_evicted`]) to stay in lockstep.
+//! The paper's wallet deployment (Section I: *"users do not need to
+//! download the complete transaction history"*) is a [`Router`] under
+//! `WindowTxs(budget)` that learns placements made elsewhere through
+//! [`Router::adopt_remote`]. These tests hold that deployment to what a
+//! wallet needs from it.
 
-use std::collections::{HashMap, VecDeque};
-
-use optchain_tan::RetentionPolicy;
-use optchain_utxo::TxId;
-
-use crate::fitness::TemporalFitness;
-use crate::l2s::{L2sEstimator, ShardTelemetry};
-use crate::placer::ShardId;
-
-/// Per-transaction state an SPV client retains.
-#[derive(Debug, Clone)]
-struct SpvEntry {
-    shard: u32,
-    pprime: Vec<f32>,
-    /// Spenders observed so far (`|Nout(v)|` from the wallet's view).
-    spenders: u32,
-}
-
-/// A wallet-side OptChain client with bounded memory.
-///
-/// # Example
-///
-/// ```
-/// use optchain_core::{ShardTelemetry, SpvWallet};
-/// use optchain_utxo::TxId;
-///
-/// let telemetry = vec![ShardTelemetry::new(0.1, 0.5); 4];
-/// let mut wallet = SpvWallet::new(4, 1_000);
-///
-/// // The wallet knows a parent was placed in shard 2 (e.g. it submitted
-/// // it, or learned the shard from an SPV proof).
-/// wallet.observe_placed(TxId(7), 2);
-///
-/// // A new transaction spending that parent should follow it.
-/// let shard = wallet.place(TxId(8), &[TxId(7)], &telemetry);
-/// assert_eq!(shard.0, 2);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SpvWallet {
-    k: usize,
-    alpha: f64,
-    budget: usize,
-    /// The lifecycle policy applied to the wallet's own remembered
-    /// stream ([`RetentionPolicy::Unbounded`] = budget-FIFO only).
-    retention: RetentionPolicy,
-    /// Total transactions ever remembered — the wallet's local stream
-    /// position (the retention horizon trails it by the window).
-    seq: u64,
-    estimator: L2sEstimator,
-    fitness: TemporalFitness,
-    entries: HashMap<TxId, SpvEntry>,
-    /// Insertion order (with each entry's local sequence number) for
-    /// FIFO budget eviction and the retention horizon. Entries the
-    /// policy retains leave the queue but stay in `entries`.
-    order: VecDeque<(TxId, u64)>,
-    /// Shard sizes as far as the wallet can tell (its own placements and
-    /// observations) — used for the T2S normalization.
-    shard_sizes: Vec<u64>,
-}
-
-impl SpvWallet {
-    /// A wallet for `k` shards remembering at most `budget` transactions
-    /// (the paper's α = 0.5 and weight 0.01).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0` or `budget == 0`.
-    pub fn new(k: u32, budget: usize) -> Self {
-        assert!(k > 0, "k must be positive");
-        assert!(budget > 0, "budget must be positive");
-        SpvWallet {
-            k: k as usize,
-            alpha: crate::t2s::DEFAULT_ALPHA,
-            budget,
-            retention: RetentionPolicy::Unbounded,
-            seq: 0,
-            estimator: L2sEstimator::new(),
-            fitness: TemporalFitness::paper(),
-            entries: HashMap::new(),
-            order: VecDeque::new(),
-            shard_sizes: vec![0; k as usize],
-        }
-    }
-
-    /// A wallet whose history follows a [`RetentionPolicy`] over its own
-    /// remembered stream (see the module docs): entries aging past the
-    /// policy's window are dropped — except, under
-    /// [`RetentionPolicy::KeepUnspentAndHubs`], unspent outputs and
-    /// hubs, which stay remembered. Memory is O(window) under
-    /// [`RetentionPolicy::WindowTxs`] however long the wallet runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn with_retention(k: u32, retention: RetentionPolicy) -> Self {
-        let mut wallet = Self::new(k, usize::MAX);
-        wallet.retention = retention;
-        wallet
-    }
-
-    /// The lifecycle policy this wallet runs under.
-    pub fn retention(&self) -> RetentionPolicy {
-        self.retention
-    }
-
-    /// Number of transactions currently remembered.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` iff the wallet remembers nothing.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Approximate retained state in bytes (the SPV footprint).
-    pub fn state_bytes(&self) -> usize {
-        self.entries.len() * (std::mem::size_of::<TxId>() + 8 + 4 * self.k)
-            + self.order.len() * (std::mem::size_of::<TxId>() + 8)
-    }
-
-    /// Drops the entry for `txid` — the consumer side of a node-side
-    /// retention policy's eviction: a wallet tracking a
-    /// [`crate::Router`] under [`RetentionPolicy::KeepUnspentAndHubs`]
-    /// feeds the router's evictions here so the two histories stay in
-    /// lockstep. Unknown ids are ignored; the order queue is cleaned
-    /// lazily.
-    pub fn observe_evicted(&mut self, txid: TxId) {
-        self.entries.remove(&txid);
-    }
-
-    fn remember(&mut self, txid: TxId, entry: SpvEntry) {
-        if self.entries.insert(txid, entry).is_none() {
-            self.order.push_back((txid, self.seq));
-            self.seq += 1;
-        }
-        // The retention horizon: every entry whose local sequence has
-        // aged past the window gets its one-time decision — retained
-        // (leaves the queue, stays remembered) or dropped. Lazily skips
-        // ids already removed by the budget or an eviction notice.
-        if let Some(window) = self.retention.graph_window() {
-            while let Some(&(front, front_seq)) = self.order.front() {
-                if self.seq - front_seq <= window as u64 {
-                    break;
-                }
-                self.order.pop_front();
-                if let Some(aged) = self.entries.get(&front) {
-                    let keep = match self.retention {
-                        RetentionPolicy::KeepUnspentAndHubs { min_degree } => {
-                            aged.spenders == 0 || aged.spenders >= min_degree
-                        }
-                        _ => false,
-                    };
-                    if !keep {
-                        self.entries.remove(&front);
-                    }
-                }
-            }
-        }
-        while self.entries.len() > self.budget {
-            let Some((evict, _)) = self.order.pop_front() else {
-                break;
-            };
-            self.entries.remove(&evict);
-        }
-    }
-
-    /// Records that `txid` was placed into `shard` by someone else (an
-    /// SPV proof or an incoming payment's metadata). Unknown ancestors
-    /// simply contribute zero to future scores.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn observe_placed(&mut self, txid: TxId, shard: u32) {
-        assert!((shard as usize) < self.k, "shard {shard} out of range");
-        let mut pprime = vec![0.0f32; self.k];
-        pprime[shard as usize] = self.alpha as f32;
-        self.shard_sizes[shard as usize] += 1;
-        self.remember(
-            txid,
-            SpvEntry {
-                shard,
-                pprime,
-                spenders: 0,
-            },
-        );
-    }
-
-    /// Runs the full OptChain decision for a new transaction `txid`
-    /// spending `inputs`, places it, records it, and returns the shard.
-    ///
-    /// Inputs the wallet does not remember contribute nothing (the
-    /// graceful degradation the paper's SPV deployment accepts).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `telemetry.len() != k`.
-    pub fn place(&mut self, txid: TxId, inputs: &[TxId], telemetry: &[ShardTelemetry]) -> ShardId {
-        assert_eq!(telemetry.len(), self.k, "telemetry must cover every shard");
-        // Deduplicate parents (Nin is a set) and bump spender counts.
-        let mut parents: Vec<TxId> = Vec::with_capacity(inputs.len());
-        for txid in inputs {
-            if !parents.contains(txid) {
-                parents.push(*txid);
-            }
-        }
-        let mut pprime = vec![0.0f64; self.k];
-        let mut input_shards: Vec<u32> = Vec::new();
-        for parent in &parents {
-            if let Some(entry) = self.entries.get_mut(parent) {
-                entry.spenders += 1;
-                let nout = entry.spenders.max(1) as f64;
-                for (acc, p) in pprime.iter_mut().zip(&entry.pprime) {
-                    *acc += *p as f64 / nout;
-                }
-                if !input_shards.contains(&entry.shard) {
-                    input_shards.push(entry.shard);
-                }
-            }
-        }
-        let damp = 1.0 - self.alpha;
-        for p in &mut pprime {
-            *p *= damp;
-        }
-
-        // Temporal fitness over all shards (T2S normalized by the sizes
-        // the wallet has seen; L2S from telemetry).
-        let mut best = 0u32;
-        let mut best_fit = f64::NEG_INFINITY;
-        for (j, p) in pprime.iter().enumerate() {
-            let t2s = p / self.shard_sizes[j].max(1) as f64;
-            let l2s = self.estimator.score(telemetry, &input_shards, j as u32);
-            let fit = self.fitness.combine(t2s, l2s);
-            let better = fit > best_fit
-                || (fit == best_fit && self.shard_sizes[j] < self.shard_sizes[best as usize]);
-            if better {
-                best_fit = fit;
-                best = j as u32;
-            }
-        }
-
-        let mut stored: Vec<f32> = pprime.iter().map(|p| *p as f32).collect();
-        stored[best as usize] += self.alpha as f32;
-        self.shard_sizes[best as usize] += 1;
-        self.remember(
-            txid,
-            SpvEntry {
-                shard: best,
-                pprime: stored,
-                spenders: 0,
-            },
-        );
-        ShardId(best)
-    }
-
-    /// The shard the wallet remembers for `txid`, if any.
-    pub fn shard_of(&self, txid: TxId) -> Option<ShardId> {
-        self.entries.get(&txid).map(|e| ShardId(e.shard))
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use optchain_tan::TanGraph;
+    use optchain_utxo::TxId;
 
-    fn telemetry(k: usize) -> Vec<ShardTelemetry> {
-        vec![ShardTelemetry::new(0.1, 0.5); k]
+    use crate::{
+        OptChainPlacer, PlacementContext, Placer, RetentionPolicy, Router, ShardId, ShardTelemetry,
+        DEFAULT_TELEMETRY,
+    };
+
+    /// A wallet for `k` shards remembering at most `budget` transactions.
+    fn wallet(k: u32, budget: usize) -> Router {
+        Router::builder()
+            .shards(k)
+            .retention(RetentionPolicy::WindowTxs(budget))
+            .build()
     }
 
     #[test]
     fn follows_remembered_parents() {
-        let tele = telemetry(4);
-        let mut w = SpvWallet::new(4, 100);
-        w.observe_placed(TxId(0), 3);
-        let s = w.place(TxId(1), &[TxId(0)], &tele);
-        assert_eq!(s.0, 3);
+        let mut w = wallet(4, 100);
+        w.adopt_remote(TxId(0), &[], 3);
+        assert_eq!(w.submit(TxId(1), &[TxId(0)]).unwrap(), ShardId(3));
         assert_eq!(w.shard_of(TxId(1)), Some(ShardId(3)));
     }
 
     #[test]
     fn unknown_parents_degrade_to_balance() {
-        let tele = telemetry(4);
-        let mut w = SpvWallet::new(4, 100);
+        let mut w = wallet(4, 100);
         // Four txs with unknown parents spread across shards (ties break
         // to the smallest shard).
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..4u64 {
-            seen.insert(w.place(TxId(i), &[TxId(999 + i)], &tele).0);
-        }
+        let seen: std::collections::HashSet<ShardId> = (0..4u64)
+            .map(|i| w.submit(TxId(i), &[TxId(999 + i)]).unwrap())
+            .collect();
         assert_eq!(seen.len(), 4, "ties must spread: {seen:?}");
     }
 
     #[test]
     fn budget_evicts_oldest() {
-        let tele = telemetry(2);
-        let mut w = SpvWallet::new(2, 3);
+        let mut w = wallet(2, 3);
         for i in 0..5u64 {
-            w.place(TxId(i), &[], &tele);
+            w.submit(TxId(i), &[]).unwrap();
         }
-        assert_eq!(w.len(), 3);
+        assert_eq!(w.tan().live_len(), 3);
+        assert_eq!(w.assignments().live_len(), 3);
         assert_eq!(w.shard_of(TxId(0)), None, "oldest evicted");
         assert!(w.shard_of(TxId(4)).is_some());
-        assert!(w.state_bytes() > 0);
     }
 
     #[test]
     fn chain_stays_in_one_shard() {
-        let tele = telemetry(8);
-        let mut w = SpvWallet::new(8, 1_000);
-        let first = w.place(TxId(0), &[], &tele);
-        let mut prev = TxId(0);
+        let mut w = wallet(8, 1_000);
+        let first = w.submit(TxId(0), &[]).unwrap();
         for i in 1..50u64 {
-            let s = w.place(TxId(i), &[prev], &tele);
+            let s = w.submit(TxId(i), &[TxId(i - 1)]).unwrap();
             assert_eq!(s, first, "chain split at {i}");
-            prev = TxId(i);
         }
     }
 
     #[test]
     fn diverts_from_backlogged_shard() {
-        let mut tele = telemetry(2);
-        let mut w = SpvWallet::new(2, 100);
-        w.observe_placed(TxId(0), 0);
-        tele[0] = ShardTelemetry::new(0.1, 500.0); // shard 0 backlogged
-        let s = w.place(TxId(1), &[TxId(0)], &tele);
-        assert_eq!(s.0, 1, "wallet must divert from the backlog");
+        let mut w = wallet(2, 100);
+        w.adopt_remote(TxId(0), &[], 0);
+        w.feed_telemetry(&[ShardTelemetry::new(0.1, 500.0), DEFAULT_TELEMETRY]);
+        let s = w.submit(TxId(1), &[TxId(0)]).unwrap();
+        assert_eq!(s, ShardId(1), "wallet must divert from the backlog");
     }
 
     #[test]
     fn matches_full_engine_on_shared_history() {
-        // On a small history the SPV wallet and the full OptChain placer
-        // agree (same formulas, full visibility).
-        use crate::placer::{OptChainPlacer, PlacementContext, Placer};
-        use optchain_tan::TanGraph;
-        let tele = telemetry(4);
+        // While the budget covers the history, the wallet and a full
+        // OptChain placer over the whole graph agree.
+        let tele = [DEFAULT_TELEMETRY; 4];
         let mut tan = TanGraph::new();
         let mut full = OptChainPlacer::new(4);
-        let mut wallet = SpvWallet::new(4, 1_000);
+        let mut w = wallet(4, 1_000);
         let parents_of = |i: u64| -> Vec<TxId> {
             match i {
                 0 | 1 => vec![],
@@ -379,82 +91,28 @@ mod tests {
             let parents = parents_of(i);
             let node = tan.insert(TxId(i), &parents);
             let a = full.place(&PlacementContext::new(&tan, &tele), node);
-            let b = wallet.place(TxId(i), &parents, &tele);
+            let b = w.submit(TxId(i), &parents).unwrap();
             assert_eq!(a, b, "diverged at tx {i}");
         }
     }
 
     #[test]
-    #[should_panic(expected = "budget must be positive")]
+    #[should_panic(expected = "window must be positive")]
     fn zero_budget_panics() {
-        SpvWallet::new(2, 0);
+        wallet(2, 0);
     }
 
     #[test]
     fn windowed_wallet_drops_history_past_the_horizon() {
-        let tele = telemetry(2);
         let window = 8usize;
-        let mut w = SpvWallet::with_retention(2, RetentionPolicy::WindowTxs(window));
+        let mut w = wallet(2, window);
         for i in 0..100u64 {
             let parents: Vec<TxId> = if i == 0 { vec![] } else { vec![TxId(i - 1)] };
-            w.place(TxId(i), &parents, &tele);
-            assert!(w.len() <= window, "wallet holds {} > window", w.len());
+            w.submit(TxId(i), &parents).unwrap();
+            let live = w.tan().live_len();
+            assert!(live <= window, "wallet holds {live} > window");
         }
         assert_eq!(w.shard_of(TxId(0)), None, "aged history is dropped");
         assert!(w.shard_of(TxId(99)).is_some());
-    }
-
-    #[test]
-    fn keep_hubs_wallet_retains_unspent_and_hubs() {
-        let tele = telemetry(4);
-        // KeepUnspentAndHubs uses the fixed HUB_WINDOW; drive the same
-        // predicate through a hand-sized policy by spending pattern:
-        // the hub is spent `min_degree` times before it ages, the
-        // spent-once entry is dropped at its horizon crossing, and the
-        // unspent entry survives. Age everything past HUB_WINDOW.
-        let min_degree = 3u32;
-        let mut w =
-            SpvWallet::with_retention(4, RetentionPolicy::KeepUnspentAndHubs { min_degree });
-        w.place(TxId(0), &[], &tele); // hub
-        w.place(TxId(1), &[], &tele); // spent once
-        w.place(TxId(2), &[], &tele); // unspent
-        for i in 0..u64::from(min_degree) {
-            w.place(TxId(10 + i), &[TxId(0)], &tele);
-        }
-        w.place(TxId(20), &[TxId(1)], &tele);
-        // Filler is a spend *chain* (everything but the tip ends up
-        // spent once), so the wallet must actually drop aged entries to
-        // stay bounded — a regression keeping every entry would fail
-        // the footprint assert below, not just the named-entry ones.
-        let filler = RetentionPolicy::HUB_WINDOW as u64 + 500;
-        for i in 0..filler {
-            let parents: Vec<TxId> = if i == 0 {
-                vec![]
-            } else {
-                vec![TxId(1_000_000 + i - 1)]
-            };
-            w.place(TxId(1_000_000 + i), &parents, &tele);
-        }
-        assert!(w.shard_of(TxId(0)).is_some(), "the hub survives");
-        assert!(w.shard_of(TxId(2)).is_some(), "the unspent output survives");
-        assert_eq!(w.shard_of(TxId(1)), None, "a spent non-hub is dropped");
-        // Footprint is O(window + retained survivors), not O(stream):
-        // the aged chain links are spent non-hubs and must be gone.
-        assert!(
-            w.len() <= RetentionPolicy::HUB_WINDOW + 16,
-            "len {} exceeds the hub window",
-            w.len()
-        );
-    }
-
-    #[test]
-    fn eviction_notice_drops_the_entry() {
-        let tele = telemetry(2);
-        let mut w = SpvWallet::with_retention(2, RetentionPolicy::WindowTxs(100));
-        w.place(TxId(0), &[], &tele);
-        assert!(w.shard_of(TxId(0)).is_some());
-        w.observe_evicted(TxId(0));
-        assert_eq!(w.shard_of(TxId(0)), None);
-        w.observe_evicted(TxId(99)); // unknown ids are ignored
     }
 }

@@ -21,15 +21,15 @@
 //!    (windowed reads ≡ unbounded on live ids, `None` past the
 //!    horizon), and the windowed snapshot round-trips the store
 //!    bit-exactly.
-//! 7. A retention-aware `SpvWallet` holds O(window) state over
-//!    arbitrarily long streams (proptest).
+//! 7. A windowed `Router` — what a wallet-sized node is — holds
+//!    O(window) live state over arbitrarily long streams.
 
 mod common;
 use common::seeded_stream;
 
 use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 
-use optchain_core::{RetentionPolicy, Router, RouterFleet, SpvWallet, Strategy};
+use optchain_core::{RetentionPolicy, Router, RouterFleet, Strategy};
 use optchain_tan::NodeId;
 use optchain_utxo::{Transaction, TxId};
 
@@ -183,27 +183,6 @@ proptest! {
                 prop_assert_eq!(view.get(node), None, "evicted id {}", id);
             }
         }
-    }
-
-    /// A retention-aware SPV wallet holds O(window) entries, and bytes
-    /// within 2x of a window-sized run, over arbitrarily long streams.
-    #[test]
-    fn spv_wallet_footprint_is_bounded(seed in 0u64..1_000) {
-        let window = 64usize;
-        let txs = seeded_stream(1_500, 20, seed);
-        let telemetry = vec![optchain_core::ShardTelemetry::new(0.1, 0.5); 4];
-        let peaks = |txs: &[Transaction]| {
-            let mut wallet = SpvWallet::with_retention(4, RetentionPolicy::WindowTxs(window));
-            let mut peak = (0usize, 0usize);
-            for tx in txs {
-                wallet.place(tx.id(), &tx.input_txids(), &telemetry);
-                peak = (peak.0.max(wallet.len()), peak.1.max(wallet.state_bytes()));
-            }
-            peak
-        };
-        let (entries, bytes) = peaks(&txs);
-        prop_assert!(entries <= window, "wallet peaked at {} entries", entries);
-        prop_assert!(bytes <= 2 * peaks(&txs[..window]).1, "wallet peaked at {} B", bytes);
     }
 
     /// A 1-worker fleet under a retention policy — including the

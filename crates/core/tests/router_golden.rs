@@ -74,14 +74,13 @@ proptest! {
 
     /// `Router::submit` under a live telemetry feed is bit-identical —
     /// per-shard scores included — to `place_into` over an external
-    /// graph, across α, L2S modes, and T2S windows.
+    /// graph, across α and L2S modes.
     #[test]
     fn router_submit_matches_place_into_bitwise(
         recipe in stream_strategy(250),
         k in 1u32..9,
         alpha_pct in 5u32..100,
         mode_paper in any::<bool>(),
-        windowed in any::<bool>(),
     ) {
         let alpha = alpha_pct as f64 / 100.0;
         let mode = if mode_paper {
@@ -90,22 +89,13 @@ proptest! {
             L2sMode::VerifyPlusCommit
         };
         let txs = build_stream(&recipe);
-        let window = 64usize;
-        let mut builder = Router::builder()
+        let mut router = Router::builder()
             .shards(k)
             .alpha(alpha)
-            .l2s_mode(mode);
-        if windowed {
-            builder = builder.window(window);
-        }
-        let mut router = builder.build();
-        let engine = if windowed {
-            T2sEngine::with_window(k, alpha, window)
-        } else {
-            T2sEngine::with_alpha(k, alpha)
-        };
+            .l2s_mode(mode)
+            .build();
         let mut placer = OptChainPlacer::from_parts(
-            engine,
+            T2sEngine::with_alpha(k, alpha),
             L2sEstimator::with_mode(mode),
             TemporalFitness::paper(),
         );

@@ -8,12 +8,13 @@
 //! [`SharedStorage`] handles.
 
 mod common;
-use common::{build_stream, stream_strategy};
+use common::{build_stream, seeded_stream, stream_strategy};
 
 use proptest::prelude::{prop_assert_eq, proptest, ProptestConfig};
 
 use optchain_core::{
-    MemStorage, PlacementSession, Router, RouterFleet, ShardTelemetry, SharedStorage, Storage,
+    MemStorage, PlacementSession, RetentionPolicy, Router, RouterFleet, ShardTelemetry,
+    SharedStorage, Storage,
 };
 use optchain_utxo::Transaction;
 
@@ -158,4 +159,39 @@ proptest! {
 
         prop_assert_eq!(expected, got, "cut {}", cut);
     }
+}
+
+/// The snapshot body is a persisted format: its bytes over one seeded
+/// stream are pinned per retention policy (length and CRC32 of the
+/// decompressed body a durable router installs), so a change to how the
+/// windowed state is held cannot move a byte unnoticed.
+#[test]
+fn snapshot_body_bytes_are_pinned_per_policy() {
+    let txs = seeded_stream(12_000, 30, 7);
+    let body_of = |policy: RetentionPolicy| {
+        let storage = SharedStorage::new(MemStorage::new());
+        let mut router = Router::builder()
+            .shards(4)
+            .retention(policy)
+            .storage(Box::new(storage.clone()))
+            .build();
+        router.submit_batch(&txs, &mut Vec::new());
+        router.checkpoint_now().unwrap();
+        let (_, blob) = storage.checkpoint().unwrap().expect("just installed");
+        let body = optchain_storage::zrle::decompress(&blob[1..]).unwrap();
+        (body.len(), optchain_storage::crc32(&body))
+    };
+    let policies = [
+        RetentionPolicy::Unbounded,
+        RetentionPolicy::WindowTxs(1_000),
+        RetentionPolicy::KeepUnspentAndHubs { min_degree: 3 },
+    ];
+    assert_eq!(
+        policies.map(body_of),
+        [
+            (555_187, 0xE526_9666),
+            (46_463, 0x842A_82D7),
+            (421_743, 0x07B8_4756)
+        ]
+    );
 }

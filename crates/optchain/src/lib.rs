@@ -110,8 +110,10 @@
 //! score matrix, and the assignment history (a windowed
 //! [`core::AssignmentStore`] — `router.assignments().get(node)` reads
 //! `None` for evicted entries while `len()` keeps counting the whole
-//! stream). The client-side [`core::SpvWallet`] accepts the same
-//! policies through [`core::SpvWallet::with_retention`].
+//! stream). It is the only window there is: the paper's wallet
+//! deployment ("users do not need to download the complete transaction
+//! history") is a router under `WindowTxs(budget)` that learns foreign
+//! placements through `Router::adopt_remote` (`examples/spv_client.rs`).
 //!
 //! ```
 //! use optchain::prelude::*;
@@ -368,8 +370,8 @@ pub mod prelude {
         GreedyPlacer, L2sEstimator, L2sMode, LdgPlacer, MemStorage, Move, OptChainPlacer,
         OraclePlacer, PlacementContext, PlacementSession, Placer, RandomPlacer, RebalancePolicy,
         RebalanceStats, RetentionPolicy, Router, RouterBuilder, RouterFleet, RouterFleetBuilder,
-        RouterSnapshot, SegmentWal, ShardId, ShardTelemetry, SharedStorage, SpvWallet, Storage,
-        Strategy, T2sEngine, T2sPlacer, TailDamage, TemporalFitness,
+        RouterSnapshot, SegmentWal, ShardId, ShardTelemetry, SharedStorage, Storage, Strategy,
+        T2sEngine, T2sPlacer, TailDamage, TemporalFitness,
     };
     pub use optchain_partition::{partition_kway, CsrGraph};
     pub use optchain_server::{PlacementServer, PlacementServerBuilder, ServerMetrics};

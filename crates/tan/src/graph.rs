@@ -55,6 +55,7 @@ use optchain_storage::{ByteReader, ByteWriter, CodecError};
 use optchain_utxo::{Transaction, TxId};
 
 use crate::hash::TxIdBuildHasher;
+use crate::retain::RetentionPolicy;
 
 /// Dense index of a node (transaction) inside a [`TanGraph`].
 ///
@@ -75,83 +76,6 @@ impl NodeId {
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n{}", self.0)
-    }
-}
-
-/// How a streaming graph (and the state built on it) bounds its memory.
-///
-/// Configured once on `RouterBuilder`/`RouterFleetBuilder` and threaded
-/// down through the T2S engine into the [`TanGraph`]; the graph itself
-/// only consumes the policy through [`TanGraph::evict_before`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RetentionPolicy {
-    /// Keep everything — state grows with the stream (the offline
-    /// replay/experiment default).
-    #[default]
-    Unbounded,
-    /// Keep the most recent `n` transactions; everything older is
-    /// evicted as the stream advances. Spends of evicted outputs count
-    /// as missing parent references, the same degradation as pre-history
-    /// spends. Memory is `O(n)`.
-    WindowTxs(usize),
-    /// Window the stream at [`RetentionPolicy::HUB_WINDOW`] transactions
-    /// but retain, indefinitely, every aged node that is still
-    /// **unspent** (in-degree 0 — its outputs may yet be spent) or is a
-    /// **hub** (in-degree `>= min_degree`). Retained nodes stay
-    /// resolvable — spends of them link edges and pull spenders toward
-    /// their shard — while ordinary spent nodes are reclaimed. Memory is
-    /// `O(window + unspent set + hubs)`.
-    KeepUnspentAndHubs {
-        /// In-degree (spender count) at or above which an aged node is
-        /// retained as a hub.
-        min_degree: u32,
-    },
-}
-
-impl RetentionPolicy {
-    /// The sliding window [`RetentionPolicy::KeepUnspentAndHubs`] ages
-    /// nodes out of before the unspent/hub filter applies (also the T2S
-    /// score-ring size that policy uses).
-    pub const HUB_WINDOW: usize = 8_192;
-
-    /// The number of most-recent transactions unconditionally kept live,
-    /// or `None` when the policy never evicts. This is both the graph
-    /// eviction lag and the T2S score-ring size, so edge resolution and
-    /// score retention stay in lockstep.
-    pub fn graph_window(&self) -> Option<usize> {
-        match self {
-            RetentionPolicy::Unbounded => None,
-            RetentionPolicy::WindowTxs(n) => Some(*n),
-            RetentionPolicy::KeepUnspentAndHubs { .. } => Some(Self::HUB_WINDOW),
-        }
-    }
-
-    /// Serializes the policy (tag + parameters) into `w` — the shared
-    /// wire form used by WAL headers and checkpoint blobs.
-    pub fn encode_into(&self, w: &mut ByteWriter) {
-        match self {
-            RetentionPolicy::Unbounded => w.put_u8(0),
-            RetentionPolicy::WindowTxs(n) => {
-                w.put_u8(1);
-                w.put_u64(*n as u64);
-            }
-            RetentionPolicy::KeepUnspentAndHubs { min_degree } => {
-                w.put_u8(2);
-                w.put_u32(*min_degree);
-            }
-        }
-    }
-
-    /// Decodes a policy written by [`RetentionPolicy::encode_into`].
-    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.get_u8()? {
-            0 => RetentionPolicy::Unbounded,
-            1 => RetentionPolicy::WindowTxs(r.get_u64()? as usize),
-            2 => RetentionPolicy::KeepUnspentAndHubs {
-                min_degree: r.get_u32()?,
-            },
-            _ => return Err(CodecError("unknown retention policy tag")),
-        })
     }
 }
 
@@ -665,9 +589,7 @@ impl TanGraph {
             let id = self.horizon;
             let row = (id & window.mask) as usize;
             let list = window.spent[row];
-            let keep = matches!(self.retention, RetentionPolicy::KeepUnspentAndHubs { min_degree }
-                if list.count == 0 || list.count >= min_degree);
-            if keep {
+            if self.retention.keeps(list.count) {
                 let (at, lo) = (self.retained.len(), kept.in_pool.len());
                 kept.put(at, window.ids[row], lo, window.inputs(row), list);
                 self.retained.push(id);

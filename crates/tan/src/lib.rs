@@ -22,6 +22,8 @@
 //! [`RetentionPolicy`] plus [`TanGraph::evict_before`] bound memory to
 //! the recent window (and, optionally, retained unspent/hub survivors)
 //! while node ids stay stable — see the [`graph`](TanGraph) docs.
+//! Per-node state kept outside the graph (shard assignments, score
+//! rows) ages by the same rule in a [`WindowedRows`].
 //!
 //! # Example
 //!
@@ -50,6 +52,8 @@
 
 mod graph;
 pub mod hash;
+mod retain;
 pub mod stats;
 
-pub use graph::{NodeId, RetentionPolicy, Spenders, TanGraph};
+pub use graph::{NodeId, Spenders, TanGraph};
+pub use retain::{Cell, RetentionPolicy, WindowedRows};

@@ -13,16 +13,18 @@
 # bench_compare.py, the BENCH_*.json baselines, the alloc-count feature)
 # reappearing beside benchmark/ and scripts/bench_gate.py, on the
 # delta-checkpoint writer, its staging buffer or the per-transaction
-# Submit tag reappearing beside the snapshot + WAL-tail recovery, and on
-# crates/core, crates/bench or crates/tan/src/graph.rs outgrowing its
-# ceiling.
+# Submit tag reappearing beside the snapshot + WAL-tail recovery, on a
+# second window (the wallet type, the score-only engine constructor and
+# builder knob) or a second statement of the survivor rule reappearing
+# beside RetentionPolicy / WindowedRows, and on crates/core, crates/bench
+# or crates/tan/src/graph.rs outgrowing its ceiling.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Lower this when a PR shrinks crates/core; never raise it to fit one.
-core_ceiling=12107
+core_ceiling=11411
 # New graph tests live under crates/tan/tests/.
-graph_ceiling=1537
+graph_ceiling=1459
 # Experiment bins, the naive oracle and the five remaining criterion
 # benches; what measures the system lives under benchmark/.
 bench_ceiling=2300
@@ -66,6 +68,17 @@ fi
 if grep -rnE 'put_checkpoint_delta|CHECKPOINT_DELTA_VERSION|staged_records|TAG_SUBMIT\b' \
     crates/core/src crates/storage/src/{wal,mem,failpoint,shared}.rs; then
     echo "ratchet: a second copy of journaled bytes (delta checkpoints, their staging, the per-tx Submit tag) is back" >&2
+    fail=1
+fi
+if grep -rnE 'SpvWallet|pub fn with_window' crates/ || grep -nE 'fn window\(' crates/core/src/router.rs; then
+    echo "ratchet: a second window is back beside RouterBuilder::retention" >&2
+    fail=1
+fi
+# The differential models under crates/*/tests restate the rule on purpose.
+rule='== 0 \|\| .* >= \*?min_degree'
+if grep -rnE "$rule" crates/*/src | grep -v '^crates/tan/src/retain.rs:' ||
+    [ "$(grep -cE "$rule" crates/tan/src/retain.rs)" -ne 1 ]; then
+    echo "ratchet: the survivor rule is written somewhere other than RetentionPolicy::keeps" >&2
     fail=1
 fi
 graph_lines=$(wc -l < crates/tan/src/graph.rs)
