@@ -6,14 +6,15 @@
 //!   per-row offset array. A node's input set is immutable once
 //!   inserted, so the pool is append-only and `inputs(u)` is a single
 //!   contiguous slice — no per-node heap allocation, no pointer chase.
-//! * **spenders** grow over time (children arrive after the parent), so
-//!   they live in an append-friendly chunk arena: fixed-size chunks
-//!   linked per node, allocated from one `Vec`. Nodes that are never
-//!   spent (the frontier — the common case at any instant) allocate
-//!   nothing.
-//! * the `TxId → NodeId` index uses the SplitMix64-based
-//!   [`TxIdBuildHasher`](crate::hash::TxIdBuildHasher) instead of
-//!   SipHash.
+//! * **spenders** grow over time (children arrive after the parent). A
+//!   row holds its spender count and its first two spenders itself —
+//!   92.5 % of the nodes of a Bitcoin-like stream never have more — and
+//!   only the rest overflow into an append-friendly arena of fixed-size
+//!   chunks linked per node (`crate::spenders`). Nodes spent at most
+//!   twice allocate nothing.
+//! * the `TxId → NodeId` index is a [`TxIndex`]: 8-byte slots of a hash
+//!   tag and a node id, each hit confirmed against the `TxId` the row
+//!   already stores, so a lookup resolves straight to the row.
 //!
 //! # Retention and eviction
 //!
@@ -38,24 +39,26 @@
 //! a node crosses the horizon its slot is simply reused by a later
 //! insertion; a retained node's row and inputs are first copied — once,
 //! in id order — to an append-only **survivor table** (found by binary
-//! search over the sorted survivor ids), and an evicted node's spender
+//! search over the sorted survivor ids), and an evicted node's overflow
 //! chunks go on a **free list**, so chunk ids never move and the hub
-//! chunk directory is edited, not rebuilt. Eviction is `O(1)` per node;
-//! the ring and pool double while the window warms up and then stop, so
-//! a steady stream allocates only for survivors and graph memory is
-//! `O(live window + retained survivors)`, not `O(stream)`.
+//! chunk directory is edited, not rebuilt; the index drops the node by
+//! shifting its probe cluster back, leaving no tombstone. Eviction is
+//! `O(1)` per node; the ring and pool double while the window warms up
+//! and then stop, so a steady stream allocates only for survivors and
+//! graph memory is `O(live window + retained survivors)`, not
+//! `O(stream)`.
 //!
 //! [`TanGraph::insert`] is amortized allocation-free: the dedup scratch
 //! buffers are owned by the graph and reused across insertions.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use optchain_storage::{ByteReader, ByteWriter, CodecError};
 use optchain_utxo::{Transaction, TxId};
 
-use crate::hash::TxIdBuildHasher;
+use crate::index::TxIndex;
 use crate::retain::RetentionPolicy;
+use crate::spenders::{Overflow, SpenderList, Spenders};
 
 /// Dense index of a node (transaction) inside a [`TanGraph`].
 ///
@@ -79,42 +82,10 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Sentinel for "no chunk".
-const NONE: u32 = u32::MAX;
-
-/// Spender-list chunk capacity. The TaN average degree is ≈ 2.3 (Fig 2),
-/// so one chunk covers the overwhelming majority of spent nodes; heavy
-/// fan-out nodes chain additional chunks.
-const CHUNK: usize = 6;
-
 /// Row table of ids `[horizon, total)`.
 const WINDOW: usize = 0;
 /// Row table of the survivors the policy retained below the horizon.
 const KEPT: usize = 1;
-
-/// One chunk of a node's spender list.
-#[derive(Debug, Clone)]
-struct SpenderChunk {
-    /// Next chunk of the same node, or [`NONE`].
-    next: u32,
-    /// Occupied slots in this chunk.
-    len: u32,
-    slots: [NodeId; CHUNK],
-}
-
-impl SpenderChunk {
-    fn new() -> Self {
-        SpenderChunk {
-            next: NONE,
-            len: 0,
-            slots: [NodeId(0); CHUNK],
-        }
-    }
-
-    fn entries(&self) -> &[NodeId] {
-        &self.slots[..self.len as usize]
-    }
-}
 
 /// `v[i] = x`, appending when `i` is the next unused slot.
 fn set<T>(v: &mut Vec<T>, i: usize, x: T) {
@@ -125,32 +96,30 @@ fn set<T>(v: &mut Vec<T>, i: usize, x: T) {
     }
 }
 
-/// A row's spender list: its chunk chain and `|Nout(v)|` so far.
+/// A row's transaction id beside its spender list (24 bytes): the read
+/// that confirms an index hit on a parent brings in the cache line the
+/// spend edge then writes.
 #[derive(Debug, Clone, Copy)]
-struct SpenderList {
-    /// First chunk, or [`NONE`].
-    head: u32,
-    /// Last chunk, or [`NONE`] (append fast path).
-    tail: u32,
-    /// Spenders so far (O(1) in-degree).
-    count: u32,
+struct Entry {
+    txid: TxId,
+    spent: SpenderList,
 }
 
-const UNSPENT: SpenderList = SpenderList {
-    head: NONE,
-    tail: NONE,
-    count: 0,
+const VACANT: Entry = Entry {
+    txid: TxId(0),
+    spent: SpenderList::UNSPENT,
 };
 
-/// One table of node rows, struct-of-arrays.
+/// One table of node rows: an [`Entry`] array and the input CSR.
 #[derive(Debug, Clone)]
 struct Rows {
     /// Ring mask: the row of stable id `i` is `i & mask`. `u32::MAX`
     /// (row = id, append-only) for the survivor table, and for the
     /// window until the first eviction.
     mask: u32,
-    /// Per-row transaction id.
-    ids: Vec<TxId>,
+    /// Per-row transaction id and spender list (count and first
+    /// spenders; the rest in [`TanGraph::overflow`]).
+    entries: Vec<Entry>,
     /// Input range per row — `in_offsets[row]..in_offsets[row + 1]` of
     /// [`Rows::in_pool`], so a row's start is its predecessor's end;
     /// length `rows + 1`, and in a ring entry 0 mirrors the last. A
@@ -159,8 +128,6 @@ struct Rows {
     in_offsets: Vec<u32>,
     /// Flattened input adjacency (deduplicated, insertion order).
     in_pool: Vec<NodeId>,
-    /// Per-row spender list.
-    spent: Vec<SpenderList>,
 }
 
 impl Rows {
@@ -169,10 +136,9 @@ impl Rows {
     fn ring(rows: usize, pool: usize) -> Self {
         Rows {
             mask: (rows as u32).wrapping_sub(1),
-            ids: vec![TxId(0); rows],
+            entries: vec![VACANT; rows],
             in_offsets: vec![0; rows + 1],
             in_pool: vec![NodeId(0); pool],
-            spent: vec![UNSPENT; rows],
         }
     }
 
@@ -198,8 +164,7 @@ impl Rows {
         } else {
             self.in_pool[lo..hi].copy_from_slice(inputs);
         }
-        set(&mut self.ids, row, txid);
-        set(&mut self.spent, row, spent);
+        set(&mut self.entries, row, Entry { txid, spent });
         set(&mut self.in_offsets, row + 1, hi as u32);
         if row as u32 == self.mask {
             self.in_offsets[0] = hi as u32;
@@ -207,17 +172,15 @@ impl Rows {
     }
 
     fn shrink_to_fit(&mut self) {
-        self.ids.shrink_to_fit();
+        self.entries.shrink_to_fit();
         self.in_offsets.shrink_to_fit();
         self.in_pool.shrink_to_fit();
-        self.spent.shrink_to_fit();
     }
 
     fn bytes(&self) -> usize {
         self.in_pool.capacity() * std::mem::size_of::<NodeId>()
             + self.in_offsets.capacity() * std::mem::size_of::<u32>()
-            + self.ids.capacity() * std::mem::size_of::<TxId>()
-            + self.spent.capacity() * std::mem::size_of::<SpenderList>()
+            + self.entries.capacity() * std::mem::size_of::<Entry>()
     }
 }
 
@@ -254,21 +217,9 @@ pub struct TanGraph {
     retained: Vec<u32>,
     /// The [`WINDOW`] rows and the [`KEPT`] rows.
     rows: [Rows; 2],
-    index: HashMap<TxId, NodeId, TxIdBuildHasher>,
-    /// The chunk arena backing every spender list.
-    chunks: Vec<SpenderChunk>,
-    /// Head of the list of chunks evicted nodes gave back (linked
-    /// through [`SpenderChunk::next`]), or [`NONE`].
-    free_chunk: u32,
-    /// Chunk directory for nodes whose spender list spans **multiple**
-    /// chunks (high-fanout hubs only — single-chunk nodes, the common
-    /// case, never appear here), keyed by **stable id**: the node's
-    /// chunk ids in list order. Because a new chunk is only opened when
-    /// the tail is full, every chunk but the last holds exactly
-    /// [`CHUNK`] spenders, and spender ids grow monotonically — so
-    /// [`TanGraph::in_degree_at`] can binary search the directory by
-    /// each chunk's first id instead of walking the chunk list.
-    chunk_dir: HashMap<u32, Vec<u32>, TxIdBuildHasher>,
+    index: TxIndex,
+    /// Spenders past the ones a row holds, for every spender list.
+    overflow: Overflow,
     /// Directed edges ever inserted (cumulative over the stream —
     /// eviction does not subtract).
     edge_count: u64,
@@ -299,10 +250,8 @@ impl TanGraph {
             horizon: 0,
             retained: Vec::new(),
             rows: [Rows::ring(0, 0), Rows::ring(0, 0)],
-            index: HashMap::with_hasher(TxIdBuildHasher),
-            chunks: Vec::new(),
-            free_chunk: NONE,
-            chunk_dir: HashMap::with_hasher(TxIdBuildHasher),
+            index: TxIndex::new(),
+            overflow: Overflow::new(),
             edge_count: 0,
             missing_parent_refs: 0,
             node_scratch: Vec::new(),
@@ -314,13 +263,12 @@ impl TanGraph {
     pub fn with_capacity(capacity: usize) -> Self {
         let mut g = TanGraph::new();
         let window = &mut g.rows[WINDOW];
-        window.ids.reserve(capacity);
+        window.entries.reserve(capacity);
         window.in_offsets.reserve(capacity);
         // Average TaN degree ≈ 2.3 ⇒ ~2.5 pool slots per node.
         window.in_pool.reserve(capacity.saturating_mul(5) / 2);
-        window.spent.reserve(capacity);
         g.index.reserve(capacity);
-        g.chunks.reserve(capacity / 2);
+        g.overflow.reserve(capacity);
         g
     }
 
@@ -377,6 +325,32 @@ impl TanGraph {
         }
     }
 
+    /// `(table, row)` of `node` if it is live and stores `txid` — how an
+    /// index tag hit is confirmed.
+    #[inline]
+    fn holding(&self, node: NodeId, txid: TxId) -> Option<(usize, usize)> {
+        let (table, row) = self.row_of(node.0)?;
+        (self.rows[table].entries[row].txid == txid).then_some((table, row))
+    }
+
+    /// The live node of `txid` and its `(table, row)`.
+    #[inline]
+    fn find(&self, txid: TxId) -> Option<(NodeId, usize, usize)> {
+        self.index.find(txid, |node| {
+            let (table, row) = self.holding(node, txid)?;
+            Some((node, table, row))
+        })
+    }
+
+    /// Indexes `txid` as `node`, whose row is not written yet; `false`,
+    /// indexing nothing, if a live node already holds `txid`.
+    fn index_new(&mut self, txid: TxId, node: NodeId) -> bool {
+        let mut index = std::mem::take(&mut self.index);
+        let fresh = index.insert(txid, node, |n| self.holding(n, txid).is_some());
+        self.index = index;
+        fresh
+    }
+
     /// `true` iff `node` was inserted and has not been evicted.
     pub fn is_live(&self, node: NodeId) -> bool {
         self.row_of(node.0).is_some()
@@ -398,33 +372,33 @@ impl TanGraph {
     /// failing fast on).
     pub fn insert(&mut self, txid: TxId, parents: &[TxId]) -> NodeId {
         let node = NodeId(self.total);
-        let prev = self.index.insert(txid, node);
         assert!(
-            prev.is_none(),
+            self.index_new(txid, node),
             "transaction {txid} inserted twice into TaN graph"
         );
 
         let mut dedup = std::mem::take(&mut self.node_scratch);
         dedup.clear();
         for parent in parents {
-            match self.index.get(parent) {
-                Some(&p) if p != node => {
+            if *parent == txid {
+                continue; // a self-reference links nothing and is not missing
+            }
+            match self.find(*parent) {
+                Some((p, table, row)) => {
                     if !dedup.contains(&p) {
                         dedup.push(p);
+                        let list = &mut self.rows[table].entries[row].spent;
+                        self.overflow.push(p.0, list, node);
                     }
                 }
-                Some(_) => {} // self-reference cannot happen; ids are unique
                 None => self.missing_parent_refs += 1,
             }
         }
         let lo = self.make_room(dedup.len());
-        for &p in &dedup {
-            self.push_spender(p, node);
-        }
         self.edge_count += dedup.len() as u64;
         let window = &mut self.rows[WINDOW];
         let row = (node.0 & window.mask) as usize;
-        window.put(row, txid, lo, &dedup, UNSPENT);
+        window.put(row, txid, lo, &dedup, SpenderList::UNSPENT);
         self.total += 1;
         dedup.clear();
         self.node_scratch = dedup;
@@ -481,59 +455,9 @@ impl TanGraph {
         let mut lo = 0;
         for id in self.horizon..self.total {
             let (from, to) = ((id & old.mask) as usize, (id & new.mask) as usize);
-            new.put(to, old.ids[from], lo, old.inputs(from), old.spent[from]);
+            let Entry { txid, spent } = old.entries[from];
+            new.put(to, txid, lo, old.inputs(from), spent);
             lo += old.inputs(from).len();
-        }
-    }
-
-    /// Appends `spender` to `parent`'s chunked spender list.
-    #[inline]
-    fn push_spender(&mut self, parent: NodeId, spender: NodeId) {
-        let (table, p) = self
-            .row_of(parent.0)
-            .expect("spender edges only target live parents");
-        let list = &mut self.rows[table].spent[p];
-        list.count += 1;
-        let tail = list.tail;
-        if tail != NONE {
-            let chunk = &mut self.chunks[tail as usize];
-            if (chunk.len as usize) < CHUNK {
-                chunk.slots[chunk.len as usize] = spender;
-                chunk.len += 1;
-                return;
-            }
-        }
-        // Need a fresh chunk: one an evicted node gave back, else a new one.
-        let mut chunk = SpenderChunk::new();
-        chunk.slots[0] = spender;
-        chunk.len = 1;
-        let idx = match self.free_chunk {
-            NONE => {
-                self.chunks.push(chunk);
-                self.chunks.len() as u32 - 1
-            }
-            free => {
-                self.free_chunk = std::mem::replace(&mut self.chunks[free as usize], chunk).next;
-                free
-            }
-        };
-        list.tail = idx;
-        if tail == NONE {
-            list.head = idx;
-        } else {
-            self.chunks[tail as usize].next = idx;
-            // The node now spans multiple chunks: index them for the
-            // historical binary search (amortized — once per CHUNK
-            // spenders on hubs, never for single-chunk nodes).
-            let head = list.head;
-            self.chunk_dir
-                .entry(parent.0)
-                .or_insert_with(|| {
-                    let mut dir = Vec::with_capacity(4);
-                    dir.push(head);
-                    dir
-                })
-                .push(idx);
         }
     }
 
@@ -566,7 +490,7 @@ impl TanGraph {
     ///
     /// `O(1)` per node crossing, with nothing deferred: a retained
     /// node's row and inputs are copied to the survivor table, an
-    /// evicted node's spender chunks go back on the free list, and the
+    /// evicted node's overflow chunks go back on the free list, and the
     /// window slot either way is free for a later insertion. No other
     /// row is read or moved.
     ///
@@ -588,20 +512,15 @@ impl TanGraph {
         while self.horizon < target {
             let id = self.horizon;
             let row = (id & window.mask) as usize;
-            let list = window.spent[row];
-            if self.retention.keeps(list.count) {
+            let Entry { txid, spent } = window.entries[row];
+            if self.retention.keeps(spent.count()) {
                 let (at, lo) = (self.retained.len(), kept.in_pool.len());
-                kept.put(at, window.ids[row], lo, window.inputs(row), list);
+                kept.put(at, txid, lo, window.inputs(row), spent);
                 self.retained.push(id);
             } else {
-                self.index.remove(&window.ids[row]);
-                if list.head != NONE {
-                    self.chunks[list.tail as usize].next = self.free_chunk;
-                    self.free_chunk = list.head;
-                }
-                if list.count as usize > CHUNK {
-                    self.chunk_dir.remove(&id);
-                }
+                let removed = self.index.remove(txid, NodeId(id));
+                debug_assert!(removed, "every live node is indexed");
+                self.overflow.release(id, &spent);
             }
             self.horizon += 1;
         }
@@ -620,7 +539,7 @@ impl TanGraph {
         }
         self.rows.iter_mut().for_each(Rows::shrink_to_fit);
         self.retained.shrink_to_fit();
-        self.chunks.shrink_to_fit();
+        self.overflow.shrink_to_fit();
         self.index.shrink_to_fit();
     }
 
@@ -681,12 +600,12 @@ impl TanGraph {
         let (table, row) = self
             .row_of(node.0)
             .unwrap_or_else(|| panic!("node {node} is out of range or evicted"));
-        self.rows[table].ids[row]
+        self.rows[table].entries[row].txid
     }
 
     /// The node for `txid`, if present and live.
     pub fn node(&self, txid: TxId) -> Option<NodeId> {
-        self.index.get(&txid).copied()
+        self.find(txid).map(|(node, ..)| node)
     }
 
     /// The distinct transactions `u` spends from — the paper's `Nin(u)` —
@@ -702,14 +621,12 @@ impl TanGraph {
     /// `Nout(v)` at the current point of the stream — in arrival order.
     /// Empty for evicted nodes.
     pub fn spenders(&self, v: NodeId) -> Spenders<'_> {
-        let row = self.row_of(v.0);
-        self.chain(row.map_or(NONE, |(table, row)| self.rows[table].spent[row].head))
-    }
-
-    /// The spenders in the chunk chain starting at `chunk`.
-    fn chain(&self, chunk: u32) -> Spenders<'_> {
-        let (graph, slot) = (self, 0);
-        Spenders { graph, chunk, slot }
+        match self.row_of(v.0) {
+            Some((table, row)) => self
+                .overflow
+                .iter(v.0, &self.rows[table].entries[row].spent),
+            None => self.overflow.iter(v.0, &SpenderList::UNSPENT),
+        }
     }
 
     /// Out-degree of `u` in the paper's orientation (`|Nin(u)|`): how many
@@ -722,8 +639,9 @@ impl TanGraph {
     /// In-degree of `v` (`|Nout(v)|`): how many transactions spend from it
     /// so far. Zero while unspent (and for evicted nodes). O(1).
     pub fn in_degree(&self, v: NodeId) -> usize {
-        self.row_of(v.0)
-            .map_or(0, |(table, row)| self.rows[table].spent[row].count as usize)
+        self.row_of(v.0).map_or(0, |(table, row)| {
+            self.rows[table].entries[row].spent.count() as usize
+        })
     }
 
     /// In-degree of `v` as it was when `observer` arrived: the number of
@@ -739,41 +657,10 @@ impl TanGraph {
     /// straddling chunk — `O(log d)` on a hub of in-degree `d`. Zero for
     /// evicted nodes.
     pub fn in_degree_at(&self, v: NodeId, observer: NodeId) -> usize {
-        let Some((table, row)) = self.row_of(v.0) else {
-            return 0;
-        };
-        let list = self.rows[table].spent[row];
-        let count = list.count as usize;
-        if count == 0 {
-            return 0;
-        }
-        // Fast path: spender lists grow in id order, so if the most
-        // recently appended spender is within view, all of them are.
-        let tail = &self.chunks[list.tail as usize];
-        if tail.slots[tail.len as usize - 1] <= observer {
-            return count;
-        }
-        let straddling = |chunk: &SpenderChunk, before: usize| {
-            before + chunk.entries().partition_point(|&s| s <= observer)
-        };
-        // Single-chunk node — the common case (average TaN degree ≈ 2.3):
-        // the count alone proves there is no directory entry to look up.
-        if count <= CHUNK {
-            return straddling(&self.chunks[list.head as usize], 0);
-        }
-        let dir = self
-            .chunk_dir
-            .get(&v.0)
-            .expect("multi-chunk nodes are always indexed");
-        // Every chunk but the last is full (a new chunk is only opened
-        // when the tail fills), so the chunk at directory position `i`
-        // covers spenders `i * CHUNK ..`. Find the last chunk whose first
-        // spender is within view; everything before it is fully visible.
-        let pos = dir.partition_point(|&c| self.chunks[c as usize].slots[0] <= observer);
-        if pos == 0 {
-            return 0;
-        }
-        straddling(&self.chunks[dir[pos - 1] as usize], (pos - 1) * CHUNK)
+        self.row_of(v.0).map_or(0, |(table, row)| {
+            let list = &self.rows[table].entries[row].spent;
+            self.overflow.seen_by(v.0, list, observer)
+        })
     }
 
     /// Iterates over all node ids ever inserted, in insertion
@@ -798,12 +685,13 @@ impl TanGraph {
     }
 
     /// Bytes of heap owned by the adjacency arenas — the window rows and
-    /// their input pool, the survivor table, and the spender chunks,
-    /// free ones included (diagnostics for the perf baseline's memory
-    /// gate; excludes the `TxId` index and the hub chunk directory).
+    /// their input pool, the survivor table, and the overflow spender
+    /// chunks, free ones included (the benchmark's
+    /// `tan.arena_bytes_per_live_tx`; excludes the `TxId` index and the
+    /// hub chunk directory).
     pub fn arena_bytes(&self) -> usize {
         self.rows.iter().map(Rows::bytes).sum::<usize>()
-            + self.chunks.capacity() * std::mem::size_of::<SpenderChunk>()
+            + self.overflow.bytes()
             + self.retained.capacity() * std::mem::size_of::<u32>()
     }
 
@@ -818,8 +706,12 @@ impl TanGraph {
         if !self.is_live(u) {
             return 0;
         }
-        // Per-row fixed share: ids (TxId) + in_offsets + sp_head +
-        // sp_tail + in_counts + the TxId-index entry (~2 u64 slots).
+        // Per-row fixed share, as the rows were first laid out: txid +
+        // input offset + spender head, tail and count + a 16-byte index
+        // entry. Rows have since grown inline spender slots and an index
+        // slot shrank to 8 bytes; the figures stay because the
+        // rebalancer's migration counts (`core.rebalance.bytes_migrated`,
+        // `rebalance_golden`) are pinned to them.
         const NODE_BASE: usize = 8 + 4 + 4 + 4 + 4 + 16;
         NODE_BASE
             + self.out_degree(u) * std::mem::size_of::<NodeId>()
@@ -845,15 +737,16 @@ impl TanGraph {
         let window = (self.horizon..self.total).map(|id| (id, WINDOW, (id & mask) as usize));
         for (id, table, row) in kept.chain(window) {
             let rows = &self.rows[table];
+            let entry = &rows.entries[row];
             w.put_u32(id);
-            w.put_u64(rows.ids[row].0);
+            w.put_u64(entry.txid.0);
             let inputs = rows.inputs(row);
             w.put_u32(inputs.len() as u32);
             for p in inputs {
                 w.put_u32(p.0);
             }
-            w.put_u32(rows.spent[row].count);
-            for s in self.chain(rows.spent[row].head) {
+            w.put_u32(entry.spent.count());
+            for s in self.overflow.iter(id, &entry.spent) {
                 w.put_u32(s.0);
             }
         }
@@ -862,9 +755,16 @@ impl TanGraph {
     /// Decodes a graph written by [`TanGraph::encode_into`]: survivors
     /// into the survivor table, the window into a ring sized for it
     /// (or, on a never-evicted graph, `row = id`), spender lists
-    /// re-appended one by one so that every chunk but a node's last is
-    /// full — the invariant [`TanGraph::in_degree_at`]'s fast path
-    /// relies on.
+    /// re-appended one by one so that the inline slots and every chunk
+    /// but a node's last are full — the invariant
+    /// [`TanGraph::in_degree_at`]'s fast path relies on.
+    ///
+    /// Besides framing, a typed error rejects rows out of id order, a
+    /// duplicate txid, a live window with gaps, an input that is not an
+    /// earlier node, and a spender list that is not strictly increasing
+    /// over later nodes below the stream length — each of which would
+    /// otherwise install a graph whose historical degrees or `txid`
+    /// lookups are silently wrong or panic later.
     pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         if r.get_u8()? != TAN_CODEC_VERSION {
             return Err(CodecError("unsupported TaN codec version"));
@@ -912,17 +812,28 @@ impl TanGraph {
                 (WINDOW, (id & g.rows[WINDOW].mask) as usize)
             };
             let txid = TxId(r.get_u64()?);
-            if g.index.insert(txid, NodeId(id)).is_some() {
+            if !g.index_new(txid, NodeId(id)) {
                 return Err(CodecError("duplicate txid in TaN rows"));
             }
             inputs.clear();
             for _ in 0..r.get_u32()? {
-                inputs.push(NodeId(r.get_u32()?));
+                let input = r.get_u32()?;
+                if input >= id {
+                    return Err(CodecError("TaN input is not an earlier node"));
+                }
+                inputs.push(NodeId(input));
             }
             let lo = g.rows[table].in_pool.len();
-            g.rows[table].put(row, txid, lo, &inputs, UNSPENT);
+            g.rows[table].put(row, txid, lo, &inputs, SpenderList::UNSPENT);
+            let mut prev = id;
             for _ in 0..r.get_u32()? {
-                g.push_spender(NodeId(id), NodeId(r.get_u32()?));
+                let spender = r.get_u32()?;
+                if spender <= prev || spender >= total {
+                    return Err(CodecError("TaN spenders must be increasing later nodes"));
+                }
+                prev = spender;
+                let list = &mut g.rows[table].entries[row].spent;
+                g.overflow.push(id, list, NodeId(spender));
             }
         }
         if expected_dense != total {
@@ -935,35 +846,10 @@ impl TanGraph {
 /// Wire-format version of [`TanGraph::encode_into`].
 const TAN_CODEC_VERSION: u8 = 1;
 
-/// Iterator over a node's spenders (see [`TanGraph::spenders`]).
-#[derive(Debug, Clone)]
-pub struct Spenders<'a> {
-    graph: &'a TanGraph,
-    chunk: u32,
-    slot: u32,
-}
-
-impl Iterator for Spenders<'_> {
-    type Item = NodeId;
-
-    fn next(&mut self) -> Option<NodeId> {
-        while self.chunk != NONE {
-            let chunk = &self.graph.chunks[self.chunk as usize];
-            if self.slot < chunk.len {
-                let item = chunk.slots[self.slot as usize];
-                self.slot += 1;
-                return Some(item);
-            }
-            self.chunk = chunk.next;
-            self.slot = 0;
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spenders::CHUNK;
 
     fn spenders_vec(g: &TanGraph, v: NodeId) -> Vec<NodeId> {
         g.spenders(v).collect()
@@ -1390,11 +1276,11 @@ mod tests {
         let mut g = TanGraph::with_retention(RetentionPolicy::WindowTxs(8));
         chain(&mut g, 40);
         g.evict_before(32);
-        assert!(g.live_len() < g.rows[WINDOW].ids.len());
+        assert!(g.live_len() < g.rows[WINDOW].entries.len());
         let back = roundtrip(&g);
         assert_same_graph(&g, &back);
         // The decoded window is a ring sized for the live rows alone.
-        assert_eq!(back.rows[WINDOW].ids.len(), 16);
+        assert_eq!(back.rows[WINDOW].entries.len(), 16);
     }
 
     #[test]

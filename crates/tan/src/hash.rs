@@ -1,6 +1,6 @@
-//! Fast non-cryptographic hashing for the `TxId → NodeId` index.
+//! Fast non-cryptographic hashing of transaction ids and other integers.
 //!
-//! The default `HashMap` hasher (SipHash-1-3) is keyed and DoS-resistant
+//! SipHash-1-3, the default `HashMap` hasher, is keyed and DoS-resistant
 //! but costs ~1–2 ns per lookup even for a single `u64` — pure overhead
 //! on the placement hot path, where every inserted transaction performs
 //! one insert plus one lookup per input. Transaction ids in this
@@ -8,10 +8,12 @@
 //! attacker-chosen strings, so a statistically strong integer mixer is
 //! the right trade-off.
 //!
-//! [`splitmix64`] (public-domain finalizer from Vigna's SplitMix64) was
-//! previously private to `optchain-core`'s hash placer; it is promoted
-//! here so the graph index, the placer, and deterministic seed
-//! derivation all share one mixer.
+//! [`splitmix64`] (public-domain finalizer from Vigna's SplitMix64) is
+//! the one mixer: the graph's [`TxIndex`](crate::TxIndex) takes an id's
+//! tag and home slot from it, and `optchain-core`'s hash placer and
+//! deterministic seed derivation use it too. [`TxIdBuildHasher`] plugs
+//! it into the std maps keyed by integers — the graph's hub chunk
+//! directory and the server's duplicate guard.
 
 use std::hash::{BuildHasher, Hasher};
 

@@ -42,18 +42,23 @@
 //! # Storage
 //!
 //! Adjacency is flattened for the placement hot path: inputs live in one
-//! CSR-style contiguous pool (immutable per node), spender lists in an
-//! append-friendly chunk arena, and the `TxId → NodeId` index uses the
-//! SplitMix64 hasher from [`hash`]. See PERF.md for the layout rationale
-//! and measurements.
+//! CSR-style contiguous pool (immutable per node), a node's first two
+//! spenders in its own row and the rest in an append-friendly chunk
+//! arena, and the `TxId → NodeId` index is the 8-byte-slot
+//! [`TxIndex`] from [`index`]. See PERF.md for the layout rationale and
+//! measurements.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod graph;
 pub mod hash;
+pub mod index;
 mod retain;
+mod spenders;
 pub mod stats;
 
-pub use graph::{NodeId, Spenders, TanGraph};
+pub use graph::{NodeId, TanGraph};
+pub use index::TxIndex;
 pub use retain::{Cell, RetentionPolicy, WindowedRows};
+pub use spenders::Spenders;

@@ -247,8 +247,15 @@ fn decoded(bytes: &[u8]) -> TanGraph {
     g
 }
 
+/// In-degrees either side of a spender list's storage boundaries: its
+/// two inline slots, then six-slot overflow chunks.
+const STRADDLE: [usize; 5] = [2, 3, 8, 9, 14];
+
 /// Every observable of `g` against the model, over the whole id space.
-fn check_against_model(g: &TanGraph, m: &Model, rng: &mut Rng) -> Result<(), TestCaseError> {
+/// Returns a mask of the [`STRADDLE`] in-degrees whose historical
+/// `in_degree_at` was checked at every cut of the spender list.
+fn check_against_model(g: &TanGraph, m: &Model, rng: &mut Rng) -> Result<u32, TestCaseError> {
+    let mut straddled = 0;
     prop_assert_eq!(g.len(), m.total as usize);
     prop_assert_eq!(g.horizon(), m.horizon);
     prop_assert_eq!(g.live_len(), m.live.len());
@@ -281,6 +288,14 @@ fn check_against_model(g: &TanGraph, m: &Model, rng: &mut Rng) -> Result<(), Tes
                     let seen = node.spenders.iter().filter(|s| s.0 <= obs).count();
                     prop_assert_eq!(g.in_degree_at(n, NodeId(obs)), seen, "{n} at {obs}");
                 }
+                if let Some(i) = STRADDLE.iter().position(|&d| d == node.spenders.len()) {
+                    // Just before and at every spender's arrival.
+                    for (before, s) in node.spenders.iter().enumerate() {
+                        prop_assert_eq!(g.in_degree_at(n, NodeId(s.0 - 1)), before);
+                        prop_assert_eq!(g.in_degree_at(n, *s), before + 1, "{n} at {s}");
+                    }
+                    straddled |= 1 << i;
+                }
             }
             None => {
                 prop_assert!(!g.is_live(n), "{n} must not be live");
@@ -296,7 +311,7 @@ fn check_against_model(g: &TanGraph, m: &Model, rng: &mut Rng) -> Result<(), Tes
         encoded(&decoded(&bytes)) == bytes,
         "decode → re-encode changed bytes"
     );
-    Ok(())
+    Ok(straddled)
 }
 
 fn policy_of(pick: u64) -> RetentionPolicy {
@@ -309,6 +324,51 @@ fn policy_of(pick: u64) -> RetentionPolicy {
     }
 }
 
+/// One random stream of `steps` transactions against the model (see
+/// `retention_matches_the_naive_model`). Now and then one recent node is
+/// spent on every step until its in-degree reaches a [`STRADDLE`] value.
+/// Returns the mask of straddling in-degrees checked.
+fn against_the_model(seed: u64, steps: usize) -> Result<u32, TestCaseError> {
+    let mut rng = Rng(seed);
+    let policy = policy_of(rng.next());
+    let mut g = TanGraph::with_retention(policy);
+    let mut m = Model::new(policy);
+    let (mut pumped, mut straddled) = (None, 0);
+    for _ in 0..steps {
+        let mut parents = random_parents(&mut rng, m.total);
+        match pumped {
+            Some((id, target)) if m.live.get(&id).is_some_and(|n| n.spenders.len() < target) => {
+                parents.push(txid_of(id));
+            }
+            _ if m.total > 0 && rng.below(6) == 0 => {
+                let id = m.total - 1 - rng.below(m.total.min(4) as u64) as u32;
+                pumped = Some((id, STRADDLE[rng.below(5) as usize]));
+            }
+            _ => pumped = None,
+        }
+        let node = g.insert(txid_of(m.total), &parents);
+        prop_assert_eq!(node, NodeId(m.total));
+        m.insert(txid_of(m.total), &parents);
+        let horizon = match rng.below(12) {
+            0..=3 => Some(m.total.saturating_sub(1 + rng.below(48) as u32)),
+            4 => Some(rng.below(m.total as u64 + 3) as u32),
+            5 => Some(m.total),
+            _ => None,
+        };
+        if let Some(h) = horizon {
+            g.evict_before(h);
+            m.evict_before(h);
+        }
+        match rng.below(40) {
+            0 => g.compact(),
+            1 => g = decoded(&encoded(&g)),
+            _ => {}
+        }
+        straddled |= check_against_model(&g, &m, &mut rng)?;
+    }
+    Ok(straddled)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -319,32 +379,131 @@ proptest! {
     /// may be observable.
     #[test]
     fn retention_matches_the_naive_model(seed in 0u64..u64::MAX, steps in 60usize..320) {
-        let mut rng = Rng(seed);
-        let policy = policy_of(rng.next());
-        let mut g = TanGraph::with_retention(policy);
-        let mut m = Model::new(policy);
-        for _ in 0..steps {
-            let parents = random_parents(&mut rng, m.total);
-            let node = g.insert(txid_of(m.total), &parents);
-            prop_assert_eq!(node, NodeId(m.total));
-            m.insert(txid_of(m.total), &parents);
-            let horizon = match rng.below(12) {
-                0..=3 => Some(m.total.saturating_sub(1 + rng.below(48) as u32)),
-                4 => Some(rng.below(m.total as u64 + 3) as u32),
-                5 => Some(m.total),
-                _ => None,
-            };
-            if let Some(h) = horizon {
-                g.evict_before(h);
-                m.evict_before(h);
-            }
-            match rng.below(40) {
-                0 => g.compact(),
-                1 => g = decoded(&encoded(&g)),
-                _ => {}
-            }
-            check_against_model(&g, &m, &mut rng)?;
+        against_the_model(seed, steps)?;
+    }
+}
+
+/// The model streams do reach every in-degree either side of the inline
+/// slots and the first two overflow chunks.
+#[test]
+fn model_streams_straddle_every_spender_boundary() {
+    let straddled = (0..16u64).fold(0, |mask, seed| {
+        mask | against_the_model(seed, 320).expect("graph matches the model")
+    });
+    assert_eq!(straddled, (1 << STRADDLE.len()) - 1, "mask {straddled:#b}");
+}
+
+/// A graph of `steps` random transactions under `policy`, evicted at a
+/// 24-tx lag unless the policy is unbounded.
+fn random_graph(rng: &mut Rng, policy: RetentionPolicy, steps: u32) -> TanGraph {
+    let mut g = TanGraph::with_retention(policy);
+    for i in 0..steps {
+        g.insert(txid_of(i), &random_parents(rng, i));
+        if policy != RetentionPolicy::Unbounded {
+            g.evict_before((i + 1).saturating_sub(24));
         }
+    }
+    g
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Every single-byte flip of an encoding, under each policy, either
+    /// decodes to a graph that re-encodes to exactly the flipped bytes
+    /// and serves every accessor, or fails typed. Never a panic.
+    #[test]
+    fn byte_flips_decode_faithfully_or_fail_typed(seed in 0u64..u64::MAX) {
+        let mut rng = Rng(seed);
+        for pick in 0..3 {
+            let policy = policy_of(3 * rng.below(9) + pick);
+            let bytes = encoded(&random_graph(&mut rng, policy, 90));
+            let mut faithful = 0;
+            for at in 0..bytes.len() {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= 1 + rng.below(255) as u8;
+                let mut r = ByteReader::new(&flipped);
+                let Ok(mut g) = TanGraph::decode_from(&mut r) else { continue };
+                if r.finish().is_err() {
+                    continue;
+                }
+                faithful += 1;
+                prop_assert!(encoded(&g) == flipped, "{policy:?}: flip at {at} re-encodes differently");
+                let last = NodeId(g.len() as u32 - 1);
+                for n in g.live_nodes().collect::<Vec<_>>() {
+                    g.txid(n);
+                    prop_assert!(g.inputs(n).iter().all(|&p| p < n));
+                    let spenders: Vec<NodeId> = g.spenders(n).collect();
+                    prop_assert_eq!(g.in_degree_at(n, last), spenders.len());
+                    for (before, s) in spenders.iter().enumerate() {
+                        prop_assert_eq!(g.in_degree_at(n, NodeId(s.0 - 1)), before);
+                    }
+                }
+                g.insert(TxId(u64::MAX / 3), &[txid_of(0), txid_of(g.len() as u32 - 1)]);
+            }
+            // Flipped txids and counters decode: the faithful arm runs.
+            prop_assert!(faithful > 0, "{policy:?}: no flip decoded");
+        }
+    }
+}
+
+/// Three rows' `(inputs, spenders)`.
+type ThreeRows<'a> = [(&'a [u32], &'a [u32]); 3];
+
+/// The encoding of an unbounded three-node graph with `rows`, written
+/// field by field.
+fn three_rows(rows: ThreeRows) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.put_u8(encoded(&TanGraph::new())[0]); // codec version
+    RetentionPolicy::Unbounded.encode_into(&mut w);
+    w.put_u32(3); // total
+    w.put_u32(0); // horizon
+    w.put_u64(2); // edges
+    w.put_u64(0); // missing parent references
+    w.put_u64(3); // rows
+    for (id, (inputs, spenders)) in rows.into_iter().enumerate() {
+        w.put_u32(id as u32);
+        w.put_u64(txid_of(id as u32).0);
+        for list in [inputs, spenders] {
+            w.put_u32(list.len() as u32);
+            list.iter().for_each(|&n| w.put_u32(n));
+        }
+    }
+    w.into_vec()
+}
+
+/// A CRC-valid checkpoint can still name impossible edges. An input
+/// that is not an earlier node breaks `in_degree_at`'s binary search
+/// silently; a spender out of order, not later than its node, or past
+/// the stream panics in `txid()` later. Each fails typed instead.
+#[test]
+fn decode_rejects_forward_inputs_and_disordered_spenders() {
+    let chain = three_rows([(&[], &[1]), (&[0], &[2]), (&[1], &[])]);
+    assert_eq!(encoded(&decoded(&chain)), chain);
+    let bad: [(&str, ThreeRows); 6] = [
+        ("self input", [(&[], &[1]), (&[1], &[2]), (&[1], &[])]),
+        ("later input", [(&[], &[1]), (&[2], &[2]), (&[1], &[])]),
+        (
+            "spenders out of order",
+            [(&[], &[2, 1]), (&[0], &[2]), (&[1], &[])],
+        ),
+        (
+            "repeated spender",
+            [(&[], &[1, 1]), (&[0], &[2]), (&[1], &[])],
+        ),
+        (
+            "spender not later",
+            [(&[], &[1]), (&[0], &[1]), (&[1], &[])],
+        ),
+        (
+            "spender past the stream",
+            [(&[], &[1]), (&[0], &[3]), (&[1], &[])],
+        ),
+    ];
+    for (what, rows) in bad {
+        let bytes = three_rows(rows);
+        let err = TanGraph::decode_from(&mut ByteReader::new(&bytes));
+        assert!(err.is_err(), "{what} must not decode");
     }
 }
 

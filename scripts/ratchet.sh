@@ -16,15 +16,18 @@
 # Submit tag reappearing beside the snapshot + WAL-tail recovery, on a
 # second window (the wallet type, the score-only engine constructor and
 # builder knob) or a second statement of the survivor rule reappearing
-# beside RetentionPolicy / WindowedRows, and on crates/core, crates/bench
-# or crates/tan/src/graph.rs outgrowing its ceiling.
+# beside RetentionPolicy / WindowedRows, on a second TxId index (a
+# `HashMap<TxId, ...>`) beside TxIndex under crates/tan/src, and on
+# crates/core, crates/bench or crates/tan/src/graph.rs outgrowing its
+# ceiling.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Lower this when a PR shrinks crates/core; never raise it to fit one.
 core_ceiling=11411
-# New graph tests live under crates/tan/tests/.
-graph_ceiling=1459
+# New graph tests live under crates/tan/tests/; the TxId index lives in
+# crates/tan/src/index.rs, spender storage in crates/tan/src/spenders.rs.
+graph_ceiling=1345
 # Experiment bins, the naive oracle and the five remaining criterion
 # benches; what measures the system lives under benchmark/.
 bench_ceiling=2300
@@ -79,6 +82,10 @@ rule='== 0 \|\| .* >= \*?min_degree'
 if grep -rnE "$rule" crates/*/src | grep -v '^crates/tan/src/retain.rs:' ||
     [ "$(grep -cE "$rule" crates/tan/src/retain.rs)" -ne 1 ]; then
     echo "ratchet: the survivor rule is written somewhere other than RetentionPolicy::keeps" >&2
+    fail=1
+fi
+if grep -rn 'HashMap<TxId' crates/tan/src; then
+    echo "ratchet: a second TxId index under crates/tan/src; TxIndex is the one" >&2
     fail=1
 fi
 graph_lines=$(wc -l < crates/tan/src/graph.rs)
