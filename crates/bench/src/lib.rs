@@ -1,10 +1,12 @@
 //! Experiment harness for the OptChain reproduction.
 //!
-//! One binary per table/figure of the paper (run with
-//! `cargo run --release -p optchain-bench --bin <name>`):
+//! One binary, `reproduce`, renders every table and figure of the paper
+//! plus this reproduction's ablations and extensions
+//! (`cargo run --release -p optchain-bench --bin reproduce -- <name|all>`).
+//! The names are the rows of [`figures::FIGURES`]:
 //!
-//! | binary | reproduces |
-//! |--------|------------|
+//! | name | reproduces |
+//! |------|------------|
 //! | `table1` | Table I — % cross-TXs from scratch |
 //! | `table2` | Table II — cross-TXs from a warm-started system |
 //! | `fig2`   | Fig 2 — TaN degree statistics |
@@ -21,12 +23,16 @@
 //! | `ablation_weight` | L2S weight sweep around the paper's 0.01 |
 //! | `ablation_l2s` | self-convolution vs verify+commit L2S |
 //! | `ablation_telemetry` | quantized vs raw telemetry fidelity |
-//! | `ablation_window` | retention window (the wallet deployment) |
+//! | `ablation_window` | retention window (bounded router state) |
 //! | `ext_rapidchain` | OmniLedger lock vs RapidChain yank protocol |
+//! | `ext_failures` | leader failures and view changes |
+//! | `ext_streaming` | LDG / Fennel streaming-partitioning baselines |
 //!
-//! Every binary accepts `--txs N`, `--seed N` and `--full` (paper-scale
-//! stream lengths); see [`Opts`]. `rebalance_curve` sweeps the
-//! rebalancer's migration budget (PERF.md §9) and gates itself.
+//! `reproduce` accepts `--txs N`, `--seed N`, `--horizon S` and `--full`
+//! (paper-scale stream lengths); see [`Opts`]. Every table is pinned at
+//! `--txs 20000 --horizon 1` under `crates/bench/golden/`
+//! (`tests/golden.rs`). `rebalance_curve` sweeps the rebalancer's
+//! migration budget (PERF.md §9) and gates itself.
 //!
 //! This crate reproduces the paper; it does not measure the system.
 //! Throughput, latency, memory and per-layer cost are measured by the
@@ -37,86 +43,65 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod figures;
 pub mod naive;
 
+use std::collections::HashMap;
+use std::str::FromStr;
 use std::sync::Mutex;
 
 use optchain_sim::{SimConfig, SimMetrics, Simulation, Strategy};
 use optchain_utxo::Transaction;
 use optchain_workload::{WorkloadConfig, WorkloadGenerator};
 
-/// Command-line options shared by every experiment binary.
-#[derive(Debug, Clone)]
+/// Command-line options shared by every table and figure.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Opts {
     /// Stream length for replay-style experiments.
     pub txs: u64,
-    /// Stream length for DES runs (smaller: each transaction costs
-    /// several simulated messages).
-    pub sim_txs: u64,
     /// Simulated injection horizon for rate-driven figures, seconds: a
     /// cell at rate `r` receives `r × horizon` transactions so queueing
     /// dynamics have time to develop.
     pub horizon_s: f64,
     /// Workload seed.
     pub seed: u64,
-    /// Paper-scale mode.
-    pub full: bool,
 }
 
 impl Opts {
-    /// Parses `std::env::args`. Unknown flags abort with usage help.
-    pub fn parse() -> Self {
-        let mut opts = Opts {
-            txs: 200_000,
-            sim_txs: 60_000,
-            horizon_s: 60.0,
-            seed: 0xB17C04,
-            full: false,
-        };
-        let mut args = std::env::args().skip(1);
+    /// Parses `--txs N`, `--seed N`, `--horizon S` and `--full` (paper
+    /// scale: 2M txs, a 300 s horizon). An explicit `--txs` or
+    /// `--horizon` wins over `--full` wherever it appears.
+    ///
+    /// # Errors
+    ///
+    /// An unknown flag or a missing or malformed value.
+    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
+        fn value<T: FromStr>(flag: &str, v: Option<String>) -> Result<T, String> {
+            v.and_then(|v| v.parse().ok())
+                .ok_or_else(|| format!("{flag} needs a number"))
+        }
+        let (mut txs, mut horizon_s, mut full, mut seed) = (None, None, false, 0xB17C04);
+        let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             match arg.as_str() {
-                "--txs" => {
-                    opts.txs = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--txs needs a number"));
-                    opts.sim_txs = opts.txs;
-                }
-                "--seed" => {
-                    opts.seed = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--seed needs a number"));
-                }
-                "--full" => {
-                    opts.full = true;
-                    opts.txs = 2_000_000;
-                    opts.sim_txs = 400_000;
-                    opts.horizon_s = 300.0;
-                }
-                "--horizon" => {
-                    opts.horizon_s = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--horizon needs seconds"));
-                }
-                other => usage(&format!("unknown flag {other}")),
+                "--txs" => txs = Some(value(&arg, args.next())?),
+                "--seed" => seed = value(&arg, args.next())?,
+                "--horizon" => horizon_s = Some(value(&arg, args.next())?),
+                "--full" => full = true,
+                other => return Err(format!("unknown flag {other}")),
             }
         }
-        opts
+        Ok(Opts {
+            txs: txs.unwrap_or(if full { 2_000_000 } else { 200_000 }),
+            horizon_s: horizon_s.unwrap_or(if full { 300.0 } else { 60.0 }),
+            seed,
+        })
     }
-}
-
-fn usage(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!("usage: <bin> [--txs N] [--seed N] [--horizon S] [--full]");
-    std::process::exit(2)
 }
 
 /// Generates the shared Bitcoin-like stream every strategy is compared
 /// on (identical streams per the paper's methodology).
-pub fn shared_workload(n: u64, seed: u64) -> Vec<Transaction> {
+pub(crate) fn shared_workload(n: u64, seed: u64) -> Vec<Transaction> {
     WorkloadGenerator::new(WorkloadConfig::bitcoin_like().with_seed(seed))
         .take(n as usize)
         .collect()
@@ -124,7 +109,7 @@ pub fn shared_workload(n: u64, seed: u64) -> Vec<Transaction> {
 
 /// A paper-configured [`SimConfig`] scaled to `total_txs` at `tx_rate`,
 /// with the commit window scaled so runs produce ~20 windows.
-pub fn sim_config(n_shards: u32, tx_rate: f64, total_txs: u64, seed: u64) -> SimConfig {
+pub(crate) fn sim_config(n_shards: u32, tx_rate: f64, total_txs: u64, seed: u64) -> SimConfig {
     let mut config = SimConfig::paper();
     config.n_shards = n_shards;
     config.tx_rate = tx_rate;
@@ -140,37 +125,18 @@ pub fn sim_config(n_shards: u32, tx_rate: f64, total_txs: u64, seed: u64) -> Sim
 
 /// Stream length for a rate-driven simulation cell: `rate × horizon`,
 /// clamped to keep single runs laptop-sized.
-pub fn cell_txs(rate: f64, opts: &Opts) -> u64 {
+pub(crate) fn cell_txs(rate: f64, opts: &Opts) -> u64 {
     ((rate * opts.horizon_s) as u64).clamp(20_000, 3_000_000)
-}
-
-/// Runs one `(shards, rate, strategy)` cell on a shared stream.
-///
-/// # Panics
-///
-/// Panics if the simulation rejects the configuration — experiment
-/// binaries construct only valid configs.
-pub fn run_cell(
-    shards: u32,
-    rate: f64,
-    strategy: Strategy,
-    txs: &[Transaction],
-    seed: u64,
-) -> SimMetrics {
-    let config = sim_config(shards, rate, txs.len() as u64, seed);
-    Simulation::run_on(config, strategy, txs).expect("experiment config is valid")
 }
 
 /// Maps `run` over `jobs` across the configured worker count
 /// (work-stealing via a shared cursor), preserving input order in the
-/// output. This is the generic fan-out primitive behind
-/// [`parallel_runs`] and [`run_grid`]; the registry `rayon` crate is
-/// unavailable offline, so the pool is built on `std::thread::scope`.
-/// The pool size defaults to all CPUs and is pinned with the
-/// `OPTCHAIN_THREADS` environment variable
+/// output. The registry `rayon` crate is unavailable offline, so the
+/// pool is built on `std::thread::scope`. The pool size defaults to all
+/// CPUs and is pinned with the `OPTCHAIN_THREADS` environment variable
 /// ([`optchain_core::configured_threads`] — shared with
 /// [`optchain_core::RouterFleet`]'s default worker count).
-pub fn par_map<J, R, F>(jobs: &[J], run: F) -> Vec<R>
+pub(crate) fn par_map<J, R, F>(jobs: &[J], run: F) -> Vec<R>
 where
     J: Sync,
     R: Send,
@@ -199,47 +165,15 @@ where
     results.into_iter().map(|(_, m)| m).collect()
 }
 
-/// Runs `jobs` across all CPUs, preserving input order in the output.
-pub fn parallel_runs<J, R, F>(jobs: Vec<J>, run: F) -> Vec<R>
-where
-    J: Send + Sync,
-    R: Send,
-    F: Fn(&J) -> R + Send + Sync,
-{
-    par_map(&jobs, run)
-}
-
-/// One cell of an experiment grid: a strategy at `(shards, rate)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RunSpec {
-    /// Placement strategy driven in this cell.
-    pub strategy: Strategy,
-    /// Number of shards.
-    pub shards: u32,
-    /// Offered transaction rate (tps).
-    pub rate: f64,
-}
-
-impl RunSpec {
-    /// Builds a cell.
-    pub fn new(strategy: Strategy, shards: u32, rate: f64) -> Self {
-        RunSpec {
-            strategy,
-            shards,
-            rate,
-        }
-    }
-}
-
 /// Deterministic per-cell simulation seed: mixes the base seed with the
 /// cell's coordinates, so a run's RNG stream depends only on *what* the
 /// cell is — never on scheduling order, worker count, or how many other
 /// cells a grid contains. The strategy is deliberately **not** mixed in:
 /// strategies compared at the same `(shards, rate)` must share network
 /// and consensus randomness, as the paper's methodology requires.
-/// [`sim_config`] applies this to every experiment config, so the same
-/// cell produces the same numbers in every figure binary.
-pub fn derive_seed(base: u64, shards: u32, rate: f64) -> u64 {
+/// [`sim_config`] applies this to every experiment config, which is what
+/// lets [`Lab`] simulate a cell once for every figure that shows it.
+pub(crate) fn derive_seed(base: u64, shards: u32, rate: f64) -> u64 {
     use optchain_tan::hash::splitmix64;
     let mut s = splitmix64(base);
     s = splitmix64(s ^ shards as u64);
@@ -247,24 +181,81 @@ pub fn derive_seed(base: u64, shards: u32, rate: f64) -> u64 {
     s
 }
 
-/// Fans a grid of `(strategy × shards × rate)` cells out across all
-/// cores against one shared stream, with deterministic per-cell RNG
-/// seeding ([`derive_seed`], via [`sim_config`]). Results match `specs`'
-/// order.
-///
-/// # Panics
-///
-/// Panics if a cell's configuration is invalid or the stream is shorter
-/// than the cell requires — experiment binaries construct valid grids.
-pub fn run_grid(specs: &[RunSpec], txs: &[Transaction], base_seed: u64) -> Vec<SimMetrics> {
-    par_map(specs, |spec| {
-        let config = sim_config(spec.shards, spec.rate, txs.len() as u64, base_seed);
-        Simulation::run_on(config, spec.strategy, txs).expect("experiment config is valid")
-    })
+/// What the tables and figures are rendered from: the options and a
+/// memo of simulator cells.
+pub struct Lab {
+    /// Options every table is rendered at.
+    pub opts: Opts,
+    /// `(shards, rate bits)` → one run per [`Strategy::figure_set`] entry.
+    cells: HashMap<(u32, u64), Vec<SimMetrics>>,
+}
+
+impl Lab {
+    /// A lab with nothing simulated yet.
+    pub fn new(opts: Opts) -> Self {
+        Lab {
+            opts,
+            cells: HashMap::new(),
+        }
+    }
+
+    /// The figure strategies' runs at `(shards, rate)`, in
+    /// [`Strategy::figure_set`] order, simulated first unless memoized.
+    pub(crate) fn cells(&mut self, shards: u32, rate: f64) -> &mut [SimMetrics] {
+        self.run_cells(rate, &[shards]);
+        self.cells
+            .get_mut(&(shards, rate.to_bits()))
+            .expect("run_cells memoized the cell")
+    }
+
+    /// Simulates every figure strategy at `rate` on each of `shards` not
+    /// yet memoized, in parallel over one stream of [`cell_txs`] transactions.
+    /// A cell's config depends only on its coordinates ([`sim_config`]),
+    /// so a memoized run is the one a fresh simulation would produce.
+    /// Latencies are sorted here, so `max_latency` / `fraction_within`
+    /// never reorder what another figure's `mean_latency` sums.
+    pub(crate) fn run_cells(&mut self, rate: f64, shards: &[u32]) {
+        let missing: Vec<u32> = shards
+            .iter()
+            .copied()
+            .filter(|&k| !self.cells.contains_key(&(k, rate.to_bits())))
+            .collect();
+        if missing.is_empty() {
+            return;
+        }
+        // Strategy-major, as the per-figure grids always ran: which runs
+        // share the cores at a time sets the peak memory, and shard-major
+        // pairs peaked ~5 % higher on fig 3.
+        let jobs: Vec<(Strategy, u32)> = Strategy::figure_set()
+            .iter()
+            .flat_map(|&s| missing.iter().map(move |&k| (s, k)))
+            .collect();
+        let (n, seed) = (cell_txs(rate, &self.opts), self.opts.seed);
+        let txs = shared_workload(n, seed);
+        let runs = par_map(&jobs, |&(strategy, k)| {
+            let config = sim_config(k, rate, n, seed);
+            let mut m =
+                Simulation::run_on(config, strategy, &txs).expect("experiment config is valid");
+            m.latencies.freeze();
+            m
+        });
+        let mut cells = vec![Vec::new(); missing.len()];
+        for (i, m) in runs.into_iter().enumerate() {
+            cells[i % missing.len()].push(m);
+        }
+        for (k, runs) in missing.into_iter().zip(cells) {
+            self.cells.insert((k, rate.to_bits()), runs);
+        }
+    }
+
+    /// Simulations run so far: four per memoized cell.
+    pub fn simulations(&self) -> usize {
+        self.cells.values().map(Vec::len).sum()
+    }
 }
 
 /// Formats a count with thousands separators for table cells.
-pub fn fmt_count(n: u64) -> String {
+pub(crate) fn fmt_count(n: u64) -> String {
     let s = n.to_string();
     let mut out = String::with_capacity(s.len() + s.len() / 3);
     for (i, c) in s.chars().enumerate() {
@@ -277,13 +268,37 @@ pub fn fmt_count(n: u64) -> String {
 }
 
 /// Percentage with two decimals, e.g. `9.28 %`.
-pub fn fmt_pct(fraction: f64) -> String {
+pub(crate) fn fmt_pct(fraction: f64) -> String {
     format!("{:.2} %", fraction * 100.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn opts(args: &str) -> Result<Opts, String> {
+        Opts::from_args(args.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn explicit_flags_win_over_full_in_any_order() {
+        let ok = |txs, horizon_s, seed| {
+            Ok(Opts {
+                txs,
+                horizon_s,
+                seed,
+            })
+        };
+        assert_eq!(opts(""), ok(200_000, 60.0, 0xB17C04));
+        assert_eq!(opts("--full"), ok(2_000_000, 300.0, 0xB17C04));
+        assert_eq!(opts("--horizon 5 --full"), ok(2_000_000, 5.0, 0xB17C04));
+        assert_eq!(opts("--full --horizon 5"), ok(2_000_000, 5.0, 0xB17C04));
+        assert_eq!(opts("--txs 20000 --full --seed 7"), ok(20_000, 300.0, 7));
+        assert_eq!(opts("--seed 7 --full --txs 20000"), ok(20_000, 300.0, 7));
+        assert_eq!(opts("--txs"), Err("--txs needs a number".into()));
+        assert_eq!(opts("--seed x"), Err("--seed needs a number".into()));
+        assert_eq!(opts("fig5"), Err("unknown flag fig5".into()));
+    }
 
     #[test]
     fn fmt_count_groups_digits() {
@@ -317,7 +332,7 @@ mod tests {
     #[test]
     fn sim_config_seeds_cells_consistently_across_callers() {
         // The same (shards, rate) cell must carry the same consensus seed
-        // no matter which figure binary builds it.
+        // no matter which figure builds it.
         let a = sim_config(8, 2_000.0, 10_000, 42);
         let b = sim_config(8, 2_000.0, 50_000, 42);
         assert_eq!(a.seed, b.seed);
@@ -326,34 +341,34 @@ mod tests {
 
     #[test]
     fn run_grid_is_deterministic_and_ordered() {
-        let txs = shared_workload(3_000, 7);
-        let specs = [
-            RunSpec::new(Strategy::OmniLedger, 2, 800.0),
-            RunSpec::new(Strategy::OmniLedger, 4, 800.0),
-        ];
-        let a = run_grid(&specs, &txs, 7);
-        let b = run_grid(&specs, &txs, 7);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a[0].per_shard_committed.len(), 2);
-        assert_eq!(a[1].per_shard_committed.len(), 4);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.committed, y.committed);
-            assert!((x.makespan_s - y.makespan_s).abs() < 1e-12);
+        // A grid run in one batch equals its cells run one at a time, and
+        // a memoized cell is never simulated twice.
+        let opts = Opts {
+            txs: 3_000,
+            horizon_s: 0.0,
+            seed: 7,
+        };
+        let (mut grid, mut single) = (Lab::new(opts), Lab::new(opts));
+        grid.run_cells(800.0, &[2, 4]);
+        assert_eq!(grid.simulations(), 8);
+        for k in [2u32, 4] {
+            let (a, b) = (grid.cells(k, 800.0), single.cells(k, 800.0));
+            for (x, y) in a.iter().zip(b.iter()) {
+                assert_eq!(x.strategy, y.strategy);
+                assert_eq!(x.per_shard_committed.len(), k as usize);
+                assert_eq!(x.committed, y.committed);
+                assert_eq!(x.makespan_s.to_bits(), y.makespan_s.to_bits());
+            }
         }
+        assert_eq!(grid.simulations(), 8);
     }
 
     #[test]
     fn parallel_runs_preserves_order() {
-        let txs = shared_workload(2_000, 7);
-        let jobs: Vec<u32> = vec![2, 4];
-        let results = parallel_runs(jobs, |k| {
-            let mut config = optchain_sim::SimConfig::small();
-            config.total_txs = 2_000;
-            config.n_shards = *k;
-            Simulation::run_on(config, Strategy::OmniLedger, &txs).unwrap()
-        });
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].per_shard_committed.len(), 2);
-        assert_eq!(results[1].per_shard_committed.len(), 4);
+        let jobs: Vec<u32> = (0..50).collect();
+        assert_eq!(
+            par_map(&jobs, |j| j * 2),
+            (0..50).map(|j| j * 2).collect::<Vec<_>>()
+        );
     }
 }

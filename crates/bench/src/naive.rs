@@ -29,20 +29,6 @@ fn input_shards(tan: &TanGraph, assignments: AssignmentView<'_>, node: NodeId) -
 }
 
 impl NaiveOptChainPlacer {
-    /// Naive-path OptChain with the paper's parameters (the components
-    /// [`optchain_core::OptChainPlacer::new`] uses).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn new(k: u32) -> Self {
-        Self::from_parts(
-            T2sEngine::new(k),
-            L2sEstimator::new(),
-            TemporalFitness::paper(),
-        )
-    }
-
     /// Naive-path OptChain from explicit components (mirrors
     /// [`optchain_core::OptChainPlacer::from_parts`]).
     pub fn from_parts(

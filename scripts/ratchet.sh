@@ -17,9 +17,10 @@
 # second window (the wallet type, the score-only engine constructor and
 # builder knob) or a second statement of the survivor rule reappearing
 # beside RetentionPolicy / WindowedRows, on a second TxId index (a
-# `HashMap<TxId, ...>`) beside TxIndex under crates/tan/src, and on
-# crates/core, crates/bench or crates/tan/src/graph.rs outgrowing its
-# ceiling.
+# `HashMap<TxId, ...>`) beside TxIndex under crates/tan/src, on a
+# per-figure binary beside `reproduce` (a table or figure is a row of
+# optchain_bench::figures::FIGURES), and on crates/core, crates/bench or
+# crates/tan/src/graph.rs outgrowing its ceiling.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,9 +29,10 @@ core_ceiling=11411
 # New graph tests live under crates/tan/tests/; the TxId index lives in
 # crates/tan/src/index.rs, spender storage in crates/tan/src/spenders.rs.
 graph_ceiling=1345
-# Experiment bins, the naive oracle and the five remaining criterion
-# benches; what measures the system lives under benchmark/.
-bench_ceiling=2300
+# The `reproduce` driver and its renderers, `rebalance_curve`, the naive
+# oracle and the four criterion benches; what measures the system lives
+# under benchmark/.
+bench_ceiling=1785
 
 rust_lines() { find "$1" -name '*.rs' -print0 | xargs -0 cat | wc -l; }
 
@@ -86,6 +88,13 @@ if grep -rnE "$rule" crates/*/src | grep -v '^crates/tan/src/retain.rs:' ||
 fi
 if grep -rn 'HashMap<TxId' crates/tan/src; then
     echo "ratchet: a second TxId index under crates/tan/src; TxIndex is the one" >&2
+    fail=1
+fi
+extra_bins=$(find crates/bench/src/bin -type f ! -path crates/bench/src/bin/reproduce.rs \
+    ! -path crates/bench/src/bin/rebalance_curve.rs)
+if [ -n "$extra_bins" ]; then
+    echo "$extra_bins"
+    echo "ratchet: a binary beside reproduce and rebalance_curve; add a row to figures::FIGURES instead" >&2
     fail=1
 fi
 graph_lines=$(wc -l < crates/tan/src/graph.rs)
