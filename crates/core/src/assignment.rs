@@ -10,11 +10,12 @@
 //!
 //! * **Unbounded** (the default) — a plain dense vector; `get` always
 //!   resolves. Bit-for-bit the old behavior.
-//! * **`WindowTxs(n)`** — a fixed ring of `n` entries. An assignment is
-//!   resolvable exactly while its node is live in the graph (the graph
-//!   eviction horizon and the ring trail the stream by the same `n`, in
-//!   lockstep with the T2S score ring), then reads degrade to `None` —
-//!   the same graceful degradation as a spend of an evicted output.
+//! * **`WindowTxs(n)`** — a ring that grows to `n` entries, then
+//!   recycles its slots. An assignment is resolvable exactly while its
+//!   node is live in the graph (the graph eviction horizon and the ring
+//!   trail the stream by the same `n`, in lockstep with the T2S score
+//!   ring), then reads degrade to `None` — the same graceful
+//!   degradation as a spend of an evicted output.
 //! * **`KeepUnspentAndHubs { min_degree }`** — the
 //!   [`RetentionPolicy::HUB_WINDOW`]-sized ring plus a sparse
 //!   **retained-survivor side table**: at the moment a ring slot wraps,
@@ -147,9 +148,9 @@ impl AssignmentStore {
         self.rows.push_in(tan)[0] = shard;
     }
 
-    /// Releases excess capacity (checkpoint-time shrink; the ring is
-    /// fixed-size, so only the unbounded vector and the survivor table
-    /// have slack to give back).
+    /// Releases excess capacity (checkpoint-time shrink; a full ring has
+    /// none, a warming ring, the unbounded vector and the survivor table
+    /// may).
     pub fn compact(&mut self) {
         self.rows.compact();
     }
@@ -361,11 +362,11 @@ mod tests {
     #[test]
     fn codec_rejects_dense_length_mismatch() {
         let mut store = AssignmentStore::with_retention(RetentionPolicy::WindowTxs(4));
-        store.push(9);
+        (0..4).for_each(|shard| store.push(shard));
         let mut w = ByteWriter::new();
         store.encode_into(&mut w);
         let mut buf = w.into_vec();
-        // Shrink the claimed window without touching the dense run.
+        // Shrink a full ring's claimed window without touching its cells.
         buf[8] = 3;
         let mut r = ByteReader::new(&buf);
         assert!(AssignmentStore::decode_from(&mut r).is_err());

@@ -31,16 +31,9 @@ use optchain_tan::RetentionPolicy;
 /// leading byte fails recovery with a typed `InvalidData`.
 pub(crate) const META_VERSION: u8 = 3;
 
-/// Checkpoint body format version (the first byte of the decompressed
-/// full-snapshot body, `crate::snapshot`).
-pub(crate) const CHECKPOINT_VERSION: u8 = 2;
-
-/// Checkpoint envelope version: the byte is followed by `zrle(body)`.
-/// What compression buys depends on how warm the window is — measured
-/// on the benchmark's `durable_window` node, the first snapshot (a
-/// quarter-full window, empty ring slots) goes 7.68 → 2.37 MB and a
-/// steady-state one 10.3 → 9.75 MB.
-pub(crate) const CHECKPOINT_ZRLE_VERSION: u8 = 2;
+/// Checkpoint format version: the first byte of `checkpoint.bin`, which
+/// is the snapshot body itself (`crate::snapshot`).
+pub(crate) const CHECKPOINT_VERSION: u8 = 3;
 
 /// Default journaled entries before a journal's first snapshot (flush
 /// + snapshot + segment GC).
@@ -429,6 +422,7 @@ mod tests {
             spec(|s| s.epsilon = -0.5),
             spec(|s| s.epsilon = f64::INFINITY),
             spec(|s| s.expected_total = Some(1 << 60)),
+            spec(|s| s.retention = RetentionPolicy::WindowTxs(1 << 62)),
             spec(|s| s.shards = Some(0)),
             spec(|s| s.flush_every = 0),
         ];
@@ -449,6 +443,18 @@ mod tests {
         storage.put_meta(&meta).unwrap();
         let recovered = crate::Router::recover(Box::new(storage)).unwrap();
         assert!(recovered.tan().arena_bytes() < 1 << 20);
+        // Nor does the largest window, built or restored: rings grow.
+        let storage = optchain_storage::SharedStorage::new(MemStorage::new());
+        let mut router = crate::Router::builder()
+            .shards(4)
+            .retention(RetentionPolicy::WindowTxs(u32::MAX as usize))
+            .storage(Box::new(storage.clone()))
+            .build();
+        router.submit(TxId(1), &[]).unwrap();
+        router.checkpoint_now().unwrap();
+        let recovered = crate::Router::recover(Box::new(storage)).unwrap();
+        assert_eq!(recovered.assignments(), router.assignments());
+        assert!(recovered.assignments().state_bytes() < 1 << 10);
     }
 
     #[test]

@@ -98,8 +98,6 @@ mod rebalance;
 pub mod replay;
 mod router;
 mod snapshot;
-#[cfg(test)]
-mod spv;
 mod strategy;
 mod streaming;
 mod t2s;

@@ -159,9 +159,12 @@ impl RouterSpec {
         if self.retention.graph_window() == Some(0) {
             return Err("a retention window must be positive");
         }
-        // Node ids are `u32`: no stream is longer than that.
+        // Node ids are `u32`: no stream, and so no window, is longer.
         if self.expected_total.is_some_and(|n| n > u64::from(u32::MAX)) {
             return Err("expected_total exceeds the u32 node-id space");
+        }
+        if self.retention.graph_window() > Some(u32::MAX as usize) {
+            return Err("a retention window exceeds the u32 node-id space");
         }
         match &self.oracle {
             None if self.strategy == Strategy::Metis => {
@@ -645,11 +648,11 @@ impl Journal {
     }
 }
 
-/// Least capacity of a snapshot buffer. Untouched capacity is address
+/// Least capacity of the snapshot buffer. Untouched capacity is address
 /// space, not memory, and above 32 MiB glibc always maps an allocation
 /// and unmaps it on drop; below, freeing one mapped block makes the next
 /// of its size come from the heap, which stays resident (a 10 MB body
-/// and blob held 20 MB of RSS from the second snapshot on).
+/// would hold 10 MB of RSS from the second snapshot on).
 const SNAPSHOT_RESERVE: usize = 33 << 20;
 
 /// Lifetime snapshot counters of a durable router, surfaced by
@@ -713,9 +716,9 @@ impl Router {
     /// node in place, at once, under a retention policy. This only
     /// re-fits the graph's window ring to the rows it holds and drops
     /// every arena's growth headroom; the assignment store shrinks
-    /// alongside (its ring is fixed-size; only the retained-survivor
-    /// table and unbounded histories hold slack). Decisions are
-    /// unaffected: node ids are stable and the horizon does not move.
+    /// alongside (a full ring has no slack; a warming one, the
+    /// retained-survivor table and unbounded histories do). Decisions
+    /// are unaffected: node ids are stable and the horizon does not move.
     pub fn compact(&mut self) {
         self.tan.compact();
         self.placer.compact_assignments();
@@ -1243,27 +1246,19 @@ impl Router {
         journal.storage.flush()?;
         journal.unflushed = 0;
         let upto = journal.storage.next_seq();
-        // Both buffers are sized once and dropped after the install:
-        // the body from the previous body's length (consecutive
-        // snapshots of a warm window differ by little), the blob from
-        // the bound on zrle's output. The blob stays zrle-packed: the
-        // saving shrinks as the window warms (7.68 → 2.37 MB for
-        // `durable_window`'s first snapshot, 10.3 → 9.75 MB in steady
-        // state).
+        // The blob is the body, in one buffer sized from the previous
+        // body's length (consecutive snapshots of a warm window differ
+        // by little) and dropped after the install.
         let hint = journal.body_len;
         let mut body = ByteWriter::with_capacity(SNAPSHOT_RESERVE.max(hint + hint / 8));
         self.parts().encode_into(&mut body);
-        let bound = 1 + optchain_storage::zrle::compressed_bound(body.len());
-        let mut blob = Vec::with_capacity(SNAPSHOT_RESERVE.max(bound));
-        blob.push(durable::CHECKPOINT_ZRLE_VERSION);
-        optchain_storage::zrle::compress_into(body.as_slice(), &mut blob);
         let journal = self.journal.as_mut().expect("checked above");
-        journal.storage.put_checkpoint(upto, &blob)?;
+        journal.storage.put_checkpoint(upto, body.as_slice())?;
         journal.body_len = body.len();
         journal.since_snapshot = 0;
         journal.snapshot_every = journal.steady_every;
         journal.stats.full_checkpoints += 1;
-        journal.stats.full_bytes += blob.len() as u64;
+        journal.stats.full_bytes += body.len() as u64;
         journal.storage.gc()?;
         Ok(())
     }
@@ -1335,20 +1330,7 @@ impl Router {
         let mut journal = Journal::new(storage, &spec);
         let mut from_seq = 0u64;
         let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-        if let Some((upto, blob)) = journal.storage.checkpoint()? {
-            // The blob is `version byte ++ zrle(body)`; any version but
-            // the one written is foreign.
-            let body = match blob.split_first() {
-                Some((&durable::CHECKPOINT_ZRLE_VERSION, packed)) => {
-                    optchain_storage::zrle::decompress(packed)?
-                }
-                other => {
-                    return Err(invalid(format!(
-                        "checkpoint upto {upto} has a foreign envelope version {:?}",
-                        other.map(|(v, _)| v)
-                    )))
-                }
-            };
+        if let Some((upto, body)) = journal.storage.checkpoint()? {
             let mut r = ByteReader::new(&body);
             let snapshot = RouterSnapshot::decode_from(&mut r)?;
             r.finish()?;
@@ -1835,19 +1817,20 @@ mod tests {
         }
     }
 
+    /// The checkpoint blob `router` last installed.
+    fn checkpoint_blob(router: &Router) -> Vec<u8> {
+        let journal = router.journal.as_ref().expect("router is durable");
+        journal.storage.checkpoint().unwrap().unwrap().1
+    }
+
     #[test]
-    fn checkpoints_store_zrle_compressed() {
+    fn checkpoint_blob_is_the_snapshot_body() {
         let durable = driven_durable(RetentionPolicy::Unbounded, 1);
-        let journal = durable.journal.as_ref().expect("router is durable");
-        let (_, blob) = journal
-            .storage
-            .checkpoint()
-            .unwrap()
-            .expect("a checkpoint fired");
-        assert_eq!(blob[0], durable::CHECKPOINT_ZRLE_VERSION);
-        let raw = optchain_storage::zrle::decompress(&blob[1..]).unwrap();
-        assert_eq!(raw[0], durable::CHECKPOINT_VERSION);
-        assert!(blob.len() < raw.len(), "compression must shrink the blob");
+        let blob = checkpoint_blob(&durable);
+        assert_eq!(blob[0], durable::CHECKPOINT_VERSION);
+        let mut r = ByteReader::new(&blob);
+        RouterSnapshot::decode_from(&mut r).unwrap();
+        r.finish().unwrap();
     }
 
     #[test]
@@ -1856,19 +1839,17 @@ mod tests {
         assert!(durable.checkpoint_stats().full_checkpoints >= 1);
         // (artifact, foreign first bytes): every value but the one
         // version each artifact is written with (meta 2 carried the
-        // score-only window option, envelope 3 was the retired delta).
-        let table: [(Artifact, &[u8]); 3] = [
+        // score-only window option, checkpoint 2 a warming ring's empty
+        // slots inside a compressed envelope).
+        let table: [(Artifact, &[u8]); 2] = [
             (Artifact::Meta, &[0, 1, 2, 255]),
-            (Artifact::Full, &[0, 1, 3, 4, 255]),
-            (Artifact::Body, &[0, 1, 3, 255]),
+            (Artifact::Checkpoint, &[0, 1, 2, 4, 255]),
         ];
         for (artifact, bytes) in table {
             for &byte in bytes {
                 let storage = crate::SharedStorage::new(crate::MemStorage::new());
                 replicate_journal(&durable, &storage, |found, blob| {
-                    if artifact == Artifact::Body && found == Artifact::Full {
-                        edit_body(blob, |body| body[0] = byte);
-                    } else if artifact == found {
+                    if artifact == found {
                         blob[0] = byte;
                     }
                 });
@@ -1885,6 +1866,30 @@ mod tests {
         replicate_journal(&durable, &storage, |_, _| {});
         let recovered = Router::recover(Box::new(storage)).unwrap();
         assert_eq!(recovered.assignments(), durable.assignments());
+    }
+
+    /// Every single-byte flip of a checkpoint, under each policy, either
+    /// recovers or fails typed: nothing sits between disk and decoders.
+    #[test]
+    fn checkpoint_byte_flips_recover_or_fail_typed() {
+        for retention in [
+            RetentionPolicy::Unbounded,
+            RetentionPolicy::WindowTxs(16),
+            RetentionPolicy::KeepUnspentAndHubs { min_degree: 3 },
+        ] {
+            let durable = driven_durable(retention, 1);
+            for at in 0..checkpoint_blob(&durable).len() {
+                let storage = crate::SharedStorage::new(crate::MemStorage::new());
+                replicate_journal(&durable, &storage, |found, blob| {
+                    if found == Artifact::Checkpoint {
+                        blob[at] ^= 1 + (at * 37 % 255) as u8;
+                    }
+                });
+                if let Err(e) = Router::recover(Box::new(storage)) {
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{at}: {e}");
+                }
+            }
+        }
     }
 
     /// One way to make a CRC-valid journal contradict itself: swap in
@@ -1905,14 +1910,14 @@ mod tests {
                     edit(&mut spec);
                     *blob = durable::encode_spec(&spec);
                 }
-                (Swap::Snapshot(edit), Artifact::Full) => edit_body(blob, |body| {
-                    let mut r = ByteReader::new(body);
+                (Swap::Snapshot(edit), Artifact::Checkpoint) => {
+                    let mut r = ByteReader::new(blob);
                     let mut snapshot = RouterSnapshot::decode_from(&mut r).unwrap();
                     edit(&mut snapshot);
                     let mut w = ByteWriter::new();
                     snapshot.parts().encode_into(&mut w);
-                    *body = w.into_vec();
-                }),
+                    *blob = w.into_vec();
+                }
                 _ => {}
             });
             Router::recover(Box::new(storage))
@@ -2021,21 +2026,11 @@ mod tests {
         assert_eq!(recovered.assignments().to_vec(), Some(vec![s0, 3]));
     }
 
-    /// The persisted artifacts that lead with a version byte (`Body` is
-    /// the snapshot body inside the `Full` envelope).
+    /// The persisted artifacts that lead with a version byte.
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Artifact {
         Meta,
-        Full,
-        Body,
-    }
-
-    /// Rewrites the snapshot body inside a full-checkpoint blob.
-    fn edit_body(blob: &mut Vec<u8>, edit: impl FnOnce(&mut Vec<u8>)) {
-        let mut body = optchain_storage::zrle::decompress(&blob[1..]).unwrap();
-        edit(&mut body);
-        blob.truncate(1);
-        optchain_storage::zrle::compress_into(&body, blob);
+        Checkpoint,
     }
 
     /// Copies every durable artifact (meta, checkpoint, records) of
@@ -2059,7 +2054,7 @@ mod tests {
         dst.put_meta(&tampered(Artifact::Meta, &meta)).unwrap();
         let checkpoint = src.checkpoint().unwrap();
         if let Some((upto, blob)) = &checkpoint {
-            dst.put_checkpoint(*upto, &tampered(Artifact::Full, blob))
+            dst.put_checkpoint(*upto, &tampered(Artifact::Checkpoint, blob))
                 .unwrap();
         }
         // Seed the sequence space below the checkpoint so replayed

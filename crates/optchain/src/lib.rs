@@ -198,7 +198,7 @@
 //! `RouterFleetBuilder::storage`) into a **durable placement node**:
 //! each acknowledged submission and telemetry change is journaled to a
 //! write-ahead log before the ack — one framed record per
-//! `submit_batch` call — a zero-run-length-compressed snapshot lands
+//! `submit_batch` call — a snapshot of the live state lands
 //! every `checkpoint_every × full_every` journaled entries, and
 //! [`core::Router::recover`] rebuilds a **bit-identical** router from
 //! whatever survived: the snapshot (restored verbatim through the same

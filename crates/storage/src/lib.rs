@@ -36,7 +36,7 @@
 //! journaled is ever written a second time.
 //!
 //! The authoritative on-disk specification — WAL record framing and
-//! tag table, the one accepted version of the checkpoint envelope,
+//! tag table, the one accepted version of the checkpoint body,
 //! the recovery state machine, and the GC invariants — lives in
 //! `docs/DURABILITY.md` at the repository root.
 
@@ -48,7 +48,6 @@ mod failpoint;
 mod mem;
 mod shared;
 mod wal;
-pub mod zrle;
 
 pub use codec::{
     crc32, crc32_update, for_each_frame, frame_into, scan_frames, ByteReader, ByteWriter,

@@ -134,7 +134,10 @@ impl Cell for f32 {
 /// `stride` cells per stable node id, windowed under a
 /// [`RetentionPolicy`]: dense (row `id` at `id`) when the policy never
 /// evicts, otherwise a ring of `window` rows addressed by `id % window`
-/// plus an append-only table of the rows the policy kept past it.
+/// plus an append-only table of the rows the policy kept past it. A
+/// ring grows by appending, like the dense history, until it holds
+/// `window` rows, and only then recycles slots, so `cells` is always
+/// exactly the live rows in slot order.
 ///
 /// Rows are pushed in arrival order, one per node, *after* the node is
 /// inserted into the graph and *before* the graph's horizon advances
@@ -145,12 +148,12 @@ impl Cell for f32 {
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowedRows<T> {
     policy: RetentionPolicy,
-    /// Ring capacity in rows (`usize::MAX` = dense).
+    /// Ring size in rows (`usize::MAX` = dense).
     window: usize,
     stride: usize,
     /// Rows ever pushed — the next stable id.
     len: usize,
-    /// The dense history, or the ring.
+    /// The dense history, or the ring: `min(len, window)` rows.
     cells: Vec<T>,
     /// Ascending stable ids below the horizon whose rows were kept;
     /// `kept_ids[i]` owns row `i` of `kept`.
@@ -191,7 +194,7 @@ impl<T: Cell> WindowedRows<T> {
             window: window.unwrap_or(usize::MAX),
             stride,
             len: 0,
-            cells: vec![T::default(); window.map_or(0, |rows| rows * stride)],
+            cells: Vec::new(),
             kept_ids: Vec::new(),
             kept: Vec::new(),
         }
@@ -312,10 +315,13 @@ impl<T: Cell> WindowedRows<T> {
     }
 
     fn next_row(&mut self) -> &mut [T] {
-        let at = if self.window == usize::MAX {
-            self.cells
-                .resize(self.cells.len() + self.stride, T::default());
-            self.len * self.stride
+        let at = if self.len < self.window {
+            let at = self.cells.len();
+            if at == self.cells.capacity() {
+                self.grow();
+            }
+            self.cells.resize(at + self.stride, T::default());
+            at
         } else {
             self.len % self.window * self.stride
         };
@@ -323,18 +329,25 @@ impl<T: Cell> WindowedRows<T> {
         &mut self.cells[at..at + self.stride]
     }
 
-    /// Releases excess capacity (checkpoint-time shrink; a ring is
-    /// fixed-size, so only a dense history and the survivor table have
-    /// slack to give back).
+    /// Doubles the cells' capacity, but never past the window's rows.
+    #[cold]
+    fn grow(&mut self) {
+        let at = self.cells.len();
+        let cap = self.window.saturating_mul(self.stride);
+        self.cells.reserve_exact(at.max(self.stride).min(cap - at));
+    }
+
+    /// Releases excess capacity (checkpoint-time shrink: a dense
+    /// history, a ring still warming up and the survivor table have
+    /// slack to give back; a full ring has none).
     pub fn compact(&mut self) {
-        if self.window == usize::MAX {
-            self.cells.shrink_to_fit();
-        }
+        self.cells.shrink_to_fit();
         self.kept_ids.shrink_to_fit();
         self.kept.shrink_to_fit();
     }
 
-    /// Bytes of heap owned (`O(window + survivors)` under a window).
+    /// Bytes of heap owned (`O(window + survivors)` under a window; a
+    /// ring's cells never exceed `window` rows).
     pub fn state_bytes(&self) -> usize {
         // The survivor table only appends: a doubling vector holds at
         // most twice its payload, an id and a row per survivor.
@@ -359,9 +372,10 @@ impl<T: Cell> WindowedRows<T> {
         }
     }
 
-    /// Writes the rows: cell count, the dense history or the ring in
-    /// slot order, then the survivors in ascending id order. The owner
-    /// writes [`WindowedRows::len`] itself, wherever its header has it.
+    /// Writes the rows: cell count, the dense history or the ring's
+    /// live rows in slot order, then the survivors in ascending id
+    /// order. The owner writes [`WindowedRows::len`] itself, wherever
+    /// its header has it.
     pub fn encode_rows_into(&self, w: &mut ByteWriter) {
         w.put_u64(self.cells.len() as u64);
         for &cell in &self.cells {
@@ -412,8 +426,7 @@ impl<T: Cell> WindowedRows<T> {
         len: usize,
     ) -> Result<Self, CodecError> {
         let count = r.get_count(T::BYTES)?;
-        let rows = if window == usize::MAX { len } else { window };
-        if rows.checked_mul(stride) != Some(count) {
+        if len.min(window).checked_mul(stride) != Some(count) {
             return Err(CodecError("windowed rows cell count mismatch"));
         }
         let cells = (0..count).map(|_| T::get(r)).collect::<Result<_, _>>()?;

@@ -77,6 +77,11 @@ fn drive<T: Cell + PartialEq + Debug>(
             .collect();
         prop_assert_eq!(rows.survivors(), &survivors[..]);
         prop_assert_eq!(&roundtrip(&rows, stride), &rows);
+        // A ring grows by appending but never reserves past its window.
+        let bytes = |rows: usize| rows * stride * std::mem::size_of::<T>();
+        let kept = 2 * rows.survivors().len() * (4 + bytes(1));
+        let full = window.map_or(usize::MAX, |w| bytes(w) + kept);
+        prop_assert!(rows.state_bytes() <= full, "step {}", i);
     }
     Ok(())
 }
