@@ -134,8 +134,8 @@ pub(crate) fn cell_txs(rate: f64, opts: &Opts) -> u64 {
 /// output. The registry `rayon` crate is unavailable offline, so the
 /// pool is built on `std::thread::scope`. The pool size defaults to all
 /// CPUs and is pinned with the `OPTCHAIN_THREADS` environment variable
-/// ([`optchain_core::configured_threads`] — shared with
-/// [`optchain_core::RouterFleet`]'s default worker count).
+/// ([`optchain_partition::configured_threads`], which also sizes the
+/// partitioner's parallel branches).
 pub(crate) fn par_map<J, R, F>(jobs: &[J], run: F) -> Vec<R>
 where
     J: Sync,
@@ -144,7 +144,7 @@ where
 {
     let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(jobs.len()));
     let next = std::sync::atomic::AtomicUsize::new(0);
-    let workers = optchain_core::configured_threads().min(jobs.len().max(1));
+    let workers = optchain_partition::configured_threads().min(jobs.len().max(1));
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {

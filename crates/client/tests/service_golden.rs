@@ -104,28 +104,17 @@ fn batch_placements_match_singles() {
     }
 }
 
-/// A served 2-worker fleet hands each `SubmitBatch` frame to its
-/// worker as one message, split at the cross-sync boundary it
-/// straddles: two connections alternating 64-tx frames that spend each
-/// other's outputs must be acked exactly the shards an identically
-/// configured in-process fleet yields from per-transaction
-/// `FleetHandle::submit` — which puts every sync marker between two
-/// single submissions.
+/// A served fleet hands each `SubmitBatch` frame to its placement
+/// thread as one message, whichever connection sent it: two
+/// connections alternating 64-tx frames that spend each other's
+/// outputs must be acked exactly the shards one `Router` yields from
+/// the same transactions in the same order.
 #[test]
-fn batch_frames_split_at_sync_boundaries_like_single_submits() {
+fn batch_frames_from_two_connections_ack_like_one_router() {
     const FRAME: u64 = 64;
     const ROUNDS: u64 = 6;
-    let fleet = || {
-        RouterFleet::builder()
-            .shards(4)
-            .workers(2)
-            .partitioner(|client| client as usize)
-            .sync_interval(100)
-    };
     // Round r: connection 0 spends what connection 1 placed in round
-    // r - 1, then connection 1 spends what connection 0 just placed —
-    // so whether a parent resolves depends on which side of a sync
-    // marker the spender lands.
+    // r - 1, then connection 1 spends what connection 0 just placed.
     let frame = |round: u64, conn: u64| -> Vec<(TxId, Vec<TxId>)> {
         (0..FRAME)
             .map(|i| {
@@ -136,10 +125,9 @@ fn batch_frames_split_at_sync_boundaries_like_single_submits() {
             .collect()
     };
 
-    let reference = fleet().build();
-    let handles = [reference.handle(0), reference.handle(1)];
+    let mut router = Router::builder().shards(4).build();
     let server = PlacementServer::builder()
-        .fleet(fleet())
+        .fleet(RouterFleet::builder().shards(4))
         .start()
         .expect("start server");
     // Connection ids are assigned in accept order, and `connect`
@@ -156,14 +144,11 @@ fn batch_frames_split_at_sync_boundaries_like_single_submits() {
                 .expect("batch placed");
             let expected: Vec<u32> = txs
                 .iter()
-                .map(|(txid, inputs)| handles[conn as usize].submit(*txid, inputs).0)
+                .map(|(txid, inputs)| router.submit(*txid, inputs).unwrap().0)
                 .collect();
             assert_eq!(served, expected, "round {round} connection {conn}");
         }
     }
-    // The schedule did straddle: 768 submissions crossed 7 boundaries,
-    // none of them at a frame edge.
-    assert_eq!(reference.stats().sync_rounds, 7);
     server.shutdown();
 }
 
@@ -274,12 +259,7 @@ fn overload_sheds_typed_with_bounded_latency_and_zero_lost_acks() {
 fn drain_sheds_new_work_and_acks_admitted_work() {
     let txs = workload(200, 5);
     let server = PlacementServer::builder()
-        .fleet(
-            RouterFleet::builder()
-                .shards(4)
-                .workers(2)
-                .sync_interval(64),
-        )
+        .fleet(RouterFleet::builder().shards(4))
         .start()
         .expect("start server");
     let mut client = Client::connect(server.local_addr()).expect("connect");
@@ -325,25 +305,14 @@ fn drain_sheds_new_work_and_acks_admitted_work() {
 fn wal_backed_restart_preserves_every_acked_placement() {
     let dir = scratch_dir("wal-restart");
     let txs = workload(400, 11);
-    let storages = |dir: &std::path::Path| -> Vec<Box<dyn Storage>> {
-        (0..2)
-            .map(|w| {
-                Box::new(SegmentWal::open(dir.join(format!("worker-{w}"))).expect("open wal"))
-                    as Box<dyn Storage>
-            })
-            .collect()
+    let storage = |dir: &std::path::Path| -> Box<dyn Storage> {
+        Box::new(SegmentWal::open(dir).expect("open wal"))
     };
 
     let mut placed: Vec<(TxId, u32)> = Vec::with_capacity(txs.len());
     {
         let server = PlacementServer::builder()
-            .fleet(
-                RouterFleet::builder()
-                    .shards(4)
-                    .workers(2)
-                    .sync_interval(64)
-                    .storage(storages(&dir)),
-            )
+            .fleet(RouterFleet::builder().shards(4).storage(storage(&dir)))
             .start()
             .expect("start server");
         let mut client = Client::connect(server.local_addr()).expect("connect");
@@ -356,13 +325,7 @@ fn wal_backed_restart_preserves_every_acked_placement() {
     }
 
     let server = PlacementServer::builder()
-        .fleet(
-            RouterFleet::builder()
-                .shards(4)
-                .workers(2)
-                .sync_interval(64)
-                .storage(storages(&dir)),
-        )
+        .fleet(RouterFleet::builder().shards(4).storage(storage(&dir)))
         .start()
         .expect("restart server");
     let mut client = Client::connect(server.local_addr()).expect("reconnect");
@@ -412,90 +375,81 @@ fn duplicate_submission_is_shed_typed() {
 }
 
 /// What "duplicate" means follows the fleet's retention policy. Under
-/// `WindowTxs` an id is refused for as long as some worker's graph can
-/// still hold it and admitted again — placed as a fresh node, no
-/// worker panic, on the worker that adopted the original as well —
-/// once two generations of the guard have passed; a fleet that never
-/// evicts never forgets.
+/// `WindowTxs` an id is refused for as long as the graph can still hold
+/// it and admitted again — placed as a fresh node, no panic on the
+/// placement thread — once two generations of the guard have passed; a
+/// fleet that never evicts never forgets.
 #[test]
 fn resubmission_past_the_horizon_is_a_fresh_placement() {
     const WINDOW: usize = 16;
-    const SYNC: u64 = 8;
     const QUEUE: usize = 32;
+    /// Fresh ids placed after the resubmissions.
+    const TAIL: u64 = 32;
     let expect_duplicate = |outcome: Result<u32, ClientError>| match outcome {
         Err(ClientError::Rejected { reason, .. }) => assert_eq!(reason, RejectReason::Duplicate),
         other => panic!("expected Duplicate rejection, got {other:?}"),
     };
-    for workers in [1usize, 2] {
-        let server = PlacementServer::builder()
-            .fleet(
-                RouterFleet::builder()
-                    .shards(4)
-                    .workers(workers)
-                    .partitioner(|client| client as usize)
-                    .sync_interval(SYNC)
-                    .retention(RetentionPolicy::WindowTxs(WINDOW)),
-            )
-            .queue_capacity(QUEUE)
-            .start()
-            .expect("start server");
-        // Connection c is client key c: with two workers the two
-        // connections alternate, so each worker places every other id
-        // and adopts the rest at the next sync mark.
-        let mut clients = [
-            Client::connect(server.local_addr()).expect("connect"),
-            Client::connect(server.local_addr()).expect("connect"),
-        ];
-        for client in &mut clients {
-            client
-                .set_read_timeout(Some(Duration::from_secs(30)))
-                .unwrap();
-        }
-        let clients = &mut clients;
-        fn submit(clients: &mut [Client; 2], id: u64) -> Result<u32, ClientError> {
-            let parents: Vec<TxId> = id.checked_sub(1).map(TxId).into_iter().collect();
-            clients[(id % 2) as usize].submit(1, TxId(id), &parents)
-        }
-        // One generation of the guard: the fleet's eviction horizon
-        // (the window, plus two sync intervals of adoption lag with
-        // siblings) and a queueful of overtaking.
-        let horizon = WINDOW as u64 + 1 + if workers > 1 { 2 * SYNC } else { 0 };
-        let span = horizon + QUEUE as u64;
-        // Synchronous submits leave nothing queued at a rotation, so
-        // generations are exact: id 0 is remembered through the first
-        // 2 * span admissions...
-        for id in 0..2 * span - 1 {
-            submit(clients, id).expect("placed");
-        }
-        expect_duplicate(submit(clients, 0));
-        submit(clients, 2 * span - 1).expect("placed");
-        // ...and forgotten by the next, with its whole generation. The
-        // resubmissions land on the worker that did not place the
-        // original (ids shift by one connection) and cross sync marks.
-        for id in 0..span {
-            clients[((id + 1) % 2) as usize]
-                .submit(1, TxId(id), &[])
-                .expect("a fresh placement past the horizon");
-        }
-        // Every worker survived: fresh ids still place and resolve.
-        for id in 3 * span..3 * span + 4 * SYNC {
-            submit(clients, id).expect("placed");
-        }
-        let last = TxId(3 * span + 4 * SYNC - 1);
-        assert!(clients[0].query(last).expect("query").is_some());
-        let text = clients[0].metrics_text().expect("metrics");
-        let generation = span + QUEUE as u64;
-        assert!(
-            text.contains(&format!("optchain_dedup_horizon {generation}")),
-            "{text}"
-        );
-        let tracked = gauge(&text, "optchain_dedup_tracked_ids ");
-        let admitted = server.metrics().admitted();
-        assert_eq!(admitted, 3 * span + 4 * SYNC);
-        // The guard holds the current generation and the one before.
-        assert_eq!(tracked, span + admitted % span, "{text}");
-        server.shutdown();
+    let server = PlacementServer::builder()
+        .fleet(
+            RouterFleet::builder()
+                .shards(4)
+                .retention(RetentionPolicy::WindowTxs(WINDOW)),
+        )
+        .queue_capacity(QUEUE)
+        .start()
+        .expect("start server");
+    // Two connections alternate, so the resubmissions below arrive on
+    // the connection that did not send the original.
+    let mut clients = [
+        Client::connect(server.local_addr()).expect("connect"),
+        Client::connect(server.local_addr()).expect("connect"),
+    ];
+    for client in &mut clients {
+        client
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
     }
+    let clients = &mut clients;
+    fn submit(clients: &mut [Client; 2], id: u64) -> Result<u32, ClientError> {
+        let parents: Vec<TxId> = id.checked_sub(1).map(TxId).into_iter().collect();
+        clients[(id % 2) as usize].submit(1, TxId(id), &parents)
+    }
+    // One generation of the guard: the fleet's eviction horizon (the
+    // window plus one) and a queueful of overtaking.
+    let horizon = WINDOW as u64 + 1;
+    let span = horizon + QUEUE as u64;
+    // Synchronous submits leave nothing queued at a rotation, so
+    // generations are exact: id 0 is remembered through the first
+    // 2 * span admissions...
+    for id in 0..2 * span - 1 {
+        submit(clients, id).expect("placed");
+    }
+    expect_duplicate(submit(clients, 0));
+    submit(clients, 2 * span - 1).expect("placed");
+    // ...and forgotten by the next, with its whole generation.
+    for id in 0..span {
+        clients[((id + 1) % 2) as usize]
+            .submit(1, TxId(id), &[])
+            .expect("a fresh placement past the horizon");
+    }
+    // The placement thread survived: fresh ids still place and resolve.
+    for id in 3 * span..3 * span + TAIL {
+        submit(clients, id).expect("placed");
+    }
+    let last = TxId(3 * span + TAIL - 1);
+    assert!(clients[0].query(last).expect("query").is_some());
+    let text = clients[0].metrics_text().expect("metrics");
+    let generation = span + QUEUE as u64;
+    assert!(
+        text.contains(&format!("optchain_dedup_horizon {generation}")),
+        "{text}"
+    );
+    let tracked = gauge(&text, "optchain_dedup_tracked_ids ");
+    let admitted = server.metrics().admitted();
+    assert_eq!(admitted, 3 * span + TAIL);
+    // The guard holds the current generation and the one before.
+    assert_eq!(tracked, span + admitted % span, "{text}");
+    server.shutdown();
 
     // The same traffic against a fleet that never evicts: three
     // horizons on, its very first id is still refused.

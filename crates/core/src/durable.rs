@@ -3,7 +3,7 @@
 //!
 //! A durable [`crate::Router`] journals every state mutation —
 //! placements (one record per `submit_batch` call, one entry each),
-//! adoptions, telemetry changes, fleet sync marks — to an
+//! adoptions and telemetry changes — to an
 //! [`optchain_storage::Storage`] backend, and periodically installs a
 //! snapshot (an encoded [`crate::RouterSnapshot`]) covering a prefix
 //! of the journal. Recovery reads the meta blob to rebuild the exact
@@ -47,16 +47,14 @@ pub(crate) const DEFAULT_FULL_EVERY: u64 = 8;
 /// Default entries between fsync batches (the ack granularity).
 pub(crate) const DEFAULT_FLUSH_EVERY: u64 = 512;
 
-// Tag 1 was the per-transaction Submit record. It is retired and never
-// reused: a journal holding one fails recovery as an unknown tag.
+// Tag 1 was the per-transaction Submit record, tag 4 the fleet's
+// cross-sync boundary. Both are retired and never reused: a journal
+// holding one fails recovery as an unknown tag.
 
-/// A placement adopted from a sibling fleet worker.
+/// A placement decided elsewhere ([`crate::Router::adopt_remote`]).
 pub(crate) const TAG_ADOPT: u8 = 2;
 /// A telemetry board change (recorded only when the version bumps).
 pub(crate) const TAG_TELEMETRY: u8 = 3;
-/// A fleet sync boundary: every prior submission has been published to
-/// sibling workers, so the pending delta restarts empty here.
-pub(crate) const TAG_SYNC_MARK: u8 = 4;
 
 /// The local placements of one `submit_batch` call (or one single-door
 /// submission): `count: u32`, then `count` placement bodies. A record
@@ -81,13 +79,11 @@ pub(crate) enum WalRecord {
     /// re-running the deterministic decision and cross-checking the
     /// shard the crashed router chose.
     SubmitBatch(Vec<Placement>),
-    /// A placement imposed by a sibling worker: replayed through
+    /// A placement decided elsewhere: replayed through
     /// [`crate::Router::adopt_remote`] with the recorded shard.
     Adopt(Placement),
     /// A telemetry board change.
     Telemetry(Vec<ShardTelemetry>),
-    /// A fleet sync boundary.
-    SyncMark,
 }
 
 /// Opens a SubmitBatch record with a zero `count` (see
@@ -131,11 +127,6 @@ pub(crate) fn encode_telemetry_record(w: &mut ByteWriter, telemetry: &[ShardTele
     put_telemetry(w, telemetry);
 }
 
-/// Encodes a SyncMark record.
-pub(crate) fn encode_sync_mark(w: &mut ByteWriter) {
-    w.put_u8(TAG_SYNC_MARK);
-}
-
 /// Decodes one WAL record payload.
 pub(crate) fn decode_record(payload: &[u8]) -> Result<WalRecord, CodecError> {
     let mut r = ByteReader::new(payload);
@@ -155,7 +146,6 @@ pub(crate) fn decode_record(payload: &[u8]) -> Result<WalRecord, CodecError> {
         }
         TAG_ADOPT => WalRecord::Adopt(get_placement(&mut r)?),
         TAG_TELEMETRY => WalRecord::Telemetry(get_telemetry(&mut r)?),
-        TAG_SYNC_MARK => WalRecord::SyncMark,
         _ => return Err(CodecError("unknown WAL record tag")),
     };
     r.finish()?;
@@ -336,7 +326,6 @@ mod tests {
             WalRecord::SubmitBatch(batch),
             WalRecord::Adopt((TxId(1000), vec![TxId(42)], 1)),
             WalRecord::Telemetry(vec![ShardTelemetry::new(0.1, 0.5); 2]),
-            WalRecord::SyncMark,
         ];
         for record in &records {
             let mut w = ByteWriter::new();
@@ -352,7 +341,6 @@ mod tests {
                     encode_adopt(&mut w, *txid, inputs, *shard)
                 }
                 WalRecord::Telemetry(t) => encode_telemetry_record(&mut w, t),
-                WalRecord::SyncMark => encode_sync_mark(&mut w),
             }
             assert_eq!(&decode_record(w.as_slice()).unwrap(), record);
         }
@@ -362,9 +350,11 @@ mod tests {
     fn decode_rejects_unknown_tags_and_trailing_bytes() {
         assert!(decode_record(&[99]).is_err());
         let mut w = ByteWriter::new();
-        encode_sync_mark(&mut w);
+        encode_telemetry_record(&mut w, &[ShardTelemetry::new(0.1, 0.5)]);
         w.put_u8(0);
         assert!(decode_record(w.as_slice()).is_err());
+        // The retired fleet sync-mark tag, alone as it was written.
+        assert!(decode_record(&[4]).is_err());
         // The retired per-transaction Submit tag, over a body that was
         // valid under it.
         let mut w = ByteWriter::new();

@@ -29,12 +29,11 @@
 //! checkpoint/restore ([`Router::snapshot`] / [`Router::warm_start`]:
 //! a [`RouterSnapshot`] is the state itself, restored verbatim).
 //!
-//! When one core cannot carry the ingress, the [`RouterFleet`] shards
-//! it: N worker routers on their own threads, partitioned by client
-//! key, exchanging TaN deltas at a fixed cadence so cross-worker input
-//! lookups resolve (see the [`fleet`] module docs for the design, the
-//! staleness bound, and the determinism contract — a 1-worker fleet is
-//! bit-identical to a `Router`).
+//! When many clients submit concurrently, the [`RouterFleet`] puts one
+//! `Router` on its own thread behind a bounded queue and hands each
+//! client a cheap handle. Placement stays one sequence — every decision
+//! reads every earlier one — so a fleet is bit-identical to a `Router`
+//! fed the same order (see the [`fleet`] module docs).
 //!
 //! A long-lived node bounds its memory with one knob,
 //! [`RouterBuilder::retention`]: a [`RetentionPolicy`] is the only
@@ -105,9 +104,7 @@ mod t2s;
 pub use assignment::{AssignmentStore, AssignmentView};
 pub use fitness::TemporalFitness;
 pub use fitness::PAPER_L2S_WEIGHT;
-pub use fleet::{
-    configured_threads, FleetHandle, FleetStats, RouterFleet, RouterFleetBuilder, TxRows,
-};
+pub use fleet::{FleetHandle, FleetStats, PendingDrain, RouterFleet, RouterFleetBuilder, TxRows};
 pub use l2s::{L2sEstimator, L2sMemo, L2sMode, ShardTelemetry};
 pub use placer::{
     input_shards_into, Decision, DecisionBuf, GreedyPlacer, OptChainPlacer, OraclePlacer,

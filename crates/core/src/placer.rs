@@ -465,7 +465,7 @@ impl RandomPlacer {
     }
 
     /// Records an externally imposed placement for the next node (a
-    /// sibling fleet worker's decision), with graph access so a
+    /// decision made elsewhere), with graph access so a
     /// [`RetentionPolicy::KeepUnspentAndHubs`] store can save the
     /// assignment its ring slot overwrites.
     ///
@@ -919,10 +919,10 @@ macro_rules! impl_t2s_engine_plumbing {
             }
 
             /// Records a node whose placement was decided elsewhere
-            /// (another worker of a [`crate::RouterFleet`]): the
-            /// imposed shard enters the T2S state as if the node were a
-            /// parentless transaction placed there, so future local
-            /// spenders are pulled toward it. Graph access lets a
+            /// ([`crate::Router::adopt_remote`]): the imposed shard
+            /// enters the T2S state as if the node were a parentless
+            /// transaction placed there, so future local spenders are
+            /// pulled toward it. Graph access lets a
             /// retention engine save the score row (and assignment)
             /// its ring slot overwrites ([`T2sEngine::adopt_in`]).
             ///

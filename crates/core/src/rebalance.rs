@@ -153,17 +153,6 @@ pub struct RebalanceStats {
     pub moves_dropped: u64,
 }
 
-impl RebalanceStats {
-    /// Adds another router's counters field-wise (fleet aggregation).
-    pub fn merge(&mut self, other: RebalanceStats) {
-        self.epochs_opened += other.epochs_opened;
-        self.epochs_committed += other.epochs_committed;
-        self.nodes_moved += other.nodes_moved;
-        self.bytes_migrated += other.bytes_migrated;
-        self.moves_dropped += other.moves_dropped;
-    }
-}
-
 /// The staged side of the two-phase protocol: moves planned at the
 /// previous epoch boundary, waiting for the next one to commit.
 #[derive(Debug, Clone)]

@@ -78,10 +78,9 @@ pub const DEFAULT_TELEMETRY: ShardTelemetry = ShardTelemetry {
 };
 
 /// The builder-configured recipe for a router: every [`RouterBuilder`]
-/// knob except the storage backend. A [`crate::RouterFleet`] clones one
-/// spec per worker so each worker thread can construct its own
-/// identically-configured [`Router`], and a durable router's meta blob
-/// is its encoded spec. [`RouterSpec::check`] is the one statement of
+/// knob except the storage backend. A [`crate::RouterFleet`] builds its
+/// one router from a spec, and a durable router's meta blob is its
+/// encoded spec. [`RouterSpec::check`] is the one statement of
 /// which specs are buildable.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RouterSpec {
@@ -547,8 +546,8 @@ pub struct Router {
 
 /// The write-ahead attachment of a durable router: the storage backend
 /// plus the counters driving fsync and snapshot cadence. Cadences count
-/// *entries* (a placement, adoption, telemetry change or sync mark),
-/// not records: a `submit_batch` call's placements share one record.
+/// *entries* (a placement, adoption or telemetry change), not
+/// records: a `submit_batch` call's placements share one record.
 #[derive(Debug)]
 struct Journal {
     storage: Box<dyn Storage>,
@@ -563,11 +562,6 @@ struct Journal {
     unflushed: u64,
     /// Entries journaled since the last snapshot (recovery's replay).
     since_snapshot: u64,
-    /// `true` (the default): a due snapshot is installed on any entry.
-    /// Fleet workers set `false` and snapshot only at sync marks, so a
-    /// snapshot position always implies an empty pending delta (see
-    /// [`Router::journal_sync_mark`]).
-    auto_checkpoint: bool,
     /// The record being encoded: a whole one, or the SubmitBatch record
     /// the current submission call is filling.
     scratch: ByteWriter,
@@ -589,7 +583,6 @@ impl Journal {
             flush_every: spec.flush_every,
             unflushed: 0,
             since_snapshot: 0,
-            auto_checkpoint: true,
             scratch: ByteWriter::new(),
             open_entries: 0,
             body_len: 0,
@@ -666,10 +659,6 @@ pub struct CheckpointStats {
     /// Blob bytes across all of them.
     pub full_bytes: u64,
 }
-
-/// A fleet worker's unpublished pending delta in journal order:
-/// `(txid, distinct input ids, journaled shard)` per submission.
-pub(crate) type PendingDelta = Vec<durable::Placement>;
 
 impl Router {
     /// Starts configuring a router.
@@ -835,7 +824,7 @@ impl Router {
             self.version += 1;
             // Journaled on change only — mirroring the version-bump
             // contract, so replay reproduces the exact epoch sequence.
-            self.journal_record(false, |w| durable::encode_telemetry_record(w, telemetry))?;
+            self.journal_record(|w| durable::encode_telemetry_record(w, telemetry))?;
         }
         Ok(())
     }
@@ -975,8 +964,7 @@ impl Router {
             }
             None => inputs,
         };
-        let journaled =
-            self.journal_entry(false, |journal| journal.push_submit(txid, inputs, shard.0));
+        let journaled = self.journal_entry(|journal| journal.push_submit(txid, inputs, shard.0));
         self.txid_scratch = tids;
         journaled.map(|()| shard)
     }
@@ -998,10 +986,10 @@ impl Router {
     }
 
     /// Records a transaction whose placement was decided by **another**
-    /// router (a sibling worker of a [`crate::RouterFleet`]): inserts the
-    /// node into the local TaN graph — edges form to whichever of
-    /// `inputs` this router already knows — and adopts the imposed shard
-    /// into the strategy state, so future local spenders of this
+    /// router (a placement service this one mirrors): inserts the node
+    /// into the local TaN graph — edges form to whichever of `inputs`
+    /// this router already knows — and adopts the imposed shard into
+    /// the strategy state, so future local spenders of this
     /// transaction resolve their input lookup and are pulled toward its
     /// shard. For T2S-bearing strategies the adopted node contributes
     /// like a parentless transaction placed into `shard` (see
@@ -1034,15 +1022,14 @@ impl Router {
         }
         self.adopted_total += 1;
         self.advance_horizon();
-        self.journal_record(false, |w| durable::encode_adopt(w, txid, inputs, shard))
+        self.journal_record(|w| durable::encode_adopt(w, txid, inputs, shard))
             .expect("journaling an adoption failed");
     }
 
     /// The distinct input transaction ids of a [`Transaction`], in
     /// first-appearance order — the list [`Router::submit_tx`] links by,
-    /// written into `out` (cleared first). Fleet workers use this to
-    /// describe their placements to sibling workers.
-    pub(crate) fn distinct_inputs_into(tx: &Transaction, out: &mut Vec<TxId>) {
+    /// written into `out` (cleared first): what the journal records.
+    fn distinct_inputs_into(tx: &Transaction, out: &mut Vec<TxId>) {
         out.clear();
         for op in tx.inputs() {
             if !out.contains(&op.txid) {
@@ -1051,8 +1038,7 @@ impl Router {
         }
     }
 
-    /// Lifetime count of [`Router::adopt_remote`] placements (zero
-    /// outside fleet workers).
+    /// Lifetime count of [`Router::adopt_remote`] placements.
     pub fn adopted_total(&self) -> u64 {
         self.adopted_total
     }
@@ -1186,48 +1172,23 @@ impl Router {
     }
 
     /// Journals one entry through `journal` and, when that makes a
-    /// snapshot due, installs it — with automatic checkpoints off
-    /// (fleet workers) only `at_sync_mark`. No-op on an in-RAM router.
+    /// snapshot due, installs it. No-op on an in-RAM router.
     fn journal_entry(
         &mut self,
-        at_sync_mark: bool,
         journal: impl FnOnce(&mut Journal) -> io::Result<bool>,
     ) -> io::Result<()> {
         let Some(attached) = self.journal.as_mut() else {
             return Ok(());
         };
-        let due = journal(attached)?;
-        if due && (at_sync_mark || attached.auto_checkpoint) {
+        if journal(attached)? {
             self.checkpoint_now()?;
         }
         Ok(())
     }
 
-    /// Journals one whole record (Adopt, Telemetry, SyncMark).
-    fn journal_record(
-        &mut self,
-        at_sync_mark: bool,
-        encode: impl FnOnce(&mut ByteWriter),
-    ) -> io::Result<()> {
-        self.journal_entry(at_sync_mark, |journal| journal.append_record(encode))
-    }
-
-    /// Journals a fleet sync boundary: every submission journaled so
-    /// far has been published to sibling workers. On workers, automatic
-    /// checkpoints are deferred to these marks (see
-    /// [`Router::set_auto_checkpoint`]), so a checkpoint position
-    /// always coincides with an empty pending delta and recovery can
-    /// rebuild the delta from the replayed tail alone.
-    pub(crate) fn journal_sync_mark(&mut self) -> io::Result<()> {
-        self.journal_record(true, durable::encode_sync_mark)
-    }
-
-    /// Defers automatic checkpoints to [`Router::journal_sync_mark`]
-    /// boundaries (fleet workers) instead of arbitrary appends.
-    pub(crate) fn set_auto_checkpoint(&mut self, auto: bool) {
-        if let Some(journal) = self.journal.as_mut() {
-            journal.auto_checkpoint = auto;
-        }
+    /// Journals one whole record (Adopt, Telemetry).
+    fn journal_record(&mut self, encode: impl FnOnce(&mut ByteWriter)) -> io::Result<()> {
+        self.journal_entry(|journal| journal.append_record(encode))
     }
 
     /// Installs a snapshot now — flush, encode, checkpoint swap,
@@ -1310,15 +1271,6 @@ impl Router {
     /// diverges from its journaled shard (all indicate corruption
     /// beyond what a crash can produce).
     pub fn recover(storage: Box<dyn Storage>) -> io::Result<Router> {
-        Self::recover_with_pending(storage).map(|(router, _)| router)
-    }
-
-    /// [`Router::recover`], also returning the submissions journaled
-    /// after the last sync mark — the fleet worker's unpublished
-    /// pending delta, as `(txid, inputs, shard)` in journal order.
-    pub(crate) fn recover_with_pending(
-        storage: Box<dyn Storage>,
-    ) -> io::Result<(Router, PendingDelta)> {
         let meta = storage.meta()?.ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::NotFound,
@@ -1343,18 +1295,17 @@ impl Router {
             journal.snapshot_every = journal.steady_every;
             journal.body_len = body.len();
         }
-        let mut pending = PendingDelta::new();
         let mut replayed = Ok(());
         journal.storage.replay(from_seq, &mut |seq, payload| {
             if replayed.is_ok() {
                 replayed = router
-                    .apply_recovered_record(seq, payload, &mut pending)
+                    .apply_recovered_record(seq, payload)
                     .map(|entries| journal.since_snapshot += entries);
             }
         })?;
         replayed?;
         router.journal = Some(journal);
-        Ok((router, pending))
+        Ok(router)
     }
 
     /// Applies one journaled record during recovery, returning the
@@ -1363,12 +1314,7 @@ impl Router {
     /// placement past the end of the oracle, an adoption under oracle
     /// placement — is checked here first: bytes from disk fail typed,
     /// naming the sequence number, never panic.
-    fn apply_recovered_record(
-        &mut self,
-        seq: u64,
-        payload: &[u8],
-        pending: &mut PendingDelta,
-    ) -> io::Result<u64> {
+    fn apply_recovered_record(&mut self, seq: u64, payload: &[u8]) -> io::Result<u64> {
         let k = self.k();
         let fail = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
         let check = |router: &Router, txid: TxId, shard: u32| {
@@ -1408,7 +1354,6 @@ impl Router {
                             got.0
                         )));
                     }
-                    pending.push((txid, inputs, shard));
                 }
                 return Ok(count);
             }
@@ -1429,7 +1374,6 @@ impl Router {
                 }
                 self.try_feed_telemetry(&board)?;
             }
-            WalRecord::SyncMark => pending.clear(),
         }
         Ok(1)
     }
@@ -1668,7 +1612,7 @@ mod tests {
     #[test]
     fn adopt_remote_links_future_spenders() {
         let mut router = Router::builder().shards(4).build();
-        // A foreign chain head placed on another worker lands in shard 2.
+        // A chain head placed elsewhere lands in shard 2.
         router.adopt_remote(TxId(100), &[], 2);
         assert_eq!(router.assignments().to_vec(), Some(vec![2]));
         assert_eq!(router.adopted_total(), 1);
@@ -2006,6 +1950,7 @@ mod tests {
             ("count = u32::MAX", vec![batch_of(u32::MAX, &[(0, s0)])]),
             ("trailing bytes", vec![[honest.clone(), vec![0]].concat()]),
             ("the retired Submit tag", vec![retired_tag]),
+            ("the retired SyncMark tag", vec![vec![4]]),
         ];
         // An `Err` return is the point: nothing between the storage
         // bytes and the replayed router may unwind.

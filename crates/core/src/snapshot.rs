@@ -83,7 +83,7 @@ impl SnapshotParts<'_> {
 /// stable-id remap, the assignment store, the strategy's own state (T2S
 /// engine or Greedy counters), the lifetime adoption count, and the
 /// telemetry board with its version — all verbatim, so the restored
-/// router is bit-exact under every [`RetentionPolicy`], after fleet
+/// router is bit-exact under every [`RetentionPolicy`], after
 /// adoptions and after rebalance epochs alike.
 #[derive(Debug, Clone)]
 pub struct RouterSnapshot {

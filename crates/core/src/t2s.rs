@@ -302,8 +302,8 @@ impl T2sEngine {
         true
     }
 
-    /// Adopts a node whose placement was decided elsewhere (another
-    /// worker of a [`crate::RouterFleet`]): stores a **zero** `p'` row —
+    /// Adopts a node whose placement was decided elsewhere
+    /// ([`crate::Router::adopt_remote`]): stores a **zero** `p'` row —
     /// the adopting engine never saw the node's true score vector — and
     /// then records the imposed placement, so the node contributes to
     /// local T2S exactly like a parentless transaction placed into

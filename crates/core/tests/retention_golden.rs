@@ -11,9 +11,8 @@
 //! 3. Compaction round trip: evict → `compact` → `snapshot` →
 //!    `warm_start` continues bit-identically to the uninterrupted
 //!    windowed run (the windowed engine-state snapshot).
-//! 4. A 1-worker `RouterFleet` under a retention policy (including the
-//!    pruned-delta `KeepUnspentAndHubs` path) stays bit-identical to a
-//!    `Router` under the same policy.
+//! 4. A `RouterFleet` under a retention policy stays bit-identical to
+//!    a `Router` under the same policy.
 //! 5. `KeepUnspentAndHubs` keeps aged hubs and unspent outputs
 //!    resolvable across the `HUB_WINDOW`, while spent non-hubs degrade
 //!    to missing references.
@@ -190,9 +189,8 @@ proptest! {
         }
     }
 
-    /// A 1-worker fleet under a retention policy — including the
-    /// pruned-delta KeepUnspentAndHubs sync path — stays bit-identical
-    /// to a Router under the same policy.
+    /// A fleet under a retention policy stays bit-identical to a Router
+    /// under the same policy.
     #[test]
     fn one_worker_fleet_matches_router_under_retention(
         seed in 0u64..500,
@@ -208,12 +206,7 @@ proptest! {
         let router_shards: Vec<u32> =
             txs.iter().map(|tx| router.submit_tx(tx).unwrap().0).collect();
 
-        let fleet = RouterFleet::builder()
-            .shards(4)
-            .workers(1)
-            .sync_interval(64)
-            .retention(policy)
-            .build();
+        let fleet = RouterFleet::builder().shards(4).retention(policy).build();
         let handle = fleet.handle(0);
         let fleet_shards: Vec<u32> = txs.iter().map(|tx| handle.submit_tx(tx).0).collect();
         prop_assert_eq!(router_shards, fleet_shards);

@@ -4,8 +4,8 @@
 //! under a changing telemetry feed (session L2S memo state included:
 //! the restored board version keeps the memo epochs aligned), and for a
 //! [`RouterFleet`] driving the detached bulk path, which persists
-//! through its storage backends: drop → rebuild over the same
-//! [`SharedStorage`] handles.
+//! through its storage backend: drop → rebuild over the same
+//! [`SharedStorage`] handle.
 
 mod common;
 use common::{build_stream, seeded_stream, stream_strategy};
@@ -101,9 +101,8 @@ proptest! {
     }
 
     /// Fleet: the detached bulk path round-trips through a drop and a
-    /// rebuild over the same in-RAM storage backends bit-identically,
-    /// resuming the global sequence numbering and the sync schedule
-    /// mid-interval.
+    /// rebuild over the same in-RAM storage backend bit-identically,
+    /// resuming the global sequence numbering.
     #[test]
     fn fleet_roundtrip_preserves_detached_stream(
         recipe in stream_strategy(200),
@@ -112,28 +111,18 @@ proptest! {
     ) {
         let txs: std::sync::Arc<[Transaction]> = build_stream(&recipe).into();
         let cut = txs.len() * cut_pct as usize / 100;
-        let workers = 2usize;
-        let builder = || {
-            RouterFleet::builder()
-                .shards(k)
-                .workers(workers)
-                .partitioner(|client| client as usize)
-                .sync_interval(8)
-        };
-        let backends = |storages: &[SharedStorage<MemStorage>; 2]| -> Vec<Box<dyn Storage>> {
-            vec![Box::new(storages[0].clone()), Box::new(storages[1].clone())]
-        };
+        let builder = || RouterFleet::builder().shards(k);
         // Chunks of 5 round-robin across two client handles; chunk
         // boundaries are *global* stream positions so the prefix and
         // suffix runs partition transactions exactly like the
         // uninterrupted run.
         let drive = |fleet: &RouterFleet, range: std::ops::Range<usize>| {
-            let handles: Vec<_> = (0..workers as u64).map(|c| fleet.handle(c)).collect();
+            let handles = [fleet.handle(0), fleet.handle(1)];
             if !range.is_empty() {
                 for chunk in (range.start / 5)..=((range.end - 1) / 5) {
                     let lo = (chunk * 5).max(range.start);
                     let hi = (chunk * 5 + 5).min(range.end);
-                    let _ = handles[chunk % workers].submit_batch_detached(&txs, lo..hi);
+                    let _ = handles[chunk % 2].submit_batch_detached(&txs, lo..hi);
                 }
             }
             let mut results: Vec<(u64, u32)> = handles
@@ -148,12 +137,12 @@ proptest! {
         let continuous = builder().build();
         let expected = drive(&continuous, 0..txs.len());
 
-        let storages = [(); 2].map(|()| SharedStorage::new(MemStorage::new()));
-        let prefix_fleet = builder().storage(backends(&storages)).build();
+        let storage = SharedStorage::new(MemStorage::new());
+        let prefix_fleet = builder().storage(Box::new(storage.clone())).build();
         let mut got = drive(&prefix_fleet, 0..cut);
         drop(prefix_fleet);
 
-        let resumed = builder().storage(backends(&storages)).build();
+        let resumed = builder().storage(Box::new(storage)).build();
         prop_assert_eq!(resumed.submitted(), cut as u64);
         got.extend(drive(&resumed, cut..txs.len()));
 

@@ -27,11 +27,9 @@
 //! 4. **A torn batch record is lost whole**: damage inside a
 //!    multi-entry record keeps every earlier record and none of that
 //!    one's placements.
-//! 5. **Fleet restart**: a 1-worker durable `RouterFleet` shut down
-//!    mid-window recovers bit-identically to a `Router` over the same
-//!    stream (including its unpublished pending delta); a 2-worker
-//!    fleet restarts with every per-worker counter intact and keeps
-//!    placing.
+//! 5. **Fleet restart**: a durable `RouterFleet` shut down mid-window
+//!    recovers bit-identically to a `Router` over the same stream, and
+//!    restarts with its counters and telemetry epoch intact.
 //!
 //! The surviving-prefix property is the heart of it: the journal acks
 //! batches only after fsync, torn tails truncate on reopen, so
@@ -596,9 +594,8 @@ fn wal_soak_three_crashes_end_bit_identical() {
     }
 }
 
-/// A durable 1-worker fleet shut down mid-window (pending delta
-/// unpublished) restarts from its journal bit-identical to a `Router`
-/// over the same stream.
+/// A durable fleet shut down mid-window restarts from its journal
+/// bit-identical to a `Router` over the same stream.
 #[test]
 fn one_worker_fleet_recovers_and_continues_like_a_router() {
     let txs = seeded_stream(500, 30, 7);
@@ -611,22 +608,16 @@ fn one_worker_fleet_recovers_and_continues_like_a_router() {
     let shared = SharedStorage::new(MemStorage::new());
     let fleet = RouterFleet::builder()
         .shards(4)
-        .workers(1)
-        .sync_interval(64)
-        .storage(vec![Box::new(shared.clone())])
+        .storage(Box::new(shared.clone()))
         .build();
     let handle = fleet.handle(0);
-    // 300 is off the sync cadence, so the tail past the last sync mark
-    // is exactly the pending delta recovery must rebuild.
     let first: Vec<u32> = txs[..300].iter().map(|tx| handle.submit_tx(tx).0).collect();
     assert_eq!(first, router_shards[..300]);
     drop(fleet);
 
     let fleet = RouterFleet::builder()
         .shards(4)
-        .workers(1)
-        .sync_interval(64)
-        .storage(vec![Box::new(shared.clone())])
+        .storage(Box::new(shared.clone()))
         .build();
     let stats = fleet.stats();
     assert_eq!(stats.placed, 300, "recovery must restore the placed count");
@@ -637,47 +628,37 @@ fn one_worker_fleet_recovers_and_continues_like_a_router() {
     assert_eq!(fleet.submitted(), 500);
 }
 
-/// A durable 2-worker fleet synced and shut down cleanly restarts with
-/// every per-worker counter intact and keeps placing.
+/// A durable fleet fed by many clients and shut down cleanly restarts
+/// with its counters and telemetry epoch intact and keeps placing.
 #[test]
 fn two_worker_fleet_restarts_with_counters_intact() {
     let txs = seeded_stream(400, 30, 11);
-    let storages = [
-        SharedStorage::new(MemStorage::new()),
-        SharedStorage::new(MemStorage::new()),
-    ];
+    let storage = SharedStorage::new(MemStorage::new());
     let fleet = RouterFleet::builder()
         .shards(4)
         .workers(2)
-        .sync_interval(50)
-        .storage(vec![
-            Box::new(storages[0].clone()),
-            Box::new(storages[1].clone()),
-        ])
+        .storage(Box::new(storage.clone()))
         .build();
+    fleet.feed_telemetry(&[ShardTelemetry::new(0.1, 2.0); 4]);
     for (i, tx) in txs.iter().enumerate() {
         fleet.handle(i as u64).submit_tx(tx);
     }
-    fleet.sync_now();
-    fleet.flush();
     let before = fleet.stats();
+    let version = fleet.telemetry_version();
     drop(fleet);
 
     let fleet = RouterFleet::builder()
         .shards(4)
         .workers(2)
-        .sync_interval(50)
-        .storage(vec![
-            Box::new(storages[0].clone()),
-            Box::new(storages[1].clone()),
-        ])
+        .storage(Box::new(storage))
         .build();
     let after = fleet.stats();
     assert_eq!(after.placed, before.placed);
-    assert_eq!(after.adopted, before.adopted);
-    assert_eq!(after.telemetry_versions, before.telemetry_versions);
+    assert_eq!(after.missing_parent_refs, before.missing_parent_refs);
+    assert_eq!(after.cross_placed, before.cross_placed);
+    assert_eq!(fleet.telemetry_version(), version);
     assert_eq!(fleet.submitted(), before.placed);
-    // And the restarted fleet keeps placing across both workers.
+    // And the restarted fleet keeps placing for every client.
     for i in 0..100u64 {
         let inputs = if i == 0 {
             vec![]

@@ -1,5 +1,5 @@
-//! Histograms, CDFs, time series, summaries and table rendering for the
-//! OptChain experiment harness.
+//! Histograms, CDFs, time series and table rendering for the OptChain
+//! experiment harness.
 //!
 //! Every figure in the paper's evaluation is a statistic over simulation
 //! output: degree distributions (Fig 2), throughput/latency grids (Fig 3,
@@ -7,7 +7,6 @@
 //! (Fig 6, 7) and a latency CDF (Fig 10). This crate provides the small,
 //! dependency-free statistical toolkit those figures are computed with:
 //!
-//! * [`Summary`] — streaming mean/variance/min/max (Welford);
 //! * [`Histogram`] — integer-bucketed counts with log-log views;
 //! * [`Cdf`] — empirical distribution with percentile queries;
 //! * [`TimeSeries`] — fixed-width time bins with min/max/mean/count;
@@ -17,14 +16,14 @@
 //! # Example
 //!
 //! ```
-//! use optchain_metrics::Summary;
+//! use optchain_metrics::Cdf;
 //!
-//! let mut s = Summary::new();
+//! let mut latency = Cdf::new();
 //! for v in [1.0, 2.0, 3.0] {
-//!     s.record(v);
+//!     latency.record(v);
 //! }
-//! assert_eq!(s.mean(), 2.0);
-//! assert_eq!(s.max(), 3.0);
+//! assert_eq!(latency.mean(), 2.0);
+//! assert_eq!(latency.percentile(100.0), 3.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -32,12 +31,10 @@
 
 mod cdf;
 mod histogram;
-mod summary;
 mod table;
 mod timeseries;
 
 pub use cdf::Cdf;
 pub use histogram::Histogram;
-pub use summary::{gini, Summary};
 pub use table::{fmt_f, Table};
 pub use timeseries::{Bin, TimeSeries};

@@ -50,9 +50,12 @@
 //!
 //! # Single `Router` vs `RouterFleet` — when to use which
 //!
-//! The [`core::RouterFleet`] shards the ingress across N worker
-//! routers (one thread each, partitioned by client key, with periodic
-//! TaN cross-sync). Pick by deployment:
+//! The [`core::RouterFleet`] is one `Router` on its own thread behind a
+//! bounded queue, fed through cheap per-client handles. It is one
+//! placement thread on purpose: OptChain's decisions form one sequence
+//! (each reads every earlier one through T2S and the shard sizes), so
+//! a fleet is bit-identical to a `Router` fed the same order. Pick by
+//! deployment:
 //!
 //! * **`Router`** — one decision stream, bit-exact experiment replays,
 //!   figure/table reproduction, embedding placement inside another
@@ -60,30 +63,30 @@
 //!   core is enough for ~10⁶ placements/sec; every golden test is
 //!   stated against it.
 //! * **`RouterFleet`** — a placement *service* in front of many
-//!   concurrent clients, when one core caps ingestion. The builder
-//!   takes the knobs a service sets (`shards`, `strategy`,
-//!   `retention`, `expected_total`, `rebalancer`, `storage`) plus
-//!   `workers(n)`, `sync_interval(txs)` and `partitioner(fn)`. A batch
+//!   concurrent clients on many threads. The builder takes the knobs a
+//!   service sets (`shards`, `strategy`, `retention`, `expected_total`,
+//!   `rebalancer`, `storage`); `workers(n)`, `sync_interval(txs)` and
+//!   `partitioner(fn)` are accepted and change no placement. A batch
 //!   is the one unit of placement behind every per-client
 //!   [`core::FleetHandle`] door: `submit` / `submit_tx` /
 //!   `submit_with_detail` send a batch of one and wait for its shard;
 //!   `submit_detached` (flat `TxRows` — a whole wire request as one
 //!   message, three allocations however many transactions) and
 //!   `submit_batch_detached` (a zero-copy window of a shared stream)
-//!   are fire-and-forget, collected with `drain`. A 1-worker fleet is
-//!   bit-identical to a `Router`; with N workers each worker sees a partial,
-//!   periodically-synced TaN graph, so decisions trade a bounded
-//!   staleness (≤ `sync_interval` submissions) for near-linear ingest
-//!   scaling.
+//!   are fire-and-forget, collected with `drain`. One client's spend of
+//!   another's output finds its parent at once: there is one graph.
 //!
 //! ```
 //! use optchain::prelude::*;
 //!
-//! let fleet = RouterFleet::builder().shards(8).workers(2).sync_interval(1_000).build();
+//! let fleet = RouterFleet::builder().shards(8).build();
 //! let alice = fleet.handle(1);
+//! let bob = fleet.handle(2);
 //! let s0 = alice.submit(TxId(0), &[]);
 //! let s1 = alice.submit(TxId(1), &[TxId(0)]);
 //! assert_eq!(s0, s1);
+//! bob.submit(TxId(2), &[TxId(1)]); // Alice's output: already known
+//! assert_eq!(fleet.stats().missing_parent_refs, 0);
 //! ```
 //!
 //! # Streaming deployments: pick a `RetentionPolicy`
@@ -91,8 +94,7 @@
 //! By default every router keeps the whole TaN graph and score matrix
 //! — right for experiments, wrong for a service that ingests forever.
 //! A [`core::RetentionPolicy`] bounds the lifecycle (on `Router` and
-//! `RouterFleet` alike — each fleet worker holds a graph replica, so
-//! the policy multiplies by the worker count):
+//! `RouterFleet` alike):
 //!
 //! * `Unbounded` — replays, tables, figures; bit-exact history.
 //! * `WindowTxs(n)` — keep the last `n` transactions; memory is
@@ -103,8 +105,7 @@
 //!   spend-distance (the recorded baseline uses 100k).
 //! * `KeepUnspentAndHubs { min_degree }` — window plus retained
 //!   survivors: aged unspent outputs and high-fanout hubs stay
-//!   resolvable (and keep their T2S pull) indefinitely. In a fleet
-//!   this also prunes cross-sync deltas to the retained set.
+//!   resolvable (and keep their T2S pull) indefinitely.
 //!
 //! The policy bounds *everything* per-node: the TaN graph, the T2S
 //! score matrix, and the assignment history (a windowed
@@ -194,7 +195,7 @@
 //!
 //! # Recover after a crash: the durable node
 //!
-//! `.storage(backend)` turns a router (or every fleet worker, via
+//! `.storage(backend)` turns a router (or a fleet, via
 //! `RouterFleetBuilder::storage`) into a **durable placement node**:
 //! each acknowledged submission and telemetry change is journaled to a
 //! write-ahead log before the ack — one framed record per
@@ -207,8 +208,8 @@
 //! tail above it — the tail is the only delta, so no journaled byte is
 //! written twice — torn tail frames truncated, shards re-derived
 //! deterministically during replay. A fleet persists the same way —
-//! one backend per worker; `SharedStorage<MemStorage>` keeps it in RAM
-//! across a drop and rebuild.
+//! one backend for its one router; `SharedStorage<MemStorage>` keeps
+//! it in RAM across a drop and rebuild.
 //! Backends implement the [`core::Storage`] trait:
 //! [`core::SegmentWal`] (on-disk segments with CRC-framed records,
 //! fsync-batched acks, and retention-driven segment GC) for real
@@ -277,7 +278,7 @@
 //! use optchain::prelude::*;
 //!
 //! let server = PlacementServer::builder()
-//!     .fleet(RouterFleet::builder().shards(8).workers(2))
+//!     .fleet(RouterFleet::builder().shards(8))
 //!     .bind("127.0.0.1:0") // OS-assigned port
 //!     .start()
 //!     .unwrap();
@@ -291,7 +292,7 @@
 //! assert_eq!(shards.len(), 2);
 //! assert_eq!(client.query(TxId(1)).unwrap(), Some(shard));
 //! drop(client);
-//! server.shutdown(); // drains admitted work, flushes WAL tails
+//! server.shutdown(); // drains admitted work, flushes the WAL tail
 //! ```
 //!
 //! The service half makes three promises the in-process API cannot:
@@ -302,7 +303,7 @@
 //!   `Shutdown`, `Malformed`, `Duplicate`) instead of queueing
 //!   unboundedly or silently dropping, so admitted-request latency
 //!   stays bounded by queue size over drain rate. `Duplicate` is
-//!   bounded the way the graph is: an id is refused while a worker's
+//!   bounded the way the graph is: an id is refused while the fleet's
 //!   graph can still hold it (`RouterFleet::eviction_horizon`), a
 //!   fresh node beyond that, never forgotten when the retention
 //!   policy never evicts.
@@ -313,7 +314,7 @@
 //! * **No lost acks** — every request is answered exactly once
 //!   (ack, typed reject, or query result), including everything
 //!   admitted before a graceful [`server::PlacementServer::shutdown`],
-//!   which drains the queue through the fleet and flushes WAL tails
+//!   which drains the queue through the fleet and flushes the WAL tail
 //!   (attach storage via `RouterFleetBuilder::storage` exactly as
 //!   in-process). A `/metrics`-style text endpoint
 //!   ([`client::Client::metrics_text`]) exposes queue depth,

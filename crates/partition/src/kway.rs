@@ -47,13 +47,12 @@ impl PartitionConfig {
     }
 }
 
-/// Worker-thread budget for the parallel branches: the
-/// `OPTCHAIN_THREADS` environment variable when set to a positive
-/// integer, otherwise [`std::thread::available_parallelism`] (4 as a
-/// last resort) — the same convention as
-/// `optchain_core::configured_threads` (duplicated here because the
-/// partitioner sits below the placement layer).
-fn configured_threads() -> usize {
+/// Worker-thread budget for the parallel branches here and for the
+/// experiment driver's pool: the `OPTCHAIN_THREADS` environment
+/// variable when set to a positive integer, otherwise
+/// [`std::thread::available_parallelism`] (4 as a last resort). CI and
+/// containers pin thread counts with the variable.
+pub fn configured_threads() -> usize {
     std::env::var("OPTCHAIN_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
@@ -248,6 +247,11 @@ fn recurse(
 mod tests {
     use super::*;
     use crate::quality;
+
+    #[test]
+    fn configured_threads_is_positive() {
+        assert!(configured_threads() >= 1);
+    }
 
     fn communities(c: u32, size: u32, intra: usize, inter: usize, seed: u64) -> CsrGraph {
         use rand::Rng;

@@ -44,4 +44,4 @@ pub mod quality;
 pub use bisect::bisect;
 pub use coarsen::{coarsen, Coarsening};
 pub use csr::CsrGraph;
-pub use kway::{partition_kway, partition_with, PartitionConfig};
+pub use kway::{configured_threads, partition_kway, partition_with, PartitionConfig};

@@ -1,12 +1,13 @@
 //! The duplicate-submission guard: which transaction ids admission
 //! still refuses.
 //!
-//! A duplicate id reaching a worker's graph while the first is still
-//! there panics the worker, so admission remembers every id it let in —
-//! but only for as long as some graph can still hold it. The fleet says
-//! how long that is ([`RouterFleet::eviction_horizon`]): a resubmission
-//! at least `horizon` places in dispatch order behind the original
-//! finds it evicted everywhere. The guard turns that distance between
+//! A duplicate id reaching the fleet's graph while the first is still
+//! there panics the placement thread, so admission remembers every id
+//! it let in — but only for as long as the graph can still hold it. The
+//! fleet says how long that is ([`RouterFleet::eviction_horizon`]; the
+//! window plus one under `WindowTxs`, since the fleet places one
+//! sequence on one thread): a resubmission at least `horizon` places in
+//! dispatch order behind the original finds it evicted. The guard turns that distance between
 //! *dispatches* into one between *admissions*, which is what it can
 //! count, and keeps two generations of ids sized once from it — no
 //! rehash, `O(window)` memory. With no horizon (a policy that never

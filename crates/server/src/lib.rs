@@ -19,11 +19,13 @@
 //!   response; nothing is silently dropped.
 //! * **Duplicate refusal, bounded like the graph** — a transaction id
 //!   submitted twice is refused with [`RejectReason::Duplicate`] for as
-//!   long as some worker's graph can still hold the first (a duplicate
-//!   reaching it would panic the worker). How long that is comes from
-//!   the fleet, not from a knob
+//!   long as the fleet's graph can still hold the first (a duplicate
+//!   reaching it would panic the placement thread). How long that is
+//!   comes from the fleet, not from a knob
 //!   ([`RouterFleet::eviction_horizon`]): under
-//!   `RetentionPolicy::WindowTxs` the guard keeps two pre-sized
+//!   `RetentionPolicy::WindowTxs(w)` it is `w + 1` placements, because
+//!   the fleet places every transaction in one sequence on one thread,
+//!   and the guard keeps two pre-sized
 //!   generations of ids — `O(window)` memory, no rehash — and an id
 //!   resubmitted beyond the horizon is a fresh node, exactly as a
 //!   spend of an evicted output is a missing parent; under a policy
@@ -37,7 +39,7 @@
 //!   admission→ack latency quantiles.
 //! * **Graceful shutdown** — [`PlacementServer::shutdown`] drains the
 //!   admission queue (everything admitted is placed and acked), then
-//!   shuts the fleet down, flushing WAL tails when the fleet was
+//!   shuts the fleet down, flushing the WAL tail when the fleet was
 //!   built with `.storage(...)`.
 //!
 //! The wire format ([`protocol`]) is a 4-byte length-prefixed binary
@@ -51,7 +53,7 @@
 //! use optchain_server::PlacementServer;
 //!
 //! let server = PlacementServer::builder()
-//!     .fleet(RouterFleet::builder().shards(8).workers(4))
+//!     .fleet(RouterFleet::builder().shards(8))
 //!     .bind("127.0.0.1:0")
 //!     .queue_capacity(16_384)
 //!     .credit_window(256)
@@ -59,7 +61,7 @@
 //!     .expect("bind");
 //! println!("placement node on {}", server.local_addr());
 //! // ... serve ...
-//! server.shutdown(); // drain, ack everything admitted, flush WALs
+//! server.shutdown(); // drain, ack everything admitted, flush the WAL
 //! ```
 //!
 //! The matching blocking client lives in the `optchain-client` crate.

@@ -16,7 +16,7 @@ use optchain_metrics::Histogram;
 use crate::protocol::RejectReason;
 
 /// Placement-engine counters mirrored from the fleet by the
-/// dispatcher's throttled stats poll (a worker round-trip, so sampled
+/// dispatcher's throttled stats poll (a fleet round trip, so sampled
 /// every few thousand placements rather than per ack).
 #[derive(Debug, Default, Clone, Copy)]
 struct FleetPoll {

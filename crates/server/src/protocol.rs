@@ -70,7 +70,7 @@ pub enum RejectReason {
     Malformed = 4,
     /// A transaction id in the request repeats one admitted at most a
     /// horizon ago, or another in the same request. The horizon is how
-    /// long the fleet's graphs can still hold the id (see
+    /// long the fleet's graph can still hold the id (see
     /// [`RouterFleet::eviction_horizon`](optchain_core::RouterFleet::eviction_horizon)):
     /// beyond it the id is placed as a fresh node, like any
     /// pre-history spend; under a policy that never evicts it is

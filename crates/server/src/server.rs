@@ -6,9 +6,9 @@
 //! ```text
 //!                    ┌──────────────┐
 //!   accept loop ───▶ │ per-conn     │──▶ bounded admission queue ──▶ dispatcher ──▶ RouterFleet
-//!   (1 thread)       │ reader thread│    (fee-ordered, capacity-     (1 thread,     (N workers,
-//!                    └──────────────┘     bounded, shed on full)      one message    one placement
-//!                    ┌──────────────┐                                 per request,   loop)
+//!   (1 thread)       │ reader thread│    (fee-ordered, capacity-     (1 thread,     (1 placement
+//!                    └──────────────┘     bounded, shed on full)      one message    thread, one
+//!                    ┌──────────────┐                                 per request,   sequence)
 //!   responses ◀───── │ per-conn     │◀─── outbox channel ◀─────────── then drain)
 //!                    │ writer thread│
 //!                    └──────────────┘
@@ -16,17 +16,19 @@
 //!
 //! * The **reader** parses frames — a submission's transactions
 //!   straight into the one flat [`TxRows`] that travels, unchanged, to
-//!   the worker that places them — enforces the per-connection credit
+//!   the placement thread — enforces the per-connection credit
 //!   window (by *pausing reads* — a client over its window stalls in
 //!   TCP backpressure, it is never disconnected or silently dropped),
 //!   and admits work into the bounded fee-ordered queue. Admission
 //!   failures are shed with a typed rejection immediately.
 //! * The **dispatcher** pops admitted work highest-fee-first and hands
 //!   each request to the fleet as one detached placement message
-//!   ([`optchain_core::FleetHandle::submit_detached`] — a request that
-//!   straddles a cross-sync boundary splits there into two), then
-//!   drains the placement results and routes acks back to each
-//!   connection's outbox. A wire `Submit` is a request of one
+//!   ([`optchain_core::FleetHandle::submit_detached`]) with a drain
+//!   marker behind it ([`optchain_core::FleetHandle::drain_later`]),
+//!   then collects the *previous* round's results and routes its acks
+//!   back to each connection's outbox — so the placement thread finds
+//!   the next round queued instead of idling while acks are routed.
+//!   A wire `Submit` is a request of one
 //!   transaction; it differs from a `SubmitBatch` only in the ack it
 //!   gets.
 //! * The **writer** drains the outbox to the socket and returns credit.
@@ -41,8 +43,8 @@
 //! During shutdown the server **drains**: everything admitted is still
 //! placed and acknowledged (and journaled, under `.storage(...)`),
 //! new work is rejected with [`RejectReason::Shutdown`], and the fleet
-//! is shut down through [`RouterFleet::shutdown`], which flushes every
-//! worker's WAL tail before the server returns.
+//! is shut down through [`RouterFleet::shutdown`], which flushes the
+//! WAL tail before the server returns.
 
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Write as _};
@@ -70,12 +72,12 @@ pub const DEFAULT_QUEUE_CAPACITY: usize = 16_384;
 /// Default per-connection credit window, in requests.
 pub const DEFAULT_CREDIT_WINDOW: u32 = 256;
 
-/// How many transactions the dispatcher pulls per round before
-/// draining results. Larger chunks amortize the drain round trip;
-/// smaller chunks re-consult the fee order sooner (a high-fee arrival
-/// can only jump work that is still queued, not a chunk already
-/// handed to the fleet). 256 keeps the drain overhead under a few
-/// percent at fleet throughput while bounding priority inversion.
+/// How many transactions the dispatcher pulls per round. Larger chunks
+/// amortize the drain round trip; smaller chunks re-consult the fee
+/// order sooner (a high-fee arrival can only jump work that is still
+/// queued, not the at most two rounds already handed to the fleet).
+/// 256 keeps the drain overhead under a few percent at fleet
+/// throughput while bounding priority inversion.
 const DISPATCH_CHUNK: usize = 256;
 
 // ---------------------------------------------------------------------------
@@ -215,7 +217,7 @@ type Registry = Arc<Mutex<HashMap<u64, ConnEntry>>>;
 /// Builder for [`PlacementServer`]. The one required input is the
 /// [`RouterFleetBuilder`] describing the placement fleet the server
 /// fronts — every fleet knob (strategy, retention, `.storage(...)`
-/// durability, worker count) composes unchanged.
+/// durability) composes unchanged.
 pub struct PlacementServerBuilder {
     fleet: Option<RouterFleetBuilder>,
     addr: String,
@@ -238,7 +240,7 @@ impl PlacementServerBuilder {
     }
 
     /// The placement fleet to serve (required). The builder is built —
-    /// and its worker threads spawned — inside [`Self::start`].
+    /// and its placement thread spawned — inside [`Self::start`].
     pub fn fleet(mut self, fleet: RouterFleetBuilder) -> Self {
         self.fleet = Some(fleet);
         self
@@ -793,8 +795,13 @@ fn dispatcher_loop(
     let mut placed_total = 0u64;
     let started = Instant::now();
     let mut batch: Vec<crate::queue::Admitted<Work>> = Vec::new();
+    // The round handed to the fleet whose acks are not yet routed. The
+    // next round is submitted before this one's results are collected,
+    // so the placement thread always has work queued behind the drain
+    // marker instead of idling while the dispatcher routes acks.
+    let mut in_flight: Vec<Pending> = Vec::new();
     // Fleet-counter snapshots (cross-shard ratio, rebalancer progress)
-    // cost a worker round trip, so they are taken at most every
+    // cost a fleet round trip, so they are taken at most every
     // FLEET_POLL_INTERVAL instead of per ack.
     let mut polled_at = 0u64;
     // Backdated so the first placements are snapshotted promptly.
@@ -816,13 +823,14 @@ fn dispatcher_loop(
                     pulled += entry.txs;
                     batch.push(entry);
                 }
-                if !batch.is_empty() {
+                // Nothing new: finish the round in flight before waiting.
+                if !batch.is_empty() || !in_flight.is_empty() {
                     break;
                 }
                 if s.draining {
                     // Queue fully drained and no more admissions can
                     // arrive: the server is done. Take a final counter
-                    // snapshot while the workers still answer.
+                    // snapshot while the fleet still answers.
                     drop(s);
                     poll_fleet_stats(&fleet, &metrics);
                     fleet.shutdown();
@@ -834,7 +842,7 @@ fn dispatcher_loop(
 
         // Phase 1: hand each request to the fleet as one detached
         // (fire-and-forget) message — placements for many connections
-        // pipeline through the worker queues without a round trip.
+        // pipeline through the fleet's queue without a round trip.
         let mut per_conn: HashMap<u64, Vec<PendingAck>> = HashMap::new();
         for entry in batch.drain(..) {
             match entry.work {
@@ -871,55 +879,36 @@ fn dispatcher_loop(
                 }
             }
         }
+        // Each touched connection's drain marker goes right behind its
+        // requests; the results are collected a round later.
+        let round: Vec<Pending> = per_conn
+            .into_iter()
+            .map(|(conn, acks)| Pending {
+                conn,
+                acks,
+                results: handles
+                    .get(&conn)
+                    .expect("handle created in phase 1")
+                    .drain_later(),
+            })
+            .collect();
 
-        // Phase 2: drain each touched connection's results, in the
-        // order its requests were submitted (global sequence numbers
-        // are monotone per connection, and `drain` returns them
-        // sorted), and route the acks.
-        for (conn, pending) in per_conn {
-            let results = handles
-                .get(&conn)
-                .expect("handle created in phase 1")
-                .drain();
-            let mut shards = results.into_iter().map(|(_, shard)| shard.0);
-            for ack in pending {
-                let response = if ack.batch {
-                    let placed: Vec<u32> = (&mut shards).take(ack.ntxs).collect();
-                    assert_eq!(placed.len(), ack.ntxs, "one shard per submitted tx");
-                    for &shard in &placed {
-                        metrics.on_placed_to(shard);
-                    }
-                    Response::AckBatch {
-                        req_id: ack.req_id,
-                        shards: placed,
-                    }
-                } else {
-                    let shard = shards.next().expect("one shard per submitted tx");
-                    metrics.on_placed_to(shard);
-                    Response::Ack {
-                        req_id: ack.req_id,
-                        shard,
-                    }
-                };
-                metrics.on_acked(
-                    ack.ntxs as u64,
-                    ack.admitted_at.elapsed().as_micros() as u64,
-                );
-                send_to_conn(&registry, conn, response, &metrics);
-            }
-            assert!(
-                shards.next().is_none(),
-                "drained more results than submitted this round"
-            );
+        // Phase 2: collect the previous round's results and route its
+        // acks, each connection's in the order its requests were
+        // submitted (global sequence numbers are monotone per
+        // connection, and a drain returns them sorted).
+        for pending in std::mem::replace(&mut in_flight, round) {
+            route_acks(pending, &registry, &metrics);
         }
 
         // Drop FleetHandles for connections that have deregistered so
         // churn doesn't accumulate them. Safe at this point: a
         // connection cannot deregister while it has queued work (the
-        // reader holds its credits until the acks are written), every
-        // submission this round was drained above, conn ids are never
-        // reused, and detached results live worker-side keyed by conn
-        // id — so a handle can always be recreated if ever needed.
+        // reader holds its credits until the acks are written), so a
+        // connection with a round still in flight is registered; conn
+        // ids are never reused, and detached results live fleet-side
+        // keyed by conn id — so a handle can always be recreated if
+        // ever needed.
         if !handles.is_empty() {
             let registry = registry.lock().expect("registry mutex");
             handles.retain(|conn, _| registry.contains_key(conn));
@@ -933,7 +922,15 @@ fn dispatcher_loop(
     }
 }
 
-/// A request handed to the fleet whose shards the next drain returns.
+/// One connection's requests of one dispatcher round, and the drain
+/// that collects their shards.
+struct Pending {
+    conn: u64,
+    acks: Vec<PendingAck>,
+    results: optchain_core::PendingDrain,
+}
+
+/// A request handed to the fleet whose shards its round's drain returns.
 struct PendingAck {
     req_id: u64,
     ntxs: usize,
@@ -942,8 +939,48 @@ struct PendingAck {
     admitted_at: Instant,
 }
 
+/// Waits for `pending`'s drain and sends one ack per request to its
+/// connection.
+fn route_acks(pending: Pending, registry: &Registry, metrics: &ServerMetrics) {
+    let Pending {
+        conn,
+        acks,
+        results,
+    } = pending;
+    let mut shards = results.wait().into_iter().map(|(_, shard)| shard.0);
+    for ack in acks {
+        let response = if ack.batch {
+            let placed: Vec<u32> = (&mut shards).take(ack.ntxs).collect();
+            assert_eq!(placed.len(), ack.ntxs, "one shard per submitted tx");
+            for &shard in &placed {
+                metrics.on_placed_to(shard);
+            }
+            Response::AckBatch {
+                req_id: ack.req_id,
+                shards: placed,
+            }
+        } else {
+            let shard = shards.next().expect("one shard per submitted tx");
+            metrics.on_placed_to(shard);
+            Response::Ack {
+                req_id: ack.req_id,
+                shard,
+            }
+        };
+        metrics.on_acked(
+            ack.ntxs as u64,
+            ack.admitted_at.elapsed().as_micros() as u64,
+        );
+        send_to_conn(registry, conn, response, metrics);
+    }
+    assert!(
+        shards.next().is_none(),
+        "drained more results than submitted this round"
+    );
+}
+
 /// How often the dispatcher refreshes the fleet-counter snapshot in
-/// the metrics (each refresh is a blocking worker round trip).
+/// the metrics (each refresh is a blocking fleet round trip).
 const FLEET_POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// One fleet-counter snapshot into the shared metrics.
@@ -1071,7 +1108,7 @@ impl PlacementServer {
     /// Gracefully drains and shuts the node down: stops accepting,
     /// sheds new work with [`RejectReason::Shutdown`], places and acks
     /// **everything already admitted** (zero lost acks), shuts the
-    /// fleet down — flushing every worker's WAL tail under
+    /// fleet down — flushing its WAL tail under
     /// `.storage(...)` — and joins every thread.
     pub fn shutdown(mut self) {
         self.shutdown_inner();

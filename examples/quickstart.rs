@@ -3,18 +3,18 @@
 //! 1. through a single [`Router`] (one decision stream, bit-exact
 //!    replays — how the paper's tables are produced), comparing
 //!    OptChain against OmniLedger's random placement;
-//! 2. through a [`RouterFleet`] (N worker routers partitioned by
-//!    client, with periodic TaN cross-sync — the concurrent placement
-//!    *service*), showing what sharded ingestion costs in placement
-//!    quality at different sync cadences;
+//! 2. through a [`RouterFleet`] (one router on its own thread behind a
+//!    bounded queue, fed by many client handles — the concurrent
+//!    placement *service*), showing that it places exactly like the
+//!    single router;
 //! 3. with a [`RetentionPolicy`] — the streaming deployment, where
 //!    placement state must stay O(window) instead of growing with the
 //!    stream.
 //!
-//! Rule of thumb: reach for `Router` when one thread can carry the
-//! load or when you need bit-exact reproducibility against the golden
-//! tests; reach for `RouterFleet` when ingestion itself must scale
-//! across cores and a bounded sync staleness is acceptable; add a
+//! Rule of thumb: reach for `Router` when the caller owns the one
+//! decision stream; reach for `RouterFleet` when many clients on many
+//! threads submit into it — placement stays one sequence either way,
+//! because every OptChain decision reads every earlier one; add a
 //! `RetentionPolicy` whenever the stream outlives the memory you are
 //! willing to give it.
 //!
@@ -63,41 +63,33 @@ fn main() -> std::io::Result<()> {
     );
 
     // --- 2. RouterFleet: the concurrent placement service ------------
-    let workers = 4usize;
-    println!("\nnow through a {workers}-worker RouterFleet (clients sharded across workers):");
+    let clients = 4u64;
+    println!("\nnow through a RouterFleet fed by {clients} clients:");
     let stream: Arc<[Transaction]> = txs.into();
-    for sync_interval in [1_000u64, 10_000, 0] {
-        let fleet = RouterFleet::builder()
-            .shards(shards)
-            .workers(workers)
-            .partitioner(|client| client as usize)
-            .sync_interval(sync_interval)
-            .expected_total(n as u64)
-            .build();
-        // Four clients feed chunks concurrently-shaped but
-        // deterministically ordered; results come back via drain.
-        let handles: Vec<FleetHandle> = (0..workers as u64).map(|c| fleet.handle(c)).collect();
-        for (i, start) in (0..n).step_by(1_024).enumerate() {
-            let _ =
-                handles[i % workers].submit_batch_detached(&stream, start..(start + 1_024).min(n));
-        }
-        fleet.flush();
-        let placed: u64 = handles.iter().map(|h| h.drain().len() as u64).sum();
-        let stats = fleet.stats();
-        let label = if sync_interval == 0 {
-            "sync off        ".to_string()
-        } else {
-            format!("sync every {sync_interval:>5}")
-        };
-        println!(
-            "  {label}: {placed} placed, {} foreign parents unresolved at placement, {} adoptions",
-            stats.missing_parent_refs, stats.adopted,
-        );
+    let fleet = RouterFleet::builder().shards(shards).build();
+    // Four clients feed chunks round-robin; results come back via drain.
+    let handles: Vec<FleetHandle> = (0..clients).map(|c| fleet.handle(c)).collect();
+    for (i, start) in (0..n).step_by(1_024).enumerate() {
+        let range = start..(start + 1_024).min(n);
+        let _ = handles[i % handles.len()].submit_batch_detached(&stream, range);
     }
+    let mut placed: Vec<(u64, ShardId)> = handles.iter().flat_map(|h| h.drain()).collect();
+    placed.sort_by_key(|(seq, _)| *seq);
+    // The same stream through one `Router`, in the same order.
+    let mut expected = Vec::new();
+    Router::builder()
+        .shards(shards)
+        .build()
+        .submit_batch(&stream, &mut expected);
+    let same = placed.iter().map(|(_, shard)| *shard).eq(expected);
+    let stats = fleet.stats();
     println!(
-        "\nTighter sync intervals resolve more cross-worker spends (fewer unresolved \
-         parents) at the cost of more synchronization — a 1-worker fleet is bit-identical \
-         to the Router above."
+        "  {} placed, {} cross-shard, {} parents unresolved; identical to the Router: {same}",
+        stats.placed, stats.cross_placed, stats.missing_parent_refs,
+    );
+    println!(
+        "\nOne placement thread keeps OptChain's decisions one sequence: each client's \
+         spends see every other client's outputs at once."
     );
 
     // --- 3. RetentionPolicy: bounded-memory streaming ----------------

@@ -1,8 +1,7 @@
 //! The fleet's bulk path stays amortized allocation-free: fewer than
-//! 0.1 heap allocations per worker-ingested transaction. Every worker
-//! ingests the whole stream (its own share placed, the rest adopted at
-//! sync points), so the budget is paid once per graph replica; only
-//! arena growth and per-sync delta buffers remain. Counted with a
+//! 0.1 heap allocations per placed transaction, however many client
+//! handles feed it. The one placement thread holds the only graph, so
+//! only arena growth and the drain buffers remain. Counted with a
 //! counting allocator, so the claim is a count, not a timing. (The
 //! decision and router rungs are gated by `scripts/bench_gate.py` on
 //! the benchmark's `core.placer.allocs_per_tx` /
@@ -15,7 +14,7 @@ use std::sync::Arc;
 use optchain::prelude::*;
 
 /// Allocations made by every thread: the work happens on the fleet's
-/// workers, so this file holds exactly one test.
+/// placement thread, so this file holds exactly one test.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 struct CountingAlloc;
@@ -62,26 +61,21 @@ fn fleet_ingest_allocates_under_a_tenth_per_worker_ingested_tx() {
     let stream: Arc<[Transaction]> =
         optchain::workload::generate(WorkloadConfig::bitcoin_like().with_seed(0xB17C04), TXS)
             .into();
-    for workers in [1usize, 2] {
-        let fleet = RouterFleet::builder()
-            .shards(16)
-            .workers(workers)
-            .partitioner(|client| client as usize)
-            .sync_interval(10_000)
-            .build();
-        let handles: Vec<_> = (0..workers as u64).map(|c| fleet.handle(c)).collect();
+    for clients in [1u64, 2] {
+        let fleet = RouterFleet::builder().shards(16).build();
+        let handles: Vec<_> = (0..clients).map(|c| fleet.handle(c)).collect();
         let before = ALLOCS.load(Ordering::Relaxed);
         for (i, start) in (0..TXS).step_by(CHUNK).enumerate() {
             let end = (start + CHUNK).min(TXS);
-            let _ = handles[i % workers].submit_batch_detached(&stream, start..end);
+            let _ = handles[i % handles.len()].submit_batch_detached(&stream, start..end);
         }
         let placed: usize = handles.iter().map(|h| h.drain().len()).sum();
         let allocs = ALLOCS.load(Ordering::Relaxed) - before;
         assert_eq!(placed, TXS, "every submission must place");
-        let per_tx = allocs as f64 / (TXS * workers) as f64;
+        let per_tx = allocs as f64 / placed as f64;
         assert!(
             per_tx < 0.1,
-            "{workers}-worker fleet: {allocs} allocations, {per_tx:.4} per worker-ingested tx"
+            "{clients} clients: {allocs} allocations, {per_tx:.4} per placed tx"
         );
     }
 }
