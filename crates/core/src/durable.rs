@@ -1,39 +1,51 @@
-//! The durable-router wire vocabulary: WAL record codecs and the meta
-//! blob describing a journaled router's configuration.
+//! The durable-router wire vocabulary: the three persisted artifacts,
+//! each with its one format and its one accepted version — the meta
+//! blob describing a journaled router's configuration, the WAL records,
+//! and the snapshot body a checkpoint holds.
 //!
 //! A durable [`crate::Router`] journals every state mutation —
 //! placements (one record per `submit_batch` call, one entry each),
 //! adoptions and telemetry changes — to an
 //! [`optchain_storage::Storage`] backend, and periodically installs a
-//! snapshot (an encoded [`crate::RouterSnapshot`]) covering a prefix
-//! of the journal. Recovery reads the meta blob to rebuild the exact
-//! builder configuration, restores the snapshot verbatim, and replays
-//! the journal tail above it; because placement is deterministic,
-//! replaying the surviving records reproduces the crashed router
-//! bit-identically. Every journaled byte is written once: the tail
-//! is the only delta there is.
+//! snapshot covering a prefix of the journal. A snapshot *is* every
+//! decision input the journal does not carry ([`RouterSnapshot`]),
+//! carried verbatim under every [`RetentionPolicy`]: nothing is
+//! re-derived at restore time. [`crate::Router::recover`] is the one
+//! way state comes back: it reads the meta blob to rebuild the exact
+//! builder configuration, checks the snapshot against it
+//! ([`RouterSnapshot::check`]), installs it, and replays the journal
+//! tail above it. Because placement is deterministic — the
+//! rebalancer's epochs included — replaying the surviving records
+//! reproduces the crashed router bit-identically. Every journaled byte
+//! is written once: the tail is the only delta there is.
 //!
 //! Every encoding here is deterministic (fixed-width little-endian via
 //! [`ByteWriter`]) and self-validating on decode — corrupt bytes that
 //! survive the storage layer's CRC fail structurally instead of
 //! producing a silently wrong router.
 
+use std::borrow::Cow;
+
 use optchain_storage::{ByteReader, ByteWriter, CodecError};
+use optchain_tan::{NodeId, RetentionPolicy, TanGraph};
 use optchain_utxo::TxId;
 
+use crate::assignment::AssignmentStore;
 use crate::l2s::{L2sMode, ShardTelemetry};
+use crate::placer::{Placer, ShardId};
+use crate::rebalance::{Move, RebalancePolicy, RebalanceState, RebalanceStats};
 use crate::router::RouterSpec;
-use crate::strategy::Strategy;
-use optchain_tan::RetentionPolicy;
+use crate::strategy::{DynPlacer, Strategy};
+use crate::t2s::T2sEngine;
 
 /// Meta blob format version (the first byte of the blob). Every
 /// persisted artifact has exactly one accepted version: any other
 /// leading byte fails recovery with a typed `InvalidData`.
-pub(crate) const META_VERSION: u8 = 3;
+pub(crate) const META_VERSION: u8 = 4;
 
 /// Checkpoint format version: the first byte of `checkpoint.bin`, which
-/// is the snapshot body itself (`crate::snapshot`).
-pub(crate) const CHECKPOINT_VERSION: u8 = 3;
+/// is the snapshot body itself ([`RouterSnapshot`]).
+pub(crate) const CHECKPOINT_VERSION: u8 = 4;
 
 /// Default journaled entries before a journal's first snapshot (flush
 /// + snapshot + segment GC).
@@ -174,46 +186,14 @@ pub(crate) fn get_telemetry(r: &mut ByteReader<'_>) -> Result<Vec<ShardTelemetry
     Ok(out)
 }
 
-pub(crate) fn put_telemetry_opt(w: &mut ByteWriter, telemetry: &Option<Vec<ShardTelemetry>>) {
-    match telemetry {
-        None => w.put_u8(0),
-        Some(t) => {
-            w.put_u8(1);
-            put_telemetry(w, t);
-        }
-    }
-}
-
-pub(crate) fn get_telemetry_opt(
-    r: &mut ByteReader<'_>,
-) -> Result<Option<Vec<ShardTelemetry>>, CodecError> {
-    match r.get_u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(get_telemetry(r)?)),
-        _ => Err(CodecError("bad telemetry option tag")),
-    }
-}
-
-fn strategy_tag(strategy: Strategy) -> u8 {
-    match strategy {
-        Strategy::OptChain => 0,
-        Strategy::T2s => 1,
-        Strategy::OmniLedger => 2,
-        Strategy::Greedy => 3,
-        Strategy::Metis => 4,
-    }
-}
-
-fn strategy_from_tag(tag: u8) -> Result<Strategy, CodecError> {
-    Ok(match tag {
-        0 => Strategy::OptChain,
-        1 => Strategy::T2s,
-        2 => Strategy::OmniLedger,
-        3 => Strategy::Greedy,
-        4 => Strategy::Metis,
-        _ => return Err(CodecError("unknown strategy tag")),
-    })
-}
+/// The meta blob's strategy tags: a strategy's tag is its index here.
+const STRATEGY_TAGS: [Strategy; 5] = [
+    Strategy::OptChain,
+    Strategy::T2s,
+    Strategy::OmniLedger,
+    Strategy::Greedy,
+    Strategy::Metis,
+];
 
 /// Encodes the self-describing meta blob: the full [`RouterSpec`]
 /// (including the durability knobs), written once before the first
@@ -222,7 +202,8 @@ pub(crate) fn encode_spec(spec: &RouterSpec) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_u8(META_VERSION);
     w.put_u32(spec.k());
-    w.put_u8(strategy_tag(spec.strategy));
+    let tag = STRATEGY_TAGS.iter().position(|&s| s == spec.strategy);
+    w.put_u8(tag.expect("every strategy has a tag") as u8);
     w.put_f64(spec.alpha);
     spec.retention.encode_into(&mut w);
     w.put_u8(match spec.l2s_mode {
@@ -248,7 +229,24 @@ pub(crate) fn encode_spec(spec: &RouterSpec) -> Vec<u8> {
             }
         }
     }
-    put_telemetry_opt(&mut w, &spec.telemetry);
+    match &spec.telemetry {
+        None => w.put_u8(0),
+        Some(telemetry) => {
+            w.put_u8(1);
+            put_telemetry(&mut w, telemetry);
+        }
+    }
+    match &spec.rebalance {
+        None => w.put_u8(0),
+        Some(policy) => {
+            w.put_u8(1);
+            w.put_u64(policy.epoch_interval);
+            w.put_u64(policy.max_moves_per_epoch as u64);
+            w.put_u64(policy.byte_budget_per_epoch);
+            w.put_f64(policy.utilization_trigger);
+            w.put_u32(policy.min_in_degree);
+        }
+    }
     w.put_u64(spec.checkpoint_every);
     w.put_u64(spec.flush_every);
     w.put_u64(spec.full_every);
@@ -261,58 +259,274 @@ pub(crate) fn decode_spec(bytes: &[u8]) -> Result<RouterSpec, CodecError> {
     if r.get_u8()? != META_VERSION {
         return Err(CodecError("unknown meta blob version"));
     }
-    let shards = r.get_u32()?;
-    let strategy = strategy_from_tag(r.get_u8()?)?;
-    let alpha = r.get_f64()?;
-    let retention = RetentionPolicy::decode_from(&mut r)?;
-    let l2s_mode = match r.get_u8()? {
-        0 => L2sMode::PaperSelfConvolution,
-        1 => L2sMode::VerifyPlusCommit,
-        _ => return Err(CodecError("unknown L2S mode tag")),
-    };
-    let l2s_weight = r.get_f64()?;
-    let epsilon = r.get_f64()?;
-    let expected_total = match r.get_u8()? {
-        0 => None,
-        1 => Some(r.get_u64()?),
-        _ => return Err(CodecError("bad expected_total option tag")),
-    };
-    let oracle = match r.get_u8()? {
-        0 => None,
-        1 => {
-            let count = r.get_count(4)?;
-            let mut oracle = Vec::with_capacity(count);
-            for _ in 0..count {
-                oracle.push(r.get_u32()?);
+    // Struct fields initialize in the order written: the wire order.
+    let spec = RouterSpec {
+        shards: Some(r.get_u32()?),
+        strategy: *STRATEGY_TAGS
+            .get(usize::from(r.get_u8()?))
+            .ok_or(CodecError("unknown strategy tag"))?,
+        alpha: r.get_f64()?,
+        retention: RetentionPolicy::decode_from(&mut r)?,
+        l2s_mode: match r.get_u8()? {
+            0 => L2sMode::PaperSelfConvolution,
+            1 => L2sMode::VerifyPlusCommit,
+            _ => return Err(CodecError("unknown L2S mode tag")),
+        },
+        l2s_weight: r.get_f64()?,
+        epsilon: r.get_f64()?,
+        expected_total: match r.get_u8()? {
+            0 => None,
+            1 => Some(r.get_u64()?),
+            _ => return Err(CodecError("bad expected_total option tag")),
+        },
+        oracle: match r.get_u8()? {
+            0 => None,
+            1 => {
+                let count = r.get_count(4)?;
+                let mut oracle = Vec::with_capacity(count);
+                for _ in 0..count {
+                    oracle.push(r.get_u32()?);
+                }
+                Some(oracle)
             }
-            Some(oracle)
-        }
-        _ => return Err(CodecError("bad oracle option tag")),
+            _ => return Err(CodecError("bad oracle option tag")),
+        },
+        telemetry: match r.get_u8()? {
+            0 => None,
+            1 => Some(get_telemetry(&mut r)?),
+            _ => return Err(CodecError("bad telemetry option tag")),
+        },
+        rebalance: match r.get_u8()? {
+            0 => None,
+            1 => Some(RebalancePolicy {
+                epoch_interval: r.get_u64()?,
+                max_moves_per_epoch: r.get_u64()? as usize,
+                byte_budget_per_epoch: r.get_u64()?,
+                utilization_trigger: r.get_f64()?,
+                min_in_degree: r.get_u32()?,
+            }),
+            _ => return Err(CodecError("bad rebalancer option tag")),
+        },
+        checkpoint_every: r.get_u64()?,
+        flush_every: r.get_u64()?,
+        full_every: r.get_u64()?,
     };
-    let telemetry = get_telemetry_opt(&mut r)?;
-    let checkpoint_every = r.get_u64()?;
-    let flush_every = r.get_u64()?;
-    let full_every = r.get_u64()?;
     r.finish()?;
-    let mut spec = RouterSpec::new();
-    spec.shards = Some(shards);
-    spec.strategy = strategy;
-    spec.alpha = alpha;
-    spec.retention = retention;
-    spec.l2s_mode = l2s_mode;
-    spec.l2s_weight = l2s_weight;
-    spec.epsilon = epsilon;
-    spec.expected_total = expected_total;
-    spec.oracle = oracle;
-    spec.telemetry = telemetry;
-    spec.checkpoint_every = checkpoint_every;
-    spec.flush_every = flush_every;
-    spec.full_every = full_every;
     // The encoder writes whatever the builder held and `RouterSpec::build`
     // panics on a spec that fails its check: bytes from disk must fail
     // typed instead.
     spec.check().map_err(CodecError)?;
     Ok(spec)
+}
+
+/// A router's placement state as one snapshot body: the (possibly
+/// evicted) TaN graph with its horizon and stable-id remap, the
+/// assignment store, the strategy's own state (T2S engine or Greedy
+/// counters), the lifetime adoption count, the telemetry board with
+/// its version, the rebalancer's state and the cross-placement count —
+/// all verbatim, so the recovered router is bit-exact under every
+/// [`RetentionPolicy`], after adoptions and across rebalance epochs
+/// alike. The checkpoint writer borrows it from the live router;
+/// [`RouterSnapshot::decode_from`] owns what it reads back, which
+/// [`crate::Router::recover`] installs into a fresh router built from
+/// the journal's meta blob.
+pub(crate) struct RouterSnapshot<'a> {
+    pub(crate) tan: Cow<'a, TanGraph>,
+    pub(crate) assignments: Cow<'a, AssignmentStore>,
+    /// The T2S engine (OptChain and T2S strategies).
+    pub(crate) engine: Option<Cow<'a, T2sEngine>>,
+    /// The capacity-cap counters Greedy keeps outside its store.
+    pub(crate) greedy_sizes: Option<Cow<'a, [u64]>>,
+    pub(crate) adopted_total: u64,
+    pub(crate) telemetry: Cow<'a, [ShardTelemetry]>,
+    pub(crate) version: u64,
+    /// The rebalancer's staged batch and counters, iff it has one.
+    pub(crate) rebalance: Option<Cow<'a, RebalanceState>>,
+    pub(crate) cross_placed: u64,
+}
+
+impl RouterSnapshot<'_> {
+    /// Serializes the snapshot body (`docs/DURABILITY.md` §5.4).
+    pub(crate) fn encode_into(&self, w: &mut ByteWriter) {
+        w.put_u8(CHECKPOINT_VERSION);
+        self.tan.encode_into(w);
+        self.assignments.encode_into(w);
+        match &self.engine {
+            None => w.put_u8(0),
+            Some(engine) => {
+                w.put_u8(1);
+                engine.encode_into(w);
+            }
+        }
+        match &self.greedy_sizes {
+            None => w.put_u8(0),
+            Some(sizes) => {
+                w.put_u8(1);
+                w.put_u64(sizes.len() as u64);
+                for &n in sizes.iter() {
+                    w.put_u64(n);
+                }
+            }
+        }
+        w.put_u64(self.adopted_total);
+        put_telemetry(w, &self.telemetry);
+        w.put_u64(self.version);
+        match &self.rebalance {
+            None => w.put_u8(0),
+            Some(state) => {
+                w.put_u8(1);
+                w.put_u64(state.staged.len() as u64);
+                for mv in &state.staged {
+                    w.put_u32(mv.node.0);
+                    w.put_u64(mv.txid.0);
+                    w.put_u32(mv.from.0);
+                    w.put_u32(mv.to.0);
+                    w.put_u64(mv.bytes);
+                }
+                let s = &state.stats;
+                w.put_u64(s.epochs_opened);
+                w.put_u64(s.epochs_committed);
+                w.put_u64(s.nodes_moved);
+                w.put_u64(s.bytes_migrated);
+                w.put_u64(s.moves_dropped);
+            }
+        }
+        w.put_u64(self.cross_placed);
+    }
+
+    /// Decodes a body written by [`RouterSnapshot::encode_into`]. Each
+    /// part validates its own structure; [`RouterSnapshot::check`]
+    /// validates the parts against each other and the router.
+    pub(crate) fn decode_from(
+        r: &mut ByteReader<'_>,
+    ) -> Result<RouterSnapshot<'static>, CodecError> {
+        if r.get_u8()? != CHECKPOINT_VERSION {
+            return Err(CodecError("unknown checkpoint body version"));
+        }
+        let tan = Cow::Owned(TanGraph::decode_from(r)?);
+        let assignments = Cow::Owned(AssignmentStore::decode_from(r)?);
+        let engine = match r.get_u8()? {
+            0 => None,
+            1 => Some(Cow::Owned(T2sEngine::decode_from(r)?)),
+            _ => return Err(CodecError("bad engine tag")),
+        };
+        let greedy_sizes = match r.get_u8()? {
+            0 => None,
+            1 => {
+                let count = r.get_count(8)?;
+                let mut sizes = Vec::with_capacity(count);
+                for _ in 0..count {
+                    sizes.push(r.get_u64()?);
+                }
+                Some(Cow::Owned(sizes))
+            }
+            _ => return Err(CodecError("bad greedy sizes tag")),
+        };
+        Ok(RouterSnapshot {
+            tan,
+            assignments,
+            engine,
+            greedy_sizes,
+            adopted_total: r.get_u64()?,
+            telemetry: Cow::Owned(get_telemetry(r)?),
+            version: r.get_u64()?,
+            rebalance: match r.get_u8()? {
+                0 => None,
+                1 => Some(Cow::Owned(get_rebalance_state(r)?)),
+                _ => return Err(CodecError("bad rebalancer tag")),
+            },
+            cross_placed: r.get_u64()?,
+        })
+    }
+
+    /// Every rule the parts of a snapshot obey against each other and
+    /// the fresh router (its `retention` and `placer`, both built from
+    /// the meta blob's spec) restoring it, stated once — which *kind*
+    /// of strategy and rebalancer state a router takes is stated by
+    /// [`crate::Router::recover`]'s install match. Recovery maps a
+    /// broken rule to `InvalidData`: a checkpoint that disagrees with
+    /// its meta blob must never panic.
+    pub(crate) fn check(
+        &self,
+        retention: RetentionPolicy,
+        placer: &DynPlacer,
+    ) -> Result<(), &'static str> {
+        let k = placer.k() as usize;
+        if self.tan.retention() != retention {
+            return Err("snapshot retention policy disagrees with the router's");
+        }
+        let (store, engine, _) = placer.state();
+        if let (Some(ours), Some(theirs)) = (engine, &self.engine) {
+            if !theirs.same_config(ours) {
+                return Err("snapshot T2S engine shard count, alpha or window \
+                     disagrees with the router's");
+            }
+        }
+        if !self.assignments.same_shape(store) {
+            return Err("snapshot assignment store window disagrees with the router's");
+        }
+        let len = self.tan.len();
+        let registered = self.engine.as_ref().map_or(len, |e| e.registered());
+        if self.assignments.len() != len || registered != len {
+            return Err("snapshot graph, assignment store and T2S engine disagree \
+                 on the stream length");
+        }
+        // Adoptions are part of the stream; the rest is the rebalancer's
+        // epoch clock.
+        if self.adopted_total > len as u64 {
+            return Err("snapshot adoption count exceeds the stream length");
+        }
+        let mut live = self.assignments.view().iter_live();
+        if live.any(|(_, shard)| shard.index() >= k) {
+            return Err("snapshot assignment out of range");
+        }
+        if let DynPlacer::Oracle(p) = placer {
+            if !p.agrees_with(&self.assignments) {
+                return Err("snapshot assignments disagree with the oracle");
+            }
+        }
+        let sizes = self.greedy_sizes.as_ref().map_or(k, |s| s.len());
+        if self.telemetry.len() != k || sizes != k {
+            return Err("snapshot telemetry and capacity counters must cover every shard");
+        }
+        // A staged node may have aged out of the window since staging
+        // (its commit drops it, as it would have uncrashed); a live one
+        // is the transaction it was staged as.
+        let staged = self.rebalance.iter().flat_map(|state| &state.staged);
+        for mv in staged {
+            let node_ok = mv.node.index() < len
+                && (!self.tan.is_live(mv.node) || self.tan.txid(mv.node) == mv.txid);
+            if !node_ok || mv.from.index() >= k || mv.to.index() >= k || mv.from == mv.to {
+                return Err("snapshot staged move disagrees with the graph or the shard count");
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The rebalancer's staged batch and counters; the moves are checked
+/// against the graph by [`RouterSnapshot::check`].
+fn get_rebalance_state(r: &mut ByteReader<'_>) -> Result<RebalanceState, CodecError> {
+    // A move is node, txid, from, to, bytes: 28 bytes.
+    let count = r.get_count(4 + 8 + 4 + 4 + 8)?;
+    let mut staged = Vec::with_capacity(count);
+    for _ in 0..count {
+        staged.push(Move {
+            node: NodeId(r.get_u32()?),
+            txid: TxId(r.get_u64()?),
+            from: ShardId(r.get_u32()?),
+            to: ShardId(r.get_u32()?),
+            bytes: r.get_u64()?,
+        });
+    }
+    let stats = RebalanceStats {
+        epochs_opened: r.get_u64()?,
+        epochs_committed: r.get_u64()?,
+        nodes_moved: r.get_u64()?,
+        bytes_migrated: r.get_u64()?,
+        moves_dropped: r.get_u64()?,
+    };
+    Ok(RebalanceState { staged, stats })
 }
 
 #[cfg(test)]
@@ -383,8 +597,12 @@ mod tests {
         spec.checkpoint_every = 1024;
         spec.flush_every = 64;
         spec.full_every = 4;
-        let bytes = encode_spec(&spec);
-        assert_eq!(decode_spec(&bytes).unwrap(), spec);
+        let mut rebalancing = RouterSpec::new();
+        rebalancing.shards = Some(8);
+        rebalancing.rebalance = Some(RebalancePolicy::default().with_byte_budget(1 << 40));
+        for spec in [spec, rebalancing] {
+            assert_eq!(decode_spec(&encode_spec(&spec)).unwrap(), spec);
+        }
     }
 
     #[test]
@@ -445,25 +663,5 @@ mod tests {
         let recovered = crate::Router::recover(Box::new(storage)).unwrap();
         assert_eq!(recovered.assignments(), router.assignments());
         assert!(recovered.assignments().state_bytes() < 1 << 10);
-    }
-
-    #[test]
-    fn spec_meta_rejects_foreign_versions() {
-        use optchain_storage::{MemStorage, Storage};
-        let mut spec = RouterSpec::new();
-        spec.shards = Some(2);
-        let mut bytes = encode_spec(&spec);
-        bytes[0] = 0xEE;
-        assert!(decode_spec(&bytes).is_err());
-        // The previous version, byte for byte: it carried the score-only
-        // window option (here `None`) between α and the retention policy.
-        let mut v2 = encode_spec(&spec);
-        v2[0] = 2;
-        v2.insert(1 + 4 + 1 + 8, 0);
-        assert!(decode_spec(&v2).is_err());
-        let mut storage = MemStorage::new();
-        storage.put_meta(&v2).unwrap();
-        let err = crate::Router::recover(Box::new(storage)).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 }

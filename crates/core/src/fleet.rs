@@ -367,8 +367,7 @@ impl RouterFleetBuilder {
     }
 
     /// Enables dynamic re-sharding — see
-    /// [`crate::RouterBuilder::rebalancer`]. OptChain strategy only;
-    /// incompatible with [`RouterFleetBuilder::storage`].
+    /// [`crate::RouterBuilder::rebalancer`]. OptChain strategy only.
     pub fn rebalancer(mut self, policy: crate::RebalancePolicy) -> Self {
         self.spec.rebalance = Some(policy);
         self
@@ -424,7 +423,6 @@ impl RouterFleetBuilder {
         let router = match self.storage {
             None => spec.build(),
             Some(storage) => {
-                spec.assert_journalable();
                 let fresh = storage
                     .meta()
                     .expect("reading the journal meta blob failed")

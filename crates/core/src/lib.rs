@@ -25,9 +25,11 @@
 //! [`Router::submit_tx`], [`Router::submit_tx_in`] (per-client
 //! [`PlacementSession`] handles carrying L2S memos) and the
 //! zero-allocation [`Router::submit_batch`] — with the score breakdown
-//! of the latest decision in [`Router::last_decision`], and
-//! checkpoint/restore ([`Router::snapshot`] / [`Router::warm_start`]:
-//! a [`RouterSnapshot`] is the state itself, restored verbatim).
+//! of the latest decision in [`Router::last_decision`]. A router given
+//! [`RouterBuilder::storage`] journals every decision and snapshots the
+//! state itself; [`Router::recover`] is the one way that state comes
+//! back, in RAM (a [`SharedStorage`] over [`MemStorage`]) or from disk
+//! ([`SegmentWal`]).
 //!
 //! When many clients submit concurrently, the [`RouterFleet`] puts one
 //! `Router` on its own thread behind a bounded queue and hands each
@@ -96,7 +98,6 @@ mod placer;
 mod rebalance;
 pub mod replay;
 mod router;
-mod snapshot;
 mod strategy;
 mod streaming;
 mod t2s;
@@ -113,7 +114,6 @@ pub use placer::{
 pub use rebalance::{Move, RebalancePolicy, RebalanceStats};
 pub use replay::replay;
 pub use router::{CheckpointStats, PlacementSession, Router, RouterBuilder, DEFAULT_TELEMETRY};
-pub use snapshot::RouterSnapshot;
 pub use strategy::{DynPlacer, Strategy};
 pub use streaming::{FennelPlacer, LdgPlacer};
 pub use t2s::{T2sEngine, DEFAULT_ALPHA};

@@ -478,8 +478,8 @@ impl RandomPlacer {
     }
 
     /// Installs a checkpointed assignment store (hash placement keeps
-    /// no other state). The router has already run
-    /// [`crate::RouterSnapshot`]'s restore check.
+    /// no other state). [`crate::Router::recover`] has already run the
+    /// snapshot's restore check.
     pub(crate) fn restore(&mut self, assignments: AssignmentStore) {
         self.assignments = assignments;
     }

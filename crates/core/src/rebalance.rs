@@ -19,7 +19,8 @@
 //!   its current shard, weighted by its observed spender count — the
 //!   mass that keeps attracting future spenders there);
 //! * a two-phase **migration epoch** protocol: at each epoch boundary
-//!   (every [`RebalancePolicy::epoch_interval`] submissions) the moves
+//!   (every [`RebalancePolicy::epoch_interval`] local placements —
+//!   the router's placement count, adoptions excluded) the moves
 //!   staged at the *previous* boundary are committed — assignment
 //!   entries swung, T2S rows re-homed in lockstep, each move validated
 //!   against the live retention window — and a fresh batch is staged
@@ -27,9 +28,15 @@
 //!   nothing, so in-flight placements resolve against the pre-epoch
 //!   assignment;
 //! * **determinism**: planning reads only the router's own state and
-//!   the submission counter, so the same stream (and the same epoch
+//!   its placement count, so the same stream (and the same epoch
 //!   boundaries) produces the same moves and the same final
 //!   assignments — golden-pinned, like every other placement path.
+//!
+//! A durable router needs no record of its own for any of this. The
+//! staged batch and the counters ride every snapshot
+//! (`RebalanceState`), and recovery replays the journal tail through
+//! the same placement path, which re-derives every epoch boundary the
+//! tail crosses (`docs/DURABILITY.md` §4).
 //!
 //! With the rebalancer disabled (not configured, or configured with a
 //! trigger that never fires) the placement path is bit-identical to a
@@ -45,7 +52,7 @@ use crate::placer::{OptChainPlacer, ShardId};
 /// builders.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RebalancePolicy {
-    /// Submissions between migration-epoch boundaries. At every
+    /// Local placements between migration-epoch boundaries. At every
     /// boundary the previously staged batch commits and a new one is
     /// staged.
     pub epoch_interval: u64,
@@ -77,7 +84,7 @@ impl Default for RebalancePolicy {
 }
 
 impl RebalancePolicy {
-    /// Sets the epoch interval (submissions between boundaries).
+    /// Sets the epoch interval (placements between boundaries).
     pub fn with_epoch_interval(mut self, interval: u64) -> Self {
         self.epoch_interval = interval;
         self
@@ -99,20 +106,6 @@ impl RebalancePolicy {
     pub fn with_min_in_degree(mut self, degree: u32) -> Self {
         self.min_in_degree = degree;
         self
-    }
-
-    /// Validates the policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a descriptive message on out-of-range values; the
-    /// router builder calls this once at build time.
-    pub fn validate(&self) {
-        assert!(self.epoch_interval > 0, "epoch_interval must be positive");
-        assert!(
-            self.utilization_trigger >= 1.0,
-            "utilization_trigger below 1.0 would fire on perfectly balanced shards"
-        );
     }
 }
 
@@ -153,11 +146,15 @@ pub struct RebalanceStats {
     pub moves_dropped: u64,
 }
 
-/// The staged side of the two-phase protocol: moves planned at the
-/// previous epoch boundary, waiting for the next one to commit.
-#[derive(Debug, Clone)]
-struct MigrationEpoch {
-    moves: Vec<Move>,
+/// Everything a rebalancer carries from one epoch boundary to the
+/// next: the batch staged at the previous boundary (empty = nothing
+/// staged) and the lifetime counters. It is all a checkpoint needs of
+/// the rebalancer — the policy is in the meta blob and the epoch clock
+/// is the router's own placement count.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct RebalanceState {
+    pub(crate) staged: Vec<Move>,
+    pub(crate) stats: RebalanceStats,
 }
 
 /// The dynamic re-sharding engine a router runs when built with
@@ -166,61 +163,55 @@ struct MigrationEpoch {
 #[derive(Debug, Clone)]
 pub(crate) struct Rebalancer {
     policy: RebalancePolicy,
-    stats: RebalanceStats,
-    staged: Option<MigrationEpoch>,
-    /// Submissions observed — the epoch clock.
-    submissions: u64,
+    pub(crate) state: RebalanceState,
 }
 
 impl Rebalancer {
+    /// A rebalancer under a policy [`crate::RouterBuilder::build`]
+    /// checked.
     pub(crate) fn new(policy: RebalancePolicy) -> Rebalancer {
-        policy.validate();
         Rebalancer {
             policy,
-            stats: RebalanceStats::default(),
-            staged: None,
-            submissions: 0,
+            state: RebalanceState::default(),
         }
     }
 
-    pub(crate) fn stats(&self) -> RebalanceStats {
-        self.stats
-    }
-
-    /// Advances the epoch clock by one submission; at a boundary,
-    /// commits the staged batch into `placer` (appending the applied
-    /// moves to `applied`, the router's drain buffer) and stages the
-    /// next batch from the post-commit state.
-    pub(crate) fn on_submission(
+    /// Runs the epoch clock after the router's `placed`-th local
+    /// placement (adoptions excluded): at a boundary, commits the staged
+    /// batch into `placer` (appending the applied moves to `applied`,
+    /// the router's drain buffer) and stages the next batch from the
+    /// post-commit state.
+    pub(crate) fn on_placement(
         &mut self,
+        placed: u64,
         tan: &TanGraph,
         placer: &mut OptChainPlacer,
         applied: &mut Vec<Move>,
     ) {
-        self.submissions += 1;
-        if !self.submissions.is_multiple_of(self.policy.epoch_interval) {
+        if !placed.is_multiple_of(self.policy.epoch_interval) {
             return;
         }
+        let RebalanceState { staged, stats } = &mut self.state;
         // Phase two of the previous epoch: commit. Every staged move is
         // re-validated against the live window — `apply_move` refuses
         // moves whose node aged out since staging.
-        if let Some(epoch) = self.staged.take() {
-            for mv in epoch.moves {
+        if !staged.is_empty() {
+            for mv in staged.drain(..) {
                 if placer.apply_move(mv.node, mv.from, mv.to) {
-                    self.stats.nodes_moved += 1;
-                    self.stats.bytes_migrated += mv.bytes;
+                    stats.nodes_moved += 1;
+                    stats.bytes_migrated += mv.bytes;
                     applied.push(mv);
                 } else {
-                    self.stats.moves_dropped += 1;
+                    stats.moves_dropped += 1;
                 }
             }
-            self.stats.epochs_committed += 1;
+            stats.epochs_committed += 1;
         }
         // Phase one of the next epoch: stage against post-commit state.
         let moves = self.plan(tan, placer);
         if !moves.is_empty() {
-            self.stats.epochs_opened += 1;
-            self.staged = Some(MigrationEpoch { moves });
+            self.state.stats.epochs_opened += 1;
+            self.state.staged = moves;
         }
     }
 
@@ -363,11 +354,11 @@ mod tests {
         );
         let mut applied = Vec::new();
         let before = placer.engine().shard_sizes().to_vec();
-        for _ in 0..10 {
-            rb.on_submission(&tan, &mut placer, &mut applied);
+        for placed in 1..=10 {
+            rb.on_placement(placed, &tan, &mut placer, &mut applied);
         }
         assert!(applied.is_empty());
-        assert_eq!(rb.stats(), RebalanceStats::default());
+        assert_eq!(rb.state.stats, RebalanceStats::default());
         assert_eq!(placer.engine().shard_sizes(), &before[..]);
     }
 
@@ -383,16 +374,16 @@ mod tests {
         );
         let mut applied = Vec::new();
         // First boundary: stage only (nothing to commit yet).
-        rb.on_submission(&tan, &mut placer, &mut applied);
-        rb.on_submission(&tan, &mut placer, &mut applied);
-        assert_eq!(rb.stats().epochs_opened, 1);
-        assert_eq!(rb.stats().epochs_committed, 0);
+        rb.on_placement(1, &tan, &mut placer, &mut applied);
+        rb.on_placement(2, &tan, &mut placer, &mut applied);
+        assert_eq!(rb.state.stats.epochs_opened, 1);
+        assert_eq!(rb.state.stats.epochs_committed, 0);
         assert!(applied.is_empty(), "staged moves must not commit early");
         // Second boundary: the staged batch commits.
-        rb.on_submission(&tan, &mut placer, &mut applied);
-        rb.on_submission(&tan, &mut placer, &mut applied);
-        assert_eq!(rb.stats().epochs_committed, 1);
-        assert_eq!(applied.len() as u64, rb.stats().nodes_moved);
+        rb.on_placement(3, &tan, &mut placer, &mut applied);
+        rb.on_placement(4, &tan, &mut placer, &mut applied);
+        assert_eq!(rb.state.stats.epochs_committed, 1);
+        assert_eq!(applied.len() as u64, rb.state.stats.nodes_moved);
         assert!(!applied.is_empty(), "hot hub must move");
         for mv in &applied {
             assert_ne!(mv.from, mv.to);
@@ -400,7 +391,7 @@ mod tests {
             assert_eq!(tan.txid(mv.node), mv.txid);
         }
         assert_eq!(
-            rb.stats().bytes_migrated,
+            rb.state.stats.bytes_migrated,
             applied.iter().map(|m| m.bytes).sum::<u64>()
         );
     }
@@ -460,6 +451,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "epoch_interval must be positive")]
     fn zero_interval_rejected() {
-        Rebalancer::new(RebalancePolicy::default().with_epoch_interval(0));
+        let policy = RebalancePolicy::default().with_epoch_interval(0);
+        crate::Router::builder()
+            .shards(4)
+            .rebalancer(policy)
+            .build();
     }
 }

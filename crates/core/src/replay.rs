@@ -91,7 +91,10 @@ impl QueueProxy {
         &self.queues
     }
 
-    /// Current telemetry snapshot.
+    /// The current telemetry plus its epoch, without allocating: the
+    /// cached values are rebuilt (and the epoch bumped) only when a
+    /// queue crosses a block boundary, so the epoch satisfies the
+    /// [`crate::L2sMemo`] contract (it changes whenever the values do).
     ///
     /// The verification estimate is **block-granular**: a transaction
     /// waits `1 + ⌊queue/block⌋` consensus rounds. Sub-block queue
@@ -102,23 +105,6 @@ impl QueueProxy {
     /// single-transaction queue noise would dominate the ever-shrinking
     /// normalized T2S scores and OptChain would degenerate into a pure
     /// load balancer.
-    pub fn snapshot(&self) -> Vec<ShardTelemetry> {
-        self.queues
-            .iter()
-            .map(|q| {
-                ShardTelemetry::new(
-                    self.base_comm,
-                    self.base_verify * (1.0 + (q / self.block_capacity).floor()),
-                )
-            })
-            .collect()
-    }
-
-    /// The current telemetry plus its epoch, without allocating: the
-    /// cached snapshot is rebuilt (and the epoch bumped) only when a
-    /// queue crosses a block boundary. Values are identical to
-    /// [`QueueProxy::snapshot`]; the epoch satisfies the
-    /// [`crate::L2sMemo`] contract (it changes whenever the values do).
     pub fn telemetry(&mut self) -> (&[ShardTelemetry], u64) {
         let mut changed = false;
         for (level, q) in self.levels.iter_mut().zip(&self.queues) {
@@ -478,7 +464,7 @@ mod tests {
         }
         // All arrivals to shard 0: its queue grows ~1/2 per step, but
         // telemetry is block-granular so sub-block skew is invisible.
-        let t = proxy.snapshot();
+        let t = proxy.telemetry().0;
         assert_eq!(t[0].expected_verify, t[1].expected_verify);
         assert!((proxy.queues()[0] - 50.0).abs() < 1.0);
         // Diverting arrivals elsewhere drains the backlog (service
@@ -491,7 +477,7 @@ mod tests {
         for _ in 0..8_000 {
             proxy.on_place(0);
         }
-        let t = proxy.snapshot();
+        let t = proxy.telemetry().0;
         assert!(t[0].expected_verify > t[1].expected_verify);
     }
 

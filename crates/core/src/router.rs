@@ -49,6 +49,7 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
+use std::borrow::Cow;
 use std::io;
 
 use optchain_storage::{ByteReader, ByteWriter, Storage};
@@ -56,7 +57,7 @@ use optchain_tan::{NodeId, RetentionPolicy, TanGraph};
 use optchain_utxo::{Transaction, TxId};
 
 use crate::assignment::AssignmentView;
-use crate::durable::{self, WalRecord};
+use crate::durable::{self, RouterSnapshot, WalRecord};
 use crate::fitness::TemporalFitness;
 use crate::l2s::{L2sEstimator, L2sMemo, L2sMode, ShardTelemetry};
 use crate::placer::{
@@ -64,7 +65,6 @@ use crate::placer::{
     Placer, RandomPlacer, ShardId, T2sPlacer,
 };
 use crate::rebalance::{Move, RebalancePolicy, RebalanceStats, Rebalancer};
-use crate::snapshot::{RouterSnapshot, SnapshotParts};
 use crate::strategy::{DynPlacer, Strategy};
 use crate::t2s::{T2sEngine, DEFAULT_ALPHA};
 
@@ -94,9 +94,7 @@ pub(crate) struct RouterSpec {
     pub(crate) expected_total: Option<u64>,
     pub(crate) oracle: Option<Vec<u32>>,
     pub(crate) telemetry: Option<Vec<ShardTelemetry>>,
-    /// Dynamic re-sharding policy (`None` = static placement). Never
-    /// encoded into a durable meta blob: the builder forbids combining
-    /// a rebalancer with storage.
+    /// Dynamic re-sharding policy (`None` = static placement).
     pub(crate) rebalance: Option<RebalancePolicy>,
     /// Journaled entries before a journal's first snapshot (flush +
     /// snapshot + segment GC).
@@ -181,27 +179,23 @@ impl RouterSpec {
         {
             return Err("initial telemetry must cover every shard");
         }
-        if self.rebalance.is_some() && self.strategy != Strategy::OptChain {
-            return Err("the rebalancer re-homes T2S score mass and is only \
-                 available with Strategy::OptChain");
+        if let Some(policy) = &self.rebalance {
+            if self.strategy != Strategy::OptChain {
+                return Err("the rebalancer re-homes T2S score mass and is only \
+                     available with Strategy::OptChain");
+            }
+            if policy.epoch_interval == 0 {
+                return Err("epoch_interval must be positive");
+            }
+            if policy.utilization_trigger.is_nan() || policy.utilization_trigger < 1.0 {
+                return Err("utilization_trigger below 1.0 would fire on perfectly \
+                     balanced shards");
+            }
         }
         if self.checkpoint_every == 0 || self.flush_every == 0 || self.full_every == 0 {
             return Err("checkpoint, flush and snapshot-multiplier cadences must be positive");
         }
         Ok(())
-    }
-
-    /// The one rule that involves storage, shared by both builders.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec configures a rebalancer.
-    pub(crate) fn assert_journalable(&self) {
-        assert!(
-            self.rebalance.is_none(),
-            "the rebalancer cannot be journaled: its epoch clock and \
-             staged moves are not part of the WAL replay format"
-        );
     }
 
     /// Builds the placer a checked spec describes.
@@ -368,16 +362,17 @@ impl RouterBuilder {
     }
 
     /// Enables dynamic re-sharding: every
-    /// [`RebalancePolicy::epoch_interval`] submissions the router runs
-    /// a migration-epoch boundary — committing the move batch staged at
+    /// [`RebalancePolicy::epoch_interval`] local placements (the
+    /// router's placement count, adoptions excluded) the router runs a
+    /// migration-epoch boundary — committing the move batch staged at
     /// the previous boundary (hub nodes re-homed between shards,
     /// assignment store and T2S score rows swung in lockstep) and
     /// staging the next batch under the policy's cost model. Between
     /// boundaries placements resolve against the pre-epoch assignment.
-    /// OptChain strategy only; incompatible with
-    /// [`RouterBuilder::storage`] (rebalancer state is not part of the
-    /// WAL replay format). See [`RebalancePolicy`] for the knobs and
-    /// [`Router::rebalance_stats`] for the lifetime counters.
+    /// OptChain strategy only. A durable router's snapshots carry the
+    /// staged batch and the counters, and recovery re-derives every
+    /// epoch its journal tail crosses. See [`RebalancePolicy`] for the
+    /// knobs and [`Router::rebalance_stats`] for the lifetime counters.
     pub fn rebalancer(mut self, policy: RebalancePolicy) -> Self {
         self.spec.rebalance = Some(policy);
         self
@@ -396,8 +391,8 @@ impl RouterBuilder {
     /// framed record), entries are fsynced in batches of
     /// [`RouterBuilder::flush_every`], and at the
     /// [`RouterBuilder::checkpoint_every`] × [`RouterBuilder::full_every`]
-    /// cadence the router installs a snapshot (an encoded
-    /// [`RouterSnapshot`] plus the journal position it covers) and
+    /// cadence the router installs a snapshot (every decision input the
+    /// journal does not carry, plus the journal position it covers) and
     /// garbage-collects the segments below it. A crashed durable router
     /// is rebuilt with [`Router::recover`]. The backend must be
     /// **fresh** (no meta blob) — recovery goes through `recover`, not
@@ -444,12 +439,10 @@ impl RouterBuilder {
     /// ε, a zero retention window or cadence,
     /// [`Strategy::Metis`] without an oracle, an out-of-range oracle
     /// shard, initial telemetry length ≠ k, a rebalancer on a strategy
-    /// other than OptChain or together with storage — or if the storage
-    /// backend already holds a journal or writing the meta blob fails.
+    /// other than OptChain, a zero epoch interval or a utilization
+    /// trigger below 1 — or if the storage backend already holds a
+    /// journal or writing the meta blob fails.
     pub fn build(self) -> Router {
-        if self.storage.is_some() {
-            self.spec.assert_journalable();
-        }
         let mut router = self.spec.build();
         if let Some(storage) = self.storage {
             router
@@ -724,7 +717,7 @@ impl Router {
     pub fn rebalance_stats(&self) -> RebalanceStats {
         self.rebalancer
             .as_ref()
-            .map(Rebalancer::stats)
+            .map(|rb| rb.state.stats)
             .unwrap_or_default()
     }
 
@@ -732,7 +725,8 @@ impl Router {
     /// drain into `out` (appended; `out` is not cleared). Consumers that
     /// mirror the assignment — the sim's lock router, a dashboard's
     /// placement cache — apply these to stay consistent with the
-    /// post-epoch assignment.
+    /// post-epoch assignment. The buffer is process-local, like
+    /// [`CheckpointStats`]: [`Router::recover`] starts it empty.
     pub fn drain_rebalance_moves(&mut self, out: &mut Vec<Move>) {
         out.append(&mut self.applied_moves);
     }
@@ -873,6 +867,14 @@ impl Router {
     /// [`Router::submit_tx`] through a client session: the session's
     /// memo (and telemetry view, if set) drive the L2S evaluation.
     ///
+    /// # Errors
+    ///
+    /// Besides [`Router::submit`]'s journal errors, a durable router
+    /// refuses a session whose view differs from its own board with
+    /// [`io::ErrorKind::Unsupported`], before anything is inserted or
+    /// journaled: the journal does not record views, so recovery, which
+    /// places against the board, could not reproduce the decision.
+    ///
     /// # Panics
     ///
     /// Panics if the transaction id was already submitted or the
@@ -882,6 +884,13 @@ impl Router {
         session: &mut PlacementSession,
         tx: &Transaction,
     ) -> io::Result<ShardId> {
+        if self.journal.is_some() && session.has_view && session.view != self.telemetry {
+            return Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "a durable router places against its own telemetry board: \
+                 a session view that differs from it cannot be replayed",
+            ));
+        }
         let shard = self.submit_one(tx.id(), &[], Some(tx), Some(session))?;
         self.close_batch_record().map(|()| shard)
     }
@@ -1043,73 +1052,20 @@ impl Router {
         self.adopted_total
     }
 
-    /// Checkpoints the placement state: the TaN graph (with its horizon
-    /// and stable-id remap under a retention policy), the assignment
-    /// store, the strategy's own state (T2S engine or Greedy counters),
-    /// and the telemetry board with its version — verbatim, so
-    /// [`Router::warm_start`] is bit-exact without re-deriving anything.
-    /// A durable router's full checkpoints are the same parts in the
-    /// same encoding (`docs/DURABILITY.md` §5.4).
-    pub fn snapshot(&self) -> RouterSnapshot {
-        self.parts().to_snapshot()
-    }
-
-    /// The borrowed view [`Router::snapshot`] clones and the checkpoint
-    /// writer encodes.
-    fn parts(&self) -> SnapshotParts<'_> {
+    /// The state the checkpoint writer encodes, borrowed.
+    fn parts(&self) -> RouterSnapshot<'_> {
         let (assignments, engine, greedy_sizes) = self.placer.state();
-        SnapshotParts {
-            tan: &self.tan,
-            assignments,
-            engine,
-            greedy_sizes,
+        RouterSnapshot {
+            tan: Cow::Borrowed(&self.tan),
+            assignments: Cow::Borrowed(assignments),
+            engine: engine.map(Cow::Borrowed),
+            greedy_sizes: greedy_sizes.map(Cow::Borrowed),
             adopted_total: self.adopted_total,
-            telemetry: &self.telemetry,
+            telemetry: Cow::Borrowed(&self.telemetry),
             version: self.version,
+            rebalance: self.rebalancer.as_ref().map(|rb| Cow::Borrowed(&rb.state)),
+            cross_placed: self.cross_placed,
         }
-    }
-
-    /// Restores a [`Router::snapshot`] into a **fresh** router built
-    /// with the same configuration (shards, strategy, retention, α):
-    /// graph, assignment store, strategy state and telemetry
-    /// board install verbatim, after which submission — decisions,
-    /// score vectors, session views, L2S memo epochs — continues
-    /// exactly as on the checkpointed router.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the router has already placed transactions, or with
-    /// the restore check's message if the snapshot was taken under a
-    /// different configuration.
-    pub fn warm_start(&mut self, snapshot: &RouterSnapshot) {
-        self.restore(snapshot.clone())
-            .unwrap_or_else(|rule| panic!("{rule}"));
-    }
-
-    /// The one way state comes back — [`Router::warm_start`] and
-    /// [`Router::recover`] both end here. Validates the snapshot
-    /// against this router ([`RouterSnapshot::check`], plus the
-    /// strategy-state kind, which the install match states), then
-    /// installs it by value; on `Err` nothing was touched.
-    fn restore(&mut self, snapshot: RouterSnapshot) -> Result<(), &'static str> {
-        if !(self.tan.is_empty() && self.placer.assignments().is_empty()) {
-            return Err("warm_start requires a fresh router");
-        }
-        snapshot.check(self.retention, &self.placer)?;
-        let assignments = snapshot.assignments;
-        match (&mut self.placer, snapshot.engine, snapshot.greedy_sizes) {
-            (DynPlacer::OptChain(p), Some(engine), None) => p.restore(engine, assignments),
-            (DynPlacer::T2s(p), Some(engine), None) => p.restore(engine, assignments),
-            (DynPlacer::Random(p), None, None) => p.restore(assignments),
-            (DynPlacer::Greedy(p), None, Some(sizes)) => p.restore(assignments, sizes),
-            (DynPlacer::Oracle(p), None, None) => p.restore(assignments),
-            _ => return Err("snapshot strategy state disagrees with the router's strategy"),
-        }
-        self.tan = snapshot.tan;
-        self.adopted_total = snapshot.adopted_total;
-        self.telemetry = snapshot.telemetry;
-        self.version = snapshot.version;
-        Ok(())
     }
 
     /// Boots a **fresh** router from a prefix that something else
@@ -1244,17 +1200,17 @@ impl Router {
         Ok(())
     }
 
-    /// Rebuilds a durable router from what its crashed predecessor left
-    /// in `storage`: reads the meta blob (the full builder
-    /// configuration), restores the snapshot verbatim, and replays the
-    /// surviving WAL tail above it — re-running each journaled
-    /// submission through the deterministic placement path and
+    /// The one way a router's state comes back: reads the meta blob in
+    /// `storage` (the full builder configuration), restores the snapshot
+    /// verbatim (rebalancer state included), and replays the surviving
+    /// WAL tail above it — re-running each journaled submission (and so
+    /// each epoch boundary) through the deterministic placement path and
     /// cross-checking the recorded shard, re-applying adoptions and
-    /// telemetry changes in journal order. The result is
-    /// observationally identical to the crashed router at its last
-    /// durable record: same assignments, same scores, same telemetry
-    /// epoch, same future decisions. The journal stays attached, so the
-    /// recovered router keeps journaling where the crash left off.
+    /// telemetry changes in journal order. The result is identical to
+    /// the crashed router at its last durable record: same assignments,
+    /// scores, counters and telemetry epoch, same future decisions, an
+    /// empty drain buffer. The journal stays attached, so the recovered
+    /// router keeps journaling where the crash left off.
     ///
     /// Torn or CRC-corrupt tail frames (a kill -9 mid-write) are
     /// truncated by the storage layer on reopen — recovery sees the
@@ -1288,9 +1244,33 @@ impl Router {
             r.finish()?;
             // A CRC-valid checkpoint can still disagree with the meta
             // blob the router was just built from: typed, not a panic.
-            router
-                .restore(snapshot)
-                .map_err(|rule| invalid(format!("checkpoint upto {upto}: {rule}")))?;
+            // The check states every rule but which *kind* of strategy
+            // and rebalancer state the router takes: the install
+            // matches state that.
+            let disagrees = |rule: &str| invalid(format!("checkpoint upto {upto}: {rule}"));
+            snapshot
+                .check(router.retention, &router.placer)
+                .map_err(disagrees)?;
+            let assignments = snapshot.assignments.into_owned();
+            let engine = snapshot.engine.map(Cow::into_owned);
+            match (&mut router.placer, engine, snapshot.greedy_sizes) {
+                (DynPlacer::OptChain(p), Some(engine), None) => p.restore(engine, assignments),
+                (DynPlacer::T2s(p), Some(engine), None) => p.restore(engine, assignments),
+                (DynPlacer::Random(p), None, None) => p.restore(assignments),
+                (DynPlacer::Greedy(p), None, Some(sizes)) => p.restore(assignments, sizes.into()),
+                (DynPlacer::Oracle(p), None, None) => p.restore(assignments),
+                _ => Err(disagrees("snapshot holds another strategy's state"))?,
+            }
+            match (&mut router.rebalancer, snapshot.rebalance) {
+                (Some(rb), Some(state)) => rb.state = state.into_owned(),
+                (None, None) => {}
+                _ => Err(disagrees("snapshot and meta disagree on the rebalancer"))?,
+            }
+            router.tan = snapshot.tan.into_owned();
+            router.adopted_total = snapshot.adopted_total;
+            router.telemetry = snapshot.telemetry.into_owned();
+            router.version = snapshot.version;
+            router.cross_placed = snapshot.cross_placed;
             from_seq = upto;
             journal.snapshot_every = journal.steady_every;
             journal.body_len = body.len();
@@ -1304,6 +1284,9 @@ impl Router {
             }
         })?;
         replayed?;
+        // The drain buffer is process-local: moves the replayed tail
+        // committed were drained (or not) by the crashed process.
+        router.applied_moves.clear();
         router.journal = Some(journal);
         Ok(router)
     }
@@ -1424,22 +1407,26 @@ impl Router {
         shard
     }
 
-    /// One tick of the migration-epoch clock (submissions only —
-    /// adoptions replicate a *remote* decision and must not shift the
-    /// local epoch boundaries).
+    /// One tick of the migration-epoch clock. The clock is the local
+    /// placement count: adoptions replicate a *remote* decision and
+    /// must not shift the local epoch boundaries. It is part of the
+    /// snapshot already (assignments minus adoptions), so a recovered
+    /// router resumes it exactly.
     fn rebalance_tick(&mut self) {
         let Router {
             tan,
             placer,
             rebalancer,
             applied_moves,
+            adopted_total,
             ..
         } = self;
         let Some(rb) = rebalancer else { return };
         let DynPlacer::OptChain(p) = placer else {
             unreachable!("the builder only attaches a rebalancer to Strategy::OptChain")
         };
-        rb.on_submission(tan, p, applied_moves);
+        let placed = p.assignments_store().len() as u64 - *adopted_total;
+        rb.on_placement(placed, tan, p, applied_moves);
     }
 }
 
@@ -1578,35 +1565,53 @@ mod tests {
             .build();
     }
 
-    #[test]
-    fn snapshot_roundtrip_restores_placement_state() {
-        let mut router = Router::builder().shards(4).build();
-        for i in 0..30u64 {
-            let parents: &[TxId] = if i == 0 { &[] } else { &[TxId(i - 1)] };
-            router.submit(TxId(i), parents).unwrap();
-        }
-        let snapshot = router.snapshot();
-        assert_eq!(snapshot.tan().len(), 30);
-        assert_eq!(snapshot.assignments().len(), 30);
+    type Shared = crate::SharedStorage<crate::MemStorage>;
 
-        let mut restored = Router::builder().shards(4).build();
-        restored.warm_start(&snapshot);
-        // The suffix continues identically on both routers.
-        for i in 30..60u64 {
-            let a = router.submit(TxId(i), &[TxId(i - 1)]).unwrap();
-            let b = restored.submit(TxId(i), &[TxId(i - 1)]).unwrap();
-            assert_eq!(a, b, "tx {i}");
+    /// A durable router over a clonable in-RAM backend, and a restart:
+    /// snapshot, drop, [`Router::recover`] — the one way state comes
+    /// back.
+    fn in_ram(builder: RouterBuilder) -> (Router, Shared) {
+        let storage = crate::SharedStorage::new(crate::MemStorage::new());
+        (builder.storage(Box::new(storage.clone())).build(), storage)
+    }
+
+    fn restart(mut router: Router, storage: &Shared) -> Router {
+        router.checkpoint_now().unwrap();
+        drop(router);
+        Router::recover(Box::new(storage.clone())).unwrap()
+    }
+
+    /// Drives `drive` into a durable router and an in-RAM twin, restarts
+    /// the durable one, and checks that it holds the twin's state and
+    /// extends a chain from `TxId(0)` exactly like it.
+    fn restarted_twin(k: u32, drive: impl Fn(&mut Router)) -> Router {
+        let (mut durable, storage) = in_ram(Router::builder().shards(k));
+        let mut twin = Router::builder().shards(k).build();
+        drive(&mut durable);
+        drive(&mut twin);
+        let mut restored = restart(durable, &storage);
+        assert_eq!(restored.assignments(), twin.assignments());
+        assert_eq!(restored.adopted_total(), twin.adopted_total());
+        assert_eq!(restored.telemetry(), twin.telemetry());
+        assert_eq!(restored.telemetry_version(), twin.telemetry_version());
+        assert_eq!(restored.cross_placed(), twin.cross_placed());
+        for i in 1_000..1_020u64 {
+            let parent = [TxId(if i == 1_000 { 0 } else { i - 1 })];
+            let want = twin.submit(TxId(i), &parent).unwrap();
+            assert_eq!(restored.submit(TxId(i), &parent).unwrap(), want, "tx {i}");
         }
-        assert_eq!(router.assignments(), restored.assignments());
+        restored
     }
 
     #[test]
-    #[should_panic(expected = "fresh router")]
-    fn warm_start_rejects_used_router() {
-        let mut router = Router::builder().shards(2).build();
-        router.submit(TxId(0), &[]).unwrap();
-        let snapshot = router.snapshot();
-        router.warm_start(&snapshot);
+    fn snapshot_roundtrip_restores_placement_state() {
+        let restored = restarted_twin(4, |r| {
+            r.submit(TxId(0), &[]).unwrap();
+            for i in 1..30u64 {
+                r.submit(TxId(i), &[TxId(i - 1)]).unwrap();
+            }
+        });
+        assert_eq!(restored.tan().len(), 50);
     }
 
     #[test]
@@ -1624,36 +1629,24 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrip_replays_adopted_nodes() {
-        let mut router = Router::builder().shards(4).build();
-        router.submit(TxId(0), &[]).unwrap();
-        router.adopt_remote(TxId(50), &[TxId(0)], 3);
-        for i in 1..20u64 {
-            router.submit(TxId(i), &[TxId(i - 1)]).unwrap();
-        }
-        router.adopt_remote(TxId(51), &[TxId(50)], 3);
-
-        let mut restored = Router::builder().shards(4).build();
-        restored.warm_start(&router.snapshot());
+        let restored = restarted_twin(4, |r| {
+            r.submit(TxId(0), &[]).unwrap();
+            r.adopt_remote(TxId(50), &[TxId(0)], 3);
+            for i in 1..20u64 {
+                r.submit(TxId(i), &[TxId(i - 1)]).unwrap();
+            }
+            r.adopt_remote(TxId(51), &[TxId(50)], 3);
+        });
         assert_eq!(restored.adopted_total(), 2);
-        for i in 20..40u64 {
-            let a = router.submit(TxId(i), &[TxId(i - 1)]).unwrap();
-            let b = restored.submit(TxId(i), &[TxId(i - 1)]).unwrap();
-            assert_eq!(a, b, "tx {i}");
-        }
-        assert_eq!(router.assignments(), restored.assignments());
     }
 
     #[test]
     fn snapshot_restores_telemetry_board_and_version() {
-        let mut router = Router::builder().shards(2).build();
-        router.submit(TxId(0), &[]).unwrap();
         let hot = vec![ShardTelemetry::new(0.1, 5.0), DEFAULT_TELEMETRY];
-        router.feed_telemetry(&hot);
-        let snapshot = router.snapshot();
-
-        let mut restored = Router::builder().shards(2).build();
-        restored.warm_start(&snapshot);
-        assert_eq!(restored.telemetry(), router.telemetry());
+        let mut restored = restarted_twin(2, |r| {
+            r.submit(TxId(0), &[]).unwrap();
+            r.feed_telemetry(&hot);
+        });
         assert_eq!(restored.telemetry_version(), 1);
         // Re-feeding the same values keeps the restored epoch.
         restored.feed_telemetry(&hot);
@@ -1682,12 +1675,13 @@ mod tests {
     }
 
     /// Drives a mixed workload (submissions, adoptions, a telemetry
-    /// change) through a router for the durability tests below.
+    /// change, a cross-shard spend before the first snapshot) through a
+    /// router for the durability tests below.
     fn drive_mixed(router: &mut Router) {
         router.submit(TxId(0), &[]).unwrap();
         router.adopt_remote(TxId(100), &[TxId(0)], 2);
         for i in 1..40u64 {
-            router.submit(TxId(i), &[TxId(i - 1)]).unwrap();
+            router.submit(TxId(i), &[TxId(i - 1), TxId(100)]).unwrap();
         }
         let mut hot = vec![DEFAULT_TELEMETRY; router.k() as usize];
         hot[1] = ShardTelemetry::new(0.2, 9.0);
@@ -1697,60 +1691,73 @@ mod tests {
         }
     }
 
+    /// A policy that stages a batch at every 8th placement of
+    /// [`drive_mixed`], so its first snapshot (entry 25: placement 24)
+    /// holds one.
+    fn staging_every_8() -> Option<RebalancePolicy> {
+        let policy = RebalancePolicy::default().with_epoch_interval(8);
+        Some(policy.with_min_in_degree(1).with_utilization_trigger(1.0))
+    }
+
     /// A durable router (checkpoint every 25 records, fsync every 4)
-    /// driven through [`drive_mixed`] and flushed.
-    fn driven_durable(retention: RetentionPolicy, full_every: u64) -> Router {
-        let mut durable = Router::builder()
-            .shards(4)
-            .retention(retention)
-            .storage(Box::new(crate::MemStorage::new()))
-            .checkpoint_every(25)
-            .flush_every(4)
-            .full_every(full_every)
-            .build();
+    /// driven through [`drive_mixed`] and flushed, and its journal.
+    fn driven_durable(
+        retention: RetentionPolicy,
+        full_every: u64,
+        rebalance: Option<RebalancePolicy>,
+    ) -> (Router, Shared) {
+        let mut builder = Router::builder().shards(4).retention(retention);
+        if let Some(policy) = rebalance {
+            builder = builder.rebalancer(policy);
+        }
+        let builder = builder.checkpoint_every(25).flush_every(4);
+        let (mut durable, storage) = in_ram(builder.full_every(full_every));
         drive_mixed(&mut durable);
         durable.flush_journal().unwrap();
-        durable
+        (durable, storage)
+    }
+
+    /// The durable arms the codec tests sweep: every retention policy,
+    /// and a checkpoint holding a staged rebalance batch.
+    fn durable_arms() -> [(RetentionPolicy, Option<RebalancePolicy>); 4] {
+        [
+            (RetentionPolicy::Unbounded, None),
+            (RetentionPolicy::WindowTxs(16), None),
+            (RetentionPolicy::KeepUnspentAndHubs { min_degree: 3 }, None),
+            (RetentionPolicy::Unbounded, staging_every_8()),
+        ]
     }
 
     #[test]
     fn live_checkpoint_encoding_matches_the_snapshot_codec() {
-        for retention in [
-            RetentionPolicy::Unbounded,
-            RetentionPolicy::WindowTxs(16),
-            RetentionPolicy::KeepUnspentAndHubs { min_degree: 3 },
-        ] {
-            let mut router = Router::builder().shards(4).retention(retention).build();
-            drive_mixed(&mut router);
+        for (retention, rebalance) in durable_arms() {
+            let (mut router, storage) = driven_durable(retention, 8, rebalance);
+            router.checkpoint_now().unwrap();
+            // The installed blob is the live state's body, and a decode
+            // of it writes it back: one body format, lossless.
+            let blob = checkpoint_blob(&storage);
             let mut live = ByteWriter::new();
             router.parts().encode_into(&mut live);
-            // The owned copy and a decode of the live bytes both write
-            // the live bytes back: one body format, lossless.
-            let mut r = ByteReader::new(live.as_slice());
+            assert_eq!(blob, live.as_slice(), "{retention:?}");
+            let mut r = ByteReader::new(&blob);
             let decoded = RouterSnapshot::decode_from(&mut r).unwrap();
             r.finish().unwrap();
-            for snapshot in [router.snapshot(), decoded] {
-                let mut again = ByteWriter::new();
-                snapshot.parts().encode_into(&mut again);
-                assert_eq!(live.as_slice(), again.as_slice(), "{retention:?}");
-            }
+            let mut again = ByteWriter::new();
+            decoded.encode_into(&mut again);
+            assert_eq!(blob, again.as_slice(), "{retention:?}");
         }
     }
 
     #[test]
     fn recover_rebuilds_a_bit_identical_router() {
-        let mut durable = driven_durable(RetentionPolicy::Unbounded, 8);
+        let (mut durable, storage) = driven_durable(RetentionPolicy::Unbounded, 8, None);
         assert!(durable.is_durable());
-        let storage = crate::SharedStorage::new(crate::MemStorage::new());
-        // Copy the journal into a clonable backend so recovery can be
-        // exercised without consuming the original.
-        replicate_journal(&durable, &storage, |_, _| {});
-
-        let mut recovered = Router::recover(Box::new(storage)).unwrap();
+        let mut recovered = Router::recover(replicate_journal(&storage, |_, _| {})).unwrap();
         assert_eq!(recovered.assignments(), durable.assignments());
         assert_eq!(recovered.adopted_total(), durable.adopted_total());
         assert_eq!(recovered.telemetry(), durable.telemetry());
         assert_eq!(recovered.telemetry_version(), durable.telemetry_version());
+        assert_eq!(recovered.cross_placed(), durable.cross_placed());
         // The recovered router keeps journaling and keeps deciding
         // exactly like the uncrashed one.
         assert!(recovered.is_durable());
@@ -1761,43 +1768,31 @@ mod tests {
         }
     }
 
-    /// The checkpoint blob `router` last installed.
-    fn checkpoint_blob(router: &Router) -> Vec<u8> {
-        let journal = router.journal.as_ref().expect("router is durable");
-        journal.storage.checkpoint().unwrap().unwrap().1
-    }
-
-    #[test]
-    fn checkpoint_blob_is_the_snapshot_body() {
-        let durable = driven_durable(RetentionPolicy::Unbounded, 1);
-        let blob = checkpoint_blob(&durable);
-        assert_eq!(blob[0], durable::CHECKPOINT_VERSION);
-        let mut r = ByteReader::new(&blob);
-        RouterSnapshot::decode_from(&mut r).unwrap();
-        r.finish().unwrap();
+    /// The checkpoint blob last installed into `storage`.
+    fn checkpoint_blob(storage: &Shared) -> Vec<u8> {
+        storage.checkpoint().unwrap().expect("a checkpoint").1
     }
 
     #[test]
     fn recover_rejects_every_foreign_version_byte() {
-        let durable = driven_durable(RetentionPolicy::Unbounded, 8);
+        let (durable, storage) = driven_durable(RetentionPolicy::Unbounded, 8, None);
         assert!(durable.checkpoint_stats().full_checkpoints >= 1);
         // (artifact, foreign first bytes): every value but the one
-        // version each artifact is written with (meta 2 carried the
-        // score-only window option, checkpoint 2 a warming ring's empty
-        // slots inside a compressed envelope).
+        // version each artifact is written with (meta 3 and checkpoint
+        // 3 carried no rebalancer state; `n` leads a blob that is no
+        // spec at all).
         let table: [(Artifact, &[u8]); 2] = [
-            (Artifact::Meta, &[0, 1, 2, 255]),
-            (Artifact::Checkpoint, &[0, 1, 2, 4, 255]),
+            (Artifact::Meta, &[0, 1, 2, 3, b'n', 255]),
+            (Artifact::Checkpoint, &[0, 1, 2, 3, 5, 255]),
         ];
         for (artifact, bytes) in table {
             for &byte in bytes {
-                let storage = crate::SharedStorage::new(crate::MemStorage::new());
-                replicate_journal(&durable, &storage, |found, blob| {
+                let replica = replicate_journal(&storage, |found, blob| {
                     if artifact == found {
                         blob[0] = byte;
                     }
                 });
-                let err = Router::recover(Box::new(storage)).unwrap_err();
+                let err = Router::recover(replica).unwrap_err();
                 assert_eq!(
                     err.kind(),
                     io::ErrorKind::InvalidData,
@@ -1806,89 +1801,92 @@ mod tests {
             }
         }
         // The untampered replica recovers.
-        let storage = crate::SharedStorage::new(crate::MemStorage::new());
-        replicate_journal(&durable, &storage, |_, _| {});
-        let recovered = Router::recover(Box::new(storage)).unwrap();
+        let recovered = Router::recover(replicate_journal(&storage, |_, _| {})).unwrap();
         assert_eq!(recovered.assignments(), durable.assignments());
     }
 
-    /// Every single-byte flip of a checkpoint, under each policy, either
-    /// recovers or fails typed: nothing sits between disk and decoders.
+    /// Every single-byte flip of a checkpoint, under each policy and of
+    /// one holding a staged rebalance batch, either recovers or fails
+    /// typed: nothing sits between disk and decoders.
     #[test]
     fn checkpoint_byte_flips_recover_or_fail_typed() {
-        for retention in [
-            RetentionPolicy::Unbounded,
-            RetentionPolicy::WindowTxs(16),
-            RetentionPolicy::KeepUnspentAndHubs { min_degree: 3 },
-        ] {
-            let durable = driven_durable(retention, 1);
-            for at in 0..checkpoint_blob(&durable).len() {
-                let storage = crate::SharedStorage::new(crate::MemStorage::new());
-                replicate_journal(&durable, &storage, |found, blob| {
+        for (retention, rebalance) in durable_arms() {
+            let (_, storage) = driven_durable(retention, 1, rebalance);
+            for at in 0..checkpoint_blob(&storage).len() {
+                let replica = replicate_journal(&storage, |found, blob| {
                     if found == Artifact::Checkpoint {
                         blob[at] ^= 1 + (at * 37 % 255) as u8;
                     }
                 });
-                if let Err(e) = Router::recover(Box::new(storage)) {
+                if let Err(e) = Router::recover(replica) {
                     assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{at}: {e}");
                 }
             }
         }
     }
 
-    /// One way to make a CRC-valid journal contradict itself: swap in
-    /// another spec's meta blob, or edit the base snapshot.
+    /// One way to make a CRC-valid journal contradict itself, named:
+    /// swap in another spec's meta blob, or edit the base snapshot.
     enum Swap {
-        Meta(fn(&mut RouterSpec)),
-        Snapshot(fn(&mut RouterSnapshot)),
+        Meta(&'static str, fn(&mut RouterSpec)),
+        Snapshot(&'static str, fn(&mut RouterSnapshot<'static>)),
+    }
+
+    fn rebalance(spec: &mut RouterSpec) -> &mut RebalancePolicy {
+        spec.rebalance.as_mut().expect("a rebalancing spec")
+    }
+
+    /// The first move of the snapshot's staged batch.
+    fn staged<'a>(snapshot: &'a mut RouterSnapshot<'static>) -> &'a mut Move {
+        let state = snapshot.rebalance.as_mut().expect("a rebalancing snapshot");
+        state.to_mut().staged.first_mut().expect("a staged batch")
     }
 
     #[test]
     fn recover_rejects_a_checkpoint_that_disagrees_with_its_meta() {
-        let durable = driven_durable(RetentionPolicy::WindowTxs(16), 8);
-        let recover = |swap: Swap| {
-            let storage = crate::SharedStorage::new(crate::MemStorage::new());
-            replicate_journal(&durable, &storage, |found, blob| match (&swap, found) {
-                (Swap::Meta(edit), Artifact::Meta) => {
+        let window = RetentionPolicy::WindowTxs(16);
+        let (durable, storage) = driven_durable(window, 8, staging_every_8());
+        let recover = |swap: &Swap| {
+            let replica = replicate_journal(&storage, |found, blob| match (swap, found) {
+                (Swap::Meta(_, edit), Artifact::Meta) => {
                     let mut spec = durable::decode_spec(blob).unwrap();
                     edit(&mut spec);
                     *blob = durable::encode_spec(&spec);
                 }
-                (Swap::Snapshot(edit), Artifact::Checkpoint) => {
+                (Swap::Snapshot(_, edit), Artifact::Checkpoint) => {
                     let mut r = ByteReader::new(blob);
                     let mut snapshot = RouterSnapshot::decode_from(&mut r).unwrap();
                     edit(&mut snapshot);
                     let mut w = ByteWriter::new();
-                    snapshot.parts().encode_into(&mut w);
+                    snapshot.encode_into(&mut w);
                     *blob = w.into_vec();
                 }
                 _ => {}
             });
-            Router::recover(Box::new(storage))
+            Router::recover(replica)
         };
         let table = [
-            ("k", Swap::Meta(|s| s.shards = Some(2))),
-            (
-                "retention",
-                Swap::Meta(|s| s.retention = RetentionPolicy::WindowTxs(8)),
-            ),
-            ("strategy", Swap::Meta(|s| s.strategy = Strategy::Greedy)),
-            (
-                "engine registered != store length",
-                Swap::Snapshot(|s| {
-                    let policy = RetentionPolicy::WindowTxs(16);
-                    s.engine = Some(T2sEngine::with_retention(4, DEFAULT_ALPHA, policy));
-                }),
-            ),
-            (
-                "live shard >= k",
-                Swap::Snapshot(|s| {
-                    let newest = s.assignments.len() - 1;
-                    assert!(s.assignments.reassign(newest, 4));
-                }),
-            ),
+            Swap::Meta("k", |s| s.shards = Some(2)),
+            Swap::Meta("window", |s| s.retention = RetentionPolicy::WindowTxs(8)),
+            Swap::Meta("strategy", |s| s.strategy = Strategy::Greedy),
+            Swap::Snapshot("engine registered != store length", |s| {
+                let engine = T2sEngine::with_retention(4, DEFAULT_ALPHA, s.tan.retention());
+                s.engine = Some(Cow::Owned(engine));
+            }),
+            Swap::Snapshot("live shard >= k", |s| {
+                let newest = s.assignments.len() - 1;
+                assert!(s.assignments.to_mut().reassign(newest, 4));
+            }),
+            Swap::Meta("no epochs", |s| rebalance(s).epoch_interval = 0),
+            Swap::Meta("NaN", |s| rebalance(s).utilization_trigger = f64::NAN),
+            Swap::Meta("no rebalancer", |s| s.rebalance = None),
+            Swap::Snapshot("staged node not live", |s| staged(s).node = NodeId(999)),
+            Swap::Snapshot("staged txid", |s| staged(s).txid = TxId(999)),
+            Swap::Snapshot("staged shard >= k", |s| staged(s).to = ShardId(4)),
+            Swap::Snapshot("staged from == to", |s| staged(s).to = staged(s).from),
         ];
-        for (what, swap) in table {
+        for swap in &table {
+            let (Swap::Meta(what, _) | Swap::Snapshot(what, _)) = swap;
             // An `Err` return is the point: nothing between the storage
             // bytes and the restored router may unwind.
             let err = recover(swap).unwrap_err();
@@ -1896,7 +1894,7 @@ mod tests {
         }
         // The harness itself is lossless: an untouched re-encoded
         // snapshot under the original meta recovers.
-        let recovered = recover(Swap::Snapshot(|_| {})).unwrap();
+        let recovered = recover(&Swap::Snapshot("none", |_| {})).unwrap();
         assert_eq!(recovered.assignments(), durable.assignments());
     }
 
@@ -1978,50 +1976,22 @@ mod tests {
         Checkpoint,
     }
 
-    /// Copies every durable artifact (meta, checkpoint, records) of
-    /// `router`'s journal into `dest` — the test stand-in for
+    /// A copy of the journal in `storage` — the test stand-in for
     /// reopening the files a crashed process left behind. `tamper` may
     /// rewrite the meta and checkpoint blobs on the way.
     fn replicate_journal(
-        router: &Router,
-        dest: &crate::SharedStorage<crate::MemStorage>,
+        storage: &Shared,
         tamper: impl Fn(Artifact, &mut Vec<u8>),
-    ) {
-        let tampered = |artifact: Artifact, blob: &[u8]| {
-            let mut blob = blob.to_vec();
-            tamper(artifact, &mut blob);
-            blob
-        };
-        let journal = router.journal.as_ref().expect("router is durable");
-        let src = &journal.storage;
-        let mut dst = dest.clone();
-        let meta = src.meta().unwrap().expect("meta written");
-        dst.put_meta(&tampered(Artifact::Meta, &meta)).unwrap();
-        let checkpoint = src.checkpoint().unwrap();
-        if let Some((upto, blob)) = &checkpoint {
-            dst.put_checkpoint(*upto, &tampered(Artifact::Checkpoint, blob))
-                .unwrap();
+    ) -> Box<dyn Storage> {
+        let mut copy = storage.with(|s| s.clone());
+        let mut meta = copy.meta().unwrap().expect("meta written");
+        tamper(Artifact::Meta, &mut meta);
+        copy.put_meta(&meta).unwrap();
+        if let Some((upto, mut blob)) = copy.checkpoint().unwrap() {
+            tamper(Artifact::Checkpoint, &mut blob);
+            copy.put_checkpoint(upto, &blob).unwrap();
         }
-        // Seed the sequence space below the checkpoint so replayed
-        // records keep their original sequence numbers (the source
-        // GC'd everything it already covers).
-        let from = checkpoint.map_or(0, |(upto, _)| upto);
-        for _ in 0..from {
-            dst.append(&[]).unwrap();
-        }
-        src.replay(from, &mut |_, payload| {
-            dst.append(payload).unwrap();
-        })
-        .unwrap();
-        dst.flush().unwrap();
-    }
-
-    #[test]
-    fn recovery_errors_on_a_foreign_meta_blob() {
-        let mut storage = crate::MemStorage::new();
-        storage.put_meta(b"not a spec").unwrap();
-        let err = Router::recover(Box::new(storage)).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        Box::new(copy)
     }
 
     #[test]

@@ -9,7 +9,6 @@
 use std::fmt;
 
 use optchain_tan::NodeId;
-use serde::{Deserialize, Serialize};
 
 use crate::assignment::{AssignmentStore, AssignmentView};
 use crate::placer::{
@@ -20,10 +19,9 @@ use crate::t2s::T2sEngine;
 
 /// The placement strategies of the paper's evaluation (Section V.A).
 ///
-/// This used to live in `optchain-sim`; it moved here so the placement
-/// layer itself can be configured by name (the simulator re-exports it
-/// for compatibility, serde derives included).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// The placement layer itself is configured by name (the simulator
+/// re-exports it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// Full OptChain (T2S + L2S temporal fitness).
     OptChain,

@@ -344,7 +344,7 @@ impl T2sEngine {
             0,
             "warm_start replays the full edge history, which an evicted \
              graph no longer holds; restore retention-policy routers from \
-             an engine-state snapshot (Router::snapshot) instead"
+             an engine-state snapshot (Router::recover) instead"
         );
         // A forward sweep sees each edge exactly once, so the observed
         // |Nout(v)| can be maintained incrementally instead of queried

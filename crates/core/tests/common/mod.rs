@@ -4,8 +4,34 @@
 //! unspent, so nothing is ever double-spent.
 #![allow(dead_code)]
 
+use optchain_core::{MemStorage, RebalancePolicy, Router, RouterBuilder, SharedStorage};
 use optchain_tan::hash::splitmix64;
 use optchain_utxo::{Transaction, TxId, TxOutput, WalletId};
+
+/// Builds `builder` as a durable router over a clonable in-RAM backend,
+/// so a test can take it through [`restart`].
+pub fn in_ram(builder: RouterBuilder) -> (Router, SharedStorage<MemStorage>) {
+    let storage = SharedStorage::new(MemStorage::new());
+    (builder.storage(Box::new(storage.clone())).build(), storage)
+}
+
+/// An aggressive rebalancer: an epoch boundary every `interval`
+/// placements, staging whenever a shard is above the mean, so short
+/// streams still cross several epochs.
+pub fn aggressive(interval: u64) -> RebalancePolicy {
+    RebalancePolicy::default()
+        .with_epoch_interval(interval)
+        .with_min_in_degree(1)
+        .with_utilization_trigger(1.0)
+}
+
+/// A clean restart: snapshot, drop, `Router::recover` — the one way a
+/// router's state comes back.
+pub fn restart(mut router: Router, storage: &SharedStorage<MemStorage>) -> Router {
+    router.checkpoint_now().unwrap();
+    drop(router);
+    Router::recover(Box::new(storage.clone())).unwrap()
+}
 
 /// A proptest recipe for [`build_stream`], up to `max_len` transactions:
 /// per transaction, how far back each of its (up to three) inputs

@@ -7,12 +7,12 @@
 //!   places the whole stream in order;
 //! * fleet restarts are transparent: drop → rebuild over the same
 //!   storage backend → continued stream equals the uninterrupted
-//!   stream.
+//!   stream, rebalance epochs included.
 
 mod common;
-use common::stream_strategy;
+use common::{aggressive, stream_strategy};
 
-use proptest::prelude::{prop_assert_eq, proptest, ProptestConfig};
+use proptest::prelude::{any, prop_assert_eq, proptest, ProptestConfig};
 
 use optchain_core::{
     MemStorage, RetentionPolicy, Router, RouterFleet, ShardTelemetry, SharedStorage, Strategy,
@@ -133,16 +133,20 @@ proptest! {
     /// Fleet restarts are transparent: drop the fleet mid-stream,
     /// rebuild it over the same (in-RAM) storage backend, and the
     /// continued suffix places exactly like the uninterrupted fleet —
-    /// telemetry board included.
+    /// telemetry board and rebalancer included.
     #[test]
     fn fleet_restart_is_transparent(
         recipe in stream_strategy(200),
         k in 1u32..9,
         cut_pct in 0u32..100,
+        rebalance in any::<bool>(),
     ) {
         let txs = build_raw_stream(&recipe);
         let cut = txs.len() * cut_pct as usize / 100;
-        let builder = || RouterFleet::builder().shards(k);
+        let builder = || match rebalance {
+            true => RouterFleet::builder().shards(k).rebalancer(aggressive(12)),
+            false => RouterFleet::builder().shards(k),
+        };
         let drive = |fleet: &RouterFleet, rows: &[(TxId, Vec<TxId>)], offset: usize| -> Vec<u32> {
             let handles = [fleet.handle(0), fleet.handle(1)];
             rows.iter()
@@ -175,5 +179,6 @@ proptest! {
         let mut got = prefix_shards;
         got.extend(&suffix);
         prop_assert_eq!(expected, got, "cut {}", cut);
+        prop_assert_eq!(resumed.stats().rebalance, continuous.stats().rebalance);
     }
 }

@@ -91,7 +91,7 @@ proptest! {
         let total: f64 = proxy.queues().iter().sum();
         prop_assert!(proxy.queues().iter().all(|q| *q >= 0.0));
         prop_assert!(total <= places.len() as f64 + 1e-9);
-        for t in proxy.snapshot() {
+        for t in proxy.telemetry().0 {
             prop_assert!(t.expected_verify >= 0.5 - 1e-9);
         }
     }

@@ -7,7 +7,7 @@
 //! batches, under every retention policy.
 
 mod common;
-use common::{build_stream, stream_strategy};
+use common::{aggressive, build_stream, in_ram, restart, stream_strategy};
 
 use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 
@@ -18,15 +18,6 @@ fn assignments_of(router: &mut Router, txs: &[Transaction]) -> Vec<u32> {
     let mut out: Vec<ShardId> = Vec::new();
     router.submit_batch(txs, &mut out);
     out.into_iter().map(|s| s.0).collect()
-}
-
-/// An aggressive policy that stages and commits as often as the stream
-/// allows, so short proptest streams still cross several epochs.
-fn aggressive(interval: u64) -> RebalancePolicy {
-    RebalancePolicy::default()
-        .with_epoch_interval(interval)
-        .with_min_in_degree(1)
-        .with_utilization_trigger(1.0)
 }
 
 proptest! {
@@ -171,35 +162,35 @@ proptest! {
 /// A snapshot is the state, not a recipe for it: after a committed
 /// epoch has re-homed hubs, the T2S rows of their earlier spenders
 /// still hold the mass inherited from the *pre-move* shard, which no
-/// replay of `(graph, final assignments)` reproduces. `snapshot` →
-/// `warm_start` of an unbounded router must carry those rows verbatim:
-/// the restored router's next decisions match bit for bit — up to the
-/// live router's next epoch boundary, because the rebalancer's own
-/// clock and staged batch are not placement state and restart fresh.
+/// replay of `(graph, final assignments)` reproduces. A durable router
+/// restarted through `Router::recover` must carry those rows verbatim,
+/// and the rebalancer's staged batch and counters with them: across
+/// four more epoch boundaries the recovered router decides, scores,
+/// migrates and counts bit for bit like one that never stopped.
 #[test]
 fn snapshot_after_a_committed_epoch_restores_scores_bit_for_bit() {
-    let build = || {
-        Router::builder()
-            .shards(4)
-            .rebalancer(aggressive(16))
-            .build()
-    };
+    let builder = || Router::builder().shards(4).rebalancer(aggressive(16));
     // Hubs 0..4 draw every later spend, so their shards run hot and
     // the aggressive policy keeps re-homing them.
     let inputs_of = |i: u64| match i {
         0..4 => vec![],
         _ => vec![TxId(i % 4), TxId(i - 1)],
     };
-    let mut live = build();
+    let mut live = builder().build();
+    let (mut durable, storage) = in_ram(builder());
     for i in 0..200u64 {
         live.submit(TxId(i), &inputs_of(i)).unwrap();
+        durable.submit(TxId(i), &inputs_of(i)).unwrap();
     }
     let stats = live.rebalance_stats();
     assert!(stats.epochs_committed >= 1 && stats.nodes_moved >= 1);
+    // The drain buffer is process-local: a restart starts it empty.
+    live.drain_rebalance_moves(&mut Vec::new());
 
-    let mut restored = build();
-    restored.warm_start(&live.snapshot());
-    for i in 200..208u64 {
+    let mut restored = restart(durable, &storage);
+    assert_eq!(restored.rebalance_stats(), stats);
+    assert_eq!(restored.cross_placed(), live.cross_placed());
+    for i in 200..264u64 {
         let a = live.submit(TxId(i), &inputs_of(i)).unwrap();
         let b = restored.submit(TxId(i), &inputs_of(i)).unwrap();
         assert_eq!(a, b, "tx {i}");
@@ -209,4 +200,13 @@ fn snapshot_after_a_committed_epoch_restores_scores_bit_for_bit() {
         assert_eq!(bits(a.l2s()), bits(b.l2s()), "tx {i} L2S");
         assert_eq!(bits(a.fitness()), bits(b.fitness()), "tx {i} fitness");
     }
+    let after = live.rebalance_stats();
+    assert!(after.epochs_committed >= stats.epochs_committed + 3);
+    assert_eq!(restored.rebalance_stats(), after);
+    assert_eq!(restored.cross_placed(), live.cross_placed());
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    live.drain_rebalance_moves(&mut a);
+    restored.drain_rebalance_moves(&mut b);
+    assert!(!a.is_empty(), "the continuation commits moves");
+    assert_eq!(a, b);
 }

@@ -8,8 +8,8 @@
 //!    is bit-identical to unbounded over the *whole* stream even while
 //!    it evicts almost everything — edge resolution and score rows are
 //!    the only coupling, and both are window-exact by construction.
-//! 3. Compaction round trip: evict → `compact` → `snapshot` →
-//!    `warm_start` continues bit-identically to the uninterrupted
+//! 3. Compaction round trip: evict → `compact` → snapshot →
+//!    `Router::recover` continues bit-identically to the uninterrupted
 //!    windowed run (the windowed engine-state snapshot).
 //! 4. A `RouterFleet` under a retention policy stays bit-identical to
 //!    a `Router` under the same policy.
@@ -26,7 +26,7 @@
 //!    learning remote placements through `adopt_remote` (after `wallet`).
 
 mod common;
-use common::seeded_stream;
+use common::{in_ram, restart, seeded_stream};
 
 use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 
@@ -97,7 +97,7 @@ proptest! {
         prop_assert!(windowed.tan().live_len() <= 2 * window);
     }
 
-    /// Compaction round trip: evict → compact → snapshot → warm_start
+    /// Compaction round trip: evict → compact → snapshot → recover
     /// continues bit-identically to the live windowed run.
     #[test]
     fn compaction_snapshot_roundtrip_is_bit_exact(
@@ -108,14 +108,13 @@ proptest! {
         let txs = seeded_stream(1_000, 40, seed);
         let policy = RetentionPolicy::WindowTxs(window);
         let mut live = Router::builder().shards(4).retention(policy).build();
+        let (mut durable, storage) = in_ram(Router::builder().shards(4).retention(policy));
         drive_with_scores(&mut live, &txs[..split]);
-        live.compact();
-        let snapshot = live.snapshot();
-        prop_assert!(snapshot.assignments().live_len() <= window, "windowed shape");
-        prop_assert_eq!(snapshot.retention(), policy);
-
-        let mut restored = Router::builder().shards(4).retention(policy).build();
-        restored.warm_start(&snapshot);
+        drive_with_scores(&mut durable, &txs[..split]);
+        durable.compact();
+        let mut restored = restart(durable, &storage);
+        prop_assert!(restored.assignments().live_len() <= window, "windowed shape");
+        prop_assert_eq!(restored.retention(), policy);
         let a = drive_with_scores(&mut live, &txs[split..]);
         let b = drive_with_scores(&mut restored, &txs[split..]);
         prop_assert_eq!(a, b);
@@ -132,22 +131,15 @@ proptest! {
     fn t2s_strategy_compaction_roundtrip(seed in 0u64..500) {
         let policy = RetentionPolicy::WindowTxs(48);
         let txs = seeded_stream(600, 20, seed);
-        let mut live = Router::builder()
-            .shards(3)
-            .strategy(Strategy::T2s)
-            .retention(policy)
-            .build();
+        let builder = || Router::builder().shards(3).strategy(Strategy::T2s).retention(policy);
+        let mut live = builder().build();
+        let (mut durable, storage) = in_ram(builder());
         for tx in &txs[..400] {
             live.submit_tx(tx).unwrap();
+            durable.submit_tx(tx).unwrap();
         }
-        live.compact();
-        let snapshot = live.snapshot();
-        let mut restored = Router::builder()
-            .shards(3)
-            .strategy(Strategy::T2s)
-            .retention(policy)
-            .build();
-        restored.warm_start(&snapshot);
+        durable.compact();
+        let mut restored = restart(durable, &storage);
         for tx in &txs[400..] {
             let a = live.submit_tx(tx).unwrap();
             let b = restored.submit_tx(tx).unwrap();
@@ -216,10 +208,11 @@ proptest! {
 #[test]
 fn keep_unspent_and_hubs_survives_the_hub_window() {
     let min_degree = 3u32;
-    let mut router = Router::builder()
-        .shards(4)
-        .retention(RetentionPolicy::KeepUnspentAndHubs { min_degree })
-        .build();
+    let (mut router, storage) = in_ram(
+        Router::builder()
+            .shards(4)
+            .retention(RetentionPolicy::KeepUnspentAndHubs { min_degree }),
+    );
     // TxId(0): a hub (spent `min_degree` times). TxId(1): spent once.
     // TxId(2): never spent.
     let hub_shard = router.submit(TxId(0), &[]).unwrap();
@@ -248,15 +241,12 @@ fn keep_unspent_and_hubs_survives_the_hub_window() {
     router.submit(TxId(2_000_001), &[TxId(1)]).unwrap();
     assert_eq!(router.tan().missing_parent_refs(), missing_before + 1);
     // The windowed snapshot carries the wrapped ring and every
-    // side-table survivor: a restored router resolves the same hub.
-    let mut restored = Router::builder()
-        .shards(4)
-        .retention(RetentionPolicy::KeepUnspentAndHubs { min_degree })
-        .build();
-    restored.warm_start(&router.snapshot());
-    assert_eq!(restored.assignments(), router.assignments());
+    // side-table survivor: a recovered router resolves the same hub.
+    let live: Vec<_> = router.assignments().iter_live().collect();
+    let mut restored = restart(router, &storage);
+    assert!(restored.assignments().iter_live().eq(live));
     let again = restored.submit(TxId(2_000_002), &[TxId(0)]).unwrap();
-    assert_eq!(again, router.submit(TxId(2_000_002), &[TxId(0)]).unwrap());
+    assert_eq!(again, hub_shard);
 }
 
 #[test]

@@ -2,11 +2,11 @@
 //! API must produce **bit-identical** assignments and scores to the
 //! borrow-style `place_into` path and to `replay`, across random
 //! workloads, shard counts, damping factors, L2S modes, T2S windows, and
-//! every built-in strategy. Sessions and snapshots must never change a
+//! every built-in strategy. Sessions and restarts must never change a
 //! decision — only memo accounting.
 
 mod common;
-use common::{build_stream, stream_strategy};
+use common::{build_stream, in_ram, restart, stream_strategy};
 
 use proptest::prelude::{any, prop_assert_eq, proptest, ProptestConfig};
 
@@ -169,9 +169,9 @@ proptest! {
         prop_assert_eq!(plain.assignments(), with_sessions.assignments());
     }
 
-    /// Checkpoint/restore is invisible to the suffix: placing through a
-    /// snapshot + `warm_start` continues exactly like the uninterrupted
-    /// router, for every strategy that supports warm starts.
+    /// A restart is invisible to the suffix: placing through a snapshot
+    /// + `Router::recover` continues exactly like the uninterrupted
+    /// router, for every strategy.
     #[test]
     fn snapshot_warm_start_is_transparent(
         recipe in stream_strategy(250),
@@ -189,7 +189,7 @@ proptest! {
             Strategy::Greedy,
             Strategy::Metis,
         ] {
-            let build = || {
+            let builder = || {
                 let mut b = Router::builder()
                     .shards(k)
                     .strategy(strategy)
@@ -197,18 +197,17 @@ proptest! {
                 if strategy == Strategy::Metis {
                     b = b.oracle(oracle.clone());
                 }
-                b.build()
+                b
             };
-            let mut continuous = build();
+            let mut continuous = builder().build();
             for tx in &txs {
                 continuous.submit_tx(tx).unwrap();
             }
-            let mut first_half = build();
+            let (mut first_half, storage) = in_ram(builder());
             for tx in &txs[..cut] {
                 first_half.submit_tx(tx).unwrap();
             }
-            let mut resumed = build();
-            resumed.warm_start(&first_half.snapshot());
+            let mut resumed = restart(first_half, &storage);
             for tx in &txs[cut..] {
                 resumed.submit_tx(tx).unwrap();
             }

@@ -1,14 +1,13 @@
-//! Snapshot round-trip property: `snapshot` → `warm_start` → continued
-//! stream is **bit-identical** to the uninterrupted stream — for a
-//! single [`Router`] driven through per-client [`PlacementSession`]s
-//! under a changing telemetry feed (session L2S memo state included:
-//! the restored board version keeps the memo epochs aligned), and for a
-//! [`RouterFleet`] driving the detached bulk path, which persists
-//! through its storage backend: drop → rebuild over the same
-//! [`SharedStorage`] handle.
+//! Snapshot round-trip property: snapshot → drop → `Router::recover` →
+//! continued stream is **bit-identical** to the uninterrupted stream —
+//! for a single [`Router`] driven through per-client
+//! [`PlacementSession`]s under a changing telemetry feed (session L2S
+//! memo state included: the restored board version keeps the memo
+//! epochs aligned), and for a [`RouterFleet`] driving the detached bulk
+//! path: drop → rebuild over the same [`SharedStorage`] handle.
 
 mod common;
-use common::{build_stream, seeded_stream, stream_strategy};
+use common::{build_stream, in_ram, restart, seeded_stream, stream_strategy};
 
 use proptest::prelude::{prop_assert_eq, proptest, ProptestConfig};
 
@@ -34,7 +33,8 @@ fn telemetry_at(e: u64, k: u32) -> Vec<ShardTelemetry> {
 
 /// Drives `txs[offset..][..]` into `router` through round-robin client
 /// sessions, feeding fresh telemetry every 13 transactions and
-/// refreshing each session's view lazily (the simulator's discipline).
+/// refreshing each session's view lazily (the simulator's discipline),
+/// so every view equals the board — what a durable router can replay.
 /// Returns the chosen shards.
 fn drive_sessions(
     router: &mut Router,
@@ -83,14 +83,10 @@ proptest! {
             (0..clients).map(|_| continuous.session()).collect();
         let expected = drive_sessions(&mut continuous, &mut continuous_sessions, &txs, 0, k);
 
-        let mut prefix_router = Router::builder().shards(k).build();
+        let (mut prefix_router, storage) = in_ram(Router::builder().shards(k));
         let mut sessions: Vec<_> = (0..clients).map(|_| prefix_router.session()).collect();
         let mut got = drive_sessions(&mut prefix_router, &mut sessions, &txs[..cut], 0, k);
-        let snapshot = prefix_router.snapshot();
-        drop(prefix_router);
-
-        let mut resumed = Router::builder().shards(k).build();
-        resumed.warm_start(&snapshot);
+        let mut resumed = restart(prefix_router, &storage);
         got.extend(drive_sessions(&mut resumed, &mut sessions, &txs[cut..], cut, k));
 
         prop_assert_eq!(expected, got, "cut {}", cut);
@@ -155,7 +151,9 @@ proptest! {
 /// checkpoint blob a durable router installs, which is the body), so a
 /// change to how the windowed state is held cannot move a byte
 /// unnoticed. The last arm's ring is still warming: it holds live rows
-/// only.
+/// only. Version 4 appended nine bytes to version 3's body (an absent
+/// rebalancer tag and the cross-placement count); stripping them and
+/// writing byte 0 back to 3 gives version 3's pins.
 #[test]
 fn snapshot_body_bytes_are_pinned_per_policy() {
     let txs = seeded_stream(12_000, 30, 7);
@@ -180,10 +178,10 @@ fn snapshot_body_bytes_are_pinned_per_policy() {
     assert_eq!(
         policies.map(body_of),
         [
-            (555_187, 0x0111_E5B6),
-            (46_463, 0x939D_F85D),
-            (421_743, 0xA523_BABE),
-            (555_195, 0x59AF_C895)
+            (555_196, 0xCA9D_3A78),
+            (46_472, 0x4E23_882B),
+            (421_752, 0x416D_E8F4),
+            (555_204, 0xC36E_7E85)
         ]
     );
 }

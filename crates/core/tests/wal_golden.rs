@@ -5,12 +5,14 @@
 //!    router over a `FailpointStorage` is killed at a random mutating
 //!    operation — mid-batch, mid-flush, or mid-snapshot, with a clean,
 //!    torn, or CRC-corrupted tail frame — under each `RetentionPolicy`,
-//!    a swept snapshot cadence (`full_every`) and either the
-//!    single-entry or the `submit_batch` door, so the damage can land
-//!    inside a multi-entry record. `Router::recover` must rebuild a
+//!    a swept snapshot cadence (`full_every`), either the single-entry
+//!    or the `submit_batch` door, so the damage can land inside a
+//!    multi-entry record, and with or without a rebalancer committing
+//!    epochs on both sides of the kill (a deterministic sweep kills it
+//!    around every epoch boundary). `Router::recover` must rebuild a
 //!    router **bit-identical** to an uncrashed reference driven over
-//!    exactly the surviving prefix: same assignments, same telemetry
-//!    epoch, and the same full score breakdown on a shared
+//!    exactly the surviving prefix: same assignments and counters, and
+//!    the same full score breakdown and committed moves on a shared
 //!    continuation stream.
 //! 2. **Crash-point sweep, on-disk `SegmentWal`**: the same property
 //!    through real segment files with rotation and GC in play —
@@ -23,7 +25,9 @@
 //!    retention policy — and driving either through `submit`,
 //!    `submit_tx`, `submit_tx_in` or `submit_batch` yields the same
 //!    shards and the same recovered router (the single-entry doors
-//!    also the same journal bytes; a batch record has fewer frames).
+//!    also the same journal bytes; a batch record has fewer frames),
+//!    with every submission through a session whose view is not the
+//!    board refused and leaving no trace.
 //! 4. **A torn batch record is lost whole**: damage inside a
 //!    multi-entry record keeps every earlier record and none of that
 //!    one's placements.
@@ -38,17 +42,17 @@
 //! pre-crash state.
 
 mod common;
-use common::seeded_stream;
+use common::{aggressive, seeded_stream};
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
+use proptest::prelude::{any, prop_assert, prop_assert_eq, proptest, ProptestConfig};
 
 use optchain_core::{
-    Crashable, FailpointStorage, MemStorage, RetentionPolicy, Router, RouterFleet, SegmentWal,
-    ShardId, ShardTelemetry, SharedStorage, Storage, TailDamage,
+    Crashable, FailpointStorage, MemStorage, RetentionPolicy, Router, RouterBuilder, RouterFleet,
+    SegmentWal, ShardId, ShardTelemetry, SharedStorage, Storage, TailDamage,
 };
-use optchain_utxo::{Transaction, TxId};
+use optchain_utxo::Transaction;
 
 /// One journaled action: a submission or a telemetry update.
 enum Step {
@@ -80,11 +84,43 @@ fn event_schedule(txs: &[Transaction], k: usize, feed_every: usize, seed: u64) -
     steps
 }
 
+/// The router every crash case builds (and its reference): 4 shards
+/// under `policy`, rebalancing with an epoch every 12 placements iff
+/// `rebalance`.
+fn node(policy: RetentionPolicy, rebalance: bool) -> RouterBuilder {
+    let builder = Router::builder().shards(4).retention(policy);
+    if rebalance {
+        return builder.rebalancer(aggressive(12));
+    }
+    builder
+}
+
+/// A decision's shard and the bits of its T2S, L2S and fitness scores.
+type Scored = (ShardId, [Vec<u64>; 3]);
+
 /// Submits `tx` and returns the full score breakdown of the decision.
-fn decide(router: &mut Router, tx: &Transaction) -> (ShardId, Vec<f64>, Vec<f64>) {
+fn decide(router: &mut Router, tx: &Transaction) -> Scored {
     router.submit_tx(tx).unwrap();
     let buf = router.last_decision();
-    (buf.shard(), buf.t2s().to_vec(), buf.fitness().to_vec())
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+    (
+        buf.shard(),
+        [bits(buf.t2s()), bits(buf.l2s()), bits(buf.fitness())],
+    )
+}
+
+/// What a restart must carry besides the assignments: rebalance
+/// counters, cross-placement count, telemetry epoch.
+fn counters(router: &Router) -> (optchain_core::RebalanceStats, u64, u64) {
+    let stats = router.rebalance_stats();
+    (stats, router.cross_placed(), router.telemetry_version())
+}
+
+/// The moves committed since the last drain.
+fn drained(router: &mut Router) -> Vec<optchain_core::Move> {
+    let mut moves = Vec::new();
+    router.drain_rebalance_moves(&mut moves);
+    moves
 }
 
 /// The four public ways into `Router`'s one submission path.
@@ -94,7 +130,9 @@ enum Door {
     Raw,
     /// `submit_tx`.
     Tx,
-    /// `submit_tx_in` through one (view-less) session.
+    /// `submit_tx_in` through a session viewing the router's own board,
+    /// after a session with any other view is refused: the journal
+    /// cannot replay a view, so a durable router journals none.
     Session,
     /// `submit_batch` in chunks of at most this many transactions.
     Batch(usize),
@@ -109,7 +147,8 @@ fn drive_until_crash(
     steps: &[Step],
     door: Door,
 ) -> (Vec<ShardId>, usize) {
-    let mut session = router.session();
+    let (mut session, mut foreign) = (router.session(), router.session());
+    foreign.set_view(&vec![ShardTelemetry::new(9.0, 9.0); router.k() as usize], 0);
     let mut shards = Vec::new();
     let mut chunk = Vec::new();
     let mut i = 0;
@@ -133,10 +172,14 @@ fn drive_until_crash(
                 .map(|s| shards.push(s))
                 .is_ok(),
             Door::Tx => router.submit_tx(tx).map(|s| shards.push(s)).is_ok(),
-            Door::Session => router
-                .submit_tx_in(&mut session, tx)
-                .map(|s| shards.push(s))
-                .is_ok(),
+            Door::Session => {
+                let refused = router.submit_tx_in(&mut foreign, tx).unwrap_err();
+                assert_eq!(refused.kind(), std::io::ErrorKind::Unsupported);
+                let board = router.telemetry().to_vec();
+                session.set_view(&board, router.telemetry_version());
+                let placed = router.submit_tx_in(&mut session, tx);
+                placed.map(|s| shards.push(s)).is_ok()
+            }
             Door::Batch(n) => {
                 run = steps[i..]
                     .iter()
@@ -173,9 +216,11 @@ fn drive_through(
     shards
 }
 
-/// Submits every remaining transaction to both routers, comparing the
-/// full score breakdown per decision — the recovered router must keep
-/// deciding bit-identically, not just hold the same history.
+/// Compares a recovered router with its uncrashed reference, then
+/// submits every remaining transaction to both, comparing the full
+/// score breakdown per decision and the moves committed on the way —
+/// the recovered router must keep deciding bit-identically, not just
+/// hold the same history.
 fn assert_identical_continuation(
     recovered: &mut Router,
     reference: &mut Router,
@@ -183,6 +228,10 @@ fn assert_identical_continuation(
     steps: &[Step],
     from_step: usize,
 ) {
+    assert_eq!(recovered.assignments(), reference.assignments());
+    assert_eq!(counters(recovered), counters(reference));
+    // The drain buffer is process-local: a recovered one starts empty.
+    drained(reference);
     for step in &steps[from_step..] {
         match step {
             Step::Submit(idx) => {
@@ -197,7 +246,8 @@ fn assert_identical_continuation(
         }
     }
     assert_eq!(recovered.assignments(), reference.assignments());
-    assert_eq!(recovered.telemetry_version(), reference.telemetry_version());
+    assert_eq!(counters(recovered), counters(reference));
+    assert_eq!(drained(recovered), drained(reference));
 }
 
 fn policy_for(selector: u8) -> RetentionPolicy {
@@ -230,7 +280,7 @@ fn damage_for(selector: u8, keep_bytes: usize) -> TailDamage {
 /// surviving prefix.
 fn check_crash_recovery(
     storage: Box<dyn Storage>,
-    policy: RetentionPolicy,
+    mut reference: Router,
     txs: &[Transaction],
     steps: &[Step],
     acked: usize,
@@ -250,7 +300,6 @@ fn check_crash_recovery(
         "survivors {survived} vs acked {acked}"
     );
 
-    let mut reference = Router::builder().shards(4).retention(policy).build();
     let prefix = &steps[..survived];
     let submits = drive_through(&mut reference, txs, prefix, Door::Tx).len() as u64;
     // Survivors are a *prefix* of the journal, so the per-kind counts
@@ -268,21 +317,19 @@ fn check_crash_recovery(
 /// buffered records landing and the next one damaged.
 type Kill = (usize, u64, usize, TailDamage);
 
-/// Drives a durable router over `backend` (a snapshot due after 32
+/// Drives a durable `node` over `backend` (a snapshot due after 32
 /// entries, then every 32 × `full_every`; fsync every 8) through
 /// `door` into the kill. Returns the dead backend and the steps acked.
 fn drive_into_kill<S: Storage + Crashable + 'static>(
     backend: S,
-    (policy, full_every): (RetentionPolicy, u64),
+    (node, full_every): (RouterBuilder, u64),
     (txs, steps): (&[Transaction], &[Step]),
     door: Door,
     (cut, gap, survive, damage): Kill,
 ) -> (SharedStorage<FailpointStorage<S>>, usize) {
     let idle = FailpointStorage::new(backend, u64::MAX, 0, TailDamage::None);
     let shared = SharedStorage::new(idle);
-    let mut router = Router::builder()
-        .shards(4)
-        .retention(policy)
+    let mut router = node
         .checkpoint_every(32)
         .flush_every(8)
         .full_every(full_every)
@@ -300,7 +347,8 @@ proptest! {
 
     /// Kill -9 at an arbitrary operation boundary, in-memory backend:
     /// recovery is bit-identical under every retention policy, every
-    /// tail-damage mode and both record shapes.
+    /// tail-damage mode, both record shapes, with and without a
+    /// rebalancer.
     #[test]
     fn crash_recovery_is_bit_identical(
         seed in 0u64..1_000,
@@ -312,18 +360,19 @@ proptest! {
         keep_bytes in 0usize..64,
         full_every in 1u64..6,
         batch in 0usize..12,
+        rebalance in any::<bool>(),
     ) {
         let door = door_for(batch);
-        let policy = policy_for(policy_sel);
+        let node = || node(policy_for(policy_sel), rebalance);
         let txs = seeded_stream(300, 30, seed);
         let steps = event_schedule(&txs, 4, 50, seed);
         let kill = (cut, gap, survive, damage_for(damage_sel, keep_bytes));
         let (shared, acked) =
-            drive_into_kill(MemStorage::new(), (policy, full_every), (&txs, &steps), door, kill);
+            drive_into_kill(MemStorage::new(), (node(), full_every), (&txs, &steps), door, kill);
 
         // The "new process": same surviving bytes, failpoint disarmed.
         shared.with(|fp| fp.disarm());
-        check_crash_recovery(Box::new(shared), policy, &txs, &steps, acked, door)?;
+        check_crash_recovery(Box::new(shared), node().build(), &txs, &steps, acked, door)?;
     }
 
     /// The same sweep through a real on-disk `SegmentWal` with small
@@ -339,25 +388,26 @@ proptest! {
         survive in 0usize..8,
         full_every in 1u64..6,
         batch in 0usize..12,
+        rebalance in any::<bool>(),
     ) {
         let door = door_for(batch);
-        let policy = policy_for(policy_sel);
+        let node = || node(policy_for(policy_sel), rebalance);
         let txs = seeded_stream(300, 30, seed);
         let steps = event_schedule(&txs, 4, 50, seed);
         let dir = std::env::temp_dir().join(format!(
-            "optchain-wal-golden-{seed}-{cut}-{gap}-{policy_sel}-{damage_sel}-{survive}-{full_every}-{batch}"
+            "optchain-wal-golden-{seed}-{cut}-{gap}-{policy_sel}-{damage_sel}-{survive}-{full_every}-{batch}-{rebalance}"
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let wal = SegmentWal::open_with(&dir, 4_096).expect("open wal dir");
         let kill = (cut, gap, survive, damage_for(damage_sel, 27));
         let (dead, acked) =
-            drive_into_kill(wal, (policy, full_every), (&txs, &steps), door, kill);
+            drive_into_kill(wal, (node(), full_every), (&txs, &steps), door, kill);
         drop(dead);
 
         // A restarted process reopens the directory from scratch.
         let reopened = SegmentWal::open_with(&dir, 4_096).expect("reopen wal dir");
         let outcome =
-            check_crash_recovery(Box::new(reopened), policy, &txs, &steps, acked, door);
+            check_crash_recovery(Box::new(reopened), node().build(), &txs, &steps, acked, door);
         let _ = std::fs::remove_dir_all(&dir);
         outcome?;
     }
@@ -432,6 +482,45 @@ proptest! {
             for router in rest.iter_mut() {
                 prop_assert_eq!(decide(router, tx), want.clone(), "continuation diverged");
             }
+        }
+    }
+}
+
+/// Kills a rebalancing node on, one record before and one record after
+/// every epoch boundary of a run, under every retention policy: the kill
+/// fires on the record after the cut and every buffered record lands,
+/// so exactly the cut survives. Snapshots every 32 records fall at
+/// every phase of the 12-record epoch, so recovery both restores staged
+/// batches and replays tails across boundaries.
+#[test]
+fn rebalancer_recovers_from_a_kill_around_every_epoch_boundary() {
+    let txs = seeded_stream(200, 30, 3);
+    let steps: Vec<Step> = (0..txs.len()).map(Step::Submit).collect();
+    for policy in [0, 1, 2].map(policy_for) {
+        let mut uncrashed = node(policy, true).build();
+        drive_through(&mut uncrashed, &txs, &steps, Door::Tx);
+        assert!(uncrashed.rebalance_stats().nodes_moved > 0, "{policy:?}");
+        for cut in (12..190).step_by(12).flat_map(|b| [b - 1, b, b + 1]) {
+            let kill = (cut, 0, 8, TailDamage::None);
+            let run = (&txs[..], &steps[..]);
+            let (dead, acked) = drive_into_kill(
+                MemStorage::new(),
+                (node(policy, true), 1),
+                run,
+                Door::Tx,
+                kill,
+            );
+            assert_eq!(acked, cut, "the kill lands on the record after the cut");
+            dead.with(|fp| fp.disarm());
+            check_crash_recovery(
+                Box::new(dead),
+                node(policy, true).build(),
+                &txs,
+                &steps,
+                cut,
+                Door::Tx,
+            )
+            .unwrap();
         }
     }
 }
@@ -594,79 +683,43 @@ fn wal_soak_three_crashes_end_bit_identical() {
     }
 }
 
-/// A durable fleet shut down mid-window restarts from its journal
-/// bit-identical to a `Router` over the same stream.
+/// A durable fleet fed by many clients, shut down mid-window, restarts
+/// from its journal with its counters and telemetry epoch intact and
+/// keeps placing bit-identically to a `Router` over the same stream.
 #[test]
 fn one_worker_fleet_recovers_and_continues_like_a_router() {
     let txs = seeded_stream(500, 30, 7);
+    let hot = [ShardTelemetry::new(0.1, 2.0); 4];
     let mut router = Router::builder().shards(4).build();
+    router.feed_telemetry(&hot);
     let router_shards: Vec<u32> = txs
         .iter()
         .map(|tx| router.submit_tx(tx).unwrap().0)
         .collect();
 
     let shared = SharedStorage::new(MemStorage::new());
-    let fleet = RouterFleet::builder()
-        .shards(4)
-        .storage(Box::new(shared.clone()))
-        .build();
-    let handle = fleet.handle(0);
-    let first: Vec<u32> = txs[..300].iter().map(|tx| handle.submit_tx(tx).0).collect();
-    assert_eq!(first, router_shards[..300]);
-    drop(fleet);
+    let fleet = || {
+        let builder = RouterFleet::builder().shards(4).workers(2);
+        builder.storage(Box::new(shared.clone())).build()
+    };
+    // Every transaction from its own client handle.
+    let submit = |fleet: &RouterFleet, range: std::ops::Range<usize>| -> Vec<u32> {
+        let placed = range.map(|i| fleet.handle(i as u64).submit_tx(&txs[i]).0);
+        placed.collect()
+    };
+    let first = fleet();
+    first.feed_telemetry(&hot);
+    assert_eq!(submit(&first, 0..300), router_shards[..300]);
+    let (before, version) = (first.stats(), first.telemetry_version());
+    drop(first);
 
-    let fleet = RouterFleet::builder()
-        .shards(4)
-        .storage(Box::new(shared.clone()))
-        .build();
-    let stats = fleet.stats();
-    assert_eq!(stats.placed, 300, "recovery must restore the placed count");
-    assert_eq!(fleet.submitted(), 300);
-    let handle = fleet.handle(0);
-    let rest: Vec<u32> = txs[300..].iter().map(|tx| handle.submit_tx(tx).0).collect();
-    assert_eq!(rest, router_shards[300..]);
-    assert_eq!(fleet.submitted(), 500);
-}
-
-/// A durable fleet fed by many clients and shut down cleanly restarts
-/// with its counters and telemetry epoch intact and keeps placing.
-#[test]
-fn two_worker_fleet_restarts_with_counters_intact() {
-    let txs = seeded_stream(400, 30, 11);
-    let storage = SharedStorage::new(MemStorage::new());
-    let fleet = RouterFleet::builder()
-        .shards(4)
-        .workers(2)
-        .storage(Box::new(storage.clone()))
-        .build();
-    fleet.feed_telemetry(&[ShardTelemetry::new(0.1, 2.0); 4]);
-    for (i, tx) in txs.iter().enumerate() {
-        fleet.handle(i as u64).submit_tx(tx);
-    }
-    let before = fleet.stats();
-    let version = fleet.telemetry_version();
-    drop(fleet);
-
-    let fleet = RouterFleet::builder()
-        .shards(4)
-        .workers(2)
-        .storage(Box::new(storage))
-        .build();
+    let fleet = fleet();
     let after = fleet.stats();
-    assert_eq!(after.placed, before.placed);
+    assert_eq!(after.placed, 300, "recovery must restore the placed count");
     assert_eq!(after.missing_parent_refs, before.missing_parent_refs);
     assert_eq!(after.cross_placed, before.cross_placed);
     assert_eq!(fleet.telemetry_version(), version);
-    assert_eq!(fleet.submitted(), before.placed);
-    // And the restarted fleet keeps placing for every client.
-    for i in 0..100u64 {
-        let inputs = if i == 0 {
-            vec![]
-        } else {
-            vec![TxId(10_000 + i - 1)]
-        };
-        let shard = fleet.handle(i).submit(TxId(10_000 + i), &inputs);
-        assert!(shard.0 < 4);
-    }
-    assert_eq!(fleet.stats().placed, before.placed + 100);
+    assert_eq!(fleet.submitted(), 300);
+    assert_eq!(submit(&fleet, 300..500), router_shards[300..]);
+    assert_eq!(fleet.submitted(), 500);
 }

@@ -1,7 +1,5 @@
 //! Empirical cumulative distribution functions.
 
-use serde::{Deserialize, Serialize};
-
 /// An empirical CDF over `f64` samples.
 ///
 /// Samples are collected unsorted and sorted lazily on first query
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cdf.percentile(50.0), 2.0);
 /// assert_eq!(cdf.percentile(100.0), 4.0);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Cdf {
     samples: Vec<f64>,
     sorted: bool,

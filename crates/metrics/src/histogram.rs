@@ -2,8 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// A sparse histogram over non-negative integer values.
 ///
 /// Used for the TaN degree distributions of Fig 2: `value` is a degree,
@@ -25,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// // Fraction of samples strictly below 2: (1+2)/6.
 /// assert!((h.cumulative_fraction_below(2) - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
     counts: BTreeMap<u64, u64>,
     total: u64,

@@ -1,9 +1,7 @@
 //! Fixed-width time-binned series.
 
-use serde::{Deserialize, Serialize};
-
 /// Aggregated statistics of one time bin.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bin {
     /// Start of the bin (inclusive), in the series' time unit.
     pub start: f64,
@@ -63,7 +61,7 @@ impl Bin {
 /// assert_eq!(ts.bins()[0].count, 2);
 /// assert_eq!(ts.bins()[1].start, 50.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TimeSeries {
     bin_width: f64,
     bins: Vec<Bin>,

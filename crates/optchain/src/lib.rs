@@ -130,11 +130,11 @@
 //! assert_eq!(router.assignments().len(), txs.len());
 //! ```
 //!
-//! `Router::snapshot` is the state itself under every policy — graph
-//! (with its horizon and stable-id remap), T2S engine, assignment
-//! store, telemetry board — so `warm_start` into a fresh router of the
-//! same configuration is bit-exact, and under a windowed policy the
-//! checkpoint stops scaling with the stream.
+//! A durable router's snapshot (see *Recover after a crash* below) is
+//! the state itself under every policy — graph (with its horizon and
+//! stable-id remap), T2S engine, assignment store, telemetry board,
+//! rebalancer state — so `Router::recover` is bit-exact, and under a
+//! windowed policy the checkpoint stops scaling with the stream.
 //!
 //! # Turn on the Rebalancer: dynamic re-sharding
 //!
@@ -181,12 +181,15 @@
 //! ```
 //!
 //! [`core::RebalancePolicy`] bounds the blast radius: an epoch every
-//! `epoch_interval` submissions, at most `max_moves_per_epoch` moves
+//! `epoch_interval` placements, at most `max_moves_per_epoch` moves
 //! and `byte_budget_per_epoch` migrated bytes per epoch, and nothing
 //! moves at all until some shard exceeds `utilization_trigger`
 //! (default 1.15× the mean) — so a balanced workload never pays for
 //! the machinery. `RouterFleet::builder().rebalancer(...)` gives the
-//! dispatcher the same knob, and the TCP server surfaces the
+//! dispatcher the same knob, `.storage(...)` makes either durable
+//! (the staged batch and the counters ride every snapshot; recovery
+//! re-derives every epoch of the journal tail), and the TCP server
+//! surfaces the
 //! counters (`optchain_rebalance_*`, per-shard acks, the cross-shard
 //! ratio) on its `/metrics` endpoint. PERF.md §9 has the measured
 //! budget-vs-benefit curve; `rebalance_curve` (in `optchain-bench`)
@@ -202,14 +205,16 @@
 //! `submit_batch` call — a snapshot of the live state lands
 //! every `checkpoint_every × full_every` journaled entries, and
 //! [`core::Router::recover`] rebuilds a **bit-identical** router from
-//! whatever survived: the snapshot (restored verbatim through the same
-//! checked path as `warm_start`; a checkpoint that disagrees with its
-//! meta blob is a typed `InvalidData`, never a panic) plus the WAL
-//! tail above it — the tail is the only delta, so no journaled byte is
-//! written twice — torn tail frames truncated, shards re-derived
-//! deterministically during replay. A fleet persists the same way —
-//! one backend for its one router; `SharedStorage<MemStorage>` keeps
-//! it in RAM across a drop and rebuild.
+//! whatever survived: the snapshot (every decision input the journal
+//! does not carry, rebalancer state included, checked against the
+//! meta blob and restored verbatim; a checkpoint that disagrees with
+//! it is a typed `InvalidData`, never a panic) plus the WAL tail above
+//! it — the tail is the only delta, so no journaled byte is written
+//! twice — torn tail frames truncated, shards and rebalance epochs
+//! re-derived deterministically during replay. `recover` is the one
+//! way a router's state comes back: a round trip in RAM is
+//! `SharedStorage<MemStorage>` + `checkpoint_now` + `recover`, and a
+//! fleet persists the same way — one backend for its one router.
 //! Backends implement the [`core::Storage`] trait:
 //! [`core::SegmentWal`] (on-disk segments with CRC-framed records,
 //! fsync-batched acks, and retention-driven segment GC) for real
@@ -258,15 +263,6 @@
 //! on-disk specification — record framing, the one current version
 //! of each artifact, the recovery state machine, the GC invariants —
 //! and PERF.md §7 has the measured durability tax).
-//!
-//! One composition limit, by design: `.storage(...)` and
-//! `.rebalancer(...)` cannot be combined yet — rebalance epoch state
-//! and committed moves are not in the checkpoint/record format, so a
-//! recovered router could not replay them deterministically and the
-//! builder rejects the pair outright rather than risk a wrong
-//! recovery. Lifting this (a `Move` record type plus epoch counters
-//! in the checkpoint) is the follow-up tracked under ROADMAP
-//! direction 3.
 //!
 //! # Run a placement node over TCP
 //!
@@ -371,8 +367,8 @@ pub mod prelude {
         GreedyPlacer, L2sEstimator, L2sMode, LdgPlacer, MemStorage, Move, OptChainPlacer,
         OraclePlacer, PlacementContext, PlacementSession, Placer, RandomPlacer, RebalancePolicy,
         RebalanceStats, RetentionPolicy, Router, RouterBuilder, RouterFleet, RouterFleetBuilder,
-        RouterSnapshot, SegmentWal, ShardId, ShardTelemetry, SharedStorage, Storage, Strategy,
-        T2sEngine, T2sPlacer, TailDamage, TemporalFitness,
+        SegmentWal, ShardId, ShardTelemetry, SharedStorage, Storage, Strategy, T2sEngine,
+        T2sPlacer, TailDamage, TemporalFitness,
     };
     pub use optchain_partition::{partition_kway, CsrGraph};
     pub use optchain_server::{PlacementServer, PlacementServerBuilder, ServerMetrics};

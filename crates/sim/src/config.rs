@@ -1,9 +1,7 @@
 //! Simulation configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// How cross-shard transactions are committed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CrossShardProtocol {
     /// OmniLedger's lock/proof-of-acceptance/unlock-to-commit protocol
     /// (Section III.A), with the paper's optimization of sending
@@ -19,7 +17,7 @@ pub enum CrossShardProtocol {
 }
 
 /// Transaction inter-arrival model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RateModel {
     /// Fixed spacing `1/rate` (the paper feeds transactions "at a
     /// predefined rate").
@@ -36,7 +34,7 @@ pub use optchain_core::Strategy;
 
 /// Full configuration of a simulation run. Defaults mirror the paper's
 /// Table III.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Number of shards (paper: 4–16, up to 62 in Fig 11).
     pub n_shards: u32,
@@ -68,7 +66,6 @@ pub struct SimConfig {
     /// Client telemetry fidelity (see
     /// [`crate::telemetry::TelemetryFidelity`]); `Quantized` reproduces
     /// the paper's behaviour, `Raw` is the ablation.
-    #[serde(skip)]
     pub telemetry_fidelity: crate::TelemetryFidelity,
     /// How often shard telemetry is published to clients, seconds
     /// (staleness of queue/consensus observations).

@@ -16,7 +16,7 @@ use crate::{Crashable, Storage, TailDamage};
 /// arbitrary suffix of the buffer — optionally leaving a torn or
 /// CRC-corrupted tail — and then re-runs the open-time scan, exactly
 /// like killing and reopening a file-backed journal.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct MemStorage {
     meta: Option<Vec<u8>>,
     checkpoint: Option<(u64, Vec<u8>)>,

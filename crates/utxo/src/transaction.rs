@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{OutPoint, TxId, TxOutput, WalletId};
 
 /// Average serialized size of a Bitcoin transaction assumed by the paper's
@@ -37,7 +35,7 @@ pub const BYTES_PER_OUTPUT: u32 = 34;
 /// assert_eq!(tx.inputs().len(), 1);
 /// assert!(!tx.is_coinbase());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Transaction {
     id: TxId,
     inputs: Vec<OutPoint>,

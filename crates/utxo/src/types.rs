@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a transaction.
 ///
 /// In this reproduction transaction identifiers are dense sequence numbers
@@ -21,9 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(id.outpoint(1).txid, id);
 /// assert_eq!(format!("{id}"), "tx#42");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TxId(pub u64);
 
 impl TxId {
@@ -56,9 +52,7 @@ impl From<u64> for TxId {
 /// in this reproduction clusters outputs by wallet to recreate the
 /// community structure of the real transaction graph, so ownership is a
 /// plain numeric wallet identifier.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct WalletId(pub u32);
 
 impl fmt::Display for WalletId {
@@ -78,9 +72,7 @@ impl fmt::Display for WalletId {
 /// assert_eq!(op, TxId(3).outpoint(1));
 /// assert_eq!(format!("{op}"), "tx#3:1");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct OutPoint {
     /// Transaction that produced the output.
     pub txid: TxId,
@@ -105,7 +97,7 @@ impl fmt::Display for OutPoint {
 /// assert_eq!(out.value, 1_000);
 /// assert_eq!(out.owner, WalletId(4));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TxOutput {
     /// Amount of credits carried by the output (satoshi-like integer units).
     pub value: u64,

@@ -1,7 +1,5 @@
 //! Workload configuration.
 
-use serde::{Deserialize, Serialize};
-
 use crate::DiscreteDist;
 
 /// A spam-attack episode: a window of the stream dominated by many-input
@@ -12,7 +10,7 @@ use crate::DiscreteDist;
 /// create a lot of transactions with high degree to clean up 'trash'
 /// transactions". An episode makes a fraction of transactions sweep many
 /// dust outputs at once.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpamEpisode {
     /// Index of the first transaction of the episode.
     pub start: usize,
@@ -31,7 +29,7 @@ pub struct SpamEpisode {
 /// families (and with them T2S placement mass) pile onto whichever
 /// shard hosts the family. This is the skew a static placement cannot
 /// escape and the rebalancer exists to drain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HotSpotConfig {
     /// Number of hub wallets (ids `0..hubs`).
     pub hubs: u32,
@@ -45,7 +43,7 @@ pub struct HotSpotConfig {
 /// drop, an exchange run) — the episodic version of [`HotSpotConfig`].
 /// While a window is active it takes precedence over a sustained
 /// hot-spot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlashCrowdEpisode {
     /// Index of the first transaction of the episode.
     pub start: usize,
@@ -62,7 +60,7 @@ pub struct FlashCrowdEpisode {
 /// Construct via [`WorkloadConfig::bitcoin_like`] (paper-calibrated
 /// defaults) or [`WorkloadConfig::small`] (fast tests), then customize
 /// with the `with_*` builder methods.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadConfig {
     /// Number of wallets in the economy.
     pub n_wallets: u32,

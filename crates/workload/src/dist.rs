@@ -1,7 +1,6 @@
 //! Small discrete distributions used by the generator.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A discrete distribution over the values `1..=weights.len()`.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(v == 1 || v == 2);
 /// assert!((dist.mean() - 1.25).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiscreteDist {
     /// Cumulative weights, normalized to end at 1.0.
     cumulative: Vec<f64>,

@@ -40,12 +40,10 @@
 mod config;
 mod dist;
 mod generator;
-mod trace;
 
 pub use config::{FlashCrowdEpisode, HotSpotConfig, SpamEpisode, WorkloadConfig};
 pub use dist::DiscreteDist;
 pub use generator::WorkloadGenerator;
-pub use trace::{load_trace, read_trace, save_trace, write_trace, TraceError};
 
 /// Generates exactly `n` transactions from `config`.
 ///

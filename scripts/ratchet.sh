@@ -23,7 +23,11 @@
 # zero-run codec reappearing beside the snapshot body (a checkpoint is
 # its body), on the fleet's cross-sync replication (its message,
 # barrier, sync marks, pending-delta recovery or deferred checkpoints)
-# reappearing beside the one placement thread, and on crates/core,
+# reappearing beside the one placement thread, on a second restore door
+# or its special cases (an in-RAM snapshot/restore pair, a second
+# snapshot producer, the public snapshot type, the storage × rebalancer
+# builder panic) beside Router::recover, on the no-op serde shims coming
+# back into a manifest, and on crates/core,
 # crates/core/src/fleet.rs, crates/bench or crates/tan/src/graph.rs
 # outgrowing its ceiling.
 set -euo pipefail
@@ -101,6 +105,15 @@ fi
 if grep -rnE 'Msg::Sync\b|struct Exchange|fn sync_now|journal_sync_mark|recover_with_pending|PendingDelta|TAG_SYNC_MARK|auto_checkpoint' \
     crates/core/src; then
     echo "ratchet: TaN cross-sync is back; a fleet is one placement thread (its decisions are one sequence)" >&2
+    fail=1
+fi
+if grep -rnE 'fn snapshot\(&self\)|to_snapshot|assert_journalable|pub use snapshot::RouterSnapshot' crates/core/src ||
+    grep -rn 'RouterSnapshot' crates/optchain/src; then
+    echo "ratchet: a second way for a router's state to come back; Router::recover is the one door" >&2
+    fail=1
+fi
+if find . -name Cargo.toml -not -path '*/target/*' -print0 | xargs -0 grep -n serde; then
+    echo "ratchet: serde is named in a manifest; the no-op derive shims are gone" >&2
     fail=1
 fi
 if grep -rn 'HashMap<TxId' crates/tan/src; then

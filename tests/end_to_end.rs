@@ -65,18 +65,6 @@ fn all_five_strategies_run_on_the_same_stream() {
 }
 
 #[test]
-fn trace_roundtrip_preserves_placement_results() {
-    let txs = stream(2_000, 5);
-    let mut buf = Vec::new();
-    optchain::workload::write_trace(&mut buf, &txs).unwrap();
-    let restored = optchain::workload::read_trace(buf.as_slice()).unwrap();
-    let a = replay(&txs, &mut OptChainPlacer::new(4));
-    let b = replay(&restored, &mut OptChainPlacer::new(4));
-    assert_eq!(a.assignments, b.assignments);
-    assert_eq!(a.cross, b.cross);
-}
-
-#[test]
 fn metis_oracle_outperforms_random_on_cross_txs() {
     let txs = stream(8_000, 11);
     let tan = TanGraph::from_transactions(txs.iter());
