@@ -636,9 +636,8 @@ impl Journal {
 
 /// Least capacity of the snapshot buffer. Untouched capacity is address
 /// space, not memory, and above 32 MiB glibc always maps an allocation
-/// and unmaps it on drop; below, freeing one mapped block makes the next
-/// of its size come from the heap, which stays resident (a 10 MB body
-/// would hold 10 MB of RSS from the second snapshot on).
+/// and unmaps it on drop; a smaller body would come from the heap from
+/// the second snapshot on and hold its 10 MB resident.
 const SNAPSHOT_RESERVE: usize = 33 << 20;
 
 /// Lifetime snapshot counters of a durable router, surfaced by
@@ -1117,11 +1116,12 @@ impl Router {
         self.journal.as_ref().map(|j| j.storage.bytes_on_disk())
     }
 
-    /// Durably commits every record journaled so far (one fsync), ahead
-    /// of the automatic batch cadence. No-op on an in-RAM router.
+    /// Durably commits every record journaled so far (one fsync, then
+    /// `Storage::sync`), ahead of the batch cadence. No-op in RAM.
     pub fn flush_journal(&mut self) -> io::Result<()> {
         if let Some(journal) = self.journal.as_mut() {
             journal.storage.flush()?;
+            journal.storage.sync()?;
             journal.unflushed = 0;
         }
         Ok(())
@@ -1158,24 +1158,24 @@ impl Router {
             return Ok(());
         };
         debug_assert_eq!(journal.open_entries, 0, "a batch record is still open");
-        // The snapshot claims to cover every journaled record, so
-        // those records must be durable before the claim is.
+        // Every record the snapshot claims to cover goes to the backend first.
         journal.storage.flush()?;
         journal.unflushed = 0;
         let upto = journal.storage.next_seq();
-        // The blob is the body, in one buffer sized from the previous
-        // body's length (consecutive snapshots of a warm window differ
-        // by little) and dropped after the install.
+        // The blob is the body, sized from the last one (a warm window's
+        // snapshots differ by little); the backend drops it once installed.
         let hint = journal.body_len;
         let mut body = ByteWriter::with_capacity(SNAPSHOT_RESERVE.max(hint + hint / 8));
         self.parts().encode_into(&mut body);
         let journal = self.journal.as_mut().expect("checked above");
-        journal.storage.put_checkpoint(upto, body.as_slice())?;
         journal.body_len = body.len();
+        journal
+            .storage
+            .put_checkpoint_owned(upto, body.into_vec())?;
         journal.since_snapshot = 0;
         journal.snapshot_every = journal.steady_every;
         journal.stats.full_checkpoints += 1;
-        journal.stats.full_bytes += body.len() as u64;
+        journal.stats.full_bytes += journal.body_len as u64;
         journal.storage.gc()?;
         Ok(())
     }

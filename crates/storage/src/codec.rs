@@ -144,6 +144,26 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Appends `vs` as consecutive little-endian `u32`s: the buffer
+    /// grows once, then each value fills its own four bytes.
+    pub fn put_u32s(&mut self, vs: &[u32]) {
+        let start = self.buf.len();
+        self.buf.resize(start + 4 * vs.len(), 0);
+        for (out, v) in self.buf[start..].chunks_exact_mut(4).zip(vs) {
+            out.copy_from_slice(&v.to_le_bytes());
+        }
+    }
+
+    /// Appends `vs` as consecutive IEEE-754 bit patterns, like
+    /// [`ByteWriter::put_u32s`].
+    pub fn put_f32s(&mut self, vs: &[f32]) {
+        let start = self.buf.len();
+        self.buf.resize(start + 4 * vs.len(), 0);
+        for (out, v) in self.buf[start..].chunks_exact_mut(4).zip(vs) {
+            out.copy_from_slice(&v.to_le_bytes());
+        }
+    }
+
     /// Appends raw bytes (no length prefix — pair with an explicit
     /// count written by the caller).
     pub fn put_bytes(&mut self, bytes: &[u8]) {

@@ -2,11 +2,11 @@
 //! kill -9 at an arbitrary mutating-operation boundary.
 //!
 //! The wrapper counts mutating operations (`append`, `flush`,
-//! `put_meta`, `put_checkpoint`, `gc`). When the counter reaches the
-//! planned crash point, it drives the inner backend's
-//! [`Crashable::crash`] — first `survive` buffered records land
-//! intact, the next one suffers the planned [`TailDamage`] — and from
-//! then on every mutating operation fails with
+//! `put_meta`, `put_checkpoint(_owned)`, `gc`; the barrier `sync` is
+//! not one). When the counter reaches the planned crash point, it
+//! drives the inner backend's [`Crashable::crash`] — first `survive`
+//! buffered records land intact, the next one suffers the planned
+//! [`TailDamage`] — and from then on every mutating operation fails with
 //! [`std::io::ErrorKind::BrokenPipe`], modeling the dead process.
 //! Reads keep working: they are what the *next* process (recovery)
 //! sees. [`FailpointStorage::disarm`] revives the handle for that
@@ -118,6 +118,15 @@ impl<S: Storage + Crashable> Storage for FailpointStorage<S> {
         self.inner.flush()
     }
 
+    /// Not a charged operation: a barrier moves no kill point. A dead
+    /// process cannot wait for its disk, though.
+    fn sync(&mut self) -> io::Result<()> {
+        if self.crashed {
+            return Err(dead());
+        }
+        self.inner.sync()
+    }
+
     fn next_seq(&self) -> u64 {
         self.inner.next_seq()
     }
@@ -125,6 +134,11 @@ impl<S: Storage + Crashable> Storage for FailpointStorage<S> {
     fn put_checkpoint(&mut self, upto_seq: u64, blob: &[u8]) -> io::Result<()> {
         self.charge()?;
         self.inner.put_checkpoint(upto_seq, blob)
+    }
+
+    fn put_checkpoint_owned(&mut self, upto_seq: u64, blob: Vec<u8>) -> io::Result<()> {
+        self.charge()?;
+        self.inner.put_checkpoint_owned(upto_seq, blob)
     }
 
     fn checkpoint(&self) -> io::Result<Option<(u64, Vec<u8>)>> {

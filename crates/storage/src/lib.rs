@@ -10,23 +10,31 @@
 //! * [`MemStorage`] — an in-memory journal with an explicit
 //!   durable/buffered split, for tests and ephemeral deployments;
 //! * [`SegmentWal`] — the real thing: numbered segment files of
-//!   CRC32-framed records, batched `fsync` commits, torn-tail
-//!   truncation on open, and segment GC below the checkpoint;
+//!   CRC32-framed records, batched `fsync` commits run by one writer
+//!   thread off the caller's, torn-tail truncation on open, and
+//!   segment GC below the checkpoint;
 //! * [`FailpointStorage`] — a deterministic fault-injection wrapper
 //!   that models a kill -9 at an arbitrary operation boundary,
 //!   including short writes and CRC-corrupted tails.
 //!
 //! # Durability contract
 //!
-//! [`Storage::append`] buffers; [`Storage::flush`] makes every
-//! buffered record durable (one `fsync` per batch, not per record —
-//! the writer acks a batch only after its flush returns). A crash
-//! loses an arbitrary *suffix* of the unflushed buffer, possibly
-//! leaving a torn or corrupted final frame; reopening truncates the
-//! tail at the first bad frame, so the durable journal is always a
-//! clean prefix of what was appended. Meta and checkpoint writes are
-//! atomic (write-temp + rename): a crash leaves either the old or the
-//! new blob, never a mix.
+//! [`Storage::append`] buffers; [`Storage::flush`] commits every
+//! buffered record as one batch (one `fsync` per batch, not per
+//! record). A backend may hand that commit to a writer thread and
+//! return before the disk has it — [`SegmentWal`] does: a record is
+//! durable once the writer's `fdatasync` for its batch lands, which
+//! [`Storage::sync`] waits for. [`Storage::put_checkpoint`] and
+//! [`Storage::gc`] are hand-offs in the same order. A crash loses an
+//! arbitrary *suffix* of what was not yet durable — the unflushed
+//! buffer plus the bounded queue of handed-off work — possibly leaving
+//! a torn or corrupted final frame; reopening truncates the tail at
+//! the first bad frame, so the durable journal is always a clean
+//! prefix of what was appended. Meta and checkpoint writes are atomic
+//! (write-temp + rename): a crash leaves either the old or the new
+//! blob, never a mix. The reads ([`Storage::meta`],
+//! [`Storage::checkpoint`], [`Storage::replay`]) see everything handed
+//! off before them.
 //!
 //! Records carry sequence numbers `0, 1, 2, …` in append order;
 //! [`Storage::replay`] visits the durable ones from a position, and
@@ -74,8 +82,20 @@ pub trait Storage: Send + std::fmt::Debug {
     /// not durable until [`Storage::flush`].
     fn append(&mut self, payload: &[u8]) -> io::Result<u64>;
 
-    /// Durably commits every buffered record (one fsync per batch).
+    /// Commits every buffered record as one batch (one fsync per
+    /// batch). The batch is durable on return, or — on a backend with
+    /// a writer thread — once [`Storage::sync`] returns; a later call
+    /// reports a failed commit.
     fn flush(&mut self) -> io::Result<()>;
+
+    /// Waits until everything handed off so far (flushed batches,
+    /// checkpoint installs, GC) is durable, returning the first error
+    /// the backend met doing it. The default, `Ok(())`, is right for
+    /// every backend whose [`Storage::flush`] is durable on return; a
+    /// decorator must forward it.
+    fn sync(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 
     /// The sequence number the next [`Storage::append`] will get
     /// (counting buffered records).
@@ -83,7 +103,17 @@ pub trait Storage: Send + std::fmt::Debug {
 
     /// Atomically installs a checkpoint: `blob` captures the writer's
     /// state after applying every record with sequence `< upto_seq`.
+    /// Ordered after every earlier call; a backend with a writer thread
+    /// may return before the install is durable (see [`Storage::sync`]).
     fn put_checkpoint(&mut self, upto_seq: u64, blob: &[u8]) -> io::Result<()>;
+
+    /// [`Storage::put_checkpoint`] taking the blob by value, so a
+    /// backend that installs it on another thread keeps the buffer
+    /// instead of copying it. The default borrows it for
+    /// `put_checkpoint`; a decorator must forward it.
+    fn put_checkpoint_owned(&mut self, upto_seq: u64, blob: Vec<u8>) -> io::Result<()> {
+        self.put_checkpoint(upto_seq, &blob)
+    }
 
     /// The installed checkpoint `(upto_seq, blob)`, if any.
     fn checkpoint(&self) -> io::Result<Option<(u64, Vec<u8>)>>;
@@ -112,11 +142,13 @@ pub trait Storage: Send + std::fmt::Debug {
 
     /// Reclaims journal space wholly below the installed checkpoint's
     /// position (whole segments only — the active tail always
-    /// survives). Returns the bytes reclaimed.
+    /// survives). Returns the bytes reclaimed. Never deletes a record
+    /// before the checkpoint covering it is durable.
     fn gc(&mut self) -> io::Result<u64>;
 
-    /// Bytes currently held durable (segments + side blobs), the
-    /// quantity the O(window) disk gate bounds.
+    /// Bytes the backend holds (segments + side blobs) once everything
+    /// handed off so far lands — the quantity the O(window) disk gate
+    /// bounds. Counted at hand-off, so it does not wait for the disk.
     fn bytes_on_disk(&self) -> u64;
 }
 

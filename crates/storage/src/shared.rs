@@ -61,12 +61,20 @@ impl<S: Storage> Storage for SharedStorage<S> {
         self.lock().flush()
     }
 
+    fn sync(&mut self) -> io::Result<()> {
+        self.lock().sync()
+    }
+
     fn next_seq(&self) -> u64 {
         self.lock().next_seq()
     }
 
     fn put_checkpoint(&mut self, upto_seq: u64, blob: &[u8]) -> io::Result<()> {
         self.lock().put_checkpoint(upto_seq, blob)
+    }
+
+    fn put_checkpoint_owned(&mut self, upto_seq: u64, blob: Vec<u8>) -> io::Result<()> {
+        self.lock().put_checkpoint_owned(upto_seq, blob)
     }
 
     fn checkpoint(&self) -> io::Result<Option<(u64, Vec<u8>)>> {

@@ -105,16 +105,16 @@ impl RetentionPolicy {
 pub trait Cell: Copy + Default {
     /// Encoded width in bytes.
     const BYTES: usize;
-    /// Writes the cell.
-    fn put(self, w: &mut ByteWriter);
-    /// Reads a cell written by [`Cell::put`].
+    /// Writes `cells` back to back, [`Cell::BYTES`] each.
+    fn put_all(cells: &[Self], w: &mut ByteWriter);
+    /// Reads one cell written by [`Cell::put_all`].
     fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError>;
 }
 
 impl Cell for u32 {
     const BYTES: usize = 4;
-    fn put(self, w: &mut ByteWriter) {
-        w.put_u32(self);
+    fn put_all(cells: &[Self], w: &mut ByteWriter) {
+        w.put_u32s(cells);
     }
     fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         r.get_u32()
@@ -123,8 +123,8 @@ impl Cell for u32 {
 
 impl Cell for f32 {
     const BYTES: usize = 4;
-    fn put(self, w: &mut ByteWriter) {
-        w.put_f32(self);
+    fn put_all(cells: &[Self], w: &mut ByteWriter) {
+        w.put_f32s(cells);
     }
     fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         r.get_f32()
@@ -378,9 +378,7 @@ impl<T: Cell> WindowedRows<T> {
     /// its header has it.
     pub fn encode_rows_into(&self, w: &mut ByteWriter) {
         w.put_u64(self.cells.len() as u64);
-        for &cell in &self.cells {
-            cell.put(w);
-        }
+        T::put_all(&self.cells, w);
         w.put_u64(self.kept_ids.len() as u64);
         for (id, row) in self
             .kept_ids
@@ -388,9 +386,7 @@ impl<T: Cell> WindowedRows<T> {
             .zip(self.kept.chunks_exact(self.stride))
         {
             w.put_u32(*id);
-            for &cell in row {
-                cell.put(w);
-            }
+            T::put_all(row, w);
         }
     }
 

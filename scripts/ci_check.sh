@@ -30,6 +30,11 @@ cargo test -q
 echo "==> cargo test --release -p optchain-core --test wal_golden -- --ignored (WAL soak)"
 cargo test --release -p optchain-core --test wal_golden -- --ignored
 
+# The storage crate's own tests (the WAL writer's hand-off, Drop and
+# sticky-failure tests) in the build mode the benchmark runs.
+echo "==> cargo test --release -p optchain-storage"
+cargo test --release -p optchain-storage
+
 # The frozen benchmark's smoke run: builds benchmark/, every output
 # check, the pinned exact counts, the allocation limits. No timing.
 echo "==> scripts/bench_gate.py (benchmark/run.sh --smoke, untraced + traced)"

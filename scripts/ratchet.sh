@@ -27,7 +27,9 @@
 # or its special cases (an in-RAM snapshot/restore pair, a second
 # snapshot producer, the public snapshot type, the storage × rebalancer
 # builder panic) beside Router::recover, on the no-op serde shims coming
-# back into a manifest, and on crates/core,
+# back into a manifest, on a second write path beside SegmentWal's
+# writer thread (more durable calls in wal.rs than the writer, open_with
+# and crash make, or a synchronous mode), and on crates/core,
 # crates/core/src/fleet.rs, crates/bench or crates/tan/src/graph.rs
 # outgrowing its ceiling.
 set -euo pipefail
@@ -45,6 +47,11 @@ graph_ceiling=1345
 # oracle and the four criterion benches; what measures the system lives
 # under benchmark/.
 bench_ceiling=1785
+
+# `sync_data(` / `sync_all(` / `fs::rename(` in crates/storage/src/wal.rs:
+# the writer's batch fdatasync, segment creation, blob install and
+# directory fsync; open_with's torn-tail truncation; crash's last write.
+wal_sync_ceiling=7
 
 rust_lines() { find "$1" -name '*.rs' -print0 | xargs -0 cat | wc -l; }
 
@@ -147,6 +154,16 @@ fi
 core_lines=$(rust_lines crates/core)
 if [ "$core_lines" -gt "$core_ceiling" ]; then
     echo "ratchet: crates/core is $core_lines lines of Rust, ceiling $core_ceiling" >&2
+    fail=1
+fi
+wal_syncs=$(grep -cE 'sync_data\(|sync_all\(|fs::rename\(' crates/storage/src/wal.rs)
+if [ "$wal_syncs" -gt "$wal_sync_ceiling" ]; then
+    grep -nE 'sync_data\(|sync_all\(|fs::rename\(' crates/storage/src/wal.rs
+    echo "ratchet: crates/storage/src/wal.rs makes $wal_syncs durable calls, ceiling $wal_sync_ceiling; the writer thread is the one write path" >&2
+    fail=1
+fi
+if grep -rnE 'open_sync|sync_mode|SyncMode|synchronous: bool' crates/storage/src; then
+    echo "ratchet: a synchronous mode beside SegmentWal's writer thread" >&2
     fail=1
 fi
 bench_lines=$(rust_lines crates/bench)

@@ -79,3 +79,28 @@ fn metis_oracle_outperforms_random_on_cross_txs() {
         random.cross
     );
 }
+
+/// A durable router whose WAL writer fails reports it as an error:
+/// with its directory gone the snapshot install fails on the writer
+/// thread, and `flush_journal` — a barrier — returns that error's kind
+/// instead of panicking.
+#[test]
+fn a_failed_wal_writer_surfaces_from_flush_journal() {
+    let dir = std::env::temp_dir().join(format!("optchain-e2e-wal-fail-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let wal = SegmentWal::open(&dir).expect("open a fresh WAL directory");
+    let mut router = Router::builder().shards(4).storage(Box::new(wal)).build();
+    for i in 0..1_000u64 {
+        router.submit(TxId(i), &[]).expect("journaled");
+    }
+    router
+        .flush_journal()
+        .expect("the directory is still there");
+    std::fs::remove_dir_all(&dir).unwrap();
+    // Whether this call or a later one reports it depends on the writer.
+    let _ = router.checkpoint_now();
+    let err = router.flush_journal().unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "{err}");
+    let err = router.submit(TxId(1_000), &[]).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "{err}");
+}
