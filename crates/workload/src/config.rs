@@ -196,6 +196,8 @@ impl WorkloadConfig {
             "p_self_transfer must be a probability"
         );
         assert!(self.fee_permille <= 1000, "fee_permille must be <= 1000");
+        assert!(self.wallet_zipf.is_finite(), "wallet_zipf must be finite");
+        assert!(self.recency_bias.is_finite(), "recency_bias must be finite");
         for ep in &self.spam {
             assert!(ep.len > 0, "spam episode must have positive length");
             assert!(
@@ -260,6 +262,22 @@ mod tests {
     #[should_panic(expected = "n_wallets must be positive")]
     fn zero_wallets_rejected() {
         WorkloadConfig::small().with_wallets(0).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "wallet_zipf must be finite")]
+    fn nan_wallet_zipf_rejected() {
+        WorkloadConfig::small()
+            .with_wallet_zipf(f64::NAN)
+            .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "recency_bias must be finite")]
+    fn nan_recency_bias_rejected() {
+        let mut config = WorkloadConfig::small();
+        config.recency_bias = f64::NAN;
+        config.validate();
     }
 
     #[test]

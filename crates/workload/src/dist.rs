@@ -1,11 +1,89 @@
 //! Small discrete distributions used by the generator.
+//!
+//! Both samplers here, [`DiscreteDist`] (input and output counts) and
+//! `ZipfTable` (wallet activity), draw through one inverse CDF: a
+//! normalized cumulative table plus a guide table with one bucket per
+//! entry (the cutpoint method). A draw `u` in `[0, 1)` starts at its
+//! bucket's first candidate and walks to the **first entry whose
+//! cumulative weight is `>= u`**. On a strictly increasing table that
+//! is the entry a binary search finds; where zero weights tie several
+//! entries, it is the first of the tied run. With as many buckets as
+//! entries a draw examines a couple of entries on average, one or two
+//! cache lines, instead of taking `log2(n)` dependent branches.
 
 use rand::Rng;
+
+/// A normalized cumulative table with a guide table over it.
+#[derive(Debug, Clone, PartialEq)]
+struct Cdf {
+    /// Cumulative weights divided by their total: nondecreasing, the
+    /// last entry exactly 1.0.
+    cumulative: Vec<f64>,
+    /// `guide[j]` is the first entry whose cumulative weight is
+    /// `>= j / guide.len()`.
+    guide: Vec<u32>,
+}
+
+impl Cdf {
+    /// Normalizes the running sums `cumulative` (nondecreasing,
+    /// nonempty) by their total.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the total is finite and positive.
+    fn new(mut cumulative: Vec<f64>) -> Self {
+        let total = *cumulative.last().expect("nonempty");
+        assert!(
+            total.is_finite() && total > 0.0,
+            "cumulative weights must sum to a finite positive total, got {total}"
+        );
+        assert!(cumulative.len() <= u32::MAX as usize, "too many entries");
+        for c in &mut cumulative {
+            *c /= total;
+        }
+        *cumulative.last_mut().expect("nonempty") = 1.0;
+        let buckets = cumulative.len();
+        let mut guide = Vec::with_capacity(buckets);
+        let mut i = 0;
+        for j in 0..buckets {
+            // The last entry is 1.0, above every bucket's lower edge.
+            let edge = j as f64 / buckets as f64;
+            while cumulative[i] < edge {
+                i += 1;
+            }
+            guide.push(i as u32);
+        }
+        Cdf { cumulative, guide }
+    }
+
+    /// The first entry whose cumulative weight is `>= u`, clamped to
+    /// the last entry. The bucket only picks where the walk starts, so
+    /// rounding in `u * buckets` cannot change the answer.
+    fn index(&self, u: f64) -> usize {
+        let cumulative = &self.cumulative;
+        let bucket = ((u * self.guide.len() as f64) as usize).min(self.guide.len() - 1);
+        let mut i = self.guide[bucket] as usize;
+        while i > 0 && cumulative[i - 1] >= u {
+            i -= 1;
+        }
+        let last = cumulative.len() - 1;
+        while i < last && cumulative[i] < u {
+            i += 1;
+        }
+        i
+    }
+
+    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+        self.index(rng.gen())
+    }
+}
 
 /// A discrete distribution over the values `1..=weights.len()`.
 ///
 /// Used for input and output counts. Sampling is inverse-CDF over the
-/// normalized weights.
+/// normalized weights, started from a guide table: a draw `u` in
+/// `[0, 1)` returns the smallest value whose cumulative weight is
+/// `>= u`, so of values tied by zero weights the first is returned.
 ///
 /// # Example
 ///
@@ -21,8 +99,7 @@ use rand::Rng;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiscreteDist {
-    /// Cumulative weights, normalized to end at 1.0.
-    cumulative: Vec<f64>,
+    cdf: Cdf,
 }
 
 impl DiscreteDist {
@@ -45,11 +122,9 @@ impl DiscreteDist {
             cumulative.push(acc);
         }
         assert!(acc > 0.0, "weights must not all be zero");
-        for c in &mut cumulative {
-            *c /= acc;
+        DiscreteDist {
+            cdf: Cdf::new(cumulative),
         }
-        *cumulative.last_mut().expect("nonempty") = 1.0;
-        DiscreteDist { cumulative }
     }
 
     /// A distribution always returning `value`.
@@ -106,14 +181,14 @@ impl DiscreteDist {
 
     /// Largest value the distribution can return.
     pub fn max_value(&self) -> usize {
-        self.cumulative.len()
+        self.cdf.cumulative.len()
     }
 
     /// Mean of the distribution.
     pub fn mean(&self) -> f64 {
         let mut prev = 0.0;
         let mut mean = 0.0;
-        for (i, c) in self.cumulative.iter().enumerate() {
+        for (i, c) in self.cdf.cumulative.iter().enumerate() {
             mean += (i + 1) as f64 * (c - prev);
             prev = *c;
         }
@@ -122,14 +197,7 @@ impl DiscreteDist {
 
     /// Samples a value in `1..=max_value()`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen();
-        match self
-            .cumulative
-            .binary_search_by(|c| c.partial_cmp(&u).expect("cumulative weights are finite"))
-        {
-            Ok(i) => i + 1,
-            Err(i) => (i + 1).min(self.cumulative.len()),
-        }
+        self.cdf.sample(rng) + 1
     }
 }
 
@@ -154,11 +222,14 @@ pub(crate) fn recency_index<R: Rng + ?Sized>(rng: &mut R, len: usize, bias: f64)
     }
 }
 
-/// Cumulative table for Zipf-like sampling of wallet activity:
-/// weight of rank `i` is `1 / (i + 1)^s`.
+/// Zipf-like sampling of wallet activity: weight of rank `i` is
+/// `1 / (i + 1)^s`. The table is strictly increasing (a draw lands where
+/// a binary search would) unless a steep exponent makes a tail weight
+/// vanish in the running sum; of such tied ranks only the first is
+/// ever drawn.
 #[derive(Debug, Clone)]
 pub(crate) struct ZipfTable {
-    cumulative: Vec<f64>,
+    cdf: Cdf,
 }
 
 impl ZipfTable {
@@ -170,22 +241,13 @@ impl ZipfTable {
             acc += 1.0 / ((i + 1) as f64).powf(s);
             cumulative.push(acc);
         }
-        for c in &mut cumulative {
-            *c /= acc;
+        ZipfTable {
+            cdf: Cdf::new(cumulative),
         }
-        *cumulative.last_mut().expect("nonempty") = 1.0;
-        ZipfTable { cumulative }
     }
 
     pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen();
-        match self
-            .cumulative
-            .binary_search_by(|c| c.partial_cmp(&u).expect("finite"))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.cumulative.len() - 1),
-        }
+        self.cdf.sample(rng)
     }
 }
 
@@ -273,6 +335,64 @@ mod tests {
             .count();
         let f = recent as f64 / n as f64;
         assert!((f - 0.1).abs() < 0.03, "uniform fraction {f}");
+    }
+
+    /// The guided walk against a bisection at every point where an
+    /// answer can change: `u = 0`, the largest draw `1 - 2^-53`, each
+    /// cumulative value and each bucket edge with their two float
+    /// neighbours. `partition_point` bisects to the first entry `>= u`:
+    /// on a strictly increasing table that is the `Ok(i)` / `Err(i)` the
+    /// samplers' earlier binary search returned, and on a table with
+    /// zero-weight ties the first tied index.
+    #[test]
+    fn guided_walk_equals_bisection() {
+        let check = |what: &str, cdf: &Cdf| {
+            let c = &cdf.cumulative;
+            let mut points = vec![0.0, 1.0 - f64::EPSILON / 2.0];
+            let edges = (0..c.len()).map(|j| j as f64 / c.len() as f64);
+            for x in c.iter().copied().chain(edges) {
+                points.extend([x, x.next_up(), x.next_down()]);
+            }
+            for u in points.into_iter().filter(|u| (0.0..1.0).contains(u)) {
+                let want = c.partition_point(|&x| x < u).min(c.len() - 1);
+                assert_eq!(cdf.index(u), want, "{what}: u = {u:e}");
+            }
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        for case in 0..300 {
+            let len: usize = if case < 20 { 1 } else { rng.gen_range(1..80) };
+            let mut weights: Vec<f64> = (0..len)
+                .map(|_| match rng.gen_range(0..3) {
+                    0 => 0.0,
+                    1 => rng.gen_range(1e-9..1e-3),
+                    _ => rng.gen_range(0.0..10.0),
+                })
+                .collect();
+            if weights.iter().all(|&w| w == 0.0) {
+                weights[rng.gen_range(0..len)] = 1.0;
+            }
+            check(&format!("{weights:?}"), &DiscreteDist::new(weights).cdf);
+        }
+        // Entries one ulp below a bucket edge: `u * n` can round up
+        // into the next bucket, whose guide starts past the answer.
+        for n in 2..64 {
+            let below = (1..n).map(|i| (i as f64 / n as f64).next_down());
+            let cdf = Cdf::new(below.chain([1.0]).collect());
+            check(&format!("edge-hugging({n})"), &cdf);
+        }
+        check("constant(5)", &DiscreteDist::constant(5).cdf);
+        check("bitcoin_inputs", &DiscreteDist::bitcoin_inputs().cdf);
+        check("bitcoin_outputs", &DiscreteDist::bitcoin_outputs().cdf);
+        for n in [1, 2, 20_000] {
+            for s in [0.0, 0.9, 2.0] {
+                let cdf = ZipfTable::new(n, s).cdf;
+                assert!(
+                    cdf.cumulative.windows(2).all(|w| w[0] < w[1]),
+                    "zipf({n}, {s}) is strictly increasing"
+                );
+                check(&format!("zipf({n}, {s})"), &cdf);
+            }
+        }
     }
 
     #[test]

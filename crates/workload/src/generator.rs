@@ -47,6 +47,10 @@ pub struct WorkloadGenerator {
     wallets: Vec<WalletState>,
     /// Wallets with nonempty pools, for O(1) fallback selection.
     nonempty: Vec<u32>,
+    /// The outputs the transaction being built spends, with their
+    /// values; reused so a transaction allocates only its own inputs
+    /// and outputs.
+    chosen: Vec<(OutPoint, u64)>,
     next_id: u64,
 }
 
@@ -89,6 +93,7 @@ impl WorkloadGenerator {
             zipf,
             wallets,
             nonempty: Vec::new(),
+            chosen: Vec::new(),
             next_id: 0,
         }
     }
@@ -207,7 +212,8 @@ impl WorkloadGenerator {
     /// output — the pool-cleanup transactions behind the Fig 2c bump.
     fn emit_sweep(&mut self, sweep_inputs: usize) -> Transaction {
         let sweeper = self.pick_sender().expect("sweep requires funds");
-        let mut chosen: Vec<(OutPoint, u64)> = Vec::new();
+        let mut chosen = std::mem::take(&mut self.chosen);
+        chosen.clear();
         // Drain the sweeper first, then hop across random funded wallets
         // until the target input count is reached or funds run dry.
         let mut donor = sweeper;
@@ -238,12 +244,10 @@ impl WorkloadGenerator {
         let value = (consumed - fee).max(1).min(consumed);
         let id = TxId(self.next_id);
         self.next_id += 1;
-        let tx = Transaction::builder(id)
-            .inputs(chosen.iter().map(|(op, _)| *op))
-            .output(TxOutput::new(value, sweeper))
-            .build();
+        let inputs = chosen.iter().map(|(op, _)| *op).collect();
+        self.chosen = chosen;
         self.credit(sweeper, id.outpoint(0), value);
-        tx
+        Transaction::new(id, inputs, vec![TxOutput::new(value, sweeper)])
     }
 
     /// The hot-spot/flash-crowd parameters in effect for the next
@@ -300,7 +304,8 @@ impl WorkloadGenerator {
         want_inputs: usize,
         pay_to: Option<WalletId>,
     ) -> Transaction {
-        let mut chosen: Vec<(OutPoint, u64)> = Vec::new();
+        let mut chosen = std::mem::take(&mut self.chosen);
+        chosen.clear();
         for _ in 0..want_inputs {
             let len = self.wallets[sender.0 as usize].pool.len();
             if len == 0 {
@@ -342,6 +347,8 @@ impl WorkloadGenerator {
         let consumed: u64 = chosen.iter().map(|(_, v)| v).sum();
         let fee = consumed * self.config.fee_permille / 1000;
         let budget = consumed - fee;
+        let inputs = chosen.iter().map(|(op, _)| *op).collect();
+        self.chosen = chosen;
 
         let self_transfer = self.rng.gen_bool(self.config.p_self_transfer);
         let want_outputs = self.config.outputs_dist.sample(&mut self.rng);
@@ -381,10 +388,7 @@ impl WorkloadGenerator {
         for (vout, out) in outputs.iter().enumerate() {
             self.credit(out.owner, id.outpoint(vout as u32), out.value);
         }
-        Transaction::builder(id)
-            .inputs(chosen.iter().map(|(op, _)| *op))
-            .outputs(outputs)
-            .build()
+        Transaction::new(id, inputs, outputs)
     }
 
     /// Generates the next transaction.
@@ -422,6 +426,12 @@ impl Iterator for WorkloadGenerator {
 
     fn next(&mut self) -> Option<Transaction> {
         Some(self.next_tx())
+    }
+
+    /// Endless, like [`std::iter::repeat`]: `take(n).collect()` then
+    /// allocates its `n` slots once.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (usize::MAX, None)
     }
 }
 
@@ -584,21 +594,73 @@ mod tests {
         );
     }
 
+    /// FNV-1a over every transaction's id, inputs and outputs.
+    fn fingerprint(config: WorkloadConfig, n: usize) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |v: u64| {
+            for b in v.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        for tx in WorkloadGenerator::new(config).take(n) {
+            eat(tx.id().0);
+            eat(tx.inputs().len() as u64);
+            for op in tx.inputs() {
+                eat(op.txid.0);
+                eat(u64::from(op.vout));
+            }
+            eat(tx.outputs().len() as u64);
+            for out in tx.outputs() {
+                eat(out.value);
+                eat(u64::from(out.owner.0));
+            }
+        }
+        h
+    }
+
     #[test]
     fn no_hotspot_stream_matches_earlier_releases() {
-        // The hot-spot path must not consume RNG draws while disabled:
-        // a config without one generates the exact stream it always
-        // did. Pinned against a prefix generated before the hot-spot
-        // feature existed.
-        let txs = run(WorkloadConfig::small().with_seed(5), 500);
-        let fingerprint: u64 = txs
-            .iter()
-            .flat_map(|tx| tx.outputs())
-            .map(|out| out.value ^ u64::from(out.owner.0))
-            .fold(0u64, |acc, v| acc.rotate_left(7) ^ v);
-        let replay = run(WorkloadConfig::small().with_seed(5), 500);
-        assert_eq!(txs, replay);
-        assert_ne!(fingerprint, 0);
+        // The hot-spot path must not consume RNG draws while disabled,
+        // and the samplers must draw what they always drew: a config
+        // without a hot-spot generates the exact stream it always did.
+        // Pinned at commit 5480e5f, before the guided sampler.
+        assert_eq!(
+            fingerprint(WorkloadConfig::small().with_seed(5), 500),
+            0xb4b0_32e7_1456_f77b
+        );
+        assert_eq!(
+            fingerprint(WorkloadConfig::bitcoin_like().with_seed(0xB17C04), 100_000),
+            0x903b_0ab3_68c9_af0b
+        );
+    }
+
+    #[test]
+    fn hotspot_feedback_stream_matches_earlier_releases() {
+        // The benchmark's `hotspot_feedback` stream at its smoke size:
+        // hot-spot from 10 %, sweeps over 50-60 %, flash crowd over
+        // 75-80 %. Pinned at commit 5480e5f, before the guided sampler.
+        let n = 100_000;
+        let at = |share: f64| (n as f64 * share) as usize;
+        let config = WorkloadConfig::bitcoin_like()
+            .with_seed(0xB17C04)
+            .with_hotspot(crate::HotSpotConfig {
+                hubs: 4,
+                p_hot: 0.5,
+                start: at(0.10),
+            })
+            .with_spam(SpamEpisode {
+                start: at(0.50),
+                len: at(0.10),
+                sweep_inputs: 40,
+                sweep_probability: 0.3,
+            })
+            .with_flash_crowd(crate::FlashCrowdEpisode {
+                start: at(0.75),
+                len: at(0.05),
+                hubs: 2,
+                p_hot: 0.8,
+            });
+        assert_eq!(fingerprint(config, n), 0xb3e2_5b96_1850_9cee);
     }
 
     #[test]

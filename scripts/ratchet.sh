@@ -29,7 +29,9 @@
 # builder panic) beside Router::recover, on the no-op serde shims coming
 # back into a manifest, on a second write path beside SegmentWal's
 # writer thread (more durable calls in wal.rs than the writer, open_with
-# and crash make, or a synchronous mode), and on crates/core,
+# and crash make, or a synchronous mode), on a binary search in the
+# workload's samplers beside their one guided inverse CDF
+# (crates/workload/src/dist.rs), and on crates/core,
 # crates/core/src/fleet.rs, crates/bench or crates/tan/src/graph.rs
 # outgrowing its ceiling.
 set -euo pipefail
@@ -164,6 +166,10 @@ if [ "$wal_syncs" -gt "$wal_sync_ceiling" ]; then
 fi
 if grep -rnE 'open_sync|sync_mode|SyncMode|synchronous: bool' crates/storage/src; then
     echo "ratchet: a synchronous mode beside SegmentWal's writer thread" >&2
+    fail=1
+fi
+if grep -n binary_search crates/workload/src/dist.rs; then
+    echo "ratchet: a binary search in crates/workload/src/dist.rs; the guided walk is the one inverse CDF" >&2
     fail=1
 fi
 bench_lines=$(rust_lines crates/bench)
