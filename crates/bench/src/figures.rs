@@ -155,7 +155,7 @@ fn table2(lab: &mut Lab) -> String {
         let warm = partition_kway(&csr, k, 0.1, seed);
         let cells = strategies.map(|strategy| {
             let mut router = builder(k, strategy, prefix_n + delta_n).build();
-            router.warm_start_history(&prefix_tan, &warm);
+            router.warm_start_history(&prefix_tan, &warm).unwrap();
             fmt_count(replay_router(delta, &mut router).cross)
         });
         once(k.to_string()).chain(cells).collect::<Vec<_>>()

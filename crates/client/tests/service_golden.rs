@@ -18,13 +18,6 @@ fn workload(n: usize, seed: u64) -> Vec<(TxId, Vec<TxId>)> {
         .collect()
 }
 
-/// The value of gauge `name` in a `Metrics` scrape.
-fn gauge(text: &str, name: &str) -> u64 {
-    (text.lines())
-        .find_map(|line| line.strip_prefix(name)?.trim().parse().ok())
-        .unwrap_or_else(|| panic!("no {name} in the metrics text"))
-}
-
 /// A unique scratch directory under the system temp dir.
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("optchain-service-{tag}-{}", std::process::id()));
@@ -154,16 +147,13 @@ fn batch_frames_from_two_connections_ack_like_one_router() {
 
 /// Driving the node at 2x its (throttled) capacity must shed with
 /// typed `QueueFull` rejections, keep admitted-request latency within
-/// the queue-derived bound, answer every request exactly once, and
-/// keep the duplicate guard at two generations of ids while it rotates.
+/// the queue-derived bound and answer every request exactly once.
 #[test]
 fn overload_sheds_typed_with_bounded_latency_and_zero_lost_acks() {
     const RATE: u64 = 2_000; // placements/sec, dispatcher-throttled
     const QUEUE: usize = 64;
     const N: u64 = 1_000;
 
-    // A window this small puts the guard through several generations
-    // within the ~500 transactions the run admits.
     let fleet = RouterFleet::builder()
         .shards(4)
         .workers(1)
@@ -235,20 +225,6 @@ fn overload_sheds_typed_with_bounded_latency_and_zero_lost_acks() {
     );
     // Sanity: the run itself terminated promptly (shedding, not queuing).
     assert!(elapsed < Duration::from_secs(30));
-
-    // The guard forgot: more ids were admitted than two generations
-    // hold, and the final scrape shows no more than that remembered.
-    let text = client.metrics_text().expect("metrics");
-    let horizon = gauge(&text, "optchain_dedup_horizon ");
-    let tracked = gauge(&text, "optchain_dedup_tracked_ids ");
-    assert!(
-        acks > 2 * horizon,
-        "{acks} admissions never filled the guard"
-    );
-    assert!(
-        tracked <= 2 * horizon,
-        "guard tracks {tracked} ids, horizon {horizon}"
-    );
     server.shutdown();
 }
 
@@ -341,130 +317,112 @@ fn wal_backed_restart_preserves_every_acked_placement() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Re-submitting an id the node already placed is shed as `Duplicate`
-/// (the underlying graph treats resubmission as corruption, the
-/// service turns it into a typed, recoverable rejection).
+/// A node over `.storage(...)` recovers its graph on restart, so an id
+/// acked before the restart and resubmitted after it is acked with the
+/// recovered shard — the placement thread lives on, and fresh work
+/// still places.
 #[test]
-fn duplicate_submission_is_shed_typed() {
+fn a_resubmission_after_a_durable_restart_acks_the_recovered_shard() {
+    let dir = scratch_dir("resubmit-restart");
+    let txs = workload(200, 13);
+    let start = || {
+        let wal = SegmentWal::open(&dir).expect("open wal");
+        PlacementServer::builder()
+            .fleet(RouterFleet::builder().shards(4).storage(Box::new(wal)))
+            .start()
+            .expect("start server")
+    };
+    let server = start();
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let acked = client.submit_batch(1, &txs[..100]).expect("placed");
+    server.shutdown();
+
+    let server = start();
+    let mut client = Client::connect(server.local_addr()).expect("reconnect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    for ((txid, inputs), shard) in txs.iter().zip(&acked).step_by(7) {
+        assert_eq!(client.submit(1, *txid, inputs).expect("acked"), *shard);
+    }
+    let fresh = client.submit_batch(1, &txs[100..]).expect("placed");
+    assert_eq!(client.query(txs[199].0).unwrap(), fresh.last().copied());
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A transaction id the node still holds is acked with the shard it
+/// holds — resubmitted alone, repeated inside a batch, or sent again
+/// from another connection — and `query` agrees. Nothing is refused.
+#[test]
+fn a_duplicate_is_acked_with_the_shard_it_holds() {
     let server = PlacementServer::builder()
         .fleet(RouterFleet::builder().shards(4).workers(1))
         .start()
         .expect("start server");
-    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let mut a = Client::connect(server.local_addr()).expect("connect");
+    let mut b = Client::connect(server.local_addr()).expect("connect");
 
-    client.submit(1, TxId(42), &[]).expect("first admit");
-    match client.submit(1, TxId(42), &[]) {
-        Err(ClientError::Rejected { reason, .. }) => {
-            assert_eq!(reason, RejectReason::Duplicate)
-        }
-        other => panic!("expected Duplicate rejection, got {other:?}"),
+    let held = a.submit(1, TxId(42), &[]).expect("placed");
+    assert_eq!(a.submit(1, TxId(42), &[TxId(7)]).expect("acked"), held);
+    let batch = [
+        (TxId(50), vec![]),
+        (TxId(50), vec![TxId(42)]),
+        (TxId(42), vec![]),
+    ];
+    let shards = a.submit_batch(1, &batch).expect("acked whole");
+    assert_eq!(shards, [shards[0], shards[0], held]);
+    assert_eq!(b.submit(1, TxId(50), &[]).expect("acked"), shards[0]);
+    for (txid, shard) in [(42, held), (50, shards[0])] {
+        assert_eq!(b.query(TxId(txid)).expect("query"), Some(shard));
     }
-    // An intra-batch duplicate is refused atomically: nothing from the
-    // batch is admitted...
-    match client.submit_batch(1, &[(TxId(50), vec![]), (TxId(50), vec![])]) {
-        Err(ClientError::Rejected { reason, .. }) => {
-            assert_eq!(reason, RejectReason::Duplicate)
-        }
-        other => panic!("expected Duplicate rejection, got {other:?}"),
-    }
-    // ...so the id is still submittable afterwards.
-    client.submit(1, TxId(50), &[]).expect("still admittable");
-    // The connection survived every rejection.
-    client.submit(1, TxId(43), &[TxId(42)]).expect("still live");
+    // The connection lives on, and nothing was shed.
+    a.submit(1, TxId(43), &[TxId(42)]).expect("placed");
+    assert_eq!(server.metrics().shed_total(), 0);
     server.shutdown();
 }
 
-/// What "duplicate" means follows the fleet's retention policy. Under
-/// `WindowTxs` an id is refused for as long as the graph can still hold
-/// it and admitted again — placed as a fresh node, no panic on the
-/// placement thread — once two generations of the guard have passed; a
-/// fleet that never evicts never forgets.
+/// What a resubmission means follows the fleet's retention policy: an
+/// id the graph still holds is acked with the shard it holds, and under
+/// `WindowTxs` an id the graph has evicted is placed afresh — the
+/// answers a `Router` gives the same traffic, whichever of two
+/// connections sends it.
 #[test]
 fn resubmission_past_the_horizon_is_a_fresh_placement() {
-    const WINDOW: usize = 16;
-    const QUEUE: usize = 32;
-    /// Fresh ids placed after the resubmissions.
-    const TAIL: u64 = 32;
-    let expect_duplicate = |outcome: Result<u32, ClientError>| match outcome {
-        Err(ClientError::Rejected { reason, .. }) => assert_eq!(reason, RejectReason::Duplicate),
-        other => panic!("expected Duplicate rejection, got {other:?}"),
-    };
-    let server = PlacementServer::builder()
-        .fleet(
-            RouterFleet::builder()
-                .shards(4)
-                .retention(RetentionPolicy::WindowTxs(WINDOW)),
-        )
-        .queue_capacity(QUEUE)
-        .start()
-        .expect("start server");
-    // Two connections alternate, so the resubmissions below arrive on
-    // the connection that did not send the original.
-    let mut clients = [
-        Client::connect(server.local_addr()).expect("connect"),
-        Client::connect(server.local_addr()).expect("connect"),
-    ];
-    for client in &mut clients {
-        client
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
+    const WINDOW: u64 = 16;
+    let window = RetentionPolicy::WindowTxs(WINDOW as usize);
+    for (policy, evicts) in [(window, true), (RetentionPolicy::Unbounded, false)] {
+        let server = PlacementServer::builder()
+            .fleet(RouterFleet::builder().shards(4).retention(policy))
+            .start()
+            .expect("start server");
+        let mut clients = [
+            Client::connect(server.local_addr()).expect("connect"),
+            Client::connect(server.local_addr()).expect("connect"),
+        ];
+        let mut router = Router::builder().shards(4).retention(policy).build();
+        // Id 0 comes back once while the graph holds it and once after
+        // WINDOW later ids, each time spending the newest id.
+        let ids = (0..WINDOW).chain([0]).chain(WINDOW..2 * WINDOW).chain([0]);
+        let (mut fresh, mut newest) = (Vec::new(), 0);
+        for (n, id) in ids.enumerate() {
+            let resubmitted = n > 0 && id == 0;
+            let inputs: Vec<TxId> = resubmitted.then_some(TxId(newest)).into_iter().collect();
+            let served = clients[n % 2].submit(1, TxId(id), &inputs).expect("acked");
+            let placed = router.submit(TxId(id), &inputs);
+            if resubmitted {
+                fresh.push(placed.is_ok());
+            } else {
+                newest = id;
+            }
+            let expected = placed.ok().or_else(|| router.shard_of(TxId(id)));
+            assert_eq!(Some(served), expected.map(|s| s.0), "{policy:?} at {n}");
+        }
+        assert_eq!(fresh, [false, evicts], "{policy:?}");
+        let shard = router.shard_of(TxId(0)).map(|s| s.0);
+        assert_eq!(clients[1].query(TxId(0)).expect("query"), shard);
+        server.shutdown();
     }
-    let clients = &mut clients;
-    fn submit(clients: &mut [Client; 2], id: u64) -> Result<u32, ClientError> {
-        let parents: Vec<TxId> = id.checked_sub(1).map(TxId).into_iter().collect();
-        clients[(id % 2) as usize].submit(1, TxId(id), &parents)
-    }
-    // One generation of the guard: the fleet's eviction horizon (the
-    // window plus one) and a queueful of overtaking.
-    let horizon = WINDOW as u64 + 1;
-    let span = horizon + QUEUE as u64;
-    // Synchronous submits leave nothing queued at a rotation, so
-    // generations are exact: id 0 is remembered through the first
-    // 2 * span admissions...
-    for id in 0..2 * span - 1 {
-        submit(clients, id).expect("placed");
-    }
-    expect_duplicate(submit(clients, 0));
-    submit(clients, 2 * span - 1).expect("placed");
-    // ...and forgotten by the next, with its whole generation.
-    for id in 0..span {
-        clients[((id + 1) % 2) as usize]
-            .submit(1, TxId(id), &[])
-            .expect("a fresh placement past the horizon");
-    }
-    // The placement thread survived: fresh ids still place and resolve.
-    for id in 3 * span..3 * span + TAIL {
-        submit(clients, id).expect("placed");
-    }
-    let last = TxId(3 * span + TAIL - 1);
-    assert!(clients[0].query(last).expect("query").is_some());
-    let text = clients[0].metrics_text().expect("metrics");
-    let generation = span + QUEUE as u64;
-    assert!(
-        text.contains(&format!("optchain_dedup_horizon {generation}")),
-        "{text}"
-    );
-    let tracked = gauge(&text, "optchain_dedup_tracked_ids ");
-    let admitted = server.metrics().admitted();
-    assert_eq!(admitted, 3 * span + TAIL);
-    // The guard holds the current generation and the one before.
-    assert_eq!(tracked, span + admitted % span, "{text}");
-    server.shutdown();
-
-    // The same traffic against a fleet that never evicts: three
-    // horizons on, its very first id is still refused.
-    let server = PlacementServer::builder()
-        .fleet(RouterFleet::builder().shards(4).workers(1))
-        .queue_capacity(QUEUE)
-        .start()
-        .expect("start server");
-    let mut client = Client::connect(server.local_addr()).expect("connect");
-    let span = WINDOW as u64 + 1 + QUEUE as u64;
-    for id in 0..3 * span {
-        client.submit(1, TxId(id), &[]).expect("placed");
-    }
-    expect_duplicate(client.submit(1, TxId(0), &[]));
-    server.shutdown();
 }
 
 /// The metrics endpoint reports the counters the protocol promises.
@@ -478,20 +436,10 @@ fn metrics_text_reports_service_counters() {
     for i in 0..32u64 {
         client.submit(1, TxId(1000 + i), &[]).expect("placed");
     }
-    let _ = client.submit(1, TxId(1000), &[]); // one duplicate shed
     let text = client.metrics_text().expect("metrics");
     assert!(text.contains("optchain_admitted_total 32"), "{text}");
     assert!(text.contains("optchain_acked_total 32"), "{text}");
-    assert!(
-        text.contains("optchain_shed_total{reason=\"duplicate\"} 1"),
-        "{text}"
-    );
     assert!(text.contains("optchain_queue_capacity"), "{text}");
-    // The duplicate guard holds exactly the ids the client got
-    // admitted (the shed duplicate registered nothing), and a fleet
-    // that never evicts has no horizon.
-    assert!(text.contains("optchain_dedup_tracked_ids 32"), "{text}");
-    assert!(text.contains("optchain_dedup_horizon 0"), "{text}");
     assert!(
         text.contains("optchain_latency_usec{quantile=\"0.99\"}"),
         "{text}"

@@ -24,9 +24,16 @@
 //! carries; a single [`FleetHandle::submit`] is a batch of one) or a
 //! zero-copy window into a shared `Arc<[Transaction]>` stream. The
 //! reply mode is either *detached* — shards accumulate under the client
-//! key until [`FleetHandle::drain`] — or a synchronous round trip on
-//! the handle's one reply channel. A request of `n` transactions
-//! therefore costs one channel message, not `n`.
+//! key until [`FleetHandle::drain`] — or a synchronous round trip on a
+//! reply channel of its own. A request of `n` transactions therefore
+//! costs one channel message, not `n`.
+//!
+//! # Resubmissions
+//!
+//! A transaction id the router's graph still holds is a retry whose
+//! answer exists: it is acked with the shard that id holds, on every
+//! door, and journals nothing. An id the graph has evicted is placed
+//! afresh.
 //!
 //! # Determinism
 //!
@@ -58,6 +65,7 @@
 //! ```
 
 use std::collections::HashMap;
+use std::io;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
@@ -119,11 +127,6 @@ impl TxRows {
     /// `true` iff there are no transactions.
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
-    }
-
-    /// The transaction ids, in order.
-    pub fn ids(&self) -> &[TxId] {
-        &self.ids
     }
 
     /// Each transaction's id and input ids, in order.
@@ -219,6 +222,18 @@ fn stats_of(router: &Router) -> FleetStats {
     }
 }
 
+/// The shard a transaction is acked with: the one it was placed into,
+/// or, for an id the graph still holds (refused before anything was
+/// decided or journaled), the one that id holds.
+fn acked(router: &Router, txid: TxId, placed: io::Result<ShardId>) -> ShardId {
+    match placed {
+        Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
+            router.shard_of(txid).expect("a live id holds a shard")
+        }
+        placed => placed.expect("journaling a placement failed"),
+    }
+}
+
 /// The placement thread: processes ingress messages in order against
 /// the fleet's one [`Router`].
 fn placement_loop(mut router: Router, rx: Receiver<Msg>) {
@@ -234,18 +249,21 @@ fn placement_loop(mut router: Router, rx: Receiver<Msg>) {
                 reply,
             } => {
                 placed.clear();
-                let mut place = |shard: std::io::Result<ShardId>| {
-                    placed.push(shard.expect("journaling a placement failed"));
-                };
+                // Whether the last transaction was placed, not acked as held.
+                let mut fresh = false;
                 match &txs {
                     Txs::Rows(rows) => {
                         for (txid, inputs) in rows.iter() {
-                            place(router.submit(txid, inputs));
+                            let shard = router.submit(txid, inputs);
+                            fresh = shard.is_ok();
+                            placed.push(acked(&router, txid, shard));
                         }
                     }
                     Txs::Shared(stream, range) => {
                         for tx in &stream[range.clone()] {
-                            place(router.submit_tx(tx));
+                            let shard = router.submit_tx(tx);
+                            fresh = shard.is_ok();
+                            placed.push(acked(&router, tx.id(), shard));
                         }
                     }
                 }
@@ -256,7 +274,13 @@ fn placement_loop(mut router: Router, rx: Receiver<Msg>) {
                         .extend((first_seq..).zip(placed.iter().copied())),
                     Reply::Sync { to, detail } => {
                         let shard = *placed.last().expect("a synchronous batch of one");
-                        let decision = detail.then(|| router.last_decision().to_decision());
+                        let decision = detail.then(|| match fresh {
+                            true => router.last_decision().to_decision(),
+                            false => Decision {
+                                shard,
+                                ..Decision::default()
+                            },
+                        });
                         let _ = to.send((shard, decision));
                     }
                 }
@@ -445,11 +469,6 @@ impl RouterFleetBuilder {
         let seq = AtomicU64::new(stats_of(&router).placed);
         let telemetry_version = AtomicU64::new(router.telemetry_version());
         let (sender, rx) = mpsc::sync_channel(QUEUE_DEPTH);
-        // A recovered router runs its journal's configuration.
-        let window = match router.retention() {
-            RetentionPolicy::WindowTxs(n) => Some(n as u64),
-            _ => None,
-        };
         let shared = Arc::new(Shared {
             sender,
             seq,
@@ -465,8 +484,6 @@ impl RouterFleetBuilder {
             thread: Some(thread),
             telemetry: Mutex::new(None),
             telemetry_version,
-            // See `RouterFleet::eviction_horizon`.
-            eviction_horizon: window.map(|window| window + 1),
         }
     }
 }
@@ -513,7 +530,6 @@ pub struct RouterFleet {
     /// with unchanged values are dropped before reaching the router).
     telemetry: Mutex<Option<Vec<ShardTelemetry>>>,
     telemetry_version: AtomicU64,
-    eviction_horizon: Option<u64>,
 }
 
 impl RouterFleet {
@@ -537,27 +553,6 @@ impl RouterFleet {
         self.shared.seq.load(Ordering::Relaxed)
     }
 
-    /// The number of later submissions after which the graph has
-    /// certainly evicted a transaction id: an id submitted again with a
-    /// global sequence number at least this far above its first enters
-    /// as a fresh node, like any pre-history spend, where a nearer
-    /// resubmission panics the placement thread. A front end that must
-    /// refuse duplicates (the placement server) may forget an id once
-    /// this many others have followed it into the fleet. `None` means
-    /// never: the graph keeps every id (`Unbounded`) or an unbounded
-    /// set of them (`KeepUnspentAndHubs`).
-    ///
-    /// Under `WindowTxs(w)` it is `w + 1`. The graph evicts a node once
-    /// `w` later ones are in it, and the placement thread ingests in
-    /// sequence order (with submitters serialized, as under Determinism
-    /// in the module docs), so it has dropped sequence `s` before it
-    /// inserts `s + w + 1`. Counting from *submission* is the caller's
-    /// job: a front end that reorders admitted work (the server's
-    /// fee-ordered queue) must add its own bound on overtaking.
-    pub fn eviction_horizon(&self) -> Option<u64> {
-        self.eviction_horizon
-    }
-
     /// How many times the fed telemetry values have changed — the
     /// fleet's epoch, which the router's board tracks exactly because
     /// unchanged feeds are dropped here.
@@ -569,7 +564,10 @@ impl RouterFleet {
     /// the handle are placed in submission order, in the fleet's one
     /// sequence.
     pub fn handle(&self, client: u64) -> FleetHandle {
-        FleetHandle::new(self.shared.clone(), client)
+        FleetHandle {
+            shared: self.shared.clone(),
+            client,
+        }
     }
 
     /// Feeds one telemetry update under a single epoch: the fleet bumps
@@ -656,30 +654,23 @@ impl Drop for RouterFleet {
 // Handles
 // ---------------------------------------------------------------------------
 
-/// A per-client submitter into a [`RouterFleet`]. Cloning is cheap (a
-/// fresh reply channel over the same shared state); clones submit for
-/// the same client.
+/// A per-client submitter into a [`RouterFleet`]. Cloning is cheap (the
+/// same shared state); clones submit for the same client.
 ///
 /// Every door sends the fleet's one placement message (see the
 /// [module docs](crate::fleet)). The synchronous doors —
 /// [`FleetHandle::submit`], [`FleetHandle::submit_tx`],
 /// [`FleetHandle::submit_with_detail`] — send a batch of one and wait
-/// for its shard on the handle's reply channel; the detached doors —
+/// for its shard on a fresh reply channel, so a dead placement thread
+/// fails the call instead of hanging it; the detached doors —
 /// [`FleetHandle::submit_detached`] for [`TxRows`],
 /// [`FleetHandle::submit_batch_detached`] for a window of a shared
 /// stream — return immediately, and their results are collected later
 /// with [`FleetHandle::drain`].
+#[derive(Clone)]
 pub struct FleetHandle {
     shared: Arc<Shared>,
     client: u64,
-    reply_tx: SyncSender<Placed>,
-    reply_rx: Receiver<Placed>,
-}
-
-impl Clone for FleetHandle {
-    fn clone(&self) -> Self {
-        FleetHandle::new(self.shared.clone(), self.client)
-    }
 }
 
 impl std::fmt::Debug for FleetHandle {
@@ -691,16 +682,6 @@ impl std::fmt::Debug for FleetHandle {
 }
 
 impl FleetHandle {
-    fn new(shared: Arc<Shared>, client: u64) -> Self {
-        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-        FleetHandle {
-            shared,
-            client,
-            reply_tx,
-            reply_rx,
-        }
-    }
-
     /// Sends the placement message for `count` transactions and returns
     /// the first global sequence number it took (`None` when
     /// `count == 0`, which reserves and sends nothing).
@@ -718,27 +699,30 @@ impl FleetHandle {
         Some(first_seq)
     }
 
-    /// A synchronous batch of one.
+    /// A synchronous batch of one, answered on a channel of its own.
     fn submit_one(&self, txid: TxId, inputs: Vec<TxId>, detail: bool) -> Placed {
         let rows = TxRows::from_iter([(txid, inputs)]);
-        let to = self.reply_tx.clone();
+        let (to, rx) = mpsc::sync_channel(1);
         self.place(1, Txs::Rows(rows), Reply::Sync { to, detail });
-        self.reply_rx.recv().expect("fleet placement thread alive")
+        rx.recv().expect("fleet placement thread alive")
     }
 
     /// Places a transaction spending from `inputs` and returns its
-    /// shard (a synchronous round trip to the placement thread).
+    /// shard (a synchronous round trip to the placement thread). An id
+    /// the fleet's graph still holds is acked with the shard it holds
+    /// (see the [module docs](crate::fleet)).
     ///
     /// # Panics
     ///
-    /// Panics if `txid` is still in the fleet's graph, or the fleet was
-    /// shut down.
+    /// Panics if the placement thread is gone: the fleet was shut down,
+    /// or a journal write failed.
     pub fn submit(&self, txid: TxId, inputs: &[TxId]) -> ShardId {
         self.submit_one(txid, inputs.to_vec(), false).0
     }
 
     /// [`FleetHandle::submit`], also returning the full score breakdown
-    /// of the decision (see [`Router::last_decision`]).
+    /// of the decision (see [`Router::last_decision`]); a resubmission
+    /// acked with the shard it holds has an empty breakdown.
     ///
     /// # Panics
     ///
@@ -978,28 +962,30 @@ mod tests {
         assert_eq!(router.tan().live_len(), window);
     }
 
+    /// Under `WindowTxs(4)` an id resubmitted four places later is still
+    /// in the graph and acked with the shard it holds; one place later
+    /// it has been evicted and is placed afresh.
     #[test]
     fn an_id_resubmitted_a_horizon_later_is_fresh_on_every_worker() {
-        let fleet = || {
-            RouterFleet::builder()
-                .shards(2)
-                .workers(3)
-                .retention(RetentionPolicy::WindowTxs(4))
-                .build()
-        };
-        let horizon = fleet().eviction_horizon().expect("a windowed fleet");
-        assert_eq!(horizon, 5);
-        for first in 0..6 {
-            let fleet = fleet();
-            let total = first + horizon + 6;
-            for seq in 0..total {
-                let id = if seq == first + horizon { first } else { seq };
-                fleet.handle(seq % 3).submit(TxId(id), &[]);
+        for (gap, fresh) in [(4, false), (5, true)] {
+            for first in 0..6 {
+                let fleet = RouterFleet::builder()
+                    .shards(2)
+                    .workers(3)
+                    .retention(RetentionPolicy::WindowTxs(4))
+                    .build();
+                let total = first + gap + 6;
+                let mut shards = Vec::new();
+                for seq in 0..total {
+                    let id = if seq == first + gap { first } else { seq };
+                    shards.push(fleet.handle(seq % 3).submit(TxId(id), &[]));
+                }
+                assert_eq!(fleet.stats().placed, total - u64::from(!fresh));
+                if !fresh {
+                    assert_eq!(shards[first as usize], shards[(first + gap) as usize]);
+                }
             }
-            assert_eq!(fleet.stats().placed, total, "the placement thread lived");
         }
-        let unbounded = RouterFleet::builder().shards(2).build();
-        assert_eq!(unbounded.eviction_horizon(), None);
     }
 
     #[test]

@@ -181,7 +181,7 @@ pub(crate) fn argmax_fitness(fitness: &[f64], sizes: &[u64]) -> u32 {
 
 /// Detailed outcome of one OptChain decision, for diagnostics and the
 /// wallet example.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Decision {
     /// The chosen shard.
     pub shard: ShardId,

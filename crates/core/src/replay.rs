@@ -231,7 +231,7 @@ impl ReplaySource for Router {
         // `feed_telemetry` bumps the router's version only when values
         // change — the same epoch discipline the proxy itself applies.
         self.feed_telemetry(telemetry);
-        self.submit_tx(tx).expect("journaling a placement failed").0
+        self.submit_tx(tx).expect("placing a transaction failed").0
     }
 
     fn tan(&self) -> &TanGraph {

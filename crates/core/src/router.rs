@@ -652,6 +652,15 @@ pub struct CheckpointStats {
     pub full_bytes: u64,
 }
 
+/// What a door answers for a `txid` the graph still holds.
+#[cold]
+fn live(txid: TxId) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::AlreadyExists,
+        format!("transaction {} is already placed", txid.0),
+    )
+}
+
 impl Router {
     /// Starts configuring a router.
     pub fn builder() -> RouterBuilder {
@@ -838,14 +847,13 @@ impl Router {
     ///
     /// # Errors
     ///
-    /// Fails only when journaling fails; an in-RAM router never does.
-    /// On error the placement has already been applied in RAM but is
+    /// [`io::ErrorKind::AlreadyExists`] if the graph still holds `txid`
+    /// (its shard is [`Router::shard_of`]), before anything is decided,
+    /// ticked or journaled; an evicted id is placed afresh. Otherwise
+    /// fails only when journaling fails, never in RAM. On a journal
+    /// error the placement has already been applied in RAM but is
     /// **not** acked as durable — a crash may forget it, exactly like
     /// every other record appended since the last flush.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `txid` was already submitted.
     pub fn submit(&mut self, txid: TxId, inputs: &[TxId]) -> io::Result<ShardId> {
         let shard = self.submit_one(txid, inputs, None, None)?;
         self.close_batch_record().map(|()| shard)
@@ -854,10 +862,6 @@ impl Router {
     /// Places a full [`Transaction`] (edges to its distinct input
     /// transactions) and returns its shard — [`Router::submit`] with
     /// the same error contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the transaction id was already submitted.
     pub fn submit_tx(&mut self, tx: &Transaction) -> io::Result<ShardId> {
         let shard = self.submit_one(tx.id(), &[], Some(tx), None)?;
         self.close_batch_record().map(|()| shard)
@@ -868,16 +872,15 @@ impl Router {
     ///
     /// # Errors
     ///
-    /// Besides [`Router::submit`]'s journal errors, a durable router
-    /// refuses a session whose view differs from its own board with
+    /// Besides [`Router::submit`]'s errors, a durable router refuses a
+    /// session whose view differs from its own board with
     /// [`io::ErrorKind::Unsupported`], before anything is inserted or
     /// journaled: the journal does not record views, so recovery, which
     /// places against the board, could not reproduce the decision.
     ///
     /// # Panics
     ///
-    /// Panics if the transaction id was already submitted or the
-    /// session's view length ≠ k.
+    /// Panics if the session's view length ≠ k.
     pub fn submit_tx_in(
         &mut self,
         session: &mut PlacementSession,
@@ -903,17 +906,17 @@ impl Router {
     ///
     /// # Panics
     ///
-    /// Panics if any transaction id was already submitted, or
-    /// journaling fails on a durable router.
+    /// Panics on any error [`Router::submit`] returns: a transaction id
+    /// the graph still holds, or a journal write error.
     pub fn submit_batch(&mut self, batch: &[Transaction], out: &mut Vec<ShardId>) {
         out.clear();
         out.reserve(batch.len());
         for tx in batch {
             let shard = self.submit_one(tx.id(), &[], Some(tx), None);
-            out.push(shard.expect("journaling a placement failed"));
+            out.push(shard.unwrap_or_else(|e| panic!("placing a batch failed: {e}")));
         }
         self.close_batch_record()
-            .expect("journaling a placement failed");
+            .unwrap_or_else(|e| panic!("placing a batch failed: {e}"));
     }
 
     /// Ends the SubmitBatch record the preceding [`Router::submit_one`]
@@ -928,9 +931,11 @@ impl Router {
 
     /// The one submission path behind every public door: link the node
     /// into the graph, decide, journal into the open SubmitBatch record
-    /// (the door closes it). `tx` carries the full
-    /// transaction when the caller has one (linked by its distinct
-    /// inputs, `inputs` unused); otherwise `inputs` is linked as given.
+    /// (the door closes it). `tx` carries the full transaction when the
+    /// caller has one, linked by its distinct inputs (`inputs` unused);
+    /// otherwise `inputs` is linked as given. The journal records the
+    /// list the graph linked, so replay through the raw-id door is
+    /// identical to the original full-transaction submission.
     #[inline]
     fn submit_one(
         &mut self,
@@ -939,15 +944,26 @@ impl Router {
         tx: Option<&Transaction>,
         session: Option<&mut PlacementSession>,
     ) -> io::Result<ShardId> {
-        let node = match tx {
-            Some(tx) => self.tan.insert_tx(tx),
-            None => self.tan.insert(txid, inputs),
+        let mut tids = std::mem::take(&mut self.txid_scratch);
+        let inputs = match tx {
+            Some(tx) => {
+                Self::distinct_inputs_into(tx, &mut tids);
+                &tids[..]
+            }
+            None => inputs,
         };
-        let shard = self.place_next(node, session);
-        if self.journal.is_none() {
-            return Ok(shard);
-        }
-        self.journal_submit(txid, inputs, tx, shard)
+        let placed = match self.tan.try_insert(txid, inputs) {
+            Err(_) => Err(live(txid)),
+            Ok(node) => {
+                let shard = self.place_next(node, session);
+                match self.journal {
+                    None => Ok(shard),
+                    Some(_) => self.journal_submit(txid, inputs, shard),
+                }
+            }
+        };
+        self.txid_scratch = tids;
+        placed
     }
 
     /// The durable half of [`Router::submit_one`] — out of line, so the
@@ -957,24 +973,10 @@ impl Router {
         &mut self,
         txid: TxId,
         inputs: &[TxId],
-        tx: Option<&Transaction>,
         shard: ShardId,
     ) -> io::Result<ShardId> {
-        // The WAL records the distinct input list — exactly the edges
-        // `insert_tx` links — so replay through the raw-id door is
-        // identical to the original full-transaction submission. Only a
-        // journal needs the list, so the in-RAM path never derives it.
-        let mut tids = std::mem::take(&mut self.txid_scratch);
-        let inputs = match tx {
-            Some(tx) => {
-                Self::distinct_inputs_into(tx, &mut tids);
-                &tids[..]
-            }
-            None => inputs,
-        };
-        let journaled = self.journal_entry(|journal| journal.push_submit(txid, inputs, shard.0));
-        self.txid_scratch = tids;
-        journaled.map(|()| shard)
+        self.journal_entry(|journal| journal.push_submit(txid, inputs, shard.0))
+            .map(|()| shard)
     }
 
     /// The score breakdown of the most recent submission, valid until
@@ -1004,20 +1006,26 @@ impl Router {
     /// [`OptChainPlacer::adopt_in`]); Greedy/OmniLedger count it toward
     /// their shard sizes.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `txid` was already known locally, `shard >= k`, or the
-    /// strategy is [`Strategy::Metis`] (no adoption hook).
-    pub fn adopt_remote(&mut self, txid: TxId, inputs: &[TxId], shard: u32) {
-        assert!(shard < self.k(), "shard {shard} out of range");
-        // Reject the unsupported strategy before mutating the graph, so
-        // the documented panic leaves the router untouched instead of
-        // holding a node with no assignment.
-        assert!(
-            !matches!(self.placer, DynPlacer::Oracle(_)),
-            "adopt_remote is unsupported for oracle (Metis) placement"
-        );
-        let node = self.tan.insert(txid, inputs);
+    /// Before anything is inserted or journaled: `Unsupported` under
+    /// [`Strategy::Metis`] (no adoption hook), `InvalidInput` if
+    /// `shard >= k`, `AlreadyExists` if the graph still holds `txid`.
+    /// Journal errors as for [`Router::submit`].
+    pub fn adopt_remote(&mut self, txid: TxId, inputs: &[TxId], shard: u32) -> io::Result<()> {
+        if matches!(self.placer, DynPlacer::Oracle(_)) {
+            return Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "adopt_remote is unsupported for oracle (Metis) placement",
+            ));
+        }
+        if shard >= self.k() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("adopted shard {shard} out of range"),
+            ));
+        }
+        let node = self.tan.try_insert(txid, inputs).map_err(|_| live(txid))?;
         let Router { tan, placer, .. } = self;
         match placer {
             // The graph-aware adoption path: a retention engine saves
@@ -1031,7 +1039,6 @@ impl Router {
         self.adopted_total += 1;
         self.advance_horizon();
         self.journal_record(|w| durable::encode_adopt(w, txid, inputs, shard))
-            .expect("journaling an adoption failed");
     }
 
     /// The distinct input transaction ids of a [`Transaction`], in
@@ -1076,13 +1083,17 @@ impl Router {
     /// submission continues as if the router had made those placements
     /// itself. The telemetry board is untouched.
     ///
+    /// A durable router ends by installing the warm state as a snapshot
+    /// at journal position 0, so recovery starts from it; the error is
+    /// that [`Router::checkpoint_now`]'s.
+    ///
     /// # Panics
     ///
     /// Panics if the router has already placed transactions, the graph
     /// has evicted nodes, or `assignments` is shorter than the graph or
     /// holds a shard `>= k` (under [`Strategy::Metis`]: any shard but
     /// the oracle's).
-    pub fn warm_start_history(&mut self, tan: &TanGraph, assignments: &[u32]) {
+    pub fn warm_start_history(&mut self, tan: &TanGraph, assignments: &[u32]) -> io::Result<()> {
         assert!(
             self.tan.is_empty() && self.placer.assignments().is_empty(),
             "warm_start_history requires a fresh router"
@@ -1101,6 +1112,7 @@ impl Router {
         }
         self.tan = tan.clone();
         self.tan.set_retention(self.retention);
+        self.checkpoint_now()
     }
 
     /// `true` iff this router journals to a storage backend.
@@ -1292,23 +1304,17 @@ impl Router {
     }
 
     /// Applies one journaled record during recovery, returning the
-    /// entries it held. Everything the live doors would assert on —
-    /// a shard out of range, a transaction id already placed, a
-    /// placement past the end of the oracle, an adoption under oracle
-    /// placement — is checked here first: bytes from disk fail typed,
-    /// naming the sequence number, never panic.
+    /// entries it held. Bytes from disk fail typed (`InvalidData`,
+    /// naming the sequence number), never panic: a shard out of range or
+    /// a placement past the end of the oracle is checked here, the rest
+    /// is the doors' own typed refusals.
     fn apply_recovered_record(&mut self, seq: u64, payload: &[u8]) -> io::Result<u64> {
         let k = self.k();
         let fail = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-        let check = |router: &Router, txid: TxId, shard: u32| {
+        let refused = |e: io::Error| fail(format!("seq {seq}: {e}"));
+        let check = |router: &Router, shard: u32| {
             if shard >= k {
                 return Err(fail(format!("seq {seq}: journaled shard {shard} >= k {k}")));
-            }
-            if router.tan.node(txid).is_some() {
-                return Err(fail(format!(
-                    "seq {seq}: journaled transaction {} is already placed",
-                    txid.0
-                )));
             }
             if let DynPlacer::Oracle(p) = &router.placer {
                 if !p.covers(router.tan.len()) {
@@ -1325,12 +1331,12 @@ impl Router {
             WalRecord::SubmitBatch(entries) => {
                 let count = entries.len() as u64;
                 for (txid, inputs, shard) in entries {
-                    check(self, txid, shard)?;
+                    check(self, shard)?;
                     // Re-run the deterministic decision (the journal is
                     // not attached yet, so nothing is re-journaled); the
                     // journaled shard is a corruption tripwire, not an
                     // input.
-                    let got = self.submit(txid, &inputs)?;
+                    let got = self.submit(txid, &inputs).map_err(refused)?;
                     if got.0 != shard {
                         return Err(fail(format!(
                             "replay diverged at seq {seq}: recomputed shard {} != journaled {shard}",
@@ -1341,13 +1347,8 @@ impl Router {
                 return Ok(count);
             }
             WalRecord::Adopt((txid, inputs, shard)) => {
-                check(self, txid, shard)?;
-                if matches!(self.placer, DynPlacer::Oracle(_)) {
-                    return Err(fail(format!(
-                        "seq {seq}: an adoption journaled under oracle placement"
-                    )));
-                }
-                self.adopt_remote(txid, &inputs, shard);
+                check(self, shard)?;
+                self.adopt_remote(txid, &inputs, shard).map_err(refused)?;
             }
             WalRecord::Telemetry(board) => {
                 if board.len() != k as usize {
@@ -1618,7 +1619,7 @@ mod tests {
     fn adopt_remote_links_future_spenders() {
         let mut router = Router::builder().shards(4).build();
         // A chain head placed elsewhere lands in shard 2.
-        router.adopt_remote(TxId(100), &[], 2);
+        router.adopt_remote(TxId(100), &[], 2).unwrap();
         assert_eq!(router.assignments().to_vec(), Some(vec![2]));
         assert_eq!(router.adopted_total(), 1);
         // A local spender of the adopted node follows it into shard 2.
@@ -1631,11 +1632,11 @@ mod tests {
     fn snapshot_roundtrip_replays_adopted_nodes() {
         let restored = restarted_twin(4, |r| {
             r.submit(TxId(0), &[]).unwrap();
-            r.adopt_remote(TxId(50), &[TxId(0)], 3);
+            r.adopt_remote(TxId(50), &[TxId(0)], 3).unwrap();
             for i in 1..20u64 {
                 r.submit(TxId(i), &[TxId(i - 1)]).unwrap();
             }
-            r.adopt_remote(TxId(51), &[TxId(50)], 3);
+            r.adopt_remote(TxId(51), &[TxId(50)], 3).unwrap();
         });
         assert_eq!(restored.adopted_total(), 2);
     }
@@ -1653,15 +1654,20 @@ mod tests {
         assert_eq!(restored.telemetry_version(), 1);
     }
 
+    /// Every refusal of `adopt_remote` is typed and leaves the router
+    /// as it was.
     #[test]
-    #[should_panic(expected = "unsupported for oracle")]
     fn adopt_remote_rejects_oracle_placement() {
-        let mut router = Router::builder()
-            .shards(2)
-            .strategy(Strategy::Metis)
-            .oracle(vec![0, 1])
-            .build();
-        router.adopt_remote(TxId(0), &[], 1);
+        let metis = Router::builder().shards(2).strategy(Strategy::Metis);
+        let mut metis = metis.oracle(vec![0, 1]).build();
+        let mut router = Router::builder().shards(2).build();
+        let err = |r: &mut Router, shard| r.adopt_remote(TxId(0), &[], shard).unwrap_err().kind();
+        assert_eq!(err(&mut metis, 1), io::ErrorKind::Unsupported);
+        router.submit(TxId(0), &[]).unwrap();
+        assert_eq!(err(&mut router, 2), io::ErrorKind::InvalidInput);
+        assert_eq!(err(&mut router, 1), io::ErrorKind::AlreadyExists);
+        assert_eq!((metis.tan().len(), router.tan().len()), (0, 1));
+        assert_eq!(router.adopted_total(), 0);
     }
 
     #[test]
@@ -1679,7 +1685,7 @@ mod tests {
     /// router for the durability tests below.
     fn drive_mixed(router: &mut Router) {
         router.submit(TxId(0), &[]).unwrap();
-        router.adopt_remote(TxId(100), &[TxId(0)], 2);
+        router.adopt_remote(TxId(100), &[TxId(0)], 2).unwrap();
         for i in 1..40u64 {
             router.submit(TxId(i), &[TxId(i - 1), TxId(100)]).unwrap();
         }

@@ -108,17 +108,14 @@ proptest! {
             let mut placer = RandomPlacer::new(k);
             let telemetry = vec![ShardTelemetry::new(0.1, 0.5); k as usize];
             let mut order = ids.clone();
-            order.dedup();
             if run == 1 {
                 order.reverse();
             }
-            // Make ids unique per insertion by offsetting duplicates.
-            let mut seen = std::collections::HashSet::new();
             for id in order {
-                if !seen.insert(id) {
+                // A repeated id is the graph's to refuse.
+                let Ok(node) = tan.try_insert(TxId(id), &[]) else {
                     continue;
-                }
-                let node = tan.insert(TxId(id), &[]);
+                };
                 let shard =
                     placer.place(&optchain_core::PlacementContext::new(&tan, &telemetry), node);
                 if let Some(prev) = shards.insert(id, shard.0) {

@@ -289,7 +289,7 @@ fn wallet(k: u32, budget: usize) -> Router {
 #[test]
 fn follows_remembered_parents() {
     let mut w = wallet(4, 100);
-    w.adopt_remote(TxId(0), &[], 3);
+    w.adopt_remote(TxId(0), &[], 3).unwrap();
     assert_eq!(w.submit(TxId(1), &[TxId(0)]).unwrap(), ShardId(3));
     assert_eq!(w.shard_of(TxId(1)), Some(ShardId(3)));
 }
@@ -330,7 +330,7 @@ fn chain_stays_in_one_shard() {
 #[test]
 fn diverts_from_backlogged_shard() {
     let mut w = wallet(2, 100);
-    w.adopt_remote(TxId(0), &[], 0);
+    w.adopt_remote(TxId(0), &[], 0).unwrap();
     w.feed_telemetry(&[ShardTelemetry::new(0.1, 500.0), DEFAULT_TELEMETRY]);
     let s = w.submit(TxId(1), &[TxId(0)]).unwrap();
     assert_eq!(s, ShardId(1), "wallet must divert from the backlog");

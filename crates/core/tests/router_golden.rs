@@ -249,7 +249,7 @@ fn external_snapshot_warm_start_matches_placer_warm_start() {
 
     // New path: the router replays the external history itself.
     let mut router = Router::builder().shards(k).build();
-    router.warm_start_history(&prefix_tan, &warm);
+    router.warm_start_history(&prefix_tan, &warm).unwrap();
     let new = replay_router(delta, &mut router);
 
     assert_eq!(old.assignments, new.assignments);

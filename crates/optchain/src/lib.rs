@@ -296,13 +296,11 @@
 //! * **Admission control** — requests land in a bounded, fee-ordered
 //!   queue (`queue_capacity` transactions); when it is full the server
 //!   sheds with a typed [`client::RejectReason`] (`QueueFull`, `TooLarge`,
-//!   `Shutdown`, `Malformed`, `Duplicate`) instead of queueing
-//!   unboundedly or silently dropping, so admitted-request latency
-//!   stays bounded by queue size over drain rate. `Duplicate` is
-//!   bounded the way the graph is: an id is refused while the fleet's
-//!   graph can still hold it (`RouterFleet::eviction_horizon`), a
-//!   fresh node beyond that, never forgotten when the retention
-//!   policy never evicts.
+//!   `Shutdown`, `Malformed`) instead of queueing unboundedly or
+//!   silently dropping, so admitted-request latency stays bounded by
+//!   queue size over drain rate. A resubmitted id is no refusal: while
+//!   the fleet's graph holds it, it is acked with the shard it holds;
+//!   once evicted, it is placed afresh.
 //! * **Backpressure, not disconnects** — each connection gets a credit
 //!   window (`credit_window` outstanding requests); past it the server
 //!   simply stops reading that socket, which surfaces to the client as

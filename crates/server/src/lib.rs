@@ -17,26 +17,15 @@
 //!   ([`RejectReason::QueueFull`]); during drain, with
 //!   [`RejectReason::Shutdown`]. Every request receives exactly one
 //!   response; nothing is silently dropped.
-//! * **Duplicate refusal, bounded like the graph** — a transaction id
-//!   submitted twice is refused with [`RejectReason::Duplicate`] for as
-//!   long as the fleet's graph can still hold the first (a duplicate
-//!   reaching it would panic the placement thread). How long that is
-//!   comes from the fleet, not from a knob
-//!   ([`RouterFleet::eviction_horizon`]): under
-//!   `RetentionPolicy::WindowTxs(w)` it is `w + 1` placements, because
-//!   the fleet places every transaction in one sequence on one thread,
-//!   and the guard keeps two pre-sized
-//!   generations of ids — `O(window)` memory, no rehash — and an id
-//!   resubmitted beyond the horizon is a fresh node, exactly as a
-//!   spend of an evicted output is a missing parent; under a policy
-//!   that never evicts, an id is never forgotten. A request the guard
-//!   would otherwise have to forget while it is still queued (outbid
-//!   for two generations) holds admission back with `QueueFull` until
-//!   it is placed. The guard starts empty after a restart.
+//! * **Resubmission is idempotent** — a transaction id the fleet's
+//!   graph still holds is acked with its current shard, alone, inside a
+//!   batch or from another connection; the graph's own index finds it,
+//!   and the server keeps no per-id state. An id the graph has evicted
+//!   (under `RetentionPolicy::WindowTxs`) is placed afresh, like a
+//!   spend of an evicted output is a missing parent.
 //! * **Observability** — a `/metrics`-style text exposition
 //!   ([`ServerMetrics::render`]) with queue depth, admitted/shed
-//!   counters, the duplicate guard's size and horizon, and
-//!   admission→ack latency quantiles.
+//!   counters and admission→ack latency quantiles.
 //! * **Graceful shutdown** — [`PlacementServer::shutdown`] drains the
 //!   admission queue (everything admitted is placed and acked), then
 //!   shuts the fleet down, flushing the WAL tail when the fleet was
@@ -69,7 +58,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod guard;
 pub mod metrics;
 pub mod protocol;
 pub mod queue;

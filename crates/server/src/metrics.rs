@@ -36,13 +36,6 @@ pub struct AdmissionGauges {
     pub queue_depth: usize,
     /// The queue's capacity in transactions.
     pub queue_capacity: usize,
-    /// Transaction ids the duplicate guard currently remembers.
-    pub dedup_tracked_ids: usize,
-    /// The size of one generation of the duplicate guard — the fleet's
-    /// eviction horizon plus two queue capacities; tracked ids never
-    /// exceed twice it. 0 when the guard never forgets (the retention
-    /// policy never evicts).
-    pub dedup_horizon: usize,
 }
 
 /// Aggregate server counters. All methods are `&self`; the struct is
@@ -54,7 +47,7 @@ pub struct ServerMetrics {
     /// Transactions placed and acknowledged.
     acked: AtomicU64,
     /// Requests shed, by reason (indexed by `RejectReason as u8 - 1`).
-    shed: [AtomicU64; 5],
+    shed: [AtomicU64; 4],
     /// Connections accepted over the server's lifetime.
     connections_opened: AtomicU64,
     /// Connections torn down.
@@ -195,12 +188,6 @@ impl ServerMetrics {
         let mut out = String::with_capacity(1024);
         let _ = writeln!(out, "optchain_queue_depth {}", gauges.queue_depth);
         let _ = writeln!(out, "optchain_queue_capacity {}", gauges.queue_capacity);
-        let _ = writeln!(
-            out,
-            "optchain_dedup_tracked_ids {}",
-            gauges.dedup_tracked_ids
-        );
-        let _ = writeln!(out, "optchain_dedup_horizon {}", gauges.dedup_horizon);
         let _ = writeln!(out, "optchain_admitted_total {}", self.admitted());
         let _ = writeln!(out, "optchain_acked_total {}", self.acked());
         for reason in [
@@ -208,7 +195,6 @@ impl ServerMetrics {
             RejectReason::TooLarge,
             RejectReason::Shutdown,
             RejectReason::Malformed,
-            RejectReason::Duplicate,
         ] {
             let _ = writeln!(
                 out,
@@ -312,13 +298,9 @@ mod tests {
         let text = m.render(AdmissionGauges {
             queue_depth: 7,
             queue_capacity: 64,
-            dedup_tracked_ids: 10,
-            dedup_horizon: 96,
         });
         assert!(text.contains("optchain_queue_depth 7"));
         assert!(text.contains("optchain_queue_capacity 64"));
-        assert!(text.contains("optchain_dedup_tracked_ids 10"));
-        assert!(text.contains("optchain_dedup_horizon 96"));
         assert!(text.contains("optchain_admitted_total 10"));
         assert!(text.contains("optchain_shed_total{reason=\"queue_full\"} 3"));
         assert!(text.contains("optchain_latency_usec{quantile=\"0.99\"} 250"));

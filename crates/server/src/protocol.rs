@@ -18,6 +18,11 @@
 //! batch ack, rejection, query result, or metrics text), in the order
 //! it finished them — which is admission-queue order, not necessarily
 //! request order. Clients correlate by `req_id`.
+//!
+//! A transaction id the placement graph still holds is acked with its
+//! current shard, however often it is submitted: placement is
+//! idempotent per id, so a retry needs no reject reason. An id the
+//! graph has evicted (under a retention window) is placed afresh.
 
 use std::io::{self, Read, Write};
 
@@ -49,13 +54,14 @@ const OP_METRICS_TEXT: u8 = 0x85;
 
 /// Why the server refused a request. Shedding is always **explicit**:
 /// every refused request gets exactly one `Reject` carrying one of
-/// these — never a silent drop.
+/// these — never a silent drop. A resubmitted id is not refused (see
+/// the [module docs](self)); wire byte 5, once a duplicate refusal,
+/// is retired and decodes to no reason.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum RejectReason {
-    /// The admission queue is at capacity — or still holds a request
-    /// so far outbid that admitting more would let the duplicate guard
-    /// forget it unplaced; resubmit later (mempool overload shedding).
+    /// The admission queue is at capacity; resubmit later (mempool
+    /// overload shedding).
     QueueFull = 1,
     /// The frame exceeded the connection's `max_frame_bytes`. The
     /// server closes the connection after sending this — the
@@ -68,14 +74,6 @@ pub enum RejectReason {
     /// trailing bytes). The server closes the connection after
     /// sending this.
     Malformed = 4,
-    /// A transaction id in the request repeats one admitted at most a
-    /// horizon ago, or another in the same request. The horizon is how
-    /// long the fleet's graph can still hold the id (see
-    /// [`RouterFleet::eviction_horizon`](optchain_core::RouterFleet::eviction_horizon)):
-    /// beyond it the id is placed as a fresh node, like any
-    /// pre-history spend; under a policy that never evicts it is
-    /// never forgotten.
-    Duplicate = 5,
 }
 
 impl RejectReason {
@@ -86,7 +84,6 @@ impl RejectReason {
             2 => Some(RejectReason::TooLarge),
             3 => Some(RejectReason::Shutdown),
             4 => Some(RejectReason::Malformed),
-            5 => Some(RejectReason::Duplicate),
             _ => None,
         }
     }
@@ -98,7 +95,6 @@ impl RejectReason {
             RejectReason::TooLarge => "too_large",
             RejectReason::Shutdown => "shutdown",
             RejectReason::Malformed => "malformed",
-            RejectReason::Duplicate => "duplicate",
         }
     }
 }
@@ -133,7 +129,9 @@ pub enum Request {
     },
     /// Place a batch of transactions as one admission unit: admitted
     /// or rejected atomically, answered by one [`Response::AckBatch`]
-    /// (or one [`Response::Reject`] covering the whole batch).
+    /// (or one [`Response::Reject`] covering the whole batch). An id
+    /// repeated in the batch, or one placed before, is acked with the
+    /// one shard it holds.
     SubmitBatch {
         /// Client-chosen correlation id for the whole batch.
         req_id: u64,
@@ -787,6 +785,9 @@ mod tests {
             encode_response(resp, &mut buf);
             assert_eq!(decode_response(&buf).unwrap(), *resp);
         }
+        // Byte 5, the retired duplicate refusal, is no reason.
+        let labels = (0..=u8::MAX).filter_map(RejectReason::from_u8);
+        assert_eq!(labels.map(|r| r as u8).collect::<Vec<_>>(), [1, 2, 3, 4]);
     }
 
     #[test]

@@ -58,7 +58,6 @@ use std::time::{Duration, Instant};
 use optchain_core::{RouterFleet, RouterFleetBuilder, TxRows};
 use optchain_utxo::TxId;
 
-use crate::guard::Guard;
 use crate::metrics::{AdmissionGauges, ServerMetrics};
 use crate::protocol::{
     self, Decoded, FrameRead, RejectReason, Response, DEFAULT_MAX_FRAME_BYTES,
@@ -94,8 +93,6 @@ enum Work {
         txs: TxRows,
         batch: bool,
         admitted_at: Instant,
-        /// The guard epoch the request was admitted in.
-        epoch: u64,
     },
     Query {
         conn: u64,
@@ -106,7 +103,6 @@ enum Work {
 
 struct AdmissionState {
     queue: AdmissionQueue<Work>,
-    guard: Guard,
     /// Shutdown has begun: admitted work still drains, new work is
     /// shed with [`RejectReason::Shutdown`].
     draining: bool,
@@ -124,8 +120,6 @@ impl Admission {
         AdmissionGauges {
             queue_depth: s.queue.depth(),
             queue_capacity: s.queue.capacity(),
-            dedup_tracked_ids: s.guard.tracked(),
-            dedup_horizon: s.guard.generation(),
         }
     }
 }
@@ -338,7 +332,6 @@ impl PlacementServerBuilder {
         let admission = Arc::new(Admission {
             state: Mutex::new(AdmissionState {
                 queue: AdmissionQueue::new(self.queue_capacity),
-                guard: Guard::new(fleet.eviction_horizon(), self.queue_capacity),
                 draining: false,
             }),
             cv: Condvar::new(),
@@ -674,11 +667,10 @@ fn handle_request(
 }
 
 /// Admission decision for a submit request, atomic under the admission
-/// mutex: shutdown, then capacity, then the duplicate guard — which
-/// registers the ids as it checks them and takes them back if it
-/// refuses, so a shed request leaves every id of it submittable.
-/// `None` means admitted (the dispatcher answers); otherwise the typed
-/// rejection to send back.
+/// mutex: shutdown, then capacity. A request is admitted or refused
+/// whole; an id the fleet's graph still holds is no refusal — the fleet
+/// acks it with the shard it holds. `None` means admitted (the
+/// dispatcher answers); otherwise the typed rejection to send back.
 fn admit(
     conn: u64,
     req_id: u64,
@@ -690,33 +682,25 @@ fn admit(
 ) -> Option<Response> {
     let ntxs = txs.len();
     let mut s = admission.state.lock().expect("admission mutex");
-    let verdict = if s.draining {
-        Err(RejectReason::Shutdown)
-    } else if s.queue.depth() + ntxs > s.queue.capacity() {
-        Err(RejectReason::QueueFull)
+    let refused = if s.draining {
+        Some(RejectReason::Shutdown)
     } else {
-        s.guard.admit(txs.ids())
+        let admitted_at = Instant::now();
+        let work = Work::Place {
+            conn,
+            req_id,
+            txs,
+            batch,
+            admitted_at,
+        };
+        let full = s.queue.try_push(fee, ntxs, work).is_err();
+        full.then_some(RejectReason::QueueFull)
     };
-    let epoch = match verdict {
-        Ok(epoch) => epoch,
-        Err(reason) => {
-            drop(s);
-            metrics.on_shed(reason, 1);
-            return Some(Response::Reject { req_id, reason });
-        }
-    };
-    let work = Work::Place {
-        conn,
-        req_id,
-        txs,
-        batch,
-        admitted_at: Instant::now(),
-        epoch,
-    };
-    s.queue
-        .try_push(fee, ntxs, work)
-        .expect("capacity checked above");
     drop(s);
+    if let Some(reason) = refused {
+        metrics.on_shed(reason, 1);
+        return Some(Response::Reject { req_id, reason });
+    }
     metrics.on_admitted(ntxs as u64);
     admission.cv.notify_all();
     None
@@ -817,9 +801,6 @@ fn dispatcher_loop(
                 let mut pulled = 0usize;
                 while pulled < DISPATCH_CHUNK {
                     let Some(entry) = s.queue.pop() else { break };
-                    if let Work::Place { epoch, txs, .. } = &entry.work {
-                        s.guard.dispatched(*epoch, txs.ids());
-                    }
                     pulled += entry.txs;
                     batch.push(entry);
                 }
@@ -861,7 +842,6 @@ fn dispatcher_loop(
                     txs,
                     batch: is_batch,
                     admitted_at,
-                    ..
                 } => {
                     pace(rate, started, placed_total, &admission);
                     let ntxs = txs.len();

@@ -421,37 +421,32 @@ fn rejected_req_id_zero_request_settles_its_credit() {
     let server = start_server();
     let mut s = raw_conn(&server);
     let mut payload = Vec::new();
-    // The same submission twice, both with req_id 0: the first is
-    // admitted and acked, the second is shed as a Duplicate — a
-    // credited rejection that happens to carry req_id 0 on the wire.
-    for _ in 0..2 {
+    // Two submissions, both with req_id 0: the first is admitted and
+    // acked; the second arrives while the server drains and is shed as
+    // `Shutdown` — a credited rejection that happens to carry req_id 0
+    // on the wire.
+    for txid in [7, 8] {
         encode_request(
             &Request::Submit {
                 req_id: 0,
                 fee: 1,
                 tx: WireTx {
-                    txid: TxId(7),
+                    txid: TxId(txid),
                     inputs: vec![],
                 },
             },
             &mut payload,
         );
         write_frame(&mut s, &payload).unwrap();
-    }
-    s.flush().unwrap();
-    let (mut acked, mut rejected) = (false, false);
-    for _ in 0..2 {
-        match read_response(&mut s) {
-            Response::Ack { req_id: 0, .. } => acked = true,
-            Response::Reject { req_id: 0, reason } => {
-                assert_eq!(reason, RejectReason::Duplicate);
-                rejected = true;
+        s.flush().unwrap();
+        match (txid, read_response(&mut s)) {
+            (7, Response::Ack { req_id: 0, .. }) => server.begin_shutdown(),
+            (8, Response::Reject { req_id: 0, reason }) => {
+                assert_eq!(reason, RejectReason::Shutdown)
             }
-            other => panic!("expected ack + duplicate rejection, got {other:?}"),
+            (_, other) => panic!("expected ack, then shutdown rejection; got {other:?}"),
         }
     }
-    assert!(acked, "the first req_id-0 submit was never acked");
-    assert!(rejected, "the duplicate req_id-0 submit was never shed");
     // EOF starts connection teardown: the reader waits for every
     // acquired credit to settle before deregistering. Shutdown must
     // then complete — bound it so a leaked credit fails fast instead

@@ -478,7 +478,7 @@ impl<'a> Engine<'a> {
         let shard = self
             .router
             .submit_tx_in(session, tx)
-            .expect("journaling a placement failed")
+            .expect("placing a transaction failed")
             .0;
         // Migration-epoch adoption: if this submission crossed an epoch
         // boundary, the router committed the staged move batch *before*

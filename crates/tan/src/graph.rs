@@ -342,9 +342,9 @@ impl TanGraph {
         })
     }
 
-    /// Indexes `txid` as `node`, whose row is not written yet; `false`,
-    /// indexing nothing, if a live node already holds `txid`.
-    fn index_new(&mut self, txid: TxId, node: NodeId) -> bool {
+    /// Indexes `txid` as `node`, whose row is not written yet; the live
+    /// node already holding `txid`, indexing nothing, if there is one.
+    fn index_new(&mut self, txid: TxId, node: NodeId) -> Result<(), NodeId> {
         let mut index = std::mem::take(&mut self.index);
         let fresh = index.insert(txid, node, |n| self.holding(n, txid).is_some());
         self.index = index;
@@ -357,26 +357,17 @@ impl TanGraph {
     }
 
     /// Inserts a node for `txid` spending from the transactions in
-    /// `parents`, returning its [`NodeId`].
+    /// `parents`, returning its [`NodeId`] — or, if `txid` is already
+    /// live, the node holding it, found by the probe that would have
+    /// indexed it; a refused call changes nothing.
     ///
     /// Duplicate entries in `parents` are collapsed. Parents not present
     /// in the graph — never inserted, or **evicted** by the retention
     /// policy — are counted in [`TanGraph::missing_parent_refs`] and
-    /// otherwise ignored; this supports warm-start experiments and
-    /// windowed streams alike.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `txid` is already live in the graph (the ledger
-    /// guarantees unique ids; a duplicate here is a logic error worth
-    /// failing fast on).
-    pub fn insert(&mut self, txid: TxId, parents: &[TxId]) -> NodeId {
+    /// otherwise ignored. An evicted `txid` is inserted afresh.
+    pub fn try_insert(&mut self, txid: TxId, parents: &[TxId]) -> Result<NodeId, NodeId> {
         let node = NodeId(self.total);
-        assert!(
-            self.index_new(txid, node),
-            "transaction {txid} inserted twice into TaN graph"
-        );
-
+        self.index_new(txid, node)?;
         let mut dedup = std::mem::take(&mut self.node_scratch);
         dedup.clear();
         for parent in parents {
@@ -402,7 +393,17 @@ impl TanGraph {
         self.total += 1;
         dedup.clear();
         self.node_scratch = dedup;
-        node
+        Ok(node)
+    }
+
+    /// [`TanGraph::try_insert`] for ids the caller knows are not live.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `txid` is already live in the graph.
+    pub fn insert(&mut self, txid: TxId, parents: &[TxId]) -> NodeId {
+        self.try_insert(txid, parents)
+            .unwrap_or_else(|_| panic!("transaction {txid} inserted twice into TaN graph"))
     }
 
     /// Makes room for the next window row and returns where its `n`
@@ -461,12 +462,11 @@ impl TanGraph {
         }
     }
 
-    /// Inserts a node for a full [`Transaction`] (edges to its distinct
-    /// input transactions) without any intermediate allocation.
+    /// [`TanGraph::insert`] of a full [`Transaction`], linked to its
+    /// distinct input transactions without any intermediate allocation:
+    /// an unknown parent spent through several outputs counts one
+    /// missing reference, as in `insert(tx.id(), &tx.input_txids())`.
     pub fn insert_tx(&mut self, tx: &Transaction) -> NodeId {
-        // Dedup at the TxId level first so an unknown parent spent through
-        // several outputs still counts one missing reference (the same
-        // semantics as `insert(tx.id(), &tx.input_txids())`).
         let mut tids = std::mem::take(&mut self.txid_scratch);
         tids.clear();
         for op in tx.inputs() {
@@ -812,7 +812,7 @@ impl TanGraph {
                 (WINDOW, (id & g.rows[WINDOW].mask) as usize)
             };
             let txid = TxId(r.get_u64()?);
-            if !g.index_new(txid, NodeId(id)) {
+            if g.index_new(txid, NodeId(id)).is_err() {
                 return Err(CodecError("duplicate txid in TaN rows"));
             }
             inputs.clear();

@@ -12,8 +12,8 @@
 //! the one mixer: the graph's [`TxIndex`](crate::TxIndex) takes an id's
 //! tag and home slot from it, and `optchain-core`'s hash placer and
 //! deterministic seed derivation use it too. [`TxIdBuildHasher`] plugs
-//! it into the std maps keyed by integers — the graph's hub chunk
-//! directory and the server's duplicate guard.
+//! it into the std maps keyed by integers, such as the graph's hub
+//! chunk directory.
 
 use std::hash::{BuildHasher, Hasher};
 

@@ -109,36 +109,42 @@ impl TxIndex {
         }
     }
 
-    /// Maps `txid` to `node` unless it is mapped already; `true` iff it
-    /// inserted. As in [`TxIndex::find`], `is_key` is asked about every
-    /// node whose tag matches on the way to the free slot, so one probe
-    /// both checks and inserts. Doubles the table when the entry would
-    /// fill more than half of it.
+    /// Maps `txid` to `node` unless it is mapped already, in which case
+    /// the node it maps to comes back and nothing changes. As in
+    /// [`TxIndex::find`], `is_key` is asked about every node whose tag
+    /// matches on the way to the free slot, so one probe both checks and
+    /// inserts. Doubles the table when the entry would fill more than
+    /// half of it.
     pub fn insert(
         &mut self,
         txid: TxId,
         node: NodeId,
         mut is_key: impl FnMut(NodeId) -> bool,
-    ) -> bool {
+    ) -> Result<(), NodeId> {
+        let tag = tag_of(txid);
+        let mut i = 0;
+        if !self.slots.is_empty() {
+            let mask = self.slots.len() - 1;
+            i = self.home(tag);
+            loop {
+                let slot = self.slots[i];
+                if slot == EMPTY {
+                    break;
+                }
+                if (slot >> 32) as u32 == tag && is_key(NodeId(slot as u32 - 1)) {
+                    return Err(NodeId(slot as u32 - 1));
+                }
+                i = (i + 1) & mask;
+            }
+        }
         if (self.len + 1) * 2 > self.slots.len() {
             self.resize(slots_for(self.len + 1));
+            self.place(pack(tag, node));
+        } else {
+            self.slots[i] = pack(tag, node);
         }
-        let tag = tag_of(txid);
-        let mask = self.slots.len() - 1;
-        let mut i = self.home(tag);
-        loop {
-            let slot = self.slots[i];
-            if slot == EMPTY {
-                break;
-            }
-            if (slot >> 32) as u32 == tag && is_key(NodeId(slot as u32 - 1)) {
-                return false;
-            }
-            i = (i + 1) & mask;
-        }
-        self.slots[i] = pack(tag, node);
         self.len += 1;
-        true
+        Ok(())
     }
 
     /// Removes the entry mapping `txid` to `node`, shifting the rest of

@@ -66,7 +66,7 @@ proptest! {
                         continue;
                     }
                     let node = NodeId(keys.len() as u32);
-                    prop_assert!(index.insert(txid, node, |n| keys[n.0 as usize] == txid));
+                    prop_assert_eq!(index.insert(txid, node, |n| keys[n.0 as usize] == txid), Ok(()));
                     keys.push(txid);
                     model.insert(txid, node);
                     live.push(txid);
@@ -81,9 +81,11 @@ proptest! {
                 7 if !live.is_empty() => {
                     let txid = live[rng.below(live.len() as u64) as usize];
                     prop_assert_eq!(find(&index, &keys, txid), model.get(&txid).copied());
-                    // A mapped id is not mapped again, under any node.
+                    // A mapped id is not mapped again, under any node:
+                    // the probe answers with the node that holds it.
                     let other = NodeId(keys.len() as u32);
-                    prop_assert!(!index.insert(txid, other, |n| keys[n.0 as usize] == txid));
+                    let held = index.insert(txid, other, |n| keys[n.0 as usize] == txid);
+                    prop_assert_eq!(held, Err(model[&txid]));
                 }
                 8 => {
                     let txid = match rng.below(2) {
@@ -126,7 +128,10 @@ fn a_table_at_its_load_bound_drains_cleanly() {
     let mut index = TxIndex::new();
     let keys: Vec<TxId> = (0..4_096).map(|_| TxId(rng.next())).collect();
     for (i, &txid) in keys.iter().enumerate() {
-        assert!(index.insert(txid, NodeId(i as u32), |n| keys[n.0 as usize] == txid));
+        assert_eq!(
+            index.insert(txid, NodeId(i as u32), |n| keys[n.0 as usize] == txid),
+            Ok(())
+        );
     }
     assert_eq!(
         index.bytes(),

@@ -553,3 +553,38 @@ fn retention_golden() {
         );
     }
 }
+
+/// `try_insert` of a live id answers with the node holding it and
+/// changes nothing — same bytes, counters and index — under every
+/// policy; an evicted id goes in as a fresh node.
+#[test]
+fn a_refused_insertion_names_the_holder_and_changes_nothing() {
+    let state = |g: &TanGraph| {
+        (
+            fnv1a(0, &encoded(g)),
+            g.missing_parent_refs(),
+            g.arena_bytes(),
+        )
+    };
+    for policy in [
+        RetentionPolicy::Unbounded,
+        RetentionPolicy::WindowTxs(64),
+        RetentionPolicy::KeepUnspentAndHubs { min_degree: 4 },
+    ] {
+        let (mut rng, mut g) = (Rng(0x000d_0b1e), TanGraph::with_retention(policy));
+        for i in 0..1_500u32 {
+            let parents = random_parents(&mut rng, i);
+            assert_eq!(g.try_insert(txid_of(i), &parents), Ok(NodeId(i)));
+            if policy != RetentionPolicy::Unbounded {
+                g.evict_before((i + 1).saturating_sub(64));
+            }
+            let again = txid_of(rng.below(i as u64 + 1) as u32);
+            let before = state(&g);
+            match g.node(again) {
+                Some(held) => assert_eq!(g.try_insert(again, &parents), Err(held)),
+                None => assert!(g.clone().try_insert(again, &parents).is_ok()),
+            }
+            assert_eq!(state(&g), before, "{policy:?}: refusing {again}");
+        }
+    }
+}

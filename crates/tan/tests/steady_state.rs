@@ -203,9 +203,10 @@ fn an_unbounded_graph_holds_two_thirds_of_its_chunked_bytes() {
     let (_, index) = live_bytes(|| {
         let mut index = TxIndex::new();
         for (i, tx) in txs.iter().enumerate() {
-            index.insert(tx.id(), NodeId(i as u32), |n| {
+            let fresh = index.insert(tx.id(), NodeId(i as u32), |n| {
                 txs[n.index()].id() == tx.id()
             });
+            assert!(fresh.is_ok(), "stream ids are distinct");
         }
         index
     });

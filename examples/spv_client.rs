@@ -24,8 +24,8 @@ fn main() -> std::io::Result<()> {
 
     // The wallet learns where two incoming payments were placed (from
     // SPV proofs attached to the payments).
-    wallet.adopt_remote(TxId(100), &[], 3);
-    wallet.adopt_remote(TxId(200), &[], 5);
+    wallet.adopt_remote(TxId(100), &[], 3)?;
+    wallet.adopt_remote(TxId(200), &[], 5)?;
 
     // Spending the first payment: follows it into shard 3.
     let s1 = wallet.submit(TxId(300), &[TxId(100)])?;

@@ -1,5 +1,10 @@
 //! End-to-end integration: workload → ledger validation → TaN → placement
-//! → simulation, across crates.
+//! → simulation, across crates; and what every placement door does with
+//! an id the graph still holds, in RAM, on a journal and in a fleet.
+
+use std::io::ErrorKind;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use optchain::prelude::*;
 
@@ -103,4 +108,171 @@ fn a_failed_wal_writer_surfaces_from_flush_journal() {
     assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "{err}");
     let err = router.submit(TxId(1_000), &[]).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "{err}");
+}
+
+/// The bits of a router's last decision: shard, T2S, L2S and fitness.
+fn scores(router: &Router) -> Vec<u64> {
+    let d = router.last_decision();
+    let bits = d.t2s().iter().chain(d.l2s()).chain(d.fitness());
+    bits.map(|x| x.to_bits())
+        .chain([d.shard().0 as u64])
+        .collect()
+}
+
+/// A resubmitted live id is refused with `AlreadyExists` by every
+/// fallible `Router` door before anything is decided, ticked or
+/// journaled: with a duplicate after every transaction, a router in RAM
+/// or on a journal, under every retention policy, decides, counts and
+/// journals bit-identically to a twin that never saw one.
+#[test]
+fn a_duplicate_at_every_position_changes_nothing() {
+    let txs = stream(300, 8);
+    let policies = [
+        RetentionPolicy::Unbounded,
+        RetentionPolicy::WindowTxs(64),
+        RetentionPolicy::KeepUnspentAndHubs { min_degree: 3 },
+    ];
+    for (policy, durable) in policies.into_iter().flat_map(|p| [(p, false), (p, true)]) {
+        let build = || {
+            let rebalance = RebalancePolicy::default().with_epoch_interval(16);
+            let builder = Router::builder()
+                .shards(4)
+                .retention(policy)
+                .rebalancer(rebalance);
+            let storage = Box::new(SharedStorage::new(MemStorage::new()));
+            match durable {
+                true => builder.checkpoint_every(32).flush_every(8).storage(storage),
+                false => builder,
+            }
+            .build()
+        };
+        let (mut router, mut twin) = (build(), build());
+        let mut session = router.session();
+        for (i, tx) in txs.iter().enumerate() {
+            let shard = router.submit_tx(tx).unwrap();
+            assert_eq!(shard, twin.submit_tx(tx).unwrap());
+            assert_eq!(scores(&router), scores(&twin), "{policy:?} tx {i}");
+            let again = &txs[if i % 2 == 0 { i } else { i / 2 }];
+            let refused = match i % 4 {
+                _ if router.tan().node(again.id()).is_none() => continue, // evicted
+                0 => router.submit(again.id(), &[]),
+                1 => router.submit_tx(again),
+                2 => router.submit_tx_in(&mut session, again),
+                _ => router.adopt_remote(again.id(), &[], 0).map(|()| shard),
+            };
+            assert_eq!(refused.unwrap_err().kind(), ErrorKind::AlreadyExists);
+        }
+        assert_eq!(router.assignments(), twin.assignments());
+        assert_eq!(router.cross_placed(), twin.cross_placed());
+        assert_eq!(router.rebalance_stats(), twin.rebalance_stats());
+        assert_eq!(router.journal_bytes(), twin.journal_bytes());
+    }
+}
+
+/// Two fleet handles submitting one id — in RAM and over a journal —
+/// both get the shard it holds, through the synchronous, row and
+/// shared-stream doors; the fleet places it once, and its journal
+/// recovers to a router fed the stream without the duplicates.
+#[test]
+fn two_fleet_handles_submitting_one_id_share_its_shard() {
+    let txs: Arc<[Transaction]> = stream(200, 3).into();
+    let mut router = Router::builder().shards(4).build();
+    let shards: Vec<ShardId> = txs.iter().map(|tx| router.submit_tx(tx).unwrap()).collect();
+    for durable in [false, true] {
+        let storage = SharedStorage::new(MemStorage::new());
+        let fleet = match durable {
+            true => RouterFleet::builder().storage(Box::new(storage.clone())),
+            false => RouterFleet::builder(),
+        }
+        .shards(4)
+        .build();
+        let (a, b) = (fleet.handle(0), fleet.handle(1));
+        for (tx, &shard) in txs.iter().zip(&shards) {
+            assert_eq!((a.submit_tx(tx), b.submit(tx.id(), &[])), (shard, shard));
+        }
+        // A held shard has no score breakdown.
+        let (shard, detail) = a.submit_with_detail(txs[0].id(), &[]);
+        assert_eq!((shard, detail.fitness.len()), (shards[0], 0));
+        b.submit_detached(txs.iter().map(|tx| (tx.id(), [])).collect());
+        b.submit_batch_detached(&txs, 0..txs.len());
+        let drained: Vec<ShardId> = b.drain().into_iter().map(|(_, s)| s).collect();
+        assert_eq!(drained, [&shards[..], &shards[..]].concat());
+        assert_eq!(fleet.stats().placed, txs.len() as u64);
+        fleet.shutdown();
+        if durable {
+            let recovered = Router::recover(Box::new(storage)).unwrap();
+            assert_eq!(recovered.assignments(), router.assignments());
+        }
+    }
+}
+
+/// A fleet whose placement thread dies — here, its journal's first
+/// append fails — fails the synchronous call waiting on it instead of
+/// hanging it.
+#[test]
+fn a_dead_placement_thread_fails_the_caller() {
+    // The meta blob is written; the first append fails.
+    let disk = FailpointStorage::new(MemStorage::new(), 1, 0, TailDamage::None);
+    let fleet = RouterFleet::builder()
+        .shards(2)
+        .storage(Box::new(disk))
+        .build();
+    let handle = fleet.handle(0);
+    let call = std::thread::spawn(move || handle.submit(TxId(0), &[]));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !call.is_finished() {
+        assert!(
+            Instant::now() < deadline,
+            "submit hangs on a dead placement thread"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(call.join().is_err(), "submit must fail, not return a shard");
+}
+
+/// A durable warm start ends in a snapshot at journal position 0:
+/// killed at every record after it, recovery equals the uncrashed
+/// router over the surviving prefix and keeps deciding like it.
+#[test]
+fn a_warm_started_router_recovers_at_every_kill_point() {
+    let txs = stream(400, 4);
+    let (history, live) = txs.split_at(200);
+    let tan = TanGraph::from_transactions(history.iter());
+    let warm: Vec<u32> = (0..200).map(|i| i % 4).collect();
+    let warmed = |builder: RouterBuilder| {
+        let mut router = builder.shards(4).build();
+        router.warm_start_history(&tan, &warm).unwrap();
+        router
+    };
+    for kill in 0u64.. {
+        let idle = FailpointStorage::new(MemStorage::new(), u64::MAX, 0, TailDamage::None);
+        let disk = SharedStorage::new(idle);
+        let builder = Router::builder().checkpoint_every(64).flush_every(8);
+        let mut router = warmed(builder.storage(Box::new(disk.clone())));
+        disk.with(|fp| fp.arm(kill, 0, TailDamage::None));
+        let acked = live
+            .iter()
+            .take_while(|tx| router.submit_tx(tx).is_ok())
+            .count();
+        if !disk.with(|fp| fp.crashed()) {
+            assert!(kill > live.len() as u64, "a kill after every record");
+            break;
+        }
+        disk.with(|fp| fp.disarm());
+        let recovered = Router::recover(Box::new(disk));
+        let mut recovered = recovered.unwrap_or_else(|e| panic!("kill {kill}: {e}"));
+        let survived = recovered.assignments().len() - history.len();
+        assert!(survived <= acked + 1, "kill {kill}: {survived} of {acked}");
+        let mut reference = warmed(Router::builder());
+        for tx in &live[..survived] {
+            reference.submit_tx(tx).unwrap();
+        }
+        for tx in &live[survived..] {
+            assert_eq!(
+                recovered.submit_tx(tx).unwrap(),
+                reference.submit_tx(tx).unwrap()
+            );
+            assert_eq!(scores(&recovered), scores(&reference), "kill {kill}");
+        }
+    }
 }
