@@ -219,7 +219,7 @@ impl Client {
         self.max_frame_bytes
     }
 
-    /// The fleet's shard count, from the handshake.
+    /// The node's shard count, from the handshake.
     pub fn shards(&self) -> u32 {
         self.shards
     }

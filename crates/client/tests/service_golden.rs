@@ -5,8 +5,11 @@
 
 use std::time::{Duration, Instant};
 
-use optchain_client::{Client, ClientError, RejectReason};
-use optchain_core::{RetentionPolicy, Router, RouterFleet, SegmentWal, Storage};
+use optchain_client::{Client, ClientError, Event, RejectReason};
+use optchain_core::{
+    FailpointStorage, MemStorage, RetentionPolicy, Router, RouterFleet, SegmentWal, SharedStorage,
+    Storage, TailDamage,
+};
 use optchain_server::PlacementServer;
 use optchain_utxo::TxId;
 use optchain_workload::{generate, WorkloadConfig};
@@ -80,7 +83,7 @@ fn batch_placements_match_singles() {
                 client.flush().expect("flush");
                 for _ in chunk {
                     match client.recv_event().expect("event") {
-                        optchain_client::Event::Ack { req_id, shard } => {
+                        Event::Ack { req_id, shard } => {
                             by_req.insert(req_id, shard);
                         }
                         other => panic!("unexpected event {other:?}"),
@@ -187,11 +190,11 @@ fn overload_sheds_typed_with_bounded_latency_and_zero_lost_acks() {
     let mut answered = std::collections::HashSet::new();
     for _ in 0..N {
         match client.recv_event().expect("event") {
-            optchain_client::Event::Ack { req_id, .. } => {
+            Event::Ack { req_id, .. } => {
                 acks += 1;
                 assert!(answered.insert(req_id), "double answer for {req_id}");
             }
-            optchain_client::Event::Reject { req_id, reason } => {
+            Event::Reject { req_id, reason } => {
                 assert_eq!(reason, RejectReason::QueueFull, "unexpected shed reason");
                 queue_full += 1;
                 assert!(answered.insert(req_id), "double answer for {req_id}");
@@ -479,7 +482,149 @@ fn metrics_text_reports_service_counters() {
     );
     // The in-process accessor renders the same exposition.
     assert!(server.metrics_text().contains("optchain_admitted_total 32"));
+    // The router's counters are copied before every ack: right after
+    // the last one they equal a Router twin's, with no wait.
+    let mut twin = Router::builder().shards(4).build();
+    for i in 0..32u64 {
+        twin.submit(TxId(1000 + i), &[]).unwrap();
+    }
+    for chunk in workload(600, 9).chunks(64) {
+        client.submit_batch(1, chunk).expect("placed");
+        for (txid, inputs) in chunk {
+            twin.submit(*txid, inputs).unwrap();
+        }
+    }
+    assert!(twin.cross_placed() > 0, "the workload crosses shards");
+    assert_eq!(server.metrics().cross_placed(), twin.cross_placed());
     server.shutdown();
+}
+
+/// What the router a fleet builder describes cannot be built from is a
+/// typed error out of `start`: a rule the spec breaks, and a journal
+/// that does not recover — garbage for a meta blob, or records without
+/// one.
+#[test]
+fn start_reports_a_router_it_cannot_build() {
+    let err = PlacementServer::builder()
+        .fleet(RouterFleet::builder().shards(0))
+        .start()
+        .expect_err("zero shards");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(err.to_string().contains("shard count"), "{err}");
+
+    let mut garbage = SharedStorage::new(MemStorage::new());
+    garbage.put_meta(b"not a router spec").unwrap();
+    let err = PlacementServer::builder()
+        .fleet(RouterFleet::builder().shards(4).storage(Box::new(garbage)))
+        .start()
+        .expect_err("garbage meta blob");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+
+    let mut headless = SharedStorage::new(MemStorage::new());
+    headless.append(b"a record").unwrap();
+    let err = PlacementServer::builder()
+        .fleet(RouterFleet::builder().shards(4).storage(Box::new(headless)))
+        .start()
+        .expect_err("records without a meta blob");
+    assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+}
+
+/// A node whose journal dies answers instead of wedging. Killed at each
+/// of its first 40 mutating storage operations (and at points spread
+/// over the rest of the stream, the first fsync batch among them),
+/// every pipelined request gets exactly one response — acked until the
+/// failure, `Failed` from it on, queries too — shutdown returns, and the
+/// journal recovers a prefix of the stream in which every acked id
+/// holds its acked shard.
+#[test]
+fn a_placement_failure_is_answered_and_the_node_still_shuts_down() {
+    const BATCH: usize = 64;
+    let txs = workload(1_024, 17);
+    let batches: Vec<&[(TxId, Vec<TxId>)]> = txs.chunks(BATCH).collect();
+    let kills = (0..40u64).chain((40..1_000).step_by(29)).chain([512]);
+    for kill in kills {
+        let idle = FailpointStorage::new(MemStorage::new(), u64::MAX, 0, TailDamage::None);
+        let disk = SharedStorage::new(idle);
+        let server = PlacementServer::builder()
+            .fleet(
+                RouterFleet::builder()
+                    .shards(4)
+                    .storage(Box::new(disk.clone())),
+            )
+            .start()
+            .expect("start server");
+        // Counted from after the meta blob; of the records buffered at
+        // the kill, half reach the disk.
+        disk.with(|fp| fp.arm(kill, kill as usize / 2, TailDamage::None));
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        client
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let sent: Vec<u64> = batches
+            .iter()
+            .map(|batch| client.send_batch(1, batch).expect("send"))
+            .collect();
+        client.flush().expect("flush");
+
+        // Rejections of requests admitted after the failure may overtake
+        // those of requests queued before it: match answers by req_id.
+        let mut answers = std::collections::HashMap::new();
+        for _ in &sent {
+            let (req_id, shards) = match client.recv_event().expect("one response per request") {
+                Event::AckBatch { req_id, shards } => (req_id, Some(shards)),
+                Event::Reject {
+                    req_id,
+                    reason: RejectReason::Failed,
+                } => (req_id, None),
+                other => panic!("kill {kill}: unexpected {other:?}"),
+            };
+            assert!(
+                answers.insert(req_id, shards).is_none(),
+                "kill {kill}: twice"
+            );
+        }
+        let outcomes: Vec<Option<Vec<u32>>> = sent.iter().map(|id| answers[id].clone()).collect();
+        // Acked up to the failure, `Failed` from it on.
+        let acked_batches = outcomes.iter().take_while(|o| o.is_some()).count();
+        let failed = (outcomes.len() - acked_batches) as u64;
+        assert!(failed > 0, "kill {kill}: the journal died mid-stream");
+        assert!(
+            outcomes[acked_batches..].iter().all(Option::is_none),
+            "kill {kill}"
+        );
+        let acked: std::collections::HashMap<TxId, u32> = batches
+            .iter()
+            .zip(outcomes.into_iter().flatten())
+            .flat_map(|(batch, shards)| batch.iter().map(|(txid, _)| *txid).zip(shards))
+            .collect();
+        match client.query(txs[0].0) {
+            Err(ClientError::Rejected { reason, .. }) => assert_eq!(reason, RejectReason::Failed),
+            other => panic!("kill {kill}: expected a Failed query, got {other:?}"),
+        }
+        let text = client.metrics_text().expect("metrics");
+        let line = format!("optchain_shed_total{{reason=\"failed\"}} {}", failed + 1);
+        assert!(text.contains(&line), "kill {kill}: {text}");
+
+        let stop = std::thread::spawn(move || server.shutdown());
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !stop.is_finished() {
+            assert!(Instant::now() < deadline, "kill {kill}: shutdown hangs");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        stop.join().expect("shutdown returns");
+
+        disk.with(|fp| fp.disarm());
+        let recovered = Router::recover(Box::new(disk))
+            .unwrap_or_else(|e| panic!("kill {kill}: recovery failed: {e}"));
+        let prefix = recovered.assignments().len();
+        for (i, (txid, _)) in txs.iter().enumerate() {
+            let shard = recovered.shard_of(*txid).map(|s| s.0);
+            assert_eq!(shard.is_some(), i < prefix, "kill {kill}: no prefix at {i}");
+            if let (Some(held), Some(&ack)) = (shard, acked.get(txid)) {
+                assert_eq!(held, ack, "kill {kill}: {txid:?} moved");
+            }
+        }
+    }
 }
 
 /// A server fronting a rebalancer-enabled fleet surfaces migration
@@ -582,7 +727,7 @@ fn higher_fee_work_is_served_first() {
     let mut order = Vec::new();
     for _ in 0..=low_ids.len() {
         match client.recv_event().expect("event") {
-            optchain_client::Event::Ack { req_id, .. } => order.push(req_id),
+            Event::Ack { req_id, .. } => order.push(req_id),
             other => panic!("unexpected event {other:?}"),
         }
     }

@@ -20,13 +20,13 @@
 //! placement thread: every door of [`FleetHandle`] sends the same
 //! message — first global sequence number, client key, transactions,
 //! reply mode — and the thread runs one placement loop over it. The
-//! transactions are either flat [`TxRows`] (what a wire request
-//! carries; a single [`FleetHandle::submit`] is a batch of one) or a
-//! zero-copy window into a shared `Arc<[Transaction]>` stream. The
-//! reply mode is either *detached* — shards accumulate under the client
-//! key until [`FleetHandle::drain`] — or a synchronous round trip on a
-//! reply channel of its own. A request of `n` transactions therefore
-//! costs one channel message, not `n`.
+//! transactions are either flat [`TxRows`] (a single
+//! [`FleetHandle::submit`] is a batch of one) or a zero-copy window into
+//! a shared `Arc<[Transaction]>` stream. The reply mode is either
+//! *detached* — shards accumulate under the client key until
+//! [`FleetHandle::drain`] — or a synchronous round trip on a reply
+//! channel of its own. A window of `n` transactions therefore costs one
+//! channel message, not `n`.
 //!
 //! # Resubmissions
 //!
@@ -89,8 +89,8 @@ const QUEUE_DEPTH: usize = 1_024;
 // ---------------------------------------------------------------------------
 
 /// Transactions as flat `(txid, distinct input ids)` rows — what a wire
-/// request carries, and the form it keeps from the socket to the
-/// placement thread: three allocations however many transactions, none
+/// request carries, and the form it keeps from the socket to the router
+/// that places it: three allocations however many transactions, none
 /// per transaction.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TxRows {
@@ -155,8 +155,7 @@ impl<I: IntoIterator<Item = TxId>> FromIterator<(TxId, I)> for TxRows {
 
 /// The transactions of one placement message.
 enum Txs {
-    /// Flat rows: a wire request, or a single submission as a batch
-    /// of one.
+    /// Flat rows: a single submission, as a batch of one.
     Rows(TxRows),
     /// A zero-copy window into a shared stream (the bulk path: no
     /// per-transaction allocation crosses the channel).
@@ -441,27 +440,7 @@ impl RouterFleetBuilder {
     /// Panics on any condition [`crate::RouterBuilder::build`] rejects,
     /// or if recovering from a backend that holds a journal fails.
     pub fn build(self) -> RouterFleet {
-        let spec = self.spec;
-        // Validate on the caller thread, recovered or not.
-        spec.check().unwrap_or_else(|rule| panic!("{rule}"));
-        let router = match self.storage {
-            None => spec.build(),
-            Some(storage) => {
-                let fresh = storage
-                    .meta()
-                    .expect("reading the journal meta blob failed")
-                    .is_none();
-                if fresh {
-                    let mut router = spec.build();
-                    router
-                        .attach_fresh_storage(&spec, storage)
-                        .expect("writing the journal meta blob failed");
-                    router
-                } else {
-                    Router::recover(storage).expect("recovering the fleet's router failed")
-                }
-            }
-        };
+        let router = Router::try_from(self).unwrap_or_else(|e| panic!("{e}"));
         // Resume the counters from whatever the journal replayed (zero
         // for a fresh router). The fan-out dedup cache restarts empty,
         // so the first telemetry feed after recovery always reaches the
@@ -485,6 +464,37 @@ impl RouterFleetBuilder {
             telemetry: Mutex::new(None),
             telemetry_version,
         }
+    }
+}
+
+/// The one router a [`RouterFleetBuilder`] describes: built fresh, or
+/// — when its storage already holds a journal — recovered with
+/// [`Router::recover`]. [`RouterFleetBuilder::build`] puts it behind a
+/// placement thread; a serving layer that places on its own thread owns
+/// it directly.
+impl TryFrom<RouterFleetBuilder> for Router {
+    type Error = io::Error;
+
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidInput`] naming the rule when the spec
+    /// breaks one; otherwise what reading the backend, writing a fresh
+    /// journal's meta blob or [`Router::recover`] reports.
+    fn try_from(builder: RouterFleetBuilder) -> io::Result<Router> {
+        let RouterFleetBuilder { spec, storage } = builder;
+        spec.check()
+            .map_err(|rule| io::Error::new(io::ErrorKind::InvalidInput, rule))?;
+        let Some(storage) = storage else {
+            return Ok(spec.build());
+        };
+        // A backend holding records but no meta blob is no fresh
+        // journal either: recovery reports it.
+        if storage.meta()?.is_some() || storage.next_seq() != 0 {
+            return Router::recover(storage);
+        }
+        let mut router = spec.build();
+        router.attach_fresh_storage(&spec, storage)?;
+        Ok(router)
     }
 }
 
@@ -662,10 +672,9 @@ impl Drop for RouterFleet {
 /// [`FleetHandle::submit`], [`FleetHandle::submit_tx`],
 /// [`FleetHandle::submit_with_detail`] — send a batch of one and wait
 /// for its shard on a fresh reply channel, so a dead placement thread
-/// fails the call instead of hanging it; the detached doors —
-/// [`FleetHandle::submit_detached`] for [`TxRows`],
+/// fails the call instead of hanging it; the detached door,
 /// [`FleetHandle::submit_batch_detached`] for a window of a shared
-/// stream — return immediately, and their results are collected later
+/// stream, returns immediately, and its results are collected later
 /// with [`FleetHandle::drain`].
 #[derive(Clone)]
 pub struct FleetHandle {
@@ -742,19 +751,6 @@ impl FleetHandle {
         self.submit_one(tx.id(), tx.input_txids(), false).0
     }
 
-    /// Fire-and-forget submission of [`TxRows`] — what a wire request
-    /// carries — as one placement message holding the rows as they
-    /// came. Returns the first global sequence number of the rows
-    /// (`None` for empty rows, which reserve nothing); results are
-    /// collected with [`FleetHandle::drain`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fleet was shut down.
-    pub fn submit_detached(&self, txs: TxRows) -> Option<u64> {
-        self.place(txs.len(), Txs::Rows(txs), Reply::Detached)
-    }
-
     /// Fire-and-forget bulk submission of `stream[range]` — the
     /// zero-copy path: only the `Arc` and the range cross the channel,
     /// so no per-transaction allocation happens on either side. Returns
@@ -785,43 +781,8 @@ impl FleetHandle {
     ///
     /// Panics if the fleet was shut down.
     pub fn drain(&self) -> Vec<(u64, ShardId)> {
-        self.drain_later().wait()
-    }
-
-    /// [`FleetHandle::drain`] in two steps: enqueues the drain marker
-    /// now and returns without waiting. [`PendingDrain::wait`] later
-    /// yields what `drain` would have returned at this call — the
-    /// results of everything this handle enqueued before it. A caller
-    /// that keeps submitting in between keeps the placement thread
-    /// busy instead of idle while it collects results.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fleet was shut down.
-    pub fn drain_later(&self) -> PendingDrain {
-        let (reply, rx) = mpsc::sync_channel(1);
-        self.shared.send(Msg::Drain {
-            client: self.client,
-            reply,
-        });
-        PendingDrain(rx)
-    }
-}
-
-/// The results of a [`FleetHandle::drain_later`], not yet collected.
-#[derive(Debug)]
-pub struct PendingDrain(Receiver<Vec<(u64, ShardId)>>);
-
-impl PendingDrain {
-    /// Blocks until the placement thread reaches the drain marker, and
-    /// returns the drained `(global sequence, shard)` pairs sorted by
-    /// sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fleet shut down before reaching the marker.
-    pub fn wait(self) -> Vec<(u64, ShardId)> {
-        let mut results = self.0.recv().expect("fleet placement thread alive");
+        let client = self.client;
+        let mut results = self.shared.ask(|reply| Msg::Drain { client, reply });
         results.sort_by_key(|(seq, _)| *seq);
         results
     }
@@ -873,41 +834,10 @@ mod tests {
         assert_eq!(fleet.telemetry_version(), 2);
     }
 
-    #[test]
-    fn detached_submissions_drain_in_sequence_order() {
-        let fleet = RouterFleet::builder().shards(2).workers(2).build();
-        let handle = fleet.handle(3);
-        for i in 0..20u64 {
-            let parents = if i == 0 { vec![] } else { vec![TxId(i - 1)] };
-            handle.submit_detached(TxRows::from_iter([(TxId(i), parents)]));
-        }
-        let results = handle.drain();
-        assert_eq!(results.len(), 20);
-        let seqs: Vec<u64> = results.iter().map(|(s, _)| *s).collect();
-        assert_eq!(seqs, (0..20).collect::<Vec<_>>());
-        assert!(handle.drain().is_empty(), "drain clears the buffer");
-    }
-
-    #[test]
-    fn drain_later_collects_what_was_enqueued_before_it() {
-        let fleet = RouterFleet::builder().shards(2).build();
-        let handle = fleet.handle(3);
-        let seqs = |results: Vec<(u64, ShardId)>| -> Vec<u64> {
-            results.into_iter().map(|(s, _)| s).collect()
-        };
-        let submit = |i: u64| handle.submit_detached(TxRows::from_iter([(TxId(i), Vec::new())]));
-        submit(0);
-        submit(1);
-        let first = handle.drain_later();
-        submit(2);
-        assert_eq!(seqs(first.wait()), vec![0, 1]);
-        assert_eq!(seqs(handle.drain()), vec![2]);
-    }
-
-    #[test]
-    fn submit_batch_matches_individual_submits() {
+    /// A spend chain of `n` transactions, every fifth a coinbase.
+    fn chain(n: u64) -> Arc<[Transaction]> {
         use optchain_utxo::{TxOutput, WalletId};
-        let txs: Vec<Transaction> = (0..40u64)
+        (0..n)
             .map(|i| {
                 if i.is_multiple_of(5) {
                     Transaction::coinbase(TxId(i), 1_000, WalletId(0))
@@ -918,26 +848,48 @@ mod tests {
                         .build()
                 }
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn detached_submissions_drain_in_sequence_order() {
+        let fleet = RouterFleet::builder().shards(2).workers(2).build();
+        let handle = fleet.handle(3);
+        let stream = chain(20);
+        for i in 0..20 {
+            handle.submit_batch_detached(&stream, i..i + 1);
+        }
+        let results = handle.drain();
+        assert_eq!(results.len(), 20);
+        let seqs: Vec<u64> = results.iter().map(|(s, _)| *s).collect();
+        assert_eq!(seqs, (0..20).collect::<Vec<_>>());
+        assert!(handle.drain().is_empty(), "drain clears the buffer");
+    }
+
+    #[test]
+    fn submit_batch_matches_individual_submits() {
+        let stream = chain(40);
         let fleet = || RouterFleet::builder().shards(4).build();
-        let (a, b, c) = (fleet(), fleet(), fleet());
+        let (a, b) = (fleet(), fleet());
         let ha = a.handle(0);
-        let singles: Vec<ShardId> = txs.iter().map(|tx| ha.submit_tx(tx)).collect();
+        let singles: Vec<ShardId> = stream.iter().map(|tx| ha.submit_tx(tx)).collect();
         let hb = b.handle(0);
-        let stream: Arc<[Transaction]> = txs.into();
         assert_eq!(hb.submit_batch_detached(&stream, 0..stream.len()), Some(0));
         let batched: Vec<ShardId> = hb.drain().into_iter().map(|(_, shard)| shard).collect();
         assert_eq!(singles, batched);
-        // The same transactions as one `TxRows`: one message.
+        assert_eq!(b.stats().sync_rounds, 0);
+        // The same transactions as one `TxRows`, placed row by row by the
+        // router a fleet builder describes.
         let rows: TxRows = stream
             .iter()
             .map(|tx| (tx.id(), tx.input_txids()))
             .collect();
-        let hc = c.handle(0);
-        assert_eq!(hc.submit_detached(rows), Some(0));
-        let rowed: Vec<ShardId> = hc.drain().into_iter().map(|(_, shard)| shard).collect();
+        let mut router = Router::try_from(RouterFleet::builder().shards(4)).unwrap();
+        let rowed: Vec<ShardId> = rows
+            .iter()
+            .map(|(txid, inputs)| router.submit(txid, inputs).unwrap())
+            .collect();
         assert_eq!(singles, rowed);
-        assert_eq!(c.stats().sync_rounds, 0);
     }
 
     #[test]
@@ -953,7 +905,7 @@ mod tests {
             .build();
         let handles = [fleet.handle(0), fleet.handle(1)];
         for i in 0..4_000u64 {
-            handles[(i % 2) as usize].submit_detached(TxRows::from_iter([(TxId(i), [])]));
+            handles[(i % 2) as usize].submit(TxId(i), &[]);
         }
         fleet.shutdown();
         // The router placed the whole stream but holds only its window.
@@ -990,11 +942,7 @@ mod tests {
 
     #[test]
     fn submit_batch_detached_reports_first_seq() {
-        use optchain_utxo::WalletId;
-        let txs: Vec<Transaction> = (0..10u64)
-            .map(|i| Transaction::coinbase(TxId(i), 1, WalletId(0)))
-            .collect();
-        let stream: Arc<[Transaction]> = txs.into();
+        let stream = chain(10);
         let fleet = RouterFleet::builder().shards(2).workers(1).build();
         let handle = fleet.handle(0);
         assert_eq!(handle.submit_batch_detached(&stream, 0..4), Some(0));

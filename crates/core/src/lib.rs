@@ -105,7 +105,7 @@ mod t2s;
 pub use assignment::{AssignmentStore, AssignmentView};
 pub use fitness::TemporalFitness;
 pub use fitness::PAPER_L2S_WEIGHT;
-pub use fleet::{FleetHandle, FleetStats, PendingDrain, RouterFleet, RouterFleetBuilder, TxRows};
+pub use fleet::{FleetHandle, FleetStats, RouterFleet, RouterFleetBuilder, TxRows};
 pub use l2s::{L2sEstimator, L2sMemo, L2sMode, ShardTelemetry};
 pub use placer::{
     input_shards_into, Decision, DecisionBuf, GreedyPlacer, OptChainPlacer, OraclePlacer,

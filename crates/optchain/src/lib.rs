@@ -70,11 +70,11 @@
 //!   is the one unit of placement behind every per-client
 //!   [`core::FleetHandle`] door: `submit` / `submit_tx` /
 //!   `submit_with_detail` send a batch of one and wait for its shard;
-//!   `submit_detached` (flat `TxRows` — a whole wire request as one
-//!   message, three allocations however many transactions) and
-//!   `submit_batch_detached` (a zero-copy window of a shared stream)
-//!   are fire-and-forget, collected with `drain`. One client's spend of
-//!   another's output finds its parent at once: there is one graph.
+//!   `submit_batch_detached` (a zero-copy window of a shared stream) is
+//!   fire-and-forget, collected with `drain`. One client's spend of
+//!   another's output finds its parent at once: there is one graph. The
+//!   TCP node (`server::PlacementServer`) takes the same builder and
+//!   places on its dispatcher thread, which owns the one router.
 //!
 //! ```
 //! use optchain::prelude::*;

@@ -1,11 +1,13 @@
 //! optchain-server: a network-facing placement node.
 //!
-//! This crate turns the in-process [`RouterFleet`] placement engine
-//! into a TCP service with the failure modes a shared node needs to
-//! have *on purpose*:
+//! This crate turns the in-process placement engine — one
+//! `optchain_core::Router`, described by a [`RouterFleetBuilder`] and
+//! owned by the server's dispatcher thread, which places every admitted
+//! request inline — into a TCP service with the failure modes a shared
+//! node needs to have *on purpose*:
 //!
 //! * **Admission control** — a bounded, fee-ordered mempool-style
-//!   queue ([`AdmissionQueue`]) between the wire and the fleet.
+//!   queue ([`AdmissionQueue`]) between the wire and the dispatcher.
 //!   Capacity is counted in transactions, so the queue bounds both
 //!   memory and the placement backlog behind every admitted request.
 //! * **Backpressure** — a per-connection credit window: a client may
@@ -15,9 +17,11 @@
 //! * **Overload shedding** — when the queue is full, new work is
 //!   rejected immediately with a typed reason
 //!   ([`RejectReason::QueueFull`]); during drain, with
-//!   [`RejectReason::Shutdown`]. Every request receives exactly one
-//!   response; nothing is silently dropped.
-//! * **Resubmission is idempotent** — a transaction id the fleet's
+//!   [`RejectReason::Shutdown`]; once placing has failed (a journal
+//!   write error), with [`RejectReason::Failed`]. Every request
+//!   receives exactly one response; nothing is silently dropped, and a
+//!   failed node still drains and shuts down.
+//! * **Resubmission is idempotent** — a transaction id the router's
 //!   graph still holds is acked with its current shard, alone, inside a
 //!   batch or from another connection; the graph's own index finds it,
 //!   and the server keeps no per-id state. An id the graph has evicted
@@ -28,8 +32,8 @@
 //!   counters and admission→ack latency quantiles.
 //! * **Graceful shutdown** — [`PlacementServer::shutdown`] drains the
 //!   admission queue (everything admitted is placed and acked), then
-//!   shuts the fleet down, flushing the WAL tail when the fleet was
-//!   built with `.storage(...)`.
+//!   flushes the router's WAL tail when it was built with
+//!   `.storage(...)`, and drops the router.
 //!
 //! The wire format ([`protocol`]) is a 4-byte length-prefixed binary
 //! framing with fixed little-endian encodings — decodable with
@@ -38,19 +42,22 @@
 //! never a panic.
 //!
 //! ```no_run
-//! use optchain_core::RouterFleet;
-//! use optchain_server::PlacementServer;
+//! use optchain_server::{PlacementServer, RouterFleetBuilder};
 //!
-//! let server = PlacementServer::builder()
-//!     .fleet(RouterFleet::builder().shards(8))
-//!     .bind("127.0.0.1:0")
-//!     .queue_capacity(16_384)
-//!     .credit_window(256)
-//!     .start()
-//!     .expect("bind");
-//! println!("placement node on {}", server.local_addr());
-//! // ... serve ...
-//! server.shutdown(); // drain, ack everything admitted, flush the WAL
+//! // `fleet` describes the node's one router: strategy, retention,
+//! // storage (a journal already in it is recovered).
+//! fn serve(fleet: RouterFleetBuilder) -> std::io::Result<()> {
+//!     let server = PlacementServer::builder()
+//!         .fleet(fleet.shards(8))
+//!         .bind("127.0.0.1:0")
+//!         .queue_capacity(16_384)
+//!         .credit_window(256)
+//!         .start()?;
+//!     println!("placement node on {}", server.local_addr());
+//!     // ... serve ...
+//!     server.shutdown(); // drain, ack everything admitted, flush the WAL
+//!     Ok(())
+//! }
 //! ```
 //!
 //! The matching blocking client lives in the `optchain-client` crate.
@@ -70,6 +77,6 @@ pub use server::{
     PlacementServer, PlacementServerBuilder, DEFAULT_CREDIT_WINDOW, DEFAULT_QUEUE_CAPACITY,
 };
 
-// Re-exported so downstream code (the client) can name the fleet
-// types without an extra direct dependency.
+// Re-exported so downstream code (the client) can name the router's
+// builder without an extra direct dependency.
 pub use optchain_core::{RouterFleet, RouterFleetBuilder};

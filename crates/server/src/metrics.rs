@@ -15,12 +15,11 @@ use optchain_metrics::Histogram;
 
 use crate::protocol::RejectReason;
 
-/// Placement-engine counters mirrored from the fleet by the
-/// dispatcher's throttled stats poll (a fleet round trip, so sampled
-/// every few thousand placements rather than per ack).
+/// Placement-engine counters the dispatcher copies from its router
+/// before every ack (O(1) reads, so never stale).
 #[derive(Debug, Default, Clone, Copy)]
-struct FleetPoll {
-    /// Transactions the fleet has placed.
+struct RouterCounters {
+    /// Transactions the router has placed.
     placed: u64,
     /// Placements whose inputs resolved to another shard.
     cross_placed: u64,
@@ -46,8 +45,9 @@ pub struct ServerMetrics {
     admitted: AtomicU64,
     /// Transactions placed and acknowledged.
     acked: AtomicU64,
-    /// Requests shed, by reason (indexed by `RejectReason as u8 - 1`).
-    shed: [AtomicU64; 4],
+    /// Requests shed, by reason (indexed by `RejectReason as u8 - 1`;
+    /// the slot of retired byte 5 stays zero).
+    shed: [AtomicU64; 6],
     /// Connections accepted over the server's lifetime.
     connections_opened: AtomicU64,
     /// Connections torn down.
@@ -62,8 +62,8 @@ pub struct ServerMetrics {
     latency_usec: Mutex<Histogram>,
     /// Acks per shard (index = shard id); sized once at server start.
     per_shard_acked: OnceLock<Vec<AtomicU64>>,
-    /// Last fleet stats poll (see [`FleetPoll`]).
-    fleet: Mutex<FleetPoll>,
+    /// The router's counters as of the last ack (see [`RouterCounters`]).
+    router: Mutex<RouterCounters>,
 }
 
 impl ServerMetrics {
@@ -117,7 +117,7 @@ impl ServerMetrics {
     }
 
     pub(crate) fn record_fleet(&self, placed: u64, cross_placed: u64, rebalance: RebalanceStats) {
-        *self.fleet.lock().expect("metrics mutex") = FleetPoll {
+        *self.router.lock().expect("metrics mutex") = RouterCounters {
             placed,
             cross_placed,
             rebalance,
@@ -159,15 +159,15 @@ impl ServerMetrics {
             .unwrap_or_default()
     }
 
-    /// Cross-shard placements, from the last fleet stats poll.
+    /// Cross-shard placements, as of the last ack.
     pub fn cross_placed(&self) -> u64 {
-        self.fleet.lock().expect("metrics mutex").cross_placed
+        self.router.lock().expect("metrics mutex").cross_placed
     }
 
-    /// Cross-shard fraction of placed transactions, from the last
-    /// fleet stats poll (`0` before any placement).
+    /// Cross-shard fraction of placed transactions, as of the last ack
+    /// (`0` before any placement).
     pub fn cross_ratio(&self) -> f64 {
-        let snap = *self.fleet.lock().expect("metrics mutex");
+        let snap = *self.router.lock().expect("metrics mutex");
         if snap.placed == 0 {
             0.0
         } else {
@@ -175,10 +175,10 @@ impl ServerMetrics {
         }
     }
 
-    /// Rebalancer counters from the last fleet stats poll (all zero
-    /// without a rebalancer).
+    /// Rebalancer counters as of the last ack (all zero without a
+    /// rebalancer).
     pub fn rebalance_stats(&self) -> RebalanceStats {
-        self.fleet.lock().expect("metrics mutex").rebalance
+        self.router.lock().expect("metrics mutex").rebalance
     }
 
     /// Renders the text exposition. The `gauges` are owned by the
@@ -195,6 +195,7 @@ impl ServerMetrics {
             RejectReason::TooLarge,
             RejectReason::Shutdown,
             RejectReason::Malformed,
+            RejectReason::Failed,
         ] {
             let _ = writeln!(
                 out,
@@ -224,7 +225,7 @@ impl ServerMetrics {
                 "optchain_shard_acked_total{{shard=\"{shard}\"}} {acked}"
             );
         }
-        let snap = *self.fleet.lock().expect("metrics mutex");
+        let snap = *self.router.lock().expect("metrics mutex");
         let cross_ratio = if snap.placed == 0 {
             0.0
         } else {

@@ -74,6 +74,11 @@ pub enum RejectReason {
     /// trailing bytes). The server closes the connection after
     /// sending this.
     Malformed = 4,
+    /// Placing failed on the node (a journal write error): none of the
+    /// request's placements was acked, and the node answers every
+    /// later request this way until it is restarted, which recovers
+    /// what its journal holds.
+    Failed = 6,
 }
 
 impl RejectReason {
@@ -84,6 +89,7 @@ impl RejectReason {
             2 => Some(RejectReason::TooLarge),
             3 => Some(RejectReason::Shutdown),
             4 => Some(RejectReason::Malformed),
+            6 => Some(RejectReason::Failed),
             _ => None,
         }
     }
@@ -95,6 +101,7 @@ impl RejectReason {
             RejectReason::TooLarge => "too_large",
             RejectReason::Shutdown => "shutdown",
             RejectReason::Malformed => "malformed",
+            RejectReason::Failed => "failed",
         }
     }
 }
@@ -179,7 +186,7 @@ pub enum Response {
         credit_window: u32,
         /// Largest accepted frame payload, in bytes.
         max_frame_bytes: u32,
-        /// Number of shards the fleet places over.
+        /// Number of shards the node places over.
         shards: u32,
     },
     /// A single submit was placed.
@@ -787,7 +794,7 @@ mod tests {
         }
         // Byte 5, the retired duplicate refusal, is no reason.
         let labels = (0..=u8::MAX).filter_map(RejectReason::from_u8);
-        assert_eq!(labels.map(|r| r as u8).collect::<Vec<_>>(), [1, 2, 3, 4]);
+        assert_eq!(labels.map(|r| r as u8).collect::<Vec<_>>(), [1, 2, 3, 4, 6]);
     }
 
     #[test]

@@ -1,39 +1,38 @@
-//! The placement server: a std-TCP front-end over a
-//! [`RouterFleet`].
+//! The placement server: a std-TCP front-end whose dispatcher thread
+//! owns the node's one [`Router`].
 //!
 //! # Threading model
 //!
 //! ```text
 //!                    ┌──────────────┐
-//!   accept loop ───▶ │ per-conn     │──▶ bounded admission queue ──▶ dispatcher ──▶ RouterFleet
-//!   (1 thread)       │ reader thread│    (fee-ordered, capacity-     (1 thread,     (1 placement
-//!                    └──────────────┘     bounded, shed on full)      one message    thread, one
-//!                    ┌──────────────┐                                 per request,   sequence)
-//!   responses ◀───── │ per-conn     │◀─── outbox channel ◀─────────── then drain)
+//!   accept loop ───▶ │ per-conn     │──▶ bounded admission queue ──▶ dispatcher
+//!   (1 thread)       │ reader thread│    (fee-ordered, capacity-     (1 thread, owns the
+//!                    └──────────────┘     bounded, shed on full)      one Router, places
+//!                    ┌──────────────┐                                 each request inline)
+//!   responses ◀───── │ per-conn     │◀─── outbox channel ◀──────────────────┘
 //!                    │ writer thread│
 //!                    └──────────────┘
 //! ```
 //!
 //! * The **reader** parses frames — a submission's transactions
-//!   straight into the one flat [`TxRows`] that travels, unchanged, to
-//!   the placement thread — enforces the per-connection credit
-//!   window (by *pausing reads* — a client over its window stalls in
-//!   TCP backpressure, it is never disconnected or silently dropped),
-//!   and admits work into the bounded fee-ordered queue. Admission
-//!   failures are shed with a typed rejection immediately.
-//! * The **dispatcher** pops admitted work highest-fee-first and hands
-//!   each request to the fleet as one detached placement message
-//!   ([`optchain_core::FleetHandle::submit_detached`]) with a drain
-//!   marker behind it ([`optchain_core::FleetHandle::drain_later`]),
-//!   then collects the *previous* round's results and routes its acks
-//!   back to each connection's outbox — so the placement thread finds
-//!   the next round queued instead of idling while acks are routed.
-//!   A wire `Submit` is a request of one
-//!   transaction; it differs from a `SubmitBatch` only in the ack it
-//!   gets.
+//!   straight into the one flat [`TxRows`] the dispatcher places row by
+//!   row — enforces the per-connection credit window (by *pausing
+//!   reads* — a client over its window stalls in TCP backpressure, it
+//!   is never disconnected or silently dropped), and admits work into
+//!   the bounded fee-ordered queue. Admission failures are shed with a
+//!   typed rejection immediately.
+//! * The **dispatcher** builds (or recovers) the router from the
+//!   [`RouterFleetBuilder`] it was given and is its placement thread:
+//!   OptChain places one sequence, so one thread both places and routes
+//!   acks. It pops admitted work highest-fee-first, a round at a time,
+//!   places each request inline — an id the graph still holds is acked
+//!   with the shard it holds — and sends its ack straight to the
+//!   connection's outbox; a query is answered from the router. A wire
+//!   `Submit` is a request of one transaction; it differs from a
+//!   `SubmitBatch` only in the ack it gets.
 //! * The **writer** drains the outbox to the socket and returns credit.
 //!
-//! # Overload behavior
+//! # Overload and failure behavior
 //!
 //! Every request gets **exactly one response**. When the admission
 //! queue is full, new work is rejected with
@@ -41,10 +40,14 @@
 //! latency of *admitted* work is bounded by `queue_capacity` over the
 //! placement rate — overload degrades by shedding, never by collapse.
 //! During shutdown the server **drains**: everything admitted is still
-//! placed and acknowledged (and journaled, under `.storage(...)`),
-//! new work is rejected with [`RejectReason::Shutdown`], and the fleet
-//! is shut down through [`RouterFleet::shutdown`], which flushes the
-//! WAL tail before the server returns.
+//! placed and acknowledged (and journaled, under `.storage(...)`), new
+//! work is rejected with [`RejectReason::Shutdown`], and the router's
+//! journal tail is flushed ([`Router::flush_journal`]) before the
+//! server returns. When placing fails — a journal write error under
+//! `.storage(...)` — the request is rejected with
+//! [`RejectReason::Failed`] (its placements were never acked), and so
+//! is every request queued or arriving after it: the node stays
+//! answerable, and shutdown still returns.
 
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Write as _};
@@ -55,7 +58,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use optchain_core::{RouterFleet, RouterFleetBuilder, TxRows};
+use optchain_core::{Router, RouterFleetBuilder, TxRows};
 use optchain_utxo::TxId;
 
 use crate::metrics::{AdmissionGauges, ServerMetrics};
@@ -71,12 +74,10 @@ pub const DEFAULT_QUEUE_CAPACITY: usize = 16_384;
 /// Default per-connection credit window, in requests.
 pub const DEFAULT_CREDIT_WINDOW: u32 = 256;
 
-/// How many transactions the dispatcher pulls per round. Larger chunks
-/// amortize the drain round trip; smaller chunks re-consult the fee
-/// order sooner (a high-fee arrival can only jump work that is still
-/// queued, not the at most two rounds already handed to the fleet).
-/// 256 keeps the drain overhead under a few percent at fleet
-/// throughput while bounding priority inversion.
+/// How many transactions the dispatcher pulls per round. Larger rounds
+/// take the admission lock less often; smaller rounds re-consult the
+/// fee order sooner (a high-fee arrival can only jump work that is
+/// still queued, not the at most one round being placed).
 const DISPATCH_CHUNK: usize = 256;
 
 // ---------------------------------------------------------------------------
@@ -106,6 +107,22 @@ struct AdmissionState {
     /// Shutdown has begun: admitted work still drains, new work is
     /// shed with [`RejectReason::Shutdown`].
     draining: bool,
+    /// Placing failed: every request is answered with
+    /// [`RejectReason::Failed`] from then on.
+    failed: bool,
+}
+
+impl AdmissionState {
+    /// Why new work is refused before it is queued, if it is.
+    fn refusal(&self) -> Option<RejectReason> {
+        if self.failed {
+            Some(RejectReason::Failed)
+        } else if self.draining {
+            Some(RejectReason::Shutdown)
+        } else {
+            None
+        }
+    }
 }
 
 struct Admission {
@@ -209,9 +226,9 @@ type Registry = Arc<Mutex<HashMap<u64, ConnEntry>>>;
 // ---------------------------------------------------------------------------
 
 /// Builder for [`PlacementServer`]. The one required input is the
-/// [`RouterFleetBuilder`] describing the placement fleet the server
-/// fronts — every fleet knob (strategy, retention, `.storage(...)`
-/// durability) composes unchanged.
+/// [`RouterFleetBuilder`] describing the router the server places with
+/// — every knob (strategy, retention, `.storage(...)` durability)
+/// composes unchanged.
 pub struct PlacementServerBuilder {
     fleet: Option<RouterFleetBuilder>,
     addr: String,
@@ -233,8 +250,9 @@ impl PlacementServerBuilder {
         }
     }
 
-    /// The placement fleet to serve (required). The builder is built —
-    /// and its placement thread spawned — inside [`Self::start`].
+    /// The router to serve (required): the builder describes the one
+    /// [`Router`] the dispatcher owns, built — or, from storage that
+    /// already holds a journal, recovered — inside [`Self::start`].
     pub fn fleet(mut self, fleet: RouterFleetBuilder) -> Self {
         self.fleet = Some(fleet);
         self
@@ -306,23 +324,24 @@ impl PlacementServerBuilder {
         self
     }
 
-    /// Binds the listener, builds the fleet, and spawns the accept
-    /// loop and dispatcher.
+    /// Builds (or recovers) the router, binds the listener, and spawns
+    /// the accept loop and the dispatcher that owns the router.
     ///
     /// # Errors
     ///
-    /// Propagates listener bind failures.
+    /// [`io::ErrorKind::InvalidInput`] naming the rule when the fleet
+    /// builder breaks one, the error of recovering a journal that fails
+    /// to recover, and listener bind failures.
     ///
     /// # Panics
     ///
-    /// Panics if no fleet was configured, or on any condition
-    /// [`RouterFleetBuilder::build`] rejects.
+    /// Panics if no fleet was configured.
     pub fn start(self) -> io::Result<PlacementServer> {
         let fleet = self
             .fleet
-            .expect("PlacementServerBuilder::fleet is required")
-            .build();
-        let shards = fleet.k();
+            .expect("PlacementServerBuilder::fleet is required");
+        let router = Router::try_from(fleet)?;
+        let shards = router.k();
         let listener =
             TcpListener::bind(self.addr.to_socket_addrs()?.next().ok_or_else(|| {
                 io::Error::new(io::ErrorKind::InvalidInput, "unresolvable addr")
@@ -333,12 +352,14 @@ impl PlacementServerBuilder {
             state: Mutex::new(AdmissionState {
                 queue: AdmissionQueue::new(self.queue_capacity),
                 draining: false,
+                failed: false,
             }),
             cv: Condvar::new(),
         });
         let registry: Registry = Arc::new(Mutex::new(HashMap::new()));
         let metrics = Arc::new(ServerMetrics::new());
         metrics.init_shards(shards);
+        publish(&router, &metrics);
         let stop_accept = Arc::new(AtomicBool::new(false));
         let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
@@ -349,7 +370,7 @@ impl PlacementServerBuilder {
             let rate = self.max_placements_per_sec;
             std::thread::Builder::new()
                 .name("optchain-dispatch".into())
-                .spawn(move || dispatcher_loop(fleet, admission, registry, metrics, rate))
+                .spawn(move || dispatcher_loop(router, admission, registry, metrics, rate))
                 .expect("spawn dispatcher")
         };
 
@@ -619,12 +640,9 @@ fn handle_request(
         }),
         Decoded::Query { req_id, txid } => {
             let mut s = admission.state.lock().expect("admission mutex");
-            if s.draining {
-                metrics.on_shed(RejectReason::Shutdown, 1);
-                return Some(Response::Reject {
-                    req_id,
-                    reason: RejectReason::Shutdown,
-                });
+            if let Some(reason) = s.refusal() {
+                metrics.on_shed(reason, 1);
+                return Some(Response::Reject { req_id, reason });
             }
             // Queries ride the queue at maximum priority: they answer
             // from placed state, so they should not wait behind bulk
@@ -667,10 +685,10 @@ fn handle_request(
 }
 
 /// Admission decision for a submit request, atomic under the admission
-/// mutex: shutdown, then capacity. A request is admitted or refused
-/// whole; an id the fleet's graph still holds is no refusal — the fleet
-/// acks it with the shard it holds. `None` means admitted (the
-/// dispatcher answers); otherwise the typed rejection to send back.
+/// mutex: failure, shutdown, then capacity. A request is admitted or
+/// refused whole; an id the graph still holds is no refusal — the
+/// dispatcher acks it with the shard it holds. `None` means admitted
+/// (the dispatcher answers); otherwise the typed rejection to send back.
 fn admit(
     conn: u64,
     req_id: u64,
@@ -682,20 +700,17 @@ fn admit(
 ) -> Option<Response> {
     let ntxs = txs.len();
     let mut s = admission.state.lock().expect("admission mutex");
-    let refused = if s.draining {
-        Some(RejectReason::Shutdown)
-    } else {
-        let admitted_at = Instant::now();
+    let refused = s.refusal().or_else(|| {
         let work = Work::Place {
             conn,
             req_id,
             txs,
             batch,
-            admitted_at,
+            admitted_at: Instant::now(),
         };
         let full = s.queue.try_push(fee, ntxs, work).is_err();
         full.then_some(RejectReason::QueueFull)
-    };
+    });
     drop(s);
     if let Some(reason) = refused {
         metrics.on_shed(reason, 1);
@@ -769,32 +784,18 @@ fn writer_loop(
 // ---------------------------------------------------------------------------
 
 fn dispatcher_loop(
-    fleet: RouterFleet,
+    mut router: Router,
     admission: Arc<Admission>,
     registry: Registry,
     metrics: Arc<ServerMetrics>,
     rate: Option<u64>,
 ) {
-    let mut handles: HashMap<u64, optchain_core::FleetHandle> = HashMap::new();
     let mut placed_total = 0u64;
     let started = Instant::now();
-    let mut batch: Vec<crate::queue::Admitted<Work>> = Vec::new();
-    // The round handed to the fleet whose acks are not yet routed. The
-    // next round is submitted before this one's results are collected,
-    // so the placement thread always has work queued behind the drain
-    // marker instead of idling while the dispatcher routes acks.
-    let mut in_flight: Vec<Pending> = Vec::new();
-    // Fleet-counter snapshots (cross-shard ratio, rebalancer progress)
-    // cost a fleet round trip, so they are taken at most every
-    // FLEET_POLL_INTERVAL instead of per ack.
-    let mut polled_at = 0u64;
-    // Backdated so the first placements are snapshotted promptly.
-    let mut last_poll = Instant::now()
-        .checked_sub(FLEET_POLL_INTERVAL)
-        .unwrap_or_else(Instant::now);
+    let mut round: Vec<crate::queue::Admitted<Work>> = Vec::new();
+    let mut failed = false;
 
     loop {
-        batch.clear();
         {
             let mut s = admission.state.lock().expect("admission mutex");
             loop {
@@ -802,171 +803,116 @@ fn dispatcher_loop(
                 while pulled < DISPATCH_CHUNK {
                     let Some(entry) = s.queue.pop() else { break };
                     pulled += entry.txs;
-                    batch.push(entry);
+                    round.push(entry);
                 }
-                // Nothing new: finish the round in flight before waiting.
-                if !batch.is_empty() || !in_flight.is_empty() {
+                if !round.is_empty() {
                     break;
                 }
                 if s.draining {
                     // Queue fully drained and no more admissions can
-                    // arrive: the server is done. Take a final counter
-                    // snapshot while the fleet still answers.
+                    // arrive: make the whole acked stream durable, then
+                    // drop the router. Best-effort — a dead disk leaves
+                    // the crash-recovery path to do its job on the
+                    // flushed prefix.
                     drop(s);
-                    poll_fleet_stats(&fleet, &metrics);
-                    fleet.shutdown();
+                    let _ = router.flush_journal();
                     return;
                 }
                 s = admission.cv.wait(s).expect("admission mutex");
             }
         }
 
-        // Phase 1: hand each request to the fleet as one detached
-        // (fire-and-forget) message — placements for many connections
-        // pipeline through the fleet's queue without a round trip.
-        let mut per_conn: HashMap<u64, Vec<PendingAck>> = HashMap::new();
-        for entry in batch.drain(..) {
-            match entry.work {
-                Work::Query { conn, req_id, txid } => {
-                    let shard = fleet.shard_of(txid).map(|s| s.0);
-                    send_to_conn(
-                        &registry,
-                        conn,
-                        Response::QueryResult { req_id, shard },
-                        &metrics,
-                    );
+        for entry in round.drain(..) {
+            let (conn, req_id) = match entry.work {
+                Work::Place { conn, req_id, .. } | Work::Query { conn, req_id, .. } => {
+                    (conn, req_id)
                 }
-                Work::Place {
-                    conn,
+            };
+            let answer = match entry.work {
+                _ if failed => None,
+                Work::Query { txid, .. } => Some(Response::QueryResult {
                     req_id,
+                    shard: router.shard_of(txid).map(|s| s.0),
+                }),
+                Work::Place {
                     txs,
-                    batch: is_batch,
+                    batch,
                     admitted_at,
+                    ..
                 } => {
                     pace(rate, started, placed_total, &admission);
-                    let ntxs = txs.len();
-                    handles
-                        .entry(conn)
-                        .or_insert_with(|| fleet.handle(conn))
-                        .submit_detached(txs);
-                    placed_total += ntxs as u64;
-                    per_conn.entry(conn).or_default().push(PendingAck {
-                        req_id,
-                        ntxs,
-                        batch: is_batch,
-                        admitted_at,
-                    });
+                    placed_total += txs.len() as u64;
+                    match place(&mut router, &txs) {
+                        Ok(shards) => {
+                            // The counters a client may read once acked.
+                            publish(&router, &metrics);
+                            Some(ack(req_id, batch, shards, admitted_at, &metrics))
+                        }
+                        Err(_) => {
+                            failed = true;
+                            admission.state.lock().expect("admission mutex").failed = true;
+                            None
+                        }
+                    }
                 }
-            }
-        }
-        // Each touched connection's drain marker goes right behind its
-        // requests; the results are collected a round later.
-        let round: Vec<Pending> = per_conn
-            .into_iter()
-            .map(|(conn, acks)| Pending {
-                conn,
-                acks,
-                results: handles
-                    .get(&conn)
-                    .expect("handle created in phase 1")
-                    .drain_later(),
-            })
-            .collect();
-
-        // Phase 2: collect the previous round's results and route its
-        // acks, each connection's in the order its requests were
-        // submitted (global sequence numbers are monotone per
-        // connection, and a drain returns them sorted).
-        for pending in std::mem::replace(&mut in_flight, round) {
-            route_acks(pending, &registry, &metrics);
-        }
-
-        // Drop FleetHandles for connections that have deregistered so
-        // churn doesn't accumulate them. Safe at this point: a
-        // connection cannot deregister while it has queued work (the
-        // reader holds its credits until the acks are written), so a
-        // connection with a round still in flight is registered; conn
-        // ids are never reused, and detached results live fleet-side
-        // keyed by conn id — so a handle can always be recreated if
-        // ever needed.
-        if !handles.is_empty() {
-            let registry = registry.lock().expect("registry mutex");
-            handles.retain(|conn, _| registry.contains_key(conn));
-        }
-
-        if placed_total > polled_at && last_poll.elapsed() >= FLEET_POLL_INTERVAL {
-            poll_fleet_stats(&fleet, &metrics);
-            polled_at = placed_total;
-            last_poll = Instant::now();
+            };
+            let response = answer.unwrap_or_else(|| {
+                metrics.on_shed(RejectReason::Failed, 1);
+                Response::Reject {
+                    req_id,
+                    reason: RejectReason::Failed,
+                }
+            });
+            send_to_conn(&registry, conn, response, &metrics);
         }
     }
 }
 
-/// One connection's requests of one dispatcher round, and the drain
-/// that collects their shards.
-struct Pending {
-    conn: u64,
-    acks: Vec<PendingAck>,
-    results: optchain_core::PendingDrain,
-}
-
-/// A request handed to the fleet whose shards its round's drain returns.
-struct PendingAck {
-    req_id: u64,
-    ntxs: usize,
-    /// `SubmitBatch` (answered with `AckBatch`) rather than `Submit`.
-    batch: bool,
-    admitted_at: Instant,
-}
-
-/// Waits for `pending`'s drain and sends one ack per request to its
-/// connection.
-fn route_acks(pending: Pending, registry: &Registry, metrics: &ServerMetrics) {
-    let Pending {
-        conn,
-        acks,
-        results,
-    } = pending;
-    let mut shards = results.wait().into_iter().map(|(_, shard)| shard.0);
-    for ack in acks {
-        let response = if ack.batch {
-            let placed: Vec<u32> = (&mut shards).take(ack.ntxs).collect();
-            assert_eq!(placed.len(), ack.ntxs, "one shard per submitted tx");
-            for &shard in &placed {
-                metrics.on_placed_to(shard);
+/// Places `txs` in order and returns one shard per row: the one it was
+/// placed into, or — for an id the graph still holds — the one that id
+/// holds. Fails with the first journal error; the rows placed before it
+/// stay placed in RAM, unacked.
+fn place(router: &mut Router, txs: &TxRows) -> io::Result<Vec<u32>> {
+    let mut shards = Vec::with_capacity(txs.len());
+    for (txid, inputs) in txs.iter() {
+        let shard = match router.submit(txid, inputs) {
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
+                router.shard_of(txid).expect("a live id holds a shard")
             }
-            Response::AckBatch {
-                req_id: ack.req_id,
-                shards: placed,
-            }
-        } else {
-            let shard = shards.next().expect("one shard per submitted tx");
-            metrics.on_placed_to(shard);
-            Response::Ack {
-                req_id: ack.req_id,
-                shard,
-            }
+            placed => placed?,
         };
-        metrics.on_acked(
-            ack.ntxs as u64,
-            ack.admitted_at.elapsed().as_micros() as u64,
-        );
-        send_to_conn(registry, conn, response, metrics);
+        shards.push(shard.0);
     }
-    assert!(
-        shards.next().is_none(),
-        "drained more results than submitted this round"
-    );
+    Ok(shards)
 }
 
-/// How often the dispatcher refreshes the fleet-counter snapshot in
-/// the metrics (each refresh is a blocking fleet round trip).
-const FLEET_POLL_INTERVAL: Duration = Duration::from_millis(100);
+/// The ack of a placed request, counted into the metrics.
+fn ack(
+    req_id: u64,
+    batch: bool,
+    shards: Vec<u32>,
+    admitted_at: Instant,
+    metrics: &ServerMetrics,
+) -> Response {
+    for &shard in &shards {
+        metrics.on_placed_to(shard);
+    }
+    let latency_usec = admitted_at.elapsed().as_micros() as u64;
+    metrics.on_acked(shards.len() as u64, latency_usec);
+    match batch {
+        true => Response::AckBatch { req_id, shards },
+        false => Response::Ack {
+            req_id,
+            shard: shards[0],
+        },
+    }
+}
 
-/// One fleet-counter snapshot into the shared metrics.
-fn poll_fleet_stats(fleet: &RouterFleet, metrics: &ServerMetrics) {
-    let stats = fleet.stats();
-    metrics.record_fleet(stats.placed, stats.cross_placed, stats.rebalance);
+/// The router's counters into the metrics — O(1) reads, so taken
+/// before every ack and never stale.
+fn publish(router: &Router, metrics: &ServerMetrics) {
+    let placed = router.assignments().len() as u64 - router.adopted_total();
+    metrics.record_fleet(placed, router.cross_placed(), router.rebalance_stats());
 }
 
 /// Paces the dispatcher to `rate` placements per second (no-op when
@@ -1013,7 +959,7 @@ fn send_to_conn(registry: &Registry, conn: u64, response: Response, metrics: &Se
 // The server
 // ---------------------------------------------------------------------------
 
-/// A running placement node: a TCP server fronting a [`RouterFleet`]
+/// A running placement node: a TCP server placing with one [`Router`]
 /// with bounded fee-ordered admission, per-connection credit
 /// backpressure, explicit overload shedding, a `/metrics`-style text
 /// endpoint, and graceful drain-then-shutdown. See the
@@ -1087,9 +1033,10 @@ impl PlacementServer {
 
     /// Gracefully drains and shuts the node down: stops accepting,
     /// sheds new work with [`RejectReason::Shutdown`], places and acks
-    /// **everything already admitted** (zero lost acks), shuts the
-    /// fleet down — flushing its WAL tail under
-    /// `.storage(...)` — and joins every thread.
+    /// **everything already admitted** (zero lost acks; after a
+    /// placement failure, answers it with [`RejectReason::Failed`]),
+    /// flushes the router's journal tail under `.storage(...)`, drops
+    /// the router, and joins every thread.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
@@ -1100,7 +1047,7 @@ impl PlacementServer {
             let _ = acceptor.join();
         }
         // The dispatcher drains the admission queue, acks everything
-        // admitted, then shuts the fleet down (WAL tails flushed).
+        // admitted, then flushes the journal and drops the router.
         if let Some(dispatcher) = self.dispatcher.take() {
             let _ = dispatcher.join();
         }

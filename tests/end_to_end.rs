@@ -170,8 +170,9 @@ fn a_duplicate_at_every_position_changes_nothing() {
 }
 
 /// Two fleet handles submitting one id — in RAM and over a journal —
-/// both get the shard it holds, through the synchronous, row and
-/// shared-stream doors; the fleet places it once, and its journal
+/// both get the shard it holds, through the synchronous doors (a full
+/// transaction or raw ids) and the shared-stream door; the fleet places
+/// it once, and its journal
 /// recovers to a router fed the stream without the duplicates.
 #[test]
 fn two_fleet_handles_submitting_one_id_share_its_shard() {
@@ -193,7 +194,9 @@ fn two_fleet_handles_submitting_one_id_share_its_shard() {
         // A held shard has no score breakdown.
         let (shard, detail) = a.submit_with_detail(txs[0].id(), &[]);
         assert_eq!((shard, detail.fitness.len()), (shards[0], 0));
-        b.submit_detached(txs.iter().map(|tx| (tx.id(), [])).collect());
+        let half = txs.len() / 2;
+        b.submit_batch_detached(&txs, 0..half);
+        b.submit_batch_detached(&txs, half..txs.len());
         b.submit_batch_detached(&txs, 0..txs.len());
         let drained: Vec<ShardId> = b.drain().into_iter().map(|(_, s)| s).collect();
         assert_eq!(drained, [&shards[..], &shards[..]].concat());
