@@ -1,32 +1,19 @@
 //! The [`RouterFleet`]: a placement front-end for many concurrent
-//! clients over **one** [`Router`] on its own thread.
+//! clients over **one** [`Router`] behind one lock.
 //!
 //! OptChain places transactions as one online sequence (Algorithm 1 of
 //! the paper): every decision reads every earlier one, through the T2S
 //! scores its parents carry and through the shard sizes `|S_i|`. The
-//! fleet keeps that sequence whole. However many handles submit, one
-//! placement thread owns one `Router` (its TaN graph, strategy state,
-//! telemetry board and scratch buffers) behind a **bounded MPSC**
-//! ingress queue and places every transaction in the order the queue
-//! delivers it. A fleet is therefore bit-identical to a `Router` fed
-//! the same global order, by construction; `fleet_golden.rs` pins it.
-//! What the fleet adds is the hand-off: cheap per-client handles on any
-//! thread, backpressure from the bounded queue, and per-client detached
-//! results.
-//!
-//! # One placement message
-//!
-//! A batch is the only unit of placement between a caller and the
-//! placement thread: every door of [`FleetHandle`] sends the same
-//! message — first global sequence number, client key, transactions,
-//! reply mode — and the thread runs one placement loop over it. The
-//! transactions are either flat [`TxRows`] (a single
-//! [`FleetHandle::submit`] is a batch of one) or a zero-copy window into
-//! a shared `Arc<[Transaction]>` stream. The reply mode is either
-//! *detached* — shards accumulate under the client key until
-//! [`FleetHandle::drain`] — or a synchronous round trip on a reply
-//! channel of its own. A window of `n` transactions therefore costs one
-//! channel message, not `n`.
+//! fleet keeps that sequence whole. However many handles submit, they
+//! share one `Router` (its TaN graph, strategy state, telemetry board
+//! and scratch buffers) behind one mutex, and every call places on the
+//! caller's own thread while it holds that lock. The order in which
+//! callers take the lock is the global order, so a fleet is
+//! bit-identical to a `Router` fed that order, by construction;
+//! `fleet_golden.rs` pins it. For a fixed order (one driving thread, or
+//! externally serialized submitters) every assignment is reproducible.
+//! What the fleet adds is cheap per-client handles on any thread,
+//! per-client detached results, and one failure state.
 //!
 //! # Resubmissions
 //!
@@ -35,12 +22,12 @@
 //! door, and journals nothing. An id the graph has evicted is placed
 //! afresh.
 //!
-//! # Determinism
+//! # Failure
 //!
-//! The queue preserves order, so for a fixed global submission order
-//! (one driving thread, or externally serialized submitters) every
-//! assignment is reproducible — and equal to what one `Router` makes of
-//! that order.
+//! A journal write error fails the fleet: the call that met it and
+//! every later call return an error of the same [`io::ErrorKind`], and
+//! nothing more is placed. Once the fleet is shut down (or dropped), a
+//! handle's calls return [`io::ErrorKind::NotConnected`].
 //!
 //! # Example
 //!
@@ -48,6 +35,7 @@
 //! use optchain_core::{RouterFleet, Strategy};
 //! use optchain_utxo::TxId;
 //!
+//! # fn main() -> std::io::Result<()> {
 //! let fleet = RouterFleet::builder()
 //!     .shards(4)
 //!     .strategy(Strategy::OptChain)
@@ -56,21 +44,20 @@
 //! // Each client gets a cheap handle; all of them feed one sequence.
 //! let alice = fleet.handle(1);
 //! let bob = fleet.handle(2);
-//! let s0 = alice.submit(TxId(0), &[]);
-//! let s1 = alice.submit(TxId(1), &[TxId(0)]);
+//! let s0 = alice.submit(TxId(0), &[])?;
+//! let s1 = alice.submit(TxId(1), &[TxId(0)])?;
 //! assert_eq!(s0, s1, "a client's chain stays together");
 //! // Bob spends Alice's output: its parent is already in the graph.
-//! bob.submit(TxId(2), &[TxId(1)]);
+//! bob.submit(TxId(2), &[TxId(1)])?;
 //! assert_eq!(fleet.stats().missing_parent_refs, 0);
+//! # Ok(())
+//! # }
 //! ```
 
 use std::collections::HashMap;
 use std::io;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use optchain_storage::Storage;
 use optchain_tan::RetentionPolicy;
@@ -81,127 +68,89 @@ use crate::placer::{Decision, ShardId};
 use crate::router::{Router, RouterSpec};
 use crate::strategy::Strategy;
 
-/// Ingress queue depth, in messages (a batch counts as one message).
-const QUEUE_DEPTH: usize = 1_024;
-
-// ---------------------------------------------------------------------------
-// TxRows: transactions as flat rows
-// ---------------------------------------------------------------------------
-
-/// Transactions as flat `(txid, distinct input ids)` rows — what a wire
-/// request carries, and the form it keeps from the socket to the router
-/// that places it: three allocations however many transactions, none
-/// per transaction.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TxRows {
-    ids: Vec<TxId>,
-    /// Where each transaction's inputs end in `inputs` (they start
-    /// where the previous transaction's end, the first at 0).
-    offsets: Vec<u32>,
-    inputs: Vec<TxId>,
+/// What a fleet and its handles share, behind one lock.
+struct State {
+    /// The fleet's one router; `None` once the fleet is shut down.
+    router: Option<Router>,
+    /// Next global submission index.
+    seq: u64,
+    /// Detached results by client key, as `(global sequence, shard)` in
+    /// sequence order, until [`FleetHandle::drain`].
+    detached: HashMap<u64, Vec<(u64, ShardId)>>,
+    /// The first journal error's kind: every later call gets it back.
+    failed: Option<io::ErrorKind>,
 }
 
-impl TxRows {
-    /// Empty rows with room for `txs` transactions and `inputs` input
-    /// ids in total.
-    pub fn with_capacity(txs: usize, inputs: usize) -> Self {
-        TxRows {
-            ids: Vec::with_capacity(txs),
-            offsets: Vec::with_capacity(txs),
-            inputs: Vec::with_capacity(inputs),
+impl State {
+    /// The fleet's router, or the error every call gets once the fleet
+    /// is shut down or has failed.
+    fn router(&mut self) -> io::Result<&mut Router> {
+        match (&mut self.router, self.failed) {
+            (None, _) => Err(io::ErrorKind::NotConnected.into()),
+            (Some(_), Some(kind)) => Err(kind.into()),
+            (Some(router), None) => Ok(router),
         }
     }
 
-    /// Appends one transaction.
-    pub fn push(&mut self, txid: TxId, inputs: impl IntoIterator<Item = TxId>) {
-        self.ids.push(txid);
-        self.inputs.extend(inputs);
-        self.offsets.push(self.inputs.len() as u32);
+    /// Runs `f` on the router; an error it returns fails the fleet.
+    fn with<T>(&mut self, f: impl FnOnce(&mut Router) -> io::Result<T>) -> io::Result<T> {
+        let result = f(self.router()?);
+        if let Err(e) = &result {
+            self.failed = Some(e.kind());
+        }
+        result
     }
 
-    /// Number of transactions.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// `true` iff there are no transactions.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Each transaction's id and input ids, in order.
-    pub fn iter(&self) -> impl Iterator<Item = (TxId, &[TxId])> + '_ {
-        let mut lo = 0;
-        self.ids.iter().zip(&self.offsets).map(move |(&txid, &hi)| {
-            let inputs = &self.inputs[lo..hi as usize];
-            lo = hi as usize;
-            (txid, inputs)
-        })
-    }
-}
-
-impl<I: IntoIterator<Item = TxId>> FromIterator<(TxId, I)> for TxRows {
-    fn from_iter<T: IntoIterator<Item = (TxId, I)>>(rows: T) -> Self {
-        let mut out = TxRows::default();
-        rows.into_iter()
-            .for_each(|(txid, inputs)| out.push(txid, inputs));
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Placement-thread protocol
-// ---------------------------------------------------------------------------
-
-/// The transactions of one placement message.
-enum Txs {
-    /// Flat rows: a single submission, as a batch of one.
-    Rows(TxRows),
-    /// A zero-copy window into a shared stream (the bulk path: no
-    /// per-transaction allocation crosses the channel).
-    Shared(Arc<[Transaction]>, Range<usize>),
-}
-
-/// What a synchronous submission gets back: the shard, plus the full
-/// score breakdown when it was asked for.
-type Placed = (ShardId, Option<Decision>);
-
-/// Where the shards of one placement message go.
-enum Reply {
-    /// Into the drain buffer under the message's client key, as
-    /// `(global sequence, shard)`, until [`FleetHandle::drain`].
-    Detached,
-    /// Back to the submitting handle (a batch of one): the shard, and
-    /// the decision's score breakdown when `detail`.
-    Sync {
-        to: SyncSender<Placed>,
-        detail: bool,
-    },
-}
-
-enum Msg {
-    /// The one placement message: `txs` take the consecutive global
-    /// sequence numbers from `first_seq` on, on behalf of `client`.
-    Place {
-        first_seq: u64,
-        client: u64,
-        txs: Txs,
-        reply: Reply,
-    },
-    Telemetry(Vec<ShardTelemetry>),
-    /// Reply once every prior message is processed.
-    Flush(SyncSender<()>),
-    Drain {
-        client: u64,
-        reply: SyncSender<Vec<(u64, ShardId)>>,
-    },
-    Stats(SyncSender<FleetStats>),
-    /// Placement lookup by transaction id (see [`RouterFleet::shard_of`]).
-    ShardOf {
+    /// Places one transaction through `submit` under the next global
+    /// sequence number. Returns its shard and whether it was placed:
+    /// `false` for an id the graph still holds (refused before anything
+    /// was decided or journaled), acked with the shard that id holds.
+    fn place(
+        &mut self,
         txid: TxId,
-        reply: SyncSender<Option<ShardId>>,
-    },
-    Shutdown,
+        submit: impl FnOnce(&mut Router) -> io::Result<ShardId>,
+    ) -> io::Result<(ShardId, bool)> {
+        let placed = self.with(|router| match submit(router) {
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
+                router.shard_of(txid).map(|shard| (shard, false)).ok_or(e)
+            }
+            placed => placed.map(|shard| (shard, true)),
+        })?;
+        self.seq += 1;
+        Ok(placed)
+    }
+
+    /// Places `txs` in order on behalf of `client`, keeping each
+    /// `(global sequence, shard)` for its [`FleetHandle::drain`], and
+    /// returns the first sequence number (`None` for no transactions).
+    /// What was placed before an error stays drainable.
+    fn place_detached(&mut self, client: u64, txs: &[Transaction]) -> io::Result<Option<u64>> {
+        let first = (!txs.is_empty()).then_some(self.seq);
+        let mut results = self.detached.remove(&client).unwrap_or_default();
+        let placed = txs.iter().try_for_each(|tx| {
+            let seq = self.seq;
+            let (shard, _) = self.place(tx.id(), |router| router.submit_tx(tx))?;
+            results.push((seq, shard));
+            Ok(())
+        });
+        self.detached.insert(client, results);
+        placed.map(|()| first)
+    }
+}
+
+/// Takes the fleet's lock for a call that can fail: a lock poisoned by
+/// a panic while placing fails the call instead of panicking it.
+fn lock(state: &Mutex<State>) -> io::Result<MutexGuard<'_, State>> {
+    state
+        .lock()
+        .map_err(|_| io::Error::other("a placement panicked holding the fleet's lock"))
+}
+
+/// Takes the fleet's lock for a diagnostic read that cannot fail:
+/// through a poisoned lock it reads what is there (the fleet's own
+/// fields change only after a router call returns).
+fn read(state: &Mutex<State>) -> MutexGuard<'_, State> {
+    state.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The counters of `router`, as [`RouterFleet::stats`] reports them.
@@ -221,122 +170,6 @@ fn stats_of(router: &Router) -> FleetStats {
     }
 }
 
-/// The shard a transaction is acked with: the one it was placed into,
-/// or, for an id the graph still holds (refused before anything was
-/// decided or journaled), the one that id holds.
-fn acked(router: &Router, txid: TxId, placed: io::Result<ShardId>) -> ShardId {
-    match placed {
-        Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-            router.shard_of(txid).expect("a live id holds a shard")
-        }
-        placed => placed.expect("journaling a placement failed"),
-    }
-}
-
-/// The placement thread: processes ingress messages in order against
-/// the fleet's one [`Router`].
-fn placement_loop(mut router: Router, rx: Receiver<Msg>) {
-    let mut detached: HashMap<u64, Vec<(u64, ShardId)>> = HashMap::new();
-    let mut placed: Vec<ShardId> = Vec::new();
-
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            Msg::Place {
-                first_seq,
-                client,
-                txs,
-                reply,
-            } => {
-                placed.clear();
-                // Whether the last transaction was placed, not acked as held.
-                let mut fresh = false;
-                match &txs {
-                    Txs::Rows(rows) => {
-                        for (txid, inputs) in rows.iter() {
-                            let shard = router.submit(txid, inputs);
-                            fresh = shard.is_ok();
-                            placed.push(acked(&router, txid, shard));
-                        }
-                    }
-                    Txs::Shared(stream, range) => {
-                        for tx in &stream[range.clone()] {
-                            let shard = router.submit_tx(tx);
-                            fresh = shard.is_ok();
-                            placed.push(acked(&router, tx.id(), shard));
-                        }
-                    }
-                }
-                match reply {
-                    Reply::Detached => detached
-                        .entry(client)
-                        .or_default()
-                        .extend((first_seq..).zip(placed.iter().copied())),
-                    Reply::Sync { to, detail } => {
-                        let shard = *placed.last().expect("a synchronous batch of one");
-                        let decision = detail.then(|| match fresh {
-                            true => router.last_decision().to_decision(),
-                            false => Decision {
-                                shard,
-                                ..Decision::default()
-                            },
-                        });
-                        let _ = to.send((shard, decision));
-                    }
-                }
-            }
-            Msg::Telemetry(values) => router.feed_telemetry(&values),
-            Msg::Flush(reply) => {
-                let _ = reply.send(());
-            }
-            Msg::Drain { client, reply } => {
-                let _ = reply.send(detached.remove(&client).unwrap_or_default());
-            }
-            Msg::Stats(reply) => {
-                let _ = reply.send(stats_of(&router));
-            }
-            Msg::ShardOf { txid, reply } => {
-                let _ = reply.send(router.shard_of(txid));
-            }
-            Msg::Shutdown => {
-                // A graceful shutdown makes the whole acked stream
-                // durable: without this, records buffered since the
-                // last fsync batch would be lost on restart exactly as
-                // if the process had been killed. Best-effort — a dead
-                // disk at shutdown leaves the crash-recovery path to
-                // do its job on the flushed prefix.
-                let _ = router.flush_journal();
-                break;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Shared front-end state
-// ---------------------------------------------------------------------------
-
-struct Shared {
-    sender: SyncSender<Msg>,
-    /// Next global submission index.
-    seq: AtomicU64,
-    k: u32,
-    strategy: Strategy,
-}
-
-impl Shared {
-    fn send(&self, msg: Msg) {
-        self.sender.send(msg).expect("fleet placement thread alive");
-    }
-
-    /// Sends a message built around a fresh reply channel and waits for
-    /// the reply.
-    fn ask<T>(&self, msg: impl FnOnce(SyncSender<T>) -> Msg) -> T {
-        let (tx, rx) = mpsc::sync_channel(1);
-        self.send(msg(tx));
-        rx.recv().expect("fleet placement thread alive")
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Builder
 // ---------------------------------------------------------------------------
@@ -347,7 +180,8 @@ impl Shared {
 /// [`crate::RouterBuilder`] defaults. [`RouterFleetBuilder::workers`],
 /// [`RouterFleetBuilder::sync_interval`] and
 /// [`RouterFleetBuilder::partitioner`] are accepted and change nothing:
-/// every fleet places on one thread (see the [module docs](crate::fleet)).
+/// every fleet places through one router (see the
+/// [module docs](crate::fleet)).
 pub struct RouterFleetBuilder {
     spec: RouterSpec,
     storage: Option<Box<dyn Storage>>,
@@ -397,7 +231,7 @@ impl RouterFleetBuilder {
     }
 
     /// Accepted and ignored: placement is one sequence, so every fleet
-    /// runs one placement thread and `n` changes no decision.
+    /// places through one router and `n` changes no decision.
     ///
     /// # Panics
     ///
@@ -407,14 +241,14 @@ impl RouterFleetBuilder {
         self
     }
 
-    /// Accepted and ignored: with one placement thread there are no
-    /// replicas to synchronize, so `txs` changes no decision.
+    /// Accepted and ignored: with one router there are no replicas to
+    /// synchronize, so `txs` changes no decision.
     pub fn sync_interval(self, _txs: u64) -> Self {
         self
     }
 
     /// Accepted and ignored: every client's transactions go to the one
-    /// placement thread, so `f` changes no decision.
+    /// router, so `f` changes no decision.
     pub fn partitioner(self, _f: impl Fn(u64) -> usize + Send + Sync + 'static) -> Self {
         self
     }
@@ -432,8 +266,7 @@ impl RouterFleetBuilder {
         self
     }
 
-    /// Builds (or recovers) the fleet's router and spawns its placement
-    /// thread.
+    /// Builds (or recovers) the fleet's router.
     ///
     /// # Panics
     ///
@@ -441,37 +274,26 @@ impl RouterFleetBuilder {
     /// or if recovering from a backend that holds a journal fails.
     pub fn build(self) -> RouterFleet {
         let router = Router::try_from(self).unwrap_or_else(|e| panic!("{e}"));
-        // Resume the counters from whatever the journal replayed (zero
-        // for a fresh router). The fan-out dedup cache restarts empty,
-        // so the first telemetry feed after recovery always reaches the
-        // router (its board drops the values if they are unchanged).
-        let seq = AtomicU64::new(stats_of(&router).placed);
-        let telemetry_version = AtomicU64::new(router.telemetry_version());
-        let (sender, rx) = mpsc::sync_channel(QUEUE_DEPTH);
-        let shared = Arc::new(Shared {
-            sender,
-            seq,
+        RouterFleet {
             k: router.k(),
             strategy: router.strategy(),
-        });
-        let thread = std::thread::Builder::new()
-            .name("optchain-fleet".into())
-            .spawn(move || placement_loop(router, rx))
-            .expect("spawn the fleet's placement thread");
-        RouterFleet {
-            shared,
-            thread: Some(thread),
-            telemetry: Mutex::new(None),
-            telemetry_version,
+            state: Arc::new(Mutex::new(State {
+                // Resumes at whatever the journal replayed (zero for a
+                // fresh router).
+                seq: stats_of(&router).placed,
+                router: Some(router),
+                detached: HashMap::new(),
+                failed: None,
+            })),
         }
     }
 }
 
 /// The one router a [`RouterFleetBuilder`] describes: built fresh, or
 /// — when its storage already holds a journal — recovered with
-/// [`Router::recover`]. [`RouterFleetBuilder::build`] puts it behind a
-/// placement thread; a serving layer that places on its own thread owns
-/// it directly.
+/// [`Router::recover`]. [`RouterFleetBuilder::build`] puts it behind the
+/// fleet's lock; a serving layer that places on its own thread owns it
+/// directly.
 impl TryFrom<RouterFleetBuilder> for Router {
     type Error = io::Error;
 
@@ -502,9 +324,8 @@ impl TryFrom<RouterFleetBuilder> for Router {
 // The fleet
 // ---------------------------------------------------------------------------
 
-/// The fleet's counters (see [`RouterFleet::stats`]). Collecting them
-/// is a round trip to the placement thread — diagnostics, not a hot
-/// path.
+/// The fleet's counters (see [`RouterFleet::stats`]), read under the
+/// fleet's lock — diagnostics, not a hot path.
 #[derive(Debug, Clone, Default)]
 pub struct FleetStats {
     /// Transactions placed (the global stream length).
@@ -516,7 +337,7 @@ pub struct FleetStats {
     /// Placements with at least one cross-shard input —
     /// `cross_placed / placed` is the fleet's live cross-tx ratio.
     pub cross_placed: u64,
-    /// Always 0: one placement thread has no replicas to synchronize.
+    /// Always 0: one router has no replicas to synchronize.
     pub sync_rounds: u64,
     /// L2S memo hits.
     pub l2s_memo_hits: u64,
@@ -527,19 +348,14 @@ pub struct FleetStats {
     pub rebalance: crate::RebalanceStats,
 }
 
-/// A placement front-end for many concurrent clients: one [`Router`] on
-/// its own thread behind a bounded ingress queue. See the
-/// [module docs](crate::fleet) for the design.
+/// A placement front-end for many concurrent clients: one [`Router`]
+/// behind one lock. See the [module docs](crate::fleet) for the design.
 ///
-/// Dropping the fleet shuts the placement thread down and joins it;
-/// handles outliving the fleet panic on use.
+/// Dropping the fleet shuts it down as [`RouterFleet::shutdown`] does.
 pub struct RouterFleet {
-    shared: Arc<Shared>,
-    thread: Option<JoinHandle<()>>,
-    /// Last telemetry values fed, for the single-epoch fan-out (feeds
-    /// with unchanged values are dropped before reaching the router).
-    telemetry: Mutex<Option<Vec<ShardTelemetry>>>,
-    telemetry_version: AtomicU64,
+    state: Arc<Mutex<State>>,
+    k: u32,
+    strategy: Strategy,
 }
 
 impl RouterFleet {
@@ -550,24 +366,25 @@ impl RouterFleet {
 
     /// Number of shards.
     pub fn k(&self) -> u32 {
-        self.shared.k
+        self.k
     }
 
     /// The built-in [`Strategy`] the fleet's router runs.
     pub fn strategy(&self) -> Strategy {
-        self.shared.strategy
+        self.strategy
     }
 
     /// Global submissions accepted so far.
     pub fn submitted(&self) -> u64 {
-        self.shared.seq.load(Ordering::Relaxed)
+        read(&self.state).seq
     }
 
-    /// How many times the fed telemetry values have changed — the
-    /// fleet's epoch, which the router's board tracks exactly because
-    /// unchanged feeds are dropped here.
+    /// How many times the fed telemetry values have changed: the
+    /// router's own epoch ([`Router::telemetry_version`]), which a feed
+    /// of unchanged values keeps.
     pub fn telemetry_version(&self) -> u64 {
-        self.telemetry_version.load(Ordering::Relaxed)
+        let state = read(&self.state);
+        state.router.as_ref().map_or(0, Router::telemetry_version)
     }
 
     /// Opens a cheap, clonable per-client submitter. Submissions through
@@ -575,43 +392,40 @@ impl RouterFleet {
     /// sequence.
     pub fn handle(&self, client: u64) -> FleetHandle {
         FleetHandle {
-            shared: self.shared.clone(),
+            state: self.state.clone(),
             client,
         }
     }
 
-    /// Feeds one telemetry update under a single epoch: the fleet bumps
-    /// its version only when the values change, and only changed feeds
-    /// reach the router.
+    /// Feeds one telemetry update to the router
+    /// ([`Router::try_feed_telemetry`]: only a change bumps the epoch
+    /// and is journaled).
+    ///
+    /// # Errors
+    ///
+    /// The fleet's failure (see the [module docs](crate::fleet)); a
+    /// journal error here fails the fleet.
     ///
     /// # Panics
     ///
     /// Panics if `telemetry.len() != k`.
-    pub fn feed_telemetry(&self, telemetry: &[ShardTelemetry]) {
+    pub fn feed_telemetry(&self, telemetry: &[ShardTelemetry]) -> io::Result<()> {
         assert_eq!(
             telemetry.len(),
-            self.shared.k as usize,
+            self.k as usize,
             "telemetry must cover every shard"
         );
-        let mut last = self.telemetry.lock().expect("no panics hold the lock");
-        if last.as_deref() == Some(telemetry) {
-            return;
-        }
-        *last = Some(telemetry.to_vec());
-        self.telemetry_version.fetch_add(1, Ordering::Relaxed);
-        self.shared.send(Msg::Telemetry(telemetry.to_vec()));
+        lock(&self.state)?.with(|router| router.try_feed_telemetry(telemetry))
     }
 
-    /// Blocks until the placement thread has processed everything
-    /// enqueued before this call.
-    pub fn flush(&self) {
-        self.shared.ask(Msg::Flush)
-    }
+    /// Returns at once: every call places before it returns, so there
+    /// is nothing to wait for.
+    pub fn flush(&self) {}
 
-    /// The fleet's counters (queued work is processed first, so they
-    /// reflect everything submitted so far).
+    /// The fleet's counters, over everything placed so far.
     pub fn stats(&self) -> FleetStats {
-        self.shared.ask(Msg::Stats)
+        let state = read(&self.state);
+        state.router.as_ref().map(stats_of).unwrap_or_default()
     }
 
     /// The shard a previously submitted transaction was placed into,
@@ -619,28 +433,32 @@ impl RouterFleet {
     /// `None` when the id was never placed, or its assignment aged out
     /// under the retention policy.
     ///
-    /// A round trip to the placement thread — a query path, not a
-    /// placement hot path.
-    pub fn shard_of(&self, txid: TxId) -> Option<ShardId> {
-        self.shared.ask(|reply| Msg::ShardOf { txid, reply })
+    /// # Errors
+    ///
+    /// The fleet's failure (see the [module docs](crate::fleet)).
+    pub fn shard_of(&self, txid: TxId) -> io::Result<Option<ShardId>> {
+        Ok(lock(&self.state)?.router()?.shard_of(txid))
     }
 
-    /// Shuts the fleet down **gracefully and explicitly**: the
-    /// placement thread drains its ingress queue, flushes its journal
-    /// tail (so the whole acked stream is durable under `.storage(...)`),
-    /// and joins. Dropping the fleet does the same implicitly; the
-    /// explicit form exists so a serving layer can sequence the flush
-    /// inside its own drain path and observe completion before
-    /// acknowledging shutdown. Outstanding [`FleetHandle`]s panic on use
+    /// Shuts the fleet down **gracefully and explicitly**: flushes the
+    /// router's journal tail (so the whole acked stream is durable under
+    /// `.storage(...)`) and drops the router, which releases the
+    /// storage. Dropping the fleet does the same implicitly; the
+    /// explicit form lets a caller sequence it. Outstanding
+    /// [`FleetHandle`]s return [`io::ErrorKind::NotConnected`]
     /// afterwards.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
 
     fn shutdown_inner(&mut self) {
-        if let Some(thread) = self.thread.take() {
-            let _ = self.shared.sender.send(Msg::Shutdown);
-            let _ = thread.join();
+        // A router a placement panicked inside is left as a kill -9
+        // leaves it: recovery does its job on the flushed prefix.
+        let taken = self.state.lock().map(|mut state| state.router.take());
+        if let Ok(Some(mut router)) = taken {
+            // Else records buffered since the last fsync batch are lost
+            // as if the process were killed. Best-effort, as above.
+            let _ = router.flush_journal();
         }
     }
 }
@@ -667,18 +485,14 @@ impl Drop for RouterFleet {
 /// A per-client submitter into a [`RouterFleet`]. Cloning is cheap (the
 /// same shared state); clones submit for the same client.
 ///
-/// Every door sends the fleet's one placement message (see the
-/// [module docs](crate::fleet)). The synchronous doors —
-/// [`FleetHandle::submit`], [`FleetHandle::submit_tx`],
-/// [`FleetHandle::submit_with_detail`] — send a batch of one and wait
-/// for its shard on a fresh reply channel, so a dead placement thread
-/// fails the call instead of hanging it; the detached door,
-/// [`FleetHandle::submit_batch_detached`] for a window of a shared
-/// stream, returns immediately, and its results are collected later
-/// with [`FleetHandle::drain`].
+/// Every door takes the fleet's one lock and places on the caller's
+/// thread. The synchronous doors return the shard or the fleet's
+/// failure (see the [module docs](crate::fleet));
+/// [`FleetHandle::submit_batch_detached`] keeps its results under the
+/// client key until [`FleetHandle::drain`].
 #[derive(Clone)]
 pub struct FleetHandle {
-    shared: Arc<Shared>,
+    state: Arc<Mutex<State>>,
     client: u64,
 }
 
@@ -691,100 +505,80 @@ impl std::fmt::Debug for FleetHandle {
 }
 
 impl FleetHandle {
-    /// Sends the placement message for `count` transactions and returns
-    /// the first global sequence number it took (`None` when
-    /// `count == 0`, which reserves and sends nothing).
-    fn place(&self, count: usize, txs: Txs, reply: Reply) -> Option<u64> {
-        if count == 0 {
-            return None;
-        }
-        let first_seq = self.shared.seq.fetch_add(count as u64, Ordering::Relaxed);
-        self.shared.send(Msg::Place {
-            first_seq,
-            client: self.client,
-            txs,
-            reply,
-        });
-        Some(first_seq)
-    }
-
-    /// A synchronous batch of one, answered on a channel of its own.
-    fn submit_one(&self, txid: TxId, inputs: Vec<TxId>, detail: bool) -> Placed {
-        let rows = TxRows::from_iter([(txid, inputs)]);
-        let (to, rx) = mpsc::sync_channel(1);
-        self.place(1, Txs::Rows(rows), Reply::Sync { to, detail });
-        rx.recv().expect("fleet placement thread alive")
-    }
-
     /// Places a transaction spending from `inputs` and returns its
-    /// shard (a synchronous round trip to the placement thread). An id
-    /// the fleet's graph still holds is acked with the shard it holds
-    /// (see the [module docs](crate::fleet)).
+    /// shard. An id the fleet's graph still holds is acked with the
+    /// shard it holds (see the [module docs](crate::fleet)).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the placement thread is gone: the fleet was shut down,
-    /// or a journal write failed.
-    pub fn submit(&self, txid: TxId, inputs: &[TxId]) -> ShardId {
-        self.submit_one(txid, inputs.to_vec(), false).0
+    /// The fleet's failure: the kind of its first journal error, this
+    /// call's included, or [`io::ErrorKind::NotConnected`] once the
+    /// fleet is shut down.
+    pub fn submit(&self, txid: TxId, inputs: &[TxId]) -> io::Result<ShardId> {
+        let (shard, _) = lock(&self.state)?.place(txid, |router| router.submit(txid, inputs))?;
+        Ok(shard)
     }
 
     /// [`FleetHandle::submit`], also returning the full score breakdown
     /// of the decision (see [`Router::last_decision`]); a resubmission
     /// acked with the shard it holds has an empty breakdown.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Same conditions as [`FleetHandle::submit`].
-    pub fn submit_with_detail(&self, txid: TxId, inputs: &[TxId]) -> (ShardId, Decision) {
-        let (shard, decision) = self.submit_one(txid, inputs.to_vec(), true);
-        (shard, decision.expect("detail requested"))
+    /// Same as [`FleetHandle::submit`].
+    pub fn submit_with_detail(
+        &self,
+        txid: TxId,
+        inputs: &[TxId],
+    ) -> io::Result<(ShardId, Decision)> {
+        let mut state = lock(&self.state)?;
+        let (shard, fresh) = state.place(txid, |router| router.submit(txid, inputs))?;
+        let decision = match fresh {
+            true => state.router()?.last_decision().to_decision(),
+            false => Decision {
+                shard,
+                ..Decision::default()
+            },
+        };
+        Ok((shard, decision))
     }
 
     /// Places a full [`Transaction`] (linked by its distinct input
     /// transactions) and returns its shard.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Same conditions as [`FleetHandle::submit`].
-    pub fn submit_tx(&self, tx: &Transaction) -> ShardId {
-        self.submit_one(tx.id(), tx.input_txids(), false).0
+    /// Same as [`FleetHandle::submit`].
+    pub fn submit_tx(&self, tx: &Transaction) -> io::Result<ShardId> {
+        let (shard, _) = lock(&self.state)?.place(tx.id(), |router| router.submit_tx(tx))?;
+        Ok(shard)
     }
 
-    /// Fire-and-forget bulk submission of `stream[range]` — the
-    /// zero-copy path: only the `Arc` and the range cross the channel,
-    /// so no per-transaction allocation happens on either side. Returns
-    /// the first global sequence number of the range (`None` for an
-    /// empty range, which reserves nothing); results are collected with
-    /// [`FleetHandle::drain`].
+    /// Bulk submission of `stream[range]`, placed before this returns;
+    /// the shards are kept for [`FleetHandle::drain`]. Returns the
+    /// first global sequence number of the range (`None` for an empty
+    /// range, which takes none).
     ///
     /// # Panics
     ///
-    /// Panics if the range is out of bounds or the fleet was shut down.
+    /// Panics if the range is out of bounds, or with the fleet's
+    /// failure (see [`FleetHandle::submit`]); what was placed before a
+    /// failure stays drainable.
     pub fn submit_batch_detached(
         &self,
         stream: &Arc<[Transaction]>,
         range: Range<usize>,
     ) -> Option<u64> {
-        assert!(range.end <= stream.len(), "range out of bounds");
-        let count = range.len();
-        self.place(count, Txs::Shared(stream.clone(), range), Reply::Detached)
+        let txs = &stream[range];
+        let placed = lock(&self.state).and_then(|mut state| state.place_detached(self.client, txs));
+        placed.unwrap_or_else(|e| panic!("placing a detached batch failed: {e}"))
     }
 
-    /// Collects (and clears) every detached result recorded for this
-    /// client so far, as `(global sequence, shard)` pairs sorted by
-    /// sequence. Blocks until the placement thread reaches the drain
-    /// marker, so everything this handle enqueued before the call is
-    /// included.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fleet was shut down.
+    /// Takes every detached result recorded for this client so far, as
+    /// `(global sequence, shard)` pairs in sequence order.
     pub fn drain(&self) -> Vec<(u64, ShardId)> {
-        let client = self.client;
-        let mut results = self.shared.ask(|reply| Msg::Drain { client, reply });
-        results.sort_by_key(|(seq, _)| *seq);
-        results
+        let mut state = read(&self.state);
+        state.detached.remove(&self.client).unwrap_or_default()
     }
 }
 
@@ -808,9 +602,9 @@ mod tests {
     fn chain_traffic_stays_on_one_worker_and_one_shard() {
         let fleet = RouterFleet::builder().shards(4).workers(2).build();
         let handle = fleet.handle(7);
-        let s0 = handle.submit(TxId(0), &[]);
+        let s0 = handle.submit(TxId(0), &[]).unwrap();
         for i in 1..10u64 {
-            let s = handle.submit(TxId(i), &[TxId(i - 1)]);
+            let s = handle.submit(TxId(i), &[TxId(i - 1)]).unwrap();
             assert_eq!(s, s0, "tx {i}");
         }
         let stats = fleet.stats();
@@ -819,18 +613,19 @@ mod tests {
         assert_eq!(stats.sync_rounds, 0);
     }
 
+    /// The fleet's epoch is its router's: a feed of the defaults the
+    /// board starts with is no change.
     #[test]
-    fn telemetry_fans_out_under_a_single_epoch() {
+    fn telemetry_version_is_the_routers_own() {
         let fleet = RouterFleet::builder().shards(2).workers(3).build();
+        let mut twin = Router::try_from(RouterFleet::builder().shards(2)).unwrap();
         let cold = vec![crate::DEFAULT_TELEMETRY; 2];
-        fleet.feed_telemetry(&cold);
-        assert_eq!(fleet.telemetry_version(), 1, "first feed is a change");
-        fleet.feed_telemetry(&cold);
-        assert_eq!(fleet.telemetry_version(), 1, "unchanged values are dropped");
         let hot = vec![ShardTelemetry::new(0.1, 5.0), ShardTelemetry::new(0.1, 0.5)];
-        fleet.feed_telemetry(&hot);
-        assert_eq!(fleet.telemetry_version(), 2);
-        fleet.feed_telemetry(&hot);
+        for feed in [&cold, &cold, &hot, &hot, &cold] {
+            fleet.feed_telemetry(feed).unwrap();
+            twin.feed_telemetry(feed);
+            assert_eq!(fleet.telemetry_version(), twin.telemetry_version());
+        }
         assert_eq!(fleet.telemetry_version(), 2);
     }
 
@@ -872,24 +667,20 @@ mod tests {
         let fleet = || RouterFleet::builder().shards(4).build();
         let (a, b) = (fleet(), fleet());
         let ha = a.handle(0);
-        let singles: Vec<ShardId> = stream.iter().map(|tx| ha.submit_tx(tx)).collect();
+        let singles: Vec<ShardId> = stream.iter().map(|tx| ha.submit_tx(tx).unwrap()).collect();
         let hb = b.handle(0);
         assert_eq!(hb.submit_batch_detached(&stream, 0..stream.len()), Some(0));
         let batched: Vec<ShardId> = hb.drain().into_iter().map(|(_, shard)| shard).collect();
         assert_eq!(singles, batched);
         assert_eq!(b.stats().sync_rounds, 0);
-        // The same transactions as one `TxRows`, placed row by row by the
-        // router a fleet builder describes.
-        let rows: TxRows = stream
-            .iter()
-            .map(|tx| (tx.id(), tx.input_txids()))
-            .collect();
+        // The same transactions as raw ids, placed by the router a fleet
+        // builder describes.
         let mut router = Router::try_from(RouterFleet::builder().shards(4)).unwrap();
-        let rowed: Vec<ShardId> = rows
+        let raw: Vec<ShardId> = stream
             .iter()
-            .map(|(txid, inputs)| router.submit(txid, inputs).unwrap())
+            .map(|tx| router.submit(tx.id(), &tx.input_txids()).unwrap())
             .collect();
-        assert_eq!(singles, rowed);
+        assert_eq!(singles, raw);
     }
 
     #[test]
@@ -905,7 +696,7 @@ mod tests {
             .build();
         let handles = [fleet.handle(0), fleet.handle(1)];
         for i in 0..4_000u64 {
-            handles[(i % 2) as usize].submit(TxId(i), &[]);
+            handles[(i % 2) as usize].submit(TxId(i), &[]).unwrap();
         }
         fleet.shutdown();
         // The router placed the whole stream but holds only its window.
@@ -930,7 +721,7 @@ mod tests {
                 let mut shards = Vec::new();
                 for seq in 0..total {
                     let id = if seq == first + gap { first } else { seq };
-                    shards.push(fleet.handle(seq % 3).submit(TxId(id), &[]));
+                    shards.push(fleet.handle(seq % 3).submit(TxId(id), &[]).unwrap());
                 }
                 assert_eq!(fleet.stats().placed, total - u64::from(!fresh));
                 if !fresh {
@@ -949,6 +740,29 @@ mod tests {
         assert_eq!(handle.submit_batch_detached(&stream, 4..4), None);
         assert_eq!(handle.submit_batch_detached(&stream, 4..10), Some(4));
         assert_eq!(handle.drain().len(), 10);
+    }
+
+    /// After shutdown a handle's calls get `NotConnected`; a lock
+    /// poisoned by a panic fails calls instead of panicking them.
+    #[test]
+    fn a_shut_or_poisoned_fleet_answers_with_an_error() {
+        let fleet = RouterFleet::builder().shards(2).build();
+        let handle = fleet.handle(0);
+        fleet.shutdown();
+        let refused = handle.submit(TxId(0), &[]).map_err(|e| e.kind());
+        assert_eq!(refused, Err(io::ErrorKind::NotConnected));
+
+        let fleet = RouterFleet::builder().shards(2).build();
+        let handle = fleet.handle(0);
+        handle.submit(TxId(0), &[]).unwrap();
+        let poison = std::panic::AssertUnwindSafe(|| {
+            let _held = handle.state.lock();
+            panic!("a placement panics holding the lock");
+        });
+        assert!(std::panic::catch_unwind(poison).is_err());
+        let refused = handle.submit_tx(&chain(1)[0]).map_err(|e| e.kind());
+        assert_eq!(refused, Err(io::ErrorKind::Other));
+        assert_eq!(fleet.stats().placed, 1, "a read goes through the poison");
     }
 
     #[test]

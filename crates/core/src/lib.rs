@@ -32,10 +32,10 @@
 //! ([`SegmentWal`]).
 //!
 //! When many clients submit concurrently, the [`RouterFleet`] puts one
-//! `Router` on its own thread behind a bounded queue and hands each
-//! client a cheap handle. Placement stays one sequence — every decision
-//! reads every earlier one — so a fleet is bit-identical to a `Router`
-//! fed the same order (see the [`fleet`] module docs).
+//! `Router` behind one lock and hands each client a cheap handle that
+//! places on the caller's own thread. Placement stays one sequence —
+//! every decision reads every earlier one — so a fleet is bit-identical
+//! to a `Router` fed the same order (see the [`fleet`] module docs).
 //!
 //! A long-lived node bounds its memory with one knob,
 //! [`RouterBuilder::retention`]: a [`RetentionPolicy`] is the only
@@ -105,7 +105,7 @@ mod t2s;
 pub use assignment::{AssignmentStore, AssignmentView};
 pub use fitness::TemporalFitness;
 pub use fitness::PAPER_L2S_WEIGHT;
-pub use fleet::{FleetHandle, FleetStats, RouterFleet, RouterFleetBuilder, TxRows};
+pub use fleet::{FleetHandle, FleetStats, RouterFleet, RouterFleetBuilder};
 pub use l2s::{L2sEstimator, L2sMemo, L2sMode, ShardTelemetry};
 pub use placer::{
     input_shards_into, Decision, DecisionBuf, GreedyPlacer, OptChainPlacer, OraclePlacer,

@@ -3,8 +3,8 @@
 //! * a fleet is **bit-identical to a single [`Router`]** fed the same
 //!   global order — assignments *and* per-shard scores — however many
 //!   workers it is configured with, however many client handles
-//!   submit, and under every retention policy: one placement thread
-//!   places the whole stream in order;
+//!   submit, and under every retention policy: one router behind one
+//!   lock places the whole stream in the order callers take it;
 //! * fleet restarts are transparent: drop → rebuild over the same
 //!   storage backend → continued stream equals the uninterrupted
 //!   stream, rebalance epochs included.
@@ -84,12 +84,12 @@ proptest! {
                     if i.is_multiple_of(7) {
                         let values = telemetry_at(i as u64 / 7, k);
                         router.feed_telemetry(&values);
-                        fleet.feed_telemetry(&values);
+                        fleet.feed_telemetry(&values).unwrap();
                     }
                     let placed = router.submit(*txid, parents).unwrap();
                     let expected = router.last_decision();
                     let handle = &handles[i % handles.len()];
-                    let (shard, decision) = handle.submit_with_detail(*txid, parents);
+                    let (shard, decision) = handle.submit_with_detail(*txid, parents).unwrap();
                     let at = format!("tx {i}, {workers} workers, {retention:?}");
                     prop_assert_eq!((shard, shard), (placed, expected.shard()), "{}", at);
                     for j in 0..k as usize {
@@ -100,7 +100,7 @@ proptest! {
                 }
                 // The fleet's router state equals the router's.
                 for (txid, _) in &txs {
-                    prop_assert_eq!(fleet.shard_of(*txid), router.shard_of(*txid));
+                    prop_assert_eq!(fleet.shard_of(*txid).unwrap(), router.shard_of(*txid));
                 }
             }
         }
@@ -124,7 +124,7 @@ proptest! {
             let handle = fleet.handle(0);
             for (txid, parents) in &txs {
                 let a = router.submit(*txid, parents).unwrap();
-                let b = handle.submit(*txid, parents);
+                let b = handle.submit(*txid, parents).unwrap();
                 prop_assert_eq!(a, b, "strategy {:?}", strategy);
             }
         }
@@ -154,9 +154,9 @@ proptest! {
                 .map(|(i, (txid, parents))| {
                     let at = offset + i;
                     if at.is_multiple_of(11) {
-                        fleet.feed_telemetry(&telemetry_at(at as u64 / 11, k));
+                        fleet.feed_telemetry(&telemetry_at(at as u64 / 11, k)).unwrap();
                     }
-                    handles[at % 2].submit(*txid, parents).0
+                    handles[at % 2].submit(*txid, parents).unwrap().0
                 })
                 .collect()
         };

@@ -200,7 +200,7 @@ proptest! {
 
         let fleet = RouterFleet::builder().shards(4).retention(policy).build();
         let handle = fleet.handle(0);
-        let fleet_shards: Vec<u32> = txs.iter().map(|tx| handle.submit_tx(tx).0).collect();
+        let fleet_shards: Vec<u32> = txs.iter().map(|tx| handle.submit_tx(tx).unwrap().0).collect();
         prop_assert_eq!(router_shards, fleet_shards);
     }
 }

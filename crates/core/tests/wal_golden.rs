@@ -704,11 +704,11 @@ fn one_worker_fleet_recovers_and_continues_like_a_router() {
     };
     // Every transaction from its own client handle.
     let submit = |fleet: &RouterFleet, range: std::ops::Range<usize>| -> Vec<u32> {
-        let placed = range.map(|i| fleet.handle(i as u64).submit_tx(&txs[i]).0);
+        let placed = range.map(|i| fleet.handle(i as u64).submit_tx(&txs[i]).unwrap().0);
         placed.collect()
     };
     let first = fleet();
-    first.feed_telemetry(&hot);
+    first.feed_telemetry(&hot).unwrap();
     assert_eq!(submit(&first, 0..300), router_shards[..300]);
     let (before, version) = (first.stats(), first.telemetry_version());
     drop(first);

@@ -50,43 +50,46 @@
 //!
 //! # Single `Router` vs `RouterFleet` — when to use which
 //!
-//! The [`core::RouterFleet`] is one `Router` on its own thread behind a
-//! bounded queue, fed through cheap per-client handles. It is one
-//! placement thread on purpose: OptChain's decisions form one sequence
-//! (each reads every earlier one through T2S and the shard sizes), so
-//! a fleet is bit-identical to a `Router` fed the same order. Pick by
-//! deployment:
+//! The [`core::RouterFleet`] is one `Router` behind one lock, fed
+//! through cheap per-client handles that place on the caller's own
+//! thread. It is one router on purpose: OptChain's decisions form one
+//! sequence (each reads every earlier one through T2S and the shard
+//! sizes), so a fleet is bit-identical to a `Router` fed the order in
+//! which callers took the lock. Pick by deployment:
 //!
 //! * **`Router`** — one decision stream, bit-exact experiment replays,
 //!   figure/table reproduction, embedding placement inside another
 //!   single-threaded system (the simulator's client-side mode). One
 //!   core is enough for ~10⁶ placements/sec; every golden test is
 //!   stated against it.
-//! * **`RouterFleet`** — a placement *service* in front of many
+//! * **`RouterFleet`** — a placement front-end shared by many
 //!   concurrent clients on many threads. The builder takes the knobs a
 //!   service sets (`shards`, `strategy`, `retention`, `expected_total`,
 //!   `rebalancer`, `storage`); `workers(n)`, `sync_interval(txs)` and
-//!   `partitioner(fn)` are accepted and change no placement. A batch
-//!   is the one unit of placement behind every per-client
-//!   [`core::FleetHandle`] door: `submit` / `submit_tx` /
-//!   `submit_with_detail` send a batch of one and wait for its shard;
-//!   `submit_batch_detached` (a zero-copy window of a shared stream) is
-//!   fire-and-forget, collected with `drain`. One client's spend of
-//!   another's output finds its parent at once: there is one graph. The
-//!   TCP node (`server::PlacementServer`) takes the same builder and
-//!   places on its dispatcher thread, which owns the one router.
+//!   `partitioner(fn)` are accepted and change no placement. Every
+//!   [`core::FleetHandle`] door places before it returns: `submit` /
+//!   `submit_tx` / `submit_with_detail` answer with the shard or, once
+//!   a journal write has failed, with that error's kind, every call
+//!   after it too; `submit_batch_detached` (a zero-copy window of a
+//!   shared stream) keeps its shards for `drain`. One client's spend of
+//!   another's output finds its parent at once: there is one graph.
+//!   The TCP node (`server::PlacementServer`) takes the same builder
+//!   and places on its dispatcher thread, which owns the one router.
 //!
 //! ```
 //! use optchain::prelude::*;
 //!
+//! # fn main() -> std::io::Result<()> {
 //! let fleet = RouterFleet::builder().shards(8).build();
 //! let alice = fleet.handle(1);
 //! let bob = fleet.handle(2);
-//! let s0 = alice.submit(TxId(0), &[]);
-//! let s1 = alice.submit(TxId(1), &[TxId(0)]);
+//! let s0 = alice.submit(TxId(0), &[])?;
+//! let s1 = alice.submit(TxId(1), &[TxId(0)])?;
 //! assert_eq!(s0, s1);
-//! bob.submit(TxId(2), &[TxId(1)]); // Alice's output: already known
+//! bob.submit(TxId(2), &[TxId(1)])?; // Alice's output: already known
 //! assert_eq!(fleet.stats().missing_parent_refs, 0);
+//! # Ok(())
+//! # }
 //! ```
 //!
 //! # Streaming deployments: pick a `RetentionPolicy`
@@ -267,8 +270,9 @@
 //! # Run a placement node over TCP
 //!
 //! Everything above runs in-process. [`server::PlacementServer`] puts
-//! a [`core::RouterFleet`] behind a TCP listener with a small
-//! length-prefixed binary protocol, and [`client::Client`] speaks it:
+//! the one router a [`core::RouterFleetBuilder`] describes behind a TCP
+//! listener with a small length-prefixed binary protocol, and
+//! [`client::Client`] speaks it:
 //!
 //! ```
 //! use optchain::prelude::*;
@@ -299,7 +303,7 @@
 //!   `Shutdown`, `Malformed`) instead of queueing unboundedly or
 //!   silently dropping, so admitted-request latency stays bounded by
 //!   queue size over drain rate. A resubmitted id is no refusal: while
-//!   the fleet's graph holds it, it is acked with the shard it holds;
+//!   the router's graph holds it, it is acked with the shard it holds;
 //!   once evicted, it is placed afresh.
 //! * **Backpressure, not disconnects** — each connection gets a credit
 //!   window (`credit_window` outstanding requests); past it the server
@@ -308,7 +312,7 @@
 //! * **No lost acks** — every request is answered exactly once
 //!   (ack, typed reject, or query result), including everything
 //!   admitted before a graceful [`server::PlacementServer::shutdown`],
-//!   which drains the queue through the fleet and flushes the WAL tail
+//!   which drains the queue through the router and flushes the WAL tail
 //!   (attach storage via `RouterFleetBuilder::storage` exactly as
 //!   in-process). A `/metrics`-style text endpoint
 //!   ([`client::Client::metrics_text`]) exposes queue depth,

@@ -79,4 +79,4 @@ pub use server::{
 
 // Re-exported so downstream code (the client) can name the router's
 // builder without an extra direct dependency.
-pub use optchain_core::{RouterFleet, RouterFleetBuilder};
+pub use optchain_core::RouterFleetBuilder;

@@ -26,7 +26,6 @@
 
 use std::io::{self, Read, Write};
 
-use optchain_core::TxRows;
 use optchain_utxo::TxId;
 
 /// Default cap on a frame's payload size (1 MiB). At 8 bytes per
@@ -284,6 +283,71 @@ impl std::fmt::Display for DecodeError {
 }
 
 impl std::error::Error for DecodeError {}
+
+// ---------------------------------------------------------------------------
+// TxRows: transactions as flat rows
+// ---------------------------------------------------------------------------
+
+/// Transactions as flat `(txid, distinct input ids)` rows — what a wire
+/// request carries, and the form it keeps from the socket to the router
+/// that places it: three allocations however many transactions, none
+/// per transaction.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TxRows {
+    ids: Vec<TxId>,
+    /// Where each transaction's inputs end in `inputs` (they start
+    /// where the previous transaction's end, the first at 0).
+    offsets: Vec<u32>,
+    inputs: Vec<TxId>,
+}
+
+impl TxRows {
+    /// Empty rows with room for `txs` transactions and `inputs` input
+    /// ids in total.
+    pub fn with_capacity(txs: usize, inputs: usize) -> Self {
+        TxRows {
+            ids: Vec::with_capacity(txs),
+            offsets: Vec::with_capacity(txs),
+            inputs: Vec::with_capacity(inputs),
+        }
+    }
+
+    /// Appends one transaction.
+    pub fn push(&mut self, txid: TxId, inputs: impl IntoIterator<Item = TxId>) {
+        self.ids.push(txid);
+        self.inputs.extend(inputs);
+        self.offsets.push(self.inputs.len() as u32);
+    }
+
+    /// Number of transactions.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// `true` iff there are no transactions.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Each transaction's id and input ids, in order.
+    pub fn iter(&self) -> impl Iterator<Item = (TxId, &[TxId])> + '_ {
+        let mut lo = 0;
+        self.ids.iter().zip(&self.offsets).map(move |(&txid, &hi)| {
+            let inputs = &self.inputs[lo..hi as usize];
+            lo = hi as usize;
+            (txid, inputs)
+        })
+    }
+}
+
+impl<I: IntoIterator<Item = TxId>> FromIterator<(TxId, I)> for TxRows {
+    fn from_iter<T: IntoIterator<Item = (TxId, I)>>(rows: T) -> Self {
+        let mut out = TxRows::default();
+        rows.into_iter()
+            .for_each(|(txid, inputs)| out.push(txid, inputs));
+        out
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Little-endian cursor helpers

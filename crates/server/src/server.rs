@@ -58,12 +58,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use optchain_core::{Router, RouterFleetBuilder, TxRows};
+use optchain_core::{Router, RouterFleetBuilder};
 use optchain_utxo::TxId;
 
 use crate::metrics::{AdmissionGauges, ServerMetrics};
 use crate::protocol::{
-    self, Decoded, FrameRead, RejectReason, Response, DEFAULT_MAX_FRAME_BYTES,
+    self, Decoded, FrameRead, RejectReason, Response, TxRows, DEFAULT_MAX_FRAME_BYTES,
     MAX_FRAME_BYTES_CEILING,
 };
 use crate::queue::AdmissionQueue;

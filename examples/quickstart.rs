@@ -88,8 +88,8 @@ fn main() -> std::io::Result<()> {
         stats.placed, stats.cross_placed, stats.missing_parent_refs,
     );
     println!(
-        "\nOne placement thread keeps OptChain's decisions one sequence: each client's \
-         spends see every other client's outputs at once."
+        "\nOne router behind one lock keeps OptChain's decisions one sequence: each \
+         client's spends see every other client's outputs at once."
     );
 
     // --- 3. RetentionPolicy: bounded-memory streaming ----------------

@@ -1,7 +1,8 @@
 //! The fleet's bulk path stays amortized allocation-free: fewer than
 //! 0.1 heap allocations per placed transaction, however many client
-//! handles feed it. The one placement thread holds the only graph, so
-//! only arena growth and the drain buffers remain. Counted with a
+//! handles feed it. Each call places its range on the caller's thread
+//! under the fleet's one lock, into the only graph, so only arena
+//! growth and the per-client result buffers remain. Counted with a
 //! counting allocator, so the claim is a count, not a timing. (The
 //! decision and router rungs are gated by `scripts/bench_gate.py` on
 //! the benchmark's `core.placer.allocs_per_tx` /
@@ -13,8 +14,8 @@ use std::sync::Arc;
 
 use optchain::prelude::*;
 
-/// Allocations made by every thread: the work happens on the fleet's
-/// placement thread, so this file holds exactly one test.
+/// Allocations made by every thread, so this file holds exactly one
+/// test.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 struct CountingAlloc;
@@ -52,7 +53,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 const TXS: usize = 50_000;
-/// Big enough that channel traffic is negligible, small enough to
+/// Big enough that the per-call lock is negligible, small enough to
 /// interleave the clients.
 const CHUNK: usize = 4_096;
 

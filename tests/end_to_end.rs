@@ -189,10 +189,11 @@ fn two_fleet_handles_submitting_one_id_share_its_shard() {
         .build();
         let (a, b) = (fleet.handle(0), fleet.handle(1));
         for (tx, &shard) in txs.iter().zip(&shards) {
-            assert_eq!((a.submit_tx(tx), b.submit(tx.id(), &[])), (shard, shard));
+            let answers = (a.submit_tx(tx).unwrap(), b.submit(tx.id(), &[]).unwrap());
+            assert_eq!(answers, (shard, shard));
         }
         // A held shard has no score breakdown.
-        let (shard, detail) = a.submit_with_detail(txs[0].id(), &[]);
+        let (shard, detail) = a.submit_with_detail(txs[0].id(), &[]).unwrap();
         assert_eq!((shard, detail.fitness.len()), (shards[0], 0));
         let half = txs.len() / 2;
         b.submit_batch_detached(&txs, 0..half);
@@ -209,28 +210,115 @@ fn two_fleet_handles_submitting_one_id_share_its_shard() {
     }
 }
 
-/// A fleet whose placement thread dies — here, its journal's first
-/// append fails — fails the synchronous call waiting on it instead of
-/// hanging it.
-#[test]
-fn a_dead_placement_thread_fails_the_caller() {
-    // The meta blob is written; the first append fails.
-    let disk = FailpointStorage::new(MemStorage::new(), 1, 0, TailDamage::None);
-    let fleet = RouterFleet::builder()
-        .shards(2)
-        .storage(Box::new(disk))
-        .build();
-    let handle = fleet.handle(0);
-    let call = std::thread::spawn(move || handle.submit(TxId(0), &[]));
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !call.is_finished() {
-        assert!(
-            Instant::now() < deadline,
-            "submit hangs on a dead placement thread"
-        );
-        std::thread::sleep(Duration::from_millis(10));
+/// Every call of a fleet that has failed gets the failure's kind back.
+type Answer = Result<(), ErrorKind>;
+
+/// Two handles feed `txs` to `fleet` through the synchronous doors in
+/// turn, with a telemetry change and a lookup every 50 transactions,
+/// then shut it down. Returns every call's answer and the shard each
+/// acked transaction got, in stream order.
+fn drive_to_failure(fleet: RouterFleet, txs: &[Transaction]) -> (Vec<Answer>, Vec<ShardId>) {
+    let handles = [fleet.handle(0), fleet.handle(1)];
+    let (mut answers, mut acked) = (Vec::new(), Vec::new());
+    for (i, tx) in txs.iter().enumerate() {
+        let handle = &handles[i % 2];
+        let placed = match i % 3 {
+            0 => handle.submit_tx(tx),
+            1 => handle.submit(tx.id(), &tx.input_txids()),
+            _ => handle
+                .submit_with_detail(tx.id(), &tx.input_txids())
+                .map(|(shard, _)| shard),
+        };
+        answers.push(placed.as_ref().map(|_| ()).map_err(|e| e.kind()));
+        acked.extend(placed.ok());
+        if i % 50 == 49 {
+            let mut board = vec![optchain::core::DEFAULT_TELEMETRY; 4];
+            board[i / 50 % 4] = ShardTelemetry::new(0.1, i as f64);
+            answers.push(fleet.feed_telemetry(&board).map_err(|e| e.kind()));
+            let looked_up = fleet.shard_of(txs[i - 10].id());
+            if let (Ok(Some(held)), Some(&ack)) = (&looked_up, acked.get(i - 10)) {
+                assert_eq!(
+                    *held,
+                    ack,
+                    "tx {}: the lookup disagrees with the ack",
+                    i - 10
+                );
+            }
+            answers.push(looked_up.map(|_| ()).map_err(|e| e.kind()));
+        }
     }
-    assert!(call.join().is_err(), "submit must fail, not return a shard");
+    fleet.shutdown();
+    let after = handles[1].submit(TxId(u64::MAX), &[]);
+    assert_eq!(after.map_err(|e| e.kind()), Err(ErrorKind::NotConnected));
+    (answers, acked)
+}
+
+/// A fleet whose journal dies answers every call instead of panicking
+/// or hanging its callers. Killed at each of its first 200 mutating
+/// storage operations (and at points spread over the rest of the
+/// stream, the first fsync batch among them), under each retention
+/// policy, every call returns `Ok` until the failure and that failure's
+/// kind from it on, within a watchdog; the journal recovers a prefix of
+/// the stream in which every acked id holds its acked shard.
+#[test]
+fn a_failed_fleet_journal_is_a_sticky_typed_answer() {
+    let txs: Arc<[Transaction]> = stream(600, 5).into();
+    let policies = [
+        RetentionPolicy::Unbounded,
+        RetentionPolicy::WindowTxs(64),
+        RetentionPolicy::KeepUnspentAndHubs { min_degree: 2 },
+    ];
+    let kills = (0..200u64).chain((200..700).step_by(37)).chain([512]);
+    for retention in policies {
+        for kill in kills.clone() {
+            let at = format!("{retention:?}, kill {kill}");
+            let idle = FailpointStorage::new(MemStorage::new(), u64::MAX, 0, TailDamage::None);
+            let disk = SharedStorage::new(idle);
+            let fleet = RouterFleet::builder()
+                .shards(4)
+                .retention(retention)
+                .storage(Box::new(disk.clone()))
+                .build();
+            // Counted from after the meta blob; of the records buffered
+            // at the kill, half reach the disk.
+            disk.with(|fp| fp.arm(kill, kill as usize / 2, TailDamage::None));
+            let caller = {
+                let txs = txs.clone();
+                std::thread::spawn(move || drive_to_failure(fleet, &txs))
+            };
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while !caller.is_finished() {
+                assert!(Instant::now() < deadline, "{at}: a call hangs");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let (answers, acked) = caller.join().expect("no call panics");
+            let failed = answers.iter().position(Result::is_err);
+            assert_eq!(failed.is_some(), disk.with(|fp| fp.crashed()), "{at}");
+            if let Some(first) = failed {
+                let sticky = Err(ErrorKind::BrokenPipe);
+                assert!(answers[first..].iter().all(|a| *a == sticky), "{at}");
+            }
+
+            disk.with(|fp| fp.disarm());
+            let recovered = Router::recover(Box::new(disk))
+                .unwrap_or_else(|e| panic!("{at}: recovery failed: {e}"));
+            let prefix = recovered.assignments().len();
+            assert!(
+                prefix <= acked.len() + 1,
+                "{at}: {prefix} of {}",
+                acked.len()
+            );
+            for (i, tx) in txs.iter().enumerate() {
+                let held = recovered.shard_of(tx.id());
+                if i >= prefix || retention == RetentionPolicy::Unbounded {
+                    assert_eq!(held.is_some(), i < prefix, "{at}: no prefix at {i}");
+                }
+                if let (Some(held), Some(&ack)) = (held, acked.get(i)) {
+                    assert_eq!(held, ack, "{at}: tx {i} moved");
+                }
+            }
+        }
+    }
 }
 
 /// A durable warm start ends in a snapshot at journal position 0:
