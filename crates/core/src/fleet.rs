@@ -12,8 +12,8 @@
 //! bit-identical to a `Router` fed that order, by construction;
 //! `fleet_golden.rs` pins it. For a fixed order (one driving thread, or
 //! externally serialized submitters) every assignment is reproducible.
-//! What the fleet adds is cheap per-client handles on any thread,
-//! per-client detached results, and one failure state.
+//! What the fleet adds is cheap per-client handles on any thread and
+//! per-client detached results.
 //!
 //! # Resubmissions
 //!
@@ -21,13 +21,6 @@
 //! answer exists: it is acked with the shard that id holds, on every
 //! door, and journals nothing. An id the graph has evicted is placed
 //! afresh.
-//!
-//! # Failure
-//!
-//! A journal write error fails the fleet: the call that met it and
-//! every later call return an error of the same [`io::ErrorKind`], and
-//! nothing more is placed. Once the fleet is shut down (or dropped), a
-//! handle's calls return [`io::ErrorKind::NotConnected`].
 //!
 //! # Example
 //!
@@ -77,28 +70,17 @@ struct State {
     /// Detached results by client key, as `(global sequence, shard)` in
     /// sequence order, until [`FleetHandle::drain`].
     detached: HashMap<u64, Vec<(u64, ShardId)>>,
-    /// The first journal error's kind: every later call gets it back.
-    failed: Option<io::ErrorKind>,
 }
 
 impl State {
     /// The fleet's router, or the error every call gets once the fleet
-    /// is shut down or has failed.
+    /// is shut down or its router has failed.
     fn router(&mut self) -> io::Result<&mut Router> {
-        match (&mut self.router, self.failed) {
-            (None, _) => Err(io::ErrorKind::NotConnected.into()),
-            (Some(_), Some(kind)) => Err(kind.into()),
-            (Some(router), None) => Ok(router),
+        let router = self.router.as_mut().ok_or(io::ErrorKind::NotConnected)?;
+        match router.failure() {
+            Some(kind) => Err(kind.into()),
+            None => Ok(router),
         }
-    }
-
-    /// Runs `f` on the router; an error it returns fails the fleet.
-    fn with<T>(&mut self, f: impl FnOnce(&mut Router) -> io::Result<T>) -> io::Result<T> {
-        let result = f(self.router()?);
-        if let Err(e) = &result {
-            self.failed = Some(e.kind());
-        }
-        result
     }
 
     /// Places one transaction through `submit` under the next global
@@ -110,12 +92,13 @@ impl State {
         txid: TxId,
         submit: impl FnOnce(&mut Router) -> io::Result<ShardId>,
     ) -> io::Result<(ShardId, bool)> {
-        let placed = self.with(|router| match submit(router) {
+        let router = self.router()?;
+        let placed = match submit(router) {
             Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                router.shard_of(txid).map(|shard| (shard, false)).ok_or(e)
+                router.shard_of(txid).map(|shard| (shard, false)).ok_or(e)?
             }
-            placed => placed.map(|shard| (shard, true)),
-        })?;
+            placed => (placed?, true),
+        };
         self.seq += 1;
         Ok(placed)
     }
@@ -275,15 +258,12 @@ impl RouterFleetBuilder {
     pub fn build(self) -> RouterFleet {
         let router = Router::try_from(self).unwrap_or_else(|e| panic!("{e}"));
         RouterFleet {
-            k: router.k(),
-            strategy: router.strategy(),
             state: Arc::new(Mutex::new(State {
                 // Resumes at whatever the journal replayed (zero for a
                 // fresh router).
                 seq: stats_of(&router).placed,
                 router: Some(router),
                 detached: HashMap::new(),
-                failed: None,
             })),
         }
     }
@@ -354,8 +334,6 @@ pub struct FleetStats {
 /// Dropping the fleet shuts it down as [`RouterFleet::shutdown`] does.
 pub struct RouterFleet {
     state: Arc<Mutex<State>>,
-    k: u32,
-    strategy: Strategy,
 }
 
 impl RouterFleet {
@@ -366,12 +344,7 @@ impl RouterFleet {
 
     /// Number of shards.
     pub fn k(&self) -> u32 {
-        self.k
-    }
-
-    /// The built-in [`Strategy`] the fleet's router runs.
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
+        read(&self.state).router.as_ref().map_or(0, Router::k)
     }
 
     /// Global submissions accepted so far.
@@ -399,12 +372,7 @@ impl RouterFleet {
 
     /// Feeds one telemetry update to the router
     /// ([`Router::try_feed_telemetry`]: only a change bumps the epoch
-    /// and is journaled).
-    ///
-    /// # Errors
-    ///
-    /// The fleet's failure (see the [module docs](crate::fleet)); a
-    /// journal error here fails the fleet.
+    /// and is journaled). Errors as a [`FleetHandle`] door's.
     ///
     /// # Panics
     ///
@@ -412,10 +380,10 @@ impl RouterFleet {
     pub fn feed_telemetry(&self, telemetry: &[ShardTelemetry]) -> io::Result<()> {
         assert_eq!(
             telemetry.len(),
-            self.k as usize,
+            self.k() as usize,
             "telemetry must cover every shard"
         );
-        lock(&self.state)?.with(|router| router.try_feed_telemetry(telemetry))
+        lock(&self.state)?.router()?.try_feed_telemetry(telemetry)
     }
 
     /// Returns at once: every call places before it returns, so there
@@ -431,11 +399,7 @@ impl RouterFleet {
     /// The shard a previously submitted transaction was placed into,
     /// by transaction id — [`Router::shard_of`] on the fleet's router.
     /// `None` when the id was never placed, or its assignment aged out
-    /// under the retention policy.
-    ///
-    /// # Errors
-    ///
-    /// The fleet's failure (see the [module docs](crate::fleet)).
+    /// under the retention policy. Errors as a [`FleetHandle`] door's.
     pub fn shard_of(&self, txid: TxId) -> io::Result<Option<ShardId>> {
         Ok(lock(&self.state)?.router()?.shard_of(txid))
     }
@@ -465,10 +429,7 @@ impl RouterFleet {
 
 impl std::fmt::Debug for RouterFleet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RouterFleet")
-            .field("k", &self.k())
-            .field("strategy", &self.strategy())
-            .finish()
+        f.debug_struct("RouterFleet").field("k", &self.k()).finish()
     }
 }
 
@@ -486,8 +447,9 @@ impl Drop for RouterFleet {
 /// same shared state); clones submit for the same client.
 ///
 /// Every door takes the fleet's one lock and places on the caller's
-/// thread. The synchronous doors return the shard or the fleet's
-/// failure (see the [module docs](crate::fleet));
+/// thread. The synchronous doors return the shard, or the kind of the
+/// router's failure ([`Router::failure`]), or
+/// [`io::ErrorKind::NotConnected`] once the fleet is shut down;
 /// [`FleetHandle::submit_batch_detached`] keeps its results under the
 /// client key until [`FleetHandle::drain`].
 #[derive(Clone)]
@@ -508,12 +470,6 @@ impl FleetHandle {
     /// Places a transaction spending from `inputs` and returns its
     /// shard. An id the fleet's graph still holds is acked with the
     /// shard it holds (see the [module docs](crate::fleet)).
-    ///
-    /// # Errors
-    ///
-    /// The fleet's failure: the kind of its first journal error, this
-    /// call's included, or [`io::ErrorKind::NotConnected`] once the
-    /// fleet is shut down.
     pub fn submit(&self, txid: TxId, inputs: &[TxId]) -> io::Result<ShardId> {
         let (shard, _) = lock(&self.state)?.place(txid, |router| router.submit(txid, inputs))?;
         Ok(shard)
@@ -522,10 +478,6 @@ impl FleetHandle {
     /// [`FleetHandle::submit`], also returning the full score breakdown
     /// of the decision (see [`Router::last_decision`]); a resubmission
     /// acked with the shard it holds has an empty breakdown.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FleetHandle::submit`].
     pub fn submit_with_detail(
         &self,
         txid: TxId,
@@ -545,10 +497,6 @@ impl FleetHandle {
 
     /// Places a full [`Transaction`] (linked by its distinct input
     /// transactions) and returns its shard.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FleetHandle::submit`].
     pub fn submit_tx(&self, tx: &Transaction) -> io::Result<ShardId> {
         let (shard, _) = lock(&self.state)?.place(tx.id(), |router| router.submit_tx(tx))?;
         Ok(shard)
@@ -561,9 +509,9 @@ impl FleetHandle {
     ///
     /// # Panics
     ///
-    /// Panics if the range is out of bounds, or with the fleet's
-    /// failure (see [`FleetHandle::submit`]); what was placed before a
-    /// failure stays drainable.
+    /// Panics if the range is out of bounds, or with an error the
+    /// synchronous doors return; what was placed before it stays
+    /// drainable.
     pub fn submit_batch_detached(
         &self,
         stream: &Arc<[Transaction]>,
@@ -594,7 +542,6 @@ mod tests {
             .sync_interval(16)
             .build();
         assert_eq!(fleet.k(), 4);
-        assert_eq!(fleet.strategy(), Strategy::OptChain);
         assert_eq!(fleet.submitted(), 0);
     }
 

@@ -273,6 +273,7 @@ impl RouterSpec {
             rebalancer: self.rebalance.map(Rebalancer::new),
             applied_moves: Vec::new(),
             cross_placed: 0,
+            failure: None,
         }
     }
 }
@@ -535,6 +536,8 @@ pub struct Router {
     /// Placements whose transaction had at least one input on another
     /// shard — the numerator of the live cross-tx ratio.
     cross_placed: u64,
+    /// The kind of the first storage error ([`Router::failure`]).
+    failure: Option<io::ErrorKind>,
 }
 
 /// The write-ahead attachment of a durable router: the storage backend
@@ -801,8 +804,8 @@ impl Router {
     ///
     /// # Panics
     ///
-    /// Panics if `telemetry.len() != k`, or journaling fails on a
-    /// durable router.
+    /// Panics if `telemetry.len() != k`, or on any error
+    /// [`Router::try_feed_telemetry`] returns.
     pub fn feed_telemetry(&mut self, telemetry: &[ShardTelemetry]) {
         self.try_feed_telemetry(telemetry)
             .expect("journaling a telemetry change failed")
@@ -816,6 +819,7 @@ impl Router {
     ///
     /// Panics if `telemetry.len() != k`.
     pub fn try_feed_telemetry(&mut self, telemetry: &[ShardTelemetry]) -> io::Result<()> {
+        self.refuse()?;
         assert_eq!(
             telemetry.len(),
             self.k() as usize,
@@ -850,10 +854,14 @@ impl Router {
     /// [`io::ErrorKind::AlreadyExists`] if the graph still holds `txid`
     /// (its shard is [`Router::shard_of`]), before anything is decided,
     /// ticked or journaled; an evicted id is placed afresh. Otherwise
-    /// fails only when journaling fails, never in RAM. On a journal
-    /// error the placement has already been applied in RAM but is
-    /// **not** acked as durable — a crash may forget it, exactly like
-    /// every other record appended since the last flush.
+    /// fails only when journaling fails, never in RAM.
+    ///
+    /// The first storage error fails the router: this call returns it,
+    /// and every later call of a mutating door returns its kind
+    /// ([`Router::failure`]) before it touches the graph, the strategy
+    /// state, the board or the journal. Reads keep working. What the
+    /// failing call applied in RAM is not undone: [`Router::shard_of`]
+    /// of its id, never acked, may name a shard no journal holds.
     pub fn submit(&mut self, txid: TxId, inputs: &[TxId]) -> io::Result<ShardId> {
         let shard = self.submit_one(txid, inputs, None, None)?;
         self.close_batch_record().map(|()| shard)
@@ -907,7 +915,8 @@ impl Router {
     /// # Panics
     ///
     /// Panics on any error [`Router::submit`] returns: a transaction id
-    /// the graph still holds, or a journal write error.
+    /// the graph still holds, a journal write error or the router's
+    /// failure.
     pub fn submit_batch(&mut self, batch: &[Transaction], out: &mut Vec<ShardId>) {
         out.clear();
         out.reserve(batch.len());
@@ -924,7 +933,10 @@ impl Router {
     #[inline]
     fn close_batch_record(&mut self) -> io::Result<()> {
         match self.journal.as_mut() {
-            Some(journal) => journal.close_batch(),
+            Some(journal) => {
+                let closed = journal.close_batch();
+                self.noted(closed)
+            }
             None => Ok(()),
         }
     }
@@ -944,6 +956,7 @@ impl Router {
         tx: Option<&Transaction>,
         session: Option<&mut PlacementSession>,
     ) -> io::Result<ShardId> {
+        self.refuse()?;
         let mut tids = std::mem::take(&mut self.txid_scratch);
         let inputs = match tx {
             Some(tx) => {
@@ -1011,8 +1024,9 @@ impl Router {
     /// Before anything is inserted or journaled: `Unsupported` under
     /// [`Strategy::Metis`] (no adoption hook), `InvalidInput` if
     /// `shard >= k`, `AlreadyExists` if the graph still holds `txid`.
-    /// Journal errors as for [`Router::submit`].
+    /// Journal errors and the router's failure as for [`Router::submit`].
     pub fn adopt_remote(&mut self, txid: TxId, inputs: &[TxId], shard: u32) -> io::Result<()> {
+        self.refuse()?;
         if matches!(self.placer, DynPlacer::Oracle(_)) {
             return Err(io::Error::new(
                 io::ErrorKind::Unsupported,
@@ -1085,7 +1099,8 @@ impl Router {
     ///
     /// A durable router ends by installing the warm state as a snapshot
     /// at journal position 0, so recovery starts from it; the error is
-    /// that [`Router::checkpoint_now`]'s.
+    /// that [`Router::checkpoint_now`]'s, or the router's failure (see
+    /// [`Router::submit`]) before anything is adopted.
     ///
     /// # Panics
     ///
@@ -1094,6 +1109,7 @@ impl Router {
     /// holds a shard `>= k` (under [`Strategy::Metis`]: any shard but
     /// the oracle's).
     pub fn warm_start_history(&mut self, tan: &TanGraph, assignments: &[u32]) -> io::Result<()> {
+        self.refuse()?;
         assert!(
             self.tan.is_empty() && self.placer.assignments().is_empty(),
             "warm_start_history requires a fresh router"
@@ -1130,13 +1146,40 @@ impl Router {
 
     /// Durably commits every record journaled so far (one fsync, then
     /// `Storage::sync`), ahead of the batch cadence. No-op in RAM.
+    /// Errors as for [`Router::submit`].
     pub fn flush_journal(&mut self) -> io::Result<()> {
-        if let Some(journal) = self.journal.as_mut() {
-            journal.storage.flush()?;
-            journal.storage.sync()?;
-            journal.unflushed = 0;
+        self.refuse()?;
+        let Some(journal) = self.journal.as_mut() else {
+            return Ok(());
+        };
+        let storage = &mut journal.storage;
+        let flushed = storage.flush().and_then(|()| storage.sync());
+        let flushed = flushed.map(|()| journal.unflushed = 0);
+        self.noted(flushed)
+    }
+
+    /// The kind of this router's first storage error, or `None`. From
+    /// then on the mutating doors (the submissions, `adopt_remote`,
+    /// `try_feed_telemetry`, `warm_start_history`, `flush_journal`,
+    /// `checkpoint_now`) return it; see [`Router::submit`].
+    pub fn failure(&self) -> Option<io::ErrorKind> {
+        self.failure
+    }
+
+    /// The first step of every mutating door: `Err` once the router
+    /// has failed.
+    #[inline]
+    fn refuse(&self) -> io::Result<()> {
+        self.failure.map_or(Ok(()), |kind| Err(kind.into()))
+    }
+
+    /// `result`, keeping the kind of its error as the router's failure
+    /// if it is the first: wraps every storage call a door makes.
+    fn noted<T>(&mut self, result: io::Result<T>) -> io::Result<T> {
+        if let Err(e) = &result {
+            self.failure.get_or_insert(e.kind());
         }
-        Ok(())
+        result
     }
 
     /// Journals one entry through `journal` and, when that makes a
@@ -1148,7 +1191,8 @@ impl Router {
         let Some(attached) = self.journal.as_mut() else {
             return Ok(());
         };
-        if journal(attached)? {
+        let due = journal(attached);
+        if self.noted(due)? {
             self.checkpoint_now()?;
         }
         Ok(())
@@ -1165,7 +1209,15 @@ impl Router {
     ///
     /// Nothing else is written: the entries journaled since the last
     /// snapshot already sit in the segments, where recovery reads them.
+    /// Errors as for [`Router::submit`].
     pub fn checkpoint_now(&mut self) -> io::Result<()> {
+        self.refuse()?;
+        let installed = self.install_snapshot();
+        self.noted(installed)
+    }
+
+    /// [`Router::checkpoint_now`]'s storage calls.
+    fn install_snapshot(&mut self) -> io::Result<()> {
         let Some(journal) = self.journal.as_mut() else {
             return Ok(());
         };

@@ -40,9 +40,11 @@
 //! ```
 //!
 //! Single transactions go through the fallible `Router::submit` /
-//! `submit_tx` (an `Err` is a journal write failure; in-RAM routers
-//! never fail), and `Router::last_decision` holds the score breakdown
-//! of the latest placement. Multiple clients of one router hold
+//! `submit_tx` (an `Err` is an id the graph still holds, or a journal
+//! write failure, after which the router refuses every mutating call
+//! with its kind, `Router::failure`; in-RAM routers never fail), and
+//! `Router::last_decision` holds the score breakdown of the latest
+//! placement. Multiple clients of one router hold
 //! [`core::PlacementSession`] handles (`submit_tx_in`), which keep
 //! per-client L2S memos warm; the borrow-style
 //! [`core::Placer`] trait and [`core::replay`](core::replay::replay)
@@ -69,7 +71,7 @@
 //!   `partitioner(fn)` are accepted and change no placement. Every
 //!   [`core::FleetHandle`] door places before it returns: `submit` /
 //!   `submit_tx` / `submit_with_detail` answer with the shard or, once
-//!   a journal write has failed, with that error's kind, every call
+//!   a journal write has failed, with the router's failure, every call
 //!   after it too; `submit_batch_detached` (a zero-copy window of a
 //!   shared stream) keeps its shards for `drain`. One client's spend of
 //!   another's output finds its parent at once: there is one graph.

@@ -340,15 +340,6 @@ impl TxRows {
     }
 }
 
-impl<I: IntoIterator<Item = TxId>> FromIterator<(TxId, I)> for TxRows {
-    fn from_iter<T: IntoIterator<Item = (TxId, I)>>(rows: T) -> Self {
-        let mut out = TxRows::default();
-        rows.into_iter()
-            .for_each(|(txid, inputs)| out.push(txid, inputs));
-        out
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Little-endian cursor helpers
 // ---------------------------------------------------------------------------

@@ -46,7 +46,8 @@
 //! server returns. When placing fails — a journal write error under
 //! `.storage(...)` — the request is rejected with
 //! [`RejectReason::Failed`] (its placements were never acked), and so
-//! is every request queued or arriving after it: the node stays
+//! is every request the dispatcher pops after it, because the router
+//! refuses from then on ([`Router::failure`]): the node stays
 //! answerable, and shutdown still returns.
 
 use std::collections::HashMap;
@@ -107,22 +108,6 @@ struct AdmissionState {
     /// Shutdown has begun: admitted work still drains, new work is
     /// shed with [`RejectReason::Shutdown`].
     draining: bool,
-    /// Placing failed: every request is answered with
-    /// [`RejectReason::Failed`] from then on.
-    failed: bool,
-}
-
-impl AdmissionState {
-    /// Why new work is refused before it is queued, if it is.
-    fn refusal(&self) -> Option<RejectReason> {
-        if self.failed {
-            Some(RejectReason::Failed)
-        } else if self.draining {
-            Some(RejectReason::Shutdown)
-        } else {
-            None
-        }
-    }
 }
 
 struct Admission {
@@ -352,7 +337,6 @@ impl PlacementServerBuilder {
             state: Mutex::new(AdmissionState {
                 queue: AdmissionQueue::new(self.queue_capacity),
                 draining: false,
-                failed: false,
             }),
             cv: Condvar::new(),
         });
@@ -640,9 +624,12 @@ fn handle_request(
         }),
         Decoded::Query { req_id, txid } => {
             let mut s = admission.state.lock().expect("admission mutex");
-            if let Some(reason) = s.refusal() {
-                metrics.on_shed(reason, 1);
-                return Some(Response::Reject { req_id, reason });
+            if s.draining {
+                metrics.on_shed(RejectReason::Shutdown, 1);
+                return Some(Response::Reject {
+                    req_id,
+                    reason: RejectReason::Shutdown,
+                });
             }
             // Queries ride the queue at maximum priority: they answer
             // from placed state, so they should not wait behind bulk
@@ -685,7 +672,7 @@ fn handle_request(
 }
 
 /// Admission decision for a submit request, atomic under the admission
-/// mutex: failure, shutdown, then capacity. A request is admitted or
+/// mutex: shutdown, then capacity. A request is admitted or
 /// refused whole; an id the graph still holds is no refusal — the
 /// dispatcher acks it with the shard it holds. `None` means admitted
 /// (the dispatcher answers); otherwise the typed rejection to send back.
@@ -700,7 +687,7 @@ fn admit(
 ) -> Option<Response> {
     let ntxs = txs.len();
     let mut s = admission.state.lock().expect("admission mutex");
-    let refused = s.refusal().or_else(|| {
+    let refused = s.draining.then_some(RejectReason::Shutdown).or_else(|| {
         let work = Work::Place {
             conn,
             req_id,
@@ -793,7 +780,6 @@ fn dispatcher_loop(
     let mut placed_total = 0u64;
     let started = Instant::now();
     let mut round: Vec<crate::queue::Admitted<Work>> = Vec::new();
-    let mut failed = false;
 
     loop {
         {
@@ -828,8 +814,10 @@ fn dispatcher_loop(
                     (conn, req_id)
                 }
             };
+            // A failed router answers nothing: its failure is the
+            // answer to this and every later request.
             let answer = match entry.work {
-                _ if failed => None,
+                _ if router.failure().is_some() => None,
                 Work::Query { txid, .. } => Some(Response::QueryResult {
                     req_id,
                     shard: router.shard_of(txid).map(|s| s.0),
@@ -842,18 +830,11 @@ fn dispatcher_loop(
                 } => {
                     pace(rate, started, placed_total, &admission);
                     placed_total += txs.len() as u64;
-                    match place(&mut router, &txs) {
-                        Ok(shards) => {
-                            // The counters a client may read once acked.
-                            publish(&router, &metrics);
-                            Some(ack(req_id, batch, shards, admitted_at, &metrics))
-                        }
-                        Err(_) => {
-                            failed = true;
-                            admission.state.lock().expect("admission mutex").failed = true;
-                            None
-                        }
-                    }
+                    place(&mut router, &txs).ok().map(|shards| {
+                        // The counters a client may read once acked.
+                        publish(&router, &metrics);
+                        ack(req_id, batch, shards, admitted_at, &metrics)
+                    })
                 }
             };
             let response = answer.unwrap_or_else(|| {
@@ -870,15 +851,13 @@ fn dispatcher_loop(
 
 /// Places `txs` in order and returns one shard per row: the one it was
 /// placed into, or — for an id the graph still holds — the one that id
-/// holds. Fails with the first journal error; the rows placed before it
+/// holds. Fails with the router's failure; the rows placed before it
 /// stay placed in RAM, unacked.
 fn place(router: &mut Router, txs: &TxRows) -> io::Result<Vec<u32>> {
     let mut shards = Vec::with_capacity(txs.len());
     for (txid, inputs) in txs.iter() {
         let shard = match router.submit(txid, inputs) {
-            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                router.shard_of(txid).expect("a live id holds a shard")
-            }
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => router.shard_of(txid).ok_or(e)?,
             placed => placed?,
         };
         shards.push(shard.0);

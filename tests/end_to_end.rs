@@ -1,6 +1,7 @@
 //! End-to-end integration: workload → ledger validation → TaN → placement
 //! → simulation, across crates; and what every placement door does with
-//! an id the graph still holds, in RAM, on a journal and in a fleet.
+//! an id the graph still holds, in RAM, on a journal and in a fleet, and
+//! once its journal has died.
 
 use std::io::ErrorKind;
 use std::sync::Arc;
@@ -315,6 +316,151 @@ fn a_failed_fleet_journal_is_a_sticky_typed_answer() {
                 }
                 if let (Some(held), Some(&ack)) = (held, acked.get(i)) {
                     assert_eq!(held, ack, "{at}: tx {i} moved");
+                }
+            }
+        }
+    }
+}
+
+/// Takes `door` of a bare router, 0–3 placing `tx` (`submit`,
+/// `submit_tx`, `submit_tx_in`, `adopt_remote`), 4–6 changing no
+/// placement (a telemetry change, `flush_journal`, `checkpoint_now`).
+/// Returns the shard a placing door acked.
+fn through_door(
+    router: &mut Router,
+    session: &mut PlacementSession,
+    door: usize,
+    tx: &Transaction,
+) -> std::io::Result<Option<ShardId>> {
+    let (txid, inputs) = (tx.id(), tx.input_txids());
+    let shard = (txid.0 % 4) as u32;
+    match door {
+        0 => router.submit(txid, &inputs).map(Some),
+        1 => router.submit_tx(tx).map(Some),
+        2 => router.submit_tx_in(session, tx).map(Some),
+        3 => router
+            .adopt_remote(txid, &inputs, shard)
+            .map(|()| Some(ShardId(shard))),
+        4 => {
+            let mut board = vec![optchain::core::DEFAULT_TELEMETRY; 4];
+            board[shard as usize] = ShardTelemetry::new(0.1, 1.0 + txid.0 as f64);
+            router.try_feed_telemetry(&board).map(|()| None)
+        }
+        5 => router.flush_journal().map(|()| None),
+        _ => router.checkpoint_now().map(|()| None),
+    }
+}
+
+/// A bare durable router whose journal dies refuses from then on. Warm
+/// started, then driven through every mutating door in turn and killed
+/// at each of its first 200 mutating storage operations, under each
+/// retention policy: every later call of every door (resubmissions of
+/// the failing and of an acked id included) returns the first error's
+/// kind, the placements and the journal stop changing, reads keep
+/// working, and the journal recovers a prefix of the stream that holds
+/// every acked id on its acked shard.
+#[test]
+fn a_failed_router_refuses_every_mutating_door() {
+    let txs = stream(160, 6);
+    let (history, live) = txs.split_at(40);
+    let tan = TanGraph::from_transactions(history.iter());
+    let warm: Vec<u32> = (0..40).map(|i| i % 4).collect();
+    let policies = [
+        RetentionPolicy::Unbounded,
+        RetentionPolicy::WindowTxs(64),
+        RetentionPolicy::KeepUnspentAndHubs { min_degree: 2 },
+    ];
+    for retention in policies {
+        for kill in 0..200u64 {
+            let at = format!("{retention:?}, kill {kill}");
+            let idle = FailpointStorage::new(MemStorage::new(), u64::MAX, 0, TailDamage::None);
+            let disk = SharedStorage::new(idle);
+            let mut router = Router::builder()
+                .shards(4)
+                .retention(retention)
+                .checkpoint_every(16)
+                .flush_every(1)
+                .storage(Box::new(disk.clone()))
+                .build();
+            // Counted from after the meta blob. Every ack is flushed, so
+            // at most the failing call's record is buffered at the kill;
+            // every other run it reaches the disk.
+            disk.with(|fp| fp.arm(kill, kill as usize % 2, TailDamage::None));
+            let mut session = router.session();
+            // The shard of each acked transaction, in stream order.
+            let mut acked: Vec<ShardId> = Vec::new();
+            let mut failure = router.warm_start_history(&tan, &warm).err();
+            if failure.is_none() {
+                acked.extend(warm.iter().map(|&shard| ShardId(shard)));
+            }
+            let (mut next, mut doors) = (0, (0..7).cycle());
+            while let (None, Some(tx)) = (&failure, live.get(next)) {
+                let door = doors.next().expect("cycles");
+                match through_door(&mut router, &mut session, door, tx) {
+                    Ok(placed) => {
+                        acked.extend(placed);
+                        next += usize::from(door < 4);
+                    }
+                    Err(e) => failure = Some(e),
+                }
+            }
+            let kind = failure
+                .unwrap_or_else(|| panic!("{at}: the kill fires"))
+                .kind();
+            assert_eq!(kind, ErrorKind::BrokenPipe, "{at}");
+            assert_eq!(router.failure(), Some(kind), "{at}");
+
+            // The failing transaction, the one after it and an acked id,
+            // at every door: the failure's kind, never `AlreadyExists`.
+            let placed = router.assignments().len();
+            let bytes = router.journal_bytes();
+            for tx in [&live[next], &live[next + 1], &txs[0]] {
+                for door in 0..7 {
+                    let answer = through_door(&mut router, &mut session, door, tx);
+                    assert_eq!(answer.map_err(|e| e.kind()), Err(kind), "{at}");
+                }
+            }
+            let warmed = router.warm_start_history(&tan, &warm);
+            assert_eq!(warmed.map_err(|e| e.kind()), Err(kind), "{at}");
+            let batch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                router.submit_batch(&live[next..next + 2], &mut Vec::new())
+            }));
+            assert!(
+                batch.is_err(),
+                "{at}: the bulk door panics with the failure"
+            );
+            assert_eq!(router.assignments().len(), placed, "{at}");
+            assert_eq!(router.journal_bytes(), bytes, "{at}");
+            for (tx, &shard) in txs.iter().zip(&acked) {
+                if let Some(held) = router.shard_of(tx.id()) {
+                    assert_eq!(held, shard, "{at}: a read moved {:?}", tx.id());
+                }
+            }
+            // What the router answered, and then the failing call's own
+            // placement, which only a bare router's read can name.
+            let answered: Vec<ShardId> = acked
+                .iter()
+                .copied()
+                .chain(router.shard_of(live[next].id()))
+                .collect();
+
+            drop(router);
+            disk.with(|fp| fp.disarm());
+            let recovered = Router::recover(Box::new(disk))
+                .unwrap_or_else(|e| panic!("{at}: recovery failed: {e}"));
+            let prefix = recovered.assignments().len();
+            assert!(
+                acked.len() <= prefix && prefix <= placed,
+                "{at}: {prefix} recovered, {} acked, {placed} placed",
+                acked.len()
+            );
+            for (i, tx) in txs.iter().enumerate() {
+                let held = recovered.shard_of(tx.id());
+                if retention == RetentionPolicy::Unbounded {
+                    assert_eq!(held.is_some(), i < prefix, "{at}: no prefix at {i}");
+                }
+                if let (Some(held), Some(&was)) = (held, answered.get(i)) {
+                    assert_eq!(held, was, "{at}: tx {i} moved");
                 }
             }
         }
