@@ -497,7 +497,7 @@ fn ablation_weight(lab: &mut Lab) -> String {
 }
 
 /// Algorithm 1's literal self-convolution vs the verify+commit reading
-/// this reproduction defaults to (DESIGN.md §4).
+/// this reproduction defaults to (`optchain_core::L2sMode` says why).
 fn ablation_l2s(lab: &mut Lab) -> String {
     let config = hot_config(&lab.opts);
     let txs = &shared_workload(config.total_txs, lab.opts.seed);
@@ -531,7 +531,7 @@ fn ablation_l2s(lab: &mut Lab) -> String {
 }
 
 /// Quantized telemetry reproduces the paper; raw per-shard noise
-/// overrides the T2S signal (DESIGN.md §4).
+/// overrides the T2S signal.
 fn ablation_telemetry(lab: &mut Lab) -> String {
     let config = hot_config(&lab.opts);
     let txs = &shared_workload(config.total_txs, lab.opts.seed);

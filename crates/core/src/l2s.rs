@@ -18,13 +18,13 @@
 //! `E(j) = ∫ t ∫ f_v(x) f_v(t−x) dx dt = 2·E[max_i (C_i + V_i)]`
 //! (linearity of expectation) — computed here **exactly** by expanding
 //! `1 − Π F_i(t)` into a sum of exponentials and integrating term-wise
-//! ([`L2sEstimator::expected_max`]), with a numeric integrator kept as a
-//! cross-check ([`L2sEstimator::expected_max_numeric`]).
+//! ([`L2sEstimator::expected_max`]) up to 10 shards, and beyond that by
+//! Simpson's rule ([`L2sEstimator::expected_max_numeric`]).
 //!
-//! [`L2sMode::VerifyPlusCommit`] offers the variant where the second
-//! phase is the commit at the output shard (`E[max] + E[C_j + V_j]`),
-//! matching the two-phase OmniLedger protocol narrative; DESIGN.md §4
-//! discusses why both are provided.
+//! [`L2sMode::VerifyPlusCommit`], the default, is the variant where the
+//! second phase is the commit at the output shard (`E[max] + E[C_j +
+//! V_j]`), matching the two-phase OmniLedger protocol narrative;
+//! [`L2sMode`] says why both are provided.
 
 /// Per-shard telemetry observed by the client.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,8 +80,8 @@ impl ShardTelemetry {
 /// input shard (the max over involved shards is monotone in the set, so
 /// the self-convolution score of the hot shard is always the smallest).
 /// We therefore default to [`L2sMode::VerifyPlusCommit`] and keep the
-/// literal formula as an ablation; DESIGN.md §4 and the `ablation_l2s`
-/// bench quantify the difference.
+/// literal formula as an ablation; the `ablation_l2s` table of
+/// `reproduce` quantifies the difference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum L2sMode {
     /// Algorithm 1 as printed: the mean of `f_v * f_v` over the involved
@@ -114,109 +114,221 @@ pub struct L2sEstimator {
     mode: L2sMode,
 }
 
-/// Reusable memo for [`L2sEstimator::scores_into`].
+/// Reusable memo for [`L2sEstimator::scores_into`]: `E[max]` by
+/// **telemetry-class sequence**.
 ///
-/// The expensive part of an L2S evaluation is the `3^m` exponential-sum
-/// expansion of the input-shard set, which Algorithm 1 as written redoes
-/// once per **candidate** shard. The memo caches that shared expansion,
-/// keyed by `(mode, input-shard set, telemetry epoch)`:
+/// A *class* is the set of shards whose [`ShardTelemetry`] is
+/// bit-identical on the board seen at `(mode, epoch)`, named by its first
+/// shard. `E[max]` reads only those values, in input order, so input
+/// lists with one class sequence share a bit-identical `E[max]`; boards
+/// have few classes (a static board is one).
 ///
-/// * within one placement decision the k-way candidate scan always reuses
-///   it (the k candidate scores differ only in the output-shard factor);
-/// * across consecutive transactions it is reused whenever the caller
-///   supplies a telemetry `epoch` and neither the epoch nor the input set
-///   changed — common in chain-heavy streams, where a wallet's
-///   transactions keep the same input shard while telemetry is only
-///   republished at a fixed interval.
+/// * **Key**: the class sequence of the inputs, `++ [class(j)]` for a
+///   [`L2sMode::PaperSelfConvolution`] candidate `j` outside them.
+///   Lookups compare the full key.
+/// * **Bound**: 512 entries and 8,192 key classes, emptied when full;
+///   sized on first use, so no later hit or miss allocates.
+/// * **Hit**: a [`L2sEstimator::scores_into`] call that computed no `E[max]`.
 ///
-/// The caller owns epoch discipline: a changed `epoch` **must** accompany
-/// any change in the telemetry values, and `None` disables cross-call
-/// reuse entirely (safe default). Scores produced through the memo are
-/// bit-identical to per-candidate [`L2sEstimator::score`] calls — the
-/// floating-point operation sequence is replicated exactly, which the
-/// golden placement test relies on.
+/// Classes and table are rebuilt when `(mode, epoch)` changes; a changed
+/// `epoch` **must** accompany any change in telemetry values (the
+/// caller's discipline), and `None` rebuilds at every call. Scores are
+/// bit-identical to per-candidate [`L2sEstimator::score`] calls.
 #[derive(Debug, Clone, Default)]
 pub struct L2sMemo {
-    valid: bool,
-    mode: Option<L2sMode>,
-    epoch: Option<u64>,
+    /// `(mode, epoch)` the classes and the table belong to.
+    built: Option<(L2sMode, u64)>,
+    /// Per shard, its class: the first shard with bit-identical telemetry.
+    class: Vec<u32>,
+    /// The class sequence looked up; classes are shards, so a shard list.
     key: Vec<u32>,
-    /// `VerifyPlusCommit`: the cached `E[max]` over the input set.
-    /// `PaperSelfConvolution`: the cached score for candidates *inside*
-    /// the input set (`2·E[max(inputs)]`).
-    emax: f64,
-    /// `PaperSelfConvolution`: the expansion terms of `Π_{i∈inputs} F_i`
-    /// as `(coefficient, rate)` pairs (empty = fall back to per-candidate
-    /// scoring, used for oversized input sets). `VerifyPlusCommit` uses
-    /// the same buffer as scratch while computing `emax`.
-    terms: Vec<(f64, f64)>,
-    /// Double-buffer partner of `terms` during the product expansion, so
-    /// a memo miss allocates nothing once both buffers are warm.
-    scratch: Vec<(f64, f64)>,
+    /// Open-addressed `(gen, start, len, E[max])`, keyed by
+    /// `keys[start..][..len]`; a slot of an older `gen` is free.
+    slots: Vec<(u64, u32, u32, f64)>,
+    keys: Vec<u32>,
+    gen: u64,
+    live: usize,
+    scratch: Scratch,
     hits: u64,
     misses: u64,
 }
 
-/// Expands `Π_{i ∈ shards} F_i(t)` into `(coefficient, rate)` terms using
-/// caller-owned buffers — the allocation-free twin of the expansion
-/// inside [`L2sEstimator::expected_max`], replicating its term order and
-/// floating-point operation sequence exactly (the golden placement test
-/// depends on bit-identical scores).
-fn expand_product_into(
-    telemetry: &[ShardTelemetry],
-    shards: &[u32],
-    terms: &mut Vec<(f64, f64)>,
-    scratch: &mut Vec<(f64, f64)>,
-) {
-    terms.clear();
-    terms.push((1.0, 0.0));
-    for &s in shards {
-        let (lc, lv) = telemetry[s as usize].rates();
-        let a = -lv / (lv - lc);
-        let b = lc / (lv - lc);
-        scratch.clear();
-        scratch.reserve(terms.len() * 3);
-        for &(coef, rate) in terms.iter() {
-            scratch.push((coef, rate));
-            scratch.push((coef * a, rate + lc));
-            scratch.push((coef * b, rate + lv));
-        }
-        std::mem::swap(terms, scratch);
-    }
+const SLOTS: usize = 1024;
+const KEY_CAP: usize = 8192;
+
+/// One step of the memo's key hash, so `inputs ++ [j]` extends `inputs`.
+fn mix(hash: u64, class: u32) -> u64 {
+    (hash.rotate_left(5) ^ u64::from(class)).wrapping_mul(0x517c_c1b7_2722_0a95)
 }
 
-/// `E[max] = −Σ_{rate>0} coef/rate` over an expansion produced by
-/// [`expand_product_into`] (the integral of `1 − Π F_i`).
-fn integrate_terms(terms: &[(f64, f64)]) -> f64 {
-    let mut e = 0.0;
-    for &(coef, rate) in terms {
-        if rate > 0.0 {
-            e -= coef / rate;
+/// Buffers of one `E[max]` evaluation: a warm memo's misses allocate nothing.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    terms: Vec<(f64, f64)>,
+    next: Vec<(f64, f64)>,
+    /// Numeric: each distinct `(λc, λv, a, b)` of `F = 1 − a·e^{−λc t} + b·e^{−λv t}`,
+    /// its value at the current sample, and every shard's index into both.
+    factors: Vec<(f64, f64, f64, f64)>,
+    at: Vec<f64>,
+    class_of: Vec<u32>,
+}
+
+impl Scratch {
+    /// The one body of [`L2sEstimator::expected_max`]: 0 for no shards,
+    /// the `3^m`-term expansion up to 10 shards, numeric beyond. The
+    /// term order and floating-point operation sequence are the contract
+    /// every score is bit-identical under.
+    fn expected_max(&mut self, telemetry: &[ShardTelemetry], shards: &[u32]) -> f64 {
+        if shards.is_empty() {
+            return 0.0;
+        } else if shards.len() > 10 {
+            return self.numeric(telemetry, shards);
         }
+        let Scratch { terms, next, .. } = self;
+        terms.clear();
+        terms.push((1.0, 0.0));
+        for &s in shards {
+            let (lc, lv) = telemetry[s as usize].rates();
+            let a = -lv / (lv - lc);
+            let b = lc / (lv - lc);
+            next.clear();
+            next.reserve(terms.len() * 3);
+            for &(coef, rate) in terms.iter() {
+                next.push((coef, rate));
+                next.push((coef * a, rate + lc));
+                next.push((coef * b, rate + lv));
+            }
+            std::mem::swap(terms, next);
+        }
+        // E[max] = ∫ (1 − Π F_i) dt = −Σ_{rate>0} coef/rate.
+        let mut e = 0.0;
+        for &(coef, rate) in terms.iter() {
+            if rate > 0.0 {
+                e -= coef / rate;
+            }
+        }
+        e.max(0.0)
     }
-    e.max(0.0)
+
+    /// The one body of [`L2sEstimator::expected_max_numeric`]: each
+    /// distinct `(λc, λv)` is evaluated once per sample, and the factors
+    /// are multiplied per shard in input order.
+    fn numeric(&mut self, telemetry: &[ShardTelemetry], shards: &[u32]) -> f64 {
+        if shards.is_empty() {
+            return 0.0;
+        }
+        self.factors.clear();
+        self.class_of.clear();
+        for &s in shards {
+            let (lc, lv) = telemetry[s as usize].rates();
+            let bits = |c: f64, v: f64| (c.to_bits(), v.to_bits());
+            let same = |&(c, v, ..): &(f64, f64, f64, f64)| bits(c, v) == bits(lc, lv);
+            let c = self.factors.iter().position(same).unwrap_or_else(|| {
+                self.factors.push((lc, lv, lv / (lv - lc), lc / (lv - lc)));
+                self.factors.len() - 1
+            });
+            self.class_of.push(c as u32);
+        }
+        let mut survival = |t: f64| -> f64 {
+            self.at.clear();
+            self.at.extend(self.factors.iter().map(|&(lc, lv, a, b)| {
+                (1.0 - a * (-lc * t).exp() + b * (-lv * t).exp()).clamp(0.0, 1.0)
+            }));
+            1.0 - self
+                .class_of
+                .iter()
+                .fold(1.0, |prod, &c| prod * self.at[c as usize])
+        };
+        // Integrate to where the survival is negligible: a generous bound
+        // of slowest-mean × (log m + 40).
+        let worst_mean: f64 = shards
+            .iter()
+            .map(|&s| {
+                let t = telemetry[s as usize];
+                t.expected_comm + t.expected_verify
+            })
+            .fold(0.0, f64::max);
+        let horizon = worst_mean * (40.0 + (shards.len() as f64).ln());
+        let steps = 4000usize; // even
+        let h = horizon / steps as f64;
+        let mut acc = survival(0.0) + survival(horizon);
+        for i in 1..steps {
+            let w = if i % 2 == 1 { 4.0 } else { 2.0 };
+            acc += w * survival(i as f64 * h);
+        }
+        acc * h / 3.0
+    }
 }
 
 impl L2sMemo {
-    /// A fresh, invalid memo.
+    /// A fresh, empty memo.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Number of [`L2sEstimator::scores_into`] calls that reused the
-    /// cached expansion.
+    /// Calls of [`L2sEstimator::scores_into`] that computed no `E[max]`.
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Number of calls that had to recompute it.
+    /// Number of calls that computed at least one.
     pub fn misses(&self) -> u64 {
         self.misses
+    }
+
+    /// Rebuilds the classes and empties the table unless both belong to
+    /// `(mode, epoch)` and a board of this width.
+    fn begin(&mut self, mode: L2sMode, telemetry: &[ShardTelemetry], epoch: Option<u64>) {
+        let at = epoch.map(|e| (mode, e));
+        if at.is_some() && at == self.built && self.class.len() == telemetry.len() {
+            return;
+        }
+        self.built = at;
+        let bits = |t: &ShardTelemetry| (t.expected_comm.to_bits(), t.expected_verify.to_bits());
+        self.class.clear();
+        for (s, t) in telemetry.iter().enumerate() {
+            let rep = (0..s).find(|&r| self.class[r] == r as u32 && bits(&telemetry[r]) == bits(t));
+            self.class.push(rep.unwrap_or(s) as u32);
+        }
+        self.clear();
+    }
+
+    fn clear(&mut self) {
+        self.slots.resize(SLOTS, (0, 0, 0, 0.0));
+        self.keys.clear();
+        self.keys.reserve(KEY_CAP);
+        self.gen += 1;
+        self.live = 0;
+    }
+
+    /// `E[max]` over the shard list `self.key`, whose [`mix`] is `hash`:
+    /// read from the table, or computed and entered.
+    fn emax(&mut self, telemetry: &[ShardTelemetry], hash: u64) -> f64 {
+        let key = &self.key[..];
+        let mut i = hash as usize % SLOTS;
+        while self.slots[i].0 == self.gen {
+            let (_, start, len, value) = self.slots[i];
+            let stored = &self.keys[start as usize..];
+            if len as usize == key.len() && stored.iter().zip(key).all(|(a, b)| a == b) {
+                return value;
+            }
+            i = (i + 1) % SLOTS;
+        }
+        let value = self.scratch.expected_max(telemetry, key);
+        if 2 * self.live >= SLOTS || self.keys.len() + key.len() > KEY_CAP {
+            self.clear();
+            i = hash as usize % SLOTS;
+        }
+        let (start, len) = (self.keys.len() as u32, self.key.len() as u32);
+        self.slots[i] = (self.gen, start, len, value);
+        self.keys.extend_from_slice(&self.key);
+        self.live += 1;
+        value
     }
 }
 
 impl L2sEstimator {
-    /// Creates an estimator using the paper's self-convolution mode.
+    /// Creates an estimator in the default [`L2sMode::VerifyPlusCommit`].
     pub fn new() -> Self {
         Self::default()
     }
@@ -276,8 +388,8 @@ impl L2sEstimator {
     }
 
     /// Computes the L2S score of **every** candidate output shard into
-    /// `out`, sharing the input-set expansion across candidates through
-    /// `memo` (see [`L2sMemo`] for the reuse contract).
+    /// `out`, reading each `E[max]` from `memo` (see [`L2sMemo`] for the
+    /// reuse contract).
     ///
     /// `input_shards` must already be duplicate-free, as produced by
     /// [`crate::placer::input_shards_into`]; the set is consumed in the
@@ -296,105 +408,42 @@ impl L2sEstimator {
         out: &mut Vec<f64>,
     ) {
         let k = telemetry.len();
+        memo.begin(self.mode, telemetry, epoch);
+        memo.key.clear();
+        let mut hash = 0;
         for &s in input_shards {
             assert!((s as usize) < k, "input shard {s} out of range");
+            let class = memo.class[s as usize];
+            memo.key.push(class);
+            hash = mix(hash, class);
         }
-        let reusable = memo.valid
-            && memo.mode == Some(self.mode)
-            && epoch.is_some()
-            && memo.epoch == epoch
-            && memo.key == input_shards;
-        if reusable {
-            memo.hits += 1;
-        } else {
-            memo.misses += 1;
-            memo.mode = Some(self.mode);
-            memo.epoch = epoch;
-            memo.key.clear();
-            memo.key.extend_from_slice(input_shards);
-            memo.terms.clear();
-            match self.mode {
-                L2sMode::VerifyPlusCommit => {
-                    // Same math as `expected_max`, into the memo's reused
-                    // buffers: a miss allocates nothing once warm.
-                    memo.emax = if input_shards.is_empty() {
-                        0.0
-                    } else if input_shards.len() > 10 {
-                        Self::expected_max_numeric(telemetry, input_shards)
-                    } else {
-                        expand_product_into(
-                            telemetry,
-                            input_shards,
-                            &mut memo.terms,
-                            &mut memo.scratch,
-                        );
-                        integrate_terms(&memo.terms)
-                    };
-                    // The expansion is only scratch in this mode; the
-                    // per-candidate loop below keys off `emax` alone.
-                    memo.terms.clear();
-                }
-                L2sMode::PaperSelfConvolution => {
-                    // Candidates extend the involved set to `inputs ∪ {j}`
-                    // (≤ inputs.len() + 1 shards); the closed form applies
-                    // up to 10, matching `expected_max`'s cutoff. Bigger
-                    // sets fall back to per-candidate scoring below.
-                    if input_shards.len() < 10 {
-                        expand_product_into(
-                            telemetry,
-                            input_shards,
-                            &mut memo.terms,
-                            &mut memo.scratch,
-                        );
-                        memo.emax = 2.0 * integrate_terms(&memo.terms);
-                    }
-                }
-            }
-            memo.valid = true;
-        }
+        // Every computed `E[max]` is entered, which moves `(gen, live)`.
+        let entered = (memo.gen, memo.live);
         out.clear();
         match self.mode {
             L2sMode::VerifyPlusCommit => {
+                let emax = memo.emax(telemetry, hash);
                 for t in telemetry {
-                    out.push(memo.emax + t.expected_comm + t.expected_verify);
+                    out.push(emax + t.expected_comm + t.expected_verify);
                 }
             }
             L2sMode::PaperSelfConvolution => {
-                if input_shards.len() >= 10 {
-                    for j in 0..k as u32 {
-                        out.push(self.score(telemetry, input_shards, j));
+                // The involved set is `inputs ∪ {j}`: the inputs alone
+                // for a candidate among them, `inputs ++ [j]` otherwise.
+                for j in 0..k {
+                    if input_shards.contains(&(j as u32)) {
+                        out.push(2.0 * memo.emax(telemetry, hash));
+                    } else {
+                        memo.key.push(memo.class[j]);
+                        out.push(2.0 * memo.emax(telemetry, mix(hash, memo.class[j])));
+                        memo.key.pop();
                     }
-                    return;
-                }
-                for j in 0..k as u32 {
-                    if input_shards.contains(&j) {
-                        out.push(memo.emax);
-                        continue;
-                    }
-                    // Extend the shared expansion with candidate j's
-                    // factor, replicating `expected_max`'s term order and
-                    // float-op sequence exactly.
-                    let (lc, lv) = telemetry[j as usize].rates();
-                    let a = -lv / (lv - lc);
-                    let b = lc / (lv - lc);
-                    let mut e = 0.0;
-                    for &(coef, rate) in &memo.terms {
-                        if rate > 0.0 {
-                            e -= coef / rate;
-                        }
-                        let (c2, r2) = (coef * a, rate + lc);
-                        if r2 > 0.0 {
-                            e -= c2 / r2;
-                        }
-                        let (c3, r3) = (coef * b, rate + lv);
-                        if r3 > 0.0 {
-                            e -= c3 / r3;
-                        }
-                    }
-                    out.push(2.0 * e.max(0.0));
                 }
             }
         }
+        let miss = (memo.gen, memo.live) != entered;
+        memo.misses += u64::from(miss);
+        memo.hits += u64::from(!miss);
     }
 
     /// Exact `E[max_{i ∈ shards} (C_i + V_i)]` by inclusion–exclusion:
@@ -411,19 +460,7 @@ impl L2sEstimator {
     ///
     /// Panics if a shard index is out of range.
     pub fn expected_max(telemetry: &[ShardTelemetry], shards: &[u32]) -> f64 {
-        if shards.is_empty() {
-            return 0.0;
-        }
-        if shards.len() > 10 {
-            return Self::expected_max_numeric(telemetry, shards);
-        }
-        // One shared expansion serves this allocating entry point and the
-        // memoized batch path, so the bit-identity contract between them
-        // cannot drift.
-        let mut terms = Vec::new();
-        let mut scratch = Vec::new();
-        expand_product_into(telemetry, shards, &mut terms, &mut scratch);
-        integrate_terms(&terms)
+        Scratch::default().expected_max(telemetry, shards)
     }
 
     /// Numeric `E[max]` by integrating the survival function
@@ -435,39 +472,7 @@ impl L2sEstimator {
     ///
     /// Panics if a shard index is out of range.
     pub fn expected_max_numeric(telemetry: &[ShardTelemetry], shards: &[u32]) -> f64 {
-        if shards.is_empty() {
-            return 0.0;
-        }
-        let rates: Vec<(f64, f64)> = shards
-            .iter()
-            .map(|&s| telemetry[s as usize].rates())
-            .collect();
-        let survival = |t: f64| -> f64 {
-            let mut prod = 1.0;
-            for &(lc, lv) in &rates {
-                let f = 1.0 - lv / (lv - lc) * (-lc * t).exp() + lc / (lv - lc) * (-lv * t).exp();
-                prod *= f.clamp(0.0, 1.0);
-            }
-            1.0 - prod
-        };
-        // Integrate to where the survival is negligible: a generous bound
-        // of slowest-mean × (log m + 40).
-        let worst_mean: f64 = shards
-            .iter()
-            .map(|&s| {
-                let t = telemetry[s as usize];
-                t.expected_comm + t.expected_verify
-            })
-            .fold(0.0, f64::max);
-        let horizon = worst_mean * (40.0 + (shards.len() as f64).ln());
-        let steps = 4000usize; // even
-        let h = horizon / steps as f64;
-        let mut acc = survival(0.0) + survival(horizon);
-        for i in 1..steps {
-            let w = if i % 2 == 1 { 4.0 } else { 2.0 };
-            acc += w * survival(i as f64 * h);
-        }
-        acc * h / 3.0
+        Scratch::default().numeric(telemetry, shards)
     }
 }
 
@@ -634,8 +639,7 @@ mod tests {
 
     #[test]
     fn batch_scores_match_for_oversized_input_sets() {
-        // ≥ 10 input shards exercises the numeric-integration fallback
-        // and the memo's per-candidate delegation.
+        // ≥ 10 input shards exercises the numeric integrator.
         let telemetry: Vec<ShardTelemetry> =
             (0..12).map(|i| tele(0.1, 0.2 + 0.05 * i as f64)).collect();
         let inputs: Vec<u32> = (0..11).collect();

@@ -23,7 +23,7 @@
 //! strategy selection ([`Strategy`] / [`DynPlacer`]) and four doors over
 //! one fallible submission path — [`Router::submit`],
 //! [`Router::submit_tx`], [`Router::submit_tx_in`] (per-client
-//! [`PlacementSession`] handles carrying L2S memos) and the
+//! [`PlacementSession`] handles carrying their own telemetry view) and the
 //! zero-allocation [`Router::submit_batch`] — with the score breakdown
 //! of the latest decision in [`Router::last_decision`]. A router given
 //! [`RouterBuilder::storage`] journals every decision and snapshots the

@@ -279,8 +279,8 @@ pub struct OptChainPlacer {
 }
 
 impl OptChainPlacer {
-    /// OptChain with the paper's parameters (α = 0.5, weight 0.01,
-    /// self-convolution L2S).
+    /// OptChain with the paper's parameters (α = 0.5, weight 0.01) and
+    /// the default verify-plus-commit L2S.
     ///
     /// # Panics
     ///
@@ -517,7 +517,7 @@ impl Placer for RandomPlacer {
 ///
 /// The paper's text says to *maximize* `f(u,j) = |Sin(u) \ S_j|`, which
 /// would maximize cross-shard placements; we implement the evident intent
-/// (equivalently, minimize `f`) — see DESIGN.md §4.
+/// (equivalently, minimize `f`): the literal reading scatters inputs.
 #[derive(Debug, Clone)]
 pub struct GreedyPlacer {
     k: u32,

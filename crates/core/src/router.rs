@@ -16,13 +16,10 @@
 //!   [`Router::submit`] / [`Router::submit_batch`] path performs no
 //!   per-transaction heap allocation.
 //!
-//! Multiple clients of one router each hold a [`PlacementSession`]: an
-//! owned handle carrying the client's L2S memo (and optionally the
-//! client's own telemetry view), keyed by telemetry version. Sessions
-//! never change decisions — the golden tests prove bit-identical
-//! assignments with and without them — they only recover cross-
-//! transaction memo reuse that a shared memo loses when clients
-//! interleave.
+//! A client that sees its own telemetry view holds a
+//! [`PlacementSession`]: the view, keyed by its version, and the L2S
+//! memo that serves it. Sessions never change decisions (the golden
+//! tests prove assignments bit-identical with and without them).
 //!
 //! # Example
 //!
@@ -454,16 +451,14 @@ impl RouterBuilder {
     }
 }
 
-/// A per-client handle into a [`Router`] carrying the client's own L2S
-/// memo — and optionally the client's own telemetry view — keyed by
-/// telemetry version. Created with [`Router::session`], used through
-/// [`Router::submit_tx_in`].
+/// A per-client handle into a [`Router`]: the client's own telemetry
+/// view, keyed by version, and the L2S memo that serves it. Created with
+/// [`Router::session`], used through [`Router::submit_tx_in`].
 ///
-/// Sessions exist because one shared memo dies under interleaving: when
-/// clients alternate submissions (as the simulator's round-robin
-/// injection does), consecutive placements see different telemetry views
-/// and the shared cross-transaction memo can never hit. A memo per
-/// client restores the reuse. Decisions are **bit-identical** with or
+/// Clients interleaving on the router's board share its memo without
+/// evicting each other's entries (it is a table, not the last input
+/// set). A session is for a client with its own view, whose values the
+/// board's memo must not serve. Decisions are **bit-identical** with or
 /// without sessions; only hit/miss accounting differs.
 #[derive(Debug, Default)]
 pub struct PlacementSession {

@@ -214,7 +214,7 @@ impl T2sEngine {
     }
 
     /// The normalized T2S scores `p(u)[i] = p'(u)[i] / |S_i|` for a
-    /// registered node. Empty shards divide by 1 (see DESIGN.md §4).
+    /// registered node. Empty shards divide by 1, so scores stay finite.
     ///
     /// # Panics
     ///

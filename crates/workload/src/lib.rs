@@ -4,7 +4,7 @@
 //! The paper evaluates on the first 10 million transactions of the MIT
 //! Bitcoin dataset (Section V.A). That dataset is not redistributable
 //! here, so this crate generates a synthetic stream with the statistics
-//! the OptChain algorithms are actually sensitive to (see DESIGN.md §4):
+//! the OptChain algorithms are actually sensitive to:
 //!
 //! * power-law-ish in/out degree of the induced TaN network with an
 //!   average degree near the paper's 2.3;

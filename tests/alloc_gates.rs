@@ -1,22 +1,23 @@
-//! The fleet's bulk path stays amortized allocation-free: fewer than
-//! 0.1 heap allocations per placed transaction, however many client
-//! handles feed it. Each call places its range on the caller's thread
-//! under the fleet's one lock, into the only graph, so only arena
-//! growth and the per-client result buffers remain. Counted with a
-//! counting allocator, so the claim is a count, not a timing. (The
+//! The bulk paths stay amortized allocation-free: fewer than 0.1 heap
+//! allocations per placed transaction, however many client handles feed
+//! a fleet, and however often a router's telemetry board changes. Each
+//! call places on the caller's thread into the only graph, so only
+//! arena growth and the per-client result buffers remain. Counted with
+//! a counting allocator, so the claim is a count, not a timing. (The
 //! decision and router rungs are gated by `scripts/bench_gate.py` on
 //! the benchmark's `core.placer.allocs_per_tx` /
-//! `core.router.allocs_per_tx`.)
+//! `core.router.allocs_per_tx`, over static boards only.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use optchain::prelude::*;
 
-/// Allocations made by every thread, so this file holds exactly one
-/// test.
+/// Allocations made by every thread, so each test holds `COUNTING`
+/// from its first allocation to its last count.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static COUNTING: Mutex<()> = Mutex::new(());
 
 struct CountingAlloc;
 
@@ -59,6 +60,7 @@ const CHUNK: usize = 4_096;
 
 #[test]
 fn fleet_ingest_allocates_under_a_tenth_per_worker_ingested_tx() {
+    let _counting = COUNTING.lock().unwrap_or_else(|e| e.into_inner());
     let stream: Arc<[Transaction]> =
         optchain::workload::generate(WorkloadConfig::bitcoin_like().with_seed(0xB17C04), TXS)
             .into();
@@ -79,4 +81,47 @@ fn fleet_ingest_allocates_under_a_tenth_per_worker_ingested_tx() {
             "{clients} clients: {allocs} allocations, {per_tx:.4} per placed tx"
         );
     }
+}
+
+/// Every 2,048 placements the board changes, to one of 1, 2, 4 or 16
+/// distinct values: each change rebuilds the L2S memo's classes and
+/// empties its table, and placements with more than 10 input shards
+/// take the numeric integral, all inside the memo's own buffers.
+#[test]
+fn router_under_changing_telemetry_allocates_under_a_tenth_per_placed_tx() {
+    const K: usize = 16;
+    const FEED: usize = 2_048;
+    let _counting = COUNTING.lock().unwrap_or_else(|e| e.into_inner());
+    let stream =
+        optchain::workload::generate(WorkloadConfig::bitcoin_like().with_seed(0xB17C04), TXS);
+    let boards: Vec<Vec<ShardTelemetry>> = (0..TXS.div_ceil(FEED))
+        .map(|b| {
+            let distinct = [1, 2, 4, 16][b % 4];
+            (0..K)
+                .map(|s| {
+                    let level = ((s * 7 + b) % distinct) as f64;
+                    ShardTelemetry::new(0.05 + 0.01 * level, 0.5 + 0.25 * (level + b as f64))
+                })
+                .collect()
+        })
+        .collect();
+    let mut router = Router::builder().shards(K as u32).build();
+    let mut out = Vec::with_capacity(FEED);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for (chunk, board) in stream.chunks(FEED).zip(&boards) {
+        router.feed_telemetry(board);
+        router.submit_batch(chunk, &mut out);
+    }
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let (hits, misses) = router.l2s_memo_stats();
+    assert_eq!(hits + misses, TXS as u64, "every placement reads the memo");
+    assert!(
+        misses >= boards.len() as u64,
+        "every board change must rebuild"
+    );
+    let per_tx = allocs as f64 / TXS as f64;
+    assert!(
+        per_tx < 0.1,
+        "{allocs} allocations, {per_tx:.4} per placed tx"
+    );
 }
