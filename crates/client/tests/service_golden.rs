@@ -7,8 +7,8 @@ use std::time::{Duration, Instant};
 
 use optchain_client::{Client, ClientError, Event, RejectReason};
 use optchain_core::{
-    FailpointStorage, MemStorage, RetentionPolicy, Router, RouterFleet, SegmentWal, SharedStorage,
-    Storage, TailDamage,
+    FailpointStorage, MemStorage, RetentionPolicy, Router, SegmentWal, SharedStorage, Storage,
+    TailDamage,
 };
 use optchain_server::PlacementServer;
 use optchain_utxo::TxId;
@@ -35,7 +35,7 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 fn single_connection_placements_match_router() {
     let txs = workload(2_000, 7);
     let server = PlacementServer::builder()
-        .fleet(RouterFleet::builder().shards(8).workers(1))
+        .router(Router::builder().shards(8))
         .start()
         .expect("start server");
     let mut client = Client::connect(server.local_addr()).expect("connect");
@@ -58,14 +58,13 @@ fn single_connection_placements_match_router() {
 
 /// Batch submission is the same placements as singles, acked in order
 /// — whether a chunk crosses the wire as one `SubmitBatch` frame or as
-/// pipelined single `Submit` frames (one dispatcher round, one fleet
-/// message per frame either way).
+/// pipelined single `Submit` frames.
 #[test]
 fn batch_placements_match_singles() {
     let txs = workload(600, 21);
     for as_batch_frames in [true, false] {
         let server = PlacementServer::builder()
-            .fleet(RouterFleet::builder().shards(4).workers(1))
+            .router(Router::builder().shards(4))
             .start()
             .expect("start server");
         let mut client = Client::connect(server.local_addr()).expect("connect");
@@ -100,11 +99,10 @@ fn batch_placements_match_singles() {
     }
 }
 
-/// A served fleet hands each `SubmitBatch` frame to its placement
-/// thread as one message, whichever connection sent it: two
-/// connections alternating 64-tx frames that spend each other's
-/// outputs must be acked exactly the shards one `Router` yields from
-/// the same transactions in the same order.
+/// The dispatcher places each `SubmitBatch` frame whole, whichever
+/// connection sent it: two connections alternating 64-tx frames that
+/// spend each other's outputs must be acked exactly the shards one
+/// `Router` yields from the same transactions in the same order.
 #[test]
 fn batch_frames_from_two_connections_ack_like_one_router() {
     const FRAME: u64 = 64;
@@ -123,7 +121,7 @@ fn batch_frames_from_two_connections_ack_like_one_router() {
 
     let mut router = Router::builder().shards(4).build();
     let server = PlacementServer::builder()
-        .fleet(RouterFleet::builder().shards(4))
+        .router(Router::builder().shards(4))
         .start()
         .expect("start server");
     // Connection ids are assigned in accept order, and `connect`
@@ -157,12 +155,11 @@ fn overload_sheds_typed_with_bounded_latency_and_zero_lost_acks() {
     const QUEUE: usize = 64;
     const N: u64 = 1_000;
 
-    let fleet = RouterFleet::builder()
+    let router = Router::builder()
         .shards(4)
-        .workers(1)
         .retention(RetentionPolicy::WindowTxs(16));
     let server = PlacementServer::builder()
-        .fleet(fleet)
+        .router(router)
         .queue_capacity(QUEUE)
         .credit_window(1_024) // wider than N: shedding, not stalling
         .max_placements_per_sec(RATE)
@@ -238,7 +235,7 @@ fn overload_sheds_typed_with_bounded_latency_and_zero_lost_acks() {
 fn drain_sheds_new_work_and_acks_admitted_work() {
     let txs = workload(200, 5);
     let server = PlacementServer::builder()
-        .fleet(RouterFleet::builder().shards(4))
+        .router(Router::builder().shards(4))
         .start()
         .expect("start server");
     let mut client = Client::connect(server.local_addr()).expect("connect");
@@ -291,7 +288,7 @@ fn wal_backed_restart_preserves_every_acked_placement() {
     let mut placed: Vec<(TxId, u32)> = Vec::with_capacity(txs.len());
     {
         let server = PlacementServer::builder()
-            .fleet(RouterFleet::builder().shards(4).storage(storage(&dir)))
+            .router(Router::builder().shards(4).storage(storage(&dir)))
             .start()
             .expect("start server");
         let mut client = Client::connect(server.local_addr()).expect("connect");
@@ -304,7 +301,7 @@ fn wal_backed_restart_preserves_every_acked_placement() {
     }
 
     let server = PlacementServer::builder()
-        .fleet(RouterFleet::builder().shards(4).storage(storage(&dir)))
+        .router(Router::builder().shards(4).storage(storage(&dir)))
         .start()
         .expect("restart server");
     let mut client = Client::connect(server.local_addr()).expect("reconnect");
@@ -320,6 +317,51 @@ fn wal_backed_restart_preserves_every_acked_placement() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A durable server runs on the journal cadences its router builder
+/// sets: with `flush_every(16)` and `checkpoint_every(96)` (defaults
+/// 512 and 32 768), 200 acked single placements leave a snapshot at
+/// journal position 96 and every whole batch of 16 records durable;
+/// shutdown flushes the other 8, and the journal recovers all 200.
+#[test]
+fn a_durable_server_runs_on_its_routers_journal_cadences() {
+    let disk = SharedStorage::new(MemStorage::new());
+    let server = PlacementServer::builder()
+        .router(
+            Router::builder()
+                .shards(4)
+                .flush_every(16)
+                .checkpoint_every(96)
+                .storage(Box::new(disk.clone())),
+        )
+        .start()
+        .expect("start server");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let txs = workload(200, 19);
+    let acked: Vec<u32> = txs
+        .iter()
+        .map(|(txid, inputs)| client.submit(1, *txid, inputs).expect("placed"))
+        .collect();
+    let snapshot_at =
+        |disk: &SharedStorage<MemStorage>| disk.checkpoint().unwrap().map(|(upto, _)| upto);
+    // One record per single placement; the snapshot collected the
+    // records below it, so the durable log ends at its position plus
+    // what it holds.
+    let durable_end = |disk: &SharedStorage<MemStorage>| {
+        snapshot_at(disk).unwrap_or(0) + disk.with(|m| m.durable_records())
+    };
+    assert_eq!(disk.next_seq(), 200);
+    assert_eq!(snapshot_at(&disk), Some(96));
+    assert_eq!(durable_end(&disk), 192, "flushed in batches of 16");
+    server.shutdown();
+    assert_eq!(snapshot_at(&disk), Some(96));
+    assert_eq!(durable_end(&disk), 200, "shutdown flushes the tail");
+
+    let recovered = Router::recover(Box::new(disk)).expect("recover");
+    for ((txid, _), shard) in txs.iter().zip(&acked) {
+        assert_eq!(recovered.shard_of(*txid).map(|s| s.0), Some(*shard));
+    }
+}
+
 /// A node over `.storage(...)` recovers its graph on restart, so an id
 /// acked before the restart and resubmitted after it is acked with the
 /// recovered shard — the placement thread lives on, and fresh work
@@ -331,7 +373,7 @@ fn a_resubmission_after_a_durable_restart_acks_the_recovered_shard() {
     let start = || {
         let wal = SegmentWal::open(&dir).expect("open wal");
         PlacementServer::builder()
-            .fleet(RouterFleet::builder().shards(4).storage(Box::new(wal)))
+            .router(Router::builder().shards(4).storage(Box::new(wal)))
             .start()
             .expect("start server")
     };
@@ -360,7 +402,7 @@ fn a_resubmission_after_a_durable_restart_acks_the_recovered_shard() {
 #[test]
 fn a_duplicate_is_acked_with_the_shard_it_holds() {
     let server = PlacementServer::builder()
-        .fleet(RouterFleet::builder().shards(4).workers(1))
+        .router(Router::builder().shards(4))
         .start()
         .expect("start server");
     let mut a = Client::connect(server.local_addr()).expect("connect");
@@ -385,7 +427,7 @@ fn a_duplicate_is_acked_with_the_shard_it_holds() {
     server.shutdown();
 }
 
-/// What a resubmission means follows the fleet's retention policy: an
+/// What a resubmission means follows the router's retention policy: an
 /// id the graph still holds is acked with the shard it holds, and under
 /// `WindowTxs` an id the graph has evicted is placed afresh — the
 /// answers a `Router` gives the same traffic, whichever of two
@@ -396,7 +438,7 @@ fn resubmission_past_the_horizon_is_a_fresh_placement() {
     let window = RetentionPolicy::WindowTxs(WINDOW as usize);
     for (policy, evicts) in [(window, true), (RetentionPolicy::Unbounded, false)] {
         let server = PlacementServer::builder()
-            .fleet(RouterFleet::builder().shards(4).retention(policy))
+            .router(Router::builder().shards(4).retention(policy))
             .start()
             .expect("start server");
         let mut clients = [
@@ -432,7 +474,7 @@ fn resubmission_past_the_horizon_is_a_fresh_placement() {
 #[test]
 fn metrics_text_reports_service_counters() {
     let server = PlacementServer::builder()
-        .fleet(RouterFleet::builder().shards(4).workers(1))
+        .router(Router::builder().shards(4))
         .start()
         .expect("start server");
     let mut client = Client::connect(server.local_addr()).expect("connect");
@@ -499,23 +541,41 @@ fn metrics_text_reports_service_counters() {
     server.shutdown();
 }
 
-/// What the router a fleet builder describes cannot be built from is a
-/// typed error out of `start`: a rule the spec breaks, and a journal
-/// that does not recover — garbage for a meta blob, or records without
-/// one.
+/// What a server cannot open a router from is a typed error out of
+/// `start`: no router at all, a rule the spec breaks, a journal written
+/// by another configuration, and a journal that does not recover —
+/// garbage for a meta blob, or records without one.
 #[test]
 fn start_reports_a_router_it_cannot_build() {
+    let err = PlacementServer::builder().start().expect_err("no router");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+
     let err = PlacementServer::builder()
-        .fleet(RouterFleet::builder().shards(0))
+        .router(Router::builder().shards(0))
         .start()
         .expect_err("zero shards");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     assert!(err.to_string().contains("shard count"), "{err}");
 
+    let journaled = SharedStorage::new(MemStorage::new());
+    let mut k4 = Router::builder()
+        .shards(4)
+        .storage(Box::new(journaled.clone()))
+        .build();
+    k4.submit(TxId(0), &[]).unwrap();
+    k4.flush_journal().unwrap();
+    drop(k4);
+    let err = PlacementServer::builder()
+        .router(Router::builder().shards(8).storage(Box::new(journaled)))
+        .start()
+        .expect_err("a k = 4 journal reopened with shards(8)");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(err.to_string().contains("another configuration"), "{err}");
+
     let mut garbage = SharedStorage::new(MemStorage::new());
     garbage.put_meta(b"not a router spec").unwrap();
     let err = PlacementServer::builder()
-        .fleet(RouterFleet::builder().shards(4).storage(Box::new(garbage)))
+        .router(Router::builder().shards(4).storage(Box::new(garbage)))
         .start()
         .expect_err("garbage meta blob");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
@@ -523,7 +583,7 @@ fn start_reports_a_router_it_cannot_build() {
     let mut headless = SharedStorage::new(MemStorage::new());
     headless.append(b"a record").unwrap();
     let err = PlacementServer::builder()
-        .fleet(RouterFleet::builder().shards(4).storage(Box::new(headless)))
+        .router(Router::builder().shards(4).storage(Box::new(headless)))
         .start()
         .expect_err("records without a meta blob");
     assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
@@ -546,11 +606,7 @@ fn a_placement_failure_is_answered_and_the_node_still_shuts_down() {
         let idle = FailpointStorage::new(MemStorage::new(), u64::MAX, 0, TailDamage::None);
         let disk = SharedStorage::new(idle);
         let server = PlacementServer::builder()
-            .fleet(
-                RouterFleet::builder()
-                    .shards(4)
-                    .storage(Box::new(disk.clone())),
-            )
+            .router(Router::builder().shards(4).storage(Box::new(disk.clone())))
             .start()
             .expect("start server");
         // Counted from after the meta blob; of the records buffered at
@@ -627,7 +683,7 @@ fn a_placement_failure_is_answered_and_the_node_still_shuts_down() {
     }
 }
 
-/// A server fronting a rebalancer-enabled fleet surfaces migration
+/// A server fronting a rebalancer-enabled router surfaces migration
 /// progress through `/metrics`: driving a hub-heavy stream past several
 /// epoch boundaries must show committed epochs and re-homed nodes.
 #[test]
@@ -649,8 +705,8 @@ fn metrics_text_reports_rebalance_progress() {
     .map(|tx| (tx.id(), tx.input_txids()))
     .collect();
     let server = PlacementServer::builder()
-        .fleet(
-            RouterFleet::builder().shards(4).workers(1).rebalancer(
+        .router(
+            Router::builder().shards(4).rebalancer(
                 RebalancePolicy::default()
                     .with_epoch_interval(250)
                     .with_min_in_degree(2),
@@ -701,13 +757,13 @@ fn metrics_text_reports_rebalance_progress() {
 /// submission admitted later overtakes queued low-fee work.
 #[test]
 fn higher_fee_work_is_served_first() {
-    // The dispatcher hands work to the fleet in chunks of up to 256
-    // transactions; a later high-fee arrival overtakes whatever is
-    // still queued behind the in-flight chunk. 400 queued low-fee txs
+    // The dispatcher pops work in rounds of up to 256 transactions; a
+    // later high-fee arrival overtakes whatever is still queued behind
+    // the in-flight round. 400 queued low-fee txs
     // at 2000/s guarantee the high-fee submit lands while well over a
     // chunk's worth is still waiting.
     let server = PlacementServer::builder()
-        .fleet(RouterFleet::builder().shards(4).workers(1))
+        .router(Router::builder().shards(4))
         .queue_capacity(1_024)
         .credit_window(512)
         .max_placements_per_sec(2_000)

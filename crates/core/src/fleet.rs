@@ -58,7 +58,7 @@ use optchain_utxo::{Transaction, TxId};
 
 use crate::l2s::ShardTelemetry;
 use crate::placer::{Decision, ShardId};
-use crate::router::{Router, RouterSpec};
+use crate::router::{Router, RouterBuilder};
 use crate::strategy::Strategy;
 
 /// What a fleet and its handles share, behind one lock.
@@ -157,59 +157,52 @@ fn stats_of(router: &Router) -> FleetStats {
 // Builder
 // ---------------------------------------------------------------------------
 
-/// Builder for [`RouterFleet`]: the [`crate::RouterBuilder`] knobs a
-/// fleet caller actually sets (shards, strategy, retention, expected
-/// total, rebalancer, storage). Everything else runs at the
-/// [`crate::RouterBuilder`] defaults. [`RouterFleetBuilder::workers`],
+/// Builder for [`RouterFleet`]: a [`RouterBuilder`] restricted to the
+/// knobs a fleet caller sets (shards, strategy, retention, expected
+/// total, rebalancer, storage); every setter forwards to it, and
+/// `RouterBuilder::from` hands it to a door that takes a
+/// [`RouterBuilder`]. [`RouterFleetBuilder::workers`],
 /// [`RouterFleetBuilder::sync_interval`] and
 /// [`RouterFleetBuilder::partitioner`] are accepted and change nothing:
 /// every fleet places through one router (see the
 /// [module docs](crate::fleet)).
 pub struct RouterFleetBuilder {
-    spec: RouterSpec,
-    storage: Option<Box<dyn Storage>>,
+    router: RouterBuilder,
 }
 
 impl RouterFleetBuilder {
-    fn new() -> Self {
-        RouterFleetBuilder {
-            spec: RouterSpec::new(),
-            storage: None,
-        }
-    }
-
     /// Number of shards to place over (required).
     pub fn shards(mut self, k: u32) -> Self {
-        self.spec.shards = Some(k);
+        self.router = self.router.shards(k);
         self
     }
 
     /// Placement strategy (default [`Strategy::OptChain`]).
     /// [`Strategy::Metis`] is not available: it needs an oracle
-    /// partition, which only [`crate::RouterBuilder::oracle`] takes.
+    /// partition, which only [`RouterBuilder::oracle`] takes.
     pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.spec.strategy = strategy;
+        self.router = self.router.strategy(strategy);
         self
     }
 
     /// The state-lifecycle policy the fleet's router runs under
     /// (default [`RetentionPolicy::Unbounded`]) — see
-    /// [`crate::RouterBuilder::retention`].
+    /// [`RouterBuilder::retention`].
     pub fn retention(mut self, retention: RetentionPolicy) -> Self {
-        self.spec.retention = retention;
+        self.router = self.router.retention(retention);
         self
     }
 
     /// Known stream length, tightening the Greedy/T2S capacity cap.
     pub fn expected_total(mut self, total: u64) -> Self {
-        self.spec.expected_total = Some(total);
+        self.router = self.router.expected_total(total);
         self
     }
 
-    /// Enables dynamic re-sharding — see
-    /// [`crate::RouterBuilder::rebalancer`]. OptChain strategy only.
+    /// Enables dynamic re-sharding — see [`RouterBuilder::rebalancer`].
+    /// OptChain strategy only.
     pub fn rebalancer(mut self, policy: crate::RebalancePolicy) -> Self {
-        self.spec.rebalance = Some(policy);
+        self.router = self.router.rebalancer(policy);
         self
     }
 
@@ -237,26 +230,25 @@ impl RouterFleetBuilder {
     }
 
     /// The durable [`Storage`] backend the fleet's router journals to,
-    /// as [`crate::RouterBuilder::storage`]. An empty backend is
-    /// journaled from scratch; one that already holds a journal is
-    /// **recovered** with [`Router::recover`], so a crashed durable
-    /// fleet resumes where its journal ends. The global submission
-    /// counter resumes at the recovered placement count. Storage is the
-    /// one way a fleet's state comes back: a fleet that must survive a
-    /// drop and rebuild in RAM takes a `SharedStorage<MemStorage>`.
+    /// as [`RouterBuilder::storage`]: a journal the same configuration
+    /// wrote is recovered, and the global submission counter resumes at
+    /// the recovered placement count. Storage is the one way a fleet's
+    /// state comes back: a fleet that must survive a drop and rebuild
+    /// in RAM takes a `SharedStorage<MemStorage>`.
     pub fn storage(mut self, storage: Box<dyn Storage>) -> Self {
-        self.storage = Some(storage);
+        self.router = self.router.storage(storage);
         self
     }
 
-    /// Builds (or recovers) the fleet's router.
+    /// Builds (or recovers) the fleet's router with
+    /// [`RouterBuilder::open`] and puts it behind the fleet's lock.
     ///
     /// # Panics
     ///
-    /// Panics on any condition [`crate::RouterBuilder::build`] rejects,
-    /// or if recovering from a backend that holds a journal fails.
+    /// Panics with the message of any error [`RouterBuilder::open`]
+    /// returns.
     pub fn build(self) -> RouterFleet {
-        let router = Router::try_from(self).unwrap_or_else(|e| panic!("{e}"));
+        let router = self.router.build();
         RouterFleet {
             state: Arc::new(Mutex::new(State {
                 // Resumes at whatever the journal replayed (zero for a
@@ -269,34 +261,11 @@ impl RouterFleetBuilder {
     }
 }
 
-/// The one router a [`RouterFleetBuilder`] describes: built fresh, or
-/// — when its storage already holds a journal — recovered with
-/// [`Router::recover`]. [`RouterFleetBuilder::build`] puts it behind the
-/// fleet's lock; a serving layer that places on its own thread owns it
-/// directly.
-impl TryFrom<RouterFleetBuilder> for Router {
-    type Error = io::Error;
-
-    /// # Errors
-    ///
-    /// [`io::ErrorKind::InvalidInput`] naming the rule when the spec
-    /// breaks one; otherwise what reading the backend, writing a fresh
-    /// journal's meta blob or [`Router::recover`] reports.
-    fn try_from(builder: RouterFleetBuilder) -> io::Result<Router> {
-        let RouterFleetBuilder { spec, storage } = builder;
-        spec.check()
-            .map_err(|rule| io::Error::new(io::ErrorKind::InvalidInput, rule))?;
-        let Some(storage) = storage else {
-            return Ok(spec.build());
-        };
-        // A backend holding records but no meta blob is no fresh
-        // journal either: recovery reports it.
-        if storage.meta()?.is_some() || storage.next_seq() != 0 {
-            return Router::recover(storage);
-        }
-        let mut router = spec.build();
-        router.attach_fresh_storage(&spec, storage)?;
-        Ok(router)
+/// The router a fleet builder describes, for a door that takes a
+/// [`RouterBuilder`] (the placement server's).
+impl From<RouterFleetBuilder> for RouterBuilder {
+    fn from(fleet: RouterFleetBuilder) -> RouterBuilder {
+        fleet.router
     }
 }
 
@@ -339,7 +308,9 @@ pub struct RouterFleet {
 impl RouterFleet {
     /// Starts configuring a fleet.
     pub fn builder() -> RouterFleetBuilder {
-        RouterFleetBuilder::new()
+        RouterFleetBuilder {
+            router: Router::builder(),
+        }
     }
 
     /// Number of shards.
@@ -565,7 +536,7 @@ mod tests {
     #[test]
     fn telemetry_version_is_the_routers_own() {
         let fleet = RouterFleet::builder().shards(2).workers(3).build();
-        let mut twin = Router::try_from(RouterFleet::builder().shards(2)).unwrap();
+        let mut twin = Router::builder().shards(2).build();
         let cold = vec![crate::DEFAULT_TELEMETRY; 2];
         let hot = vec![ShardTelemetry::new(0.1, 5.0), ShardTelemetry::new(0.1, 0.5)];
         for feed in [&cold, &cold, &hot, &hot, &cold] {
@@ -622,7 +593,7 @@ mod tests {
         assert_eq!(b.stats().sync_rounds, 0);
         // The same transactions as raw ids, placed by the router a fleet
         // builder describes.
-        let mut router = Router::try_from(RouterFleet::builder().shards(4)).unwrap();
+        let mut router = RouterBuilder::from(RouterFleet::builder().shards(4)).build();
         let raw: Vec<ShardId> = stream
             .iter()
             .map(|tx| router.submit(tx.id(), &tx.input_txids()).unwrap())

@@ -75,8 +75,8 @@ pub const DEFAULT_TELEMETRY: ShardTelemetry = ShardTelemetry {
 };
 
 /// The builder-configured recipe for a router: every [`RouterBuilder`]
-/// knob except the storage backend. A [`crate::RouterFleet`] builds its
-/// one router from a spec, and a durable router's meta blob is its
+/// knob except the storage backend. [`RouterBuilder::open`] builds or
+/// reopens a router from one, and a durable router's meta blob is its
 /// encoded spec. [`RouterSpec::check`] is the one statement of
 /// which specs are buildable.
 #[derive(Debug, Clone, PartialEq)]
@@ -280,7 +280,8 @@ impl RouterSpec {
 ///
 /// Only [`RouterBuilder::shards`] is mandatory; everything else
 /// defaults to the paper's parameters. Setters only record values:
-/// [`RouterBuilder::build`] checks them together, once.
+/// [`RouterBuilder::open`], the one door that builds or reopens a
+/// router, checks them together, once.
 pub struct RouterBuilder {
     spec: RouterSpec,
     storage: Option<Box<dyn Storage>>,
@@ -391,10 +392,10 @@ impl RouterBuilder {
     /// [`RouterBuilder::checkpoint_every`] × [`RouterBuilder::full_every`]
     /// cadence the router installs a snapshot (every decision input the
     /// journal does not carry, plus the journal position it covers) and
-    /// garbage-collects the segments below it. A crashed durable router
-    /// is rebuilt with [`Router::recover`]. The backend must be
-    /// **fresh** (no meta blob) — recovery goes through `recover`, not
-    /// the builder.
+    /// garbage-collects the segments below it. [`RouterBuilder::open`]
+    /// journals an empty backend from scratch and **recovers** one that
+    /// holds a journal written by the same configuration, so a crashed
+    /// durable router restarts through the builder that made it.
     pub fn storage(mut self, storage: Box<dyn Storage>) -> Self {
         self.storage = Some(storage);
         self
@@ -428,26 +429,61 @@ impl RouterBuilder {
         self
     }
 
-    /// Builds the router.
+    /// The one door that builds or reopens a router. With no storage
+    /// it builds; over an empty backend it writes the meta blob (the
+    /// encoded configuration) and journals from there; over a backend
+    /// that holds a journal it recovers it with [`Router::recover`],
+    /// once the journal's meta blob matches this builder's
+    /// configuration.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidInput`] naming the rule when the
+    /// configuration breaks one — no shard count, α outside (0, 1], a
+    /// negative or non-finite L2S weight or ε, a zero retention window
+    /// or cadence, [`Strategy::Metis`] without an oracle, an
+    /// out-of-range oracle shard, initial telemetry length ≠ k, a
+    /// rebalancer on a strategy other than OptChain, a zero epoch
+    /// interval or a utilization trigger below 1 — or when the journal
+    /// in storage was written by another configuration (checked before
+    /// anything is recovered); otherwise what reading the backend,
+    /// writing a fresh meta blob or [`Router::recover`] reports.
+    pub fn open(self) -> io::Result<Router> {
+        let RouterBuilder { spec, storage } = self;
+        spec.check()
+            .map_err(|rule| io::Error::new(io::ErrorKind::InvalidInput, rule))?;
+        let Some(mut storage) = storage else {
+            return Ok(spec.build());
+        };
+        if let Some(meta) = storage.meta()? {
+            if durable::decode_spec(&meta)? != spec {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    "the journal in storage was written by another configuration",
+                ));
+            }
+            return Router::recover(storage);
+        }
+        // Records without a meta blob are no fresh journal either:
+        // recovery reports it.
+        if storage.next_seq() != 0 {
+            return Router::recover(storage);
+        }
+        let mut router = spec.build();
+        storage.put_meta(&durable::encode_spec(&spec))?;
+        router.journal = Some(Journal::new(storage, &spec));
+        Ok(router)
+    }
+
+    /// [`RouterBuilder::open`] for a caller whose configuration is
+    /// known good.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration breaks a cross-field rule — no shard
-    /// count, α outside (0, 1], a negative or non-finite L2S weight or
-    /// ε, a zero retention window or cadence,
-    /// [`Strategy::Metis`] without an oracle, an out-of-range oracle
-    /// shard, initial telemetry length ≠ k, a rebalancer on a strategy
-    /// other than OptChain, a zero epoch interval or a utilization
-    /// trigger below 1 — or if the storage backend already holds a
-    /// journal or writing the meta blob fails.
+    /// Panics with the message of any error [`RouterBuilder::open`]
+    /// returns.
     pub fn build(self) -> Router {
-        let mut router = self.spec.build();
-        if let Some(storage) = self.storage {
-            router
-                .attach_fresh_storage(&self.spec, storage)
-                .expect("writing the journal meta blob failed");
-        }
-        router
+        self.open().unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -497,6 +533,12 @@ impl PlacementSession {
 
 /// An owned, session-based placement service over a runtime-selected
 /// strategy.
+///
+/// Placement is one sequence, so a router is driven by one caller at a
+/// time (`&mut self`). An embedder with many threads holds a
+/// `Mutex<Router>` and places under the lock, as the placement server
+/// holds its router on its one dispatcher thread; the order in which
+/// callers take the lock is the sequence the router places.
 #[derive(Debug)]
 pub struct Router {
     tan: TanGraph,
@@ -1236,26 +1278,6 @@ impl Router {
         journal.stats.full_checkpoints += 1;
         journal.stats.full_bytes += journal.body_len as u64;
         journal.storage.gc()?;
-        Ok(())
-    }
-
-    /// Attaches a **fresh** backend to a fresh router: writes the meta
-    /// blob (the encoded spec) and starts journaling.
-    pub(crate) fn attach_fresh_storage(
-        &mut self,
-        spec: &RouterSpec,
-        mut storage: Box<dyn Storage>,
-    ) -> io::Result<()> {
-        assert!(
-            self.tan.is_empty(),
-            "storage attaches before any submission"
-        );
-        assert!(
-            storage.meta()?.is_none() && storage.next_seq() == 0,
-            "storage already holds a journal; rebuild with Router::recover"
-        );
-        storage.put_meta(&durable::encode_spec(spec))?;
-        self.journal = Some(Journal::new(storage, spec));
         Ok(())
     }
 
@@ -2051,13 +2073,5 @@ mod tests {
     fn recovery_errors_without_a_meta_blob() {
         let err = Router::recover(Box::new(crate::MemStorage::new())).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
-    }
-
-    #[test]
-    #[should_panic(expected = "already holds a journal")]
-    fn builder_rejects_a_used_backend() {
-        let mut used = crate::MemStorage::new();
-        used.put_meta(b"journal").unwrap();
-        Router::builder().shards(2).storage(Box::new(used)).build();
     }
 }

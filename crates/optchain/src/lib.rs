@@ -75,7 +75,7 @@
 //!   after it too; `submit_batch_detached` (a zero-copy window of a
 //!   shared stream) keeps its shards for `drain`. One client's spend of
 //!   another's output finds its parent at once: there is one graph.
-//!   The TCP node (`server::PlacementServer`) takes the same builder
+//!   The TCP node (`server::PlacementServer`) takes a `RouterBuilder`
 //!   and places on its dispatcher thread, which owns the one router.
 //!
 //! ```
@@ -190,23 +190,21 @@
 //! and `byte_budget_per_epoch` migrated bytes per epoch, and nothing
 //! moves at all until some shard exceeds `utilization_trigger`
 //! (default 1.15× the mean) — so a balanced workload never pays for
-//! the machinery. `RouterFleet::builder().rebalancer(...)` gives the
-//! dispatcher the same knob, `.storage(...)` makes either durable
+//! the machinery. `.storage(...)` makes a rebalancing router durable
 //! (the staged batch and the counters ride every snapshot; recovery
-//! re-derives every epoch of the journal tail), and the TCP server
-//! surfaces the
-//! counters (`optchain_rebalance_*`, per-shard acks, the cross-shard
-//! ratio) on its `/metrics` endpoint. PERF.md §9 has the measured
+//! re-derives every epoch of the journal tail), and the TCP server,
+//! handed the same `RouterBuilder`, surfaces the counters
+//! (`optchain_rebalance_*`, per-shard acks, the cross-shard ratio) on
+//! its `/metrics` endpoint. PERF.md §9 has the measured
 //! budget-vs-benefit curve; `rebalance_curve` (in `optchain-bench`)
 //! reproduces it and exits non-zero unless the rebalanced arm beats
 //! static placement on both axes — CI runs its `--smoke`.
 //!
 //! # Recover after a crash: the durable node
 //!
-//! `.storage(backend)` turns a router (or a fleet, via
-//! `RouterFleetBuilder::storage`) into a **durable placement node**:
-//! each acknowledged submission and telemetry change is journaled to a
-//! write-ahead log before the ack — one framed record per
+//! `.storage(backend)` turns a router into a **durable placement
+//! node**: each acknowledged submission and telemetry change is
+//! journaled to a write-ahead log before the ack — one framed record per
 //! `submit_batch` call — a snapshot of the live state lands
 //! every `checkpoint_every × full_every` journaled entries, and
 //! [`core::Router::recover`] rebuilds a **bit-identical** router from
@@ -218,8 +216,13 @@
 //! twice — torn tail frames truncated, shards and rebalance epochs
 //! re-derived deterministically during replay. `recover` is the one
 //! way a router's state comes back: a round trip in RAM is
-//! `SharedStorage<MemStorage>` + `checkpoint_now` + `recover`, and a
-//! fleet persists the same way — one backend for its one router.
+//! `SharedStorage<MemStorage>` + `checkpoint_now` + `recover`.
+//! [`core::RouterBuilder::open`] (and `build`, which panics on its
+//! error) is the one door that builds or reopens a router: over a
+//! backend that holds a journal it recovers it through `recover`, once
+//! the journal's meta blob matches the builder's configuration (a
+//! journal another configuration wrote is `InvalidInput`), so a
+//! restarted node reopens with the builder that made it.
 //! Backends implement the [`core::Storage`] trait:
 //! [`core::SegmentWal`] (on-disk segments with CRC-framed records,
 //! fsync-batched acks, and retention-driven segment GC) for real
@@ -272,7 +275,7 @@
 //! # Run a placement node over TCP
 //!
 //! Everything above runs in-process. [`server::PlacementServer`] puts
-//! the one router a [`core::RouterFleetBuilder`] describes behind a TCP
+//! the one router a [`core::RouterBuilder`] describes behind a TCP
 //! listener with a small length-prefixed binary protocol, and
 //! [`client::Client`] speaks it:
 //!
@@ -280,7 +283,7 @@
 //! use optchain::prelude::*;
 //!
 //! let server = PlacementServer::builder()
-//!     .fleet(RouterFleet::builder().shards(8))
+//!     .router(Router::builder().shards(8))
 //!     .bind("127.0.0.1:0") // OS-assigned port
 //!     .start()
 //!     .unwrap();
@@ -315,7 +318,7 @@
 //!   (ack, typed reject, or query result), including everything
 //!   admitted before a graceful [`server::PlacementServer::shutdown`],
 //!   which drains the queue through the router and flushes the WAL tail
-//!   (attach storage via `RouterFleetBuilder::storage` exactly as
+//!   (attach storage and its cadences on the `RouterBuilder` exactly as
 //!   in-process). A `/metrics`-style text endpoint
 //!   ([`client::Client::metrics_text`]) exposes queue depth,
 //!   admitted/shed/acked counters, and admission-to-ack latency

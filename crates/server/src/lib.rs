@@ -1,7 +1,7 @@
 //! optchain-server: a network-facing placement node.
 //!
 //! This crate turns the in-process placement engine — one
-//! `optchain_core::Router`, described by a [`RouterFleetBuilder`] and
+//! `optchain_core::Router`, described by a [`RouterBuilder`] and
 //! owned by the server's dispatcher thread, which places every admitted
 //! request inline — into a TCP service with the failure modes a shared
 //! node needs to have *on purpose*:
@@ -42,13 +42,13 @@
 //! never a panic.
 //!
 //! ```no_run
-//! use optchain_server::{PlacementServer, RouterFleetBuilder};
+//! use optchain_server::{PlacementServer, RouterBuilder};
 //!
-//! // `fleet` describes the node's one router: strategy, retention,
-//! // storage (a journal already in it is recovered).
-//! fn serve(fleet: RouterFleetBuilder) -> std::io::Result<()> {
+//! // `router` describes the node's one router: strategy, retention,
+//! // storage and its cadences (a journal it wrote before is recovered).
+//! fn serve(router: RouterBuilder) -> std::io::Result<()> {
 //!     let server = PlacementServer::builder()
-//!         .fleet(fleet.shards(8))
+//!         .router(router.shards(8))
 //!         .bind("127.0.0.1:0")
 //!         .queue_capacity(16_384)
 //!         .credit_window(256)
@@ -78,5 +78,5 @@ pub use server::{
 };
 
 // Re-exported so downstream code (the client) can name the router's
-// builder without an extra direct dependency.
-pub use optchain_core::RouterFleetBuilder;
+// builders without an extra direct dependency.
+pub use optchain_core::{RouterBuilder, RouterFleetBuilder};

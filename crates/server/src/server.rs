@@ -21,8 +21,8 @@
 //!   is never disconnected or silently dropped), and admits work into
 //!   the bounded fee-ordered queue. Admission failures are shed with a
 //!   typed rejection immediately.
-//! * The **dispatcher** builds (or recovers) the router from the
-//!   [`RouterFleetBuilder`] it was given and is its placement thread:
+//! * The **dispatcher** owns the router [`RouterBuilder::open`] built
+//!   (or recovered) from its builder and is its placement thread:
 //!   OptChain places one sequence, so one thread both places and routes
 //!   acks. It pops admitted work highest-fee-first, a round at a time,
 //!   places each request inline — an id the graph still holds is acked
@@ -59,7 +59,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use optchain_core::{Router, RouterFleetBuilder};
+use optchain_core::{Router, RouterBuilder, RouterFleetBuilder};
 use optchain_utxo::TxId;
 
 use crate::metrics::{AdmissionGauges, ServerMetrics};
@@ -211,11 +211,11 @@ type Registry = Arc<Mutex<HashMap<u64, ConnEntry>>>;
 // ---------------------------------------------------------------------------
 
 /// Builder for [`PlacementServer`]. The one required input is the
-/// [`RouterFleetBuilder`] describing the router the server places with
-/// — every knob (strategy, retention, `.storage(...)` durability)
-/// composes unchanged.
+/// [`RouterBuilder`] describing the router the server places with —
+/// every knob (strategy, retention, `.storage(...)` durability and its
+/// cadences) composes unchanged.
 pub struct PlacementServerBuilder {
-    fleet: Option<RouterFleetBuilder>,
+    router: Option<RouterBuilder>,
     addr: String,
     queue_capacity: usize,
     credit_window: u32,
@@ -226,7 +226,7 @@ pub struct PlacementServerBuilder {
 impl PlacementServerBuilder {
     fn new() -> Self {
         PlacementServerBuilder {
-            fleet: None,
+            router: None,
             addr: "127.0.0.1:0".to_string(),
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             credit_window: DEFAULT_CREDIT_WINDOW,
@@ -235,12 +235,17 @@ impl PlacementServerBuilder {
         }
     }
 
-    /// The router to serve (required): the builder describes the one
-    /// [`Router`] the dispatcher owns, built — or, from storage that
-    /// already holds a journal, recovered — inside [`Self::start`].
-    pub fn fleet(mut self, fleet: RouterFleetBuilder) -> Self {
-        self.fleet = Some(fleet);
+    /// The router to serve (required): the one [`Router`] the dispatcher
+    /// owns, opened by [`Self::start`] — built, or recovered from
+    /// storage that already holds a journal.
+    pub fn router(mut self, router: RouterBuilder) -> Self {
+        self.router = Some(router);
         self
+    }
+
+    /// [`Self::router`], from the fleet builder's knobs.
+    pub fn fleet(self, fleet: RouterFleetBuilder) -> Self {
+        self.router(fleet.into())
     }
 
     /// Listen address (default `127.0.0.1:0` — an ephemeral loopback
@@ -309,23 +314,18 @@ impl PlacementServerBuilder {
         self
     }
 
-    /// Builds (or recovers) the router, binds the listener, and spawns
-    /// the accept loop and the dispatcher that owns the router.
+    /// Opens the router, binds the listener, and spawns the accept loop
+    /// and the dispatcher that owns the router.
     ///
     /// # Errors
     ///
-    /// [`io::ErrorKind::InvalidInput`] naming the rule when the fleet
-    /// builder breaks one, the error of recovering a journal that fails
-    /// to recover, and listener bind failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no fleet was configured.
+    /// [`io::ErrorKind::InvalidInput`] when no router was configured or
+    /// [`RouterBuilder::open`] rejects its configuration, what else
+    /// opening it reports, and listener bind failures.
     pub fn start(self) -> io::Result<PlacementServer> {
-        let fleet = self
-            .fleet
-            .expect("PlacementServerBuilder::fleet is required");
-        let router = Router::try_from(fleet)?;
+        let router = (self.router)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no router to serve"))?
+            .open()?;
         let shards = router.k();
         let listener =
             TcpListener::bind(self.addr.to_socket_addrs()?.next().ok_or_else(|| {

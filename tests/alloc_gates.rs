@@ -86,7 +86,10 @@ fn fleet_ingest_allocates_under_a_tenth_per_worker_ingested_tx() {
 /// Every 2,048 placements the board changes, to one of 1, 2, 4 or 16
 /// distinct values: each change rebuilds the L2S memo's classes and
 /// empties its table, and placements with more than 10 input shards
-/// take the numeric integral, all inside the memo's own buffers.
+/// take the numeric integral, all inside the memo's own buffers. The
+/// same stream over a board that never changes (its 16-value board,
+/// the one with the most classes) is the baseline: what the changes
+/// add must stay far below one allocation per memo miss.
 #[test]
 fn router_under_changing_telemetry_allocates_under_a_tenth_per_placed_tx() {
     const K: usize = 16;
@@ -105,16 +108,23 @@ fn router_under_changing_telemetry_allocates_under_a_tenth_per_placed_tx() {
                 .collect()
         })
         .collect();
-    let mut router = Router::builder().shards(K as u32).build();
-    let mut out = Vec::with_capacity(FEED);
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for (chunk, board) in stream.chunks(FEED).zip(&boards) {
-        router.feed_telemetry(board);
-        router.submit_batch(chunk, &mut out);
-    }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
-    let (hits, misses) = router.l2s_memo_stats();
-    assert_eq!(hits + misses, TXS as u64, "every placement reads the memo");
+    // Allocations and memo misses of the stream fed
+    // `boards[board_of(i)]` before its i-th chunk.
+    let run = |board_of: fn(usize) -> usize| {
+        let mut router = Router::builder().shards(K as u32).build();
+        let mut out = Vec::with_capacity(FEED);
+        let before = ALLOCS.load(Ordering::Relaxed);
+        for (i, chunk) in stream.chunks(FEED).enumerate() {
+            router.feed_telemetry(&boards[board_of(i)]);
+            router.submit_batch(chunk, &mut out);
+        }
+        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+        let (hits, misses) = router.l2s_memo_stats();
+        assert_eq!(hits + misses, TXS as u64, "every placement reads the memo");
+        (allocs, misses)
+    };
+    let (allocs, misses) = run(|i| i);
+    let (allocs_static, _) = run(|_| 3);
     assert!(
         misses >= boards.len() as u64,
         "every board change must rebuild"
@@ -123,5 +133,11 @@ fn router_under_changing_telemetry_allocates_under_a_tenth_per_placed_tx() {
     assert!(
         per_tx < 0.1,
         "{allocs} allocations, {per_tx:.4} per placed tx"
+    );
+    let added = allocs.saturating_sub(allocs_static);
+    assert!(
+        added < misses / 10,
+        "board changes added {added} allocations ({allocs} against {allocs_static} \
+         on a static board) over {misses} memo misses"
     );
 }

@@ -1,7 +1,7 @@
 //! End-to-end integration: workload → ledger validation → TaN → placement
-//! → simulation, across crates; and what every placement door does with
-//! an id the graph still holds, in RAM, on a journal and in a fleet, and
-//! once its journal has died.
+//! → simulation, across crates; what every placement door does with an
+//! id the graph still holds, in RAM, on a journal and in a fleet, and
+//! once its journal has died; and which journal a builder reopens.
 
 use std::io::ErrorKind;
 use std::sync::Arc;
@@ -512,4 +512,69 @@ fn a_warm_started_router_recovers_at_every_kill_point() {
             assert_eq!(scores(&recovered), scores(&reference), "kill {kill}");
         }
     }
+}
+
+/// `RouterBuilder::open` is the one door that builds or reopens a
+/// router. Over a journal written by the same configuration, `build`
+/// recovers exactly what `Router::recover` does, and both keep deciding
+/// alike; over a journal written by another configuration, `open`
+/// returns `InvalidInput` before recovering anything, and a fleet
+/// builder's `build` panics with that message.
+#[test]
+fn the_builder_reopens_only_the_journal_its_configuration_wrote() {
+    let txs = stream(600, 9);
+    let (first, rest) = txs.split_at(400);
+    let spec = || {
+        Router::builder()
+            .shards(4)
+            .retention(RetentionPolicy::WindowTxs(256))
+            .checkpoint_every(64)
+            .flush_every(8)
+    };
+    let disk = SharedStorage::new(MemStorage::new());
+    let mut writer = spec().storage(Box::new(disk.clone())).build();
+    for tx in first {
+        writer.submit_tx(tx).unwrap();
+    }
+    writer.flush_journal().unwrap();
+    drop(writer);
+    let copy = || Box::new(SharedStorage::new(disk.with(|m| m.clone())));
+
+    let mut reopened = spec().storage(copy()).build();
+    let mut recovered = Router::recover(copy()).unwrap();
+    assert_eq!(reopened.assignments().len(), first.len());
+    for tx in first {
+        assert_eq!(reopened.shard_of(tx.id()), recovered.shard_of(tx.id()));
+    }
+    for tx in rest {
+        assert_eq!(
+            reopened.submit_tx(tx).unwrap(),
+            recovered.submit_tx(tx).unwrap()
+        );
+        assert_eq!(scores(&reopened), scores(&recovered));
+    }
+
+    let others: [fn(RouterBuilder) -> RouterBuilder; 4] = [
+        |b| b.shards(8),
+        |b| b.retention(RetentionPolicy::Unbounded),
+        |b| b.flush_every(16),
+        |b| b.strategy(Strategy::T2s),
+    ];
+    let untouched = disk.with(|m| m.clone());
+    for other in others {
+        let err = other(spec())
+            .storage(Box::new(disk.clone()))
+            .open()
+            .unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}");
+        assert!(err.to_string().contains("another configuration"), "{err}");
+    }
+    assert_eq!(disk.next_seq(), untouched.next_seq());
+    assert_eq!(disk.meta().unwrap(), untouched.meta().unwrap());
+
+    let fleet =
+        std::panic::catch_unwind(|| RouterFleet::builder().shards(8).storage(copy()).build());
+    let panic = fleet.expect_err("a k = 4 journal opened by a k = 8 fleet");
+    let message = panic.downcast_ref::<String>().unwrap();
+    assert!(message.contains("another configuration"), "{message}");
 }
